@@ -9,16 +9,25 @@ tracking benchmark: there is no cached/uncached contrast, so the
 envelope's ``speedup``/``floor`` are ``null`` and ``tools/bench_report.py``
 reports the ns-per-corner-step drift informationally.
 
+One batch size cannot separate the kernel's two costs, so the detail
+also carries a batch sweep ({1, 4, 16, 64, 256} corners over a short
+stop time) and its least-squares line ``ns/substep = fixed + marginal *
+batch``: ``fixed_ns_per_substep`` is the per-sub-step dispatch cost every
+run pays, ``marginal_ns_per_corner_step`` the arithmetic each extra
+corner adds.
+
 Run under pytest-benchmark (``pytest benchmarks/bench_kernel.py``) or
 standalone to (re)generate the checked-in perf snapshot (a
 ``repro-bench/v1`` envelope — see ``bench_schema.py``)::
 
     python benchmarks/bench_kernel.py            # writes BENCH_kernel.json
-    python benchmarks/bench_kernel.py --smoke    # tiny batch (CI smoke)
+    python benchmarks/bench_kernel.py --smoke    # tiny batch + sweep (CI smoke)
 """
 
 import argparse
 import time
+
+import numpy as np
 
 from repro.circuit import (SimulationCase, build_inverter_chain,
                            cnfet_inverter, pulse_source, run_transient_batch)
@@ -29,6 +38,9 @@ BATCH = 16
 STAGES = 3
 STOP_TIME = 200e-12
 TIME_STEP = 1e-12
+SWEEP_BATCHES = (1, 4, 16, 64, 256)
+SWEEP_STOP_TIME = 20e-12     # 10,000 sub-steps at the 2 fs floor
+SWEEP_REPEATS = 3
 
 
 def _cases(batch=BATCH, stages=STAGES):
@@ -95,11 +107,46 @@ def run_kernel_scenario(batch=BATCH, stop_time=STOP_TIME,
     }
 
 
+def run_batch_sweep(batches=SWEEP_BATCHES, stop_time=SWEEP_STOP_TIME,
+                    repeats=SWEEP_REPEATS):
+    """Time one integration per batch size and fit the two kernel costs.
+
+    Each batch is timed ``repeats`` times after a warm-up and keeps its
+    fastest run (host noise only ever adds time).  The least-squares line
+    through ``(batch, ns per sub-step)`` gives the fixed cost per sub-step
+    (intercept) and the marginal cost per corner-step (slope).
+    """
+    substeps = round(stop_time / stability_substep(stop_time, TIME_STEP))
+    per_substep = []
+    for batch in batches:
+        cases = _cases(batch=batch)
+        run_transient_batch(cases, stop_time, TIME_STEP)
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            run_transient_batch(cases, stop_time, TIME_STEP)
+            best = min(best, time.perf_counter() - start)
+        per_substep.append(best / substeps * 1e9)
+    design = np.column_stack([np.ones(len(batches)), np.asarray(batches)])
+    (fixed, marginal), *_ = np.linalg.lstsq(design, np.asarray(per_substep),
+                                            rcond=None)
+    return {
+        "sweep_batches": list(batches),
+        "sweep_stop_time_s": stop_time,
+        "sweep_substeps_per_case": substeps,
+        "sweep_ns_per_substep": [round(value, 1) for value in per_substep],
+        "fixed_ns_per_substep": round(float(fixed), 1),
+        "marginal_ns_per_corner_step": round(float(marginal), 2),
+    }
+
+
 def check_kernel_contract(report):
     """The hard assertions shared by pytest and standalone runs."""
     assert report["cases_returned"] == report["batch"], report
     assert report["substeps_per_case"] > 0, report
     assert report["ns_per_corner_step"] > 0, report
+    if "fixed_ns_per_substep" in report:
+        assert report["fixed_ns_per_substep"] > 0, report
 
 
 def kernel_envelope(report):
@@ -141,6 +188,15 @@ def test_kernel_ns_per_corner_step(benchmark, tmp_path):
     check_kernel_contract(report)
 
 
+def test_kernel_fixed_and_marginal_cost():
+    """The batch sweep's least-squares split, at smoke size."""
+    report = run_batch_sweep(stop_time=4e-12, repeats=1)
+    print()
+    print(f"{report['fixed_ns_per_substep']:.0f} ns fixed per sub-step + "
+          f"{report['marginal_ns_per_corner_step']:.1f} ns per corner-step")
+    assert report["fixed_ns_per_substep"] > 0, report
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--batch", type=int, default=BATCH)
@@ -151,10 +207,13 @@ def main(argv=None):
                         help="snapshot path (default: repo-root "
                              "BENCH_kernel.json; '-' to skip)")
     args = parser.parse_args(argv)
+    sweep = {}
     if args.smoke:
         args.batch, args.stop_time = 4, 40e-12
+        sweep = dict(stop_time=4e-12, repeats=1)
 
     report = run_kernel_scenario(batch=args.batch, stop_time=args.stop_time)
+    report.update(run_batch_sweep(**sweep))
     check_kernel_contract(report)
     from bench_schema import write_envelope
 

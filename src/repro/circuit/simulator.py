@@ -4,10 +4,11 @@ The paper's electrical results come from HSPICE; this module provides the
 offline equivalent: a small nodal transient solver over the CNFET/MOSFET
 compact models.  Every internal net carries a lumped capacitance (device
 loading plus any explicit capacitors); device currents charge and discharge
-those capacitances.  Integration is explicit with adaptive sub-stepping,
-which is robust for the gate-sized circuits the experiments need (inverter
-chains, logic gates, a full adder) and keeps the implementation
-dependency-free.
+those capacitances.  Integration is explicit forward Euler on a fixed
+sub-step grid (the :func:`stability_substep` rule: at most
+``SUBSTEP_BUDGET`` sub-steps per run, never below 2 fs), which is robust
+for the gate-sized circuits the experiments need (inverter chains, logic
+gates, a full adder) and keeps the implementation dependency-free.
 
 Engines
 -------
@@ -15,7 +16,7 @@ Two engines implement identical integration semantics:
 
 * the **batch engine** (default) lowers each :class:`SimulationCase` once
   into NumPy structure arrays (see *Precompiled array layout* below) and
-  integrates every case of a batch as one ``(batch, nets)`` state matrix
+  integrates every case of a batch as one ``(nets, batch)`` state matrix
   with array operations — one :func:`run_transient_batch` call sweeps many
   stimuli/corners (supply voltage, CNT pitch / tubes per device, load
   capacitance, input slew) in a single vectorized integration;
@@ -38,22 +39,34 @@ the design.
 Precompiled array layout
 ------------------------
 :class:`CompiledTransientBatch` lowers ``B`` topology-identical cases with
-``T`` transistors, ``N`` nets (``I`` of them integrated) and ``S`` driven
-source nets into:
+``T`` transistors (``n_devices`` n-type ones first), ``N`` nets (``I`` of
+them integrated), ``S`` driven source nets and at most ``R``
+contributions per net into:
 
-===================  ==========  ====================================
-array                shape       contents
-===================  ==========  ====================================
-``gate/drain/src``   ``(T,)``    net index of each device terminal
-``is_n``             ``(T,)``    device conduction polarity
-``prefactor``        ``(B, T)``  saturation current at full drive [A]
-``vth``              ``(B, T)``  threshold voltage magnitude [V]
-``nominal_ov``       ``(B, T)``  overdrive the prefactor is quoted at
-``alpha``            ``(B, T)``  alpha-power saturation index
-``capacitance``      ``(B, I)``  lumped capacitance per integrated net
-``pwl times/vals``   ``(B,S,P)`` padded source breakpoints
-``voltages``         ``(B, N)``  the integration state matrix
-===================  ==========  ====================================
+====================  ==============  ==================================
+array                 shape           contents
+====================  ==============  ==================================
+``rows``              ``(N,)``        state row of each of ``net_names``
+``terminal_idx``      ``(3T,)``       gate, drain, source state rows
+``prefactor``         ``(T, B)``      saturation current at full drive [A]
+``vth``               ``(T, B)``      threshold voltage magnitude [V]
+``nominal_ov``        ``(T, B)``      overdrive of the prefactor [V]
+``alpha``             ``(T, B)``      alpha-power saturation index
+``capacitance``       ``(I, B)``      lumped capacitance per net [F]
+``rank_table``        ``(R, I+1)``    drive rows summed into each net
+                                      and (last column) the supply
+``pwl times/vals``    ``(B, S, P)``   padded source breakpoints
+``voltages``          ``(N, B)``      the integration state matrix
+====================  ==============  ==================================
+
+Kernel arrays are batch-minor: every row is one net or device across
+the batch, so each slice the sub-step loop touches is contiguous.  State
+rows are permuted (integrated nets, then driven nets, then rails), so the
+update, clamp and stimulus write act on views; ``rows`` undoes the
+permutation when waveforms are handed back under their net names.  One
+gather through ``terminal_idx`` fetches every terminal voltage, and one
+gather through ``rank_table`` lays out every net's current contributions
+(see :meth:`CompiledTransientBatch._march`).
 
 Per-case quantities (``prefactor`` .. ``capacitance``) carry the batch
 axis, so corners may vary device parameters, loading, supply and stimuli;
@@ -96,7 +109,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -322,123 +337,118 @@ class CompiledTransientBatch:
         ]
         self._validate_topology()
 
-        index = {net: i for i, net in enumerate(self.net_names)}
         batch = len(self.cases)
         self.batch_size = batch
 
-        # -- terminals ----------------------------------------------------
-        transistors = first.transistors
-        self.gate_idx = np.array([index[t.gate] for t in transistors], dtype=np.intp)
-        self.drain_idx = np.array([index[t.drain] for t in transistors], dtype=np.intp)
-        self.source_idx = np.array([index[t.source] for t in transistors], dtype=np.intp)
-        self.is_n = np.array([t.polarity == "n" for t in transistors], dtype=bool)
-
-        # -- per-case device parameters (B, T) ----------------------------
-        rows = [
-            [_device_power_law(t.device) for t in case.netlist.transistors]
-            for case in self.cases
-        ]
-        params = np.array(rows, dtype=float)          # (B, T, 4)
-        if params.size:
-            self.prefactor = np.ascontiguousarray(params[:, :, 0])
-            self.vth = np.ascontiguousarray(params[:, :, 1])
-            self.nominal_ov = np.ascontiguousarray(params[:, :, 2])
-            self.alpha = np.ascontiguousarray(params[:, :, 3])
-        else:
-            shape = (batch, 0)
-            self.prefactor = np.zeros(shape)
-            self.vth = np.zeros(shape)
-            self.nominal_ov = np.ones(shape)
-            self.alpha = np.ones(shape)
-
-        # -- integrated nets and their capacitance (B, I) -----------------
+        # -- state rows (see "Precompiled array layout") ------------------
+        # Integrated nets, then driven nets, then the rest; ``rows[k]`` is
+        # the state row of ``net_names[k]``.
         driven = set(self.source_nets)
         self.integrated_nets = [
             net for net in self._topology_nets
             if net not in (VDD, GND) and net not in driven
         ]
-        self.integrated_idx = np.array(
-            [index[net] for net in self.integrated_nets], dtype=np.intp
+        layout = self.integrated_nets + self.source_nets
+        placed = set(layout)
+        layout += [net for net in self.net_names if net not in placed]
+        row = {net: i for i, net in enumerate(layout)}
+        self.rows: List[int] = [row[net] for net in self.net_names]
+
+        # -- terminals ----------------------------------------------------
+        # Kernel device order puts n-type devices first, so the gate
+        # overdrive of each polarity is one subtraction on a view.
+        # ``terminal_idx`` lists the gate, then drain, then source row of
+        # every device: one gather fetches all terminal voltages.
+        transistors = first.transistors
+        order = sorted(range(len(transistors)),
+                       key=lambda k: transistors[k].polarity != "n")
+        self.n_devices = sum(t.polarity == "n" for t in transistors)
+        self.terminal_idx = np.array(
+            [row[transistors[k].gate] for k in order]
+            + [row[transistors[k].drain] for k in order]
+            + [row[transistors[k].source] for k in order],
+            dtype=np.intp,
         )
+
+        # -- per-case device parameters (T, B), kernel order --------------
+        params = np.array(
+            [
+                [_device_power_law(case.netlist.transistors[k].device)
+                 for case in self.cases]
+                for k in order
+            ],
+            dtype=float,
+        ).reshape(len(order), batch, 4)
+        self.prefactor, self.vth, self.nominal_ov, self.alpha = (
+            np.ascontiguousarray(params[:, :, field_i]) for field_i in range(4)
+        )
+
+        # -- integrated-net capacitance (I, B) ----------------------------
         self.capacitance = np.array(
             [
                 [
                     max(case.netlist.node_capacitance(net), MINIMUM_NODE_CAPACITANCE)
-                    for net in self.integrated_nets
+                    for case in self.cases
                 ]
-                for case in self.cases
+                for net in self.integrated_nets
             ],
             dtype=float,
-        ).reshape(batch, len(self.integrated_nets))
+        ).reshape(len(self.integrated_nets), batch)
 
-        # -- accumulation schedule ----------------------------------------
-        # The loop engine visits device terminals in interleaved order
-        # (drain then source, device by device) and accumulates each net's
-        # current with sequential ``+=``.  Terminal "slots" reproduce that
-        # order: slot 2k is device k's drain, slot 2k+1 its source.  Slots
-        # are grouped by *occurrence rank* per net — rank r holds each
-        # net's (r+1)-th contribution — so every rank is one buffered
-        # fancy-index add (all nets unique within a rank) and the per-net
-        # addition order matches the scalar engine exactly.
-        integrated_pos = {net: i for i, net in enumerate(self.integrated_nets)}
-        slot_targets: List[int] = []
-        for t in transistors:
-            slot_targets.append(integrated_pos.get(t.drain, -1))
-            slot_targets.append(integrated_pos.get(t.source, -1))
-        occurrence: Dict[int, int] = {}
-        ranked: Dict[int, List[Tuple[int, int]]] = {}
-        for slot, target in enumerate(slot_targets):
-            if target < 0:
-                continue
-            rank = occurrence.get(target, 0)
-            occurrence[target] = rank + 1
-            ranked.setdefault(rank, []).append((slot, target))
-        # Each rank entry is (device positions, signed-contribution signs,
-        # target net positions): slot 2k (a drain) contributes -i_drain[k],
-        # slot 2k+1 (a source) contributes +i_drain[k].
-        self.rank_schedule: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-            (
-                np.array([slot >> 1 for slot, _ in pairs], dtype=np.intp),
-                np.array([1.0 if slot & 1 else -1.0 for slot, _ in pairs]),
-                np.array([target for _, target in pairs], dtype=np.intp),
-            )
-            for rank, pairs in sorted(ranked.items())
-        ]
-
-        # Supply accounting: the loop engine folds the Vdd-terminal
-        # contributions in the same interleaved order, so keep (sign,
-        # device) pairs in slot order: +i_drain for a drain on Vdd,
-        # -i_drain (= i_source) for a source on Vdd.
-        self.supply_terms: List[Tuple[float, int]] = []
-        for position, t in enumerate(transistors):
+        # -- accumulation table -------------------------------------------
+        # Each sub-step the kernel fills the drive rows ``[i_drain |
+        # -i_drain | +0.0]`` (``2T + 1`` rows).  The loop engine visits
+        # device terminals in slot order (device by device, drain then
+        # source) and folds each net's current, and the supply current,
+        # with sequential ``+=`` from ``0.0``.  Column ``j`` of
+        # ``rank_table`` lists, in that order, the drive rows of integrated
+        # net ``j``'s contributions (a drain adds -i_drain, a source
+        # +i_drain); column ``I`` does the same for the supply (a drain on
+        # Vdd adds +i_drain, a source on Vdd -i_drain).  Row ``r`` holds
+        # every net's (r+1)-th contribution; shorter columns are padded
+        # with the ``+0.0`` drive row.
+        devices = len(transistors)
+        kernel_position = {k: p for p, k in enumerate(order)}
+        target = {net: j for j, net in enumerate(self.integrated_nets)}
+        contributions: List[List[int]] = [[] for _ in range(len(target) + 1)]
+        supply = contributions[-1]
+        for k, t in enumerate(transistors):
+            forward = kernel_position[k]
+            reverse = devices + forward
+            if t.drain in target:
+                contributions[target[t.drain]].append(reverse)
+            if t.source in target:
+                contributions[target[t.source]].append(forward)
             if t.drain == VDD:
-                self.supply_terms.append((+1.0, position))
+                supply.append(forward)
             if t.source == VDD:
-                self.supply_terms.append((-1.0, position))
+                supply.append(reverse)
+        ranks = max(1, max(len(slots) for slots in contributions))
+        self.rank_table = np.full((ranks, len(contributions)), 2 * devices,
+                                  dtype=np.intp)
+        for j, slots in enumerate(contributions):
+            self.rank_table[:len(slots), j] = slots
 
         # -- per-case rails, clamp bounds, initial state ------------------
         self.vdd = np.array([case.netlist.vdd for case in self.cases])
         self.clamp_low = np.array(
             [-0.1 * case.netlist.vdd for case in self.cases]
-        )[:, None]
+        )[None, :]
         self.clamp_high = np.array(
             [1.1 * case.netlist.vdd for case in self.cases]
-        )[:, None]
+        )[None, :]
 
-        self.initial_voltages = np.zeros((batch, len(self.net_names)))
-        self.initial_voltages[:, index[VDD]] = self.vdd
+        self.initial_voltages = np.zeros((len(self.net_names), batch))
+        self.initial_voltages[row[VDD]] = self.vdd
         for case_i, case in enumerate(self.cases):
             conditions = dict(case.initial_conditions or {})
             for net in self.integrated_nets:
-                self.initial_voltages[case_i, index[net]] = conditions.get(net, 0.0)
+                self.initial_voltages[row[net], case_i] = conditions.get(net, 0.0)
             for net in self.source_nets:
-                self.initial_voltages[case_i, index[net]] = \
+                self.initial_voltages[row[net], case_i] = \
                     case.sources[net].value(0.0)
 
         # -- padded PWL tables (B, S, P) ----------------------------------
-        self.source_cols = np.array(
-            [index[net] for net in self.source_nets], dtype=np.intp
-        )
         longest = 1
         for case in self.cases:
             for net in self.source_nets:
@@ -555,37 +565,65 @@ class CompiledTransientBatch:
 
     # -- integration ------------------------------------------------------
 
-    def _device_currents(self, voltages: np.ndarray) -> np.ndarray:
-        """Current out of each device's drain terminal: ``(B, T)``.
+    def _current_kernel(self, terminals: np.ndarray,
+                        out: np.ndarray) -> Callable[[], None]:
+        """Build the device-current step: ``terminals -> out``.
 
-        Elementwise mirror of the loop engine's ``_channel_current``: the
+        ``terminals`` is the ``(3T, B)`` gathered gate|drain|source
+        voltages and ``out`` receives the current out of each device's
+        drain terminal, ``(T, B)``.  The returned function is an
+        elementwise mirror of the loop engine's ``_channel_current``: the
         conduction direction is folded into ``(vgs, vds)`` relative to the
         low (n-type) or high (p-type) channel terminal, and the sign of the
         drain current follows the terminal ordering.  Inactive lanes
         (``overdrive <= 0`` or ``vds <= 0``) are masked to exactly zero.
+        Every expression keeps the scalar operand association; the
+        intermediates live in buffers allocated here, once per integration.
         """
-        gate_v = voltages[:, self.gate_idx]
-        drain_v = voltages[:, self.drain_idx]
-        source_v = voltages[:, self.source_idx]
-        high = np.maximum(drain_v, source_v)
-        low = np.minimum(drain_v, source_v)
-        vds = high - low
-        vgs = np.where(self.is_n, gate_v - low, high - gate_v)
-        overdrive = vgs - self.vth
-        active = (overdrive > 0.0) & (vds > 0.0)
-        # Inactive lanes get a harmless positive base so the power/division
-        # lanes never see zero or negative operands.
-        safe_overdrive = np.where(active, overdrive, 1.0)
-        ratio = safe_overdrive / self.nominal_ov
-        saturation = self.prefactor * np.power(ratio, self.alpha)
-        triode_ratio = vds / safe_overdrive
-        magnitude = np.where(
-            vds >= overdrive,
-            saturation,
-            saturation * triode_ratio * (2.0 - triode_ratio),
-        )
-        magnitude = np.where(active, magnitude, 0.0)
-        return np.where(drain_v >= source_v, magnitude, -magnitude)
+        shape = self.prefactor.shape
+        devices, n = shape[0], self.n_devices
+        vth, nominal_ov = self.vth, self.nominal_ov
+        prefactor, alpha = self.prefactor, self.alpha
+        gate_v = terminals[:devices]
+        drain_v = terminals[devices:2 * devices]
+        source_v = terminals[2 * devices:]
+        high, low, vds, vgs, overdrive, ratio, saturation, triode, scratch = (
+            np.empty(shape) for _ in range(9))
+        active, saturated, forward = (
+            np.empty(shape, dtype=bool) for _ in range(3))
+        gate_n, low_n, vgs_n = gate_v[:n], low[:n], vgs[:n]
+        gate_p, high_p, vgs_p = gate_v[n:], high[n:], vgs[n:]
+        maximum, minimum, subtract = np.maximum, np.minimum, np.subtract
+        multiply, divide, power = np.multiply, np.divide, np.power
+        greater, greater_equal = np.greater, np.greater_equal
+        negative, where, copyto = np.negative, np.where, np.copyto
+
+        def device_currents() -> None:
+            maximum(drain_v, source_v, out=high)
+            minimum(drain_v, source_v, out=low)
+            subtract(high, low, out=vds)
+            subtract(gate_n, low_n, out=vgs_n)         # n-type: gate - low
+            subtract(high_p, gate_p, out=vgs_p)        # p-type: high - gate
+            subtract(vgs, vth, out=overdrive)
+            # (overdrive > 0) & (vds > 0), NaN lanes included: min(a, b) > 0
+            # holds exactly when both do.
+            greater(minimum(overdrive, vds, out=scratch), 0.0, out=active)
+            # Inactive lanes get a harmless positive base so the power and
+            # division lanes never see zero or negative operands.
+            safe = where(active, overdrive, 1.0)
+            divide(safe, nominal_ov, out=ratio)
+            multiply(prefactor, power(ratio, alpha, out=ratio), out=saturation)
+            divide(vds, safe, out=triode)
+            # saturation * triode * (2.0 - triode), left to right.
+            multiply(saturation, triode, out=scratch)
+            multiply(scratch, subtract(2.0, triode, out=triode), out=scratch)
+            magnitude = where(greater_equal(vds, overdrive, out=saturated),
+                              saturation, scratch)
+            magnitude = where(active, magnitude, 0.0)
+            copyto(out, where(greater_equal(drain_v, source_v, out=forward),
+                              magnitude, negative(magnitude, out=scratch)))
+
+        return device_currents
 
     def integrate(self, stop_time: float, time_step: float) -> List[TransientResult]:
         """Integrate every case of the batch over one shared time base."""
@@ -614,59 +652,32 @@ class CompiledTransientBatch:
                 count += 1
                 time += dt
             steps_per_segment.append(count)
+        changed = [False] * len(step_sizes)
+        source_rows: Sequence[np.ndarray] = ()
         if self.source_nets and step_times:
-            changed, source_values = self._compressed_source_schedule(step_times)
-        else:
-            source_values = None
-            changed = None
+            mask, values = self._compressed_source_schedule(step_times)
+            changed = mask.tolist()
+            source_rows = np.ascontiguousarray(values.transpose(0, 2, 1))
+
+        # Imported here: the obs package reaches the runtime layer, which
+        # sits above this engine.
+        from ..obs import trace as obs_trace
 
         batch = self.batch_size
-        voltages = self.initial_voltages.copy()
-        waveforms = np.empty((batch, sample_count, len(self.net_names)))
-        supply_charge = np.zeros(batch)
-        integrated = self.integrated_idx
-        capacitance = self.capacitance
-        source_cols = self.source_cols
-        supply = np.zeros(batch)
-        currents = np.zeros((batch, integrated.size))
-
-        step = 0
-        write_index = 0
-        for sample_index in range(sample_count):
-            waveforms[:, sample_index, :] = voltages
-            if sample_index == sample_count - 1:
-                break
-            for _ in range(steps_per_segment[sample_index]):
-                dt = step_sizes[step]
-                if source_values is not None and changed[step]:
-                    voltages[:, source_cols] = source_values[write_index]
-                    write_index += 1
-                drain_current = self._device_currents(voltages)
-                if self.supply_terms:
-                    supply.fill(0.0)
-                    for sign, device in self.supply_terms:
-                        if sign > 0:
-                            supply += drain_current[:, device]
-                        else:
-                            supply -= drain_current[:, device]
-                    supply_charge += supply * dt
-                currents.fill(0.0)
-                for devices, signs, targets in self.rank_schedule:
-                    currents[:, targets] += drain_current[:, devices] * signs
-                np.multiply(currents, dt, out=currents)
-                np.divide(currents, capacitance, out=currents)
-                node_voltages = voltages[:, integrated]
-                np.add(node_voltages, currents, out=node_voltages)
-                np.maximum(node_voltages, self.clamp_low, out=node_voltages)
-                np.minimum(node_voltages, self.clamp_high, out=node_voltages)
-                voltages[:, integrated] = node_voltages
-                step += 1
+        with obs_trace.span("transient.integrate", batch=batch,
+                            nets=len(self.net_names),
+                            devices=self.prefactor.shape[0],
+                            substeps=len(step_sizes)):
+            waveforms, supply_charge = self._march(
+                sample_count, steps_per_segment, step_sizes, changed,
+                iter(source_rows))
+            obs_trace.add("transient.corner_steps", batch * len(step_sizes))
 
         results: List[TransientResult] = []
         for case_i in range(batch):
             case_waveforms = {
-                net: waveforms[case_i, :, net_i]
-                for net_i, net in enumerate(self.net_names)
+                net: waveforms[:, row, case_i]
+                for net, row in zip(self.net_names, self.rows)
             }
             results.append(
                 TransientResult(
@@ -677,6 +688,73 @@ class CompiledTransientBatch:
                 )
             )
         return results
+
+    def _march(self, sample_count: int, steps_per_segment: List[int],
+               step_sizes: List[float], changed: List[bool],
+               source_rows) -> Tuple[np.ndarray, np.ndarray]:
+        """The sub-step loop: ``(waveforms (samples, N, B), supply charge)``.
+
+        Waveform rows are in state-row order (see ``rows``).  Every buffer
+        is allocated before the loop; a sub-step is one terminal gather,
+        the device currents, one rank-table gather, one add per rank, and
+        the ``(i*dt)/C`` update and rail clamp on the integrated-net view.
+        """
+        devices, batch = self.prefactor.shape
+        nodes = len(self.integrated_nets)
+        voltages = self.initial_voltages.copy()
+        waveforms = np.empty((sample_count,) + voltages.shape)
+        supply_charge = np.zeros(batch)
+        node_v = voltages[:nodes]
+        driven_v = voltages[nodes:nodes + len(self.source_nets)]
+        terminals = np.empty((self.terminal_idx.size, batch))
+        drive = np.zeros((2 * devices + 1, batch))   # [i | -i | +0.0]
+        signed, negated = drive[:devices], drive[devices:2 * devices]
+        ranks, columns = self.rank_table.shape
+        table = np.empty((ranks * columns, batch))
+        first_rank, *later_ranks = [
+            table[r * columns:(r + 1) * columns] for r in range(ranks)
+        ]
+        # The accumulator starts as rank 0 + 0.0 and then adds each later
+        # rank in order, exactly the loop engine's ``0.0 + c1 + c2 + ...``
+        # for every net and the supply.  The +0.0 padding is exact: an
+        # accumulator that starts from +0.0 is never -0.0 (round-to-nearest
+        # gives -0.0 only for -0.0 + -0.0), and x + 0.0 == x for every
+        # other x, so padded ranks leave every sum bit-identical.
+        currents = np.empty((columns, batch))
+        node_currents, supply_current = currents[:nodes], currents[nodes]
+        capacitance, low, high = self.capacitance, self.clamp_low, self.clamp_high
+        gather_terminals = partial(voltages.take, self.terminal_idx, 0,
+                                   terminals, "clip")
+        gather_ranks = partial(drive.take, self.rank_table.ravel(), 0,
+                               table, "clip")
+        device_currents = self._current_kernel(terminals, signed)
+        add, multiply, divide = np.add, np.multiply, np.divide
+        maximum, minimum, negative, copyto = (
+            np.maximum, np.minimum, np.negative, np.copyto)
+
+        step = 0
+        for sample_index, count in enumerate(steps_per_segment):
+            waveforms[sample_index] = voltages
+            for dt, change in zip(step_sizes[step:step + count],
+                                  changed[step:step + count]):
+                if change:
+                    copyto(driven_v, next(source_rows))
+                gather_terminals()
+                device_currents()
+                negative(signed, out=negated)
+                gather_ranks()
+                add(first_rank, 0.0, out=currents)
+                for rank in later_ranks:
+                    add(currents, rank, out=currents)
+                multiply(currents, dt, out=currents)
+                add(supply_charge, supply_current, out=supply_charge)
+                divide(node_currents, capacitance, out=node_currents)
+                add(node_v, node_currents, out=node_v)
+                maximum(node_v, low, out=node_v)
+                minimum(node_v, high, out=node_v)
+            step += count
+        waveforms[sample_count - 1] = voltages
+        return waveforms, supply_charge
 
 
 def run_transient_batch(cases: Sequence[SimulationCase], stop_time: float,

@@ -178,7 +178,11 @@ def run_study(name: str, cache=None, jobs: "int | None" = None,
         if cached is not None:
             obs_trace.annotate(cache="hit")
             return with_cache_status(cached, "hit")
-        result = definition.runner(**params)
+        # A runner with its own ``cache`` parameter (the circuit study's
+        # per-unique-cell corner store) gets the store as well, beside
+        # ``params``, so the store never enters the fingerprint.
+        corner_store = {"cache": store} if "cache" in accepted else {}
+        result = definition.runner(**params, **corner_store)
         store.put(key, result)
         obs_trace.annotate(cache="miss")
         return with_cache_status(result, "miss")

@@ -244,6 +244,29 @@ class TestCacheContracts:
         assert bumped.provenance.cache == "partial:2/4"
         assert len(timing_counter) == 0
 
+    def test_run_study_forwards_the_corner_store(self, tmp_path,
+                                                 monkeypatch):
+        """``run_study("circuit", cache=store)`` hands the store to the
+        runner: a rerun that changes only ``draws`` misses at study level
+        but reuses every cell's timing corners, so the kernel never runs."""
+        calls = []
+        real = characterize.run_transient_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(characterize, "run_transient_batch", counting)
+        store = ResultCache(tmp_path / "store")
+        params = dict(circuit="adder:2", trials=16, seed=2009)
+        run_study("circuit", cache=store, draws=128, **params)
+        assert calls
+        calls.clear()
+        rerun = run_study("circuit", cache=store, draws=256, **params)
+        assert rerun.provenance.cache == "miss"
+        assert rerun.draws == 256
+        assert calls == []
+
     def test_no_cache_records_no_status(self):
         # A single-gate netlist keeps this cheap: we only need provenance
         # — the uncached path must leave provenance.cache unset.

@@ -166,6 +166,16 @@ class TestBitIdentity:
         root = next(entry for entry in document["spans"]
                     if entry["name"] == f"sweep:{engine}")
         assert root["attributes"]["engine"] == engine
+        kernel = [entry for entry in document["spans"]
+                  if entry["name"] == "transient.integrate"]
+        assert bool(kernel) == (engine == "transient")
+        for entry in kernel:
+            attributes = entry["attributes"]
+            assert attributes.keys() >= {"batch", "nets", "devices",
+                                         "substeps"}
+            assert entry["counters"] == {
+                "transient.corner_steps":
+                    attributes["batch"] * attributes["substeps"]}
 
     def test_cached_sweep_is_identical_under_tracing(self, tmp_path):
         spec = SweepSpec.from_mapping({"cnts_per_trial": (2, 4)})

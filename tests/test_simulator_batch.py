@@ -13,10 +13,13 @@ from repro.cells import (
     sensitizing_assignment,
 )
 from repro.circuit import (
+    GND,
+    VDD,
     CompiledTransientBatch,
     PiecewiseLinearSource,
     SimulationCase,
     TransientSimulator,
+    TransistorNetlist,
     build_inverter_chain,
     cmos_inverter,
     cnfet_inverter,
@@ -121,6 +124,105 @@ class TestBitIdentity:
                                        case.initial_conditions)
         with pytest.raises(SimulationError):
             simulator.run(STOP, STEP, engine="spice")
+
+
+class TestRankTableOracle:
+    """The zero-padded rank table (every net's contributions, and the
+    supply's, folded in loop order with ``+0.0`` padding) against the loop
+    engine, at batch 1 and 7 with a different supply on every case."""
+
+    STOP = 10e-12        # 5,000 sub-steps: cheap for the loop engine
+    SUPPLIES = (0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1)
+
+    @staticmethod
+    def _nand3(vdd):
+        """NAND3's output takes 3 parallel PUN drains plus the PDN top
+        device: 4 contributions on one net.  Staggered input edges give
+        the 4 currents different magnitudes, so the order they are
+        summed in shows in the last bits."""
+        gate = standard_gate("NAND3")
+        netlist = gate_transistor_netlist(gate, cnfet_technology(vdd=vdd),
+                                          drive_strength=2.0,
+                                          load_capacitance=2e-15)
+        sources = {
+            pin: pulse_source(vdd, delay, rise, 4e-12)
+            for pin, delay, rise in zip(gate.inputs, (1e-12, 1.5e-12, 2e-12),
+                                        (1e-12, 2e-12, 3e-12))
+        }
+        return SimulationCase(netlist, sources, {"out": vdd})
+
+    @staticmethod
+    def _devices():
+        inverter = cnfet_inverter(6, FO4_GATE_WIDTH_NM,
+                                  parameters=calibrated_cnfet_parameters())
+        return inverter.pull_down, inverter.pull_up
+
+    @classmethod
+    def _two_signed_supply(cls, vdd):
+        """An n-device with its drain on Vdd (a source follower, +i_drain
+        into the supply column) beside a p-device with its source on Vdd
+        (-i_drain into the supply column)."""
+        n_device, p_device = cls._devices()
+        netlist = TransistorNetlist("two_signed_supply", vdd=vdd)
+        netlist.add_transistor("MF", n_device, gate="in", drain=VDD,
+                               source="follow")
+        netlist.add_transistor("MD", n_device, gate="in", drain="follow",
+                               source=GND)
+        netlist.add_transistor("MP", p_device, gate="in", drain="out",
+                               source=VDD)
+        netlist.add_transistor("MN", n_device, gate="in", drain="out",
+                               source=GND)
+        netlist.add_capacitor("CL", "out", 1e-15)
+        netlist.declare_io(["in"], ["out", "follow"])
+        source = pulse_source(vdd, 2e-12, 1e-12, 4e-12)
+        return SimulationCase(netlist, {"in": source}, {"out": vdd})
+
+    @classmethod
+    def _no_supply(cls, vdd):
+        """No device touches Vdd: a pass device discharging into a
+        pull-down, so the supply column is all padding."""
+        n_device, _ = cls._devices()
+        netlist = TransistorNetlist("no_supply", vdd=vdd)
+        netlist.add_transistor("MS", n_device, gate="in", drain="out",
+                               source="mid")
+        netlist.add_transistor("MG", n_device, gate="in", drain="mid",
+                               source=GND)
+        netlist.add_capacitor("CL", "out", 1e-15)
+        netlist.declare_io(["in"], ["out"])
+        source = pulse_source(vdd, 2e-12, 1e-12, 4e-12)
+        return SimulationCase(netlist, {"in": source},
+                              {"out": vdd, "mid": 0.5 * vdd})
+
+    def _check(self, build, batch):
+        cases = [build(vdd) for vdd in self.SUPPLIES[:batch]]
+        compiled = CompiledTransientBatch(cases)
+        results = compiled.integrate(self.STOP, STEP)
+        for case, result in zip(cases, results):
+            _assert_identical(_loop(case, stop=self.STOP), result)
+        return compiled, results
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_four_contributions_on_one_net(self, batch):
+        compiled, _ = self._check(self._nand3, batch)
+        assert compiled.rank_table.shape[0] >= 4
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_supply_column_takes_both_signs(self, batch):
+        compiled, results = self._check(self._two_signed_supply, batch)
+        devices = len(compiled.cases[0].netlist.transistors)
+        supply = compiled.rank_table[:, -1]
+        assert any(slot < devices for slot in supply)
+        assert any(devices <= slot < 2 * devices for slot in supply)
+        assert all(result.supply_charge != 0.0 for result in results)
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_no_device_on_vdd_draws_exactly_zero(self, batch):
+        compiled, results = self._check(self._no_supply, batch)
+        devices = len(compiled.cases[0].netlist.transistors)
+        assert (compiled.rank_table[:, -1] == 2 * devices).all()
+        for result in results:
+            assert result.supply_charge == 0.0
+            assert not np.signbit(result.supply_charge)
 
 
 class TestMeasurementParity:
