@@ -1,11 +1,10 @@
 """Comparison metrics and per-figure experiment runners.
 
 Every ``run_*`` runner returns a typed, Mapping-compatible
-:class:`~repro.study.results.StudyResult`; the old plain-dict behaviour
-lives on in :mod:`repro.analysis.legacy` as deprecation shims.
+:class:`~repro.study.results.StudyResult` (``to_dict()`` gives the plain
+dict payload).
 """
 
-from . import legacy
 from .experiments import (
     format_fig7,
     format_fulladder,
@@ -25,7 +24,6 @@ from .experiments import (
 from .metrics import GainReport, TechnologyFigures, edap, edp, gain
 
 __all__ = [
-    "legacy",
     "format_fig7",
     "format_fulladder",
     "run_all",

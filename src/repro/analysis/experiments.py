@@ -7,8 +7,7 @@ historical plain-dict payload exactly (same keys, bit-identical values for
 fixed seeds), so pre-redesign call sites — ``result["optimal"]`` — keep
 working unchanged; new code should prefer the typed attributes,
 ``str(result)`` renderings and JSON round-trips.  Callers that really want
-the old plain dicts can use the deprecation shims in
-:mod:`repro.analysis.legacy`.
+a plain dict call ``result.to_dict()``.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ from ..logic.functions import standard_gate
 from ..obs import trace as obs_trace
 from ..runtime.cache import CacheLike, as_cache, with_cache_status
 from ..runtime.fingerprint import corner_fingerprint, netlist_context
-from ..runtime.scheduler import plan_delta, run_tasks
+from ..runtime.scheduler import execute_corners, plan_delta, run_tasks
 from ..study.results import CircuitCellReport, CircuitStudyResult, Provenance
 from .circuits import CircuitLike, resolve_circuit
 
@@ -240,20 +240,13 @@ def run_circuit_study(
         plan = plan_delta(keys, set(cached))
         obs_trace.annotate(hits=plan.hits, misses=plan.misses,
                            status=plan.status)
-        miss_results = run_tasks(
-            _run_cell_task,
-            [tasks[i] for i in plan.miss_indices],
-            jobs=workers,
-            backend=backend,
+        metrics = execute_corners(
+            plan, cached,
+            lambda indices: run_tasks(_run_cell_task,
+                                      [tasks[i] for i in indices],
+                                      jobs=workers, backend=backend),
+            store, [f"circuit-{task.kind}" for task in tasks],
         )
-        metrics: List[Dict[str, Any]] = [None] * len(keys)  # type: ignore[list-item]
-        for index in plan.hit_indices:
-            metrics[index] = cached[keys[index]]
-        for index, outcome in zip(plan.miss_indices, miss_results):
-            metrics[index] = outcome
-            if store is not None:
-                store.put_corner(keys[index], outcome,
-                                 engine=f"circuit-{tasks[index].kind}")
 
     reports: List[CircuitCellReport] = []
     failure_by_cell: Dict[str, float] = {}

@@ -300,6 +300,23 @@ def _as_seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def sweep_seed_root(seed: SeedLike) -> np.random.SeedSequence:
+    """The root every sweep spawns its per-corner children from.
+
+    A fresh copy of ``SeedSequence(seed)`` under the reserved
+    ``_SWEEP_SPAWN_KEY``: ``SeedSequence.spawn`` advances the parent's
+    counter (spawning from the caller's sequence would make identical
+    sweeps irreproducible), while a plain copy restarts the counter at 0
+    and would alias children the caller already spawned themselves.
+    """
+    root = _as_seed_sequence(seed)
+    return np.random.SeedSequence(
+        entropy=root.entropy,
+        spawn_key=root.spawn_key + (_SWEEP_SPAWN_KEY,),
+        pool_size=root.pool_size,
+    )
+
+
 #: Reserved spawn-key element for per-cell seed derivation in circuit
 #: studies (see :func:`circuit_cell_seed`); distinct from the sweep key so
 #: circuit children can never collide with sweep children of the same root.
@@ -422,18 +439,7 @@ def sweep(
     combos = list(itertools.product(
         gates, cnts_per_trial, max_angle_deg, metallic_fraction
     ))
-    # Spawn under a reserved key of a fresh copy: SeedSequence.spawn
-    # advances the parent's counter (spawning from the caller's sequence
-    # would make identical sweep() calls irreproducible), while a plain
-    # copy restarts the counter at 0 and would alias children the caller
-    # already spawned themselves.
-    root = _as_seed_sequence(seed)
-    root = np.random.SeedSequence(
-        entropy=root.entropy,
-        spawn_key=root.spawn_key + (_SWEEP_SPAWN_KEY,),
-        pool_size=root.pool_size,
-    )
-    children = root.spawn(len(combos))
+    children = sweep_seed_root(seed).spawn(len(combos))
     tasks = []
     for (gate, cnts, angle, metallic), child in zip(combos, children):
         for technique in techniques:

@@ -50,6 +50,7 @@ from .manifest import ManifestEntry, ManifestOutcome, ManifestResult, run_manife
 from .scheduler import (
     BACKENDS,
     DeltaPlan,
+    execute_corners,
     plan_delta,
     plan_shards,
     resolve_backend,
@@ -73,6 +74,7 @@ __all__ = [
     "ResultCache",
     "as_cache",
     "corner_fingerprint",
+    "execute_corners",
     "plan_delta",
     "plan_shards",
     "resolve_backend",

@@ -310,50 +310,56 @@ class ResultCache:
         Integrity is re-validated on every read; corrupt entries are
         evicted and count as both *corrupt* and a miss.
         """
-        path = self.path_for(key)
-        document, corrupt = self._load_entry(path, key)
-        result = None
-        if document is not None:
-            try:
-                result = StudyResult.from_json_dict(document)
-            except Exception:
-                # A digest-valid entry that no longer decodes (result
-                # class reshaped without a version bump, hand-edited
-                # store) is corrupt, not fatal: evict and recompute.
-                corrupt = True
+        # A digest-valid entry that no longer decodes (result class
+        # reshaped without a version bump, hand-edited store) is corrupt,
+        # not fatal: evict and recompute.
+        result, corrupt = self._read_validated(
+            self.path_for(key), key, CACHE_SCHEMA, "result",
+            StudyResult.from_json_dict, kind="study",
+        )
         if result is None:
             self._bump(misses=1, corrupt=1 if corrupt else 0)
-            if corrupt:
-                obs_trace.event("cache.evict", key=key, kind="study")
-                obs_metrics.registry().inc("cache.evictions")
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
             return None
         self._bump(hits=1)
         return result
 
-    def _load_entry(self, path: Path,
-                    key: str) -> Tuple[Optional[Dict[str, Any]], bool]:
-        """``(envelope, corrupt)``: the validated result envelope, or
-        ``(None, False)`` for absent and ``(None, True)`` for damaged."""
+    def _read_validated(self, path: Path, key: str, schema: str, field: str,
+                        decode, kind: str) -> Tuple[Optional[Any], bool]:
+        """``(decoded value or None, corrupt)`` for one entry file.
+
+        The wrapper must carry ``schema``, the fingerprint ``key`` and the
+        SHA-256 digest of its ``field`` payload, and the payload must go
+        through ``decode``.  Anything that fails is corrupt: the file is
+        evicted.  Absent files are ``(None, False)``.  Never touches the
+        counters.
+        """
+        value, corrupt = None, False
         try:
             with open(path, "r", encoding="utf-8") as stream:
                 wrapper = json.load(stream)
         except FileNotFoundError:
             return None, False
         except (OSError, json.JSONDecodeError):
-            return None, True
-        if not isinstance(wrapper, dict):
-            return None, True
-        envelope = wrapper.get("result")
-        if (wrapper.get("schema") != CACHE_SCHEMA
+            wrapper = None
+        payload = wrapper.get(field) if isinstance(wrapper, dict) else None
+        if (payload is None
+                or wrapper.get("schema") != schema
                 or wrapper.get("fingerprint") != key
-                or not isinstance(envelope, dict)
-                or wrapper.get("sha256") != _envelope_digest(envelope)):
-            return None, True
-        return envelope, False
+                or wrapper.get("sha256") != _envelope_digest(payload)):
+            corrupt = True
+        else:
+            try:
+                value = decode(payload)
+            except Exception:
+                corrupt = True
+        if value is None and corrupt:
+            obs_trace.event("cache.evict", key=key, kind=kind)
+            obs_metrics.registry().inc("cache.evictions")
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        return value, corrupt
 
     def put(self, key: str, result: StudyResult) -> Path:
         """Persist ``result`` under ``key`` atomically; returns the entry
@@ -401,43 +407,9 @@ class ResultCache:
         and evicts, but never touches the counters."""
         from ..study.serialize import decode
 
-        path = self.corner_path_for(key)
-        payload, corrupt = self._load_corner(path, key)
-        value = None
-        if payload is not None:
-            try:
-                value = decode(payload)
-            except Exception:
-                corrupt = True
-        if value is None and corrupt:
-            obs_trace.event("cache.evict", key=key, kind="corner")
-            obs_metrics.registry().inc("cache.evictions")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return value, corrupt
-
-    def _load_corner(self, path: Path,
-                     key: str) -> Tuple[Optional[Any], bool]:
-        """``(payload, corrupt)`` — the validated encoded payload, or
-        ``(None, False)`` for absent and ``(None, True)`` for damaged."""
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                wrapper = json.load(stream)
-        except FileNotFoundError:
-            return None, False
-        except (OSError, json.JSONDecodeError):
-            return None, True
-        if not isinstance(wrapper, dict):
-            return None, True
-        payload = wrapper.get("payload")
-        if (wrapper.get("schema") != CORNER_SCHEMA
-                or wrapper.get("fingerprint") != key
-                or payload is None
-                or wrapper.get("sha256") != _envelope_digest(payload)):
-            return None, True
-        return payload, False
+        return self._read_validated(self.corner_path_for(key), key,
+                                    CORNER_SCHEMA, "payload", decode,
+                                    kind="corner")
 
     def get_corners(self, keys: Sequence[str]) -> Dict[str, Any]:
         """Bulk :meth:`get_corner`: ``{key: payload}`` for every key that

@@ -41,8 +41,8 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import (AbstractSet, Callable, List, Optional, Sequence, Tuple,
-                    TypeVar)
+from typing import (AbstractSet, Any, Callable, List, Mapping, Optional,
+                    Sequence, Tuple, TypeVar, Union)
 
 from ..errors import RuntimeLayerError
 
@@ -175,8 +175,8 @@ class DeltaPlan:
 
     ``keys[i]`` is corner ``i``'s fingerprint; ``hit_indices`` /
     ``miss_indices`` partition ``range(len(keys))`` in corner order.  The
-    plan is pure data — executing the misses and merging is the sweep
-    driver's job — so it is deterministic in ``(keys, cached)`` alone.
+    plan is pure data, deterministic in ``(keys, cached)`` alone;
+    :func:`execute_corners` runs its misses and merges.
     """
 
     keys: Tuple[str, ...]
@@ -220,20 +220,47 @@ def plan_delta(keys: Sequence[str], cached: AbstractSet[str]) -> DeltaPlan:
                      miss_indices=miss_indices)
 
 
-def plan_shards(n_tasks: int, jobs: Optional[int],
-                oversubscribe: int = 4) -> List[Tuple[int, int]]:
+def execute_corners(plan: DeltaPlan, cached: Mapping[str, Any],
+                    run: Callable[[Tuple[int, ...]], Sequence[Any]],
+                    store, engine: Union[str, Sequence[str]]) -> List[Any]:
+    """Execute a :class:`DeltaPlan`: one payload per corner, in key order.
+
+    ``run(plan.miss_indices)`` is called exactly once and returns one
+    payload per miss, in that order; hits come from ``cached`` (keyed by
+    fingerprint).  Each fresh payload is written to ``store`` (a
+    :class:`~repro.runtime.cache.ResultCache`, or ``None`` for none)
+    under its key, tagged with ``engine`` — one name for every corner, or
+    one per corner.
+    """
+    tags = [engine] * plan.total if isinstance(engine, str) else engine
+    payloads: List[Any] = [None] * plan.total
+    for index in plan.hit_indices:
+        payloads[index] = cached[plan.keys[index]]
+    for index, payload in zip(plan.miss_indices, run(plan.miss_indices)):
+        payloads[index] = payload
+        if store is not None:
+            store.put_corner(plan.keys[index], payload, engine=tags[index])
+    return payloads
+
+
+#: Shards per worker in :func:`plan_shards`, so stragglers balance.
+SHARDS_PER_WORKER = 4
+
+
+def plan_shards(n_tasks: int, jobs: Optional[int]) -> List[Tuple[int, int]]:
     """The shard plan for ``n_tasks`` units of work on ``jobs`` workers:
-    contiguous chunks, ``oversubscribe`` shards per worker so stragglers
-    balance, one shard per task when tasks are scarce."""
+    contiguous chunks, :data:`SHARDS_PER_WORKER` shards per worker so
+    stragglers balance, one shard per task when tasks are scarce."""
     jobs = resolve_jobs(jobs)
     if jobs <= 1:
         return shard_indices(n_tasks, 1)
-    return shard_indices(n_tasks, jobs * max(1, oversubscribe))
+    return shard_indices(n_tasks, jobs * SHARDS_PER_WORKER)
 
 
 __all__ = [
     "BACKENDS",
     "DeltaPlan",
+    "execute_corners",
     "make_lock",
     "plan_delta",
     "plan_shards",

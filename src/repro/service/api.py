@@ -41,6 +41,7 @@ from ..runtime.scheduler import BACKENDS
 from ..study.registry import get_study
 from ..study.results import StudyResult
 from ..study.serialize import canonical_json
+from ..study.sweeps import sweep_engine
 from .errors import InvalidSubmission
 
 #: Submission kinds, in increasing compositeness.
@@ -68,11 +69,8 @@ def _parse_entry(document: Mapping[str, Any], index: int) -> ManifestEntry:
     try:
         entry = ManifestEntry.from_mapping(document, index)
         if entry.is_sweep:
-            if entry.engine not in (None, "immunity", "transient"):
-                raise InvalidSubmission(
-                    f"Unknown sweep engine {entry.engine!r}; "
-                    "use 'immunity' or 'transient'"
-                )
+            if entry.engine is not None:
+                sweep_engine(entry.engine)   # unknown engines fail at submit
             entry.spec()                 # validates the axes mapping
         else:
             get_study(entry.study)       # unknown studies fail at submit

@@ -61,7 +61,7 @@ from ..errors import ReproError, StudyError
 from .registry import get_study, list_studies, run_study
 from .results import StudyResult
 from .spec import SweepSpec, _parse_scalar
-from .sweeps import run_sweep_study
+from .sweeps import ENGINES, run_sweep_study
 
 
 def _parse_assignment(text: str) -> tuple:
@@ -233,15 +233,15 @@ def _cmd_run(args, stdout, stderr) -> int:
 def _cmd_sweep(args, stdout, stderr) -> int:
     spec = SweepSpec.parse(args.axis, mode=args.mode)
     kwargs: Dict[str, Any] = _parse_assignments(args.set, "--set")
-    if args.engine in ("immunity", "circuit"):
+    if ENGINES[args.engine].seeded:
         kwargs["trials"] = args.trials if args.trials is not None else 200
         kwargs["seed"] = args.seed if args.seed is not None else 2009
     elif args.trials is not None or args.seed is not None:
         # Mirror `repro run`: rejecting the flags beats silently ignoring
-        # them — the transient engine is deterministic and unseeded.
+        # them — an unseeded engine is deterministic.
         raise StudyError(
             f"Engine {args.engine!r} takes no --seed/--trials "
-            "(the transient engine is deterministic)"
+            "(it is deterministic and unseeded)"
         )
     store = _resolve_cache(args)
     with _traced(args, f"sweep:{args.engine}", stderr):
@@ -428,6 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runtime_flags(run_parser)
     run_parser.set_defaults(handler=_cmd_run)
 
+    seeded = ", ".join(name for name, engine in ENGINES.items()
+                       if engine.seeded)
     sweep_parser = subparsers.add_parser(
         "sweep",
         help="run a unified sweep (repro sweep --axis vdd=0.8:1.0:5 ...)")
@@ -436,16 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
                               help="axis as name=start:stop:steps, name=a,b,c "
                                    "or name=value (repeatable)")
     sweep_parser.add_argument("--engine",
-                              choices=("immunity", "transient", "circuit"),
-                              default="immunity")
+                              choices=tuple(ENGINES), default="immunity")
     sweep_parser.add_argument("--mode", choices=("grid", "zip"), default="grid",
                               help="cartesian grid or lock-step zip expansion")
     sweep_parser.add_argument("--trials", type=int, default=None,
-                              help="Monte Carlo trials (immunity engine; "
-                                   "default 200)")
+                              help="Monte Carlo trials (seeded engines: "
+                                   f"{seeded}; default 200)")
     sweep_parser.add_argument("--seed", type=int, default=None,
-                              help="Monte Carlo seed (immunity engine; "
-                                   "default 2009)")
+                              help="Monte Carlo seed (seeded engines: "
+                                   f"{seeded}; default 2009)")
     sweep_parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                               help="fixed value for an unswept axis (repeatable)")
     sweep_parser.add_argument("--json", metavar="PATH",

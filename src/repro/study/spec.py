@@ -36,7 +36,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import StudyError
-from ..immunity.montecarlo import SeedLike, _SWEEP_SPAWN_KEY, _as_seed_sequence
+from ..immunity.montecarlo import SeedLike, sweep_seed_root
 
 
 @dataclass(frozen=True)
@@ -237,10 +237,11 @@ class SweepSpec:
               share_axes: Sequence[str] = ()) -> List[np.random.SeedSequence]:
         """One child :class:`~numpy.random.SeedSequence` per corner.
 
-        Children are spawned under the reserved ``_SWEEP_SPAWN_KEY`` from a
-        fresh copy of ``SeedSequence(seed)`` — the caller's sequence is
-        never mutated, identical calls return identical children, and the
-        children cannot alias ones the caller spawns directly.  Corners
+        Children are spawned from
+        :func:`~repro.immunity.montecarlo.sweep_seed_root` — the caller's
+        sequence is never mutated, identical calls return identical
+        children, and the children cannot alias ones the caller spawns
+        directly.  Corners
         whose bindings differ only in the axes listed in ``share_axes``
         receive the *same* child (first-occurrence order), which is how the
         Figure 2 experiment gives every layout technique the same defect
@@ -250,12 +251,6 @@ class SweepSpec:
         # error: every corner then keys on its full binding.
         share = set(share_axes) & set(self.axis_names)
         corners = self.corners()
-        root = _as_seed_sequence(seed)
-        root = np.random.SeedSequence(
-            entropy=root.entropy,
-            spawn_key=root.spawn_key + (_SWEEP_SPAWN_KEY,),
-            pool_size=root.pool_size,
-        )
         groups: Dict[Tuple[Tuple[str, object], ...], int] = {}
         group_of_corner: List[int] = []
         for corner in corners:
@@ -266,7 +261,7 @@ class SweepSpec:
             if key not in groups:
                 groups[key] = len(groups)
             group_of_corner.append(groups[key])
-        children = root.spawn(len(groups)) if groups else []
+        children = sweep_seed_root(seed).spawn(len(groups)) if groups else []
         return [children[group] for group in group_of_corner]
 
     def seed_for(self, corner: Corner, seed: SeedLike,

