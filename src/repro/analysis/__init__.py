@@ -6,8 +6,6 @@ dict payload).
 """
 
 from .experiments import (
-    format_fig7,
-    format_fulladder,
     run_all,
     run_characterization,
     run_edp_summary,
@@ -24,8 +22,6 @@ from .experiments import (
 from .metrics import GainReport, TechnologyFigures, edap, edp, gain
 
 __all__ = [
-    "format_fig7",
-    "format_fulladder",
     "run_all",
     "run_characterization",
     "run_edp_summary",

@@ -1,13 +1,13 @@
 """Experiment runners: one function per table/figure of the paper.
 
 Each ``run_*`` function regenerates one evaluation artefact and returns a
-**typed** :class:`~repro.study.results.StudyResult` subclass.  The typed
-results speak the Mapping protocol and their ``to_dict()`` reproduces the
-historical plain-dict payload exactly (same keys, bit-identical values for
-fixed seeds), so pre-redesign call sites — ``result["optimal"]`` — keep
-working unchanged; new code should prefer the typed attributes,
-``str(result)`` renderings and JSON round-trips.  Callers that really want
-a plain dict call ``result.to_dict()``.
+**typed** :class:`~repro.study.results.StudyResult` subclass.  Its payload
+is derived from the result class's fields by one rule (see
+:mod:`repro.study.results`): ``to_dict()`` holds every field in field
+order, with tuples as lists and sweep points as dicts, and the Mapping
+protocol reads from it, so ``result["optimal"]["delay_gain"]`` and
+``result.optimal.delay_gain`` agree.  ``str(result)`` renders the report
+and ``to_json()`` serializes the result with its provenance.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from ..devices.calibration import (
     calibrated_cnfet_parameters,
     paper_anchors,
 )
+from ..errors import StudyError
 from ..flow.designkit import CNFETDesignKit
 from ..flow.verilog import full_adder_netlist
 from ..immunity.montecarlo import (
@@ -61,8 +62,6 @@ from ..study.results import (
     Provenance,
     StudyResult,
     Table1Result,
-    render_fig7,
-    render_fulladder,
 )
 from .metrics import GainReport, TechnologyFigures
 
@@ -211,6 +210,8 @@ def run_fig4_aoi31(unit_width: float = 4.0) -> Fig4Result:
 def run_fig7_fo4(max_tubes: int = 20, gate_width_nm: float = FO4_GATE_WIDTH_NM,
                  vdd: float = 1.0) -> Fig7Result:
     """Sweep the number of CNTs per device at fixed gate width (Figure 7)."""
+    if max_tubes < 1:
+        raise StudyError(f"max_tubes must be at least 1, got {max_tubes!r}")
     params = calibrated_cnfet_parameters()
     reference = cmos_inverter(CMOS_NMOS_WIDTH_NM, CMOS_PMOS_WIDTH_NM)
     anchors = paper_anchors()
@@ -256,16 +257,6 @@ def run_fig7_fo4(max_tubes: int = 20, gate_width_nm: float = FO4_GATE_WIDTH_NM,
     )
 
 
-def format_fig7(result) -> str:
-    """Render the Figure 7 sweep as a text table.
-
-    .. deprecated:: 0.2
-        ``str(result)`` on the typed :class:`Fig7Result` renders the same
-        table; this wrapper remains for dict payloads and old call sites.
-    """
-    return render_fig7(result)
-
-
 def run_fo4_transient_sweep(
     tube_counts: Sequence[int] = (1, 2, 4, 6, 8, 12),
     gate_width_nm: float = FO4_GATE_WIDTH_NM,
@@ -279,6 +270,8 @@ def run_fo4_transient_sweep(
     sweep of :func:`run_fig7_fo4` is cross-checked against measured
     50 %-to-50 % waveform delays.
     """
+    if not tube_counts:
+        raise StudyError("tube_counts must name at least one CNT count")
     params = calibrated_cnfet_parameters()
     inverters = [
         cnfet_inverter(tubes, gate_width_nm, parameters=params)
@@ -371,6 +364,8 @@ def run_pitch_sensitivity(gate_width_nm: float = FO4_GATE_WIDTH_NM,
                           pitch_range_nm=(4.5, 5.5),
                           steps: int = 11) -> PitchSensitivityResult:
     """Delay variation across the paper's "optimal pitch range" (≤1 %)."""
+    if steps < 2:
+        raise StudyError(f"steps must be at least 2, got {steps!r}")
     params = calibrated_cnfet_parameters()
     reference = cmos_inverter(CMOS_NMOS_WIDTH_NM, CMOS_PMOS_WIDTH_NM)
     low, high = pitch_range_nm
@@ -448,16 +443,6 @@ def run_fulladder_case_study(unit_width: float = 4.0) -> FullAdderResult:
         },
         flow_results=results,
     )
-
-
-def format_fulladder(result) -> str:
-    """Render the full-adder case study as text.
-
-    .. deprecated:: 0.2
-        ``str(result)`` on the typed :class:`FullAdderResult` renders the
-        same report; this wrapper remains for dict payloads.
-    """
-    return render_fulladder(result)
 
 
 # ---------------------------------------------------------------------------

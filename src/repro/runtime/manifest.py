@@ -159,7 +159,7 @@ class ManifestResult(StudyResult):
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "outcomes": list(self.outcomes),
+            **super().to_dict(),
             "entries": len(self.outcomes),
             "computed": self.count("computed"),
             "hits": self.count("hit"),
@@ -167,13 +167,6 @@ class ManifestResult(StudyResult):
             "partial": self.count("partial"),
             "deduped": self.count("dedup"),
         }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(
-            provenance=provenance,
-            outcomes=tuple(payload["outcomes"]),
-        )
 
     def __str__(self) -> str:
         width = max([len("study")] + [len(o.study) for o in self.outcomes])

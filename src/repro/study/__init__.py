@@ -9,10 +9,9 @@ shape:
   ``SeedLike`` seed-spawning contract) consumed by both the Monte Carlo
   immunity engine and the batch transient/characterisation engine;
 * :class:`~repro.study.results.StudyResult` and its per-figure subclasses
-  — frozen dataclasses with lossless ``to_dict()`` / ``from_dict()`` /
-  JSON round-trips, provenance metadata (engine, seed, parameters, config
-  hash) and ``__str__`` renderings that replace the old ``format_*``
-  helpers;
+  — frozen dataclasses whose ``to_dict()`` / ``from_dict()`` / JSON
+  round-trips are derived from their fields, with provenance metadata
+  (engine, seed, parameters, config hash) and ``__str__`` renderings;
 * :func:`~repro.study.registry.run_study` / ``list_studies`` — a registry
   mapping figure/table names to their runners;
 * :func:`~repro.study.sweeps.run_sweep_study` — the unified sweep driver;

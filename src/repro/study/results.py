@@ -1,20 +1,36 @@
 """Typed, serializable results for every experiment of the evaluation.
 
-Each ``run_*`` runner in :mod:`repro.analysis.experiments` historically
-returned an untyped ``Dict[str, object]``.  The classes here give every
-experiment a frozen dataclass result with four guarantees:
+Every study returns a frozen dataclass subclass of :class:`StudyResult`,
+and a result class declares fields only: one payload rule, derived from
+those fields, gives every result
 
-* **compatibility** — results speak the Mapping protocol and
-  :meth:`StudyResult.to_dict` reproduces the pre-redesign dict payload
-  exactly (same keys, bit-identical values for fixed seeds), so existing
-  ``result["optimal"]["delay_gain"]`` call sites keep working;
+* **the Mapping protocol** — :meth:`StudyResult.to_dict` is the payload,
+  so ``result["optimal"]["delay_gain"]`` reads like a plain dict;
 * **serialization** — :meth:`StudyResult.to_json` / ``from_json`` round-
   trip losslessly through the tagged encoding of
   :mod:`repro.study.serialize`, NumPy fields included;
 * **provenance** — every result carries a :class:`Provenance` block
   (study, engine, seed, parameters, content hash, package version);
-* **rendering** — ``str(result)`` replaces the old ad-hoc ``format_fig7``
-  / ``format_fulladder`` helpers.
+* **rendering** — ``str(result)`` is the human-readable report.
+
+The payload rule
+----------------
+The payload holds every field except ``provenance`` and fields marked
+``metadata={"serialize": False}``, keyed in field order.  Outbound
+(:meth:`~StudyResult.to_dict`), a tuple becomes a list, recursively; a
+sweep point (:class:`FO4GainPoint`, :class:`FO4TransientPoint`,
+:class:`CircuitCellReport`) becomes its ``as_dict()``; a dict becomes a
+shallow copy; every other value passes through.  Inbound
+(:meth:`~StudyResult.from_payload`), each field's annotation decides:
+``Tuple[P, ...]`` and ``Optional[P]`` of a point class rebuild points,
+other ``Tuple[...]`` annotations rebuild tuples, ``Dict[...]`` becomes a
+dict, and payload keys that are not fields are ignored.
+
+Three classes override the rule, each by calling the base method:
+:class:`FullAdderResult` (its ``flow_summaries`` travel as
+``flow_results`` and a fresh run holds the live flow artifacts there),
+``ManifestResult.to_dict`` (adds derived outcome counts) and
+:class:`CharacterizationResult` (``grid_shape`` stays a tuple).
 
 The one documented exception to losslessness: the full-adder study's
 in-memory flow artifacts (placed layouts, GDSII bytes) serialize as
@@ -24,10 +40,12 @@ megabyte object graphs themselves.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import (
-    Any, ClassVar, Dict, Iterator, List, Mapping, Optional, Tuple, Type,
+    Any, Callable, ClassVar, Dict, Iterator, Mapping, Optional, Tuple, Type,
+    Union, get_args, get_origin, get_type_hints,
 )
 
 from ..errors import StudyError
@@ -110,15 +128,71 @@ class Provenance:
 _RESULT_TYPES: Dict[str, Type["StudyResult"]] = {}
 
 
+class _PointBase:
+    """Shared dict conversion for flat sweep-point dataclasses: field
+    order is the payload's key order, so adding a field updates
+    ``as_dict``/``from_mapping`` and the JSON round-trip in one place."""
+
+    def as_dict(self) -> Dict[str, float]:
+        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
+
+    @classmethod
+    def from_mapping(cls, data: Mapping[str, float]):
+        return cls(**{f.name: data[f.name] for f in dataclass_fields(cls)})
+
+
+def _outbound(value: Any) -> Any:
+    """The payload form of one field value (the outbound rule)."""
+    if isinstance(value, tuple):
+        return [_outbound(item) for item in value]
+    if isinstance(value, _PointBase):
+        return value.as_dict()
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _inbound(annotation: Any) -> Optional[Callable[[Any], Any]]:
+    """The decoder a field annotation implies (the inbound rule);
+    ``None`` means the payload value passes through unchanged."""
+    origin, args = get_origin(annotation), get_args(annotation)
+    if isinstance(annotation, type) and issubclass(annotation, _PointBase):
+        return lambda value: (value if isinstance(value, annotation)
+                              else annotation.from_mapping(value))
+    if origin is Union and len(args) == 2 and type(None) in args:
+        inner = _inbound(next(arg for arg in args if arg is not type(None)))
+        return inner and (lambda value: None if value is None else inner(value))
+    if origin is tuple:
+        # Tuple[X, ...] decodes each entry as X; a fixed-length tuple
+        # (e.g. a histogram's (count, frequency) pair) keeps its entries.
+        homogeneous = len(args) == 2 and args[1] is Ellipsis
+        item = _inbound(args[0]) if homogeneous else None
+        return tuple if item is None else (
+            lambda value: tuple(map(item, value)))
+    if origin is dict:
+        return dict
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _payload_codec(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """(field name, inbound decoder) per payload field of ``cls``, in
+    field order; annotations are resolved once per class."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, _inbound(hints[f.name])) for f in dataclass_fields(cls)
+        if f.metadata.get("serialize", True)
+    )
+
+
 @dataclass(frozen=True)
 class StudyResult:
     """Base class of every typed experiment result.
 
-    Subclasses are frozen dataclasses that set ``study_name`` and
-    implement :meth:`to_dict` (the legacy payload) plus
-    :meth:`from_payload` (its inverse).  The Mapping protocol delegates to
-    :meth:`to_dict`, which is what keeps pre-redesign subscription code
-    working unchanged.
+    Subclasses are frozen dataclasses that set ``study_name`` and declare
+    their fields; :meth:`to_dict` and :meth:`from_payload` derive the
+    payload from those fields (see the module docstring).  The Mapping
+    protocol delegates to :meth:`to_dict`.
     """
 
     provenance: Provenance = field(repr=False, metadata={"serialize": False})
@@ -131,18 +205,21 @@ class StudyResult:
         if name:
             _RESULT_TYPES[name] = cls
 
-    # -- the legacy payload ----------------------------------------------------
+    # -- the payload -----------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """The pre-redesign dict payload of this experiment (same keys,
-        bit-identical values for fixed seeds)."""
-        raise NotImplementedError
+        """The payload: every serialized field, in field order."""
+        return {name: _outbound(getattr(self, name))
+                for name, _ in _payload_codec(type(self))}
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any],
                      provenance: Provenance) -> "StudyResult":
         """Rebuild a result from a (decoded) payload mapping."""
-        raise NotImplementedError
+        return cls(provenance=provenance, **{
+            name: payload[name] if decode is None else decode(payload[name])
+            for name, decode in _payload_codec(cls)
+        })
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any],
@@ -248,47 +325,6 @@ class StudyResult:
 
 
 # ---------------------------------------------------------------------------
-# Shared renderings (the canonical replacements of the format_* helpers)
-# ---------------------------------------------------------------------------
-
-def render_fig7(result: Mapping[str, Any]) -> str:
-    """Render a Figure 7 sweep payload as a text table."""
-    header = (f"{'CNTs':>5} {'pitch(nm)':>10} {'delay gain':>11} "
-              f"{'energy gain':>12} {'EDP gain':>9}")
-    lines = [header, "-" * len(header)]
-    for point in result["sweep"]:
-        lines.append(
-            f"{point['num_tubes']:>5} {point['pitch_nm']:>10.2f} "
-            f"{point['delay_gain']:>11.2f} {point['energy_gain']:>12.2f} "
-            f"{point['edp_gain']:>9.2f}"
-        )
-    best = result["optimal"]
-    paper = result["paper"]
-    lines.append("")
-    lines.append(
-        f"optimal: {best['delay_gain']:.2f}x delay, {best['energy_gain']:.2f}x energy "
-        f"at pitch {best['pitch_nm']:.2f} nm "
-        f"(paper: {paper['delay_gain_optimal']}x, {paper['energy_gain_optimal']}x at "
-        f"{paper['optimal_pitch_nm']} nm)"
-    )
-    return "\n".join(lines)
-
-
-def render_fulladder(result: Mapping[str, Any]) -> str:
-    """Render the full-adder case study payload as text."""
-    paper = result["paper"]
-    lines = [
-        "Full adder (NAND2 + INV, Figure 8) — CNFET vs 65 nm CMOS",
-        "-" * 60,
-        f"delay gain            : {result['delay_gain']:.2f}x (paper ~{paper['delay_gain']}x)",
-        f"energy gain           : {result['energy_gain']:.2f}x (paper ~{paper['energy_gain']}x)",
-        f"area gain (scheme 1)  : {result['area_gain_scheme1']:.2f}x (paper ~{paper['area_gain_scheme1']}x)",
-        f"area gain (scheme 2)  : {result['area_gain_scheme2']:.2f}x (paper ~{paper['area_gain_scheme2']}x)",
-    ]
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # Per-figure results
 # ---------------------------------------------------------------------------
 
@@ -301,22 +337,6 @@ class Table1Result(StudyResult):
     rows: Tuple[Any, ...] = ()                  # AreaComparisonRow entries
     formatted: str = ""
     mean_absolute_error: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rows": list(self.rows),
-            "formatted": self.formatted,
-            "mean_absolute_error": self.mean_absolute_error,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(
-            provenance=provenance,
-            rows=tuple(payload["rows"]),
-            formatted=payload["formatted"],
-            mean_absolute_error=payload["mean_absolute_error"],
-        )
 
     def __str__(self) -> str:
         return self.formatted
@@ -333,19 +353,6 @@ class Fig3Result(StudyResult):
     compact_area: float = 0.0
     measured_saving: float = 0.0
     paper_saving: Optional[float] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "unit_width": self.unit_width,
-            "baseline_area": self.baseline_area,
-            "compact_area": self.compact_area,
-            "measured_saving": self.measured_saving,
-            "paper_saving": self.paper_saving,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(provenance=provenance, **payload)
 
     def __str__(self) -> str:
         paper = ("n/a" if self.paper_saving is None
@@ -370,28 +377,6 @@ class Fig2ImmunityResult(StudyResult):
     baseline_immune: bool = False
     compact_immune: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "gate": self.gate,
-            "results": dict(self.results),
-            "formatted": self.formatted,
-            "vulnerable_failure_rate": self.vulnerable_failure_rate,
-            "baseline_immune": self.baseline_immune,
-            "compact_immune": self.compact_immune,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(
-            provenance=provenance,
-            gate=payload["gate"],
-            results=dict(payload["results"]),
-            formatted=payload["formatted"],
-            vulnerable_failure_rate=payload["vulnerable_failure_rate"],
-            baseline_immune=payload["baseline_immune"],
-            compact_immune=payload["compact_immune"],
-        )
-
     def __str__(self) -> str:
         return self.formatted
 
@@ -406,28 +391,6 @@ class ImmunitySweepResult(StudyResult):
     formatted: str = ""
     worst_failure_rate_by_technique: Dict[str, float] = field(default_factory=dict)
     compact_always_immune: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "points": list(self.points),
-            "formatted": self.formatted,
-            "worst_failure_rate_by_technique": dict(
-                self.worst_failure_rate_by_technique
-            ),
-            "compact_always_immune": self.compact_always_immune,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(
-            provenance=provenance,
-            points=tuple(payload["points"]),
-            formatted=payload["formatted"],
-            worst_failure_rate_by_technique=dict(
-                payload["worst_failure_rate_by_technique"]
-            ),
-            compact_always_immune=payload["compact_always_immune"],
-        )
 
     def __str__(self) -> str:
         return self.formatted
@@ -450,27 +413,6 @@ class Fig4Result(StudyResult):
     scheme2_area: float = 0.0
     requires_etched_regions: int = 0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "gate": self.gate,
-            "pun_contacts": self.pun_contacts,
-            "pun_gates": self.pun_gates,
-            "pdn_contacts": self.pdn_contacts,
-            "pdn_gates": self.pdn_gates,
-            "pun_width_factors": list(self.pun_width_factors),
-            "pdn_width_factors": list(self.pdn_width_factors),
-            "scheme1_area": self.scheme1_area,
-            "scheme2_area": self.scheme2_area,
-            "requires_etched_regions": self.requires_etched_regions,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        data = dict(payload)
-        data["pun_width_factors"] = tuple(data["pun_width_factors"])
-        data["pdn_width_factors"] = tuple(data["pdn_width_factors"])
-        return cls(provenance=provenance, **data)
-
     def __str__(self) -> str:
         return (
             f"{self.gate}: {self.pun_gates}+{self.pdn_gates} gate stripes, "
@@ -478,19 +420,6 @@ class Fig4Result(StudyResult):
             f"{self.requires_etched_regions} etched regions; "
             f"scheme 1 {self.scheme1_area:g} λ², scheme 2 {self.scheme2_area:g} λ²"
         )
-
-
-class _PointBase:
-    """Shared dict conversion for flat sweep-point dataclasses: field
-    order is the legacy payload's key order, so adding a field updates
-    ``as_dict``/``from_mapping`` and the JSON round-trip in one place."""
-
-    def as_dict(self) -> Dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-
-    @classmethod
-    def from_mapping(cls, data: Mapping[str, float]):
-        return cls(**{f.name: data[f.name] for f in dataclass_fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -518,35 +447,25 @@ class Fig7Result(StudyResult):
     inverter_area_gain: float = 0.0
     paper: Dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "sweep": [point.as_dict() for point in self.sweep],
-            "single_cnt": self.single_cnt.as_dict() if self.single_cnt else None,
-            "optimal": self.optimal.as_dict() if self.optimal else None,
-            "inverter_area_gain": self.inverter_area_gain,
-            "paper": dict(self.paper),
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        def point(data):
-            if data is None:
-                return None
-            if isinstance(data, FO4GainPoint):
-                return data
-            return FO4GainPoint.from_mapping(data)
-
-        return cls(
-            provenance=provenance,
-            sweep=tuple(point(entry) for entry in payload["sweep"]),
-            single_cnt=point(payload["single_cnt"]),
-            optimal=point(payload["optimal"]),
-            inverter_area_gain=payload["inverter_area_gain"],
-            paper=dict(payload["paper"]),
-        )
-
     def __str__(self) -> str:
-        return render_fig7(self)
+        header = (f"{'CNTs':>5} {'pitch(nm)':>10} {'delay gain':>11} "
+                  f"{'energy gain':>12} {'EDP gain':>9}")
+        lines = [header, "-" * len(header)]
+        for point in self.sweep:
+            lines.append(
+                f"{point.num_tubes:>5} {point.pitch_nm:>10.2f} "
+                f"{point.delay_gain:>11.2f} {point.energy_gain:>12.2f} "
+                f"{point.edp_gain:>9.2f}"
+            )
+        best, paper = self.optimal, self.paper
+        lines.append("")
+        lines.append(
+            f"optimal: {best.delay_gain:.2f}x delay, {best.energy_gain:.2f}x energy "
+            f"at pitch {best.pitch_nm:.2f} nm "
+            f"(paper: {paper['delay_gain_optimal']}x, {paper['energy_gain_optimal']}x at "
+            f"{paper['optimal_pitch_nm']} nm)"
+        )
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -571,31 +490,6 @@ class Fo4TransientResult(StudyResult):
     cmos_delay_ps: float = 0.0
     optimal: Optional[FO4TransientPoint] = None
     batch_size: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "sweep": [point.as_dict() for point in self.sweep],
-            "cmos_delay_ps": self.cmos_delay_ps,
-            "optimal": self.optimal.as_dict() if self.optimal else None,
-            "batch_size": self.batch_size,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        def point(data):
-            if data is None:
-                return None
-            if isinstance(data, FO4TransientPoint):
-                return data
-            return FO4TransientPoint.from_mapping(data)
-
-        return cls(
-            provenance=provenance,
-            sweep=tuple(point(entry) for entry in payload["sweep"]),
-            cmos_delay_ps=payload["cmos_delay_ps"],
-            optimal=point(payload["optimal"]),
-            batch_size=payload["batch_size"],
-        )
 
     def __str__(self) -> str:
         header = (f"{'CNTs':>5} {'pitch(nm)':>10} {'CNFET(ps)':>10} "
@@ -624,26 +518,8 @@ class CharacterizationResult(StudyResult):
     faster_at_higher_drive: Optional[bool] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "sweep": self.sweep,
-            "formatted": self.formatted,
-            "grid_shape": tuple(self.grid_shape),
-            "points": self.points,
-            "monotone_in_load": self.monotone_in_load,
-            "faster_at_higher_drive": self.faster_at_higher_drive,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(
-            provenance=provenance,
-            sweep=payload["sweep"],
-            formatted=payload["formatted"],
-            grid_shape=tuple(payload["grid_shape"]),
-            points=payload["points"],
-            monotone_in_load=payload["monotone_in_load"],
-            faster_at_higher_drive=payload["faster_at_higher_drive"],
-        )
+        # grid_shape stays a tuple on the wire ({"__tuple__": [...]}).
+        return {**super().to_dict(), "grid_shape": tuple(self.grid_shape)}
 
     def __str__(self) -> str:
         return self.formatted
@@ -659,18 +535,6 @@ class PitchSensitivityResult(StudyResult):
     pitch_high_nm: float = 0.0
     delay_variation: float = 0.0
     paper_variation: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "pitch_low_nm": self.pitch_low_nm,
-            "pitch_high_nm": self.pitch_high_nm,
-            "delay_variation": self.delay_variation,
-            "paper_variation": self.paper_variation,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(provenance=provenance, **payload)
 
     def __str__(self) -> str:
         return (
@@ -704,31 +568,23 @@ class FullAdderResult(StudyResult):
         metadata={"serialize": False},
     )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "flow_results": (self.flow_results if self.flow_results is not None
-                             else dict(self.flow_summaries)),
-            "gains": dict(self.gains),
-            "delay_gain": self.delay_gain,
-            "energy_gain": self.energy_gain,
-            "area_gain_scheme1": self.area_gain_scheme1,
-            "area_gain_scheme2": self.area_gain_scheme2,
-            "paper": dict(self.paper),
-        }
-
     def payload_for_json(self) -> Dict[str, Any]:
-        payload = self.to_dict()
-        payload["flow_results"] = dict(self.flow_summaries)
+        payload = super().to_dict()
+        return {"flow_results": payload.pop("flow_summaries"), **payload}
+
+    def to_dict(self) -> Dict[str, Any]:
+        payload = self.payload_for_json()
+        if self.flow_results is not None:
+            payload["flow_results"] = self.flow_results
         return payload
 
     @classmethod
     def from_payload(cls, payload, provenance):
         from ..flow.designkit import FlowResult, FlowSummary
 
-        raw = payload["flow_results"]
         live: Optional[Dict[int, Any]] = None
         summaries: Dict[int, Any] = {}
-        for scheme, entry in dict(raw).items():
+        for scheme, entry in dict(payload["flow_results"]).items():
             if isinstance(entry, FlowResult):
                 live = live or {}
                 live[scheme] = entry
@@ -740,20 +596,21 @@ class FullAdderResult(StudyResult):
                     f"flow_results[{scheme}] is neither FlowResult nor "
                     f"FlowSummary: {type(entry).__name__}"
                 )
-        return cls(
-            provenance=provenance,
-            flow_summaries=summaries,
-            gains=dict(payload["gains"]),
-            delay_gain=payload["delay_gain"],
-            energy_gain=payload["energy_gain"],
-            area_gain_scheme1=payload["area_gain_scheme1"],
-            area_gain_scheme2=payload["area_gain_scheme2"],
-            paper=dict(payload["paper"]),
-            flow_results=live,
+        result = super().from_payload(
+            {**payload, "flow_summaries": summaries}, provenance
         )
+        return result if live is None else replace(result, flow_results=live)
 
     def __str__(self) -> str:
-        return render_fulladder(self)
+        paper = self.paper
+        return "\n".join([
+            "Full adder (NAND2 + INV, Figure 8) — CNFET vs 65 nm CMOS",
+            "-" * 60,
+            f"delay gain            : {self.delay_gain:.2f}x (paper ~{paper['delay_gain']}x)",
+            f"energy gain           : {self.energy_gain:.2f}x (paper ~{paper['energy_gain']}x)",
+            f"area gain (scheme 1)  : {self.area_gain_scheme1:.2f}x (paper ~{paper['area_gain_scheme1']}x)",
+            f"area gain (scheme 2)  : {self.area_gain_scheme2:.2f}x (paper ~{paper['area_gain_scheme2']}x)",
+        ])
 
 
 @dataclass(frozen=True)
@@ -808,56 +665,6 @@ class CircuitStudyResult(StudyResult):
     vdd: float = 0.0
     pitch_nm: float = 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "circuit": self.circuit,
-            "source": self.source,
-            "instances": self.instances,
-            "unique_cells": self.unique_cells,
-            "cells": [cell.as_dict() for cell in self.cells],
-            "functional_yield": self.functional_yield,
-            "monte_carlo_yield": self.monte_carlo_yield,
-            "draws": self.draws,
-            "defect_histogram": [list(pair) for pair in self.defect_histogram],
-            "critical_path_delay_s": self.critical_path_delay_s,
-            "critical_path": list(self.critical_path),
-            "output_arrivals_s": dict(self.output_arrivals_s),
-            "total_energy_per_cycle_j": self.total_energy_per_cycle_j,
-            "total_cell_area_lambda2": self.total_cell_area_lambda2,
-            "vdd": self.vdd,
-            "pitch_nm": self.pitch_nm,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        def cell(entry):
-            if isinstance(entry, CircuitCellReport):
-                return entry
-            return CircuitCellReport.from_mapping(entry)
-
-        return cls(
-            provenance=provenance,
-            circuit=payload["circuit"],
-            source=payload["source"],
-            instances=payload["instances"],
-            unique_cells=payload["unique_cells"],
-            cells=tuple(cell(entry) for entry in payload["cells"]),
-            functional_yield=payload["functional_yield"],
-            monte_carlo_yield=payload["monte_carlo_yield"],
-            draws=payload["draws"],
-            defect_histogram=tuple(
-                (int(count), int(freq))
-                for count, freq in payload["defect_histogram"]
-            ),
-            critical_path_delay_s=payload["critical_path_delay_s"],
-            critical_path=tuple(payload["critical_path"]),
-            output_arrivals_s=dict(payload["output_arrivals_s"]),
-            total_energy_per_cycle_j=payload["total_energy_per_cycle_j"],
-            total_cell_area_lambda2=payload["total_cell_area_lambda2"],
-            vdd=payload["vdd"],
-            pitch_nm=payload["pitch_nm"],
-        )
-
     def __str__(self) -> str:
         header = (f"{'cell':<12} {'uses':>5} {'trials':>7} {'fail rate':>10} "
                   f"{'immune':>7}")
@@ -903,24 +710,6 @@ class EdpSummaryResult(StudyResult):
     paper_edp_gain: float = 0.0
     paper_edap_gain: float = 0.0
     paper_area_saving: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "delay_gain_optimal": self.delay_gain_optimal,
-            "energy_gain_optimal": self.energy_gain_optimal,
-            "area_gain": self.area_gain,
-            "edp_gain_optimal": self.edp_gain_optimal,
-            "edp_gain_single_cnt": self.edp_gain_single_cnt,
-            "edp_gain_best": self.edp_gain_best,
-            "edap_gain_optimal": self.edap_gain_optimal,
-            "paper_edp_gain": self.paper_edp_gain,
-            "paper_edap_gain": self.paper_edap_gain,
-            "paper_area_saving": self.paper_area_saving,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(provenance=provenance, **payload)
 
     def __str__(self) -> str:
         return "\n".join([

@@ -102,22 +102,6 @@ class SweepStudyResult(StudyResult):
     engine: str = ""
     records: Tuple[SweepRecord, ...] = ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "spec": self.spec,
-            "engine": self.engine,
-            "records": list(self.records),
-        }
-
-    @classmethod
-    def from_payload(cls, payload, provenance):
-        return cls(
-            provenance=provenance,
-            spec=payload["spec"],
-            engine=payload["engine"],
-            records=tuple(payload["records"]),
-        )
-
     def metric(self, name: str) -> List[Any]:
         """One metric across all records, in corner order."""
         return [record.metrics[name] for record in self.records]

@@ -105,6 +105,15 @@ class TestRunCommand:
         assert code == 2
         assert "Unknown study" in err
 
+    @pytest.mark.parametrize("study, param", [
+        ("fig7", "max_tubes=0"), ("pitch", "steps=1"),
+    ])
+    def test_out_of_range_param_exits_2(self, study, param):
+        code, _, err = run_cli("run", study, "--param", param)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_seed_rejected_for_unseeded_study(self):
         code, _, err = run_cli("run", "fig3", "--seed", "1")
         assert code == 2

@@ -13,6 +13,8 @@ Covers the redesign's acceptance criteria:
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +32,12 @@ from repro.analysis.experiments import (
     run_pitch_sensitivity,
     run_table1,
 )
+from repro.circuit_study import run_circuit_study
 from repro.errors import FlowError, StudyError
 from repro.flow.designkit import FlowReport, FlowSummary
 from repro.flow.placement import PlacementResult
 from repro.circuit.logical_effort import PathTimingResult
+from repro.runtime import run_manifest
 from repro.study import (
     Fig3Result,
     Fig7Result,
@@ -64,6 +68,23 @@ def _deep_equal(left, right) -> bool:
         return (len(left) == len(right)
                 and all(_deep_equal(a, b) for a, b in zip(left, right)))
     return left == right
+
+
+#: Pinned wire-format skeletons of the ``TestJsonRoundTrip`` payloads.
+WIRE_GOLDEN = Path(__file__).parent / "fixtures" / "wire_format.json"
+
+
+def _wire_skeleton(node):
+    """A JSON tree reduced to its shape: scalars become their type names
+    and each list becomes the sorted set of its distinct element
+    skeletons, so no float value (nor any machine dependence) remains."""
+    if isinstance(node, dict):
+        return {key: _wire_skeleton(value) for key, value in node.items()}
+    if isinstance(node, list):
+        distinct = {json.dumps(skeleton, sort_keys=True): skeleton
+                    for skeleton in map(_wire_skeleton, node)}
+        return [distinct[key] for key in sorted(distinct)]
+    return type(node).__name__
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +244,8 @@ class TestJsonRoundTrip:
                 ),
                 engine="immunity", trials=20, seed=7,
             ),
+            "circuit": run_circuit_study("adder:2", trials=20, draws=50),
+            "manifest": run_manifest([{"study": "fig3"}, {"study": "fig3"}]),
         }
 
     def test_every_result_roundtrips_losslessly(self, results):
@@ -231,6 +254,22 @@ class TestJsonRoundTrip:
             assert type(restored) is type(result), name
             assert restored == result, name
             assert restored.provenance == result.provenance, name
+
+    def test_wire_format_matches_golden(self, results):
+        """The encoded payload of every study keeps its pinned shape.
+
+        ``WIRE_GOLDEN`` stores, per study, the skeleton of
+        ``to_json_dict()["payload"]``: every key, tag and container kind,
+        with scalars replaced by their type names, so a change to how a
+        result encodes its fields fails here even when ``to_dict`` and
+        ``from_payload`` drift together.  Re-pin only on purpose (a new
+        envelope schema): dump ``_wire_skeleton`` of each payload.
+        """
+        golden = json.loads(WIRE_GOLDEN.read_text(encoding="utf-8"))
+        assert sorted(golden) == sorted(results)
+        for name, result in results.items():
+            payload = json.loads(result.to_json())["payload"]
+            assert _wire_skeleton(payload) == golden[name], name
 
     def test_characterization_numpy_fields_survive(self, results):
         result = results["characterization"]
@@ -312,6 +351,16 @@ class TestRegistry:
             run_study("fig3", bogus_parameter=1)
         with pytest.raises(StudyError):
             run_study("does_not_exist")
+
+    @pytest.mark.parametrize("study, params, message", [
+        ("fig7", {"max_tubes": 0}, "max_tubes"),
+        ("pitch", {"steps": 1}, "steps"),
+        ("fo4_transient", {"tube_counts": ()}, "tube_counts"),
+    ])
+    def test_out_of_range_parameters_raise_study_error(self, study, params,
+                                                       message):
+        with pytest.raises(StudyError, match=message):
+            run_study(study, **params)
 
     def test_provenance_config_hash(self):
         first = run_study("fig3")
