@@ -10,10 +10,10 @@
 import pytest
 from conftest import record
 
+from repro.analysis import run_immunity_sweep
 from repro.cells import characterize_gate, cmos_technology, cnfet_technology
 from repro.core import assemble_cell
 from repro.flow import CNFETDesignKit, full_adder_netlist
-from repro.immunity import sweep
 from repro.logic import standard_gate
 
 
@@ -36,8 +36,8 @@ def test_ablation_layout_technique_immunity(benchmark, gate_name):
     degrades as CNTs per trial grow, while the etched baseline and the
     compact Euler-path layouts stay at 0 % for every density.
     """
-    points = benchmark.pedantic(
-        sweep,
+    result = benchmark.pedantic(
+        run_immunity_sweep,
         kwargs=dict(
             gates=(gate_name,),
             techniques=("vulnerable", "baseline", "compact"),
@@ -49,7 +49,7 @@ def test_ablation_layout_technique_immunity(benchmark, gate_name):
         rounds=1,
     )
     by_technique = {}
-    for point in points:
+    for point in result.points:
         by_technique.setdefault(point.technique, {})[point.cnts_per_trial] = \
             round(point.failure_rate, 3)
     record(benchmark, gate=gate_name, failure_rate_by_density=by_technique)

@@ -18,7 +18,7 @@ def test_immunity_monte_carlo(benchmark, gate_name):
     results = benchmark.pedantic(
         compare_techniques,
         kwargs=dict(gate_name=gate_name, trials=1000, cnts_per_trial=4,
-                    seed=2009, engine="batch"),
+                    seed=2009),
         iterations=1,
         rounds=1,
     )

@@ -1,11 +1,11 @@
-"""E2 — Figure 3: the NAND3 compaction walk-through (16.67 % at 4 λ),
-plus the NAND3 waveform parity check of the batch transient engine."""
+"""E2 — Figure 3: the NAND3 compaction walk-through (16.67 % at 4 λ).
 
-import numpy as np
+The NAND3 waveform parity of the batch transient engine against its scalar
+reference is a tier-1 test (``tests/test_simulator_batch.py``)."""
+
 from conftest import record
 
 from repro.analysis import run_fig3_nand3
-from repro.cells import characterize_sweep
 
 
 def test_fig3_nand3_compaction(benchmark):
@@ -19,34 +19,3 @@ def test_fig3_nand3_compaction(benchmark):
     )
     assert abs(result.measured_saving - result.paper_saving) < 0.01
 
-
-def test_fig3_nand3_transient_parity(benchmark):
-    """The NAND3 stimulus of the waveform walk-through, batch vs loop:
-    bit-identical measured delays on both transient engines."""
-
-    def sweep(engine):
-        return characterize_sweep(
-            gate_names=("NAND3",), drive_strengths=(1.0, 2.0),
-            load_capacitances_f=(2e-15,), input_slews_s=(5e-12,),
-            engine=engine,
-        )
-
-    batch = benchmark.pedantic(sweep, args=("batch",), iterations=1, rounds=1)
-    loop = sweep("loop")
-    identical = all(
-        b.delay_rise_s == l.delay_rise_s
-        and b.delay_fall_s == l.delay_fall_s
-        and b.energy_per_cycle_j == l.energy_per_cycle_j
-        for b, l in zip(batch.points, loop.points)
-    )
-    point = batch.point("NAND3", 1.0, 2e-15, 5e-12, "nominal")
-    record(
-        benchmark,
-        delay_rise_ps=round(point.delay_rise_s * 1e12, 3),
-        delay_fall_ps=round(point.delay_fall_s * 1e12, 3),
-        energy_fj=round(point.energy_per_cycle_j * 1e15, 4),
-        identical_to_loop=identical,
-    )
-    assert identical
-    assert 0 < point.delay_fall_s < 100e-12
-    assert np.all(batch.grid("worst_delay_s") > 0)

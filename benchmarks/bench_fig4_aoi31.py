@@ -1,10 +1,11 @@
-"""E4 — Figure 4: the generalised AOI31 misaligned-CNT-immune layout,
-plus the AOI31 waveform parity check of the batch transient engine."""
+"""E4 — Figure 4: the generalised AOI31 misaligned-CNT-immune layout.
+
+The AOI31 waveform parity of the batch transient engine against its scalar
+reference is a tier-1 test (``tests/test_simulator_batch.py``)."""
 
 from conftest import record
 
 from repro.analysis import run_fig4_aoi31
-from repro.cells import characterize_sweep
 
 
 def test_fig4_aoi31_layout(benchmark):
@@ -25,33 +26,3 @@ def test_fig4_aoi31_layout(benchmark):
     assert result.requires_etched_regions == 0
     assert max(result.pdn_width_factors) > min(result.pdn_width_factors)
 
-
-def test_fig4_aoi31_transient_parity(benchmark):
-    """The AOI31 waveforms, batch vs loop: the complex-gate netlist
-    (series/parallel PUN and PDN with internal nodes) measures
-    bit-identically on both transient engines."""
-
-    def sweep(engine):
-        return characterize_sweep(
-            gate_names=("AOI31",), drive_strengths=(1.0,),
-            load_capacitances_f=(1e-15, 4e-15), input_slews_s=(5e-12,),
-            engine=engine,
-        )
-
-    batch = benchmark.pedantic(sweep, args=("batch",), iterations=1, rounds=1)
-    loop = sweep("loop")
-    identical = all(
-        b.delay_rise_s == l.delay_rise_s
-        and b.delay_fall_s == l.delay_fall_s
-        and b.energy_per_cycle_j == l.energy_per_cycle_j
-        for b, l in zip(batch.points, loop.points)
-    )
-    light, heavy = batch.points
-    record(
-        benchmark,
-        delay_fall_1ff_ps=round(light.delay_fall_s * 1e12, 3),
-        delay_fall_4ff_ps=round(heavy.delay_fall_s * 1e12, 3),
-        identical_to_loop=identical,
-    )
-    assert identical
-    assert heavy.worst_delay_s > light.worst_delay_s

@@ -1,9 +1,9 @@
 """Throughput of the batched Monte Carlo immunity engine.
 
 Acceptance benchmark for the vectorized immunity subsystem: at 2000 trials
-the ``engine="batch"`` path must be at least 10x faster than the seed
-per-trial loop (``engine="loop"``), with identical failure counts for a
-fixed seed — the compatibility contract both engines share.
+``run_immunity_trials`` must be at least 10x faster than the seed-era
+per-trial loop (``reference_immunity_trials``), with identical failure
+counts for a fixed seed — the contract the engine and its reference share.
 """
 
 import time
@@ -11,8 +11,10 @@ import time
 import pytest
 from conftest import record
 
+from repro.analysis import run_immunity_sweep
 from repro.core import assemble_cell
-from repro.immunity import run_immunity_trials, sweep
+from repro.immunity import run_immunity_trials
+from repro.immunity.montecarlo import reference_immunity_trials
 from repro.logic import standard_gate
 
 TRIALS = 2000
@@ -26,16 +28,15 @@ def test_batched_engine_speedup(benchmark, gate_name):
                          scheme=1)
 
     start = time.perf_counter()
-    loop_result = run_immunity_trials(
-        cell, trials=TRIALS, cnts_per_trial=4, seed=2009, engine="loop"
+    loop_result = reference_immunity_trials(
+        cell, trials=TRIALS, cnts_per_trial=4, seed=2009
     )
     loop_seconds = time.perf_counter() - start
 
     batch_result = benchmark.pedantic(
         run_immunity_trials,
         args=(cell,),
-        kwargs=dict(trials=TRIALS, cnts_per_trial=4, seed=2009,
-                    engine="batch"),
+        kwargs=dict(trials=TRIALS, cnts_per_trial=4, seed=2009),
         iterations=1,
         rounds=3,
     )
@@ -64,8 +65,8 @@ def test_batched_engine_speedup(benchmark, gate_name):
 
 def test_sweep_throughput(benchmark):
     """A 3x3 defect-parameter sweep (x3 techniques) on the batched engine."""
-    points = benchmark.pedantic(
-        sweep,
+    result = benchmark.pedantic(
+        run_immunity_sweep,
         kwargs=dict(
             gates=("NAND2",),
             techniques=("vulnerable", "baseline", "compact"),
@@ -77,6 +78,7 @@ def test_sweep_throughput(benchmark):
         iterations=1,
         rounds=1,
     )
+    points = result.points
     total_trials = sum(point.result.trials for point in points)
     seconds = benchmark.stats.stats.mean
     record(

@@ -6,8 +6,9 @@ scale of a (drive x load x slew x corner) characterisation grid or a
 Figure 7 CNT-count sweep with supply corners) one
 :func:`repro.circuit.run_transient_batch` call must be at least 10x
 faster than integrating the corners one at a time through the scalar
-loop engine, with bit-identical waveforms and supply charge for every
-corner — the compatibility contract both engines share.
+reference integrator (``TransientSimulator.run_reference``), with
+bit-identical waveforms and supply charge for every corner — the contract
+the engine and its reference share.
 """
 
 import time
@@ -59,7 +60,7 @@ def test_batched_transient_speedup(benchmark):
     loop_results = [
         TransientSimulator(case.netlist, case.sources,
                            case.initial_conditions)
-        .run(STOP_TIME, TIME_STEP, engine="loop")
+        .run_reference(STOP_TIME, TIME_STEP)
         for case in cases
     ]
     loop_seconds = time.perf_counter() - start

@@ -113,7 +113,6 @@ _EXPORTS = {
     # immunity
     "compare_techniques": ".immunity",
     "run_immunity_trials": ".immunity",
-    "sweep": ".immunity",
     # logic
     "GateNetworks": ".logic",
     "parse_expression": ".logic",

@@ -40,10 +40,10 @@ from ..flow.designkit import CNFETDesignKit
 from ..flow.verilog import full_adder_netlist
 from ..immunity.montecarlo import (
     SeedLike,
+    SweepPoint,
     compare_techniques,
     format_comparison,
     format_sweep,
-    sweep,
 )
 from ..logic.functions import aoi31, standard_gate
 from ..study.results import (
@@ -63,6 +63,8 @@ from ..study.results import (
     StudyResult,
     Table1Result,
 )
+from ..study.spec import SweepSpec
+from ..study.sweeps import run_sweep_study
 from .metrics import GainReport, TechnologyFigures
 
 
@@ -106,23 +108,21 @@ def run_fig3_nand3(unit_width: float = 4.0) -> Fig3Result:
 # ---------------------------------------------------------------------------
 
 def run_fig2_immunity(gate_name: str = "NAND2", trials: int = 200,
-                      cnts_per_trial: int = 4, seed: SeedLike = 2009,
-                      engine: str = "batch") -> Fig2ImmunityResult:
+                      cnts_per_trial: int = 4,
+                      seed: SeedLike = 2009) -> Fig2ImmunityResult:
     """Monte Carlo immunity of the vulnerable / baseline / compact layouts.
 
     Every technique is attacked by the same defect populations (shared
-    seed); ``engine`` selects the batched evaluator or the compatibility
-    loop — results are identical for a fixed seed.
+    seed) on the batched engine.
     """
     results = compare_techniques(
         gate_name, trials=trials, cnts_per_trial=cnts_per_trial, seed=seed,
-        engine=engine,
     )
     return Fig2ImmunityResult(
         provenance=Provenance.capture(
-            "fig2", engine=engine, seed=seed,
+            "fig2", engine="batch", seed=seed,
             params=dict(gate_name=gate_name, trials=trials,
-                        cnts_per_trial=cnts_per_trial, seed=seed, engine=engine),
+                        cnts_per_trial=cnts_per_trial, seed=seed),
         ),
         gate=gate_name,
         results=results,
@@ -141,20 +141,28 @@ def run_immunity_sweep(
     metallic_fraction: Sequence[float] = (0.0,),
     trials: int = 200,
     seed: SeedLike = 2009,
-    workers: Optional[int] = None,
+    jobs: Optional[int] = None,
 ) -> ImmunitySweepResult:
     """Failure rate across defect density / alignment / metallic residue.
 
     The batched extension of the Figure 2 experiment: instead of one
     (technique × gate) table it explores the whole defect-parameter grid on
-    the vectorized engine (optionally across a process pool) and reports
-    where each layout technique stops being immune.
+    the immunity sweep engine (optionally across a process pool) and
+    reports where each layout technique stops being immune.  Points come
+    in ``gate × cnts × angle × metallic × technique`` product order, and
+    techniques at one parameter combination share its defect populations.
     """
-    points = sweep(
-        gates=gates, techniques=techniques, cnts_per_trial=cnts_per_trial,
-        max_angle_deg=max_angle_deg, metallic_fraction=metallic_fraction,
-        trials=trials, seed=seed, workers=workers,
-    )
+    spec = SweepSpec.from_mapping({
+        "gate": gates, "cnts_per_trial": cnts_per_trial,
+        "max_angle_deg": max_angle_deg,
+        "metallic_fraction": metallic_fraction, "technique": techniques,
+    })
+    study = run_sweep_study(spec, engine="immunity", trials=trials,
+                            seed=seed, jobs=jobs)
+    points = [
+        SweepPoint(result=record.metrics["result"], **record.corner.as_dict())
+        for record in study.records
+    ]
     worst: Dict[str, float] = {}
     for point in points:
         worst[point.technique] = max(

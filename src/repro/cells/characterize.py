@@ -64,7 +64,6 @@ from ..circuit.netlist import GND, VDD, TransistorNetlist
 from ..circuit.simulator import (
     SimulationCase,
     TransientResult,
-    TransientSimulator,
     constant_source,
     pulse_source,
     run_transient_batch,
@@ -527,19 +526,10 @@ def _plan_cell_cases(
     return gate, pin, labels, built, stop, time_step
 
 
-def _measure_cases(gate, pin, labels, cases, stop, time_step,
-                   engine: str) -> List[CellSweepPoint]:
+def _measure_cases(gate, pin, labels, cases, stop,
+                   time_step) -> List[CellSweepPoint]:
     """Integrate planned cases as one batch and reduce the waveforms."""
-    if engine == "batch":
-        results = run_transient_batch(cases, stop_time=stop,
-                                      time_step=time_step)
-    else:
-        results = [
-            TransientSimulator(case.netlist, case.sources,
-                               case.initial_conditions)
-            .run(stop, time_step, engine="loop")
-            for case in cases
-        ]
+    results = run_transient_batch(cases, stop_time=stop, time_step=time_step)
 
     points: List[CellSweepPoint] = []
     for (drive, load, slew, corner_name, vdd), result in zip(labels, results):
@@ -568,7 +558,6 @@ def characterize_sweep(
     corners: Optional[Mapping[str, TechnologyConfig]] = None,
     unit_width: float = 4.0,
     switched_pin: Optional[str] = None,
-    engine: str = "batch",
 ) -> CharacterizationSweep:
     """Measure every cell across a (drive × load × slew × corner) grid.
 
@@ -577,9 +566,7 @@ def characterize_sweep(
     sizes per drive, explicit output capacitors per load, stimulus edges
     per slew, devices/supply per corner — and integrated in **one**
     vectorized batch; the per-corner waveforms are then reduced to rise /
-    fall delay and energy.  ``engine="loop"`` runs the same cases one at a
-    time through the scalar reference engine (bit-identical results, used
-    by the regression tests).
+    fall delay and energy.
     """
     from ..logic.functions import standard_gate
 
@@ -587,8 +574,6 @@ def characterize_sweep(
     if not (gate_names and drive_strengths and load_capacitances_f
             and input_slews_s and corners):
         raise CharacterizationError("characterize_sweep needs non-empty axes")
-    if engine not in ("batch", "loop"):
-        raise CharacterizationError(f"Unknown engine {engine!r}")
 
     points: List[CellSweepPoint] = []
     for gate_name in gate_names:
@@ -597,7 +582,7 @@ def characterize_sweep(
             corners, unit_width, switched_pin,
         )
         points.extend(
-            _measure_cases(gate, pin, labels, built, stop, time_step, engine)
+            _measure_cases(gate, pin, labels, built, stop, time_step)
         )
 
     return CharacterizationSweep(
@@ -619,7 +604,6 @@ def characterize_cases(
     corners: Optional[Mapping[str, TechnologyConfig]] = None,
     unit_width: float = 4.0,
     switched_pin: Optional[str] = None,
-    engine: str = "batch",
 ) -> List[CellSweepPoint]:
     """Evaluate a subset of one cell's characterisation grid.
 
@@ -636,8 +620,6 @@ def characterize_cases(
     if not (drive_strengths and load_capacitances_f and input_slews_s
             and corners):
         raise CharacterizationError("characterize_cases needs non-empty axes")
-    if engine not in ("batch", "loop"):
-        raise CharacterizationError(f"Unknown engine {engine!r}")
 
     gate, pin, labels, built, stop, time_step = _plan_cell_cases(
         gate_name, drive_strengths, load_capacitances_f, input_slews_s,
@@ -653,7 +635,7 @@ def characterize_cases(
     selected_labels = [labels[index] for index in case_indices]
     selected_cases = [built[index] for index in case_indices]
     return _measure_cases(gate, pin, selected_labels, selected_cases,
-                          stop, time_step, engine)
+                          stop, time_step)
 
 
 def format_characterization(sweep: CharacterizationSweep) -> str:

@@ -43,7 +43,6 @@ from .simulator import (
     constant_source,
     pulse_source,
     run_transient_batch,
-    simulate_inverter_chain,
     simulate_inverter_chain_batch,
     stability_substep,
     step_source,
@@ -62,7 +61,7 @@ __all__ = [
     "CompiledTransientBatch", "InverterChainResult", "PiecewiseLinearSource",
     "SimulationCase", "TransientResult", "TransientSimulator",
     "build_inverter_chain", "constant_source", "pulse_source",
-    "run_transient_batch", "simulate_inverter_chain",
-    "simulate_inverter_chain_batch", "stability_substep", "step_source",
+    "run_transient_batch", "simulate_inverter_chain_batch",
+    "stability_substep", "step_source",
     "save_spice", "write_spice",
 ]

@@ -112,18 +112,7 @@ def fo4_metrics_transient(inverter: Inverter, vdd: float = 1.0,
     applies a full-swing step and measures the 50 %-to-50 % propagation
     delay of the middle stage and the total switched charge per cycle.
     """
-    from .simulator import simulate_inverter_chain  # local import to avoid cycle
-
-    if stages < 3:
-        raise SimulationError("The FO4 chain needs at least 3 stages")
-    result = simulate_inverter_chain(inverter, vdd=vdd, stages=stages, fanout=fanout)
-    return FO4Metrics(
-        delay_s=result.mid_stage_delay_s,
-        energy_per_cycle_j=result.energy_per_cycle_j,
-        load_capacitance_f=fo4_load_capacitance(inverter, fanout),
-        drive_current_a=inverter.drive_current(vdd),
-        supply_voltage=vdd,
-    )
+    return fo4_transient_sweep([inverter], vdd, stages, fanout)[0]
 
 
 def fo4_transient_sweep(

@@ -12,31 +12,11 @@ gates, a full adder) and keeps the implementation dependency-free.
 
 Engines
 -------
-Two engines implement identical integration semantics:
+One public engine and one reference implement identical integration
+semantics:
 
-* the **batch engine** (default) lowers each :class:`SimulationCase` once
-  into NumPy structure arrays (see *Precompiled array layout* below) and
-  integrates every case of a batch as one ``(nets, batch)`` state matrix
-  with array operations — one :func:`run_transient_batch` call sweeps many
-  stimuli/corners (supply voltage, CNT pitch / tubes per device, load
-  capacitance, input slew) in a single vectorized integration;
-* the **loop engine** (``engine="loop"``) is the compatibility path: one
-  case at a time, one device at a time, through the scalar
-  :meth:`TransientSimulator._channel_current` reference, exactly as the
-  original implementation.
-
-Both engines produce **bit-identical waveforms and supply charge** for the
-same case.  The contract mirrors the Monte Carlo immunity engine of
-:mod:`repro.immunity` (``engine="batch"`` vs ``engine="loop"``): every
-floating-point operation of the scalar loop has an elementwise vector
-counterpart executed in the same order, and the one transcendental in the
-inner loop (the alpha-power law) goes through the shared
-:func:`~repro.devices.powerlaw.alpha_power` kernel in both engines.
-``benchmarks/bench_sim_scale.py`` asserts both the contract and a >=10x
-speedup floor at figure-sized batches; ``docs/architecture.md`` documents
-the design.
-
-Precompiled array layout
+* the **batch engine** lowers each :class:`SimulationCase` once into
+  NumPy structure arrays (see *Precompiled array layout
 ------------------------
 :class:`CompiledTransientBatch` lowers ``B`` topology-identical cases with
 ``T`` transistors (``n_devices`` n-type ones first), ``N`` nets (``I`` of
@@ -329,7 +309,7 @@ class CompiledTransientBatch:
         first = self.cases[0].netlist
         self._topology_nets: List[str] = first.nets()
         self.source_nets: List[str] = list(self.cases[0].sources)
-        # A source may drive a net no device references (the loop engine
+        # A source may drive a net no device references (the reference
         # simply records its waveform); give such nets state columns too so
         # the engines stay bit-identical.
         self.net_names: List[str] = self._topology_nets + [
@@ -397,7 +377,7 @@ class CompiledTransientBatch:
 
         # -- accumulation table -------------------------------------------
         # Each sub-step the kernel fills the drive rows ``[i_drain |
-        # -i_drain | +0.0]`` (``2T + 1`` rows).  The loop engine visits
+        # -i_drain | +0.0]`` (``2T + 1`` rows).  The reference visits
         # device terminals in slot order (device by device, drain then
         # source) and folds each net's current, and the supply current,
         # with sequential ``+=`` from ``0.0``.  Column ``j`` of
@@ -572,7 +552,7 @@ class CompiledTransientBatch:
         ``terminals`` is the ``(3T, B)`` gathered gate|drain|source
         voltages and ``out`` receives the current out of each device's
         drain terminal, ``(T, B)``.  The returned function is an
-        elementwise mirror of the loop engine's ``_channel_current``: the
+        elementwise mirror of the reference's ``_channel_current``: the
         conduction direction is folded into ``(vgs, vds)`` relative to the
         low (n-type) or high (p-type) channel terminal, and the sign of the
         drain current follows the terminal ordering.  Inactive lanes
@@ -635,7 +615,7 @@ class CompiledTransientBatch:
 
         # The sub-step schedule is deterministic, so enumerate it (and
         # evaluate every PWL source over it) once, up front.  The schedule
-        # loop mirrors the loop engine token for token: sources are read at
+        # loop mirrors the reference token for token: sources are read at
         # the *start* of each sub-step, and the sample recorded at a
         # boundary still holds the source value of the previous sub-step.
         step_times: List[float] = []
@@ -715,7 +695,7 @@ class CompiledTransientBatch:
             table[r * columns:(r + 1) * columns] for r in range(ranks)
         ]
         # The accumulator starts as rank 0 + 0.0 and then adds each later
-        # rank in order, exactly the loop engine's ``0.0 + c1 + c2 + ...``
+        # rank in order, exactly the reference's ``0.0 + c1 + c2 + ...``
         # for every net and the supply.  The +0.0 padding is exact: an
         # accumulator that starts from +0.0 is never -0.0 (round-to-nearest
         # gives -0.0 only for -0.0 + -0.0), and x + 0.0 == x for every
@@ -765,7 +745,7 @@ def run_transient_batch(cases: Sequence[SimulationCase], stop_time: float,
     the whole batch shares one time base; each case keeps its own device
     parameters, loading, supply, stimuli and initial conditions.  Returns
     one :class:`TransientResult` per case, in order, bit-identical to
-    running each case through ``TransientSimulator.run(engine="loop")``.
+    running each case through :meth:`TransientSimulator.run_reference`.
     """
     return CompiledTransientBatch(cases).integrate(stop_time, time_step)
 
@@ -773,10 +753,9 @@ def run_transient_batch(cases: Sequence[SimulationCase], stop_time: float,
 class TransientSimulator:
     """Explicit nodal transient solver for a :class:`TransistorNetlist`.
 
-    ``run`` integrates one case; it is a thin compatibility path over the
-    batch engine (a batch of one), with ``engine="loop"`` selecting the
-    scalar per-substep reference implementation.  Both produce
-    bit-identical waveforms and supply charge.
+    ``run`` integrates one case on the batch engine (a batch of one);
+    ``run_reference`` is the scalar per-substep reference implementation.
+    Both produce bit-identical waveforms and supply charge.
     """
 
     def __init__(self, netlist: TransistorNetlist,
@@ -797,24 +776,16 @@ class TransientSimulator:
             initial_conditions=self.initial_conditions,
         )
 
-    def run(self, stop_time: float, time_step: float,
-            engine: str = "batch") -> TransientResult:
+    def run(self, stop_time: float, time_step: float) -> TransientResult:
         """Integrate from 0 to ``stop_time`` with output samples every
-        ``time_step`` (internally sub-stepped for stability).
+        ``time_step`` (internally sub-stepped for stability)."""
+        return run_transient_batch([self.as_case()], stop_time, time_step)[0]
 
-        ``engine`` selects the vectorized batch integrator (default) or
-        the scalar compatibility loop; results are bit-identical.
-        """
-        if engine == "batch":
-            return run_transient_batch([self.as_case()], stop_time, time_step)[0]
-        if engine != "loop":
-            raise SimulationError(f"Unknown transient engine {engine!r}")
-        return self._run_loop(stop_time, time_step)
-
-    def _run_loop(self, stop_time: float, time_step: float) -> TransientResult:
+    def run_reference(self, stop_time: float,
+                      time_step: float) -> TransientResult:
         """The scalar reference integrator (one net dict, one device at a
         time) — the shape the batch engine mirrors operation for
-        operation."""
+        operation; bit-identical to :meth:`run`."""
         if stop_time <= 0 or time_step <= 0:
             raise SimulationError("stop_time and time_step must be positive")
         netlist = self.netlist
@@ -971,26 +942,6 @@ def _measure_chain(result: TransientResult, stages: int) -> InverterChainResult:
         energy_per_cycle_j=energy,
         result=result,
     )
-
-
-def simulate_inverter_chain(inverter: Inverter, vdd: float = 1.0, stages: int = 5,
-                            fanout: int = 4,
-                            engine: str = "batch") -> InverterChainResult:
-    """Simulate the paper's five-stage FO4 chain and measure the mid stage.
-
-    The measured stage is stage 3 (index 2), exactly as in Case study 1.
-    Energy per cycle is the supply energy of one full input pulse divided by
-    the number of switching stages, attributed to the measured stage's load.
-    """
-    case, estimate = _chain_case(inverter, vdd, stages, fanout)
-    simulator = TransientSimulator(case.netlist, case.sources,
-                                   initial_conditions=case.initial_conditions)
-    settle = estimate * (stages + 6)
-    stop = 2 * estimate + 2 * settle
-    result = simulator.run(stop_time=stop,
-                           time_step=max(estimate / 50.0, 1.0e-14),
-                           engine=engine)
-    return _measure_chain(result, stages)
 
 
 def _per_corner_supplies(vdd, corners: int) -> List[float]:

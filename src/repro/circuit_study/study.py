@@ -150,7 +150,7 @@ def run_circuit_study(
     unit_width: float = 4.0,
     draws: int = 2000,
     output_load_f: float = 1.0e-15,
-    workers: Optional[int] = None,
+    jobs: Optional[int] = None,
     backend: Optional[str] = None,
     cache: CacheLike = None,
 ) -> CircuitStudyResult:
@@ -159,7 +159,7 @@ def run_circuit_study(
     ``circuit`` is a generator spec (``"adder:8"``), structural Verilog
     text, or a live :class:`~repro.circuit.netlist.GateNetlist`.
     ``cache`` enables per-unique-cell corner reuse (``True``, a path or a
-    :class:`~repro.runtime.cache.ResultCache`); ``workers``/``backend``
+    :class:`~repro.runtime.cache.ResultCache`); ``jobs``/``backend``
     select the scheduler and never change the result.
     """
     netlist, source = resolve_circuit(circuit)
@@ -244,7 +244,7 @@ def run_circuit_study(
             plan, cached,
             lambda indices: run_tasks(_run_cell_task,
                                       [tasks[i] for i in indices],
-                                      jobs=workers, backend=backend),
+                                      jobs=jobs, backend=backend),
             store, [f"circuit-{task.kind}" for task in tasks],
         )
 

@@ -18,20 +18,25 @@ defect populations (one shared seed)::
 
     print(format_comparison(compare_techniques("NAND2", trials=2000)))
 
-Parameter sweeps over defect density / alignment / metallic residue, with
-optional multiprocessing::
+Parameter sweeps over defect density / alignment / metallic residue run
+on the study layer's immunity sweep engine, optionally over a process
+pool::
 
-    from repro.immunity import sweep, format_sweep
+    from repro.analysis import run_immunity_sweep
 
-    points = sweep(gates=("NAND2", "NAND3"), cnts_per_trial=(2, 4, 8),
-                   max_angle_deg=(5.0, 15.0, 30.0), trials=1000, workers=4)
-    print(format_sweep(points))
+    result = run_immunity_sweep(gates=("NAND2", "NAND3"),
+                                cnts_per_trial=(2, 4, 8),
+                                max_angle_deg=(5.0, 15.0, 30.0),
+                                trials=1000, jobs=4)
+    print(result)
 
-Seed contract: a fixed seed fully determines every defect population; the
-``"batch"`` and ``"loop"`` engines (and any ``chunk_size``) produce
-identical :class:`MonteCarloResult` values, and within
-:func:`compare_techniques` / :func:`sweep` all techniques at the same
-parameter point consume identical underlying defect draws.
+Seed contract: a fixed seed fully determines every defect population;
+:func:`run_immunity_trials` and its scalar reference
+:func:`~repro.immunity.montecarlo.reference_immunity_trials` (and any
+chunk size) produce identical
+:class:`MonteCarloResult` values, and within :func:`compare_techniques`
+and an immunity sweep all techniques at the same parameter point consume
+identical underlying defect draws.
 """
 
 from .checker import (
@@ -57,7 +62,6 @@ from .montecarlo import (
     format_comparison,
     format_sweep,
     run_immunity_trials,
-    sweep,
 )
 
 __all__ = [
@@ -79,5 +83,4 @@ __all__ = [
     "format_comparison",
     "format_sweep",
     "run_immunity_trials",
-    "sweep",
 ]

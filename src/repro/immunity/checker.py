@@ -33,7 +33,8 @@ Two evaluation paths implement the same semantics:
   :meth:`ImmunityChecker.output_codes`);
 * the **reference path** walks each tube's ordered crossings in Python
   (:meth:`ImmunityChecker.truth_table_reference`), preserved as the
-  behavioural oracle and for the Monte Carlo compatibility loop.
+  behavioural oracle; :meth:`ImmunityChecker.check` and the Monte Carlo
+  reference loop tabulate through it.
 
 Both produce identical truth tables for identical populations: the batched
 path replicates the scalar slab clipping, the stable midpoint ordering and
@@ -533,19 +534,15 @@ class ImmunityChecker:
 
     def check(self, nominal: Sequence[CNTInstance],
               mispositioned: Sequence[CNTInstance],
-              expected: Optional[TruthTable] = None,
-              reference: bool = False) -> ImmunityReport:
+              expected: Optional[TruthTable] = None) -> ImmunityReport:
         """Full immunity check of a CNT population against the intended
-        function (defaults to the function the nominal tubes implement).
-
-        ``reference`` selects the scalar walk instead of the batched
-        evaluator; both produce identical reports.
-        """
-        tabulate = self.truth_table_reference if reference else self.truth_table
-        nominal_table = tabulate(nominal)
+        function (defaults to the function the nominal tubes implement),
+        tabulated by the scalar walk (:meth:`truth_table_reference`)."""
+        nominal_table = self.truth_table_reference(nominal)
         if expected is None:
             expected = nominal_table
-        observed = tabulate(list(nominal) + list(mispositioned))
+        observed = self.truth_table_reference(
+            list(nominal) + list(mispositioned))
         failing = tuple(
             assignment
             for assignment, value in observed.rows()

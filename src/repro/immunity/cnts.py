@@ -269,7 +269,7 @@ def sample_mispositioned_batch(
     The four uniform draws of each tube (``x``, ``y``, ``angle``,
     ``metallic``) are consumed contiguously from ``rng``, so the values are
     bit-identical to drawing the tubes one at a time — the seed contract the
-    Monte Carlo compatibility path relies on.
+    Monte Carlo reference loop relies on.
     """
     if not 0.0 <= metallic_fraction <= 1.0:
         raise ImmunityAnalysisError("metallic_fraction must be within [0, 1]")

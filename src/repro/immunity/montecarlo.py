@@ -9,18 +9,20 @@ corrupted is reported.
 
 Engines
 -------
-Two engines implement identical trial semantics:
+:func:`run_immunity_trials` is the one public engine.  It samples whole
+defect populations at once and evaluates every trial × input-assignment
+with NumPy array operations via
+:meth:`~repro.immunity.checker.ImmunityChecker.evaluate_batch`, in memory
+chunks of ``DEFAULT_CHUNK_SIZE`` trials.
 
-* ``engine="batch"`` (default) samples whole defect populations at once and
-  evaluates every trial × input-assignment with NumPy array operations via
-  :meth:`~repro.immunity.checker.ImmunityChecker.evaluate_batch`, in memory
-  chunks of ``chunk_size`` trials;
-* ``engine="loop"`` is the compatibility path: one trial at a time through
-  the scalar reference checker, exactly as the original implementation.
-
-Both consume the random stream in the same per-tube order, so a fixed seed
-produces identical :class:`MonteCarloResult` values on either engine (and
-for any ``chunk_size``).
+:func:`reference_immunity_trials` is its reference implementation: one
+trial at a time through the scalar checker walk, exactly as the original
+implementation.  Both consume the random stream in the same per-tube
+order, so a fixed seed produces identical :class:`MonteCarloResult`
+values on either (and for any chunk size).  The reference is kept as the
+executable specification the oracle tests and
+``benchmarks/bench_immunity_scale.py`` compare against; it is not a
+public switch.
 
 Seed contract
 -------------
@@ -29,24 +31,23 @@ model**: each technique's generator is built from the same seed (one common
 ``SeedSequence``), so trial ``t`` consumes the identical underlying uniform
 draws for every technique.  The raw draws are scaled to each cell's own
 bounding box, which is what "the same Monte Carlo CNT defect model" means
-for cells of different sizes.  :func:`sweep` extends the contract: points
-that differ only in ``technique`` share one spawned child sequence, while
-distinct parameter combinations get independent child sequences.
+for cells of different sizes.  The immunity sweep engine
+(:mod:`repro.study.sweeps`) extends the contract: grid corners that differ
+only in ``technique`` share one child sequence spawned from
+:func:`sweep_seed_root`, while distinct parameter combinations get
+independent child sequences.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from ..core.spec import CellAnnotations
 from ..core.standard_cell import StandardCell, assemble_cell
 from ..errors import ImmunityAnalysisError
 from ..logic.functions import standard_gate
-from ..logic.network import GateNetworks
 from ..tech.lambda_rules import CNFET_RULES, DesignRules
 from .checker import ImmunityChecker
 from .cnts import (
@@ -63,9 +64,10 @@ DEFAULT_CHUNK_SIZE = 512
 #: Seed-like values accepted wherever a Monte Carlo seed is expected.
 SeedLike = Union[int, Sequence[int], np.random.SeedSequence]
 
-#: Reserved spawn-key element under which :func:`sweep` derives its child
-#: sequences, far outside the counter range ``SeedSequence.spawn`` uses, so
-#: sweep children never collide with children the caller spawns themselves.
+#: Reserved spawn-key element under which every sweep derives its child
+#: sequences (:func:`sweep_seed_root`), far outside the counter range
+#: ``SeedSequence.spawn`` uses, so sweep children never collide with
+#: children the caller spawns themselves.
 _SWEEP_SPAWN_KEY = 1 << 31
 
 
@@ -101,8 +103,6 @@ def run_immunity_trials(
     seed: SeedLike = 2009,
     cnt_pitch: float = 1.0,
     metallic_fraction: float = 0.0,
-    engine: str = "batch",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> MonteCarloResult:
     """Monte Carlo immunity analysis of one assembled standard cell.
 
@@ -112,143 +112,76 @@ def run_immunity_trials(
     processing (Section II); raising it shows how quickly that assumption
     matters, because no layout technique can gate a metallic tube off.
 
-    ``engine`` selects the vectorized ``"batch"`` evaluator or the scalar
-    ``"loop"`` compatibility path; results are identical for a fixed seed.
+    All trials go through the vectorized evaluator in chunks of
+    ``DEFAULT_CHUNK_SIZE``; :func:`reference_immunity_trials` gives the
+    identical result one trial at a time.
     """
-    annotations = cell.annotations()
-    return _run_trials(
-        annotations=annotations,
-        expected_gate=cell.gate,
-        technique=cell.technique,
-        axis="x",
-        trials=trials,
-        cnts_per_trial=cnts_per_trial,
-        max_angle_deg=max_angle_deg,
-        seed=seed,
-        cnt_pitch=cnt_pitch,
-        metallic_fraction=metallic_fraction,
-        engine=engine,
-        chunk_size=chunk_size,
-    )
-
-
-def _run_trials(
-    annotations: CellAnnotations,
-    expected_gate: Optional[GateNetworks],
-    technique: str,
-    axis: str,
-    trials: int,
-    cnts_per_trial: int,
-    max_angle_deg: float,
-    seed: SeedLike,
-    cnt_pitch: float,
-    metallic_fraction: float = 0.0,
-    engine: str = "batch",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> MonteCarloResult:
-    if trials <= 0:
-        raise ImmunityAnalysisError("trials must be positive")
-    if engine not in ("batch", "loop"):
-        raise ImmunityAnalysisError(
-            f"engine must be 'batch' or 'loop', got {engine!r}"
-        )
-    if chunk_size <= 0:
-        raise ImmunityAnalysisError("chunk_size must be positive")
-    checker = ImmunityChecker(annotations)
-    nominal = nominal_cnts(annotations, pitch=cnt_pitch, axis=axis)
-    expected = expected_gate.expected_truth_table() if expected_gate else None
-    rng = np.random.default_rng(seed)
-
-    if engine == "loop":
-        failures, nominal_matches = _loop_trials(
-            checker, annotations, nominal, expected, rng, trials,
-            cnts_per_trial, max_angle_deg, axis, metallic_fraction,
-        )
-    else:
-        failures, nominal_matches = _batched_trials(
-            checker, annotations, nominal, expected, rng, trials,
-            cnts_per_trial, max_angle_deg, axis, metallic_fraction, chunk_size,
-        )
-
-    return MonteCarloResult(
-        cell_name=annotations.cell_name,
-        technique=technique,
-        trials=trials,
-        cnts_per_trial=cnts_per_trial,
-        failures=failures,
-        nominal_matches=nominal_matches,
-    )
-
-
-def _loop_trials(
-    checker: ImmunityChecker,
-    annotations: CellAnnotations,
-    nominal,
-    expected,
-    rng: np.random.Generator,
-    trials: int,
-    cnts_per_trial: int,
-    max_angle_deg: float,
-    axis: str,
-    metallic_fraction: float,
-) -> Tuple[int, bool]:
-    """The original per-trial loop over the scalar reference checker."""
-    nominal_report = checker.check(nominal, [], expected=expected,
-                                   reference=True)
-    failures = 0
-    for _ in range(trials):
-        strays = random_mispositioned_cnts(
-            annotations, cnts_per_trial, rng, max_angle_deg=max_angle_deg,
-            axis=axis, metallic_fraction=metallic_fraction,
-        )
-        report = checker.check(nominal, strays, expected=expected,
-                               reference=True)
-        if not report.immune:
-            failures += 1
-    return failures, nominal_report.nominal_matches and nominal_report.immune
-
-
-def _batched_trials(
-    checker: ImmunityChecker,
-    annotations: CellAnnotations,
-    nominal,
-    expected,
-    rng: np.random.Generator,
-    trials: int,
-    cnts_per_trial: int,
-    max_angle_deg: float,
-    axis: str,
-    metallic_fraction: float,
-    chunk_size: int,
-) -> Tuple[int, bool]:
-    """All trials through the vectorized evaluator, in bounded chunks."""
+    annotations, checker, nominal, expected, rng = _trial_setup(
+        cell, trials, cnt_pitch, seed)
     base_adjacency, nominal_codes = checker.base_state(
         CNTBatch.from_instances(nominal)
     )
-    if expected is not None:
-        inputs_match = set(expected.inputs) == set(checker.inputs)
-        expected_codes = checker.truth_table_codes(expected)
-    else:
-        inputs_match = True
-        expected_codes = nominal_codes
-    nominal_matches = inputs_match and bool(
+    expected_codes = checker.truth_table_codes(expected)
+    nominal_matches = set(expected.inputs) == set(checker.inputs) and bool(
         (nominal_codes == expected_codes).all()
     )
 
     failures = 0
     remaining = trials
     while remaining:
-        chunk = min(chunk_size, remaining)
+        chunk = min(DEFAULT_CHUNK_SIZE, remaining)
         batch = sample_mispositioned_batch(
             annotations, chunk * cnts_per_trial, rng,
-            max_angle_deg=max_angle_deg, axis=axis,
+            max_angle_deg=max_angle_deg, axis="x",
             metallic_fraction=metallic_fraction,
         )
         codes = checker.evaluate_batch(batch, groups=chunk,
                                        base_adjacency=base_adjacency)
         failures += int((codes != expected_codes[None, :]).any(axis=1).sum())
         remaining -= chunk
-    return failures, nominal_matches
+    return MonteCarloResult(annotations.cell_name, cell.technique, trials,
+                            cnts_per_trial, failures, nominal_matches)
+
+
+def reference_immunity_trials(
+    cell: StandardCell,
+    trials: int = 200,
+    cnts_per_trial: int = 4,
+    max_angle_deg: float = 15.0,
+    seed: SeedLike = 2009,
+    cnt_pitch: float = 1.0,
+    metallic_fraction: float = 0.0,
+) -> MonteCarloResult:
+    """The reference implementation of :func:`run_immunity_trials`: the
+    original per-trial loop over the scalar checker walk.  Equal to it for
+    every seed; kept as the executable specification, not as a choice."""
+    annotations, checker, nominal, expected, rng = _trial_setup(
+        cell, trials, cnt_pitch, seed)
+    nominal_report = checker.check(nominal, [], expected=expected)
+    failures = 0
+    for _ in range(trials):
+        strays = random_mispositioned_cnts(
+            annotations, cnts_per_trial, rng, max_angle_deg=max_angle_deg,
+            axis="x", metallic_fraction=metallic_fraction,
+        )
+        if not checker.check(nominal, strays, expected=expected).immune:
+            failures += 1
+    return MonteCarloResult(
+        annotations.cell_name, cell.technique, trials, cnts_per_trial,
+        failures, nominal_report.nominal_matches and nominal_report.immune,
+    )
+
+
+def _trial_setup(cell: StandardCell, trials: int, cnt_pitch: float,
+                 seed: SeedLike):
+    """What both trial engines start from: ``(annotations, checker,
+    nominal tubes, expected truth table, generator)``."""
+    if trials <= 0:
+        raise ImmunityAnalysisError("trials must be positive")
+    annotations = cell.annotations()
+    return (annotations, ImmunityChecker(annotations),
+            nominal_cnts(annotations, pitch=cnt_pitch, axis="x"),
+            cell.gate.expected_truth_table(), np.random.default_rng(seed))
 
 
 def compare_techniques(
@@ -260,8 +193,6 @@ def compare_techniques(
     scheme: int = 1,
     seed: SeedLike = 2009,
     rules: DesignRules = CNFET_RULES,
-    engine: str = "batch",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> Dict[str, MonteCarloResult]:
     """Run the Figure 2 experiment: the same gate laid out with each
     technique, attacked by the same Monte Carlo CNT defect model.
@@ -286,8 +217,6 @@ def compare_techniques(
             trials=trials,
             cnts_per_trial=cnts_per_trial,
             seed=seed_sequence,
-            engine=engine,
-            chunk_size=chunk_size,
         )
     return results
 
@@ -385,7 +314,7 @@ def format_comparison(results: Dict[str, MonteCarloResult]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parameter sweeps over the batched engine
+# Immunity sweep points (the payload of the ``immunity_sweep`` study)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -402,116 +331,6 @@ class SweepPoint:
     @property
     def failure_rate(self) -> float:
         return self.result.failure_rate
-
-
-def sweep(
-    gates: Sequence[str] = ("NAND2",),
-    techniques: Sequence[str] = ("vulnerable", "baseline", "compact"),
-    cnts_per_trial: Sequence[int] = (4,),
-    max_angle_deg: Sequence[float] = (15.0,),
-    metallic_fraction: Sequence[float] = (0.0,),
-    trials: int = 200,
-    seed: SeedLike = 2009,
-    unit_width: float = 4.0,
-    scheme: int = 1,
-    rules: DesignRules = CNFET_RULES,
-    engine: str = "batch",
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    workers: Optional[int] = None,
-) -> List[SweepPoint]:
-    """Failure rate across the cartesian product of defect parameters.
-
-    Sweeps ``gates`` × ``cnts_per_trial`` × ``max_angle_deg`` ×
-    ``metallic_fraction`` × ``techniques`` and returns one
-    :class:`SweepPoint` per combination, in deterministic product order.
-
-    Seeding follows the Figure 2 contract: every parameter combination gets
-    its own child ``SeedSequence`` spawned from ``SeedSequence(seed)``, and
-    all techniques at that combination share the child, so technique
-    comparisons see the same defect populations while distinct combinations
-    stay statistically independent.
-
-    ``workers`` > 1 distributes points over the runtime scheduler's
-    process pool (:func:`repro.runtime.scheduler.run_tasks` — the one
-    pool implementation in the repository); results are identical to the
-    serial run (each point is seeded independently of scheduling order).
-    """
-    combos = list(itertools.product(
-        gates, cnts_per_trial, max_angle_deg, metallic_fraction
-    ))
-    children = sweep_seed_root(seed).spawn(len(combos))
-    tasks = []
-    for (gate, cnts, angle, metallic), child in zip(combos, children):
-        for technique in techniques:
-            tasks.append(_SweepTask(
-                gate=gate,
-                technique=technique,
-                cnts_per_trial=cnts,
-                max_angle_deg=angle,
-                metallic_fraction=metallic,
-                trials=trials,
-                seed_sequence=child,
-                unit_width=unit_width,
-                scheme=scheme,
-                rules=rules,
-                engine=engine,
-                chunk_size=chunk_size,
-            ))
-
-    # Imported lazily: repro.runtime sits above the study layer, which
-    # itself imports this module for the seed contract.
-    from ..runtime.scheduler import run_tasks
-
-    results = run_tasks(_run_sweep_task, tasks, jobs=workers)
-
-    return [
-        SweepPoint(
-            gate=task.gate,
-            technique=task.technique,
-            cnts_per_trial=task.cnts_per_trial,
-            max_angle_deg=task.max_angle_deg,
-            metallic_fraction=task.metallic_fraction,
-            result=result,
-        )
-        for task, result in zip(tasks, results)
-    ]
-
-
-@dataclass(frozen=True)
-class _SweepTask:
-    """A picklable unit of sweep work (one technique at one combination)."""
-
-    gate: str
-    technique: str
-    cnts_per_trial: int
-    max_angle_deg: float
-    metallic_fraction: float
-    trials: int
-    seed_sequence: np.random.SeedSequence
-    unit_width: float
-    scheme: int
-    rules: DesignRules
-    engine: str
-    chunk_size: int
-
-
-def _run_sweep_task(task: _SweepTask) -> MonteCarloResult:
-    """Top-level worker so process pools can pickle it."""
-    gate = standard_gate(task.gate)
-    cell = assemble_cell(
-        gate, technique=task.technique, scheme=task.scheme,
-        unit_width=task.unit_width, rules=task.rules,
-    )
-    return run_immunity_trials(
-        cell,
-        trials=task.trials,
-        cnts_per_trial=task.cnts_per_trial,
-        max_angle_deg=task.max_angle_deg,
-        metallic_fraction=task.metallic_fraction,
-        seed=task.seed_sequence,
-        engine=task.engine,
-        chunk_size=task.chunk_size,
-    )
 
 
 def format_sweep(points: Sequence[SweepPoint]) -> str:

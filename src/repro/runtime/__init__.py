@@ -7,7 +7,7 @@ study three service-shaped properties:
 * **one scheduler** (:mod:`~repro.runtime.scheduler`) — an ordered,
   deterministic task map over serial / thread / process backends.  Every
   parallel path in the repository (``run_sweep_study(jobs=...)``,
-  ``montecarlo.sweep(workers=...)``, the CLI ``--jobs`` flag) lowers
+  ``run_circuit_study(jobs=...)``, the CLI ``--jobs`` flag) lowers
   onto it, and sharded runs are bit-identical to serial ones because
   seeds are spawned per corner in the parent and transient shards replay
   the full-grid time base;

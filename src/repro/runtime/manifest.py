@@ -260,7 +260,7 @@ def _run_entry(entry: ManifestEntry, cache, jobs: Optional[int],
     definition = get_study(entry.study)
     # Forward the manifest-level jobs only to runners that can use it;
     # serial studies just run serially instead of erroring the batch.
-    entry_jobs = jobs if "workers" in definition.parameters() else None
+    entry_jobs = jobs if "jobs" in definition.parameters() else None
     return run_study(definition.name, cache=cache, jobs=entry_jobs,
                      **entry.params)
 

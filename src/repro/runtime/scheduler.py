@@ -1,7 +1,7 @@
 """The deterministic parallel scheduler.
 
 One pool implementation for the whole repository: every parallel code
-path — ``run_sweep_study(jobs=...)``, ``montecarlo.sweep(workers=...)``,
+path — ``run_sweep_study(jobs=...)``, ``run_circuit_study(jobs=...)``,
 the ``--jobs`` CLI flag — lowers onto :func:`run_tasks`, an *ordered*
 map over one of three backends:
 

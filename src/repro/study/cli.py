@@ -277,7 +277,7 @@ def _cmd_circuit(args, stdout, stderr) -> int:
         params["seed"] = args.seed
     store = _resolve_cache(args)
     with _traced(args, "circuit", stderr):
-        result = run_circuit_study(circuit, workers=args.jobs,
+        result = run_circuit_study(circuit, jobs=args.jobs,
                                    backend=args.backend, cache=store,
                                    **params)
     _note_cache(result, store, stderr)

@@ -136,7 +136,7 @@ def run_study(name: str, cache=None, jobs: "int | None" = None,
     ``"miss"`` either way.
 
     ``jobs`` asks for parallel execution and is forwarded to the runner's
-    ``workers`` parameter; studies without one reject it, mirroring how
+    own ``jobs`` parameter; studies without one reject it, mirroring how
     the CLI rejects ``--seed`` for unseeded studies.
     """
     definition = get_study(name)
@@ -148,15 +148,12 @@ def run_study(name: str, cache=None, jobs: "int | None" = None,
             f"parameters: {sorted(accepted)}"
         )
     if jobs is not None:
-        if "workers" in accepted:
-            params.setdefault("workers", jobs)
-        elif "jobs" in accepted:
-            params.setdefault("jobs", jobs)
-        else:
+        if "jobs" not in accepted:
             raise StudyError(
                 f"Study {definition.name!r} has no parallel runner "
-                f"(no workers parameter); parameters: {sorted(accepted)}"
+                f"(no jobs parameter); parameters: {sorted(accepted)}"
             )
+        params.setdefault("jobs", jobs)
     # Imported lazily: the runtime layer sits on top of the study layer,
     # so a module-level import here would be circular.
     from ..obs import trace as obs_trace

@@ -11,13 +11,13 @@ any engine can consume.
 
 Seed policy
 -----------
-:meth:`SweepSpec.seeds` honours the PR-1 ``SeedLike`` contract established
-by :func:`repro.immunity.montecarlo.sweep`: children are spawned under the
-reserved ``_SWEEP_SPAWN_KEY`` from a *fresh copy* of the root sequence (so
-identical calls are reproducible and never collide with children the
-caller spawns), and corners that differ **only** in the axes named by
-``share_axes`` share one child — the Figure 2 "same defect populations for
-every technique" guarantee, generalised to any axis.
+:meth:`SweepSpec.seeds` honours the ``SeedLike`` contract of
+:func:`repro.immunity.montecarlo.sweep_seed_root`: children are spawned
+under the reserved ``_SWEEP_SPAWN_KEY`` from a *fresh copy* of the root
+sequence (so identical calls are reproducible and never collide with
+children the caller spawns), and corners that differ **only** in the axes
+named by ``share_axes`` share one child — the Figure 2 "same defect
+populations for every technique" guarantee, generalised to any axis.
 
 >>> spec = SweepSpec.from_mapping({"vdd": (0.9, 1.0), "tubes": (1, 4)})
 >>> [corner.as_dict() for corner in spec.corners()]  # doctest: +NORMALIZE_WHITESPACE
@@ -153,8 +153,9 @@ def parse_axis(text: str) -> Axis:
 class SweepSpec:
     """An ordered set of sweep axes plus the expansion mode.
 
-    ``mode="grid"`` expands the full cartesian product (last axis fastest);
-    ``mode="zip"`` walks all axes in lock-step (they must share a length).
+    ``mode="grid"`` expands the full cartesian product (last axis fastest)
+    and needs distinct values on each axis; ``mode="zip"`` walks all axes
+    in lock-step (they must share a length) and may repeat values.
     """
 
     axes: Tuple[Axis, ...]
@@ -173,6 +174,17 @@ class SweepSpec:
                 "zip mode needs equal-length axes, got "
                 + ", ".join(f"{a.name}[{len(a)}]" for a in self.axes)
             )
+        if self.mode == "grid":
+            # A repeated grid value names one corner twice: seed and case
+            # lookups by value could not tell the two apart.
+            for axis in self.axes:
+                repeated = [value for index, value in enumerate(axis.values)
+                            if value in axis.values[:index]]
+                if repeated:
+                    raise StudyError(
+                        f"Grid axis {axis.name!r} repeats {repeated}; "
+                        "use distinct values (zip mode keeps repeats)"
+                    )
 
     # -- construction ----------------------------------------------------------
 

@@ -8,11 +8,14 @@ a cold sweep and a corner-store delta recompute alike.
 
 * ``engine="immunity"`` — the Monte Carlo immunity engine.  Axes:
   ``gate``, ``technique``, ``cnts_per_trial``, ``max_angle_deg``,
-  ``metallic_fraction``.  Grid corners get exactly the child seeds
-  :func:`repro.immunity.montecarlo.sweep` assigns, so the Figure 2 seed
-  contract (techniques share defect populations, distinct parameter
-  combinations get independent child sequences) holds bit-for-bit; zip
-  corners follow the same contract via :meth:`SweepSpec.seeds`.
+  ``metallic_fraction``.  Grid corners take their child seeds from
+  :func:`repro.immunity.montecarlo.sweep_seed_root` in ``(gate, cnts,
+  angle, metallic)`` product order, so the Figure 2 seed contract
+  (techniques share defect populations, distinct parameter combinations
+  get independent child sequences) holds whatever order the spec declares
+  its axes in; zip corners follow the same contract via
+  :meth:`SweepSpec.seeds`.  :func:`repro.analysis.run_immunity_sweep` is
+  this engine with the axes declared in that canonical order.
 * ``engine="transient"`` — the batch transient/characterisation engine.
   Axes: ``cell``, ``drive``, ``load_f``, ``slew_s``, ``vdd``,
   ``pitch_nm``.  Grid corners are integrated per cell on the whole
@@ -406,10 +409,10 @@ def _immunity_seeds(spec: SweepSpec, constants: Mapping[str, object],
                     seed) -> List[np.random.SeedSequence]:
     """One child :class:`~numpy.random.SeedSequence` per immunity corner.
 
-    Grid mode follows :func:`repro.immunity.montecarlo.sweep`'s contract:
-    children are spawned from :func:`~repro.immunity.montecarlo.
+    Grid mode spawns children from :func:`~repro.immunity.montecarlo.
     sweep_seed_root` in ``(gate, cnts, angle, metallic)`` product order,
-    and corners differing only in ``technique`` share one child.  Zip
+    and corners differing only in ``technique`` share one child (grid
+    axes never repeat a value, so each combination names one child).  Zip
     mode is :meth:`SweepSpec.seeds` with ``share_axes=("technique",)``.
     """
     if spec.mode != "grid":

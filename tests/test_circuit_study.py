@@ -280,21 +280,21 @@ class TestCacheContracts:
 
 @pytest.fixture(scope="module")
 def serial_result():
-    return run_fast(workers=1, backend="serial")
+    return run_fast(jobs=1, backend="serial")
 
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_parallel_backends_match_serial(self, backend, serial_result):
-        parallel = run_fast(workers=2, backend=backend)
+        parallel = run_fast(jobs=2, backend=backend)
         assert parallel == serial_result
         assert parallel.provenance == serial_result.provenance
 
     def test_scheduling_never_enters_provenance(self, shared_store):
         a = run_fast(cache=shared_store)
-        b = run_fast(cache=shared_store, workers=2, backend="thread")
+        b = run_fast(cache=shared_store, jobs=2, backend="thread")
         assert a.provenance.config_hash == b.provenance.config_hash
-        for key in ("workers", "backend", "cache"):
+        for key in ("jobs", "backend", "cache"):
             assert key not in a.provenance.params
 
 
@@ -344,7 +344,7 @@ class TestRegistry:
         definition = get_study("circuit")
         assert definition.name == "circuit"
         assert get_study("circuit_study") is not None
-        assert "workers" in definition.parameters()
+        assert "jobs" in definition.parameters()
 
     def test_unknown_parameters_fail_fast(self):
         with pytest.raises(StudyError, match="does not accept"):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.immunity.montecarlo as montecarlo
+from repro.analysis import run_immunity_sweep
 from repro.core import assemble_cell, get_annotations
 from repro.errors import ImmunityAnalysisError
 from repro.geometry import Point, Rect
@@ -16,9 +18,10 @@ from repro.immunity import (
     random_mispositioned_cnts,
     run_immunity_trials,
     sample_mispositioned_batch,
-    sweep,
 )
+from repro.immunity.montecarlo import reference_immunity_trials
 from repro.logic import standard_gate
+from repro.study import SweepSpec, run_sweep_study
 
 
 class TestCNTInstance:
@@ -289,21 +292,21 @@ class TestBatchedEngine:
     def test_engines_identical_for_fixed_seed(self):
         cell = assemble_cell(standard_gate("NAND2"), technique="vulnerable",
                              scheme=1)
-        loop = run_immunity_trials(cell, trials=120, cnts_per_trial=4,
-                                   seed=2009, engine="loop")
+        loop = reference_immunity_trials(cell, trials=120, cnts_per_trial=4,
+                                         seed=2009)
         batch = run_immunity_trials(cell, trials=120, cnts_per_trial=4,
-                                    seed=2009, engine="batch")
+                                    seed=2009)
         assert loop == batch
         assert loop.failures > 0
 
-    def test_chunk_size_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
         cell = assemble_cell(standard_gate("NAND2"), technique="vulnerable",
                              scheme=1)
-        results = [
-            run_immunity_trials(cell, trials=50, cnts_per_trial=4, seed=13,
-                                chunk_size=chunk)
-            for chunk in (1, 7, 50, 1000)
-        ]
+        results = []
+        for chunk in (1, 7, 50, 1000):
+            monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK_SIZE", chunk)
+            results.append(run_immunity_trials(cell, trials=50,
+                                               cnts_per_trial=4, seed=13))
         assert all(result == results[0] for result in results)
 
     def test_same_seed_same_result_across_runs(self):
@@ -313,27 +316,15 @@ class TestBatchedEngine:
         second = run_immunity_trials(cell, trials=80, cnts_per_trial=4, seed=99)
         assert first == second
 
-    def test_invalid_engine_rejected(self):
-        cell = assemble_cell(standard_gate("INV"))
-        with pytest.raises(ImmunityAnalysisError):
-            run_immunity_trials(cell, trials=5, engine="spice")
-
-    def test_invalid_chunk_size_rejected(self):
-        cell = assemble_cell(standard_gate("INV"))
-        with pytest.raises(ImmunityAnalysisError):
-            run_immunity_trials(cell, trials=5, chunk_size=0)
-
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_engine_parity_for_any_seed(self, seed):
         cell = assemble_cell(standard_gate("NAND2"), technique="vulnerable",
                              scheme=1)
-        loop = run_immunity_trials(cell, trials=20, cnts_per_trial=5,
-                                   seed=seed, engine="loop",
-                                   metallic_fraction=0.2)
+        loop = reference_immunity_trials(cell, trials=20, cnts_per_trial=5,
+                                         seed=seed, metallic_fraction=0.2)
         batch = run_immunity_trials(cell, trials=20, cnts_per_trial=5,
-                                    seed=seed, engine="batch",
-                                    metallic_fraction=0.2)
+                                    seed=seed, metallic_fraction=0.2)
         assert loop == batch
 
 
@@ -357,15 +348,24 @@ class TestSeedSharing:
         assert first == second
 
     def test_comparison_engines_agree(self):
-        batch = compare_techniques("NAND2", trials=40, seed=5, engine="batch")
-        loop = compare_techniques("NAND2", trials=40, seed=5, engine="loop")
-        assert batch == loop
+        """Every technique of the comparison equals the reference loop on
+        the shared seed sequence."""
+        batch = compare_techniques("NAND2", trials=40, seed=5)
+        for technique, result in batch.items():
+            cell = assemble_cell(standard_gate("NAND2"), technique=technique,
+                                 scheme=1)
+            assert result == reference_immunity_trials(
+                cell, trials=40, seed=np.random.SeedSequence(5)), technique
 
 
 class TestSweep:
+    """The immunity sweep engine behind ``run_immunity_sweep`` and
+    ``run_sweep_study(engine="immunity")``."""
+
     def test_cartesian_coverage_and_order(self):
-        points = sweep(gates=("NAND2",), techniques=("vulnerable", "compact"),
-                       cnts_per_trial=(2, 4), trials=20, seed=3)
+        points = run_immunity_sweep(
+            gates=("NAND2",), techniques=("vulnerable", "compact"),
+            cnts_per_trial=(2, 4), trials=20, seed=3).points
         assert len(points) == 4
         assert [(p.technique, p.cnts_per_trial) for p in points] == [
             ("vulnerable", 2), ("compact", 2), ("vulnerable", 4), ("compact", 4),
@@ -375,45 +375,50 @@ class TestSweep:
         """Points differing only in technique must reuse one child seed:
         running the sweep twice (and with different technique subsets) gives
         identical results for the shared points."""
-        both = sweep(gates=("NAND2",), techniques=("vulnerable", "compact"),
-                     cnts_per_trial=(3,), trials=30, seed=8)
-        compact_only = sweep(gates=("NAND2",), techniques=("compact",),
-                             cnts_per_trial=(3,), trials=30, seed=8)
+        both = run_immunity_sweep(
+            gates=("NAND2",), techniques=("vulnerable", "compact"),
+            cnts_per_trial=(3,), trials=30, seed=8).points
+        compact_only = run_immunity_sweep(
+            gates=("NAND2",), techniques=("compact",),
+            cnts_per_trial=(3,), trials=30, seed=8).points
         assert both[1].result == compact_only[0].result
 
     def test_seed_sequence_argument_not_mutated(self):
-        """sweep() must not advance a caller-supplied SeedSequence's spawn
+        """A sweep must not advance a caller-supplied SeedSequence's spawn
         counter: identical back-to-back calls give identical results."""
         seed_sequence = np.random.SeedSequence(8)
-        kwargs = dict(gates=("NAND2",), techniques=("vulnerable",),
-                      cnts_per_trial=(3,), trials=30, seed=seed_sequence)
-        first = sweep(**kwargs)
-        second = sweep(**kwargs)
-        assert [p.result for p in first] == [p.result for p in second]
+        spec = SweepSpec.from_mapping({"cnts_per_trial": (3,)})
+        kwargs = dict(engine="immunity", technique="vulnerable", trials=30,
+                      seed=seed_sequence)
+        first = run_sweep_study(spec, **kwargs)
+        second = run_sweep_study(spec, **kwargs)
+        assert first.metric("result") == second.metric("result")
         assert seed_sequence.n_children_spawned == 0
 
     def test_sweep_children_do_not_alias_caller_spawns(self):
-        """sweep() derives its children under a reserved spawn key, so a
+        """A sweep derives its children under a reserved spawn key, so a
         caller who spawns their own children from the same SeedSequence gets
-        independent defect populations, not sweep's."""
+        independent defect populations, not the sweep's."""
         root = np.random.SeedSequence(2009)
         child = root.spawn(1)[0]
         cell = assemble_cell(standard_gate("NAND2"), technique="vulnerable",
                              scheme=1)
         own = run_immunity_trials(cell, trials=40, seed=child)
-        point = sweep(gates=("NAND2",), techniques=("vulnerable",),
-                      trials=40, seed=np.random.SeedSequence(2009))[0]
+        point = run_immunity_sweep(
+            gates=("NAND2",), techniques=("vulnerable",), cnts_per_trial=(4,),
+            trials=40, seed=np.random.SeedSequence(2009)).points[0]
         assert own != point.result
 
     def test_process_pool_matches_serial(self):
         kwargs = dict(gates=("NAND2",), techniques=("vulnerable", "compact"),
                       cnts_per_trial=(2, 4), trials=25, seed=4)
-        assert sweep(**kwargs) == sweep(workers=2, **kwargs)
+        assert run_immunity_sweep(**kwargs) == run_immunity_sweep(jobs=2,
+                                                                  **kwargs)
 
     def test_metallic_fraction_dimension(self):
-        points = sweep(gates=("NAND2",), techniques=("compact",),
-                       cnts_per_trial=(4,), metallic_fraction=(0.0, 0.5),
-                       trials=40, seed=9)
+        points = run_immunity_sweep(
+            gates=("NAND2",), techniques=("compact",), cnts_per_trial=(4,),
+            metallic_fraction=(0.0, 0.5), trials=40, seed=9).points
         clean, dirty = points
         assert clean.result.immune
         assert dirty.result.failure_rate > clean.result.failure_rate

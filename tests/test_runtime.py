@@ -182,15 +182,6 @@ class TestShardedSweepBitIdentity:
 
 
 class TestMonteCarloSweepRouting:
-    def test_workers_still_bit_identical(self):
-        """The montecarlo.sweep pool now routes through the runtime
-        scheduler; the original workers contract must hold unchanged."""
-        from repro.immunity.montecarlo import sweep
-
-        kwargs = dict(gates=("NAND2",), techniques=("vulnerable", "compact"),
-                      cnts_per_trial=(2,), trials=15, seed=4)
-        assert sweep(**kwargs) == sweep(workers=2, **kwargs)
-
     def test_single_pool_implementation(self):
         """No parallel code path owns its own executor any more.
 
@@ -369,17 +360,19 @@ class TestCachedRunStudy:
         assert run_study("fig3").provenance.cache is None
 
     def test_jobs_forwarded_to_workers_param(self, monkeypatch):
+        """``run_study(jobs=)`` reaches the runner's own ``jobs``
+        parameter, the one parallelism keyword of every runner."""
         seen = {}
         real = experiments.run_immunity_sweep
 
-        def spy(workers=None):
-            seen["workers"] = workers
+        def spy(jobs=None):
+            seen["jobs"] = jobs
             return real(cnts_per_trial=(2,), max_angle_deg=(15.0,),
                         metallic_fraction=(0.0,), trials=5)
 
         monkeypatch.setattr(experiments, "run_immunity_sweep", spy)
         run_study("immunity_sweep", jobs=2)
-        assert seen.get("workers") == 2
+        assert seen.get("jobs") == 2
 
     def test_jobs_rejected_for_serial_study(self):
         with pytest.raises(StudyError, match="no parallel runner"):

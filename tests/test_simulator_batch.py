@@ -1,5 +1,6 @@
 """Regressions for the batch transient engine and the characterisation
-sweep: the batch/loop bit-identity contract, measurement parity under
+sweep: the bit-identity contract against the scalar reference integrator
+(``TransientSimulator.run_reference``), measurement parity under
 back-drive, the vectorized PWL evaluator, and the sweep grid."""
 
 import numpy as np
@@ -48,8 +49,8 @@ def _cnfet_chain_case(tubes=6, vdd=1.0, stages=3):
 
 def _loop(case, stop=STOP, step=STEP):
     return TransientSimulator(case.netlist, case.sources,
-                              case.initial_conditions).run(stop, step,
-                                                           engine="loop")
+                              case.initial_conditions).run_reference(stop,
+                                                                     step)
 
 
 def _assert_identical(loop, batch):
@@ -80,10 +81,12 @@ class TestBitIdentity:
         _assert_identical(_loop(cnfet), batch[0])
         _assert_identical(_loop(cmos), batch[1])
 
-    def test_nand3_gate_netlist_matches_loop(self):
-        """The NAND3 cell netlist (stacked PDN with internal nodes,
-        parallel PUN): batch == loop bit for bit."""
-        gate = standard_gate("NAND3")
+    @pytest.mark.parametrize("gate_name", ["NAND3", "AOI31"])
+    def test_gate_netlist_matches_loop(self, gate_name):
+        """Cell netlists with internal nodes — NAND3 (stacked PDN,
+        parallel PUN) and the AOI31 complex gate (series/parallel PUN and
+        PDN): batch == reference bit for bit."""
+        gate = standard_gate(gate_name)
         tech = cnfet_technology()
         netlist = gate_transistor_netlist(gate, tech, drive_strength=2.0,
                                           load_capacitance=2e-15)
@@ -99,12 +102,12 @@ class TestBitIdentity:
         case = _cnfet_chain_case()
         simulator = TransientSimulator(case.netlist, case.sources,
                                        case.initial_conditions)
-        _assert_identical(simulator.run(STOP, STEP, engine="loop"),
+        _assert_identical(simulator.run_reference(STOP, STEP),
                           simulator.run(STOP, STEP))
 
     def test_source_on_unreferenced_net_matches_loop(self):
-        """A source driving a net no device references: the loop engine
-        records its waveform without electrical effect, and the batch
+        """A source driving a net no device references: the reference
+        integrator records its waveform without electrical effect, and the batch
         engine must do exactly the same (regression: this used to raise
         KeyError during compilation)."""
         case = _cnfet_chain_case()
@@ -118,20 +121,14 @@ class TestBitIdentity:
         assert "monitor" in batch.waveforms
         assert batch.voltage("monitor")[-1] == 1.0
 
-    def test_unknown_engine_rejected(self):
-        case = _cnfet_chain_case()
-        simulator = TransientSimulator(case.netlist, case.sources,
-                                       case.initial_conditions)
-        with pytest.raises(SimulationError):
-            simulator.run(STOP, STEP, engine="spice")
-
 
 class TestRankTableOracle:
     """The zero-padded rank table (every net's contributions, and the
-    supply's, folded in loop order with ``+0.0`` padding) against the loop
-    engine, at batch 1 and 7 with a different supply on every case."""
+    supply's, folded in loop order with ``+0.0`` padding) against the
+    reference integrator, at batch 1 and 7 with a different supply on
+    every case."""
 
-    STOP = 10e-12        # 5,000 sub-steps: cheap for the loop engine
+    STOP = 10e-12        # 5,000 sub-steps: cheap for the reference
     SUPPLIES = (0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1)
 
     @staticmethod

@@ -162,6 +162,20 @@ class TestSweepSpec:
         with pytest.raises(StudyError):
             SweepSpec.from_mapping({"a": (1, 2), "b": (10,)}, mode="zip")
 
+    def test_grid_axis_rejects_repeated_values(self):
+        """A repeated grid value would name one corner twice, and the
+        engines resolve seeds and cases by value (a duplicate immunity
+        corner got the later child seed, a duplicate transient drive the
+        first case), so grid mode refuses it; zip mode keeps repeats."""
+        with pytest.raises(StudyError, match="repeats"):
+            SweepSpec.from_mapping({"cnts_per_trial": (6, 6)})
+        with pytest.raises(StudyError, match="repeats"):
+            SweepSpec.parse(["technique=compact", "drive=1,2,1.0"])
+        zipped = SweepSpec.from_mapping(
+            {"cnts_per_trial": (6, 6), "technique": ("vulnerable", "compact")},
+            mode="zip")
+        assert len(zipped) == 2
+
     def test_parse_axis_forms(self):
         assert parse_axis("vdd=0.8:1.0:5").values == pytest.approx(
             (0.8, 0.85, 0.9, 0.95, 1.0))
@@ -372,10 +386,11 @@ class TestRegistry:
         assert first.provenance.package_version
 
     def test_provenance_records_seed_and_engine(self):
-        result = run_fig2_immunity(trials=10, seed=123, engine="loop")
+        result = run_fig2_immunity(trials=10, seed=123)
         assert result.provenance.seed == 123
-        assert result.provenance.engine == "loop"
+        assert result.provenance.engine == "batch"
         assert result.provenance.params["trials"] == 10
+        assert "engine" not in result.provenance.params
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +399,25 @@ class TestRegistry:
 
 class TestUnifiedSweep:
     def test_immunity_grid_matches_canonical_sweep(self):
-        from repro.immunity.montecarlo import sweep as canonical
+        """Grid corners follow the canonical seed contract: one child of
+        ``sweep_seed_root(seed)`` per cnts value, shared by techniques."""
+        from repro.core.standard_cell import assemble_cell
+        from repro.immunity.montecarlo import (run_immunity_trials,
+                                               sweep_seed_root)
+        from repro.logic.functions import standard_gate
 
         spec = SweepSpec.from_mapping({
             "cnts_per_trial": (2, 4),
             "technique": ("vulnerable", "compact"),
         })
         study = run_sweep_study(spec, engine="immunity", trials=30, seed=7)
-        points = canonical(
-            gates=("NAND2",), techniques=("vulnerable", "compact"),
-            cnts_per_trial=(2, 4), trials=30, seed=7,
-        )
         canonical_rates = {
-            (p.cnts_per_trial, p.technique): p.failure_rate for p in points
+            (cnts, technique): run_immunity_trials(
+                assemble_cell(standard_gate("NAND2"), technique=technique),
+                trials=30, cnts_per_trial=cnts, seed=child,
+            ).failure_rate
+            for cnts, child in zip((2, 4), sweep_seed_root(7).spawn(2))
+            for technique in ("vulnerable", "compact")
         }
         assert len(study.records) == 4
         for record in study.records:

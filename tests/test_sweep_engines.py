@@ -4,8 +4,10 @@ Every engine ``run_sweep_study`` drives is compared, corner by corner and
 with ``==`` on the whole metrics payload, against a public entry point
 that computes the same numbers without going through the sweep driver:
 
-* immunity grid — :func:`repro.immunity.montecarlo.sweep` (the Figure 2
-  seed contract);
+* immunity grid — :func:`~repro.immunity.montecarlo.run_immunity_trials`
+  per ``(gate, cnts, angle, metallic)`` combination, seeded with
+  ``sweep_seed_root(seed).spawn(n)`` in that product order and shared by
+  every technique (the documented Figure 2 seed contract);
 * immunity zip — :func:`~repro.immunity.montecarlo.run_immunity_trials`
   per corner with ``SweepSpec.seeds(seed, share_axes=("technique",))``;
 * transient grid — ``characterize_sweep(...).point(...)``;
@@ -28,7 +30,7 @@ import pytest
 from repro.cells.characterize import characterize_sweep, cnfet_technology
 from repro.circuit_study import run_circuit_study
 from repro.core.standard_cell import assemble_cell
-from repro.immunity.montecarlo import run_immunity_trials, sweep
+from repro.immunity.montecarlo import run_immunity_trials, sweep_seed_root
 from repro.logic.functions import standard_gate
 from repro.runtime import ResultCache, sweep_fingerprint
 from repro.study import SweepSpec, run_sweep_study
@@ -87,9 +89,9 @@ def _corner_label(vdd, pitch_nm):
 # Immunity engine
 # ---------------------------------------------------------------------------
 
-#: Declared in an order unlike ``montecarlo.sweep``'s ``(gate, cnts)``
-#: product order, so per-corner seeds must follow the canonical order,
-#: not the spec's.
+#: Declared in an order unlike the canonical ``(gate, cnts)`` product
+#: order, so per-corner seeds must follow the canonical order, not the
+#: spec's.
 IMMUNITY_GRID = SweepSpec.from_mapping({
     "technique": ("vulnerable", "compact"),
     "cnts_per_trial": (2, 4),
@@ -104,13 +106,17 @@ IMMUNITY_ZIP = SweepSpec.from_mapping(
 
 @pytest.fixture(scope="module")
 def immunity_grid_oracle():
-    points = sweep(
-        gates=("NAND2", "NOR2"), techniques=("vulnerable", "compact"),
-        cnts_per_trial=(2, 4), max_angle_deg=(20.0,),
-        metallic_fraction=(0.02,), trials=24, seed=11,
-    )
-    return {(p.gate, p.technique, p.cnts_per_trial): p.result
-            for p in points}
+    combos = [(gate, cnts) for gate in ("NAND2", "NOR2") for cnts in (2, 4)]
+    children = sweep_seed_root(11).spawn(len(combos))
+    return {
+        (gate, technique, cnts): run_immunity_trials(
+            assemble_cell(standard_gate(gate), technique=technique),
+            trials=24, cnts_per_trial=cnts, max_angle_deg=20.0,
+            metallic_fraction=0.02, seed=child,
+        )
+        for (gate, cnts), child in zip(combos, children)
+        for technique in ("vulnerable", "compact")
+    }
 
 
 def test_immunity_grid_matches_montecarlo_sweep(mode, immunity_grid_oracle):
