@@ -82,7 +82,6 @@ __version__ = "0.2.0"
 #: of NumPy and engine code until a name is actually used.
 _EXPORTS = {
     # experiment runners (typed results)
-    "run_all": ".analysis",
     "run_fig7_fo4": ".analysis",
     "run_fulladder_case_study": ".analysis",
     "run_table1": ".analysis",

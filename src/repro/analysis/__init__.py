@@ -6,7 +6,6 @@ dict payload).
 """
 
 from .experiments import (
-    run_all,
     run_characterization,
     run_edp_summary,
     run_fig2_immunity,
@@ -22,7 +21,6 @@ from .experiments import (
 from .metrics import GainReport, TechnologyFigures, edap, edp, gain
 
 __all__ = [
-    "run_all",
     "run_characterization",
     "run_edp_summary",
     "run_fig2_immunity",

@@ -60,7 +60,6 @@ from ..study.results import (
     ImmunitySweepResult,
     PitchSensitivityResult,
     Provenance,
-    StudyResult,
     Table1Result,
 )
 from ..study.spec import SweepSpec
@@ -489,33 +488,3 @@ def run_edp_summary() -> EdpSummaryResult:
         paper_edap_gain=anchors.edap_gain_headline,
         paper_area_saving=0.30,
     )
-
-
-def run_all(fast: bool = True) -> Dict[str, StudyResult]:
-    """Run every experiment; with ``fast`` the Monte Carlo trial count is
-    reduced so the whole suite stays interactive."""
-    trials = 50 if fast else 500
-    return {
-        "table1": run_table1(),
-        "fig2_immunity": run_fig2_immunity(trials=trials),
-        "immunity_sweep": run_immunity_sweep(
-            gates=("NAND2",), cnts_per_trial=(2, 4, 8), trials=trials
-        ),
-        "fig3_nand3": run_fig3_nand3(),
-        "fig4_aoi31": run_fig4_aoi31(),
-        "fig7_fo4": run_fig7_fo4(),
-        "fo4_transient_sweep": run_fo4_transient_sweep(
-            tube_counts=(1, 6) if fast else (1, 2, 4, 6, 8, 12)
-        ),
-        "characterization": run_characterization(
-            gates=("INV", "NAND2") if fast else ("INV", "NAND2", "NAND3"),
-            drive_strengths=(1.0,) if fast else (1.0, 2.0, 4.0),
-        ),
-        "pitch_sensitivity": run_pitch_sensitivity(),
-        "fulladder": run_fulladder_case_study(),
-        "edp_summary": run_edp_summary(),
-        "circuit": run_circuit_study(
-            "adder:2" if fast else "adder:8", trials=trials,
-            draws=200 if fast else 2000,
-        ),
-    }

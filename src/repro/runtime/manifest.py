@@ -28,8 +28,8 @@ entries) is pure cache hits.  Sweep entries additionally dedup at
 entries whose grids merely *overlap* share the overlapping corners'
 results, and the later entry reports ``partial:<hits>/<corners>`` while
 executing only its genuinely new corners (see
-:func:`~repro.study.sweeps.run_sweep_study`).  ``jobs`` fans each
-parallelizable entry out through the runtime scheduler.
+:func:`~repro.study.sweeps.run_sweep_study`).  ``jobs``/``backend``
+fan each parallelizable entry out through the runtime scheduler.
 """
 
 from __future__ import annotations
@@ -258,11 +258,15 @@ def _run_entry(entry: ManifestEntry, cache, jobs: Optional[int],
             jobs=jobs, backend=backend, cache=cache, **fixed,
         )
     definition = get_study(entry.study)
-    # Forward the manifest-level jobs only to runners that can use it;
-    # serial studies just run serially instead of erroring the batch.
-    entry_jobs = jobs if "jobs" in definition.parameters() else None
-    return run_study(definition.name, cache=cache, jobs=entry_jobs,
-                     **entry.params)
+    # Forward the manifest-level execution settings only to runners that
+    # take them (serial studies just run serially instead of erroring the
+    # batch); the entry's own params win.
+    accepted = definition.parameters()
+    execution = {name: value for name, value in
+                 (("jobs", jobs), ("backend", backend))
+                 if value is not None and name in accepted}
+    return run_study(definition.name, cache=cache,
+                     **{**execution, **entry.params})
 
 
 def run_manifest(source: ManifestSource, cache: CacheLike = None,

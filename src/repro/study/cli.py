@@ -30,32 +30,34 @@ Examples::
 stdout; ``--json PATH`` writes it to a file.  Without ``--json`` the
 result's text rendering (``str(result)``) is printed.
 
-Runtime flags (``run``, ``sweep`` and ``batch``): ``--jobs N`` shards
-the work over the runtime scheduler (bit-identical to serial);
-``--cache DIR`` consults and fills the content-addressed result store
-(also enabled store-wide by ``$REPRO_CACHE_DIR``; ``--no-cache`` turns
-it off).  With a cache attached, ``sweep`` is **incremental by
-default**: the requested grid is diffed against the persistent corner
-store and only missing corners execute, so extending an axis of an
-already-cached sweep costs O(delta), not O(grid).  The cache outcome
-(``hit`` / ``miss`` / ``partial:<hits>/<corners>``) is written to stderr
-and recorded in the result's provenance.
+``repro circuit FILE.v | --generate FAMILY[:BITS]`` is a spelling of
+``repro run circuit --param circuit=<source>``: one path, one study
+address, one cached envelope.
 
-``--trace PATH`` (``run``, ``sweep``, ``circuit``, ``batch``) records a
-``repro-trace/v1`` envelope of the invocation — spans, cache counters,
-metrics snapshot — without changing the result by a single byte;
-``repro trace summarize PATH`` renders its per-phase time breakdown.
+Runtime flags (``run``, ``sweep``, ``circuit`` and ``batch``): ``--jobs
+N`` shards the work over the runtime scheduler (bit-identical to
+serial); ``--cache DIR`` consults and fills the content-addressed result
+store (also enabled store-wide by ``$REPRO_CACHE_DIR``; ``--no-cache``
+turns it off); ``--trace PATH`` records a ``repro-trace/v1`` envelope of
+the invocation — spans, cache counters, metrics snapshot — without
+changing the result by a single byte (``repro trace summarize PATH``
+renders its per-phase time breakdown).  With a cache attached, ``sweep``
+is **incremental by default**: the requested grid is diffed against the
+persistent corner store and only missing corners execute, so extending
+an axis of an already-cached sweep costs O(delta), not O(grid); the
+circuit study reuses stored per-cell corners the same way.  The cache
+outcome (``hit`` / ``miss`` / ``partial:<hits>/<corners>``) is written
+to stderr and recorded in the result's provenance.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json as json_module
 import os
 import sys
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..errors import ReproError, StudyError
 from .registry import get_study, list_studies, run_study
@@ -120,21 +122,11 @@ def _resolve_cache(args):
     Returns a :class:`~repro.runtime.cache.ResultCache` or ``None``; the
     explicit flags win over the environment variable.
     """
-    from ..runtime.cache import ENV_CACHE_DIR, ResultCache
+    from ..runtime.cache import ENV_CACHE_DIR, as_cache
 
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    explicit = getattr(args, "cache", None)
-    if explicit:
-        return ResultCache(explicit)
-    if os.environ.get(ENV_CACHE_DIR):
-        return ResultCache()
-    return None
-
-
-def _note_cache(result: StudyResult, store, stderr) -> None:
-    if store is not None and result.provenance.cache is not None:
-        stderr.write(f"cache {result.provenance.cache}: {store.root}\n")
+    return as_cache(args.cache or bool(os.environ.get(ENV_CACHE_DIR)))
 
 
 @contextmanager
@@ -146,7 +138,7 @@ def _traced(args, name: str, stderr):
     envelope to the requested path.  Without ``--trace`` this is a pure
     pass-through — the command runs exactly as before.
     """
-    path = getattr(args, "trace", None)
+    path = args.trace
     if not path:
         yield
         return
@@ -159,16 +151,51 @@ def _traced(args, name: str, stderr):
     stderr.write(f"trace written: {path}\n")
 
 
-def _emit(result: StudyResult, json_target: Optional[str],
-          as_text: bool, stdout) -> None:
-    if json_target is not None:
-        if json_target == "-":
+def _emit(result: StudyResult, args, store, stdout, stderr) -> int:
+    """Report the cache outcome to stderr, then write the result as
+    ``--json``/``--text`` ask (text alone without ``--json``)."""
+    if store is not None and result.provenance.cache is not None:
+        stderr.write(f"cache {result.provenance.cache}: {store.root}\n")
+    if args.json is not None:
+        if args.json == "-":
             stdout.write(result.to_json() + "\n")
         else:
-            result.to_json(path=json_target)
-            stdout.write(f"wrote {json_target}\n")
-    if as_text or json_target is None:
+            result.to_json(path=args.json)
+            stdout.write(f"wrote {args.json}\n")
+    if args.text or args.json is None:
         stdout.write(str(result) + "\n")
+    return 0
+
+
+def _seed_flags(args, owner: str, seeded: bool) -> Dict[str, Any]:
+    """``--seed``/``--trials`` as runner keywords (``run``, ``sweep``,
+    ``circuit``).  An unseeded study or engine is deterministic:
+    rejecting the flags beats silently ignoring them."""
+    given = {name: getattr(args, name) for name in ("seed", "trials")
+             if getattr(args, name) is not None}
+    if given and not seeded:
+        raise StudyError(f"{owner} takes no seed: it is deterministic, "
+                         "so it takes no --seed/--trials")
+    return given
+
+
+def _circuit_source(args) -> str:
+    """``repro circuit``'s input: the Verilog file's text or the
+    ``--generate`` spec, taken verbatim — never through
+    :func:`_parse_assignment`, whose comma split would break every
+    Verilog port list."""
+    if args.verilog is None and args.generate is None:
+        raise StudyError(
+            "repro circuit needs a Verilog file or --generate FAMILY[:BITS]")
+    if args.verilog is not None and args.generate is not None:
+        raise StudyError(
+            "repro circuit takes a Verilog file or --generate, not both")
+    if args.generate is not None:
+        return args.generate
+    # A missing/unreadable file surfaces as `error: ...` + exit 2 via
+    # main()'s OSError handler, like every other CLI failure.
+    with open(args.verilog, "r", encoding="utf-8") as stream:
+        return stream.read()
 
 
 def _cmd_list(args, stdout, stderr) -> int:
@@ -205,84 +232,28 @@ def _cmd_list(args, stdout, stderr) -> int:
 
 def _cmd_run(args, stdout, stderr) -> int:
     definition = get_study(args.study)
-    accepted = set(inspect.signature(definition.runner).parameters)
     params = _parse_assignments(args.param, "--param")
-    if args.seed is not None:
-        if "seed" not in accepted:
-            raise StudyError(
-                f"Study {definition.name!r} takes no seed; "
-                f"parameters: {sorted(accepted)}"
-            )
-        params["seed"] = args.seed
-    if args.trials is not None:
-        if "trials" not in accepted:
-            raise StudyError(
-                f"Study {definition.name!r} takes no trial count; "
-                f"parameters: {sorted(accepted)}"
-            )
-        params["trials"] = args.trials
+    if args.command == "circuit":
+        params.update(circuit=_circuit_source(args), backend=args.backend)
+    params.update(_seed_flags(args, f"Study {definition.name!r}",
+                              "seed" in definition.parameters()))
     store = _resolve_cache(args)
     with _traced(args, f"run:{definition.name}", stderr):
         result = run_study(definition.name, cache=store, jobs=args.jobs,
                            **params)
-    _note_cache(result, store, stderr)
-    _emit(result, args.json, args.text, stdout)
-    return 0
+    return _emit(result, args, store, stdout, stderr)
 
 
 def _cmd_sweep(args, stdout, stderr) -> int:
     spec = SweepSpec.parse(args.axis, mode=args.mode)
-    kwargs: Dict[str, Any] = _parse_assignments(args.set, "--set")
-    if ENGINES[args.engine].seeded:
-        kwargs["trials"] = args.trials if args.trials is not None else 200
-        kwargs["seed"] = args.seed if args.seed is not None else 2009
-    elif args.trials is not None or args.seed is not None:
-        # Mirror `repro run`: rejecting the flags beats silently ignoring
-        # them — an unseeded engine is deterministic.
-        raise StudyError(
-            f"Engine {args.engine!r} takes no --seed/--trials "
-            "(it is deterministic and unseeded)"
-        )
+    kwargs = _parse_assignments(args.set, "--set")
+    kwargs.update(_seed_flags(args, f"Engine {args.engine!r}",
+                              ENGINES[args.engine].seeded))
     store = _resolve_cache(args)
     with _traced(args, f"sweep:{args.engine}", stderr):
         result = run_sweep_study(spec, engine=args.engine, jobs=args.jobs,
                                  backend=args.backend, cache=store, **kwargs)
-    _note_cache(result, store, stderr)
-    _emit(result, args.json, args.text, stdout)
-    return 0
-
-
-def _cmd_circuit(args, stdout, stderr) -> int:
-    from ..circuit_study import run_circuit_study
-
-    if args.verilog is None and args.generate is None:
-        raise StudyError(
-            "repro circuit needs a Verilog file or --generate FAMILY[:BITS]"
-        )
-    if args.verilog is not None and args.generate is not None:
-        raise StudyError(
-            "repro circuit takes a Verilog file or --generate, not both"
-        )
-    if args.verilog is not None:
-        # A missing/unreadable file surfaces as `error: ...` + exit 2 via
-        # main()'s OSError handler, like every other CLI failure.
-        with open(args.verilog, "r", encoding="utf-8") as stream:
-            circuit = stream.read()
-    else:
-        circuit = args.generate
-    params = _parse_assignments(args.param, "--param")
-    if args.trials is not None:
-        params["trials"] = args.trials
-    if args.seed is not None:
-        params["seed"] = args.seed
-    store = _resolve_cache(args)
-    with _traced(args, "circuit", stderr):
-        result = run_circuit_study(circuit, jobs=args.jobs,
-                                   backend=args.backend, cache=store,
-                                   **params)
-    _note_cache(result, store, stderr)
-    _emit(result, args.json, args.text, stdout)
-    return 0
+    return _emit(result, args, store, stdout, stderr)
 
 
 def _cmd_batch(args, stdout, stderr) -> int:
@@ -291,8 +262,7 @@ def _cmd_batch(args, stdout, stderr) -> int:
     store = _resolve_cache(args)
     with _traced(args, "batch", stderr):
         result = run_manifest(args.manifest, cache=store, jobs=args.jobs)
-    _emit(result, args.json, args.text, stdout)
-    return 0
+    return _emit(result, args, store, stdout, stderr)
 
 
 def _cmd_serve(args, stdout, stderr) -> int:
@@ -325,7 +295,7 @@ def _cmd_serve(args, stdout, stderr) -> int:
 def _cmd_cache(args, stdout, stderr) -> int:
     from ..runtime.cache import ResultCache
 
-    store = _resolve_cache(args) or ResultCache()
+    store = ResultCache(args.cache)   # None: $REPRO_CACHE_DIR or the default
     if args.cache_command == "stats":
         stats = store.stats()
         if args.json:
@@ -335,15 +305,11 @@ def _cmd_cache(args, stdout, stderr) -> int:
             stdout.write(str(stats) + "\n")
         return 0
     # Mirror _parse_assignment's discipline: malformed bounds become a
-    # one-line `error: ...` and exit code 2, never a traceback.
-    if args.max_age is not None and args.max_age < 0:
-        raise StudyError(
-            f"--max-age must be >= 0 seconds, got {args.max_age:g}"
-        )
-    if args.max_entries is not None and args.max_entries < 0:
-        raise StudyError(
-            f"--max-entries must be >= 0, got {args.max_entries}"
-        )
+    # one-line `error: ...` naming the flag and exit code 2.
+    for flag, bound in (("--max-age", args.max_age),
+                        ("--max-entries", args.max_entries)):
+        if bound is not None and bound < 0:
+            raise StudyError(f"{flag} must be >= 0, got {bound:g}")
     removed = store.prune(study=args.study, max_age_s=args.max_age,
                           max_entries=args.max_entries)
     stdout.write(f"pruned {removed} entr{'y' if removed == 1 else 'ies'} "
@@ -371,7 +337,8 @@ def _cmd_trace(args, stdout, stderr) -> int:
 
 def _add_runtime_flags(parser: argparse.ArgumentParser,
                        backend: bool = False, trace: bool = True) -> None:
-    """The scheduler/cache flags shared by ``run``, ``sweep``, ``batch``."""
+    """The scheduler/cache flags shared by ``run``, ``sweep``,
+    ``circuit``, ``batch`` and ``serve``."""
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="shard the work over N workers (bit-identical "
                              "to serial; negative = one per CPU)")
@@ -393,6 +360,38 @@ def _add_runtime_flags(parser: argparse.ArgumentParser,
                                  "when --jobs > 1)")
 
 
+def _add_study_flags(parser: argparse.ArgumentParser,
+                     seeded: Optional[str] = None, param: bool = False,
+                     backend: bool = False, what: str = "result") -> None:
+    """The flags of the commands that emit a result (``run``, ``sweep``,
+    ``circuit``, ``batch``): ``--json``/``--text``, ``--seed``/``--trials``
+    when ``seeded`` says who takes them (checked by :func:`_seed_flags`),
+    ``--param`` and the runtime flags."""
+    parser.add_argument("--json", metavar="PATH",
+                        help=f"write the serialized {what} ('-' = stdout)")
+    parser.add_argument("--text", action="store_true",
+                        help="also print the text rendering with --json")
+    if seeded is not None:
+        parser.add_argument("--seed", type=int, default=None,
+                            help=f"Monte Carlo seed ({seeded})")
+        parser.add_argument("--trials", type=int, default=None,
+                            help=f"Monte Carlo trial count ({seeded})")
+    if param:
+        parser.add_argument("--param", action="append", metavar="KEY=VALUE",
+                            help="extra runner parameter (repeatable; commas "
+                                 "build a list, trailing comma a one-element "
+                                 "list, e.g. tube_counts=4,; true/false/none "
+                                 "coerce to the Python literals)")
+    _add_runtime_flags(parser, backend=backend)
+
+
+def _add_command(subparsers, name: str, handler, help: str,
+                 **defaults) -> argparse.ArgumentParser:
+    command = subparsers.add_parser(name, help=help)
+    command.set_defaults(handler=handler, **defaults)
+    return command
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -403,36 +402,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    list_parser = subparsers.add_parser(
-        "list", help="list every runnable study")
+    list_parser = _add_command(subparsers, "list", _cmd_list,
+                               "list every runnable study")
     list_parser.add_argument("--json", action="store_true",
                              help="emit the study table as JSON")
-    list_parser.set_defaults(handler=_cmd_list)
 
-    run_parser = subparsers.add_parser(
-        "run", help="run one study (repro run fig7 --json out.json)")
+    run_parser = _add_command(
+        subparsers, "run", _cmd_run,
+        "run one study (repro run fig7 --json out.json)")
     run_parser.add_argument("study", help="study name or alias (see: repro list)")
-    run_parser.add_argument("--json", metavar="PATH",
-                            help="write the serialized result ('-' = stdout)")
-    run_parser.add_argument("--text", action="store_true",
-                            help="also print the text rendering with --json")
-    run_parser.add_argument("--seed", type=int, default=None,
-                            help="Monte Carlo seed (seeded studies only)")
-    run_parser.add_argument("--trials", type=int, default=None,
-                            help="Monte Carlo trial count (seeded studies only)")
-    run_parser.add_argument("--param", action="append", metavar="KEY=VALUE",
-                            help="extra runner parameter (repeatable; commas "
-                                 "build a list, trailing comma a one-element "
-                                 "list, e.g. tube_counts=4,; true/false/none "
-                                 "coerce to the Python literals)")
-    _add_runtime_flags(run_parser)
-    run_parser.set_defaults(handler=_cmd_run)
+    _add_study_flags(run_parser, "seeded studies only", param=True)
 
-    seeded = ", ".join(name for name, engine in ENGINES.items()
-                       if engine.seeded)
-    sweep_parser = subparsers.add_parser(
-        "sweep",
-        help="run a unified sweep (repro sweep --axis vdd=0.8:1.0:5 ...)")
+    sweep_parser = _add_command(
+        subparsers, "sweep", _cmd_sweep,
+        "run a unified sweep (repro sweep --axis vdd=0.8:1.0:5 ...)")
     sweep_parser.add_argument("--axis", action="append", required=True,
                               metavar="NAME=SPEC",
                               help="axis as name=start:stop:steps, name=a,b,c "
@@ -441,26 +424,19 @@ def build_parser() -> argparse.ArgumentParser:
                               choices=tuple(ENGINES), default="immunity")
     sweep_parser.add_argument("--mode", choices=("grid", "zip"), default="grid",
                               help="cartesian grid or lock-step zip expansion")
-    sweep_parser.add_argument("--trials", type=int, default=None,
-                              help="Monte Carlo trials (seeded engines: "
-                                   f"{seeded}; default 200)")
-    sweep_parser.add_argument("--seed", type=int, default=None,
-                              help="Monte Carlo seed (seeded engines: "
-                                   f"{seeded}; default 2009)")
     sweep_parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                               help="fixed value for an unswept axis (repeatable)")
-    sweep_parser.add_argument("--json", metavar="PATH",
-                              help="write the serialized result ('-' = stdout)")
-    sweep_parser.add_argument("--text", action="store_true",
-                              help="also print the text rendering with --json")
-    _add_runtime_flags(sweep_parser, backend=True)
-    sweep_parser.set_defaults(handler=_cmd_sweep)
+    seeded = ", ".join(name for name, engine in ENGINES.items()
+                       if engine.seeded)
+    _add_study_flags(sweep_parser, f"seeded engines only: {seeded}; "
+                                   "default: seed 2009, 200 trials",
+                     backend=True)
 
-    circuit_parser = subparsers.add_parser(
-        "circuit",
-        help="run the circuit-level yield/delay/energy study on a Verilog "
-             "netlist or a built-in generator "
-             "(repro circuit --generate adder:8 --json -)")
+    circuit_parser = _add_command(
+        subparsers, "circuit", _cmd_run,
+        "run the circuit-level yield/delay/energy study on a Verilog "
+        "netlist or a built-in generator "
+        "(repro circuit --generate adder:8 --json -)", study="circuit")
     circuit_parser.add_argument("verilog", nargs="?", default=None,
                                 metavar="FILE.V",
                                 help="structural Verilog netlist to analyse")
@@ -469,43 +445,22 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="use a built-in circuit instead of a "
                                      "file: adder:8, comparator:4, mac:4, "
                                      "fulladder")
-    circuit_parser.add_argument("--json", metavar="PATH",
-                                help="write the serialized result "
-                                     "('-' = stdout)")
-    circuit_parser.add_argument("--text", action="store_true",
-                                help="also print the text rendering with "
-                                     "--json")
-    circuit_parser.add_argument("--seed", type=int, default=None,
-                                help="Monte Carlo seed (default 2009)")
-    circuit_parser.add_argument("--trials", type=int, default=None,
-                                help="Monte Carlo trials per unique cell "
-                                     "(default 200)")
-    circuit_parser.add_argument("--param", action="append",
-                                metavar="KEY=VALUE",
-                                help="extra study parameter (repeatable), "
-                                     "e.g. metallic_fraction=0.01 draws=5000")
-    _add_runtime_flags(circuit_parser, backend=True)
-    circuit_parser.set_defaults(handler=_cmd_circuit)
+    _add_study_flags(circuit_parser, "default: seed 2009, 200 trials per "
+                                     "unique cell", param=True, backend=True)
 
-    batch_parser = subparsers.add_parser(
-        "batch",
-        help="run a JSON manifest of studies with cross-study dedup "
-             "(repro batch manifest.json --cache .repro-cache)")
+    batch_parser = _add_command(
+        subparsers, "batch", _cmd_batch,
+        "run a JSON manifest of studies with cross-study dedup "
+        "(repro batch manifest.json --cache .repro-cache)")
     batch_parser.add_argument("manifest",
                               help="path to the manifest JSON (a list of "
                                    "{study, params} / sweep entries)")
-    batch_parser.add_argument("--json", metavar="PATH",
-                              help="write the serialized batch outcome "
-                                   "('-' = stdout)")
-    batch_parser.add_argument("--text", action="store_true",
-                              help="also print the text rendering with --json")
-    _add_runtime_flags(batch_parser)
-    batch_parser.set_defaults(handler=_cmd_batch)
+    _add_study_flags(batch_parser, what="batch outcome")
 
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run the async study service: an HTTP job API "
-             "(repro serve --port 8000 --cache .repro-cache)")
+    serve_parser = _add_command(
+        subparsers, "serve", _cmd_serve,
+        "run the async study service: an HTTP job API "
+        "(repro serve --port 8000 --cache .repro-cache)")
     serve_parser.add_argument("--host", default="127.0.0.1",
                               help="bind address (default: 127.0.0.1)")
     serve_parser.add_argument("--port", type=int, default=8000,
@@ -517,39 +472,29 @@ def build_parser() -> argparse.ArgumentParser:
     # The service records one trace per job (GET /jobs/<id>/trace), so a
     # process-level --trace would be misleading here.
     _add_runtime_flags(serve_parser, backend=True, trace=False)
-    serve_parser.set_defaults(handler=_cmd_serve)
 
-    trace_parser = subparsers.add_parser(
-        "trace",
-        help="inspect repro-trace/v1 envelopes written by --trace")
-    trace_sub = trace_parser.add_subparsers(dest="trace_command",
-                                            required=True)
-    summarize_parser = trace_sub.add_parser(
-        "summarize",
-        help="per-phase time breakdown of a trace file")
-    summarize_parser.add_argument("file",
-                                  help="trace JSON written by --trace or "
-                                       "GET /jobs/<id>/trace")
-    summarize_parser.set_defaults(handler=_cmd_trace)
+    trace_sub = subparsers.add_parser(
+        "trace", help="inspect repro-trace/v1 envelopes written by --trace",
+    ).add_subparsers(dest="trace_command", required=True)
+    _add_command(trace_sub, "summarize", _cmd_trace,
+                 "per-phase time breakdown of a trace file",
+                 ).add_argument("file", help="trace JSON written by --trace "
+                                             "or GET /jobs/<id>/trace")
 
-    cache_parser = subparsers.add_parser(
-        "cache", help="inspect or prune the result cache")
-    cache_sub = cache_parser.add_subparsers(dest="cache_command",
-                                            required=True)
-    stats_parser = cache_sub.add_parser(
-        "stats", help="entry counts, sizes and hit/miss counters")
-    stats_parser.add_argument("--cache", metavar="DIR", default=None,
-                              help="store location (default: "
-                                   "$REPRO_CACHE_DIR or .repro-cache)")
+    cache_sub = subparsers.add_parser(
+        "cache", help="inspect or prune the result cache",
+    ).add_subparsers(dest="cache_command", required=True)
+    stats_parser = _add_command(cache_sub, "stats", _cmd_cache,
+                                "entry counts, sizes and hit/miss counters")
+    prune_parser = _add_command(
+        cache_sub, "prune", _cmd_cache,
+        "delete cache entries (all, one study's, or bounded by age / count)")
+    for store_parser in (stats_parser, prune_parser):
+        store_parser.add_argument("--cache", metavar="DIR", default=None,
+                                  help="store location (default: "
+                                       "$REPRO_CACHE_DIR or .repro-cache)")
     stats_parser.add_argument("--json", action="store_true",
                               help="emit the stats as JSON")
-    stats_parser.set_defaults(handler=_cmd_cache)
-    prune_parser = cache_sub.add_parser(
-        "prune", help="delete cache entries (all, one study's, or bounded "
-                      "by age / count)")
-    prune_parser.add_argument("--cache", metavar="DIR", default=None,
-                              help="store location (default: "
-                                   "$REPRO_CACHE_DIR or .repro-cache)")
     prune_parser.add_argument("--study", default=None,
                               help="only prune entries of this study "
                                    "(corner envelopes: 'corner')")
@@ -562,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="keep only the N newest entries per "
                                    "granularity (study entries and corner "
                                    "envelopes bounded independently)")
-    prune_parser.set_defaults(handler=_cmd_cache)
 
     return parser
 
@@ -575,10 +519,7 @@ def main(argv: Optional[Sequence[str]] = None,
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
         return args.handler(args, stdout, stderr)
-    except ReproError as error:
-        stderr.write(f"error: {error}\n")
-        return 2
-    except OSError as error:
+    except (ReproError, OSError) as error:
         stderr.write(f"error: {error}\n")
         return 2
 

@@ -132,8 +132,11 @@ def run_study(name: str, cache=None, jobs: "int | None" = None,
     ``True`` for the default store.  The invocation is fingerprinted
     (study name, parameters, package version — see
     :mod:`repro.runtime.fingerprint`); a warm entry is returned without
-    invoking the runner, and provenance records ``cache="hit"`` or
-    ``"miss"`` either way.
+    invoking the runner (``cache="hit"``).  On a miss a runner with its
+    own corner store (the circuit study) reports that store's outcome —
+    ``"hit"`` when every corner was stored, ``"partial:<h>/<n>"`` — and
+    any other runner reports ``"miss"``, the rule
+    :func:`~repro.study.sweeps.run_sweep_study` follows too.
 
     ``jobs`` asks for parallel execution and is forwarded to the runner's
     own ``jobs`` parameter; studies without one reject it, mirroring how
@@ -181,5 +184,9 @@ def run_study(name: str, cache=None, jobs: "int | None" = None,
         corner_store = {"cache": store} if "cache" in accepted else {}
         result = definition.runner(**params, **corner_store)
         store.put(key, result)
-        obs_trace.annotate(cache="miss")
-        return with_cache_status(result, "miss")
+        # run_sweep_study's rule: on a study-level miss, a runner that
+        # consulted the corner store reports its own status ("hit",
+        # "partial:<h>/<n>"); any other runner's miss is plain "miss".
+        result = with_cache_status(result, result.provenance.cache or "miss")
+        obs_trace.annotate(cache=result.provenance.cache)
+        return result

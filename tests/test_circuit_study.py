@@ -263,7 +263,7 @@ class TestCacheContracts:
         assert calls
         calls.clear()
         rerun = run_study("circuit", cache=store, draws=256, **params)
-        assert rerun.provenance.cache == "miss"
+        assert rerun.provenance.cache == "hit"
         assert rerun.draws == 256
         assert calls == []
 
@@ -289,6 +289,34 @@ class TestBackendEquivalence:
         parallel = run_fast(jobs=2, backend=backend)
         assert parallel == serial_result
         assert parallel.provenance == serial_result.provenance
+
+    @pytest.mark.parametrize("via", ["manifest", "cli"])
+    def test_jobs_and_backend_reach_the_scheduler(self, via, monkeypatch):
+        """Both registry front doors forward ``jobs`` *and* ``backend``
+        to the circuit runner — neither falls back to the default pool."""
+        import repro.circuit_study.study as circuit_engine
+        from repro.runtime.manifest import run_manifest
+
+        seen = []
+        real = circuit_engine.run_tasks
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs.get("jobs"), kwargs.get("backend")))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(circuit_engine, "run_tasks", spy)
+        if via == "manifest":
+            run_manifest([{"study": "circuit", "params": FAST}],
+                         jobs=2, backend="thread")
+        else:
+            code, _, _ = run_cli(
+                "circuit", "--generate", FAST["circuit"],
+                "--trials", str(FAST["trials"]), "--seed", str(FAST["seed"]),
+                "--param", f"draws={FAST['draws']}",
+                "--jobs", "2", "--backend", "thread", "--no-cache",
+            )
+            assert code == 0
+        assert seen == [(2, "thread")]
 
     def test_scheduling_never_enters_provenance(self, shared_store):
         a = run_fast(cache=shared_store)
@@ -441,6 +469,23 @@ class TestCli:
         )
         assert code == 0
         assert json.loads(out)["payload"]["source"] == "verilog:full_adder"
+
+    def test_circuit_and_run_circuit_share_one_address(self, tmp_path):
+        """``repro circuit --generate X`` is a spelling of ``repro run
+        circuit --param circuit=X``: the second run is a study-level hit
+        on the envelope the first one stored."""
+        store = ResultCache(tmp_path / "store")
+        flags = ("--trials", str(FAST["trials"]), "--seed", str(FAST["seed"]),
+                 "--param", f"draws={FAST['draws']}",
+                 "--cache", str(store.root), "--json", "-")
+        code, first, err = run_cli("circuit", "--generate", "adder:2", *flags)
+        assert code == 0 and "cache miss" in err
+        code, second, err = run_cli("run", "circuit",
+                                    "--param", "circuit=adder:2", *flags)
+        assert code == 0 and "cache hit" in err
+        assert store.stats().entries == 1
+        assert (json.loads(first)["payload"]
+                == json.loads(second)["payload"])
 
     def test_needs_exactly_one_input(self, tmp_path):
         code, _, err = run_cli("circuit")
