@@ -18,9 +18,10 @@ study three service-shaped properties:
   hash of (study, params, seed, spec, engine, package version), and
   per-corner metric envelopes keyed by each corner's resolved binding,
   spawned seed and shared-state context.  Warm re-runs skip the engines
-  entirely; *changed* sweeps execute only the corners the store lacks
-  (the delta path); provenance records ``cache="hit"`` / ``"miss"`` /
-  ``"partial:<hits>/<corners>"``;
+  entirely; every sweep plans its corner addresses and executes only
+  the corners the store lacks (all of them without a store), so a
+  *changed* sweep pays for its delta; provenance records
+  ``cache="hit"`` / ``"miss"`` / ``"partial:<hits>/<corners>"``;
 * **one batch runner** (:mod:`~repro.runtime.manifest`) — ``repro batch
   manifest.json`` executes a list of studies with cross-study dedup
   through the cache.

@@ -46,7 +46,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, Optional, Sequence,
+                    Tuple, Union)
 
 from ..errors import CacheError
 from ..obs import clock as obs_clock
@@ -155,11 +156,13 @@ def _envelope_digest(envelope: Dict[str, Any]) -> str:
     ).hexdigest()
 
 
-def with_cache_status(result: StudyResult, status: str) -> StudyResult:
-    """A copy of ``result`` whose provenance records ``status`` ("hit" or
-    "miss").  The ``cache`` provenance field is excluded from equality,
-    so a warm-cache copy still compares equal to the cold-run original —
-    the bit-identity contract survives annotation."""
+def with_cache_status(result: StudyResult,
+                      status: Optional[str]) -> StudyResult:
+    """A copy of ``result`` whose provenance records ``status`` ("hit",
+    "miss", ``None`` for no store read).  The ``cache`` provenance field
+    is excluded from equality, so a warm-cache copy still compares equal
+    to the cold-run original — the bit-identity contract survives
+    annotation."""
     provenance = dataclasses.replace(result.provenance, cache=status)
     return dataclasses.replace(result, provenance=provenance)
 
@@ -580,6 +583,33 @@ def as_cache(cache: CacheLike) -> Optional[ResultCache]:
     )
 
 
+def memoize(store: Optional[ResultCache], key: Callable[[], str],
+            compute: Callable[[], StudyResult]) -> StudyResult:
+    """``compute()`` served through the whole-study entries of ``store``.
+
+    ``key()`` is the invocation's fingerprint, annotated on the current
+    trace span.  A stored entry is returned with ``cache="hit"``.  On a
+    miss the fresh result is stored with ``provenance.cache`` cleared, so
+    a stored envelope never records a read outcome, and is returned with
+    the status ``compute`` recorded (a corner-store outcome such as
+    ``"partial:<h>/<n>"``) or else ``"miss"``.  Without a store nothing
+    is read or fingerprinted and the result records no status.
+    """
+    if store is None:
+        return with_cache_status(compute(), None)
+    fingerprint = key()
+    obs_trace.annotate(fingerprint=fingerprint)
+    cached = store.get(fingerprint)
+    if cached is not None:
+        obs_trace.annotate(cache="hit")
+        return with_cache_status(cached, "hit")
+    result = compute()
+    store.put(fingerprint, with_cache_status(result, None))
+    result = with_cache_status(result, result.provenance.cache or "miss")
+    obs_trace.annotate(cache=result.provenance.cache)
+    return result
+
+
 __all__ = [
     "CACHE_SCHEMA",
     "CORNER_SCHEMA",
@@ -589,5 +619,6 @@ __all__ = [
     "ENV_CACHE_DIR",
     "ResultCache",
     "as_cache",
+    "memoize",
     "with_cache_status",
 ]

@@ -101,7 +101,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status_for(error), {"error": error_payload(error)})
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body cannot be framed, so nothing after the headers on
+            # this connection is a request either.
+            self.close_connection = True
+            raise InvalidSubmission(f"Malformed Content-Length {header!r}")
         if length > MAX_BODY_BYTES:
             raise InvalidSubmission(
                 f"Submission body of {length} bytes exceeds the "

@@ -135,8 +135,9 @@ def run_study(name: str, cache=None, jobs: "int | None" = None,
     invoking the runner (``cache="hit"``).  On a miss a runner with its
     own corner store (the circuit study) reports that store's outcome —
     ``"hit"`` when every corner was stored, ``"partial:<h>/<n>"`` — and
-    any other runner reports ``"miss"``, the rule
-    :func:`~repro.study.sweeps.run_sweep_study` follows too.
+    any other runner reports ``"miss"`` — one memo,
+    :func:`~repro.runtime.cache.memoize`, shared with
+    :func:`~repro.study.sweeps.run_sweep_study`.
 
     ``jobs`` asks for parallel execution and is forwarded to the runner's
     own ``jobs`` parameter; studies without one reject it, mirroring how
@@ -160,7 +161,7 @@ def run_study(name: str, cache=None, jobs: "int | None" = None,
     # Imported lazily: the runtime layer sits on top of the study layer,
     # so a module-level import here would be circular.
     from ..obs import trace as obs_trace
-    from ..runtime.cache import as_cache, with_cache_status
+    from ..runtime.cache import as_cache, memoize
     from ..runtime.fingerprint import study_fingerprint
 
     store = as_cache(cache)
@@ -168,25 +169,13 @@ def run_study(name: str, cache=None, jobs: "int | None" = None,
         # An explicit seed=None asks for fresh OS entropy — caching that
         # would serve a stale random draw as a "hit", so bypass.
         store = None
+    # A runner with its own ``cache`` parameter (the circuit study's
+    # per-unique-cell corner store) gets the store as well, beside
+    # ``params``, so the store never enters the fingerprint.
+    corner_store = {"cache": store} if "cache" in accepted else {}
     with obs_trace.span(f"study:{definition.name}",
                         study=definition.name, cached=store is not None):
-        if store is None:
-            return definition.runner(**params)
-        key = study_fingerprint(definition.name, params=params)
-        obs_trace.annotate(fingerprint=key)
-        cached = store.get(key)
-        if cached is not None:
-            obs_trace.annotate(cache="hit")
-            return with_cache_status(cached, "hit")
-        # A runner with its own ``cache`` parameter (the circuit study's
-        # per-unique-cell corner store) gets the store as well, beside
-        # ``params``, so the store never enters the fingerprint.
-        corner_store = {"cache": store} if "cache" in accepted else {}
-        result = definition.runner(**params, **corner_store)
-        store.put(key, result)
-        # run_sweep_study's rule: on a study-level miss, a runner that
-        # consulted the corner store reports its own status ("hit",
-        # "partial:<h>/<n>"); any other runner's miss is plain "miss".
-        result = with_cache_status(result, result.provenance.cache or "miss")
-        obs_trace.annotate(cache=result.provenance.cache)
-        return result
+        return memoize(store,
+                       lambda: study_fingerprint(definition.name,
+                                                 params=params),
+                       lambda: definition.runner(**params, **corner_store))

@@ -3,8 +3,10 @@
 ``run_sweep_study`` accepts the same axis specification whichever engine
 evaluates it.  The engines are the entries of :data:`ENGINES`, one
 :class:`SweepEngine` record each: its axes with their defaults, its seed
-policy, its corner addresses and **one** ``execute`` function that runs
-a cold sweep and a corner-store delta recompute alike.
+policy, its corner addresses and **one** ``execute`` function.  Every
+sweep — uncached, cold or warm — takes one path: plan the corner
+addresses, fetch the ones the corner store holds, execute only the
+misses, store them.
 
 * ``engine="immunity"`` — the Monte Carlo immunity engine.  Axes:
   ``gate``, ``technique``, ``cnts_per_trial``, ``max_angle_deg``,
@@ -21,8 +23,8 @@ a cold sweep and a corner-store delta recompute alike.
   ``pitch_nm``.  Grid corners are integrated per cell on the whole
   grid's shared time base (:func:`repro.cells.characterize.
   characterize_cases`), bit-identical to one
-  :func:`~repro.cells.characterize.characterize_sweep` batch; each zip
-  corner is characterised as its own one-point grid.
+  :func:`~repro.cells.characterize.characterize_sweep` batch; a zip
+  corner is its own one-point grid, on the same path.
 * ``engine="circuit"`` — the circuit-level yield/delay/energy study
   (:func:`repro.circuit_study.run_circuit_study`).  Axes: ``circuit``
   (generator spec or Verilog text), ``technique``, ``cnts_per_trial``,
@@ -195,21 +197,22 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
     :class:`~repro.runtime.cache.ResultCache`, a path, or ``True`` for
     the default store) at **two granularities**: the whole-study envelope
     (an exact re-run returns the stored typed result without touching the
-    engines) and the individual corner (a changed sweep is diffed against
-    the persistent corner store and **only the missing corners execute**
-    — the delta path that turns an axis-extension re-run from O(grid)
-    into O(delta)).  Either way the returned result is bit-identical to a
-    cold uncached run, and provenance records ``cache="hit"`` /
-    ``"miss"`` / ``"partial:<hits>/<corners>"``.  Scheduling parameters
-    never enter the fingerprints or provenance — they cannot change the
-    result.
+    engines, :func:`~repro.runtime.cache.memoize`) and the individual
+    corner.  Every sweep, cached or not, takes one path: plan the corner
+    addresses, fetch the ones the store holds (none without a store), run
+    only the misses, store them — so an axis-extension re-run costs
+    O(delta), not O(grid).  Either way the returned result is
+    bit-identical to a cold uncached run, and provenance records
+    ``cache="hit"`` / ``"miss"`` / ``"partial:<hits>/<corners>"`` (``None``
+    without a store).  Scheduling parameters never enter the fingerprints
+    or provenance — they cannot change the result.
     """
     if not isinstance(spec, SweepSpec):
         raise StudyError(f"run_sweep_study needs a SweepSpec, got {type(spec).__name__}")
     record = sweep_engine(engine)
     # Imported lazily: the runtime layer sits on top of the study layer.
     from ..obs import trace as obs_trace
-    from ..runtime.cache import as_cache, with_cache_status
+    from ..runtime.cache import as_cache, memoize
     from ..runtime.fingerprint import sweep_fingerprint
     from ..runtime.scheduler import resolve_jobs
 
@@ -222,57 +225,24 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
     with obs_trace.span(f"sweep:{engine}", engine=engine, mode=spec.mode,
                         corners=len(spec.corners()), trials=trials,
                         cached=store is not None):
-        key = None
-        if store is not None:
-            key = sweep_fingerprint(spec, engine, trials, seed, fixed)
-            obs_trace.annotate(fingerprint=key)
-            cached = store.get(key)
-            if cached is not None:
-                obs_trace.annotate(cache="hit")
-                return with_cache_status(cached, "hit")
-
-        _validate_axes(spec, record)
-        constants = _fixed_values(record, spec, fixed)
-        n_jobs = resolve_jobs(jobs)
-        if store is None:
-            seeds = record.seeds(spec, constants, seed) if record.seeded else None
-            metrics = record.execute(spec, constants, range(len(spec)), seeds,
-                                     trials, n_jobs, backend)
-        else:
-            metrics, status = _run_sweep_delta(
-                spec, record, constants, trials=trials, seed=seed,
-                fixed=fixed, store=store, jobs=n_jobs, backend=backend,
-            )
-        result = SweepStudyResult(
-            provenance=Provenance.capture(
-                "sweep", engine=engine, seed=seed,
-                params={"axes": {axis.name: axis.values
-                                 for axis in spec.axes},
-                        "mode": spec.mode, "trials": trials, "seed": seed,
-                        **fixed},
-            ),
-            spec=spec,
-            engine=engine,
-            records=tuple(
-                SweepRecord(corner=corner, metrics=corner_metrics)
-                for corner, corner_metrics in zip(spec.corners(), metrics)
-            ),
+        return memoize(
+            store, lambda: sweep_fingerprint(spec, engine, trials, seed, fixed),
+            lambda: _run_sweep(spec, record, trials, seed, fixed, store,
+                               resolve_jobs(jobs), backend),
         )
-        if store is not None:
-            store.put(key, result)
-            result = with_cache_status(result, status)
-            obs_trace.annotate(cache=result.provenance.cache)
-        return result
 
 
 # ---------------------------------------------------------------------------
-# Delta recompute over the persistent corner store
+# The one sweep path: plan, fetch, run the misses, store
 # ---------------------------------------------------------------------------
 
-def _sweep_corner_keys(spec: SweepSpec, engine: str, trials: int, seed,
-                       fixed: Mapping[str, object]):
-    """``(keys, seeds)`` — one corner fingerprint per spec corner, in
-    corner order (``seeds`` is ``None`` for an unseeded engine).
+def _plan_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
+                fixed: Mapping[str, object], store):
+    """``(constants, seeds, cached, plan)`` — the resolved unswept axes,
+    one child seed per corner (``None`` for an unseeded engine), the
+    corner payloads ``store`` already holds (none without a store) and
+    the :class:`~repro.runtime.scheduler.DeltaPlan` over one corner
+    fingerprint per corner, in corner order.
 
     The key hashes the corner's **fully-resolved** binding (every engine
     axis, swept or fixed), so it is invariant under which axes the spec
@@ -286,37 +256,40 @@ def _sweep_corner_keys(spec: SweepSpec, engine: str, trials: int, seed,
       misses, while one that preserves them (extending the gate axis, or
       any axis whose canonical predecessors are singletons) keeps every
       old corner's address stable.
-    * **transient**: the shared per-cell time base
-      (:func:`repro.cells.characterize.grid_time_base`) the corner's
-      waveform was integrated on.  A grid reshape that moves the time
-      base changes every affected address (recompute — exactly what
+    * **transient**: the shared time base
+      (:func:`repro.cells.characterize.grid_time_base`) of the grid the
+      corner's waveform was integrated on.  A grid reshape that moves the
+      time base changes every affected address (recompute — exactly what
       bit-identity demands); one that leaves the analytical envelope
       alone keeps the stored corners valid.
     * **circuit**: the child seed, trial count and the *resolved* netlist
       structure of the corner's circuit.
     """
-    record = sweep_engine(engine)
-    constants = _fixed_values(record, spec, fixed)
-    seeds = record.seeds(spec, constants, seed) if record.seeded else None
-    return record.corner_keys(spec, constants, seeds, trials), seeds
+    from ..runtime.scheduler import plan_delta
+
+    _validate_axes(spec, engine)
+    constants = _fixed_values(engine, spec, fixed)
+    seeds = engine.seeds(spec, constants, seed) if engine.seeded else None
+    keys = engine.corner_keys(spec, constants, seeds, trials)
+    cached = store.get_corners(keys) if store is not None else {}
+    return constants, seeds, cached, plan_delta(keys, set(cached))
 
 
-def _run_sweep_delta(spec: SweepSpec, engine: "SweepEngine",
-                     constants: Mapping[str, object], trials: int, seed,
-                     fixed: Mapping[str, object], store,
-                     jobs: int, backend: Optional[str]):
-    """Diff the requested grid against the corner store, execute only the
-    missing corners, merge.  Returns ``(metrics, status)`` with metrics
-    in corner order, bit-identical to a cold uncached run."""
+def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
+               fixed: Mapping[str, object], store, jobs: int,
+               backend: Optional[str]) -> SweepStudyResult:
+    """Plan the sweep, execute only the corners ``store`` lacks (every
+    corner without a store), write them back, merge.  The result is
+    bit-identical whatever the store held; its provenance records the
+    plan's status."""
     from ..obs import metrics as obs_metrics
     from ..obs import trace as obs_trace
-    from ..runtime.scheduler import execute_corners, plan_delta
+    from ..runtime.cache import with_cache_status
+    from ..runtime.scheduler import execute_corners
 
     with obs_trace.span("sweep.plan", corners=len(spec)):
-        keys, seeds = _sweep_corner_keys(spec, engine.name, trials, seed,
-                                         fixed)
-        cached = store.get_corners(keys)
-        plan = plan_delta(keys, set(cached))
+        constants, seeds, cached, plan = _plan_sweep(spec, engine, trials,
+                                                     seed, fixed, store)
         obs_trace.annotate(hits=plan.hits, misses=plan.misses,
                            status=plan.status)
     obs_metrics.registry().inc("sweep.corners_planned", plan.total)
@@ -329,7 +302,22 @@ def _run_sweep_delta(spec: SweepSpec, engine: "SweepEngine",
             return engine.execute(spec, constants, indices, seeds, trials,
                                   jobs, backend)
 
-    return execute_corners(plan, cached, run, store, engine.name), plan.status
+    metrics = execute_corners(plan, cached, run, store, engine.name)
+    result = SweepStudyResult(
+        provenance=Provenance.capture(
+            "sweep", engine=engine.name, seed=seed,
+            params={"axes": {axis.name: axis.values for axis in spec.axes},
+                    "mode": spec.mode, "trials": trials, "seed": seed,
+                    **fixed},
+        ),
+        spec=spec,
+        engine=engine.name,
+        records=tuple(
+            SweepRecord(corner=corner, metrics=corner_metrics)
+            for corner, corner_metrics in zip(spec.corners(), metrics)
+        ),
+    )
+    return with_cache_status(result, plan.status)
 
 
 # ---------------------------------------------------------------------------
@@ -519,68 +507,79 @@ def _transient_metrics(point) -> Dict[str, Any]:
 
 
 def _corner_name(vdd: float, pitch_nm: float) -> str:
-    return f"v{vdd:g}_p{pitch_nm:g}"
+    # repr, not a rounded format: supplies (or pitches) that agree to six
+    # significant digits are still distinct technology corners.
+    return f"v{vdd!r}_p{pitch_nm!r}"
 
 
 @dataclass(frozen=True)
-class _TransientGridShard:
-    """A picklable slice of one cell's characterisation grid.
-
-    Workers re-plan the **full** ``(drive, load, slew, corner)`` grid —
-    cheap, analytical — so the shared time base is the whole grid's,
-    then integrate only ``case_indices``
-    (:func:`repro.cells.characterize.characterize_cases`)."""
+class _TransientGrid:
+    """One cell's ``(drive, load, slew, vdd × pitch)`` characterisation
+    grid: the unit whose corners share one time base."""
 
     cell: str
-    case_indices: Tuple[int, ...]
     drives: Tuple[object, ...]
     loads: Tuple[object, ...]
     slews: Tuple[object, ...]
     corner_grid: Tuple[Tuple[object, object], ...]   # (vdd, pitch_nm)
 
+    def technologies(self) -> Dict[str, Any]:
+        from ..cells.characterize import cnfet_technology
 
-def _run_transient_grid_shard(shard: _TransientGridShard) -> List[Dict[str, Any]]:
-    """Worker: integrate one grid shard (module-level for pickling)."""
-    from ..cells.characterize import characterize_cases, cnfet_technology
+        return {_corner_name(vdd, pitch): cnfet_technology(vdd=vdd,
+                                                           pitch_nm=pitch)
+                for vdd, pitch in self.corner_grid}
 
-    corners = {
-        _corner_name(vdd, pitch): cnfet_technology(vdd=vdd, pitch_nm=pitch)
-        for vdd, pitch in shard.corner_grid
-    }
-    points = characterize_cases(
-        shard.cell, shard.case_indices,
-        drive_strengths=shard.drives,
-        load_capacitances_f=shard.loads,
-        input_slews_s=shard.slews,
-        corners=corners,
+
+#: The transient axes that span a cell's grid, in flat-index order.
+_GRID_AXES = ("drive", "load_f", "slew_s", "vdd", "pitch_nm")
+
+
+def _transient_grid(spec: SweepSpec, constants: Mapping[str, object],
+                    values: Mapping[str, object]) -> Tuple[_TransientGrid, int]:
+    """The grid a transient corner (resolved ``values``) is integrated
+    on, and its flat index there.  A grid-mode corner belongs to its
+    cell's full grid; a zip corner is its own one-point grid, at 0."""
+    if spec.mode == "zip":
+        axes = [(values[name],) for name in _GRID_AXES]
+    else:
+        axes = [_axis_or_constant(spec, constants, name)
+                for name in _GRID_AXES]
+    drives, loads, slews, vdds, pitches = axes
+    grid = _TransientGrid(cell=str(values["cell"]), drives=drives,
+                          loads=loads, slews=slews,
+                          corner_grid=tuple(itertools.product(vdds, pitches)))
+    flat = np.ravel_multi_index(
+        tuple(axis.index(values[name]) for name, axis in zip(_GRID_AXES, axes)),
+        tuple(len(axis) for axis in axes),
     )
-    return [_transient_metrics(point) for point in points]
+    return grid, int(flat)
 
 
 @dataclass(frozen=True)
-class _TransientZipShard:
-    """A picklable chunk of lock-step corners, each characterised as its
-    own one-point grid."""
+class _TransientGridShard:
+    """A picklable slice of one grid.  Workers re-plan the **full** grid
+    — cheap, analytical — so the shared time base is the whole grid's,
+    then integrate only ``case_indices``
+    (:func:`repro.cells.characterize.characterize_cases`)."""
 
-    cases: Tuple[Tuple[str, object, object, object, object, object], ...]
+    grid: _TransientGrid
+    case_indices: Tuple[int, ...]
 
 
-def _run_transient_zip_shard(shard: _TransientZipShard) -> List[Dict[str, Any]]:
-    """Worker: evaluate one zip shard (module-level for pickling)."""
-    from ..cells.characterize import characterize_sweep, cnfet_technology
+def _run_transient_grid_shard(shard: _TransientGridShard) -> List[Dict[str, Any]]:
+    """Worker: integrate one grid shard (module-level for pickling)."""
+    from ..cells.characterize import characterize_cases
 
-    metrics = []
-    for cell, drive, load, slew, vdd, pitch in shard.cases:
-        name = _corner_name(vdd, pitch)
-        sweep = characterize_sweep(
-            gate_names=(cell,),
-            drive_strengths=(drive,),
-            load_capacitances_f=(load,),
-            input_slews_s=(slew,),
-            corners={name: cnfet_technology(vdd=vdd, pitch_nm=pitch)},
-        )
-        metrics.append(_transient_metrics(sweep.points[0]))
-    return metrics
+    grid = shard.grid
+    points = characterize_cases(
+        grid.cell, shard.case_indices,
+        drive_strengths=grid.drives,
+        load_capacitances_f=grid.loads,
+        input_slews_s=grid.slews,
+        corners=grid.technologies(),
+    )
+    return [_transient_metrics(point) for point in points]
 
 
 def _execute_transient(spec: SweepSpec, constants: Mapping[str, object],
@@ -590,73 +589,35 @@ def _execute_transient(spec: SweepSpec, constants: Mapping[str, object],
     metrics in ``indices`` order (``seeds``/``trials`` are unused — the
     engine is deterministic).
 
-    Grid-mode shards re-plan the **full** per-cell grid and integrate
-    only their cases, so a subset run — a delta recompute as much as a
-    parallel shard — lands on the same shared time base and bit-identical
-    waveforms as one batch over the whole grid.  At ``jobs=1`` that is
-    one shard per cell.
+    The corners are grouped by grid; shards re-plan their **full** grid
+    and integrate only their cases, so a subset run — a delta recompute
+    as much as a parallel shard — lands on the same shared time base and
+    bit-identical waveforms as one batch over the whole grid.  At
+    ``jobs=1`` that is one shard per grid.
     """
-    from ..runtime.scheduler import plan_shards, run_tasks, shard_indices
+    from ..runtime.scheduler import run_tasks, shard_indices
 
-    corners_list = spec.corners()
-    selected = [_bindings(corners_list[index], constants, TRANSIENT_AXES)
-                for index in indices]
-
-    if spec.mode == "zip":
-        shards = [
-            _TransientZipShard(cases=tuple(
-                (str(values["cell"]), values["drive"], values["load_f"],
-                 values["slew_s"], values["vdd"], values["pitch_nm"])
-                for values in selected[start:stop]
-            ))
-            for start, stop in plan_shards(len(selected), jobs)
-        ]
-        per_shard = run_tasks(_run_transient_zip_shard, shards, jobs=jobs,
-                              backend=backend)
-        return [metrics for chunk in per_shard for metrics in chunk]
-
-    drives = _axis_or_constant(spec, constants, "drive")
-    loads = _axis_or_constant(spec, constants, "load_f")
-    slews = _axis_or_constant(spec, constants, "slew_s")
-    vdds = _axis_or_constant(spec, constants, "vdd")
-    pitches = _axis_or_constant(spec, constants, "pitch_nm")
-    corner_grid = tuple((vdd, pitch) for vdd in vdds for pitch in pitches)
-
-    # Selected corner -> (cell, flat index into the per-cell product
-    # grid), grouped by cell because the shared time base is per cell.
-    by_cell: Dict[str, List[Tuple[int, int]]] = {}
-    for position, values in enumerate(selected):
-        flat = np.ravel_multi_index(
-            (
-                drives.index(values["drive"]),
-                loads.index(values["load_f"]),
-                slews.index(values["slew_s"]),
-                vdds.index(values["vdd"]) * len(pitches)
-                + pitches.index(values["pitch_nm"]),
-            ),
-            (len(drives), len(loads), len(slews), len(corner_grid)),
-        )
-        by_cell.setdefault(str(values["cell"]), []).append(
-            (position, int(flat)))
+    corners = spec.corners()
+    by_grid: Dict[_TransientGrid, List[Tuple[int, int]]] = {}
+    for position, index in enumerate(indices):
+        values = _bindings(corners[index], constants, TRANSIENT_AXES)
+        grid, flat = _transient_grid(spec, constants, values)
+        by_grid.setdefault(grid, []).append((position, flat))
 
     tasks: List[_TransientGridShard] = []
     owners: List[List[int]] = []
-    for cell, pairs in by_cell.items():
+    for grid, pairs in by_grid.items():
         # One shard per worker, no oversubscription: each transient shard
-        # re-plans the whole per-cell grid (O(grid), unlike the O(slice)
-        # seeded shards), so extra shards multiply planning work.
+        # re-plans its whole grid (O(grid), unlike the O(slice) seeded
+        # shards), so extra shards multiply planning work.
         for start, stop in shard_indices(len(pairs), jobs):
             chunk = pairs[start:stop]
             tasks.append(_TransientGridShard(
-                cell=cell,
-                case_indices=tuple(flat for _, flat in chunk),
-                drives=drives, loads=loads, slews=slews,
-                corner_grid=corner_grid,
-            ))
+                grid=grid, case_indices=tuple(flat for _, flat in chunk)))
             owners.append([position for position, _ in chunk])
     per_shard = run_tasks(_run_transient_grid_shard, tasks, jobs=jobs,
                           backend=backend)
-    flat_metrics: List[Optional[Dict[str, Any]]] = [None] * len(selected)
+    flat_metrics: List[Optional[Dict[str, Any]]] = [None] * len(indices)
     for owner, metrics_list in zip(owners, per_shard):
         for position, metrics in zip(owner, metrics_list):
             flat_metrics[position] = metrics
@@ -665,49 +626,24 @@ def _execute_transient(spec: SweepSpec, constants: Mapping[str, object],
 
 def _transient_corner_keys(spec: SweepSpec, constants: Mapping[str, object],
                            seeds, trials: int) -> List[str]:
-    from ..cells.characterize import cnfet_technology, grid_time_base
+    from ..cells.characterize import grid_time_base
     from ..runtime.fingerprint import corner_fingerprint
 
-    corners = spec.corners()
-    contexts: List[Tuple[object, ...]] = []
-    if spec.mode == "grid":
-        # The whole per-cell grid shares one time base, so every corner of
-        # a cell carries the same context — computed once per cell.
-        drives = _axis_or_constant(spec, constants, "drive")
-        loads = _axis_or_constant(spec, constants, "load_f")
-        slews = _axis_or_constant(spec, constants, "slew_s")
-        corner_techs = {
-            _corner_name(vdd, pitch): cnfet_technology(vdd=vdd, pitch_nm=pitch)
-            for vdd in _axis_or_constant(spec, constants, "vdd")
-            for pitch in _axis_or_constant(spec, constants, "pitch_nm")
-        }
-        by_cell: Dict[str, Tuple[object, ...]] = {}
-        for corner in corners:
-            cell = str(corner.get("cell", constants.get("cell")))
-            if cell not in by_cell:
-                by_cell[cell] = grid_time_base(
-                    cell, drives, loads, slews, corner_techs,
-                )
-            contexts.append(by_cell[cell])
-    else:
-        # Zip corners are evaluated as their own one-point grids, so the
-        # context is each corner's private time base.
-        for corner in corners:
-            values = _bindings(corner, constants, TRANSIENT_AXES)
-            vdd, pitch = values["vdd"], values["pitch_nm"]
-            contexts.append(grid_time_base(
-                str(values["cell"]),
-                (values["drive"],), (values["load_f"],), (values["slew_s"],),
-                {_corner_name(vdd, pitch):
-                 cnfet_technology(vdd=vdd, pitch_nm=pitch)},
-            ))
-
-    return [
-        corner_fingerprint("transient",
-                           _bindings(corner, constants, TRANSIENT_AXES),
-                           context=context)
-        for corner, context in zip(corners, contexts)
-    ]
+    # Every corner of a grid carries its grid's time base as context —
+    # computed once per distinct grid.
+    time_bases: Dict[_TransientGrid, Tuple[object, ...]] = {}
+    keys = []
+    for corner in spec.corners():
+        values = _bindings(corner, constants, TRANSIENT_AXES)
+        grid, _ = _transient_grid(spec, constants, values)
+        if grid not in time_bases:
+            time_bases[grid] = grid_time_base(
+                grid.cell, grid.drives, grid.loads, grid.slews,
+                grid.technologies(),
+            )
+        keys.append(corner_fingerprint("transient", values,
+                                       context=time_bases[grid]))
+    return keys
 
 
 # ---------------------------------------------------------------------------

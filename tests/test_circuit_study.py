@@ -39,7 +39,7 @@ from repro.study import (
 )
 from repro.study.cli import main as cli_main
 from repro.study.results import RESULT_SCHEMA
-from repro.study.sweeps import _sweep_corner_keys
+from test_sweep_engines import planned_keys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA_PATH = os.path.join(REPO_ROOT, "docs", "repro_result.schema.json")
@@ -267,6 +267,21 @@ class TestCacheContracts:
         assert rerun.draws == 256
         assert calls == []
 
+    def test_stored_envelopes_record_no_read_outcome(self, tmp_path):
+        """A study-level miss served from the corner store reports "hit",
+        but the study entry it writes holds the result, not that read."""
+        store = ResultCache(tmp_path / "store")
+        params = dict(circuit="adder:2", trials=4, seed=2009)
+        assert run_study("circuit", cache=store, draws=8,
+                         **params).provenance.cache == "miss"
+        assert run_study("circuit", cache=store, draws=16,
+                         **params).provenance.cache == "hit"
+        entries = sorted((tmp_path / "store" / "objects").glob("*/*.json"))
+        assert len(entries) == 2
+        for path in entries:
+            wrapper = json.loads(path.read_text(encoding="utf-8"))
+            assert wrapper["result"]["provenance"].get("cache") is None
+
     def test_no_cache_records_no_status(self):
         # A single-gate netlist keeps this cheap: we only need provenance
         # — the uncached path must leave provenance.cache unset.
@@ -393,13 +408,13 @@ class TestSweepEngine:
         """A generator spec and the Verilog it round-trips through resolve
         to the same netlist structure, hence the same corner addresses."""
         spec = SweepSpec.from_mapping({"metallic_fraction": (0.0, 0.05)})
-        by_spec, _ = _sweep_corner_keys(
+        by_spec, _ = planned_keys(
             spec, "circuit", 8, 7, {"circuit": "fulladder", "draws": 32})
-        by_verilog, _ = _sweep_corner_keys(
+        by_verilog, _ = planned_keys(
             spec, "circuit", 8, 7,
             {"circuit": full_adder_verilog(), "draws": 32})
         assert by_spec == by_verilog
-        rewired, _ = _sweep_corner_keys(
+        rewired, _ = planned_keys(
             spec, "circuit", 8, 7, {"circuit": "adder:2", "draws": 32})
         assert set(rewired).isdisjoint(by_spec)
 
@@ -408,7 +423,7 @@ class TestSweepEngine:
         same defect population, different electrical corner) — the keys
         still differ because vdd enters the resolved binding."""
         spec = SweepSpec.from_mapping({"vdd": (0.9, 1.0)})
-        keys, seeds = _sweep_corner_keys(
+        keys, seeds = planned_keys(
             spec, "circuit", 8, 7, {"circuit": "fulladder"})
         assert len(set(keys)) == 2
         assert seeds[0].entropy == seeds[1].entropy

@@ -20,7 +20,7 @@ from repro.runtime import (
     plan_delta,
 )
 from repro.study import SweepSpec, run_sweep_study
-from repro.study.sweeps import _sweep_corner_keys
+from test_sweep_engines import planned_keys
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +115,8 @@ class TestCornerKeyInvariance:
         spec_b = SweepSpec.from_mapping(
             {"cnts_per_trial": (2, 4),
              "technique": ("compact", "vulnerable")})
-        keys_a, _ = _sweep_corner_keys(spec_a, "immunity", 20, 7, {})
-        keys_b, _ = _sweep_corner_keys(spec_b, "immunity", 20, 7, {})
+        keys_a, _ = planned_keys(spec_a, "immunity", 20, 7, {})
+        keys_b, _ = planned_keys(spec_b, "immunity", 20, 7, {})
         # Different corner order, identical address *set*: the address
         # hashes the resolved binding, not the declaration order.
         assert sorted(keys_a) == sorted(keys_b)
@@ -128,8 +128,8 @@ class TestCornerKeyInvariance:
         swept = SweepSpec.from_mapping(
             {"cnts_per_trial": (2, 4), "gate": ("NAND3",)})
         fixed = SweepSpec.from_mapping({"cnts_per_trial": (2, 4)})
-        keys_swept, _ = _sweep_corner_keys(swept, "immunity", 20, 7, {})
-        keys_fixed, _ = _sweep_corner_keys(
+        keys_swept, _ = planned_keys(swept, "immunity", 20, 7, {})
+        keys_fixed, _ = planned_keys(
             fixed, "immunity", 20, 7, {"gate": "NAND3"})
         assert keys_swept == keys_fixed
 
@@ -137,8 +137,8 @@ class TestCornerKeyInvariance:
         np_spec = SweepSpec.from_mapping(
             {"vdd": tuple(np.linspace(0.9, 1.0, 2))})
         py_spec = SweepSpec.from_mapping({"vdd": (0.9, 1.0)})
-        np_keys, _ = _sweep_corner_keys(np_spec, "transient", 0, None, {})
-        py_keys, _ = _sweep_corner_keys(py_spec, "transient", 0, None, {})
+        np_keys, _ = planned_keys(np_spec, "transient", 0, None, {})
+        py_keys, _ = planned_keys(py_spec, "transient", 0, None, {})
         assert np_keys == py_keys
 
     def test_jobs_and_backend_never_enter_the_address(self, tmp_path):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -234,6 +235,21 @@ class TestLifecycle:
                 == "InvalidSubmission"
         finally:
             connection.close()
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_malformed_content_length_is_400(self, client, length):
+        # A raw socket: http.client computes the header itself.  The
+        # request stays open, so a handler that waits for the body to end
+        # never answers within the timeout.
+        with socket.create_connection((client.host, client.port),
+                                      timeout=3.0) as raw:
+            raw.sendall(f"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                        f"Content-Length: {length}\r\n\r\n".encode())
+            response = http.client.HTTPResponse(raw)
+            response.begin()
+            assert response.status == 400
+            assert json.loads(response.read())["error"]["type"] \
+                == "InvalidSubmission"
 
     def test_result_of_unfinished_job_is_409(self, tmp_path, fig3_gate):
         calls, release, started = fig3_gate

@@ -34,7 +34,7 @@ from repro.immunity.montecarlo import run_immunity_trials, sweep_seed_root
 from repro.logic.functions import standard_gate
 from repro.runtime import ResultCache, sweep_fingerprint
 from repro.study import SweepSpec, run_sweep_study
-from repro.study.sweeps import _sweep_corner_keys
+from repro.study.sweeps import _plan_sweep, sweep_engine
 
 #: Execution modes every oracle runs in, with the provenance ``cache``
 #: annotation each must report.
@@ -59,6 +59,14 @@ def _run(spec, engine, mode, **kwargs):
     assert result.provenance.cache == STATUS[name]
     assert [record.corner for record in result.records] == spec.corners()
     return result
+
+
+def planned_keys(spec, engine, trials, seed, fixed):
+    """``(corner keys, seeds)`` as the sweep planner computes them, with
+    no store attached."""
+    _, seeds, _, plan = _plan_sweep(spec, sweep_engine(engine), trials, seed,
+                                    fixed, None)
+    return list(plan.keys), seeds
 
 
 def _immunity_metrics(outcome):
@@ -213,6 +221,22 @@ def test_transient_zip_matches_single_point_sweeps(mode,
         transient_zip_oracle
 
 
+#: Supplies that agree to six significant digits: each still names its
+#: own technology corner, uncached and on a store that already holds
+#: the other two.
+CLOSE_VDDS = (0.9, 0.9000001, 1.0)
+
+
+def test_close_supplies_keep_their_own_corners(tmp_path):
+    store = ResultCache(tmp_path / "store")
+    run_sweep_study(SweepSpec.from_mapping({"vdd": CLOSE_VDDS[1:]}),
+                    engine="transient", cache=store)
+    spec = SweepSpec.from_mapping({"vdd": CLOSE_VDDS})
+    stored = run_sweep_study(spec, engine="transient", cache=store)
+    assert stored.metric("vdd") == list(CLOSE_VDDS)
+    assert run_sweep_study(spec, engine="transient") == stored
+
+
 # ---------------------------------------------------------------------------
 # Circuit engine
 # ---------------------------------------------------------------------------
@@ -348,7 +372,7 @@ def test_addresses_are_pinned(name):
     spec, engine, trials, seed, fixed = SCENARIOS[name]
     fingerprint, keys, spawn_keys = GOLDEN[name]
     assert sweep_fingerprint(spec, engine, trials, seed, fixed) == fingerprint
-    found_keys, seeds = _sweep_corner_keys(spec, engine, trials, seed, fixed)
+    found_keys, seeds = planned_keys(spec, engine, trials, seed, fixed)
     assert found_keys == keys
     if spawn_keys is None:
         assert seeds is None
