@@ -11,7 +11,7 @@ layer's content fingerprints.  Stdlib only: ``http.server`` +
 
 from .api import KINDS, JobSubmission
 from .errors import (InvalidSubmission, JobNotFound, JobStateError,
-                     error_payload)
+                     ProtocolError, error_payload)
 from .jobs import JOB_STATES, TERMINAL_STATES, Job, JobManager
 from .server import ReproService, describe_endpoints, status_for
 
@@ -24,6 +24,7 @@ __all__ = [
     "JobStateError",
     "JobSubmission",
     "KINDS",
+    "ProtocolError",
     "ReproService",
     "TERMINAL_STATES",
     "describe_endpoints",

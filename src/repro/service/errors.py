@@ -32,6 +32,12 @@ class JobStateError(ServiceError):
     running job, fetching the result of an unfinished one (HTTP 409)."""
 
 
+class ProtocolError(ServiceError):
+    """A request the HTTP layer rejects before routing it: an
+    unsupported method, a malformed request line (the status code is
+    the one ``http.server`` chose)."""
+
+
 def error_payload(error: BaseException) -> Dict[str, Any]:
     """The wire form of one exception: type name, message, and whether
     it belongs to the repo's :class:`~repro.errors.ReproError` hierarchy
@@ -51,5 +57,6 @@ __all__ = [
     "InvalidSubmission",
     "JobNotFound",
     "JobStateError",
+    "ProtocolError",
     "error_payload",
 ]

@@ -34,6 +34,13 @@ in a :class:`_ProgressCache` whose corner reads/writes tick the job's
 ``progress`` counter, so ``GET /jobs/<id>`` reports per-corner progress
 (cached corners count the moment the plan resolves them; fresh corners
 as each one lands in the store).
+
+The job table is bounded: the manager retains at most
+:data:`MAX_FINISHED_JOBS` finished (terminal) jobs and evicts the
+oldest-finished first.  Queued and running jobs are never evicted.  An
+evicted id is unknown from then on (:class:`JobNotFound`, HTTP 404), and
+its dedup-index entry goes with it, so resubmitting the same body
+creates a new job — which the store serves as a ``hit``.
 """
 
 from __future__ import annotations
@@ -63,12 +70,17 @@ JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 #: States no transition leaves.
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
+#: How many finished jobs the manager retains; beyond this the
+#: oldest-finished job is evicted.  Bounds the memory of a long-running
+#: service without touching queued or running jobs.
+MAX_FINISHED_JOBS = 64
+
 
 @dataclass
 class Job:
     """One submission's lifecycle record.  Mutated only under the
     manager's lock; HTTP handlers read consistent snapshots via
-    :meth:`JobManager.document`."""
+    :meth:`JobManager.snapshot` and :meth:`JobManager.poll`."""
 
     id: str
     submission: JobSubmission
@@ -150,10 +162,11 @@ class JobManager:
         self._store = as_cache(cache)
         self._engine_jobs = jobs
         self._backend = backend
+        # Insertion-ordered, so iteration is submission order.
         self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
         self._by_fingerprint: Dict[str, Job] = {}
-        self._queue: Deque[str] = deque()
+        self._queue: Deque[Job] = deque()
+        self._finished: Deque[Job] = deque()
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._settled = threading.Condition(self._lock)
@@ -202,10 +215,9 @@ class JobManager:
                 progress_total=submission.total_corners(),
             )
             self._jobs[job.id] = job
-            self._order.append(job.id)
             if submission.deterministic:
                 self._by_fingerprint[key] = job
-            self._queue.append(job.id)
+            self._queue.append(job)
             self._wakeup.notify()
             return job, False
 
@@ -217,15 +229,16 @@ class JobManager:
             raise JobNotFound(f"No job {job_id!r}")
         return job
 
-    def document(self, job_id: str) -> Dict[str, Any]:
-        """A consistent snapshot of one job's wire form."""
+    def snapshot(self, job: Job) -> Dict[str, Any]:
+        """A consistent snapshot of the wire form of a job the caller
+        already holds (an eviction cannot make it unknown)."""
         with self._lock:
-            return self._get(job_id).document()
+            return job.document()
 
     def documents(self) -> List[Dict[str, Any]]:
-        """Snapshots of every job, in submission order."""
+        """Snapshots of every retained job, in submission order."""
         with self._lock:
-            return [self._jobs[job_id].document() for job_id in self._order]
+            return [job.document() for job in self._jobs.values()]
 
     def result(self, job_id: str) -> StudyResult:
         """The finished job's typed result; :class:`JobStateError` until
@@ -245,20 +258,20 @@ class JobManager:
                 f"Job {job_id} is {job.status}, not done"
             )
 
-    def wait(self, job_id: str, timeout: Optional[float] = None) -> Job:
-        """Block until the job reaches a terminal state (or the timeout
-        lapses); returns the job either way."""
-        deadline = (None if timeout is None
-                    else obs_clock.monotonic() + timeout)
+    def poll(self, job_id: str, timeout: float) -> Dict[str, Any]:
+        """The job's wire form once it reaches a terminal state, or as it
+        stands when ``timeout`` seconds lapse first; a finished job
+        answers at once.  The wait and the snapshot share one hold of
+        the lock, and the job object survives an eviction in between."""
+        deadline = obs_clock.monotonic() + timeout
         with self._settled:
             job = self._get(job_id)
             while job.status not in TERMINAL_STATES:
-                remaining = None if deadline is None \
-                    else deadline - obs_clock.monotonic()
-                if remaining is not None and remaining <= 0:
+                remaining = deadline - obs_clock.monotonic()
+                if remaining <= 0:
                     break
                 self._settled.wait(remaining)
-            return job
+            return job.document()
 
     # -- cancellation / shutdown -----------------------------------------------
 
@@ -273,10 +286,8 @@ class JobManager:
                     f"Job {job_id} is {job.status}; only queued jobs can "
                     "be cancelled"
                 )
-            job.status = CANCELLED
-            job.finished = obs_clock.wall_time()
+            self._finish(job, CANCELLED)
             obs_metrics.registry().inc("service.jobs_cancelled")
-            self._settled.notify_all()
             return job
 
     def close(self, cancel_queued: bool = True,
@@ -288,17 +299,30 @@ class JobManager:
             self._closing = True
             if cancel_queued:
                 while self._queue:
-                    job = self._jobs[self._queue.popleft()]
+                    job = self._queue.popleft()
                     if job.status == QUEUED:
-                        job.status = CANCELLED
-                        job.finished = obs_clock.wall_time()
+                        self._finish(job, CANCELLED)
                         obs_metrics.registry().inc("service.jobs_cancelled")
-                self._settled.notify_all()
             self._wakeup.notify_all()
         for thread in self._threads:
             thread.join(timeout)
 
     # -- the worker loop -------------------------------------------------------
+
+    def _finish(self, job: Job, status: str) -> None:
+        """Move ``job`` (lock held) to the terminal ``status``, wake its
+        pollers, and evict the oldest-finished jobs beyond
+        :data:`MAX_FINISHED_JOBS`.  A dedup-index entry goes only when it
+        points at the evicted job (a retry may own it by now)."""
+        job.status = status
+        job.finished = obs_clock.wall_time()
+        self._finished.append(job)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            evicted = self._finished.popleft()
+            del self._jobs[evicted.id]
+            if self._by_fingerprint.get(evicted.fingerprint) is evicted:
+                del self._by_fingerprint[evicted.fingerprint]
+        self._settled.notify_all()
 
     def _job_store(self, job: Job):
         """The store this job runs against: the manager's cache, wrapped
@@ -320,7 +344,7 @@ class JobManager:
                     self._wakeup.wait()
                 if not self._queue:
                     return                   # closing and drained
-                job = self._jobs[self._queue.popleft()]
+                job = self._queue.popleft()
                 if job.status != QUEUED:
                     continue                 # cancelled while queued
                 job.status = RUNNING
@@ -349,22 +373,18 @@ class JobManager:
                 obs_metrics.registry().inc("service.jobs_failed")
                 with self._lock:
                     self._busy_seconds += obs_clock.monotonic() - busy_start
-                    job.status = FAILED
                     job.error = error_payload(error)
-                    job.finished = obs_clock.wall_time()
                     job.trace_document = tracer.to_document()
-                    self._settled.notify_all()
+                    self._finish(job, FAILED)
             else:
                 obs_metrics.registry().inc("service.jobs_done")
                 with self._lock:
                     self._busy_seconds += obs_clock.monotonic() - busy_start
-                    job.status = DONE
                     job.result = result
-                    job.finished = obs_clock.wall_time()
                     job.trace_document = tracer.to_document()
                     if job.progress_total is not None:
                         job.progress_done = job.progress_total
-                    self._settled.notify_all()
+                    self._finish(job, DONE)
 
     # -- observability ---------------------------------------------------------
 
@@ -381,9 +401,10 @@ class JobManager:
             return job.trace_document
 
     def metrics_document(self) -> Dict[str, Any]:
-        """The ``GET /metrics`` body: pool health plus a snapshot of the
-        process-wide metrics registry (queue latency histogram, cache
-        counters, sweep planner counters)."""
+        """The ``GET /metrics`` body: pool health (the ``jobs`` counts
+        cover retained jobs only) plus a snapshot of the process-wide
+        metrics registry (queue latency histogram, cache counters, sweep
+        planner counters)."""
         with self._lock:
             by_status = {state: 0 for state in JOB_STATES}
             for job in self._jobs.values():
@@ -410,6 +431,7 @@ __all__ = [
     "JOB_STATES",
     "Job",
     "JobManager",
+    "MAX_FINISHED_JOBS",
     "QUEUED",
     "RUNNING",
     "TERMINAL_STATES",

@@ -7,8 +7,11 @@ endpoint                      meaning
                               with the new job document, or ``200`` when the
                               submission deduplicated onto an existing job
                               (``"deduplicated": true`` in the body)
-``GET /jobs``                 list every job, submission order
-``GET /jobs/<id>``            one job's status/progress document
+``GET /jobs``                 list every retained job, submission order
+``GET /jobs/<id>``            one job's status/progress document; for a
+                              queued or running job, sent when the job
+                              settles or after :data:`POLL_WAIT_S`,
+                              whichever comes first
 ``GET /jobs/<id>/result``     the finished job's tagged-JSON envelope —
                               byte-identical to ``repro run --json``
 ``GET /jobs/<id>/trace``      the finished job's ``repro-trace/v1``
@@ -23,6 +26,16 @@ Errors arrive as ``{"error": {"type", "message", "repro"}}`` with the
 status code chosen by exception class (:data:`STATUS_BY_ERROR`): a bad
 submission is 400, an unknown job 404, an illegal state transition 409,
 anything unexpected 500 — and the server survives all of them.
+Requests ``http.server`` rejects before routing (an unsupported method,
+a malformed request line) answer in the same JSON shape with the status
+it chose, and close the connection.  Finished jobs are retained up to
+:data:`~repro.service.jobs.MAX_FINISHED_JOBS`; an evicted id is a 404.
+
+Every response leaves in one write: status line, headers and body
+together.  Two writes would put the body in a second small segment that
+Nagle's algorithm holds until the client's delayed ACK, tens of
+milliseconds per response.  The waiting poll keeps a client that polls
+back to back from crowding the job workers off the interpreter.
 
 The handler holds no state of its own: every request reaches the one
 :class:`~repro.service.jobs.JobManager` hanging off the server object,
@@ -42,7 +55,7 @@ from typing import Any, Dict, Optional, Tuple, Type
 from ..errors import ReproError
 from .api import JobSubmission
 from .errors import (InvalidSubmission, JobNotFound, JobStateError,
-                     error_payload)
+                     ProtocolError, error_payload)
 from .jobs import JobManager
 
 #: How exception classes map onto HTTP status codes; first match wins,
@@ -58,6 +71,10 @@ STATUS_BY_ERROR: Tuple[Tuple[Type[BaseException], int], ...] = (
 #: of a few hundred entries is ~100 KiB; 4 MiB is nowhere near a limit
 #: a legitimate client hits).
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: The longest ``GET /jobs/<id>`` waits for a queued or running job to
+#: settle before answering with the job as it stands.
+POLL_WAIT_S = 1.0
 
 
 def status_for(error: BaseException) -> int:
@@ -77,6 +94,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    # A request line with no parsable version is answered with a status
+    # line and headers, not as a bare HTTP/0.9 body.
+    default_request_version = "HTTP/1.0"
 
     # -- plumbing --------------------------------------------------------------
 
@@ -94,11 +114,28 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # end_headers() would send the head on its own: queue the blank
+        # line and the body behind it and flush them in one write.  (An
+        # HTTP/0.9 request has no head, so the buffer may not exist.)
+        if not hasattr(self, "_headers_buffer"):
+            self._headers_buffer = []
+        self._headers_buffer.append(b"\r\n" + payload)
+        self.flush_headers()
 
     def _send_error_json(self, error: BaseException) -> None:
         self._send_json(status_for(error), {"error": error_payload(error)})
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """``http.server``'s own rejections, as typed JSON errors.  The
+        request's framing may be broken, so the connection closes."""
+        if message is None:
+            message = self.responses.get(code, ("???",))[0]
+        self.log_error("code %d, message %s", code, message)
+        self.close_connection = True
+        self._send_json(code, {"error": error_payload(ProtocolError(message))})
 
     def _read_body(self) -> Any:
         header = self.headers.get("Content-Length") or "0"
@@ -135,7 +172,7 @@ class _Handler(BaseHTTPRequestHandler):
                 raise JobNotFound(f"No such endpoint: POST {self.path}")
             submission = JobSubmission.from_document(self._read_body())
             job, attached = self.manager.submit(submission)
-            document = self.manager.document(job.id)
+            document = self.manager.snapshot(job)
             document["deduplicated"] = attached
             self._send_json(200 if attached else 201, document)
         except Exception as error:
@@ -150,7 +187,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif parts == ["jobs"]:
                 self._send_json(200, {"jobs": self.manager.documents()})
             elif len(parts) == 2 and parts[0] == "jobs":
-                self._send_json(200, self.manager.document(parts[1]))
+                self._send_json(200, self.manager.poll(parts[1], POLL_WAIT_S))
             elif len(parts) == 3 and parts[0] == "jobs" \
                     and parts[2] == "result":
                 result = self.manager.result(parts[1])
@@ -171,7 +208,7 @@ class _Handler(BaseHTTPRequestHandler):
             if len(parts) != 2 or parts[0] != "jobs":
                 raise JobNotFound(f"No such endpoint: DELETE {self.path}")
             job = self.manager.cancel(parts[1])
-            self._send_json(200, self.manager.document(job.id))
+            self._send_json(200, self.manager.snapshot(job))
         except Exception as error:
             self._send_error_json(error)
 
@@ -213,8 +250,9 @@ def describe_endpoints() -> Dict[str, str]:
     """The endpoint table, for ``repro serve``'s startup banner."""
     return {
         "POST /jobs": "submit a study/sweep/manifest body",
-        "GET /jobs": "list jobs",
-        "GET /jobs/<id>": "job status and progress",
+        "GET /jobs": "list retained jobs",
+        "GET /jobs/<id>": "job status and progress (waits up to "
+                          f"{POLL_WAIT_S:g} s for an unfinished job)",
         "GET /jobs/<id>/result": "finished job's result envelope",
         "GET /jobs/<id>/trace": "finished job's repro-trace/v1 envelope",
         "DELETE /jobs/<id>": "cancel a queued job",
@@ -225,6 +263,7 @@ def describe_endpoints() -> Dict[str, str]:
 
 __all__ = [
     "MAX_BODY_BYTES",
+    "POLL_WAIT_S",
     "STATUS_BY_ERROR",
     "ReproService",
     "describe_endpoints",

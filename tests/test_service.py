@@ -13,7 +13,11 @@ The contracts under test (PR 8):
   (property-style, RPL004 extended to HTTP);
 * **fault injection** — an engine raising mid-job yields status
   ``failed`` with a typed error payload, never a hung job or a dead
-  server.
+  server;
+* **the wire** — every response, ``http.server``'s own rejections
+  included, is one write of a typed JSON document; a status poll of an
+  unfinished job waits for it up to a bound; and the job table keeps a
+  bounded number of finished jobs without breaking dedup.
 
 All HTTP traffic is stdlib ``http.client`` against an ephemeral port;
 the engine under the service is the real one except where a counting /
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import http.client
+import io
 import json
 import socket
 import threading
@@ -35,6 +40,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.analysis.experiments as experiments
+import repro.service.jobs as jobs_module
+import repro.service.server as server_module
 from repro.runtime.manifest import _entry_key, ManifestEntry
 from repro.service import (
     InvalidSubmission,
@@ -478,6 +485,224 @@ class TestFaultInjection:
             assert retry["id"] != failed
             assert client.poll(retry["id"])["status"] == "done"
         finally:
+            service.close()
+
+
+# ---------------------------------------------------------------------------
+# The wire: one write per response, waiting polls, a bounded job table
+# ---------------------------------------------------------------------------
+
+
+class _FakeSocket:
+    """Just enough of a socket for one handler: canned request bytes in,
+    and every write of the handler's ``wfile`` recorded as it arrives
+    (the unbuffered ``wfile`` is one ``sendall`` per write)."""
+
+    def __init__(self, request: bytes):
+        self.request = request
+        self.writes = []
+
+    def makefile(self, mode, buffering=-1):
+        return io.BytesIO(self.request)
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+
+def _handle(service, request: bytes):
+    """Run one real handler over ``request``; ``(writes, status, body)``."""
+    sock = _FakeSocket(request)
+    server_module._Handler(sock, ("127.0.0.1", 0), service)
+    head, _, body = b"".join(sock.writes).partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    length = [line for line in head.split(b"\r\n")
+              if line.lower().startswith(b"content-length:")]
+    assert int(length[0].split(b":")[1]) == len(body)
+    return sock.writes, status, json.loads(body)
+
+
+class TestOneWritePerResponse:
+    def test_success_created_and_error_are_one_write(self, service):
+        body = json.dumps({"study": "fig3"}).encode()
+        for request, expected, key in (
+            (b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n", 200, "status"),
+            (b"POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: "
+             + str(len(body)).encode() + b"\r\n\r\n" + body, 201,
+             "deduplicated"),
+            (b"GET /jobs/job-999999 HTTP/1.1\r\nHost: t\r\n\r\n", 404,
+             "error"),
+            (b"PUT /jobs HTTP/1.1\r\nHost: t\r\n\r\n", 501, "error"),
+        ):
+            writes, status, document = _handle(service, request)
+            assert (status, len(writes)) == (expected, 1), writes
+            assert key in document
+
+
+class TestHttpServerErrorsAreJson:
+    """``http.server`` rejects some requests before any ``do_*`` runs;
+    those answers share the service's typed JSON error shape."""
+
+    @staticmethod
+    def _raw(client, request: bytes):
+        with socket.create_connection((client.host, client.port),
+                                      timeout=POLL_TIMEOUT_S) as raw:
+            raw.sendall(request)
+            response = http.client.HTTPResponse(raw)
+            response.begin()
+            document = json.loads(response.read())
+            # The framing may be broken, so the server hangs up.
+            assert raw.recv(1) == b""
+            return response, document
+
+    def test_unsupported_method_is_a_json_501(self, client):
+        response, document = self._raw(
+            client, b"PUT /jobs HTTP/1.1\r\nHost: test\r\n\r\n")
+        assert response.status == 501
+        assert response.getheader("Content-Type") == "application/json"
+        assert document["error"]["type"] == "ProtocolError"
+        assert "PUT" in document["error"]["message"]
+        assert document["error"]["repro"] is True
+
+    @pytest.mark.parametrize("line", [b"GET /jobs garbage HTTP/1.1",
+                                      b"garbage"])
+    def test_garbage_request_line_is_a_json_400(self, client, line):
+        response, document = self._raw(client, line + b"\r\n\r\n")
+        assert response.status == 400
+        assert response.getheader("Content-Type") == "application/json"
+        assert document["error"]["type"] == "ProtocolError"
+
+
+class TestWaitingPoll:
+    def test_poll_answers_running_once_the_bound_elapses(
+            self, tmp_path, fig3_gate, monkeypatch):
+        calls, release, started = fig3_gate
+        monkeypatch.setattr(server_module, "POLL_WAIT_S", 0.05)
+        service = _start(tmp_path, workers=1)
+        try:
+            client = Client(service)
+            job_id = client.json("POST", "/jobs", {"study": "fig3"})[1]["id"]
+            assert started.wait(POLL_TIMEOUT_S)
+            status, document = client.json("GET", f"/jobs/{job_id}")
+            assert status == 200
+            assert document["status"] == "running"
+        finally:
+            release.set()
+            service.close()
+
+    def test_poll_answers_done_when_the_job_settles(
+            self, tmp_path, fig3_gate, monkeypatch):
+        calls, release, started = fig3_gate
+        # A bound as long as the client's timeout: a poll that did not
+        # wake on settlement would fail with a client timeout.
+        monkeypatch.setattr(server_module, "POLL_WAIT_S", POLL_TIMEOUT_S)
+        polling = threading.Event()
+        real_poll = JobManager.poll
+
+        def announced(manager, job_id, timeout):
+            polling.set()
+            return real_poll(manager, job_id, timeout)
+
+        monkeypatch.setattr(JobManager, "poll", announced)
+        service = _start(tmp_path, workers=1)
+        releaser = threading.Thread(
+            target=lambda: polling.wait(POLL_TIMEOUT_S) and release.set())
+        try:
+            client = Client(service)
+            job_id = client.json("POST", "/jobs", {"study": "fig3"})[1]["id"]
+            assert started.wait(POLL_TIMEOUT_S)
+            releaser.start()
+            status, document = client.json("GET", f"/jobs/{job_id}")
+            assert (status, document["status"]) == (200, "done")
+            assert document["cache"] == "miss"
+            # A finished job answers at once, not after the bound.
+            assert client.json("GET", f"/jobs/{job_id}")[1] == document
+            assert len(calls) == 1
+        finally:
+            release.set()
+            service.close()
+            if releaser.is_alive():
+                releaser.join()
+
+
+class TestRetention:
+    def test_finished_jobs_are_bounded_and_evicted_ids_are_404(
+            self, tmp_path, monkeypatch):
+        real = experiments.run_fig3_nand3
+        calls = []
+
+        @functools.wraps(real)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_fig3_nand3", counting)
+        cap = jobs_module.MAX_FINISHED_JOBS
+        bodies = [{"study": "fig3", "params": {"unit_width": 2.0 + k / 64}}
+                  for k in range(3 * cap)]
+        service = _start(tmp_path, workers=1)
+        try:
+            client = Client(service)
+            ids = []
+            for body in bodies:
+                job_id = client.json("POST", "/jobs", body)[1]["id"]
+                assert client.poll(job_id)["status"] == "done"
+                ids.append(job_id)
+            listing = client.json("GET", "/jobs")[1]["jobs"]
+            assert [job["id"] for job in listing] == ids[-cap:]
+            # A retained finished job still absorbs its duplicate.
+            status, again = client.json("POST", "/jobs", bodies[-cap])
+            assert (status, again["id"]) == (200, ids[-cap])
+            assert again["deduplicated"] is True
+            # An evicted job is unknown on every per-job endpoint.
+            for method, suffix in (("GET", ""), ("GET", "/result"),
+                                   ("GET", "/trace"), ("DELETE", "")):
+                status, document = client.json(method,
+                                               f"/jobs/{ids[0]}{suffix}")
+                assert status == 404
+                assert document["error"]["type"] == "JobNotFound"
+            # Its body makes a new job, served from the store.
+            runs = len(calls)
+            status, fresh = client.json("POST", "/jobs", bodies[0])
+            assert status == 201
+            assert fresh["deduplicated"] is False
+            assert fresh["id"] not in ids
+            assert client.poll(fresh["id"])["cache"] == "hit"
+            assert len(calls) == runs == 3 * cap
+        finally:
+            service.close()
+
+    def test_queued_and_running_jobs_are_never_evicted(
+            self, tmp_path, fig3_gate, monkeypatch):
+        calls, release, started = fig3_gate
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+        one = {"study": "fig3", "params": {"unit_width": 6.0}}
+        two = {"study": "fig3", "params": {"unit_width": 7.0}}
+        service = _start(tmp_path, workers=1)
+        try:
+            client = Client(service)
+            blocker = client.json("POST", "/jobs", {"study": "fig3"})[1]["id"]
+            assert started.wait(POLL_TIMEOUT_S)
+            cancelled = client.json("POST", "/jobs", one)[1]["id"]
+            client.json("DELETE", f"/jobs/{cancelled}")
+            retry = client.json("POST", "/jobs", one)[1]["id"]
+            doomed = client.json("POST", "/jobs", two)[1]["id"]
+            client.json("DELETE", f"/jobs/{doomed}")
+            # Two cancellations over a cap of one: the first is evicted,
+            # the running blocker and the queued retry stay.
+            listing = client.json("GET", "/jobs")[1]["jobs"]
+            assert [job["id"] for job in listing] == [blocker, retry, doomed]
+            assert client.json("GET", f"/jobs/{cancelled}")[0] == 404
+            # The evicted job's dedup entry had moved to the retry.
+            status, again = client.json("POST", "/jobs", one)
+            assert (status, again["id"]) == (200, retry)
+            release.set()
+            assert client.poll(retry)["status"] == "done"
+            listing = client.json("GET", "/jobs")[1]["jobs"]
+            assert [job["id"] for job in listing] == [retry]
+            assert client.json("GET", "/metrics")[1]["jobs"]["done"] == 1
+            assert len(calls) == 2
+        finally:
+            release.set()
             service.close()
 
 
