@@ -11,11 +11,12 @@ the Liberty export:
   (:func:`gate_transistor_netlist`), stimulated with a sensitised input
   pulse, and its 50 %-to-50 % delays and supply energy are measured on
   waveforms from the vectorized batch transient engine
-  (:func:`~repro.circuit.simulator.run_transient_batch`).  One batch
-  integrates a whole ``(drive × load × slew × corner)`` grid per cell.
-  :func:`measured_timing_models` distils the grid back into linear-delay
-  :class:`CellTimingModel` entries so the Liberty export can carry
-  measured rather than estimated delays
+  (:func:`~repro.circuit.simulator.run_transient_batch`).  Each cell's
+  ``(drive × load × slew × corner)`` grid is planned on its own time
+  base, and one kernel call integrates the grids of every cell.
+  :func:`measured_timing_models` distils the grids back into
+  linear-delay :class:`CellTimingModel` entries so the Liberty export
+  can carry measured rather than estimated delays
   (``build_library(timing_source="measured")``).
 
 Either technology can be instantiated:
@@ -54,6 +55,7 @@ True
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -336,7 +338,9 @@ class CharacterizationSweep:
     ``points`` is flat in ``itertools.product`` order over
     ``(cells, drive_strengths, loads, slews, corners)`` — last axis
     fastest — and :meth:`grid` reshapes any per-point metric back into the
-    dense 5-D array.
+    dense 5-D array.  When the cells sit on different drive axes,
+    ``drive_strengths`` holds one axis per cell and the drive index of
+    :meth:`grid` counts along each cell's own axis.
     """
 
     cells: Tuple[str, ...]
@@ -348,11 +352,10 @@ class CharacterizationSweep:
 
     @property
     def shape(self) -> Tuple[int, int, int, int, int]:
-        return (
-            len(self.cells), len(self.drive_strengths),
-            len(self.load_capacitances_f), len(self.input_slews_s),
-            len(self.corners),
-        )
+        cells, loads = len(self.cells), len(self.load_capacitances_f)
+        slews, corners = len(self.input_slews_s), len(self.corners)
+        drives = len(self.points) // (cells * loads * slews * corners)
+        return (cells, drives, loads, slews, corners)
 
     def grid(self, metric: str = "worst_delay_s") -> np.ndarray:
         """Any per-point metric as a ``(cell, drive, load, slew, corner)``
@@ -363,23 +366,16 @@ class CharacterizationSweep:
     def point(self, cell: str, drive_strength: float, load_capacitance_f: float,
               input_slew_s: float, corner: str) -> CellSweepPoint:
         """Look one grid point up by its coordinates."""
-        try:
-            flat = np.ravel_multi_index(
-                (
-                    self.cells.index(cell.upper()),
-                    self.drive_strengths.index(drive_strength),
-                    self.load_capacitances_f.index(load_capacitance_f),
-                    self.input_slews_s.index(input_slew_s),
-                    self.corners.index(corner),
-                ),
-                self.shape,
-            )
-        except ValueError:
-            raise CharacterizationError(
-                f"No sweep point ({cell}, {drive_strength}, "
-                f"{load_capacitance_f}, {input_slew_s}, {corner})"
-            ) from None
-        return self.points[flat]
+        coordinates = (cell.upper(), drive_strength, load_capacitance_f,
+                       input_slew_s, corner)
+        for point in self.points:
+            if (point.cell, point.drive_strength, point.load_capacitance_f,
+                    point.input_slew_s, point.corner) == coordinates:
+                return point
+        raise CharacterizationError(
+            f"No sweep point ({cell}, {drive_strength}, "
+            f"{load_capacitance_f}, {input_slew_s}, {corner})"
+        )
 
 
 def _measure_case(result: TransientResult, pin: str, vdd: float) -> Tuple[float, float, float]:
@@ -472,7 +468,7 @@ def _plan_cell_cases(
     switched_pin: Optional[str],
 ):
     """Lower one cell's full (drive × load × slew × corner) grid into
-    simulation cases sharing one deterministic time base.
+    simulation cases that carry one deterministic time base.
 
     The time base (pulse timing, stop time, step) is derived from the
     analytical delay estimates of the **whole** grid
@@ -483,9 +479,10 @@ def _plan_cell_cases(
     scheduler shard a characterisation sweep across workers
     (:func:`characterize_cases`) without perturbing results.
 
-    Returns ``(gate, pin, labels, cases, stop_time, time_step)`` with
-    ``labels``/``cases`` flat in ``itertools.product`` order over
-    ``(drive, load, slew, corner)`` — last axis fastest.
+    Returns ``(gate, pin, labels, cases)`` with ``labels``/``cases`` flat
+    in ``itertools.product`` order over ``(drive, load, slew, corner)`` —
+    last axis fastest; every case carries the grid's ``(stop_time,
+    time_step)`` as its ``time_base``.
     """
     from ..logic.functions import standard_gate
 
@@ -521,38 +518,62 @@ def _plan_cell_cases(
                 initial[net] = vdd
             elif net.startswith("pd_"):
                 initial[net] = 0.0
-        built.append(SimulationCase(netlist, sources, initial))
+        built.append(SimulationCase(netlist, sources, initial,
+                                    time_base=(stop, time_step)))
 
-    return gate, pin, labels, built, stop, time_step
+    return gate, pin, labels, built
 
 
-def _measure_cases(gate, pin, labels, cases, stop,
-                   time_step) -> List[CellSweepPoint]:
-    """Integrate planned cases as one batch and reduce the waveforms."""
-    results = run_transient_batch(cases, stop_time=stop, time_step=time_step)
+def _measure_plans(plans) -> List[List[CellSweepPoint]]:
+    """Integrate the cases of several planned grids in **one** kernel
+    call — each case on its own grid's time base — and reduce the
+    waveforms: one point list per plan, in case order."""
+    cases = [case for _, _, _, plan_cases in plans for case in plan_cases]
+    stop, time_step = cases[0].time_base
+    results = iter(run_transient_batch(cases, stop_time=stop,
+                                       time_step=time_step))
 
-    points: List[CellSweepPoint] = []
-    for (drive, load, slew, corner_name, vdd), result in zip(labels, results):
-        rise, fall, energy = _measure_case(result, pin, vdd)
-        points.append(
-            CellSweepPoint(
-                cell=gate.name,
-                drive_strength=drive,
-                load_capacitance_f=load,
-                input_slew_s=slew,
-                corner=corner_name,
-                vdd=vdd,
-                delay_rise_s=rise,
-                delay_fall_s=fall,
-                energy_per_cycle_j=energy,
+    measured: List[List[CellSweepPoint]] = []
+    for gate, pin, labels, _ in plans:
+        points: List[CellSweepPoint] = []
+        for (drive, load, slew, corner_name, vdd), result in zip(labels,
+                                                                  results):
+            rise, fall, energy = _measure_case(result, pin, vdd)
+            points.append(
+                CellSweepPoint(
+                    cell=gate.name,
+                    drive_strength=drive,
+                    load_capacitance_f=load,
+                    input_slew_s=slew,
+                    corner=corner_name,
+                    vdd=vdd,
+                    delay_rise_s=rise,
+                    delay_fall_s=fall,
+                    energy_per_cycle_j=energy,
+                )
             )
+        measured.append(points)
+    return measured
+
+
+def _drive_axes(gate_names: Sequence[str],
+                drive_strengths) -> List[Tuple[float, ...]]:
+    """One drive axis per cell: ``drive_strengths`` itself when it is a
+    single axis, else its per-cell axes (one per cell, all of one
+    length)."""
+    if all(isinstance(drive, numbers.Real) for drive in drive_strengths):
+        return [tuple(drive_strengths)] * len(gate_names)
+    axes = [tuple(axis) for axis in drive_strengths]
+    if len(axes) != len(gate_names) or len({len(axis) for axis in axes}) > 1:
+        raise CharacterizationError(
+            "Per-cell drive axes need one axis per cell, all of one length"
         )
-    return points
+    return axes
 
 
 def characterize_sweep(
     gate_names: Sequence[str] = ("INV", "NAND2"),
-    drive_strengths: Sequence[float] = (1.0, 2.0),
+    drive_strengths: Sequence = (1.0, 2.0),
     load_capacitances_f: Sequence[float] = MEASURED_LOADS_F,
     input_slews_s: Sequence[float] = (MEASURED_SLEW_S,),
     corners: Optional[Mapping[str, TechnologyConfig]] = None,
@@ -561,12 +582,18 @@ def characterize_sweep(
 ) -> CharacterizationSweep:
     """Measure every cell across a (drive × load × slew × corner) grid.
 
-    For each cell the whole grid is lowered to topology-identical
+    Each cell's grid is lowered to
     :class:`~repro.circuit.simulator.SimulationCase` corners — device
     sizes per drive, explicit output capacitors per load, stimulus edges
-    per slew, devices/supply per corner — and integrated in **one**
-    vectorized batch; the per-corner waveforms are then reduced to rise /
-    fall delay and energy.
+    per slew, devices/supply per corner — on that cell's own time base,
+    and the grids of **all** cells integrate in one vectorized kernel
+    call; the per-corner waveforms are then reduced to rise / fall delay
+    and energy.
+
+    ``drive_strengths`` is the drive axis of every cell, or one axis per
+    cell (aligned with ``gate_names``, all of one length), which lets one
+    call measure cells that each sit at their own drives — the cells of a
+    mapped circuit (:func:`measured_timing_models`).
     """
     from ..logic.functions import standard_gate
 
@@ -574,24 +601,22 @@ def characterize_sweep(
     if not (gate_names and drive_strengths and load_capacitances_f
             and input_slews_s and corners):
         raise CharacterizationError("characterize_sweep needs non-empty axes")
+    axes = _drive_axes(gate_names, drive_strengths)
 
-    points: List[CellSweepPoint] = []
-    for gate_name in gate_names:
-        gate, pin, labels, built, stop, time_step = _plan_cell_cases(
-            gate_name, drive_strengths, load_capacitances_f, input_slews_s,
-            corners, unit_width, switched_pin,
-        )
-        points.extend(
-            _measure_cases(gate, pin, labels, built, stop, time_step)
-        )
-
+    plans = [
+        _plan_cell_cases(gate_name, axis, load_capacitances_f, input_slews_s,
+                         corners, unit_width, switched_pin)
+        for gate_name, axis in zip(gate_names, axes)
+    ]
     return CharacterizationSweep(
         cells=tuple(standard_gate(name).name for name in gate_names),
-        drive_strengths=tuple(drive_strengths),
+        drive_strengths=(axes[0] if axes.count(axes[0]) == len(axes)
+                         else tuple(axes)),
         load_capacitances_f=tuple(load_capacitances_f),
         input_slews_s=tuple(input_slews_s),
         corners=tuple(corners),
-        points=points,
+        points=[point for points in _measure_plans(plans)
+                for point in points],
     )
 
 
@@ -621,7 +646,7 @@ def characterize_cases(
             and corners):
         raise CharacterizationError("characterize_cases needs non-empty axes")
 
-    gate, pin, labels, built, stop, time_step = _plan_cell_cases(
+    gate, pin, labels, built = _plan_cell_cases(
         gate_name, drive_strengths, load_capacitances_f, input_slews_s,
         corners, unit_width, switched_pin,
     )
@@ -634,8 +659,7 @@ def characterize_cases(
             )
     selected_labels = [labels[index] for index in case_indices]
     selected_cases = [built[index] for index in case_indices]
-    return _measure_cases(gate, pin, selected_labels, selected_cases,
-                          stop, time_step)
+    return _measure_plans([(gate, pin, selected_labels, selected_cases)])[0]
 
 
 def format_characterization(sweep: CharacterizationSweep) -> str:
@@ -656,53 +680,58 @@ def format_characterization(sweep: CharacterizationSweep) -> str:
 
 
 def measured_timing_models(
-    gate: GateNetworks,
+    cells: Sequence[Tuple[GateNetworks, Sequence[float]]],
     tech: TechnologyConfig,
     unit_width: float = 4.0,
-    drive_strengths: Sequence[float] = (1.0,),
     loads: Sequence[float] = MEASURED_LOADS_F,
     slew: float = MEASURED_SLEW_S,
-) -> Dict[float, CellTimingModel]:
+) -> List[Dict[float, CellTimingModel]]:
     """Distil measured waveform delays into linear Liberty-ready models.
 
-    Runs one batch sweep of the gate over ``drive_strengths × loads``,
-    fits worst-case delay against load per drive (least squares), and
-    returns models whose ``drive_resistance`` is the fitted slope and
-    ``parasitic_capacitance`` the zero-load intercept — so
+    Each ``(gate, drive_strengths)`` cell is swept over ``drive_strengths
+    × loads`` on its own grid (drive axes of one length), and every cell
+    is measured by one :func:`characterize_sweep` — one kernel call.  Per
+    cell and drive, worst-case delay is fitted against load (least
+    squares), and the models' ``drive_resistance`` is the fitted slope
+    and ``parasitic_capacitance`` the zero-load intercept — so
     ``stage_delay(load)`` reproduces the *measured* delays instead of the
     logical-effort estimate.  Input capacitance keeps the analytical
-    per-pin value (the delay fit cannot observe it).
+    per-pin value (the delay fit cannot observe it).  Returns one
+    ``{drive: model}`` mapping per cell, in order.
     """
     if len(loads) < 2:
         raise CharacterizationError(
             "measured_timing_models needs >= 2 load points for the delay fit"
         )
     sweep = characterize_sweep(
-        gate_names=(gate.name,),
-        drive_strengths=drive_strengths,
+        gate_names=[gate.name for gate, _ in cells],
+        drive_strengths=[tuple(drives) for _, drives in cells],
         load_capacitances_f=loads,
         input_slews_s=(slew,),
         corners={"nominal": tech},
         unit_width=unit_width,
     )
-    delays = sweep.grid("worst_delay_s")[0, :, :, 0, 0]     # (drive, load)
+    delays = sweep.grid("worst_delay_s")[:, :, :, 0, 0]   # (cell, drive, load)
     load_axis = np.array(loads)
-    models: Dict[float, CellTimingModel] = {}
-    for drive_i, drive in enumerate(drive_strengths):
-        slope, intercept = np.polyfit(load_axis, delays[drive_i], 1)
-        if slope <= 0:
-            raise CharacterizationError(
-                f"Measured delay of {gate.name!r} at {drive:g}X does not "
-                "increase with load; fit is unusable"
+    fitted: List[Dict[float, CellTimingModel]] = []
+    for (gate, drive_strengths), cell_delays in zip(cells, delays):
+        models: Dict[float, CellTimingModel] = {}
+        for drive, drive_delays in zip(drive_strengths, cell_delays):
+            slope, intercept = np.polyfit(load_axis, drive_delays, 1)
+            if slope <= 0:
+                raise CharacterizationError(
+                    f"Measured delay of {gate.name!r} at {drive:g}X does "
+                    "not increase with load; fit is unusable"
+                )
+            analytical = characterize_gate(
+                gate, tech, unit_width=unit_width, drive_strength=drive
             )
-        analytical = characterize_gate(
-            gate, tech, unit_width=unit_width, drive_strength=drive
-        )
-        models[drive] = CellTimingModel(
-            cell_type=gate.name,
-            drive_strength=drive,
-            input_capacitance=analytical.input_capacitance,
-            drive_resistance=float(slope),
-            parasitic_capacitance=float(max(intercept, 0.0) / slope),
-        )
-    return models
+            models[drive] = CellTimingModel(
+                cell_type=gate.name,
+                drive_strength=drive,
+                input_capacitance=analytical.input_capacitance,
+                drive_resistance=float(slope),
+                parasitic_capacitance=float(max(intercept, 0.0) / slope),
+            )
+        fitted.append(models)
+    return fitted

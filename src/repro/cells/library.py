@@ -176,10 +176,10 @@ def build_library(
     for the comparisons of Section V.
 
     ``timing_source`` selects the electrical view: ``"logical_effort"``
-    keeps the fast RC abstraction; ``"measured"`` runs each gate's drive
-    strengths through one batch transient sweep
-    (:func:`~repro.cells.characterize.measured_timing_models`) so the
-    Liberty export carries waveform-measured delays.
+    keeps the fast RC abstraction; ``"measured"`` sweeps each gate's
+    drive strengths on its own grid, every gate in one transient kernel
+    call (:func:`~repro.cells.characterize.measured_timing_models`), so
+    the Liberty export carries waveform-measured delays.
     """
     if scheme not in (SCHEME_STACKED, SCHEME_SIDE_BY_SIDE):
         raise LibraryError(f"Unknown scheme {scheme}")
@@ -189,14 +189,15 @@ def build_library(
     library = StandardCellLibrary(name, scheme, technology, unit_width, rules,
                                   timing_source=timing_source)
 
+    measured: Dict[str, Dict[float, object]] = {}
+    if timing_source == "measured":
+        measured = dict(zip(gate_names, measured_timing_models(
+            [(standard_gate(name), drive_strengths) for name in gate_names],
+            technology, unit_width=unit_width, loads=measured_loads,
+            slew=measured_slew,
+        )))
     for gate_name in gate_names:
-        gate_timing: Dict[float, object] = {}
-        if timing_source == "measured":
-            gate_timing = measured_timing_models(
-                standard_gate(gate_name), technology, unit_width=unit_width,
-                drive_strengths=drive_strengths, loads=measured_loads,
-                slew=measured_slew,
-            )
+        gate_timing = measured.get(gate_name, {})
         for drive in drive_strengths:
             gate = standard_gate(gate_name)
             layout = assemble_cell(

@@ -15,18 +15,28 @@ Engines
 One public engine and one reference implement identical integration
 semantics:
 
-* the **batch engine** lowers each :class:`SimulationCase` once into
-  NumPy structure arrays (see *Precompiled array layout
+* the **batch engine** lowers a batch of :class:`SimulationCase` once
+  into NumPy structure arrays (see *Precompiled array layout*) and
+  integrates every case in one sub-step loop
+  (:func:`run_transient_batch`, :meth:`TransientSimulator.run`);
+* the **reference** (:meth:`TransientSimulator.run_reference`) is the
+  scalar per-substep loop the batch engine mirrors operation for
+  operation; the two are bit-identical.
+
+Precompiled array layout
 ------------------------
-:class:`CompiledTransientBatch` lowers ``B`` topology-identical cases with
-``T`` transistors (``n_devices`` n-type ones first), ``N`` nets (``I`` of
-them integrated), ``S`` driven source nets and at most ``R``
-contributions per net into:
+:class:`CompiledTransientBatch` lowers ``B`` cases into columns.  Cases of
+one topology form a *block*: the union over blocks has ``T`` transistors
+(``n_devices`` n-type ones first), ``N`` state rows (``I`` of them
+integrated nets), ``S`` driven source nets and at most ``R``
+contributions per net.  Cases of one time base form a *group*, whose
+columns are contiguous; ``G`` groups make the schedule:
 
 ====================  ==============  ==================================
 array                 shape           contents
 ====================  ==============  ==================================
-``rows``              ``(N,)``        state row of each of ``net_names``
+``block_rows``        ``(N_b,)``      state row of each of a block's
+                                      ``block_nets``
 ``terminal_idx``      ``(3T,)``       gate, drain, source state rows
 ``prefactor``         ``(T, B)``      saturation current at full drive [A]
 ``vth``               ``(T, B)``      threshold voltage magnitude [V]
@@ -36,22 +46,36 @@ array                 shape           contents
 ``rank_table``        ``(R, I+1)``    drive rows summed into each net
                                       and (last column) the supply
 ``pwl times/vals``    ``(B, S, P)``   padded source breakpoints
+sub-step sizes        ``(K, G)``      per group, deduplicated into at
+                                      most one ``(B,)`` row per distinct
+                                      size (a float when all agree)
 ``voltages``          ``(N, B)``      the integration state matrix
 ====================  ==============  ==================================
 
 Kernel arrays are batch-minor: every row is one net or device across
 the batch, so each slice the sub-step loop touches is contiguous.  State
-rows are permuted (integrated nets, then driven nets, then rails), so the
-update, clamp and stimulus write act on views; ``rows`` undoes the
-permutation when waveforms are handed back under their net names.  One
-gather through ``terminal_idx`` fetches every terminal voltage, and one
-gather through ``rank_table`` lays out every net's current contributions
-(see :meth:`CompiledTransientBatch._march`).
+rows are permuted (integrated nets, then driven nets, block by block,
+then the rails), so the update, clamp and stimulus write act on views;
+``block_rows`` undoes the permutation when waveforms are handed back
+under their net names.  One gather through ``terminal_idx`` fetches
+every terminal voltage, and one gather through ``rank_table`` lays out
+every net's current contributions (see
+:meth:`CompiledTransientBatch._march`).
 
 Per-case quantities (``prefactor`` .. ``capacitance``) carry the batch
-axis, so corners may vary device parameters, loading, supply and stimuli;
-the topology (net list, device connectivity and polarity, driven nets)
-must match across the batch.
+axis, so corners may vary device parameters, loading, supply and
+stimuli.  The rails are shared by every block; all other nets belong to
+one block.  In a column, the devices of other blocks carry zero drive,
+so they add exactly ``±0.0`` — to their own nets, which the column never
+reports, and to the supply column, where ``±0.0`` leaves the sum
+bit-identical (the ``+0.0`` padding argument of the rank table).
+
+Each column steps with its own group's sub-step sizes.  A group whose
+schedule ends before the longest one takes ``dt = 0.0`` steps after its
+last sample; they add ``±0.0`` to a supply charge that is never
+``-0.0``.  The stimulus "changed" mask is the union over columns, each
+at its own times (holding its last value once its schedule ends), and
+each group records its samples at its own interval boundaries.
 
 Stability sub-stepping rule
 ---------------------------
@@ -65,8 +89,9 @@ circuits without making long runs unaffordable; the rule lives in
 Batch-axis semantics
 --------------------
 The batch axis is first-class: :func:`run_transient_batch` takes a list of
-:class:`SimulationCase` and returns one :class:`TransientResult` per case,
-in order.
+:class:`SimulationCase` — of any topologies, each on its own time base
+or on the call's — and returns one :class:`TransientResult` per case, in
+order.
 
 >>> from repro.circuit import (SimulationCase, build_inverter_chain,
 ...                            cmos_inverter, run_transient_batch,
@@ -87,7 +112,9 @@ True
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
@@ -207,28 +234,25 @@ class TransientResult:
         """
         voltages = self.voltage(net)
         times = self.time
-        for index in range(1, len(times)):
-            if times[index] < after:
-                continue
-            previous, current = voltages[index - 1], voltages[index]
-            crossed_up = previous < level <= current
-            crossed_down = previous > level >= current
-            if rising is True and not crossed_up:
-                continue
-            if rising is False and not crossed_down:
-                continue
-            if crossed_up or crossed_down:
-                # A strict crossing implies previous != current, so the
-                # interpolation denominator is never zero.
-                fraction = (level - previous) / (current - previous)
-                crossing = times[index - 1] + fraction * (
-                    times[index] - times[index - 1]
-                )
-                # A segment straddling ``after`` may cross before it; a
-                # linear segment crosses a level at most once, so such a
-                # crossing is simply outside the window — keep looking.
-                if crossing >= after:
-                    return crossing
+        previous, current = voltages[:-1], voltages[1:]
+        crossed_up = (previous < level) & (level <= current)
+        crossed_down = (previous > level) & (level >= current)
+        crossed = (crossed_up if rising is True else
+                   crossed_down if rising is False else
+                   crossed_up | crossed_down)
+        # Segments ending before ``after`` are out of the window.  A
+        # strict crossing implies previous != current, so the
+        # interpolation denominator is never zero.
+        index = np.flatnonzero(crossed & (times[1:] >= after))
+        start, end = times[index], times[index + 1]
+        fraction = (level - previous[index]) / (current[index] - previous[index])
+        crossings = start + fraction * (end - start)
+        # A segment straddling ``after`` may cross before it; a linear
+        # segment crosses a level at most once, so such a crossing is
+        # simply outside the window.
+        inside = np.flatnonzero(crossings >= after)
+        if inside.size:
+            return crossings[inside[0]]
         raise SimulationError(f"Net {net!r} never crosses {level} V after {after}")
 
     def propagation_delay(self, input_net: str, output_net: str,
@@ -255,17 +279,20 @@ class SimulationCase:
     """One corner of a batch transient run.
 
     A case bundles a netlist (which carries the device instances, loading
-    and supply of that corner), the stimulus of every driven net, and
-    optional initial conditions.  All cases of one batch must share the
-    same *topology* — net names and order, device connectivity and
-    polarity, and the set of driven nets — while device parameters,
-    capacitances, supply voltage, stimuli and initial conditions are free
-    to vary per case.
+    and supply of that corner), the stimulus of every driven net,
+    optional initial conditions and an optional time base
+    ``(stop_time, time_step)``; ``None`` takes the time base of the call.
+    Cases of one batch are free to differ in all of it: cases that share
+    a *topology* — net names and order, device connectivity and
+    polarity, and the set of driven nets — form one block of the packed
+    state, and cases that share a time base form one sampling group (see
+    :class:`CompiledTransientBatch`).
     """
 
     netlist: TransistorNetlist
     sources: Mapping[str, PiecewiseLinearSource]
     initial_conditions: Optional[Mapping[str, float]] = None
+    time_base: Optional[Tuple[float, float]] = None
 
 
 def _device_power_law(device) -> Tuple[float, float, float, float]:
@@ -293,87 +320,195 @@ def _device_power_law(device) -> Tuple[float, float, float, float]:
     return prefactor, params.threshold_voltage, nominal_ov, params.alpha
 
 
+#: ``(prefactor, vth, nominal_ov, alpha)`` of a device in the column of a
+#: case from another block: no drive, and a unit overdrive scale and index
+#: so every lane of the power law stays finite and the device current is
+#: an exact ``±0.0``.
+_ABSENT_DEVICE = (0.0, 0.0, 1.0, 1.0)
+
+
+def _substep_schedule(stop_time: float, time_step: float):
+    """``(sample times, sub-step start times, sub-step sizes, sample
+    boundaries)`` of one time base; sample ``i`` is taken before
+    sub-step ``boundaries[i]``.
+
+    The schedule loop mirrors the reference token for token (in Python
+    floats, which round exactly as NumPy's float64 scalars): sources are
+    read at the *start* of each sub-step, and the sample recorded at a
+    boundary still holds the source value of the previous sub-step.
+    """
+    sample_count = int(math.ceil(stop_time / time_step)) + 1
+    times = np.linspace(0.0, stop_time, sample_count)
+    substep = stability_substep(stop_time, time_step)
+    step_times, step_sizes = array("d"), array("d")
+    boundaries = [0]
+    edges = times.tolist()
+    for time, segment_end in zip(edges, edges[1:]):
+        while time < segment_end - 1e-21:
+            dt = min(substep, segment_end - time)
+            step_times.append(time)
+            step_sizes.append(dt)
+            time += dt
+        boundaries.append(len(step_sizes))
+    return (times, np.frombuffer(step_times), np.frombuffer(step_sizes),
+            boundaries)
+
+
+def _step_sizes(sizes: Sequence[np.ndarray], column_group: Sequence[int]):
+    """One entry per sub-step of the longest schedule: a float when every
+    group steps by the same ``dt`` (always, for one group), else a
+    ``(B,)`` row of each column's ``dt``, ``0.0`` past the end of its
+    group's schedule.
+
+    The sizes only change between runs of sub-steps, so only the first
+    sub-step of each run is deduplicated: one object per distinct
+    combination of group sizes, never a (sub-steps x columns) table.
+    """
+    steps = max(len(dts) for dts in sizes)
+    table = np.zeros((steps, len(sizes)))
+    for group, dts in enumerate(sizes):
+        table[:len(dts), group] = dts
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (table[1:] != table[:-1]).any(axis=1))))
+    distinct, inverse = np.unique(table[starts], axis=0, return_inverse=True)
+    choices = [float(row[0]) if (row == row[0]).all()
+               else row[list(column_group)] for row in distinct]
+    lengths = np.diff(np.append(starts, steps)).tolist()
+    return list(itertools.chain.from_iterable(
+        itertools.repeat(choices[i], length)
+        for i, length in zip(inverse.ravel().tolist(), lengths)))
+
+
+def _state_key(block: int, net: str):
+    """State-row key of a net: the rails are shared by every block, any
+    other net belongs to its block alone."""
+    return net if net in (VDD, GND) else (block, net)
+
+
 class CompiledTransientBatch:
-    """A batch of topology-identical cases lowered to structure arrays.
+    """A batch of cases lowered to one set of structure arrays.
 
     Compile once, integrate many times: the constructor performs all
-    name-based work (net indexing, terminal lowering, capacitance
-    extraction, PWL padding); :meth:`integrate` then runs the explicit
-    sub-stepped integration purely on arrays.
+    name-based work (topology blocks, net indexing, terminal lowering,
+    capacitance extraction, PWL padding); :meth:`integrate` then runs the
+    explicit sub-stepped integration purely on arrays.
     """
 
     def __init__(self, cases: Sequence[SimulationCase]):
         if not cases:
             raise SimulationError("A batch needs at least one SimulationCase")
         self.cases = list(cases)
-        first = self.cases[0].netlist
-        self._topology_nets: List[str] = first.nets()
-        self.source_nets: List[str] = list(self.cases[0].sources)
-        # A source may drive a net no device references (the reference
-        # simply records its waveform); give such nets state columns too so
-        # the engines stay bit-identical.
-        self.net_names: List[str] = self._topology_nets + [
-            net for net in self.source_nets if net not in self._topology_nets
-        ]
-        self._validate_topology()
+        self._validate_cases()
 
-        batch = len(self.cases)
-        self.batch_size = batch
+        # -- blocks and groups (see "Precompiled array layout") -----------
+        # Cases of one topology share a block; cases of one time base
+        # share a group, whose columns are contiguous.
+        block_of: Dict[tuple, int] = {}
+        group_of: Dict[Optional[Tuple[float, float]], int] = {}
+        representatives: List[SimulationCase] = []
+        case_block: List[int] = []
+        case_group: List[int] = []
+        for case in self.cases:
+            key = (
+                tuple(case.netlist.nets()),
+                tuple((t.gate, t.drain, t.source, t.polarity)
+                      for t in case.netlist.transistors),
+                frozenset(case.sources),
+            )
+            if key not in block_of:
+                block_of[key] = len(representatives)
+                representatives.append(case)
+            case_block.append(block_of[key])
+            base = None if case.time_base is None else tuple(case.time_base)
+            case_group.append(group_of.setdefault(base, len(group_of)))
+        #: Case index of every column: the cases, stably sorted by group.
+        self.columns: List[int] = sorted(range(len(self.cases)),
+                                         key=case_group.__getitem__)
+        self.column_block = [case_block[i] for i in self.columns]
+        self.column_group = [case_group[i] for i in self.columns]
+        self.group_bases = list(group_of)
+        self.group_columns: List[Tuple[int, int]] = []
+        for group in range(len(self.group_bases)):
+            start = self.column_group.index(group)
+            self.group_columns.append(
+                (start, start + self.column_group.count(group)))
+        batch = self.batch_size = len(self.cases)
 
-        # -- state rows (see "Precompiled array layout") ------------------
-        # Integrated nets, then driven nets, then the rest; ``rows[k]`` is
-        # the state row of ``net_names[k]``.
-        driven = set(self.source_nets)
-        self.integrated_nets = [
-            net for net in self._topology_nets
-            if net not in (VDD, GND) and net not in driven
+        # -- state rows ---------------------------------------------------
+        # Integrated nets, then driven nets (block by block), then the
+        # shared rails; ``block_rows[b][k]`` is the state row of
+        # ``block_nets[b][k]``.  A source may drive a net no device
+        # references (the reference simply records its waveform); such
+        # nets get state rows too so the engines stay bit-identical.
+        self.block_nets: List[List[str]] = []
+        integrated: List[Tuple[int, str]] = []
+        driven: List[Tuple[int, str]] = []
+        self.source_spans: List[Tuple[int, int]] = []
+        for block, case in enumerate(representatives):
+            topology = case.netlist.nets()
+            sources = list(case.sources)
+            self.block_nets.append(
+                topology + [net for net in sources if net not in topology])
+            integrated += [(block, net) for net in topology
+                           if net not in (VDD, GND) and net not in sources]
+            self.source_spans.append((len(driven), len(driven) + len(sources)))
+            driven += [(block, net) for net in sources]
+        self.nodes = len(integrated)
+        self.source_keys = driven
+        layout = integrated + driven + [VDD, GND]
+        row = {key: i for i, key in enumerate(layout)}
+        self.block_rows: List[List[int]] = [
+            [row[_state_key(block, net)] for net in nets]
+            for block, nets in enumerate(self.block_nets)
         ]
-        layout = self.integrated_nets + self.source_nets
-        placed = set(layout)
-        layout += [net for net in self.net_names if net not in placed]
-        row = {net: i for i, net in enumerate(layout)}
-        self.rows: List[int] = [row[net] for net in self.net_names]
 
         # -- terminals ----------------------------------------------------
-        # Kernel device order puts n-type devices first, so the gate
-        # overdrive of each polarity is one subtraction on a view.
-        # ``terminal_idx`` lists the gate, then drain, then source row of
-        # every device: one gather fetches all terminal voltages.
-        transistors = first.transistors
-        order = sorted(range(len(transistors)),
-                       key=lambda k: transistors[k].polarity != "n")
-        self.n_devices = sum(t.polarity == "n" for t in transistors)
+        # Kernel device order puts n-type devices first (block by block),
+        # so the gate overdrive of each polarity is one subtraction on a
+        # view.  ``terminal_idx`` lists the gate, then drain, then source
+        # row of every device: one gather fetches all terminal voltages.
+        devices = [(block, k, t)
+                   for block, case in enumerate(representatives)
+                   for k, t in enumerate(case.netlist.transistors)]
+        order = sorted(range(len(devices)),
+                       key=lambda d: devices[d][2].polarity != "n")
+        position = {devices[d][:2]: p for p, d in enumerate(order)}
+        self.n_devices = sum(t.polarity == "n" for _, _, t in devices)
         self.terminal_idx = np.array(
-            [row[transistors[k].gate] for k in order]
-            + [row[transistors[k].drain] for k in order]
-            + [row[transistors[k].source] for k in order],
+            [row[_state_key(devices[d][0], devices[d][2].gate)]
+             for d in order]
+            + [row[_state_key(devices[d][0], devices[d][2].drain)]
+               for d in order]
+            + [row[_state_key(devices[d][0], devices[d][2].source)]
+               for d in order],
             dtype=np.intp,
         )
 
-        # -- per-case device parameters (T, B), kernel order --------------
-        params = np.array(
-            [
-                [_device_power_law(case.netlist.transistors[k].device)
-                 for case in self.cases]
-                for k in order
-            ],
-            dtype=float,
-        ).reshape(len(order), batch, 4)
+        # -- per-column device parameters (T, B), kernel order ------------
+        # A device of another block gets ``_ABSENT_DEVICE`` in a column.
+        params = np.empty((len(devices), batch, 4))
+        params[...] = _ABSENT_DEVICE
+        for column, case_i in enumerate(self.columns):
+            block = self.column_block[column]
+            for k, t in enumerate(self.cases[case_i].netlist.transistors):
+                params[position[block, k], column] = \
+                    _device_power_law(t.device)
         self.prefactor, self.vth, self.nominal_ov, self.alpha = (
             np.ascontiguousarray(params[:, :, field_i]) for field_i in range(4)
         )
 
         # -- integrated-net capacitance (I, B) ----------------------------
-        self.capacitance = np.array(
-            [
-                [
-                    max(case.netlist.node_capacitance(net), MINIMUM_NODE_CAPACITANCE)
-                    for case in self.cases
-                ]
-                for net in self.integrated_nets
-            ],
-            dtype=float,
-        ).reshape(len(self.integrated_nets), batch)
+        # Another block's nets only ever receive ``±0.0`` in a column, so
+        # any positive capacitance keeps them exactly where they started.
+        self.capacitance = np.ones((self.nodes, batch))
+        for column, case_i in enumerate(self.columns):
+            netlist = self.cases[case_i].netlist
+            block = self.column_block[column]
+            for node, (owner, net) in enumerate(integrated):
+                if owner == block:
+                    self.capacitance[node, column] = max(
+                        netlist.node_capacitance(net),
+                        MINIMUM_NODE_CAPACITANCE)
 
         # -- accumulation table -------------------------------------------
         # Each sub-step the kernel fills the drive rows ``[i_drain |
@@ -384,75 +519,77 @@ class CompiledTransientBatch:
         # ``rank_table`` lists, in that order, the drive rows of integrated
         # net ``j``'s contributions (a drain adds -i_drain, a source
         # +i_drain); column ``I`` does the same for the supply (a drain on
-        # Vdd adds +i_drain, a source on Vdd -i_drain).  Row ``r`` holds
-        # every net's (r+1)-th contribution; shorter columns are padded
-        # with the ``+0.0`` drive row.
-        devices = len(transistors)
-        kernel_position = {k: p for p, k in enumerate(order)}
-        target = {net: j for j, net in enumerate(self.integrated_nets)}
+        # Vdd adds +i_drain, a source on Vdd -i_drain), block after block.
+        # Row ``r`` holds every net's (r+1)-th contribution; shorter
+        # columns are padded with the ``+0.0`` drive row.
+        target = {key: j for j, key in enumerate(integrated)}
         contributions: List[List[int]] = [[] for _ in range(len(target) + 1)]
         supply = contributions[-1]
-        for k, t in enumerate(transistors):
-            forward = kernel_position[k]
-            reverse = devices + forward
-            if t.drain in target:
-                contributions[target[t.drain]].append(reverse)
-            if t.source in target:
-                contributions[target[t.source]].append(forward)
-            if t.drain == VDD:
-                supply.append(forward)
-            if t.source == VDD:
-                supply.append(reverse)
+        for block, case in enumerate(representatives):
+            for k, t in enumerate(case.netlist.transistors):
+                forward = position[block, k]
+                reverse = len(devices) + forward
+                drain = _state_key(block, t.drain)
+                source = _state_key(block, t.source)
+                if drain in target:
+                    contributions[target[drain]].append(reverse)
+                if source in target:
+                    contributions[target[source]].append(forward)
+                if t.drain == VDD:
+                    supply.append(forward)
+                if t.source == VDD:
+                    supply.append(reverse)
         ranks = max(1, max(len(slots) for slots in contributions))
-        self.rank_table = np.full((ranks, len(contributions)), 2 * devices,
-                                  dtype=np.intp)
+        self.rank_table = np.full((ranks, len(contributions)),
+                                  2 * len(devices), dtype=np.intp)
         for j, slots in enumerate(contributions):
             self.rank_table[:len(slots), j] = slots
 
-        # -- per-case rails, clamp bounds, initial state ------------------
-        self.vdd = np.array([case.netlist.vdd for case in self.cases])
+        # -- per-column rails, clamp bounds, initial state ----------------
+        column_cases = [self.cases[i] for i in self.columns]
+        self.vdd = np.array([case.netlist.vdd for case in column_cases])
         self.clamp_low = np.array(
-            [-0.1 * case.netlist.vdd for case in self.cases]
+            [-0.1 * case.netlist.vdd for case in column_cases]
         )[None, :]
         self.clamp_high = np.array(
-            [1.1 * case.netlist.vdd for case in self.cases]
+            [1.1 * case.netlist.vdd for case in column_cases]
         )[None, :]
 
-        self.initial_voltages = np.zeros((len(self.net_names), batch))
+        self.initial_voltages = np.zeros((len(layout), batch))
         self.initial_voltages[row[VDD]] = self.vdd
-        for case_i, case in enumerate(self.cases):
+        for column, case in enumerate(column_cases):
+            block = self.column_block[column]
             conditions = dict(case.initial_conditions or {})
-            for net in self.integrated_nets:
-                self.initial_voltages[row[net], case_i] = conditions.get(net, 0.0)
-            for net in self.source_nets:
-                self.initial_voltages[row[net], case_i] = \
+            for node, (owner, net) in enumerate(integrated):
+                if owner == block:
+                    self.initial_voltages[node, column] = \
+                        conditions.get(net, 0.0)
+            for source_i in range(*self.source_spans[block]):
+                net = self.source_keys[source_i][1]
+                self.initial_voltages[self.nodes + source_i, column] = \
                     case.sources[net].value(0.0)
 
         # -- padded PWL tables (B, S, P) ----------------------------------
-        longest = 1
-        for case in self.cases:
-            for net in self.source_nets:
-                longest = max(longest, len(case.sources[net].points))
-        shape = (batch, len(self.source_nets), longest)
+        # Sources of another block stay all padding (``t = inf``, value
+        # 0.0), which evaluates to a constant 0.0.
+        longest = max([1] + [len(source.points) for case in column_cases
+                             for source in case.sources.values()])
+        shape = (batch, len(driven), longest)
         self.pwl_times = np.full(shape, np.inf)
         self.pwl_values = np.zeros(shape)
-        for case_i, case in enumerate(self.cases):
-            for source_i, net in enumerate(self.source_nets):
-                points = list(case.sources[net].points)
+        for column, case in enumerate(column_cases):
+            for source_i in range(*self.source_spans[self.column_block[column]]):
+                points = list(case.sources[self.source_keys[source_i][1]].points)
                 for point_i, (t, v) in enumerate(points):
-                    self.pwl_times[case_i, source_i, point_i] = t
-                    self.pwl_values[case_i, source_i, point_i] = v
+                    self.pwl_times[column, source_i, point_i] = t
+                    self.pwl_values[column, source_i, point_i] = v
                 # Pad with the final value so interpolation into the pad
                 # region reproduces the "hold last value" rule exactly.
-                self.pwl_values[case_i, source_i, len(points):] = points[-1][1]
+                self.pwl_values[column, source_i, len(points):] = points[-1][1]
 
     # -- validation -------------------------------------------------------
 
-    def _validate_topology(self) -> None:
-        reference = self.cases[0].netlist
-        signature = [
-            (t.gate, t.drain, t.source, t.polarity) for t in reference.transistors
-        ]
+    def _validate_cases(self) -> None:
         for case in self.cases:
             missing = [
                 net for net in case.netlist.inputs if net not in case.sources
@@ -461,29 +598,19 @@ class CompiledTransientBatch:
                 raise SimulationError(
                     f"No source provided for input nets {missing}"
                 )
-            if case.netlist.nets() != self._topology_nets:
+            rails = [net for net in case.sources if net in (VDD, GND)]
+            if rails:
                 raise SimulationError(
-                    "Batch cases must share one topology: net lists differ "
-                    f"({case.netlist.name!r} vs {reference.name!r})"
+                    f"Sources may not drive the supply rails {rails}"
                 )
-            if [
-                (t.gate, t.drain, t.source, t.polarity)
-                for t in case.netlist.transistors
-            ] != signature:
+            if case.time_base is not None and min(case.time_base) <= 0:
                 raise SimulationError(
-                    "Batch cases must share one topology: device "
-                    f"connectivity differs ({case.netlist.name!r} vs "
-                    f"{reference.name!r})"
-                )
-            if set(case.sources) != set(self.source_nets):
-                raise SimulationError(
-                    "Batch cases must drive the same nets; "
-                    f"{sorted(case.sources)} != {sorted(self.source_nets)}"
+                    "stop_time and time_step must be positive"
                 )
 
     # -- stimulus ---------------------------------------------------------
 
-    def _evaluate_pwl(self, case_i: int, source_i: int,
+    def _evaluate_pwl(self, column: int, source_i: int,
                       times: np.ndarray) -> np.ndarray:
         """One source's values at the given instants: ``(len(times),)``.
 
@@ -495,8 +622,8 @@ class CompiledTransientBatch:
         first value through the degenerate-segment branch.
         """
         longest = self.pwl_times.shape[-1]
-        breakpoints = self.pwl_times[case_i, source_i]
-        levels = self.pwl_values[case_i, source_i]
+        breakpoints = self.pwl_times[column, source_i]
+        levels = self.pwl_values[column, source_i]
         with np.errstate(divide="ignore", invalid="ignore"):
             upper = np.searchsorted(breakpoints, times, side="left")
             hi = np.minimum(upper, longest - 1)
@@ -506,42 +633,53 @@ class CompiledTransientBatch:
             interpolated = v0 + (v1 - v0) * (times - t0) / (t1 - t0)
             return np.where(t1 == t0, v1, interpolated)
 
-    def _source_values(self, times: np.ndarray) -> np.ndarray:
-        """Evaluate every PWL source at every instant: ``(len(times), B, S)``.
+    def _own_sources(self, column: int) -> range:
+        """Source indices driven by the case of ``column``."""
+        return range(*self.source_spans[self.column_block[column]])
 
-        Evaluated one (case, source) pair at a time, so no temporary
-        exceeds ``len(times)`` elements beyond the returned array itself.
+    def _source_values(self, column_times: Sequence[np.ndarray]) -> np.ndarray:
+        """Every source of every column at that column's instants:
+        ``(K, B, S)`` for ``column_times[c]`` of length ``K``.
+
+        Evaluated one (column, source) pair at a time, so no temporary
+        exceeds ``K`` elements beyond the returned array itself; sources
+        of another block read 0.0.
         """
         batch, sources, _ = self.pwl_times.shape
-        values = np.empty((len(times), batch, sources))
-        for case_i in range(batch):
-            for source_i in range(sources):
-                values[:, case_i, source_i] = self._evaluate_pwl(
-                    case_i, source_i, times
+        values = np.zeros((len(column_times[0]), batch, sources))
+        for column, times in enumerate(column_times):
+            for source_i in self._own_sources(column):
+                values[:, column, source_i] = self._evaluate_pwl(
+                    column, source_i, times
                 )
         return values
 
     def _compressed_source_schedule(
-        self, step_times: List[float]
+        self, step_times: Sequence[np.ndarray], steps: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Source values for only the sub-steps where any source changes.
 
-        Returns ``(changed, values)``: a boolean per sub-step and a
-        ``(changed.sum(), B, S)`` value matrix for exactly those steps.
-        Stimuli are flat outside their PWL edges, so this keeps the
-        precomputed stimulus table a few edge-windows long instead of
-        one row per sub-step (which at 40000 sub-steps x wide batches
-        costs hundreds of MB).
+        ``step_times[g]`` holds the start time of every sub-step of group
+        ``g``; past its end a column holds its last value.  Returns
+        ``(changed, values)``: a boolean per sub-step — the union over
+        columns, each at its own times — and a ``(changed.sum(), B, S)``
+        value matrix for exactly those steps.  Stimuli are flat outside
+        their PWL edges, so this keeps the precomputed stimulus table a
+        few edge-windows long instead of one row per sub-step (which at
+        40000 sub-steps x wide batches costs hundreds of MB).
         """
-        times = np.asarray(step_times)
-        batch, sources, _ = self.pwl_times.shape
-        changed = np.zeros(len(times), dtype=bool)
+        changed = np.zeros(steps, dtype=bool)
         changed[0] = True
-        for case_i in range(batch):
-            for source_i in range(sources):
-                values = self._evaluate_pwl(case_i, source_i, times)
-                changed[1:] |= values[1:] != values[:-1]
-        return changed, self._source_values(times[changed])
+        for column, group in enumerate(self.column_group):
+            for source_i in self._own_sources(column):
+                values = self._evaluate_pwl(column, source_i,
+                                            step_times[group])
+                changed[1:len(values)] |= values[1:] != values[:-1]
+        steps_changed = np.flatnonzero(changed)
+        return changed, self._source_values([
+            step_times[group][np.minimum(steps_changed, len(step_times[group]) - 1)]
+            for group in self.column_group
+        ])
 
     # -- integration ------------------------------------------------------
 
@@ -606,38 +744,13 @@ class CompiledTransientBatch:
         return device_currents
 
     def integrate(self, stop_time: float, time_step: float) -> List[TransientResult]:
-        """Integrate every case of the batch over one shared time base."""
+        """Integrate every case, each on its own time base (``stop_time``
+        and ``time_step`` are the time base of cases that carry none)."""
         if stop_time <= 0 or time_step <= 0:
             raise SimulationError("stop_time and time_step must be positive")
-        sample_count = int(math.ceil(stop_time / time_step)) + 1
-        times = np.linspace(0.0, stop_time, sample_count)
-        substep = stability_substep(stop_time, time_step)
-
-        # The sub-step schedule is deterministic, so enumerate it (and
-        # evaluate every PWL source over it) once, up front.  The schedule
-        # loop mirrors the reference token for token: sources are read at
-        # the *start* of each sub-step, and the sample recorded at a
-        # boundary still holds the source value of the previous sub-step.
-        step_times: List[float] = []
-        step_sizes: List[float] = []
-        steps_per_segment: List[int] = []
-        for sample_index, sample_time in enumerate(times[:-1]):
-            segment_end = times[sample_index + 1]
-            time = sample_time
-            count = 0
-            while time < segment_end - 1e-21:
-                dt = min(substep, segment_end - time)
-                step_times.append(time)
-                step_sizes.append(dt)
-                count += 1
-                time += dt
-            steps_per_segment.append(count)
-        changed = [False] * len(step_sizes)
-        source_rows: Sequence[np.ndarray] = ()
-        if self.source_nets and step_times:
-            mask, values = self._compressed_source_schedule(step_times)
-            changed = mask.tolist()
-            source_rows = np.ascontiguousarray(values.transpose(0, 2, 1))
+        sample_times, boundaries, step_sizes, changed, source_rows = \
+            self._schedule(stop_time, time_step)
+        steps = len(step_sizes)
 
         # Imported here: the obs package reaches the runtime layer, which
         # sits above this engine.
@@ -645,47 +758,85 @@ class CompiledTransientBatch:
 
         batch = self.batch_size
         with obs_trace.span("transient.integrate", batch=batch,
-                            nets=len(self.net_names),
+                            nets=len(self.initial_voltages),
                             devices=self.prefactor.shape[0],
-                            substeps=len(step_sizes)):
+                            substeps=steps):
             waveforms, supply_charge = self._march(
-                sample_count, steps_per_segment, step_sizes, changed,
-                iter(source_rows))
-            obs_trace.add("transient.corner_steps", batch * len(step_sizes))
+                boundaries, step_sizes, changed, iter(source_rows))
+            obs_trace.add("transient.corner_steps", batch * steps)
 
-        results: List[TransientResult] = []
-        for case_i in range(batch):
-            case_waveforms = {
-                net: waveforms[:, row, case_i]
-                for net, row in zip(self.net_names, self.rows)
-            }
-            results.append(
-                TransientResult(
-                    time=times,
-                    waveforms=case_waveforms,
-                    supply_charge=float(supply_charge[case_i]),
-                    vdd=float(self.vdd[case_i]),
-                )
+        results: List[Optional[TransientResult]] = [None] * batch
+        for column, case_i in enumerate(self.columns):
+            group, block = self.column_group[column], self.column_block[column]
+            local = column - self.group_columns[group][0]
+            results[case_i] = TransientResult(
+                time=sample_times[group],
+                waveforms={
+                    net: waveforms[group][:, row, local]
+                    for net, row in zip(self.block_nets[block],
+                                        self.block_rows[block])
+                },
+                supply_charge=float(supply_charge[column]),
+                vdd=float(self.vdd[column]),
             )
         return results
 
-    def _march(self, sample_count: int, steps_per_segment: List[int],
-               step_sizes: List[float], changed: List[bool],
-               source_rows) -> Tuple[np.ndarray, np.ndarray]:
-        """The sub-step loop: ``(waveforms (samples, N, B), supply charge)``.
+    def _schedule(self, stop_time: float, time_step: float):
+        """The deterministic integration plan: ``(sample times and sample
+        boundaries per group, sub-step sizes, changed, source rows)``.
 
-        Waveform rows are in state-row order (see ``rows``).  Every buffer
-        is allocated before the loop; a sub-step is one terminal gather,
-        the device currents, one rank-table gather, one add per rank, and
-        the ``(i*dt)/C`` update and rail clamp on the integrated-net view.
+        The sub-step schedules are enumerated (and every PWL source
+        evaluated over them) once, up front.  Each group records its
+        samples at its own interval boundaries.  A group whose schedule
+        ends early takes ``dt = 0.0`` steps after its last sample.  A
+        sub-step's size is a float or a ``(B,)`` row (:func:`_step_sizes`):
+        either way each column's ``i * dt`` is the IEEE product the
+        reference forms with its own scalar ``dt``.
+        """
+        sample_times: List[np.ndarray] = []
+        step_times: List[np.ndarray] = []
+        sizes: List[np.ndarray] = []
+        boundaries: List[List[int]] = []
+        for base in self.group_bases:
+            times, starts, dts, bounds = _substep_schedule(
+                *(base or (stop_time, time_step)))
+            sample_times.append(times)
+            step_times.append(starts)
+            sizes.append(dts)
+            boundaries.append(bounds)
+        step_sizes = _step_sizes(sizes, self.column_group)
+        del sizes                  # not needed past here: keep the peak low
+        steps = len(step_sizes)
+        changed = [False] * steps
+        source_rows: Sequence[np.ndarray] = ()
+        if self.source_keys and steps:
+            mask, values = self._compressed_source_schedule(step_times, steps)
+            changed = mask.tolist()
+            source_rows = np.ascontiguousarray(values.transpose(0, 2, 1))
+        return sample_times, boundaries, step_sizes, changed, source_rows
+
+    def _march(self, boundaries: List[List[int]], step_sizes: List,
+               changed: List[bool],
+               source_rows) -> Tuple[List[np.ndarray], np.ndarray]:
+        """The sub-step loop: ``(waveforms per group (samples, N, width),
+        supply charge per column)``.
+
+        Group ``g`` records sample ``i`` before sub-step
+        ``boundaries[g][i]``.  Waveform rows are in state-row order (see
+        ``block_rows``).  Every buffer is allocated before the loop; a
+        sub-step is one terminal gather, the device currents, one
+        rank-table gather, one add per rank, and the ``(i*dt)/C`` update
+        and rail clamp on the integrated-net view.
         """
         devices, batch = self.prefactor.shape
-        nodes = len(self.integrated_nets)
+        nodes = self.nodes
         voltages = self.initial_voltages.copy()
-        waveforms = np.empty((sample_count,) + voltages.shape)
+        waveforms = [np.empty((len(bounds), len(voltages), stop - start))
+                     for bounds, (start, stop)
+                     in zip(boundaries, self.group_columns)]
         supply_charge = np.zeros(batch)
         node_v = voltages[:nodes]
-        driven_v = voltages[nodes:nodes + len(self.source_nets)]
+        driven_v = voltages[nodes:nodes + len(self.source_keys)]
         terminals = np.empty((self.terminal_idx.size, batch))
         drive = np.zeros((2 * devices + 1, batch))   # [i | -i | +0.0]
         signed, negated = drive[:devices], drive[devices:2 * devices]
@@ -699,7 +850,10 @@ class CompiledTransientBatch:
         # for every net and the supply.  The +0.0 padding is exact: an
         # accumulator that starts from +0.0 is never -0.0 (round-to-nearest
         # gives -0.0 only for -0.0 + -0.0), and x + 0.0 == x for every
-        # other x, so padded ranks leave every sum bit-identical.
+        # other x, so padded ranks leave every sum bit-identical.  The
+        # same argument covers the ``±0.0`` a device of another block
+        # adds to the supply column, and the ``±0.0`` a padding step
+        # (``dt = 0.0``) adds to the supply charge, which starts at +0.0.
         currents = np.empty((columns, batch))
         node_currents, supply_current = currents[:nodes], currents[nodes]
         capacitance, low, high = self.capacitance, self.clamp_low, self.clamp_high
@@ -713,10 +867,9 @@ class CompiledTransientBatch:
             np.maximum, np.minimum, np.negative, np.copyto)
 
         step = 0
-        for sample_index, count in enumerate(steps_per_segment):
-            waveforms[sample_index] = voltages
-            for dt, change in zip(step_sizes[step:step + count],
-                                  changed[step:step + count]):
+        taken = [0] * len(boundaries)          # samples recorded per group
+        for mark in sorted(set().union(*boundaries)):
+            for dt, change in zip(step_sizes[step:mark], changed[step:mark]):
                 if change:
                     copyto(driven_v, next(source_rows))
                 gather_terminals()
@@ -732,8 +885,13 @@ class CompiledTransientBatch:
                 add(node_v, node_currents, out=node_v)
                 maximum(node_v, low, out=node_v)
                 minimum(node_v, high, out=node_v)
-            step += count
-        waveforms[sample_count - 1] = voltages
+            step = mark
+            for group, bounds in enumerate(boundaries):
+                start, stop = self.group_columns[group]
+                while taken[group] < len(bounds) and \
+                        bounds[taken[group]] == mark:
+                    waveforms[group][taken[group]] = voltages[:, start:stop]
+                    taken[group] += 1
         return waveforms, supply_charge
 
 
@@ -741,11 +899,12 @@ def run_transient_batch(cases: Sequence[SimulationCase], stop_time: float,
                         time_step: float) -> List[TransientResult]:
     """Simulate many corners in one vectorized integration.
 
-    Every case must share one topology (see :class:`SimulationCase`) and
-    the whole batch shares one time base; each case keeps its own device
-    parameters, loading, supply, stimuli and initial conditions.  Returns
-    one :class:`TransientResult` per case, in order, bit-identical to
-    running each case through :meth:`TransientSimulator.run_reference`.
+    Cases may differ in topology and time base: each case integrates on
+    its own ``time_base``, or on ``(stop_time, time_step)`` when it
+    carries none, and keeps its own device parameters, loading, supply,
+    stimuli and initial conditions.  Returns one :class:`TransientResult`
+    per case, in order, bit-identical to running each case through
+    :meth:`TransientSimulator.run_reference` on its time base.
     """
     return CompiledTransientBatch(cases).integrate(stop_time, time_step)
 

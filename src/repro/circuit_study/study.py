@@ -9,7 +9,9 @@
    Carlo immunity analysis (failure probability under the chosen defect
    parameters) and one measured-timing characterisation (waveform-fitted
    R/C model); an 8-bit ripple-carry adder has 72 instances but only two
-   unique cells, so this is where the study earns its throughput;
+   unique cells, so this is where the study earns its throughput.  The
+   timing corners a run misses are characterised together, one
+   transient kernel call per circuit (per shard when ``jobs > 1``);
 3. aggregate to circuit level: analytic and Monte Carlo functional
    yield over defect draws, static-timing critical-path delay through
    the mapped netlist using the measured models, and total switching
@@ -53,7 +55,8 @@ from ..logic.functions import standard_gate
 from ..obs import trace as obs_trace
 from ..runtime.cache import CacheLike, as_cache, with_cache_status
 from ..runtime.fingerprint import corner_fingerprint, netlist_context
-from ..runtime.scheduler import execute_corners, plan_delta, run_tasks
+from ..runtime.scheduler import (execute_corners, plan_delta, resolve_jobs,
+                                 run_tasks, shard_indices)
 from ..study.results import CircuitCellReport, CircuitStudyResult, Provenance
 from .circuits import CircuitLike, resolve_circuit
 
@@ -82,17 +85,37 @@ class _CellTask:
     pitch_nm: float
 
 
-def _run_cell_task(task: _CellTask) -> Dict[str, Any]:
-    """Execute one per-cell corner; returns its plain-scalar metrics.
+def _run_cell_tasks(shard: Tuple[_CellTask, ...]) -> List[Dict[str, Any]]:
+    """Execute one shard of per-cell corners; returns their plain-scalar
+    metrics, in order.
 
+    A shard is one immunity corner, or timing corners that one
+    :func:`~repro.cells.characterize.measured_timing_models` call
+    characterises together — one transient kernel call for the shard.
     The engines are called through their modules (not direct imports) so
     invocation counters installed by tests and benchmarks observe every
     call on the serial and thread backends.
     """
-    gate = standard_gate(task.gate)
-    if task.kind == "immunity":
+    first = shard[0]
+    if first.kind == "timing":
+        models = characterize.measured_timing_models(
+            [(standard_gate(task.gate), (task.drive,)) for task in shard],
+            cnfet_technology(vdd=first.vdd, pitch_nm=first.pitch_nm),
+            unit_width=first.unit_width,
+        )
+        metrics = []
+        for task, cell_models in zip(shard, models):
+            model = cell_models[task.drive]
+            metrics.append({
+                "input_capacitance_f": model.input_capacitance,
+                "drive_resistance_ohm": model.drive_resistance,
+                "parasitic_capacitance_f": model.parasitic_capacitance,
+            })
+        return metrics
+    metrics = []
+    for task in shard:
         cell = assemble_cell(
-            gate,
+            standard_gate(task.gate),
             technique=task.technique,
             unit_width=task.unit_width,
             drive_strength=task.drive,
@@ -105,24 +128,34 @@ def _run_cell_task(task: _CellTask) -> Dict[str, Any]:
             seed=task.seed,
             metallic_fraction=task.metallic_fraction,
         )
-        return {
+        metrics.append({
             "trials": outcome.trials,
             "failures": outcome.failures,
             "failure_rate": outcome.failure_rate,
             "immune": outcome.immune,
-        }
-    models = characterize.measured_timing_models(
-        gate,
-        cnfet_technology(vdd=task.vdd, pitch_nm=task.pitch_nm),
-        unit_width=task.unit_width,
-        drive_strengths=(task.drive,),
-    )
-    model = models[task.drive]
-    return {
-        "input_capacitance_f": model.input_capacitance,
-        "drive_resistance_ohm": model.drive_resistance,
-        "parasitic_capacitance_f": model.parasitic_capacitance,
-    }
+        })
+    return metrics
+
+
+def _run_misses(tasks: List[_CellTask], indices: Tuple[int, ...],
+                jobs: Optional[int], backend: Optional[str]) -> List[Any]:
+    """Run the missing corners ``indices`` of ``tasks``; one payload per
+    index, in order.
+
+    Timing corners are split into at most ``jobs`` contiguous shards, one
+    kernel call each; every immunity corner is a shard of its own.  All
+    shards go through one :func:`run_tasks` map, timing first.
+    """
+    timing = [i for i in indices if tasks[i].kind == "timing"]
+    shards = [tuple(timing[start:stop]) for start, stop
+              in shard_indices(len(timing), resolve_jobs(jobs))]
+    shards += [(i,) for i in indices if tasks[i].kind == "immunity"]
+    outputs = run_tasks(_run_cell_tasks,
+                        [tuple(tasks[i] for i in shard) for shard in shards],
+                        jobs=jobs, backend=backend)
+    payloads = {index: payload for shard, metrics in zip(shards, outputs)
+                for index, payload in zip(shard, metrics)}
+    return [payloads[index] for index in indices]
 
 
 def _unique_cells(design) -> "List[Tuple[str, Any, List[Any]]]":
@@ -242,9 +275,7 @@ def run_circuit_study(
                            status=plan.status)
         metrics = execute_corners(
             plan, cached,
-            lambda indices: run_tasks(_run_cell_task,
-                                      [tasks[i] for i in indices],
-                                      jobs=jobs, backend=backend),
+            lambda indices: _run_misses(tasks, indices, jobs, backend),
             store, [f"circuit-{task.kind}" for task in tasks],
         )
 

@@ -76,14 +76,31 @@ def immunity_counter(monkeypatch):
 
 @pytest.fixture
 def timing_counter(monkeypatch):
-    calls = []
+    """Every cell passed to ``measured_timing_models`` as ``(gate,
+    drives)`` — one entry per cell characterised, however many cells a
+    call carries."""
+    cells = []
     real = characterize.measured_timing_models
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(cell_grids, *args, **kwargs):
+        cells.extend((gate.name, tuple(drives)) for gate, drives in cell_grids)
+        return real(cell_grids, *args, **kwargs)
 
     monkeypatch.setattr(characterize, "measured_timing_models", counting)
+    return cells
+
+
+@pytest.fixture
+def kernel_counter(monkeypatch):
+    """The batch size of every transient kernel call."""
+    calls = []
+    real = characterize.run_transient_batch
+
+    def counting(cases, *args, **kwargs):
+        calls.append(len(cases))
+        return real(cases, *args, **kwargs)
+
+    monkeypatch.setattr(characterize, "run_transient_batch", counting)
     return calls
 
 
@@ -144,8 +161,21 @@ class TestPerUniqueCell:
         assert result.unique_cells == 2
         assert [cell.cell for cell in result.cells] == ["NAND2_2X", "NAND2_4X"]
         assert len(immunity_counter) == 2
-        assert len(timing_counter) == 2
+        # Each unique cell is characterised exactly once, at its drive.
+        assert sorted(timing_counter) == [("NAND2", (2.0,)),
+                                          ("NAND2", (4.0,))]
         assert sum(cell.instances for cell in result.cells) == 18
+
+    def test_one_kernel_call_per_cold_circuit(self, kernel_counter):
+        """Every timing miss of a cold circuit rides in one kernel call
+        (two cells x two loads); with ``jobs=2`` each timing shard makes
+        one call, and the result does not move."""
+        serial = run_fast()
+        assert kernel_counter == [4]
+        kernel_counter.clear()
+        sharded = run_fast(jobs=2, backend="thread")
+        assert kernel_counter == [2, 2]
+        assert sharded == serial
 
     def test_instance_count_scales_but_cell_work_does_not(self):
         """adder:8 is 4x the instances of adder:2 with identical unique

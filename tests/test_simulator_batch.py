@@ -19,6 +19,7 @@ from repro.circuit import (
     CompiledTransientBatch,
     PiecewiseLinearSource,
     SimulationCase,
+    TransientResult,
     TransientSimulator,
     TransistorNetlist,
     build_inverter_chain,
@@ -31,7 +32,7 @@ from repro.circuit import (
     step_source,
 )
 from repro.devices import FO4_GATE_WIDTH_NM, calibrated_cnfet_parameters
-from repro.errors import SimulationError
+from repro.errors import CharacterizationError, SimulationError
 from repro.logic import standard_gate
 
 STOP = 20e-12
@@ -268,20 +269,151 @@ class TestVectorizedPWL:
             [0.0, 0.5e-12, 1e-12, 1.5e-12, 2e-12, 3e-12, 4e-12, 5e-12,
              6e-12, 7e-12, 1e-9]
         )
-        values = compiled._source_values(probe)       # (K, B, 1)
+        values = compiled._source_values([probe] * len(sources))  # (K, B, 1)
         for case_i, source in enumerate(sources):
             for time_i, time in enumerate(probe):
                 assert values[time_i, case_i, 0] == source.value(float(time)), (
                     case_i, time)
 
 
-class TestBatchValidation:
-    def test_topology_mismatch_rejected(self):
-        a = _cnfet_chain_case(stages=3)
-        b = _cnfet_chain_case(stages=2)
-        with pytest.raises(SimulationError):
-            run_transient_batch([a, b], STOP, STEP)
+class TestPackedBatch:
+    """One call packs cases of different topologies and time bases:
+    every case is byte-equal, waveform by waveform and in supply charge,
+    to the reference integrator run alone on its own time base."""
 
+    @staticmethod
+    def _gate_case(gate_name, vdd, time_base):
+        gate = standard_gate(gate_name)
+        netlist = gate_transistor_netlist(gate, cnfet_technology(vdd=vdd),
+                                          drive_strength=2.0,
+                                          load_capacitance=2e-15)
+        sides = sensitizing_assignment(gate, gate.inputs[0])
+        sources = {gate.inputs[0]: pulse_source(vdd, 1e-12, 1e-12, 3e-12)}
+        for pin, value in sides.items():
+            sources[pin] = constant_source(vdd if value else 0.0)
+        return SimulationCase(netlist, sources, {"out": vdd},
+                              time_base=time_base)
+
+    @staticmethod
+    def _back_driving_case(time_base):
+        """An inverter whose heavily loaded output starts above the
+        rail: the on p-device returns charge to Vdd for the whole
+        (short) run, so its schedule ends on a negative supply current
+        and its padding steps add ``-0.0`` to the supply charge."""
+        inverter = cnfet_inverter(6, FO4_GATE_WIDTH_NM,
+                                  parameters=calibrated_cnfet_parameters())
+        netlist = TransistorNetlist("back_drive", vdd=1.0)
+        netlist.add_transistor("MP", inverter.pull_up, gate="in",
+                               drain="out", source=VDD)
+        netlist.add_transistor("MN", inverter.pull_down, gate="in",
+                               drain="out", source=GND)
+        netlist.add_capacitor("CL", "out", 50e-15)
+        netlist.declare_io(["in"], ["out"])
+        return SimulationCase(netlist, {"in": constant_source(0.0)},
+                              {"out": 1.09}, time_base=time_base)
+
+    @staticmethod
+    def _assert_bytes_equal(loop, batch):
+        assert set(loop.waveforms) == set(batch.waveforms)
+        assert loop.time.tobytes() == batch.time.tobytes()
+        for net, wave in loop.waveforms.items():
+            assert wave.tobytes() == batch.waveforms[net].tobytes(), net
+        assert (np.float64(loop.supply_charge).tobytes()
+                == np.float64(batch.supply_charge).tobytes())
+        assert loop.vdd == batch.vdd
+
+    def test_topologies_and_time_bases_in_one_call(self):
+        chain = _cnfet_chain_case()                   # the call's time base
+        cases = [
+            self._gate_case("NAND3", 1.0, (10e-12, 0.5e-12)),
+            self._gate_case("AOI31", 0.9, (8e-12, 0.4e-12)),
+            chain,
+            self._gate_case("NAND3", 1.1, (6e-12, 0.25e-12)),
+            self._back_driving_case((2e-12, 0.1e-12)),
+        ]
+        compiled = CompiledTransientBatch(cases)
+        assert len(compiled.block_nets) == 4          # NAND3 twice
+        assert len(compiled.group_bases) == 5
+        results = compiled.integrate(STOP, STEP)
+        for case, result in zip(cases, results):
+            stop, step = case.time_base or (STOP, STEP)
+            self._assert_bytes_equal(_loop(case, stop, step), result)
+        back_drive = results[-1]
+        assert back_drive.voltage("out")[-1] > back_drive.vdd
+        assert back_drive.supply_charge < 0.0
+
+    def test_one_topology_on_two_time_bases(self):
+        cases = [self._gate_case("NAND2", vdd, base) for vdd, base in
+                 ((1.0, (6e-12, 0.5e-12)), (0.9, (9e-12, 0.3e-12)))]
+        for case, result in zip(cases, run_transient_batch(cases, STOP, STEP)):
+            self._assert_bytes_equal(_loop(case, *case.time_base), result)
+
+
+class TestCrossingTime:
+    """The vectorized ``crossing_time`` against the per-sample loop it
+    replaced, on seeded random waveforms."""
+
+    @staticmethod
+    def _reference(result, net, level, rising=None, after=0.0):
+        voltages, times = result.voltage(net), result.time
+        for index in range(1, len(times)):
+            if times[index] < after:
+                continue
+            previous, current = voltages[index - 1], voltages[index]
+            crossed_up = previous < level <= current
+            crossed_down = previous > level >= current
+            if rising is True and not crossed_up:
+                continue
+            if rising is False and not crossed_down:
+                continue
+            if crossed_up or crossed_down:
+                fraction = (level - previous) / (current - previous)
+                crossing = times[index - 1] + fraction * (
+                    times[index] - times[index - 1])
+                if crossing >= after:
+                    return crossing
+        raise SimulationError("no crossing")
+
+    @staticmethod
+    def _outcome(find):
+        try:
+            return np.float64(find()).tobytes()
+        except SimulationError:
+            return None
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(2009)
+        found = missing = 0
+        for _ in range(300):
+            samples = int(rng.integers(2, 30))
+            times = np.cumsum(rng.uniform(0.1e-12, 2e-12, samples))
+            # Quarter-volt levels put plateaus exactly on ``level``.
+            voltages = rng.integers(0, 5, samples) * 0.25
+            if rng.random() < 0.5:
+                voltages = voltages + rng.normal(0.0, 0.05, samples)
+            result = TransientResult(times, {"x": voltages}, 0.0, 1.0)
+            segment = int(rng.integers(0, samples - 1))
+            afters = (0.0, times[segment],
+                      0.5 * (times[segment] + times[segment + 1]))
+            for level in (0.5, 0.3):
+                for rising in (None, True, False):
+                    for after in afters:
+                        expected = self._outcome(lambda: self._reference(
+                            result, "x", level, rising, after))
+                        assert self._outcome(lambda: result.crossing_time(
+                            "x", level, rising, after)) == expected
+                        found += expected is not None
+                        missing += expected is None
+        assert found and missing
+
+    def test_no_crossing_raises(self):
+        flat = TransientResult(np.linspace(0.0, 1e-12, 5),
+                               {"x": np.full(5, 0.5)}, 0.0, 1.0)
+        with pytest.raises(SimulationError):
+            flat.crossing_time("x", 0.5)
+
+
+class TestBatchValidation:
     def test_missing_source_rejected(self):
         case = _cnfet_chain_case()
         with pytest.raises(SimulationError):
@@ -302,6 +434,10 @@ class TestBatchValidation:
         case = _cnfet_chain_case()
         with pytest.raises(SimulationError):
             run_transient_batch([case], -1.0, STEP)
+        own = SimulationCase(case.netlist, case.sources,
+                             case.initial_conditions, time_base=(STOP, 0.0))
+        with pytest.raises(SimulationError):
+            run_transient_batch([case, own], STOP, STEP)
 
 
 class TestCharacterizationSweep:
@@ -347,12 +483,32 @@ class TestCharacterizationSweep:
             assert point.delay_fall_s > 0
             assert point.energy_per_cycle_j > 0
 
+    def test_per_cell_drive_axes_match_separate_sweeps(self):
+        """Cells on their own drive axes (a circuit's NAND2_2X and
+        NAND2_4X) share one call, and each cell's points are bit-equal
+        to a sweep of that cell alone."""
+        packed = characterize_sweep(gate_names=("NAND2", "NAND2"),
+                                    drive_strengths=((2.0,), (4.0,)))
+        assert packed.shape == (2, 1, 2, 1, 1)
+        assert packed.drive_strengths == ((2.0,), (4.0,))
+        for drive in (2.0, 4.0):
+            alone = characterize_sweep(gate_names=("NAND2",),
+                                       drive_strengths=(drive,))
+            for point in alone.points:
+                assert packed.point(point.cell, drive,
+                                    point.load_capacitance_f,
+                                    point.input_slew_s,
+                                    point.corner) == point
+        with pytest.raises(CharacterizationError):
+            characterize_sweep(gate_names=("INV", "NAND2"),
+                               drive_strengths=((1.0,), (1.0, 2.0)))
+
     def test_measured_models_reproduce_sweep_delays(self):
         gate = standard_gate("INV")
         tech = cnfet_technology()
         loads = (1e-15, 2e-15, 4e-15)
-        models = measured_timing_models(gate, tech, drive_strengths=(1.0,),
-                                        loads=loads)
+        models, = measured_timing_models([(gate, (1.0,))], tech,
+                                         loads=loads)
         model = models[1.0]
         check = characterize_sweep(
             gate_names=("INV",), drive_strengths=(1.0,),
