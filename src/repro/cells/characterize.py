@@ -12,8 +12,10 @@ the Liberty export:
   pulse, and its 50 %-to-50 % delays and supply energy are measured on
   waveforms from the vectorized batch transient engine
   (:func:`~repro.circuit.simulator.run_transient_batch`).  Each cell's
-  ``(drive × load × slew × corner)`` grid is planned on its own time
-  base, and one kernel call integrates the grids of every cell.
+  ``(drive × load × slew × corner)`` grid is one :class:`CellGrid` value
+  with its own analytical time base, and one kernel call integrates the
+  grids of every cell; :func:`characterize_cases` integrates any subset
+  of one grid bit-identically, which is how sweeps shard and recompute.
   :func:`measured_timing_models` distils the grids back into
   linear-delay :class:`CellTimingModel` entries so the Liberty export
   can carry measured rather than estimated delays
@@ -54,6 +56,7 @@ True
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -378,182 +381,160 @@ class CharacterizationSweep:
         )
 
 
-def _measure_case(result: TransientResult, pin: str, vdd: float) -> Tuple[float, float, float]:
-    """(rise delay, fall delay, energy) of one characterisation waveform."""
-    level = vdd / 2.0
-    in_rise = result.crossing_time(pin, level, rising=True)
-    out_fall = result.crossing_time("out", level, rising=False, after=in_rise)
-    in_fall = result.crossing_time(pin, level, rising=False, after=out_fall)
-    out_rise = result.crossing_time("out", level, rising=True, after=in_fall)
-    return out_rise - in_fall, out_fall - in_rise, result.supply_energy
+@dataclass(frozen=True)
+class CellGrid:
+    """One cell's ``(drive × load × slew × corner)`` characterisation grid.
 
+    ``corners`` is a tuple of ``(name, TechnologyConfig)`` pairs.  Cases
+    are numbered in ``itertools.product`` order over ``(drives, loads,
+    slews, corners)`` — last axis fastest — the order of one cell's block
+    of :attr:`CharacterizationSweep.points`.
 
-def _grid_estimates(
-    gate: GateNetworks,
-    drive_strengths: Sequence[float],
-    load_capacitances_f: Sequence[float],
-    input_slews_s: Sequence[float],
-    corners: Mapping[str, TechnologyConfig],
-    unit_width: float,
-) -> List[float]:
-    """Analytical delay estimates over one cell's full grid, flat in
-    ``itertools.product`` order over ``(drive, load, slew, corner)``."""
-    return [
-        max(characterize_gate(
-            gate, tech, unit_width=unit_width, drive_strength=drive
-        ).stage_delay(load), 1.0e-13)
-        for drive, load, slew, (corner_name, tech) in itertools.product(
-            drive_strengths, load_capacitances_f, input_slews_s,
-            corners.items()
+    Every case of a grid integrates on one shared time base
+    (:meth:`time_base`), derived analytically from the **whole** grid, so
+    any subset of its cases (:meth:`cases`) lands on bit-identical
+    waveforms.  That is what lets the runtime shard a grid across workers
+    and recompute only the corners a store lacks, and why cache addresses
+    carry the time base as their context: two grids may share a corner's
+    result iff they agree on it.
+    """
+
+    gate: str
+    drives: Tuple[float, ...]
+    loads: Tuple[float, ...]
+    slews: Tuple[float, ...]
+    corners: Tuple[Tuple[str, TechnologyConfig], ...]
+    unit_width: float = 4.0
+    switched_pin: Optional[str] = None
+
+    def __post_init__(self):
+        for axis in ("drives", "loads", "slews", "corners"):
+            object.__setattr__(self, axis, tuple(getattr(self, axis)))
+        if not (self.drives and self.loads and self.slews and self.corners):
+            raise CharacterizationError(
+                f"The grid of {self.gate!r} needs non-empty axes"
+            )
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    @functools.cached_property
+    def _networks(self) -> GateNetworks:
+        from ..logic.functions import standard_gate
+
+        return standard_gate(self.gate)
+
+    @functools.cached_property
+    def _labels(self) -> List[Tuple[float, float, float,
+                                    Tuple[str, TechnologyConfig]]]:
+        return list(itertools.product(self.drives, self.loads, self.slews,
+                                      self.corners))
+
+    @functools.cached_property
+    def _time_base(self) -> Tuple[str, float, float, float, float]:
+        gate = self._networks
+        # The estimate of a case depends on its drive, corner and load
+        # only, so one analytical model per (drive, corner) serves them.
+        models = [
+            characterize_gate(gate, tech, unit_width=self.unit_width,
+                              drive_strength=drive)
+            for drive in self.drives for _, tech in self.corners
+        ]
+        estimates = [max(model.stage_delay(load), 1.0e-13)
+                     for model in models for load in self.loads]
+        # The pulse must be slow enough for the laziest case and sampled
+        # finely enough for the snappiest one.
+        slowest, max_slew = max(estimates), max(self.slews)
+        delay = max(6.0 * slowest, 2.0 * max_slew)
+        width = max(10.0 * slowest, 4.0 * max_slew)
+        stop = (delay + 2.0 * max_slew + width
+                + max(10.0 * slowest, 2.0 * max_slew))
+        time_step = max(min(min(estimates) / 20.0, min(self.slews) / 4.0),
+                        stop / 8000.0, 1.0e-14)
+        pin = self.switched_pin or gate.inputs[0]
+        return pin, delay, width, stop, time_step
+
+    def time_base(self) -> Tuple[str, float, float, float, float]:
+        """``(switched pin, pulse delay, pulse width, stop time, time
+        step)`` shared by every case — analytical, no netlists built, and
+        computed once per grid object."""
+        return self._time_base
+
+    def cases(self, indices: Sequence[int]) -> List[SimulationCase]:
+        """The simulation cases at ``indices``; only their netlists are
+        built.  Each carries the grid's ``(stop, time step)`` as its
+        ``time_base``."""
+        gate = self._networks
+        pin, delay, width, stop, time_step = self._time_base
+        sides = sensitizing_assignment(gate, pin)
+        built: List[SimulationCase] = []
+        for index in indices:
+            drive, load, slew, (_, tech) = self._label(index)
+            netlist = gate_transistor_netlist(
+                gate, tech, unit_width=self.unit_width, drive_strength=drive,
+                load_capacitance=load,
+            )
+            vdd = tech.vdd
+            sources = {pin: pulse_source(vdd, delay=delay, rise_time=slew,
+                                         width=width)}
+            for side, value in sides.items():
+                sources[side] = constant_source(vdd if value else 0.0)
+            initial = {"out": vdd}
+            for net in netlist.nets():
+                if net.startswith("pu_"):
+                    initial[net] = vdd
+                elif net.startswith("pd_"):
+                    initial[net] = 0.0
+            built.append(SimulationCase(netlist, sources, initial,
+                                        time_base=(stop, time_step)))
+        return built
+
+    def _label(self, index: int):
+        if not 0 <= index < len(self):
+            raise CharacterizationError(
+                f"Case index {index} outside the {len(self)}-case grid of "
+                f"{self.gate!r}"
+            )
+        return self._labels[index]
+
+    def _point(self, index: int, result: TransientResult) -> CellSweepPoint:
+        """Reduce the waveform of case ``index`` to its 50 %-to-50 %
+        delays and supply energy."""
+        drive, load, slew, (corner, tech) = self._label(index)
+        pin, level = self._time_base[0], tech.vdd / 2.0
+        in_rise = result.crossing_time(pin, level, rising=True)
+        out_fall = result.crossing_time("out", level, rising=False,
+                                        after=in_rise)
+        in_fall = result.crossing_time(pin, level, rising=False,
+                                       after=out_fall)
+        out_rise = result.crossing_time("out", level, rising=True,
+                                        after=in_fall)
+        return CellSweepPoint(
+            cell=self._networks.name,
+            drive_strength=drive,
+            load_capacitance_f=load,
+            input_slew_s=slew,
+            corner=corner,
+            vdd=tech.vdd,
+            delay_rise_s=out_rise - in_fall,
+            delay_fall_s=out_fall - in_rise,
+            energy_per_cycle_j=result.supply_energy,
         )
-    ]
 
 
-def _time_base(estimates: Sequence[float],
-               input_slews_s: Sequence[float]) -> Tuple[float, float, float, float]:
-    """``(delay, width, stop, time_step)`` shared by a whole grid.
-
-    The pulse must be slow enough for the laziest corner and sampled
-    finely enough for the snappiest one.
-    """
-    slowest = max(estimates)
-    max_slew = max(input_slews_s)
-    delay = max(6.0 * slowest, 2.0 * max_slew)
-    width = max(10.0 * slowest, 4.0 * max_slew)
-    stop = delay + 2.0 * max_slew + width + max(10.0 * slowest, 2.0 * max_slew)
-    time_step = max(min(min(estimates) / 20.0, min(input_slews_s) / 4.0),
-                    stop / 8000.0, 1.0e-14)
-    return delay, width, stop, time_step
-
-
-def grid_time_base(
-    gate_name: str,
-    drive_strengths: Sequence[float],
-    load_capacitances_f: Sequence[float],
-    input_slews_s: Sequence[float],
-    corners: Mapping[str, TechnologyConfig],
-    unit_width: float = 4.0,
-    switched_pin: Optional[str] = None,
-) -> Tuple[str, float, float, float, float]:
-    """The shared time base one cell's grid would be integrated on:
-    ``(switched pin, pulse delay, pulse width, stop time, time step)``.
-
-    This is exactly the planning arithmetic of :func:`characterize_sweep`
-    / :func:`characterize_cases` — analytical, no netlists built — exposed
-    so callers can *address* a grid's waveform context without paying for
-    simulation.  The runtime layer hashes it into per-corner cache
-    fingerprints: a point's measured waveform depends on the whole grid
-    through this time base, so two grids may share a corner's results iff
-    they agree on it.
-    """
-    from ..logic.functions import standard_gate
-
-    gate = standard_gate(gate_name)
-    pin = switched_pin or gate.inputs[0]
-    estimates = _grid_estimates(gate, drive_strengths, load_capacitances_f,
-                                input_slews_s, corners, unit_width)
-    if not estimates:
-        raise CharacterizationError("grid_time_base needs non-empty axes")
-    delay, width, stop, time_step = _time_base(estimates, input_slews_s)
-    return pin, delay, width, stop, time_step
-
-
-def _plan_cell_cases(
-    gate_name: str,
-    drive_strengths: Sequence[float],
-    load_capacitances_f: Sequence[float],
-    input_slews_s: Sequence[float],
-    corners: Mapping[str, TechnologyConfig],
-    unit_width: float,
-    switched_pin: Optional[str],
-):
-    """Lower one cell's full (drive × load × slew × corner) grid into
-    simulation cases that carry one deterministic time base.
-
-    The time base (pulse timing, stop time, step) is derived from the
-    analytical delay estimates of the **whole** grid
-    (:func:`_grid_estimates` + :func:`_time_base` — the same arithmetic
-    :func:`grid_time_base` exposes), so any caller that plans the same
-    grid — even to integrate only a subset of its cases — lands on
-    bit-identical waveforms.  That invariant is what lets the runtime
-    scheduler shard a characterisation sweep across workers
-    (:func:`characterize_cases`) without perturbing results.
-
-    Returns ``(gate, pin, labels, cases)`` with ``labels``/``cases`` flat
-    in ``itertools.product`` order over ``(drive, load, slew, corner)`` —
-    last axis fastest; every case carries the grid's ``(stop_time,
-    time_step)`` as its ``time_base``.
-    """
-    from ..logic.functions import standard_gate
-
-    gate = standard_gate(gate_name)
-    pin = switched_pin or gate.inputs[0]
-    sides = sensitizing_assignment(gate, pin)
-
-    staged: List[Tuple[TransistorNetlist, float, float]] = []
-    labels: List[Tuple[float, float, float, str, float]] = []
-    for drive, load, slew, (corner_name, tech) in itertools.product(
-        drive_strengths, load_capacitances_f, input_slews_s, corners.items()
-    ):
-        netlist = gate_transistor_netlist(
-            gate, tech, unit_width=unit_width, drive_strength=drive,
-            load_capacitance=load,
-        )
-        labels.append((drive, load, slew, corner_name, tech.vdd))
-        staged.append((netlist, tech.vdd, slew))
-
-    estimates = _grid_estimates(gate, drive_strengths, load_capacitances_f,
-                                input_slews_s, corners, unit_width)
-    delay, width, stop, time_step = _time_base(estimates, input_slews_s)
-
-    built: List[SimulationCase] = []
-    for netlist, vdd, slew in staged:
-        sources = {pin: pulse_source(vdd, delay=delay, rise_time=slew,
-                                     width=width)}
-        for side, value in sides.items():
-            sources[side] = constant_source(vdd if value else 0.0)
-        initial = {"out": vdd}
-        for net in netlist.nets():
-            if net.startswith("pu_"):
-                initial[net] = vdd
-            elif net.startswith("pd_"):
-                initial[net] = 0.0
-        built.append(SimulationCase(netlist, sources, initial,
-                                    time_base=(stop, time_step)))
-
-    return gate, pin, labels, built
-
-
-def _measure_plans(plans) -> List[List[CellSweepPoint]]:
-    """Integrate the cases of several planned grids in **one** kernel
+def _measure(selections: Sequence[Tuple[CellGrid, Sequence[int]]]
+             ) -> List[List[CellSweepPoint]]:
+    """Integrate the selected cases of several grids in **one** kernel
     call — each case on its own grid's time base — and reduce the
-    waveforms: one point list per plan, in case order."""
-    cases = [case for _, _, _, plan_cases in plans for case in plan_cases]
+    waveforms: one point list per ``(grid, indices)`` selection, in index
+    order."""
+    cases = [case for grid, indices in selections
+             for case in grid.cases(indices)]
     stop, time_step = cases[0].time_base
     results = iter(run_transient_batch(cases, stop_time=stop,
                                        time_step=time_step))
-
-    measured: List[List[CellSweepPoint]] = []
-    for gate, pin, labels, _ in plans:
-        points: List[CellSweepPoint] = []
-        for (drive, load, slew, corner_name, vdd), result in zip(labels,
-                                                                  results):
-            rise, fall, energy = _measure_case(result, pin, vdd)
-            points.append(
-                CellSweepPoint(
-                    cell=gate.name,
-                    drive_strength=drive,
-                    load_capacitance_f=load,
-                    input_slew_s=slew,
-                    corner=corner_name,
-                    vdd=vdd,
-                    delay_rise_s=rise,
-                    delay_fall_s=fall,
-                    energy_per_cycle_j=energy,
-                )
-            )
-        measured.append(points)
-    return measured
+    return [[grid._point(index, next(results)) for index in indices]
+            for grid, indices in selections]
 
 
 def _drive_axes(gate_names: Sequence[str],
@@ -561,6 +542,8 @@ def _drive_axes(gate_names: Sequence[str],
     """One drive axis per cell: ``drive_strengths`` itself when it is a
     single axis, else its per-cell axes (one per cell, all of one
     length)."""
+    if not gate_names:
+        raise CharacterizationError("characterize_sweep needs >= 1 cell")
     if all(isinstance(drive, numbers.Real) for drive in drive_strengths):
         return [tuple(drive_strengths)] * len(gate_names)
     axes = [tuple(axis) for axis in drive_strengths]
@@ -582,7 +565,7 @@ def characterize_sweep(
 ) -> CharacterizationSweep:
     """Measure every cell across a (drive × load × slew × corner) grid.
 
-    Each cell's grid is lowered to
+    Each cell's :class:`CellGrid` is lowered to
     :class:`~repro.circuit.simulator.SimulationCase` corners — device
     sizes per drive, explicit output capacitors per load, stimulus edges
     per slew, devices/supply per corner — on that cell's own time base,
@@ -595,71 +578,37 @@ def characterize_sweep(
     call measure cells that each sit at their own drives — the cells of a
     mapped circuit (:func:`measured_timing_models`).
     """
-    from ..logic.functions import standard_gate
-
     corners = dict(corners) if corners else {"nominal": cnfet_technology()}
-    if not (gate_names and drive_strengths and load_capacitances_f
-            and input_slews_s and corners):
-        raise CharacterizationError("characterize_sweep needs non-empty axes")
     axes = _drive_axes(gate_names, drive_strengths)
-
-    plans = [
-        _plan_cell_cases(gate_name, axis, load_capacitances_f, input_slews_s,
-                         corners, unit_width, switched_pin)
+    grids = [
+        CellGrid(gate_name, axis, load_capacitances_f, input_slews_s,
+                 tuple(corners.items()), unit_width, switched_pin)
         for gate_name, axis in zip(gate_names, axes)
     ]
     return CharacterizationSweep(
-        cells=tuple(standard_gate(name).name for name in gate_names),
+        cells=tuple(grid._networks.name for grid in grids),
         drive_strengths=(axes[0] if axes.count(axes[0]) == len(axes)
                          else tuple(axes)),
         load_capacitances_f=tuple(load_capacitances_f),
         input_slews_s=tuple(input_slews_s),
         corners=tuple(corners),
-        points=[point for points in _measure_plans(plans)
+        points=[point for points in
+                _measure([(grid, range(len(grid))) for grid in grids])
                 for point in points],
     )
 
 
-def characterize_cases(
-    gate_name: str,
-    case_indices: Sequence[int],
-    drive_strengths: Sequence[float] = (1.0, 2.0),
-    load_capacitances_f: Sequence[float] = MEASURED_LOADS_F,
-    input_slews_s: Sequence[float] = (MEASURED_SLEW_S,),
-    corners: Optional[Mapping[str, TechnologyConfig]] = None,
-    unit_width: float = 4.0,
-    switched_pin: Optional[str] = None,
-) -> List[CellSweepPoint]:
-    """Evaluate a subset of one cell's characterisation grid.
+def characterize_cases(grid: CellGrid,
+                       case_indices: Sequence[int]) -> List[CellSweepPoint]:
+    """Evaluate the cases ``case_indices`` of one cell's grid.
 
-    ``case_indices`` are flat ``itertools.product`` indices over the
-    ``(drive, load, slew, corner)`` grid — the same order as the per-cell
-    block of :meth:`CharacterizationSweep.points`.  The **whole** grid is
-    planned (cheap, analytical) so the shared time base matches the full
-    batch exactly, then only the selected cases are integrated; the
-    returned points are bit-identical to the corresponding points of
-    :func:`characterize_sweep`.  This is the primitive the runtime
-    scheduler shards transient sweeps on.
+    Only the selected cases are built and integrated, on the **whole**
+    grid's time base, so the returned points are bit-identical to the
+    corresponding points of :func:`characterize_sweep` over the same
+    grid.  This is the primitive the runtime scheduler shards transient
+    sweeps on.
     """
-    corners = dict(corners) if corners else {"nominal": cnfet_technology()}
-    if not (drive_strengths and load_capacitances_f and input_slews_s
-            and corners):
-        raise CharacterizationError("characterize_cases needs non-empty axes")
-
-    gate, pin, labels, built = _plan_cell_cases(
-        gate_name, drive_strengths, load_capacitances_f, input_slews_s,
-        corners, unit_width, switched_pin,
-    )
-    total = len(built)
-    for index in case_indices:
-        if not 0 <= index < total:
-            raise CharacterizationError(
-                f"Case index {index} outside the {total}-case grid of "
-                f"{gate.name!r}"
-            )
-    selected_labels = [labels[index] for index in case_indices]
-    selected_cases = [built[index] for index in case_indices]
-    return _measure_plans([(gate, pin, selected_labels, selected_cases)])[0]
+    return _measure([(grid, case_indices)])[0]
 
 
 def format_characterization(sweep: CharacterizationSweep) -> str:

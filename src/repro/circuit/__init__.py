@@ -34,7 +34,6 @@ from .netlist import (
 )
 from .simulator import (
     CompiledTransientBatch,
-    InverterChainResult,
     PiecewiseLinearSource,
     SimulationCase,
     TransientResult,
@@ -43,7 +42,6 @@ from .simulator import (
     constant_source,
     pulse_source,
     run_transient_batch,
-    simulate_inverter_chain_batch,
     stability_substep,
     step_source,
 )
@@ -58,10 +56,9 @@ __all__ = [
     "CellTimingModel", "PathTimingResult", "TimingLibrary", "analyse_netlist",
     "GND", "VDD", "CapacitorInstance", "GateInstance", "GateNetlist",
     "TransistorInstance", "TransistorNetlist",
-    "CompiledTransientBatch", "InverterChainResult", "PiecewiseLinearSource",
+    "CompiledTransientBatch", "PiecewiseLinearSource",
     "SimulationCase", "TransientResult", "TransientSimulator",
     "build_inverter_chain", "constant_source", "pulse_source",
-    "run_transient_batch", "simulate_inverter_chain_batch",
-    "stability_substep", "step_source",
+    "run_transient_batch", "stability_substep", "step_source",
     "save_spice", "write_spice",
 ]

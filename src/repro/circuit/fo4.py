@@ -17,11 +17,14 @@ copies of itself, which is what "FO4 delay" means.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import List, Sequence, Union
 
 from ..errors import SimulationError
 from .inverter import Inverter
+from .simulator import (SimulationCase, build_inverter_chain, pulse_source,
+                        run_transient_batch)
 
 #: Proportionality constant of the analytical delay estimate.  It cancels in
 #: every CNFET/CMOS ratio the paper reports; the absolute value is chosen so
@@ -124,25 +127,57 @@ def fo4_transient_sweep(
     """Waveform-level FO4 metrics for many inverter corners in one batch.
 
     The multi-corner counterpart of :func:`fo4_metrics_transient`: every
-    corner's five-stage chain (a CNT-count/pitch sweep, a supply sweep, or
-    the CMOS reference riding along) is integrated in a single vectorized
-    :func:`~repro.circuit.simulator.run_transient_batch` call, which is
-    how Figure 7's waveform cross-checks stay affordable at many corners.
+    corner's chain (a CNT-count/pitch sweep, a supply sweep, or the CMOS
+    reference riding along) gets a stimulus timed from its own analytical
+    delay estimate, and all chains integrate in a single vectorized
+    :func:`~repro.circuit.simulator.run_transient_batch` call on a time
+    base that covers the slowest corner at the resolution of the fastest
+    — which is how Figure 7's waveform cross-checks stay affordable at
+    many corners.
 
     ``vdd`` is a shared scalar or one supply per corner.
     """
-    from .simulator import _per_corner_supplies, simulate_inverter_chain_batch
-
+    if not inverters:
+        raise SimulationError("fo4_transient_sweep needs >= 1 inverter")
     if stages < 3:
         raise SimulationError("The FO4 chain needs at least 3 stages")
-    supplies = _per_corner_supplies(vdd, len(inverters))
-    results = simulate_inverter_chain_batch(
-        inverters, vdd=supplies, stages=stages, fanout=fanout
-    )
+    try:
+        supplies = ([float(vdd)] * len(inverters)
+                    if isinstance(vdd, numbers.Real)
+                    else [float(value) for value in vdd])
+    except TypeError:
+        raise SimulationError(
+            f"vdd must be a number or an iterable of numbers, got {vdd!r}"
+        ) from None
+    if len(supplies) != len(inverters):
+        raise SimulationError(
+            f"Got {len(inverters)} corners but {len(supplies)} supplies"
+        )
+
+    cases: List[SimulationCase] = []
+    estimates: List[float] = []
+    for inverter, supply in zip(inverters, supplies):
+        estimate = fo4_metrics(inverter, supply, fanout).delay_s
+        source = pulse_source(supply, delay=2 * estimate,
+                              rise_time=max(estimate * 0.1, 1.0e-13),
+                              width=estimate * (stages + 6))
+        # Odd stages invert: precondition internal nodes to their DC
+        # values for a low input.
+        initial = {f"n{stage + 1}": supply if stage % 2 == 0 else 0.0
+                   for stage in range(stages)}
+        cases.append(SimulationCase(
+            build_inverter_chain(inverter, stages, fanout, supply),
+            {"in": source}, initial_conditions=initial,
+        ))
+        estimates.append(estimate)
+    slowest = max(estimates)
+    stop = 2 * slowest + 2 * (slowest * (stages + 6))
+    time_step = max(min(estimates) / 50.0, 1.0e-14)
+    results = run_transient_batch(cases, stop_time=stop, time_step=time_step)
     return [
         FO4Metrics(
-            delay_s=result.mid_stage_delay_s,
-            energy_per_cycle_j=result.energy_per_cycle_j,
+            delay_s=result.propagation_delay("n2", "n3"),
+            energy_per_cycle_j=result.supply_energy / stages,
             load_capacitance_f=fo4_load_capacitance(inverter, fanout),
             drive_current_a=inverter.drive_current(supply),
             supply_voltage=supply,

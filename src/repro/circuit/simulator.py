@@ -1035,17 +1035,8 @@ class TransientSimulator:
 
 
 # ---------------------------------------------------------------------------
-# Inverter-chain convenience used by the FO4 experiment
+# The FO4 inverter chain (measured by repro.circuit.fo4)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InverterChainResult:
-    """Measurements from a simulated FO4 inverter chain."""
-
-    mid_stage_delay_s: float
-    energy_per_cycle_j: float
-    result: TransientResult
-
 
 def build_inverter_chain(inverter: Inverter, stages: int, fanout: int,
                          vdd: float) -> TransistorNetlist:
@@ -1070,87 +1061,3 @@ def build_inverter_chain(inverter: Inverter, stages: int, fanout: int,
         previous_net = out_net
     netlist.declare_io(["in"], [previous_net])
     return netlist
-
-
-def _chain_case(inverter: Inverter, vdd: float, stages: int,
-                fanout: int) -> Tuple[SimulationCase, float]:
-    """One FO-``fanout`` chain corner and its analytical delay estimate."""
-    from .fo4 import fo4_metrics  # local import to avoid a module cycle
-
-    netlist = build_inverter_chain(inverter, stages, fanout, vdd)
-    estimate = fo4_metrics(inverter, vdd, fanout).delay_s
-    edge = max(estimate * 0.1, 1.0e-13)
-    settle = estimate * (stages + 6)
-    source = pulse_source(vdd, delay=2 * estimate, rise_time=edge, width=settle)
-    # Odd stages invert: precondition internal nodes to their DC values for
-    # a low input.
-    initial = {
-        f"n{stage + 1}": vdd if stage % 2 == 0 else 0.0
-        for stage in range(stages)
-    }
-    case = SimulationCase(netlist, {"in": source}, initial_conditions=initial)
-    return case, estimate
-
-
-def _measure_chain(result: TransientResult, stages: int) -> InverterChainResult:
-    """Mid-stage delay and per-stage energy of one simulated chain."""
-    delay = result.propagation_delay("n2", "n3")
-    energy = result.supply_energy / stages
-    return InverterChainResult(
-        mid_stage_delay_s=delay,
-        energy_per_cycle_j=energy,
-        result=result,
-    )
-
-
-def _per_corner_supplies(vdd, corners: int) -> List[float]:
-    """Normalise a scalar-or-per-corner supply argument to one float per
-    corner (accepts any iterable, e.g. a NumPy array or range)."""
-    if isinstance(vdd, (int, float)):
-        return [float(vdd)] * corners
-    try:
-        supplies = [float(value) for value in vdd]
-    except TypeError:
-        raise SimulationError(
-            f"vdd must be a number or an iterable of numbers, got {vdd!r}"
-        ) from None
-    if len(supplies) != corners:
-        raise SimulationError(
-            f"Got {corners} corners but {len(supplies)} supplies"
-        )
-    return supplies
-
-
-def simulate_inverter_chain_batch(
-    inverters: Sequence[Inverter],
-    vdd: float = 1.0,
-    stages: int = 5,
-    fanout: int = 4,
-) -> List[InverterChainResult]:
-    """Simulate many inverter corners' FO-``fanout`` chains in one batch.
-
-    Every corner gets its own chain netlist and a stimulus timed from its
-    own analytical delay estimate; the shared time base covers the slowest
-    corner at the resolution of the fastest, so one vectorized integration
-    measures all corners (e.g. the CNT-count sweep of Figure 7, with the
-    CMOS reference riding in the same batch).
-
-    ``vdd`` may be a scalar (shared) or a sequence per corner.
-    """
-    if not inverters:
-        raise SimulationError("simulate_inverter_chain_batch needs >= 1 corner")
-    if stages < 3:
-        raise SimulationError("The FO4 chain needs at least 3 stages")
-    supplies = _per_corner_supplies(vdd, len(inverters))
-    cases: List[SimulationCase] = []
-    estimates: List[float] = []
-    for inverter, supply in zip(inverters, supplies):
-        case, estimate = _chain_case(inverter, supply, stages, fanout)
-        cases.append(case)
-        estimates.append(estimate)
-    slowest = max(estimates)
-    settle = slowest * (stages + 6)
-    stop = 2 * slowest + 2 * settle
-    time_step = max(min(estimates) / 50.0, 1.0e-14)
-    results = run_transient_batch(cases, stop_time=stop, time_step=time_step)
-    return [_measure_chain(result, stages) for result in results]

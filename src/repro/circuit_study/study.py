@@ -40,8 +40,8 @@ from ..cells import characterize
 from ..cells.characterize import (
     MEASURED_LOADS_F,
     MEASURED_SLEW_S,
+    CellGrid,
     cnfet_technology,
-    grid_time_base,
 )
 from ..cells.library import DEFAULT_DRIVE_STRENGTHS, DEFAULT_GATE_SET, build_library
 from ..circuit.logical_effort import CellTimingModel, TimingLibrary, analyse_netlist
@@ -255,11 +255,11 @@ def run_circuit_study(
                 "pitch_nm": pitch_nm, "unit_width": unit_width,
                 "loads": MEASURED_LOADS_F, "slew": MEASURED_SLEW_S,
             },
-            context=grid_time_base(
+            context=CellGrid(
                 cell.gate.name, (cell.drive_strength,), MEASURED_LOADS_F,
-                (MEASURED_SLEW_S,), {"nominal": technology},
+                (MEASURED_SLEW_S,), (("nominal", technology),),
                 unit_width=unit_width,
-            ),
+            ).time_base(),
         ))
 
     store = as_cache(cache)

@@ -25,8 +25,9 @@ constructed so that *nothing about scheduling leaks into them*:
   :class:`~numpy.random.SeedSequence`, derived in the parent under the
   reserved ``_SWEEP_SPAWN_KEY`` contract **per corner, not per worker**
   (see :meth:`repro.study.spec.SweepSpec.seeds`);
-* transient shards re-plan the full characterisation grid (cheap,
-  analytical) and integrate only their slice on the shared time base
+* a transient shard is ``(grid, case indices)`` over one
+  :class:`~repro.cells.characterize.CellGrid`: it integrates only its
+  cases, on the whole grid's analytical time base
   (:func:`repro.cells.characterize.characterize_cases`), so a shard's
   waveforms are bit-identical to the full-batch run.
 

@@ -20,11 +20,13 @@ misses, store them.
   this engine with the axes declared in that canonical order.
 * ``engine="transient"`` — the batch transient/characterisation engine.
   Axes: ``cell``, ``drive``, ``load_f``, ``slew_s``, ``vdd``,
-  ``pitch_nm``.  Grid corners are integrated per cell on the whole
-  grid's shared time base (:func:`repro.cells.characterize.
-  characterize_cases`), bit-identical to one
-  :func:`~repro.cells.characterize.characterize_sweep` batch; a zip
-  corner is its own one-point grid, on the same path.
+  ``pitch_nm``.  The corners of one cell form one
+  :class:`~repro.cells.characterize.CellGrid` (its technology corners
+  span ``vdd × pitch_nm``); a shard is ``(grid, case indices)``,
+  integrated on the whole grid's time base
+  (:func:`~repro.cells.characterize.characterize_cases`), bit-identical
+  to one :func:`~repro.cells.characterize.characterize_sweep` batch.  A
+  zip corner is its own one-point grid, on the same path.
 * ``engine="circuit"`` — the circuit-level yield/delay/energy study
   (:func:`repro.circuit_study.run_circuit_study`).  Axes: ``circuit``
   (generator spec or Verilog text), ``technique``, ``cnts_per_trial``,
@@ -257,10 +259,10 @@ def _plan_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
       any axis whose canonical predecessors are singletons) keeps every
       old corner's address stable.
     * **transient**: the shared time base
-      (:func:`repro.cells.characterize.grid_time_base`) of the grid the
-      corner's waveform was integrated on.  A grid reshape that moves the
-      time base changes every affected address (recompute — exactly what
-      bit-identity demands); one that leaves the analytical envelope
+      (:meth:`repro.cells.characterize.CellGrid.time_base`) of the grid
+      the corner's waveform was integrated on.  A grid reshape that moves
+      the time base changes every affected address (recompute — exactly
+      what bit-identity demands); one that leaves the analytical envelope
       alone keeps the stored corners valid.
     * **circuit**: the child seed, trial count and the *resolved* netlist
       structure of the corner's circuit.
@@ -512,74 +514,54 @@ def _corner_name(vdd: float, pitch_nm: float) -> str:
     return f"v{vdd!r}_p{pitch_nm!r}"
 
 
-@dataclass(frozen=True)
-class _TransientGrid:
-    """One cell's ``(drive, load, slew, vdd × pitch)`` characterisation
-    grid: the unit whose corners share one time base."""
-
-    cell: str
-    drives: Tuple[object, ...]
-    loads: Tuple[object, ...]
-    slews: Tuple[object, ...]
-    corner_grid: Tuple[Tuple[object, object], ...]   # (vdd, pitch_nm)
-
-    def technologies(self) -> Dict[str, Any]:
-        from ..cells.characterize import cnfet_technology
-
-        return {_corner_name(vdd, pitch): cnfet_technology(vdd=vdd,
-                                                           pitch_nm=pitch)
-                for vdd, pitch in self.corner_grid}
-
-
 #: The transient axes that span a cell's grid, in flat-index order.
 _GRID_AXES = ("drive", "load_f", "slew_s", "vdd", "pitch_nm")
 
 
-def _transient_grid(spec: SweepSpec, constants: Mapping[str, object],
-                    values: Mapping[str, object]) -> Tuple[_TransientGrid, int]:
-    """The grid a transient corner (resolved ``values``) is integrated
-    on, and its flat index there.  A grid-mode corner belongs to its
-    cell's full grid; a zip corner is its own one-point grid, at 0."""
-    if spec.mode == "zip":
-        axes = [(values[name],) for name in _GRID_AXES]
-    else:
-        axes = [_axis_or_constant(spec, constants, name)
-                for name in _GRID_AXES]
-    drives, loads, slews, vdds, pitches = axes
-    grid = _TransientGrid(cell=str(values["cell"]), drives=drives,
-                          loads=loads, slews=slews,
-                          corner_grid=tuple(itertools.product(vdds, pitches)))
-    flat = np.ravel_multi_index(
-        tuple(axis.index(values[name]) for name, axis in zip(_GRID_AXES, axes)),
-        tuple(len(axis) for axis in axes),
-    )
-    return grid, int(flat)
+def _transient_grids(spec: SweepSpec, constants: Mapping[str, object]
+                     ) -> Tuple[List[Any], List[Tuple[int, int]]]:
+    """``(grids, placement)``: one :class:`~repro.cells.characterize.
+    CellGrid` per distinct grid, and per corner the position of the grid
+    it is integrated on and its flat case index there.
+
+    A grid-mode corner belongs to its cell's full grid; a zip corner is
+    its own one-point grid, at 0.  The grid's technology corners span
+    ``vdd × pitch_nm``."""
+    from ..cells.characterize import CellGrid, cnfet_technology
+
+    shared = [_axis_or_constant(spec, constants, name) for name in _GRID_AXES]
+    grids: List[CellGrid] = []
+    positions: Dict[Tuple[object, ...], int] = {}
+    placement: List[Tuple[int, int]] = []
+    for corner in spec.corners():
+        values = _bindings(corner, constants, TRANSIENT_AXES)
+        axes = ([(values[name],) for name in _GRID_AXES]
+                if spec.mode == "zip" else shared)
+        key = (values["cell"], *axes)
+        if key not in positions:
+            drives, loads, slews, vdds, pitches = axes
+            positions[key] = len(grids)
+            grids.append(CellGrid(
+                str(values["cell"]), drives, loads, slews,
+                tuple((_corner_name(vdd, pitch),
+                       cnfet_technology(vdd=vdd, pitch_nm=pitch))
+                      for vdd, pitch in itertools.product(vdds, pitches)),
+            ))
+        flat = np.ravel_multi_index(
+            tuple(axis.index(values[name])
+                  for name, axis in zip(_GRID_AXES, axes)),
+            tuple(len(axis) for axis in axes),
+        )
+        placement.append((positions[key], int(flat)))
+    return grids, placement
 
 
-@dataclass(frozen=True)
-class _TransientGridShard:
-    """A picklable slice of one grid.  Workers re-plan the **full** grid
-    — cheap, analytical — so the shared time base is the whole grid's,
-    then integrate only ``case_indices``
-    (:func:`repro.cells.characterize.characterize_cases`)."""
-
-    grid: _TransientGrid
-    case_indices: Tuple[int, ...]
-
-
-def _run_transient_grid_shard(shard: _TransientGridShard) -> List[Dict[str, Any]]:
-    """Worker: integrate one grid shard (module-level for pickling)."""
+def _run_transient_shard(shard) -> List[Dict[str, Any]]:
+    """Worker: integrate the ``(grid, case indices)`` of one shard
+    (module-level for pickling)."""
     from ..cells.characterize import characterize_cases
 
-    grid = shard.grid
-    points = characterize_cases(
-        grid.cell, shard.case_indices,
-        drive_strengths=grid.drives,
-        load_capacitances_f=grid.loads,
-        input_slews_s=grid.slews,
-        corners=grid.technologies(),
-    )
-    return [_transient_metrics(point) for point in points]
+    return [_transient_metrics(point) for point in characterize_cases(*shard)]
 
 
 def _execute_transient(spec: SweepSpec, constants: Mapping[str, object],
@@ -589,33 +571,31 @@ def _execute_transient(spec: SweepSpec, constants: Mapping[str, object],
     metrics in ``indices`` order (``seeds``/``trials`` are unused — the
     engine is deterministic).
 
-    The corners are grouped by grid; shards re-plan their **full** grid
-    and integrate only their cases, so a subset run — a delta recompute
-    as much as a parallel shard — lands on the same shared time base and
-    bit-identical waveforms as one batch over the whole grid.  At
-    ``jobs=1`` that is one shard per grid.
+    The corners are grouped by grid and each shard integrates only its
+    cases on the **whole** grid's time base, so a subset run — a delta
+    recompute as much as a parallel shard — lands on bit-identical
+    waveforms to one batch over the whole grid.  At ``jobs=1`` that is
+    one shard per grid.
     """
     from ..runtime.scheduler import run_tasks, shard_indices
 
-    corners = spec.corners()
-    by_grid: Dict[_TransientGrid, List[Tuple[int, int]]] = {}
+    grids, placement = _transient_grids(spec, constants)
+    by_grid: Dict[int, List[Tuple[int, int]]] = {}
     for position, index in enumerate(indices):
-        values = _bindings(corners[index], constants, TRANSIENT_AXES)
-        grid, flat = _transient_grid(spec, constants, values)
-        by_grid.setdefault(grid, []).append((position, flat))
+        grid_index, flat = placement[index]
+        by_grid.setdefault(grid_index, []).append((position, flat))
 
-    tasks: List[_TransientGridShard] = []
+    tasks: List[Tuple[Any, Tuple[int, ...]]] = []
     owners: List[List[int]] = []
-    for grid, pairs in by_grid.items():
-        # One shard per worker, no oversubscription: each transient shard
-        # re-plans its whole grid (O(grid), unlike the O(slice) seeded
-        # shards), so extra shards multiply planning work.
+    for grid_index, pairs in by_grid.items():
+        # One shard per worker, no oversubscription: every shard of a
+        # grid needs the grid's time base, which is O(grid) to derive.
         for start, stop in shard_indices(len(pairs), jobs):
             chunk = pairs[start:stop]
-            tasks.append(_TransientGridShard(
-                grid=grid, case_indices=tuple(flat for _, flat in chunk)))
+            tasks.append((grids[grid_index],
+                          tuple(flat for _, flat in chunk)))
             owners.append([position for position, _ in chunk])
-    per_shard = run_tasks(_run_transient_grid_shard, tasks, jobs=jobs,
+    per_shard = run_tasks(_run_transient_shard, tasks, jobs=jobs,
                           backend=backend)
     flat_metrics: List[Optional[Dict[str, Any]]] = [None] * len(indices)
     for owner, metrics_list in zip(owners, per_shard):
@@ -626,24 +606,16 @@ def _execute_transient(spec: SweepSpec, constants: Mapping[str, object],
 
 def _transient_corner_keys(spec: SweepSpec, constants: Mapping[str, object],
                            seeds, trials: int) -> List[str]:
-    from ..cells.characterize import grid_time_base
     from ..runtime.fingerprint import corner_fingerprint
 
-    # Every corner of a grid carries its grid's time base as context —
-    # computed once per distinct grid.
-    time_bases: Dict[_TransientGrid, Tuple[object, ...]] = {}
-    keys = []
-    for corner in spec.corners():
-        values = _bindings(corner, constants, TRANSIENT_AXES)
-        grid, _ = _transient_grid(spec, constants, values)
-        if grid not in time_bases:
-            time_bases[grid] = grid_time_base(
-                grid.cell, grid.drives, grid.loads, grid.slews,
-                grid.technologies(),
-            )
-        keys.append(corner_fingerprint("transient", values,
-                                       context=time_bases[grid]))
-    return keys
+    # Every corner of a grid carries its grid's time base as context.
+    grids, placement = _transient_grids(spec, constants)
+    return [
+        corner_fingerprint("transient",
+                           _bindings(corner, constants, TRANSIENT_AXES),
+                           context=grids[grid_index].time_base())
+        for corner, (grid_index, _) in zip(spec.corners(), placement)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,38 @@ class TestPerUniqueCell:
         assert kernel_counter == [2, 2]
         assert sharded == serial
 
+    def test_timing_address_names_the_integrated_time_base(self,
+                                                          monkeypatch):
+        """The ``circuit-timing`` address of each cell carries the time
+        base its cases are integrated on: the context's ``(stop, step)``
+        equals the ``time_base`` of that cell's cases in the kernel call."""
+        from repro.circuit_study import study as circuit_engine
+
+        contexts, integrated = {}, {}
+        real_fingerprint = circuit_engine.corner_fingerprint
+        real_kernel = characterize.run_transient_batch
+
+        def recording_fingerprint(engine, params, *args, **kwargs):
+            if engine == "circuit-timing":
+                contexts[params["cell"]] = kwargs["context"]
+            return real_fingerprint(engine, params, *args, **kwargs)
+
+        def recording_kernel(cases, *args, **kwargs):
+            for case in cases:
+                integrated.setdefault(case.netlist.name, set()).add(
+                    case.time_base)
+            return real_kernel(cases, *args, **kwargs)
+
+        monkeypatch.setattr(circuit_engine, "corner_fingerprint",
+                            recording_fingerprint)
+        monkeypatch.setattr(characterize, "run_transient_batch",
+                            recording_kernel)
+        run_fast()
+        assert sorted(contexts) == sorted(integrated) == ["NAND2_2X",
+                                                          "NAND2_4X"]
+        for cell, context in contexts.items():
+            assert integrated[cell] == {tuple(context[3:5])}
+
     def test_instance_count_scales_but_cell_work_does_not(self):
         """adder:8 is 4x the instances of adder:2 with identical unique
         cells, so its per-cell corner keys are the same addresses."""

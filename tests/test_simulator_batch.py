@@ -6,6 +6,7 @@ back-drive, the vectorized PWL evaluator, and the sweep grid."""
 import numpy as np
 import pytest
 
+import repro.cells.characterize as characterize
 from repro.cells import (
     characterize_sweep,
     cnfet_technology,
@@ -27,8 +28,8 @@ from repro.circuit import (
     cnfet_inverter,
     constant_source,
     pulse_source,
+    fo4_transient_sweep,
     run_transient_batch,
-    simulate_inverter_chain_batch,
     step_source,
 )
 from repro.devices import FO4_GATE_WIDTH_NM, calibrated_cnfet_parameters
@@ -428,7 +429,7 @@ class TestBatchValidation:
     def test_mismatched_supply_list_rejected(self):
         inverter = cmos_inverter()
         with pytest.raises(SimulationError):
-            simulate_inverter_chain_batch([inverter], vdd=[1.0, 0.9])
+            fo4_transient_sweep([inverter], vdd=[1.0, 0.9])
 
     def test_invalid_time_base_rejected(self):
         case = _cnfet_chain_case()
@@ -520,3 +521,54 @@ class TestCharacterizationSweep:
                                    "nominal").worst_delay_s
             assert model.stage_delay(load) == pytest.approx(measured,
                                                             rel=0.25)
+
+
+class TestCellGrid:
+    """The contract of one cell's grid: non-empty axes, in-range case
+    indices, and subsets that build only their own netlists and land on
+    the full sweep's points."""
+
+    CORNERS = (("tt", cnfet_technology()), ("lv", cnfet_technology(vdd=0.9)))
+
+    def _grid(self, **overrides):
+        axes = dict(gate="NAND2", drives=(1.0, 2.0), loads=(1e-15, 4e-15),
+                    slews=(5e-12,), corners=self.CORNERS)
+        return characterize.CellGrid(**{**axes, **overrides})
+
+    @pytest.mark.parametrize("axis", ["drives", "loads", "slews", "corners"])
+    def test_empty_axis_rejected(self, axis):
+        with pytest.raises(CharacterizationError):
+            self._grid(**{axis: ()})
+
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_out_of_range_index_rejected(self, index):
+        grid = self._grid()
+        assert len(grid) == 8
+        with pytest.raises(CharacterizationError):
+            characterize.characterize_cases(grid, [0, index])
+
+    def test_value_semantics(self):
+        grid = self._grid()
+        assert grid == self._grid() and hash(grid) == hash(self._grid())
+        assert grid.time_base() is grid.time_base()
+        assert grid.time_base() == self._grid().time_base()
+
+    def test_cases_subset_matches_the_sweep(self, monkeypatch):
+        grid = self._grid()
+        built = []
+        real = characterize.gate_transistor_netlist
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(characterize, "gate_transistor_netlist", counting)
+        subset = characterize.characterize_cases(grid, [6, 1])
+        assert len(built) == 2
+        monkeypatch.undo()
+        full = characterize_sweep(gate_names=("NAND2",),
+                                  drive_strengths=grid.drives,
+                                  load_capacitances_f=grid.loads,
+                                  input_slews_s=grid.slews,
+                                  corners=dict(grid.corners))
+        assert subset == [full.points[6], full.points[1]]

@@ -15,9 +15,10 @@ that computes the same numbers without going through the sweep driver:
 * circuit — one :func:`~repro.circuit_study.run_circuit_study` per corner
   with ``SweepSpec.seeds(seed, share_axes=("vdd", "pitch_nm"))``.
 
-Each comparison runs in three execution modes — uncached, into an empty
-corner store, and sharded over two threads — so every mode must land on
-the same payload and the expected ``provenance.cache`` annotation.
+Each comparison runs in four execution modes — uncached, into an empty
+corner store, and sharded over two threads or two worker processes — so
+every mode must land on the same payload and the expected
+``provenance.cache`` annotation.
 
 The golden test pins the hex ``sweep_fingerprint`` and per-corner
 addresses of a fixed scenario set, so a refactor of the sweep driver
@@ -38,8 +39,9 @@ from repro.study.sweeps import _plan_sweep, sweep_engine
 
 #: Execution modes every oracle runs in, with the provenance ``cache``
 #: annotation each must report.
-MODES = ("uncached", "store", "threads")
-STATUS = {"uncached": None, "store": "miss", "threads": None}
+MODES = ("uncached", "store", "threads", "processes")
+STATUS = {"uncached": None, "store": "miss", "threads": None,
+          "processes": None}
 
 
 @pytest.fixture(params=MODES)
@@ -50,6 +52,8 @@ def mode(request, tmp_path):
         return name, {"cache": ResultCache(tmp_path / "store")}
     if name == "threads":
         return name, {"jobs": 2, "backend": "thread"}
+    if name == "processes":
+        return name, {"jobs": 2, "backend": "process"}
     return name, {}
 
 
