@@ -18,7 +18,9 @@ semantics:
 * the **batch engine** lowers a batch of :class:`SimulationCase` once
   into NumPy structure arrays (see *Precompiled array layout*) and
   integrates every case in one sub-step loop
-  (:func:`run_transient_batch`, :meth:`TransientSimulator.run`);
+  (:func:`run_transient_batch`, :meth:`TransientSimulator.run`), whose
+  sub-step is compiled C when a C compiler is available and NumPy
+  otherwise, byte for byte alike (:mod:`repro.circuit.stepper`);
 * the **reference** (:meth:`TransientSimulator.run_reference`) is the
   scalar per-substep loop the batch engine mirrors operation for
   operation; the two are bit-identical.
@@ -60,7 +62,7 @@ then the rails), so the update, clamp and stimulus write act on views;
 under their net names.  One gather through ``terminal_idx`` fetches
 every terminal voltage, and one gather through ``rank_table`` lays out
 every net's current contributions (see
-:meth:`CompiledTransientBatch._march`).
+:class:`repro.circuit.stepper.NumpyStepper`).
 
 Per-case quantities (``prefactor`` .. ``capacitance``) carry the batch
 axis, so corners may vary device parameters, loading, supply and
@@ -116,15 +118,14 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..devices.cnfet import CNFET
 from ..devices.mosfet import MOSFET
 from ..errors import SimulationError
+from . import stepper
 from .inverter import Inverter
 from .netlist import GND, VDD, TransistorNetlist
 
@@ -583,8 +584,10 @@ class CompiledTransientBatch:
                 for point_i, (t, v) in enumerate(points):
                     self.pwl_times[column, source_i, point_i] = t
                     self.pwl_values[column, source_i, point_i] = v
-                # Pad with the final value so interpolation into the pad
-                # region reproduces the "hold last value" rule exactly.
+                # Pad with the final point: past it, the lookup lands on a
+                # zero-length segment and returns the last value as is
+                # (the "hold last value" rule, ``-0.0`` included).
+                self.pwl_times[column, source_i, len(points):] = points[-1][0]
                 self.pwl_values[column, source_i, len(points):] = points[-1][1]
 
     # -- validation -------------------------------------------------------
@@ -617,9 +620,9 @@ class CompiledTransientBatch:
         Vectorized mirror of :meth:`PiecewiseLinearSource.value`: locate
         the first breakpoint at or after ``t`` (``searchsorted`` over the
         padded breakpoints) and interpolate with the same expression;
-        padded entries (``t = inf``, value held) resolve to the last real
-        value, and ``t`` at or before the first breakpoint resolves to the
-        first value through the degenerate-segment branch.
+        ``t`` past the last breakpoint (padded with copies of the last
+        point) or at or before the first one resolves to that point's
+        value through the degenerate-segment branch.
         """
         longest = self.pwl_times.shape[-1]
         breakpoints = self.pwl_times[column, source_i]
@@ -674,7 +677,10 @@ class CompiledTransientBatch:
             for source_i in self._own_sources(column):
                 values = self._evaluate_pwl(column, source_i,
                                             step_times[group])
-                changed[1:len(values)] |= values[1:] != values[:-1]
+                # Compared as bit patterns: a step from -0.0 to +0.0 is
+                # a change the reference writes into the state.
+                bits = values.view(np.uint64)
+                changed[1:len(values)] |= bits[1:] != bits[:-1]
         steps_changed = np.flatnonzero(changed)
         return changed, self._source_values([
             step_times[group][np.minimum(steps_changed, len(step_times[group]) - 1)]
@@ -682,66 +688,6 @@ class CompiledTransientBatch:
         ])
 
     # -- integration ------------------------------------------------------
-
-    def _current_kernel(self, terminals: np.ndarray,
-                        out: np.ndarray) -> Callable[[], None]:
-        """Build the device-current step: ``terminals -> out``.
-
-        ``terminals`` is the ``(3T, B)`` gathered gate|drain|source
-        voltages and ``out`` receives the current out of each device's
-        drain terminal, ``(T, B)``.  The returned function is an
-        elementwise mirror of the reference's ``_channel_current``: the
-        conduction direction is folded into ``(vgs, vds)`` relative to the
-        low (n-type) or high (p-type) channel terminal, and the sign of the
-        drain current follows the terminal ordering.  Inactive lanes
-        (``overdrive <= 0`` or ``vds <= 0``) are masked to exactly zero.
-        Every expression keeps the scalar operand association; the
-        intermediates live in buffers allocated here, once per integration.
-        """
-        shape = self.prefactor.shape
-        devices, n = shape[0], self.n_devices
-        vth, nominal_ov = self.vth, self.nominal_ov
-        prefactor, alpha = self.prefactor, self.alpha
-        gate_v = terminals[:devices]
-        drain_v = terminals[devices:2 * devices]
-        source_v = terminals[2 * devices:]
-        high, low, vds, vgs, overdrive, ratio, saturation, triode, scratch = (
-            np.empty(shape) for _ in range(9))
-        active, saturated, forward = (
-            np.empty(shape, dtype=bool) for _ in range(3))
-        gate_n, low_n, vgs_n = gate_v[:n], low[:n], vgs[:n]
-        gate_p, high_p, vgs_p = gate_v[n:], high[n:], vgs[n:]
-        maximum, minimum, subtract = np.maximum, np.minimum, np.subtract
-        multiply, divide, power = np.multiply, np.divide, np.power
-        greater, greater_equal = np.greater, np.greater_equal
-        negative, where, copyto = np.negative, np.where, np.copyto
-
-        def device_currents() -> None:
-            maximum(drain_v, source_v, out=high)
-            minimum(drain_v, source_v, out=low)
-            subtract(high, low, out=vds)
-            subtract(gate_n, low_n, out=vgs_n)         # n-type: gate - low
-            subtract(high_p, gate_p, out=vgs_p)        # p-type: high - gate
-            subtract(vgs, vth, out=overdrive)
-            # (overdrive > 0) & (vds > 0), NaN lanes included: min(a, b) > 0
-            # holds exactly when both do.
-            greater(minimum(overdrive, vds, out=scratch), 0.0, out=active)
-            # Inactive lanes get a harmless positive base so the power and
-            # division lanes never see zero or negative operands.
-            safe = where(active, overdrive, 1.0)
-            divide(safe, nominal_ov, out=ratio)
-            multiply(prefactor, power(ratio, alpha, out=ratio), out=saturation)
-            divide(vds, safe, out=triode)
-            # saturation * triode * (2.0 - triode), left to right.
-            multiply(saturation, triode, out=scratch)
-            multiply(scratch, subtract(2.0, triode, out=triode), out=scratch)
-            magnitude = where(greater_equal(vds, overdrive, out=saturated),
-                              saturation, scratch)
-            magnitude = where(active, magnitude, 0.0)
-            copyto(out, where(greater_equal(drain_v, source_v, out=forward),
-                              magnitude, negative(magnitude, out=scratch)))
-
-        return device_currents
 
     def integrate(self, stop_time: float, time_step: float) -> List[TransientResult]:
         """Integrate every case, each on its own time base (``stop_time``
@@ -757,12 +703,14 @@ class CompiledTransientBatch:
         from ..obs import trace as obs_trace
 
         batch = self.batch_size
+        stepper_type = stepper.resolve_stepper()
         with obs_trace.span("transient.integrate", batch=batch,
                             nets=len(self.initial_voltages),
                             devices=self.prefactor.shape[0],
-                            substeps=steps):
+                            substeps=steps, stepper=stepper_type.name):
             waveforms, supply_charge = self._march(
-                boundaries, step_sizes, changed, iter(source_rows))
+                stepper_type, boundaries, step_sizes, changed,
+                iter(source_rows))
             obs_trace.add("transient.corner_steps", batch * steps)
 
         results: List[Optional[TransientResult]] = [None] * batch
@@ -815,77 +763,36 @@ class CompiledTransientBatch:
             source_rows = np.ascontiguousarray(values.transpose(0, 2, 1))
         return sample_times, boundaries, step_sizes, changed, source_rows
 
-    def _march(self, boundaries: List[List[int]], step_sizes: List,
-               changed: List[bool],
+    def _march(self, stepper_type, boundaries: List[List[int]],
+               step_sizes: List, changed: List[bool],
                source_rows) -> Tuple[List[np.ndarray], np.ndarray]:
         """The sub-step loop: ``(waveforms per group (samples, N, width),
         supply charge per column)``.
 
         Group ``g`` records sample ``i`` before sub-step
         ``boundaries[g][i]``.  Waveform rows are in state-row order (see
-        ``block_rows``).  Every buffer is allocated before the loop; a
-        sub-step is one terminal gather, the device currents, one
-        rank-table gather, one add per rank, and the ``(i*dt)/C`` update
-        and rail clamp on the integrated-net view.
+        ``block_rows``).  A sub-step writes the stimulus rows where any
+        source changed, then ``stepper_type``'s ``step(dt)`` advances the
+        state and the supply charge (see :mod:`repro.circuit.stepper`).
         """
-        devices, batch = self.prefactor.shape
-        nodes = self.nodes
         voltages = self.initial_voltages.copy()
         waveforms = [np.empty((len(bounds), len(voltages), stop - start))
                      for bounds, (start, stop)
                      in zip(boundaries, self.group_columns)]
-        supply_charge = np.zeros(batch)
-        node_v = voltages[:nodes]
-        driven_v = voltages[nodes:nodes + len(self.source_keys)]
-        terminals = np.empty((self.terminal_idx.size, batch))
-        drive = np.zeros((2 * devices + 1, batch))   # [i | -i | +0.0]
-        signed, negated = drive[:devices], drive[devices:2 * devices]
-        ranks, columns = self.rank_table.shape
-        table = np.empty((ranks * columns, batch))
-        first_rank, *later_ranks = [
-            table[r * columns:(r + 1) * columns] for r in range(ranks)
-        ]
-        # The accumulator starts as rank 0 + 0.0 and then adds each later
-        # rank in order, exactly the reference's ``0.0 + c1 + c2 + ...``
-        # for every net and the supply.  The +0.0 padding is exact: an
-        # accumulator that starts from +0.0 is never -0.0 (round-to-nearest
-        # gives -0.0 only for -0.0 + -0.0), and x + 0.0 == x for every
-        # other x, so padded ranks leave every sum bit-identical.  The
-        # same argument covers the ``±0.0`` a device of another block
-        # adds to the supply column, and the ``±0.0`` a padding step
-        # (``dt = 0.0``) adds to the supply charge, which starts at +0.0.
-        currents = np.empty((columns, batch))
-        node_currents, supply_current = currents[:nodes], currents[nodes]
-        capacitance, low, high = self.capacitance, self.clamp_low, self.clamp_high
-        gather_terminals = partial(voltages.take, self.terminal_idx, 0,
-                                   terminals, "clip")
-        gather_ranks = partial(drive.take, self.rank_table.ravel(), 0,
-                               table, "clip")
-        device_currents = self._current_kernel(terminals, signed)
-        add, multiply, divide = np.add, np.multiply, np.divide
-        maximum, minimum, negative, copyto = (
-            np.maximum, np.minimum, np.negative, np.copyto)
+        supply_charge = np.zeros(self.batch_size)
+        driven_v = voltages[self.nodes:self.nodes + len(self.source_keys)]
+        step = stepper_type(self, voltages, supply_charge).step
+        copyto = np.copyto
 
-        step = 0
+        position = 0
         taken = [0] * len(boundaries)          # samples recorded per group
         for mark in sorted(set().union(*boundaries)):
-            for dt, change in zip(step_sizes[step:mark], changed[step:mark]):
+            for dt, change in zip(step_sizes[position:mark],
+                                  changed[position:mark]):
                 if change:
                     copyto(driven_v, next(source_rows))
-                gather_terminals()
-                device_currents()
-                negative(signed, out=negated)
-                gather_ranks()
-                add(first_rank, 0.0, out=currents)
-                for rank in later_ranks:
-                    add(currents, rank, out=currents)
-                multiply(currents, dt, out=currents)
-                add(supply_charge, supply_current, out=supply_charge)
-                divide(node_currents, capacitance, out=node_currents)
-                add(node_v, node_currents, out=node_v)
-                maximum(node_v, low, out=node_v)
-                minimum(node_v, high, out=node_v)
-            step = mark
+                step(dt)
+            position = mark
             for group, bounds in enumerate(boundaries):
                 start, stop = self.group_columns[group]
                 while taken[group] < len(bounds) and \

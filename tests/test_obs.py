@@ -27,6 +27,7 @@ import time
 
 import pytest
 
+from repro.circuit import stepper
 from repro.obs import (MetricsRegistry, Tracer, current_tracer, registry,
                        reset_registry, span, trace_counters)
 from repro.obs import trace as obs_trace
@@ -172,10 +173,33 @@ class TestBitIdentity:
         for entry in kernel:
             attributes = entry["attributes"]
             assert attributes.keys() >= {"batch", "nets", "devices",
-                                         "substeps"}
+                                         "substeps", "stepper"}
             assert entry["counters"] == {
                 "transient.corner_steps":
                     attributes["batch"] * attributes["substeps"]}
+
+    @pytest.mark.parametrize("jobs,backend",
+                             [(1, "serial"), (2, "thread"), (2, "process")])
+    def test_compiled_stepper_is_identical_under_tracing(self, jobs,
+                                                         backend):
+        """The C stepper's transient sweep, serial and on ``jobs=2``
+        workers, traced or not, equals the serial untraced run."""
+        if stepper.find_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        assert stepper.resolve_stepper() is stepper.CStepper
+        spec = SweepSpec.from_mapping({"vdd": (0.9, 1.0)})
+        untraced = run_sweep_study(spec, engine="transient")
+        parallel = run_sweep_study(spec, engine="transient", jobs=jobs,
+                                   backend=backend)
+        traced, document = _traced(lambda: run_sweep_study(
+            spec, engine="transient", jobs=jobs, backend=backend))
+        assert parallel.to_json() == untraced.to_json()
+        assert traced.to_json() == untraced.to_json()
+        steppers = {entry["attributes"]["stepper"]
+                    for entry in document["spans"]
+                    if entry["name"] == "transient.integrate"}
+        # Workers do not see the parent's tracer.
+        assert steppers == ({"c"} if backend == "serial" else set())
 
     def test_cached_sweep_is_identical_under_tracing(self, tmp_path):
         spec = SweepSpec.from_mapping({"cnts_per_trial": (2, 4)})

@@ -1,14 +1,17 @@
 """Regressions for the batch transient engine and the characterisation
 sweep: the bit-identity contract against the scalar reference integrator
-(``TransientSimulator.run_reference``), measurement parity under
+(``TransientSimulator.run_reference``) on both sub-step implementations
+(the compiled C stepper and the NumPy stepper), measurement parity under
 back-drive, the vectorized PWL evaluator, and the sweep grid."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.cells.characterize as characterize
 from repro.cells import (
     characterize_sweep,
+    cmos_technology,
     cnfet_technology,
     gate_transistor_netlist,
     measured_timing_models,
@@ -31,13 +34,39 @@ from repro.circuit import (
     fo4_transient_sweep,
     run_transient_batch,
     step_source,
+    stepper,
 )
 from repro.devices import FO4_GATE_WIDTH_NM, calibrated_cnfet_parameters
 from repro.errors import CharacterizationError, SimulationError
 from repro.logic import standard_gate
+from repro.logic.functions import STANDARD_GATES
 
 STOP = 20e-12
 STEP = 0.5e-12
+
+STEPPERS = {"numpy": stepper.NumpyStepper, "c": stepper.CStepper}
+
+
+def pin_stepper(monkeypatch, name):
+    """Make every integration use the named stepper.  The C stepper
+    skips only when no compiler is on ``PATH``; with one, its library
+    must build and load."""
+    if name == "c":
+        if stepper.find_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        assert stepper.load_library() is not None
+    monkeypatch.setattr(stepper, "resolve_stepper", lambda: STEPPERS[name])
+
+
+class OnStepper:
+    """Runs a test class on ``STEPPER``; each oracle class below is
+    subclassed once more with ``STEPPER = "numpy"``."""
+
+    STEPPER = "c"
+
+    @pytest.fixture(autouse=True)
+    def _pinned_stepper(self, monkeypatch):
+        pin_stepper(monkeypatch, self.STEPPER)
 
 
 def _cnfet_chain_case(tubes=6, vdd=1.0, stages=3):
@@ -63,7 +92,7 @@ def _assert_identical(loop, batch):
     assert loop.vdd == batch.vdd
 
 
-class TestBitIdentity:
+class TestBitIdentity(OnStepper):
     def test_inverter_chain_batch_matches_loop(self):
         """CNFET chain corners: every waveform sample of every corner is
         byte-identical across the engines."""
@@ -124,7 +153,11 @@ class TestBitIdentity:
         assert batch.voltage("monitor")[-1] == 1.0
 
 
-class TestRankTableOracle:
+class TestBitIdentityNumpy(TestBitIdentity):
+    STEPPER = "numpy"
+
+
+class TestRankTableOracle(OnStepper):
     """The zero-padded rank table (every net's contributions, and the
     supply's, folded in loop order with ``+0.0`` padding) against the
     reference integrator, at batch 1 and 7 with a different supply on
@@ -224,7 +257,11 @@ class TestRankTableOracle:
             assert not np.signbit(result.supply_charge)
 
 
-class TestMeasurementParity:
+class TestRankTableOracleNumpy(TestRankTableOracle):
+    STEPPER = "numpy"
+
+
+class TestMeasurementParity(OnStepper):
     def test_crossing_and_energy_parity_under_backdrive(self):
         """A rail-to-rail pulse through one FO4 inverter back-drives the
         supply during the falling edge; crossing times and supply energy
@@ -246,6 +283,10 @@ class TestMeasurementParity:
         # The back-drive guard of PR 1 still holds on both engines.
         load = netlist.node_capacitance("n1")
         assert 0.5 * load < batch.supply_charge < 4.0 * load
+
+
+class TestMeasurementParityNumpy(TestMeasurementParity):
+    STEPPER = "numpy"
 
 
 class TestVectorizedPWL:
@@ -277,7 +318,7 @@ class TestVectorizedPWL:
                     case_i, time)
 
 
-class TestPackedBatch:
+class TestPackedBatch(OnStepper):
     """One call packs cases of different topologies and time bases:
     every case is byte-equal, waveform by waveform and in supply charge,
     to the reference integrator run alone on its own time base."""
@@ -348,6 +389,68 @@ class TestPackedBatch:
                  ((1.0, (6e-12, 0.5e-12)), (0.9, (9e-12, 0.3e-12)))]
         for case, result in zip(cases, run_transient_batch(cases, STOP, STEP)):
             self._assert_bytes_equal(_loop(case, *case.time_base), result)
+
+
+class TestPackedBatchNumpy(TestPackedBatch):
+    STEPPER = "numpy"
+
+
+@st.composite
+def _pwl(draw, vdd, stop):
+    """A PWL source over ``[0, stop]``: sorted breakpoints (duplicates
+    make vertical edges), levels on or between the rails, ``-0.0``
+    included."""
+    times = sorted(draw(st.lists(
+        st.sampled_from([0.0, 0.1 * stop, 0.25 * stop, 0.5 * stop, stop]),
+        min_size=1, max_size=5)))
+    levels = st.one_of(st.sampled_from([-0.0, 0.0, vdd]),
+                       st.floats(0.0, vdd, allow_subnormal=False))
+    return PiecewiseLinearSource([(t, draw(levels)) for t in times])
+
+
+@st.composite
+def _random_case(draw):
+    """One random standard-gate corner on its own (or the call's) time
+    base.  Its output may start above the rail (the on pull-up then
+    returns charge to Vdd) and may be a back-driven net: a source holds
+    ``out`` while the gate's devices drive current into it."""
+    vdd = draw(st.sampled_from([0.8, 0.9, 1.0, 1.1]))
+    technology = draw(st.sampled_from([cnfet_technology, cmos_technology]))
+    gate = standard_gate(draw(st.sampled_from(sorted(STANDARD_GATES))))
+    netlist = gate_transistor_netlist(
+        gate, technology(vdd=vdd),
+        drive_strength=draw(st.sampled_from([1.0, 2.0, 4.0])),
+        load_capacitance=draw(st.sampled_from([0.0, 1e-15, 4e-15])))
+    time_base = draw(st.sampled_from(
+        [None, (1e-12, 0.1e-12), (2e-12, 0.25e-12), (3e-12, 0.5e-12)]))
+    stop = (time_base or TestDifferential.TIME_BASE)[0]
+    sources = {pin: draw(_pwl(vdd, stop)) for pin in gate.inputs}
+    if draw(st.booleans()):
+        sources["out"] = draw(_pwl(vdd, stop))
+    initial = {"out": draw(st.sampled_from([-0.0, 0.0, 0.5 * vdd, vdd,
+                                            1.09 * vdd]))}
+    return SimulationCase(netlist, sources, initial, time_base=time_base)
+
+
+class TestDifferential:
+    """Random packed calls: the C stepper, the NumPy stepper and the
+    reference integrator agree byte for byte on every case."""
+
+    TIME_BASE = (2e-12, 0.2e-12)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cases=st.lists(_random_case(), min_size=1, max_size=4))
+    def test_c_numpy_and_reference_agree(self, monkeypatch, cases):
+        runs = {}
+        for name in ("numpy", "c"):
+            pin_stepper(monkeypatch, name)
+            runs[name] = run_transient_batch(cases, *self.TIME_BASE)
+        for index, case in enumerate(cases):
+            reference = _loop(case, *(case.time_base or self.TIME_BASE))
+            for name, results in runs.items():
+                TestPackedBatch._assert_bytes_equal(reference,
+                                                    results[index])
 
 
 class TestCrossingTime:
