@@ -87,7 +87,6 @@ def test_warm_cache_skips_the_engine(benchmark, tmp_path, monkeypatch):
     def poisoned(*args, **kwargs):
         raise AssertionError("engine invoked on a warm cache")
 
-    monkeypatch.setattr(montecarlo, "sweep", poisoned)
     monkeypatch.setattr(montecarlo, "run_immunity_trials", poisoned)
 
     warm = benchmark.pedantic(

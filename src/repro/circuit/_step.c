@@ -51,6 +51,8 @@ typedef struct {
     ptrdiff_t batch;              /* B */
     ptrdiff_t nodes;              /* I integrated nets */
     ptrdiff_t ranks;              /* R */
+    ptrdiff_t steps;              /* K sub-steps */
+    ptrdiff_t groups;             /* G time-base groups */
     double *voltages;             /* (N, B) state; integrated nets first */
     const ptrdiff_t *terminal_idx;    /* (3T,) gate | drain | source rows */
     double *terminals;            /* (3T, B) */
@@ -67,6 +69,8 @@ typedef struct {
     const double *clamp_high;     /* (B,) */
     double *supply_charge;        /* (B,) */
     double *acc;                  /* (B,) */
+    const double *step_sizes;     /* (K, G); 0.0 past a group's end */
+    const ptrdiff_t *column_group;    /* (B,) group of each column */
 } repro_step;
 
 /* The terminal gather, then vds, vgs, overdrive, active, safe and
@@ -99,15 +103,19 @@ void repro_step_pre(const repro_step *s)
     }
 }
 
-/* Saturation, triode, magnitude and sign into the drive rows, then per
- * net the rank-ordered accumulate, x dt (the scalar `dt`, or `dt_row[b]`
- * when `dt_row` is not NULL), the supply charge, / C, the update and the
- * rail clamp. */
-void repro_step_post(const repro_step *s, double dt, const double *dt_row)
+/* Sub-step i: saturation, triode, magnitude and sign into the drive
+ * rows, then per net the rank-ordered accumulate, x dt (column b's
+ * `step_sizes[i * G + column_group[b]]`), the supply charge, / C, the
+ * update and the rail clamp.  Returns -1, having written nothing, when i
+ * is not a row of step_sizes; else 0. */
+int repro_step_post(const repro_step *s, ptrdiff_t i)
 {
     const ptrdiff_t T = s->devices, B = s->batch;
     const ptrdiff_t columns = s->nodes + 1;
     double *negated = s->drive + T * B;
+    if (i < 0 || i >= s->steps)
+        return -1;
+    const double *dt = s->step_sizes + i * s->groups;
     for (ptrdiff_t t = 0; t < T; t++) {
         const double *drain = s->terminals + (T + t) * B;
         const double *source = s->terminals + (2 * T + t) * B;
@@ -135,7 +143,7 @@ void repro_step_post(const repro_step *s, double dt, const double *dt_row)
                 s->acc[b] += rank[b];
         }
         for (ptrdiff_t b = 0; b < B; b++)
-            s->acc[b] *= dt_row ? dt_row[b] : dt;
+            s->acc[b] *= dt[s->column_group[b]];
         if (j == s->nodes) {
             for (ptrdiff_t b = 0; b < B; b++)
                 s->supply_charge[b] += s->acc[b];
@@ -149,4 +157,5 @@ void repro_step_post(const repro_step *s, double dt, const double *dt_row)
             node[b] = MINIMUM(v, s->clamp_high[b]);
         }
     }
+    return 0;
 }

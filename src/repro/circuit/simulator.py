@@ -48,9 +48,9 @@ array                 shape           contents
 ``rank_table``        ``(R, I+1)``    drive rows summed into each net
                                       and (last column) the supply
 ``pwl times/vals``    ``(B, S, P)``   padded source breakpoints
-sub-step sizes        ``(K, G)``      per group, deduplicated into at
-                                      most one ``(B,)`` row per distinct
-                                      size (a float when all agree)
+sub-step sizes        ``(K, G)``      ``0.0`` past a group's end;
+                                      column ``b`` reads group
+                                      ``column_group[b]``
 ``voltages``          ``(N, B)``      the integration state matrix
 ====================  ==============  ==================================
 
@@ -114,7 +114,6 @@ True
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -355,31 +354,6 @@ def _substep_schedule(stop_time: float, time_step: float):
             boundaries)
 
 
-def _step_sizes(sizes: Sequence[np.ndarray], column_group: Sequence[int]):
-    """One entry per sub-step of the longest schedule: a float when every
-    group steps by the same ``dt`` (always, for one group), else a
-    ``(B,)`` row of each column's ``dt``, ``0.0`` past the end of its
-    group's schedule.
-
-    The sizes only change between runs of sub-steps, so only the first
-    sub-step of each run is deduplicated: one object per distinct
-    combination of group sizes, never a (sub-steps x columns) table.
-    """
-    steps = max(len(dts) for dts in sizes)
-    table = np.zeros((steps, len(sizes)))
-    for group, dts in enumerate(sizes):
-        table[:len(dts), group] = dts
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (table[1:] != table[:-1]).any(axis=1))))
-    distinct, inverse = np.unique(table[starts], axis=0, return_inverse=True)
-    choices = [float(row[0]) if (row == row[0]).all()
-               else row[list(column_group)] for row in distinct]
-    lengths = np.diff(np.append(starts, steps)).tolist()
-    return list(itertools.chain.from_iterable(
-        itertools.repeat(choices[i], length)
-        for i, length in zip(inverse.ravel().tolist(), lengths)))
-
-
 def _state_key(block: int, net: str):
     """State-row key of a net: the rails are shared by every block, any
     other net belongs to its block alone."""
@@ -426,13 +400,12 @@ class CompiledTransientBatch:
         self.columns: List[int] = sorted(range(len(self.cases)),
                                          key=case_group.__getitem__)
         self.column_block = [case_block[i] for i in self.columns]
-        self.column_group = [case_group[i] for i in self.columns]
+        #: Time-base group of every column, ``(B,)`` intp.
+        self.column_group = np.array(case_group, dtype=np.intp)[self.columns]
         self.group_bases = list(group_of)
-        self.group_columns: List[Tuple[int, int]] = []
-        for group in range(len(self.group_bases)):
-            start = self.column_group.index(group)
-            self.group_columns.append(
-                (start, start + self.column_group.count(group)))
+        edges = np.searchsorted(self.column_group,
+                                np.arange(len(group_of) + 1)).tolist()
+        self.group_columns: List[Tuple[int, int]] = list(zip(edges, edges[1:]))
         batch = self.batch_size = len(self.cases)
 
         # -- state rows ---------------------------------------------------
@@ -736,10 +709,10 @@ class CompiledTransientBatch:
         The sub-step schedules are enumerated (and every PWL source
         evaluated over them) once, up front.  Each group records its
         samples at its own interval boundaries.  A group whose schedule
-        ends early takes ``dt = 0.0`` steps after its last sample.  A
-        sub-step's size is a float or a ``(B,)`` row (:func:`_step_sizes`):
-        either way each column's ``i * dt`` is the IEEE product the
-        reference forms with its own scalar ``dt``.
+        ends early takes ``dt = 0.0`` steps after its last sample.  The
+        sub-step sizes are one ``(K, G)`` table, a column per group: each
+        column's ``i * dt`` is the IEEE product the reference forms with
+        its own scalar ``dt``.
         """
         sample_times: List[np.ndarray] = []
         step_times: List[np.ndarray] = []
@@ -752,7 +725,9 @@ class CompiledTransientBatch:
             step_times.append(starts)
             sizes.append(dts)
             boundaries.append(bounds)
-        step_sizes = _step_sizes(sizes, self.column_group)
+        step_sizes = np.zeros((max(map(len, sizes)), len(sizes)))
+        for group, dts in enumerate(sizes):
+            step_sizes[:len(dts), group] = dts
         del sizes                  # not needed past here: keep the peak low
         steps = len(step_sizes)
         changed = [False] * steps
@@ -764,7 +739,7 @@ class CompiledTransientBatch:
         return sample_times, boundaries, step_sizes, changed, source_rows
 
     def _march(self, stepper_type, boundaries: List[List[int]],
-               step_sizes: List, changed: List[bool],
+               step_sizes: np.ndarray, changed: List[bool],
                source_rows) -> Tuple[List[np.ndarray], np.ndarray]:
         """The sub-step loop: ``(waveforms per group (samples, N, width),
         supply charge per column)``.
@@ -772,8 +747,10 @@ class CompiledTransientBatch:
         Group ``g`` records sample ``i`` before sub-step
         ``boundaries[g][i]``.  Waveform rows are in state-row order (see
         ``block_rows``).  A sub-step writes the stimulus rows where any
-        source changed, then ``stepper_type``'s ``step(dt)`` advances the
-        state and the supply charge (see :mod:`repro.circuit.stepper`).
+        source changed, then ``stepper_type``'s ``step(i)`` advances the
+        state and the supply charge by sub-step ``i`` of the
+        ``step_sizes`` table it was built with (see
+        :mod:`repro.circuit.stepper`).
         """
         voltages = self.initial_voltages.copy()
         waveforms = [np.empty((len(bounds), len(voltages), stop - start))
@@ -781,17 +758,16 @@ class CompiledTransientBatch:
                      in zip(boundaries, self.group_columns)]
         supply_charge = np.zeros(self.batch_size)
         driven_v = voltages[self.nodes:self.nodes + len(self.source_keys)]
-        step = stepper_type(self, voltages, supply_charge).step
+        step = stepper_type(self, voltages, supply_charge, step_sizes).step
         copyto = np.copyto
 
         position = 0
         taken = [0] * len(boundaries)          # samples recorded per group
         for mark in sorted(set().union(*boundaries)):
-            for dt, change in zip(step_sizes[position:mark],
-                                  changed[position:mark]):
-                if change:
+            for i in range(position, mark):
+                if changed[i]:
                     copyto(driven_v, next(source_rows))
-                step(dt)
+                step(i)
             position = mark
             for group, bounds in enumerate(boundaries):
                 start, stop = self.group_columns[group]

@@ -3,8 +3,10 @@
 :meth:`CompiledTransientBatch._march <repro.circuit.simulator.
 CompiledTransientBatch._march>` is the one sub-step loop: it owns the
 schedule, the stimulus ``changed`` mask and source rows, and the
-sampling.  Each sub-step it calls ``stepper.step(dt)``, which advances
-the state matrix and the supply charge by one explicit-Euler step.  Two
+sampling.  A stepper is built with the batch's ``(K, G)`` sub-step size
+table, and each sub-step ``i`` the loop calls ``stepper.step(i)``, which
+advances the state matrix and the supply charge by one explicit-Euler
+step: column ``b`` steps by ``step_sizes[i, column_group[b]]``.  Two
 steppers implement that call, byte for byte alike:
 
 * :class:`NumpyStepper` — about 34 NumPy ufunc calls per sub-step.  It
@@ -62,16 +64,17 @@ _DIGEST_BYTES = 32
 class NumpyStepper:
     """The sub-step in NumPy ufuncs over buffers allocated once.
 
-    ``step(dt)`` is one terminal gather, the device currents (an
+    ``step(i)`` is one terminal gather, the device currents (an
     elementwise mirror of the reference's ``_channel_current``), one
-    rank-table gather, one add per rank, and the ``(i*dt)/C`` update and
-    rail clamp on the integrated-net view of ``voltages``.
+    rank-table gather, one add per rank, the gather of sub-step ``i``'s
+    size for every column, and the ``(current*dt)/C`` update and rail
+    clamp on the integrated-net view of ``voltages``.
     """
 
     name = "numpy"
 
     def __init__(self, batch, voltages: np.ndarray,
-                 supply_charge: np.ndarray):
+                 supply_charge: np.ndarray, step_sizes: np.ndarray):
         devices, width = batch.prefactor.shape
         nodes = batch.nodes
         terminals = np.empty((batch.terminal_idx.size, width))
@@ -101,10 +104,11 @@ class NumpyStepper:
         gather_ranks = functools.partial(
             drive.take, batch.rank_table.ravel(), 0, table, "clip")
         device_currents = self._current_kernel(batch, terminals, signed)
+        column_group = batch.column_group
         add, multiply, divide = np.add, np.multiply, np.divide
         maximum, minimum, negative = np.maximum, np.minimum, np.negative
 
-        def step(dt) -> None:
+        def step(i: int) -> None:
             gather_terminals()
             device_currents()
             negative(signed, out=negated)
@@ -112,7 +116,8 @@ class NumpyStepper:
             add(first_rank, 0.0, out=currents)
             for rank in later_ranks:
                 add(currents, rank, out=currents)
-            multiply(currents, dt, out=currents)
+            multiply(currents, step_sizes[i].take(column_group),
+                     out=currents)
             add(supply_charge, supply_current, out=supply_charge)
             divide(node_currents, capacitance, out=node_currents)
             add(node_v, node_currents, out=node_v)
@@ -186,12 +191,14 @@ class _Context(ctypes.Structure):
 
     _fields_ = (
         [(name, ctypes.c_ssize_t)
-         for name in ("devices", "n_type", "batch", "nodes", "ranks")]
+         for name in ("devices", "n_type", "batch", "nodes", "ranks",
+                      "steps", "groups")]
         + [(name, ctypes.c_void_p)
            for name in ("voltages", "terminal_idx", "terminals", "vth",
                         "nominal_ov", "prefactor", "vds", "overdrive",
                         "ratio", "drive", "rank_table", "capacitance",
-                        "clamp_low", "clamp_high", "supply_charge", "acc")]
+                        "clamp_low", "clamp_high", "supply_charge", "acc",
+                        "step_sizes", "column_group")]
     )
 
 
@@ -217,13 +224,14 @@ class CStepper:
     name = "c"
 
     def __init__(self, batch, voltages: np.ndarray,
-                 supply_charge: np.ndarray):
+                 supply_charge: np.ndarray, step_sizes: np.ndarray):
         library = load_library()
         if library is None:
             raise SimulationError("the compiled stepper is not available")
         devices, width = batch.prefactor.shape
         nodes = batch.nodes
         ranks = batch.rank_table.shape[0]
+        steps, groups = len(step_sizes), len(batch.group_bases)
         per_device = (devices, width)
         self._buffers = buffers = {
             "terminals": np.empty((3 * devices, width)),
@@ -233,10 +241,10 @@ class CStepper:
             "drive": np.zeros((2 * devices + 1, width)),
             "acc": np.empty(width),
         }
-        self._inputs = (batch, voltages, supply_charge)
+        self._inputs = (batch, voltages, supply_charge, step_sizes)
         self._context = _Context(
             devices=devices, n_type=batch.n_devices, batch=width,
-            nodes=nodes, ranks=ranks,
+            nodes=nodes, ranks=ranks, steps=steps, groups=groups,
             voltages=_address(voltages, (len(batch.initial_voltages), width)),
             terminal_idx=_address(batch.terminal_idx, (3 * devices,),
                                   np.intp),
@@ -249,6 +257,8 @@ class CStepper:
             clamp_low=_address(batch.clamp_low, (1, width)),
             clamp_high=_address(batch.clamp_high, (1, width)),
             supply_charge=_address(supply_charge, (width,)),
+            step_sizes=_address(step_sizes, (steps, groups)),
+            column_group=_address(batch.column_group, (width,), np.intp),
             **{name: _address(array, array.shape)
                for name, array in buffers.items()},
         )
@@ -259,26 +269,22 @@ class CStepper:
         if not (0 <= batch.rank_table.min()
                 and batch.rank_table.max() <= 2 * devices):
             raise SimulationError("rank-table drive row out of range")
+        if not (0 <= batch.column_group.min()
+                and batch.column_group.max() < groups):
+            raise SimulationError("column time-base group out of range")
         if batch.alpha.shape != per_device:
             raise SimulationError("alpha must have the shape of prefactor")
         self._kernel = (library.repro_step_pre, library.repro_step_post,
                         ctypes.addressof(self._context), np.power,
-                        buffers["ratio"], batch.alpha, {})
+                        buffers["ratio"], batch.alpha)
 
-    def step(self, dt) -> None:
-        pre, post, context, power, ratio, alpha, rows = self._kernel
+    def step(self, i: int) -> None:
+        pre, post, context, power, ratio, alpha = self._kernel
         pre(context)
         power(ratio, alpha, out=ratio)
-        if dt.__class__ is float:
-            post(context, dt, None)
-            return
-        # A (B,) row of per-column sizes (see ``_step_sizes``): a few
-        # row objects recur through the whole schedule, so each address
-        # is checked once.  The entry keeps its row alive.
-        entry = rows.get(id(dt))
-        if entry is None or entry[0] is not dt:
-            entry = rows[id(dt)] = (dt, _address(dt, (self._context.batch,)))
-        post(context, 0.0, entry[1])
+        if post(context, i):
+            raise SimulationError(f"sub-step {i} is not a row of the "
+                                  f"step-size table")
 
 
 def cache_dir() -> Path:
@@ -359,12 +365,12 @@ def load_library() -> Optional[ctypes.CDLL]:
         if not _intact(path):
             _build(compiler, path)
         library = ctypes.CDLL(str(path))
-        for name, argtypes in (
-                ("repro_step_pre", [ctypes.c_void_p]),
-                ("repro_step_post",
-                 [ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p])):
+        for name, argtypes, restype in (
+                ("repro_step_pre", [ctypes.c_void_p], None),
+                ("repro_step_post", [ctypes.c_void_p, ctypes.c_ssize_t],
+                 ctypes.c_int)):
             function = getattr(library, name)
-            function.argtypes, function.restype = argtypes, None
+            function.argtypes, function.restype = argtypes, restype
     except (OSError, subprocess.SubprocessError, AttributeError) as error:
         detail = getattr(error, "stderr", None) or error
         warnings.warn(f"compiled transient stepper unavailable, integrating "

@@ -10,7 +10,11 @@ bytes are the same either way:
 * two processes that build the library at once both end with a loadable
   library and leave no temp file behind;
 * process workers load the cached library and do not rebuild it;
-* every study still runs, byte for byte alike, without a compiler.
+* every study still runs, byte for byte alike, without a compiler;
+* the library's cache key covers its source, so a library built from
+  another ``_step.c`` is never loaded;
+* a step-size table or column-group array the C code could misread is
+  refused before any C call, and so is a sub-step outside the table.
 """
 
 from __future__ import annotations
@@ -25,14 +29,16 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cells import cnfet_technology, gate_transistor_netlist
-from repro.circuit import (SimulationCase, build_inverter_chain,
-                           cnfet_inverter, pulse_source, run_transient_batch,
-                           step_source, stepper)
+from repro.circuit import (CompiledTransientBatch, SimulationCase,
+                           build_inverter_chain, cnfet_inverter, pulse_source,
+                           run_transient_batch, step_source, stepper)
 from repro.circuit_study import run_circuit_study
 from repro.devices import FO4_GATE_WIDTH_NM, calibrated_cnfet_parameters
+from repro.errors import SimulationError
 from repro.logic import standard_gate
 from repro.obs import Tracer
 from repro.runtime.scheduler import run_tasks
@@ -264,3 +270,74 @@ def test_every_study_runs_alike_without_a_compiler(cold_cache, tmp_path,
     stepper.load_library.cache_clear()
     assert stepper.resolve_stepper() is stepper.NumpyStepper
     assert studies() == compiled
+
+
+def test_library_path_covers_the_source(tmp_path, monkeypatch):
+    compiler = str(_fake_compiler(tmp_path / "bin"))
+    source = bytearray(stepper.C_SOURCE.read_bytes())
+    before = stepper._library_path(compiler)
+    source[len(source) // 2] ^= 1
+    changed = tmp_path / "_step.c"
+    changed.write_bytes(bytes(source))
+    monkeypatch.setattr(stepper, "C_SOURCE", changed)
+    assert stepper._library_path(compiler) != before
+
+
+class _NoCalls:
+    """A stand-in library: calling any of its functions fails the test."""
+
+    def __getattr__(self, name):
+        def called(*args):
+            raise AssertionError(f"{name} was called")
+        return called
+
+
+def _compiled():
+    """The packed call of :func:`_cases`, compiled: ``(batch, its
+    (K, G) step-size table)``."""
+    batch = CompiledTransientBatch(_cases())
+    return batch, batch._schedule(*TIME_BASE)[2]
+
+
+def _c_stepper(batch, step_sizes):
+    return stepper.CStepper(batch, batch.initial_voltages.copy(),
+                            np.zeros(batch.batch_size), step_sizes)
+
+
+@pytest.mark.parametrize("damage", [
+    "group past the end", "negative group", "int32 groups", "short groups",
+    "1-D table", "Fortran table", "float32 table", "narrow table"])
+def test_c_stepper_refuses_bad_step_tables(monkeypatch, damage):
+    monkeypatch.setattr(stepper, "load_library", _NoCalls)
+    batch, step_sizes = _compiled()
+    assert step_sizes.shape == (step_sizes.shape[0], 2)
+    _c_stepper(batch, step_sizes)                 # intact: accepted
+    if damage == "group past the end":
+        batch.column_group[-1] = len(batch.group_bases)
+    elif damage == "negative group":
+        batch.column_group[0] = -1
+    elif damage == "int32 groups":
+        batch.column_group = batch.column_group.astype(np.int32)
+    elif damage == "short groups":
+        batch.column_group = batch.column_group[:-1]
+    else:
+        step_sizes = {"1-D table": step_sizes[:, 0],
+                      "Fortran table": np.asfortranarray(step_sizes),
+                      "float32 table": step_sizes.astype(np.float32),
+                      "narrow table": step_sizes[:, :1].copy()}[damage]
+    with pytest.raises(SimulationError):
+        _c_stepper(batch, step_sizes)
+
+
+@needs_compiler
+def test_c_step_outside_the_table_is_refused():
+    batch, step_sizes = _compiled()
+    voltages = batch.initial_voltages.copy()
+    charge = np.zeros(batch.batch_size)
+    step = stepper.CStepper(batch, voltages, charge, step_sizes).step
+    for i in (-1, len(step_sizes)):
+        with pytest.raises(SimulationError, match="step-size table"):
+            step(i)
+    assert voltages.tobytes() == batch.initial_voltages.tobytes()
+    assert charge.tobytes() == bytes(charge.nbytes)
+    step(len(step_sizes) - 1)
