@@ -130,20 +130,7 @@ class CacheStats:
         return "\n".join(lines)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "root": self.root,
-            "entries": self.entries,
-            "total_bytes": self.total_bytes,
-            "by_study": dict(self.by_study),
-            "hits": self.hits,
-            "misses": self.misses,
-            "corrupt": self.corrupt,
-            "corner_entries": self.corner_entries,
-            "corner_bytes": self.corner_bytes,
-            "corner_hits": self.corner_hits,
-            "corner_misses": self.corner_misses,
-            "corner_corrupt": self.corner_corrupt,
-        }
+        return dataclasses.asdict(self)
 
 
 def _canonical_envelope_text(envelope: Dict[str, Any]) -> str:
@@ -364,60 +351,52 @@ class ResultCache:
                 pass
         return value, corrupt
 
-    def put(self, key: str, result: StudyResult) -> Path:
-        """Persist ``result`` under ``key`` atomically; returns the entry
-        path.  Does not touch the hit/miss counters — pair it with the
-        :meth:`get` miss that preceded it."""
-        envelope = result.to_json_dict()
+    def _write_entry(self, path: Path, key: str, schema: str, field: str,
+                     payload: Any, **tags: str) -> Path:
+        """Wrap ``payload`` in the integrity document — ``schema``, the
+        fingerprint ``key``, ``tags``, the SHA-256 digest of the payload
+        and the write time — and write it to ``path`` atomically."""
         wrapper = {
-            "schema": CACHE_SCHEMA,
+            "schema": schema,
             "fingerprint": key,
-            "study": type(result).study_name,
-            "sha256": _envelope_digest(envelope),
+            **tags,
+            "sha256": _envelope_digest(payload),
             "created": obs_clock.wall_time(),
-            "result": envelope,
+            field: payload,
         }
-        path = self.path_for(key)
         try:
             self._write_atomic(path, json.dumps(wrapper, sort_keys=True))
         except OSError as error:
             raise CacheError(
                 f"Cannot write cache entry {path}: {error}"
             ) from error
+        return path
+
+    def put(self, key: str, result: StudyResult) -> Path:
+        """Persist ``result`` under ``key`` atomically; returns the entry
+        path.  Does not touch the hit/miss counters — pair it with the
+        :meth:`get` miss that preceded it."""
+        path = self._write_entry(self.path_for(key), key, CACHE_SCHEMA,
+                                 "result", result.to_json_dict(),
+                                 study=type(result).study_name)
         self._mirror(puts=1)
         return path
 
     # -- the corner store ------------------------------------------------------
 
-    def get_corner(self, key: str) -> Optional[Any]:
-        """The stored metrics payload for one corner fingerprint, or
-        ``None`` (a miss).
+    def get_corners(self, keys: Sequence[str]) -> Dict[str, Any]:
+        """``{key: payload}`` for every corner fingerprint in ``keys``
+        whose entry validated, with the hit/miss/corrupt counters folded
+        in as **one** stats write (a sweep diffs hundreds of corners per
+        run).
 
         The integrity discipline mirrors the study store: schema tag,
         fingerprint and SHA-256 digest are re-validated on every read, and
         anything that fails — including a digest-valid payload that no
         longer decodes — is evicted and counted as corner-corrupt.
         """
-        value, corrupt = self._read_corner(key)
-        if value is None:
-            self._bump(corner_misses=1, corner_corrupt=1 if corrupt else 0)
-        else:
-            self._bump(corner_hits=1)
-        return value
-
-    def _read_corner(self, key: str) -> Tuple[Optional[Any], bool]:
-        """``(decoded payload or None, corrupt)`` — validates, decodes
-        and evicts, but never touches the counters."""
         from ..study.serialize import decode
 
-        return self._read_validated(self.corner_path_for(key), key,
-                                    CORNER_SCHEMA, "payload", decode,
-                                    kind="corner")
-
-    def get_corners(self, keys: Sequence[str]) -> Dict[str, Any]:
-        """Bulk :meth:`get_corner`: ``{key: payload}`` for every key that
-        validated, with the hit/miss/corrupt counters folded in as **one**
-        stats write (a sweep diffs hundreds of corners per run)."""
         found: Dict[str, Any] = {}
         missing: set = set()
         hits = misses = corrupt = 0
@@ -428,7 +407,10 @@ class ResultCache:
             if key in missing:
                 misses += 1
                 continue
-            value, was_corrupt = self._read_corner(key)
+            value, was_corrupt = self._read_validated(
+                self.corner_path_for(key), key, CORNER_SCHEMA, "payload",
+                decode, kind="corner",
+            )
             if value is None:
                 misses += 1
                 corrupt += 1 if was_corrupt else 0
@@ -447,23 +429,9 @@ class ResultCache:
         :meth:`put`."""
         from ..study.serialize import encode
 
-        payload = encode(metrics)
-        wrapper = {
-            "schema": CORNER_SCHEMA,
-            "fingerprint": key,
-            "study": "corner",
-            "engine": engine,
-            "sha256": _envelope_digest(payload),
-            "created": obs_clock.wall_time(),
-            "payload": payload,
-        }
-        path = self.corner_path_for(key)
-        try:
-            self._write_atomic(path, json.dumps(wrapper, sort_keys=True))
-        except OSError as error:
-            raise CacheError(
-                f"Cannot write corner entry {path}: {error}"
-            ) from error
+        path = self._write_entry(self.corner_path_for(key), key,
+                                 CORNER_SCHEMA, "payload", encode(metrics),
+                                 study="corner", engine=engine)
         self._mirror(corner_puts=1)
         return path
 

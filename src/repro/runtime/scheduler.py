@@ -43,7 +43,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (AbstractSet, Any, Callable, List, Mapping, Optional,
-                    Sequence, Tuple, TypeVar, Union)
+                    Sequence, Tuple, TypeVar)
 
 from ..errors import RuntimeLayerError
 
@@ -223,24 +223,23 @@ def plan_delta(keys: Sequence[str], cached: AbstractSet[str]) -> DeltaPlan:
 
 def execute_corners(plan: DeltaPlan, cached: Mapping[str, Any],
                     run: Callable[[Tuple[int, ...]], Sequence[Any]],
-                    store, engine: Union[str, Sequence[str]]) -> List[Any]:
+                    store, engines: Sequence[str]) -> List[Any]:
     """Execute a :class:`DeltaPlan`: one payload per corner, in key order.
 
     ``run(plan.miss_indices)`` is called exactly once and returns one
     payload per miss, in that order; hits come from ``cached`` (keyed by
     fingerprint).  Each fresh payload is written to ``store`` (a
     :class:`~repro.runtime.cache.ResultCache`, or ``None`` for none)
-    under its key, tagged with ``engine`` — one name for every corner, or
-    one per corner.
+    under its key, tagged with its corner's entry of ``engines``.
     """
-    tags = [engine] * plan.total if isinstance(engine, str) else engine
     payloads: List[Any] = [None] * plan.total
     for index in plan.hit_indices:
         payloads[index] = cached[plan.keys[index]]
     for index, payload in zip(plan.miss_indices, run(plan.miss_indices)):
         payloads[index] = payload
         if store is not None:
-            store.put_corner(plan.keys[index], payload, engine=tags[index])
+            store.put_corner(plan.keys[index], payload,
+                             engine=engines[index])
     return payloads
 
 

@@ -275,8 +275,3 @@ class SweepSpec:
             group_of_corner.append(groups[key])
         children = sweep_seed_root(seed).spawn(len(groups)) if groups else []
         return [children[group] for group in group_of_corner]
-
-    def seed_for(self, corner: Corner, seed: SeedLike,
-                 share_axes: Sequence[str] = ()) -> np.random.SeedSequence:
-        """The child sequence :meth:`seeds` assigns to ``corner``."""
-        return self.seeds(seed, share_axes=share_axes)[corner.index]

@@ -2,11 +2,12 @@
 
 ``run_sweep_study`` accepts the same axis specification whichever engine
 evaluates it.  The engines are the entries of :data:`ENGINES`, one
-:class:`SweepEngine` record each: its axes with their defaults, its seed
-policy, its corner addresses and **one** ``execute`` function.  Every
-sweep — uncached, cold or warm — takes one path: plan the corner
-addresses, fetch the ones the corner store holds, execute only the
-misses, store them.
+:class:`SweepEngine` record each: its axes with their defaults, whether
+it is seeded, and **one** ``plan`` function, whose :class:`CornerPlan`
+carries every corner's address and seed and the ``run`` that evaluates
+any subset of corners.  Every sweep — uncached, cold or warm — takes one
+path: plan the corners, fetch the ones the corner store holds, run only
+the misses, store them.
 
 * ``engine="immunity"`` — the Monte Carlo immunity engine.  Axes:
   ``gate``, ``technique``, ``cnts_per_trial``, ``max_angle_deg``,
@@ -142,23 +143,35 @@ class SweepStudyResult(StudyResult):
         return "\n".join(lines)
 
 
-def _validate_axes(spec: SweepSpec, engine: "SweepEngine") -> None:
+def _validate_axes(spec: SweepSpec, engine: "SweepEngine",
+                   fixed: Mapping[str, object]) -> None:
+    """Reject a sweep whose swept or fixed axes ``engine`` does not
+    understand, or that both sweeps and fixes one axis: the fixed value
+    would be dropped, yet would still enter the study's fingerprint and
+    provenance."""
     unknown = [name for name in spec.axis_names if name not in engine.axes]
     if unknown:
         raise StudyError(
             f"Engine {engine.name!r} does not understand axes {unknown}; "
             f"supported: {sorted(engine.axes)}"
         )
-
-
-def _fixed_values(engine: "SweepEngine", spec: SweepSpec,
-                  overrides: Mapping[str, object]) -> Dict[str, object]:
-    unknown = [name for name in overrides if name not in engine.axes]
+    unknown = [name for name in fixed if name not in engine.axes]
     if unknown:
         raise StudyError(
             f"Engine {engine.name!r} does not understand fixed parameters "
             f"{sorted(unknown)}; supported: {sorted(engine.axes)}"
         )
+    clash = sorted(set(fixed) & set(spec.axis_names))
+    if clash:
+        raise StudyError(
+            f"Axes {clash} are both swept and fixed; sweep them or fix "
+            f"them, not both"
+        )
+
+
+def _fixed_values(engine: "SweepEngine", spec: SweepSpec,
+                  overrides: Mapping[str, object]) -> Dict[str, object]:
+    """The resolved value of every axis ``spec`` does not sweep."""
     fixed = dict(engine.axes)
     fixed.update(overrides)
     swept = set(spec.axis_names)
@@ -212,6 +225,7 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
     if not isinstance(spec, SweepSpec):
         raise StudyError(f"run_sweep_study needs a SweepSpec, got {type(spec).__name__}")
     record = sweep_engine(engine)
+    _validate_axes(spec, record, fixed)
     # Imported lazily: the runtime layer sits on top of the study layer.
     from ..obs import trace as obs_trace
     from ..runtime.cache import as_cache, memoize
@@ -240,17 +254,17 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
 
 def _plan_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
                 fixed: Mapping[str, object], store):
-    """``(constants, seeds, cached, plan)`` — the resolved unswept axes,
-    one child seed per corner (``None`` for an unseeded engine), the
-    corner payloads ``store`` already holds (none without a store) and
-    the :class:`~repro.runtime.scheduler.DeltaPlan` over one corner
-    fingerprint per corner, in corner order.
+    """``(corners, cached, plan)`` — the engine's :class:`CornerPlan` of
+    the sweep (one corner fingerprint and, for a seeded engine, one child
+    seed per corner, in corner order), the corner payloads ``store``
+    already holds (none without a store) and the
+    :class:`~repro.runtime.scheduler.DeltaPlan` over the fingerprints.
 
     The key hashes the corner's **fully-resolved** binding (every engine
     axis, swept or fixed), so it is invariant under which axes the spec
     declares, their declaration order, dict-key order and NumPy-vs-Python
     scalar spellings — plus the engine-specific state the corner's result
-    depends on (see each engine's ``corner_keys``):
+    depends on (see each engine's ``plan``):
 
     * **immunity**: the corner's pre-spawned child ``SeedSequence``
       (value, not position) and the trial count.  A grid extension that
@@ -269,19 +283,17 @@ def _plan_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
     """
     from ..runtime.scheduler import plan_delta
 
-    _validate_axes(spec, engine)
-    constants = _fixed_values(engine, spec, fixed)
-    seeds = engine.seeds(spec, constants, seed) if engine.seeded else None
-    keys = engine.corner_keys(spec, constants, seeds, trials)
-    cached = store.get_corners(keys) if store is not None else {}
-    return constants, seeds, cached, plan_delta(keys, set(cached))
+    corners = engine.plan(spec, _fixed_values(engine, spec, fixed), seed,
+                          trials)
+    cached = store.get_corners(corners.keys) if store is not None else {}
+    return corners, cached, plan_delta(corners.keys, set(cached))
 
 
 def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
                fixed: Mapping[str, object], store, jobs: int,
                backend: Optional[str]) -> SweepStudyResult:
-    """Plan the sweep, execute only the corners ``store`` lacks (every
-    corner without a store), write them back, merge.  The result is
+    """Plan the sweep, run only the corners ``store`` lacks (every corner
+    without a store), write them back, merge.  The result is
     bit-identical whatever the store held; its provenance records the
     plan's status."""
     from ..obs import metrics as obs_metrics
@@ -290,8 +302,8 @@ def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
     from ..runtime.scheduler import execute_corners
 
     with obs_trace.span("sweep.plan", corners=len(spec)):
-        constants, seeds, cached, plan = _plan_sweep(spec, engine, trials,
-                                                     seed, fixed, store)
+        corners, cached, plan = _plan_sweep(spec, engine, trials, seed,
+                                            fixed, store)
         obs_trace.annotate(hits=plan.hits, misses=plan.misses,
                            status=plan.status)
     obs_metrics.registry().inc("sweep.corners_planned", plan.total)
@@ -301,10 +313,10 @@ def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
     def run(indices):
         with obs_trace.span("sweep.execute", corners=len(indices),
                             engine=engine.name):
-            return engine.execute(spec, constants, indices, seeds, trials,
-                                  jobs, backend)
+            return corners.run(indices, jobs, backend)
 
-    metrics = execute_corners(plan, cached, run, store, engine.name)
+    metrics = execute_corners(plan, cached, run, store,
+                              [engine.name] * plan.total)
     result = SweepStudyResult(
         provenance=Provenance.capture(
             "sweep", engine=engine.name, seed=seed,
@@ -320,6 +332,23 @@ def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
         ),
     )
     return with_cache_status(result, plan.status)
+
+
+@dataclass(frozen=True)
+class CornerPlan:
+    """One engine's plan of one sweep, built once per sweep.
+
+    ``keys[i]`` is corner ``i``'s fingerprint and ``seeds[i]`` its
+    pre-spawned child seed (``seeds`` is ``None`` for a deterministic
+    engine).  ``run(indices, jobs, backend)`` evaluates the corners at
+    ``indices`` on the bindings, seeds and grids the plan resolved, and
+    returns their metrics in ``indices`` order — for a cold sweep and a
+    delta recompute alike.
+    """
+
+    keys: Tuple[str, ...]
+    seeds: Optional[Tuple[np.random.SeedSequence, ...]]
+    run: Callable[[Sequence[int], int, Optional[str]], List[Dict[str, Any]]]
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +374,23 @@ def _run_seeded_shard(shard: _SeededShard) -> List[Dict[str, Any]]:
             for values, child in zip(shard.values, shard.seeds)]
 
 
-def _execute_seeded(evaluate, axes: Sequence[str], spec: SweepSpec,
-                    constants: Mapping[str, object], indices: Sequence[int],
+def _execute_seeded(evaluate, values: Sequence[Dict[str, object]],
                     seeds: Sequence[np.random.SeedSequence], trials: int,
-                    jobs: int, backend: Optional[str]) -> List[Dict[str, Any]]:
-    """A seeded engine's ``execute``: the corners at ``indices``, with
-    their pre-spawned seeds, in contiguous shards over the scheduler;
-    metrics in ``indices`` order.  Seeds are spawned per corner in the
-    parent, never per worker, so any sharding is bit-identical."""
+                    indices: Sequence[int], jobs: int,
+                    backend: Optional[str]) -> List[Dict[str, Any]]:
+    """A seeded plan's ``run``: the corners at ``indices``, with their
+    resolved bindings and pre-spawned seeds, in contiguous shards over
+    the scheduler; metrics in ``indices`` order.  Seeds are spawned per
+    corner in the parent, never per worker, so any sharding is
+    bit-identical."""
     from ..runtime.scheduler import plan_shards, run_tasks
 
-    corners = spec.corners()
-    values = [_bindings(corners[index], constants, axes) for index in indices]
-    chosen = [seeds[index] for index in indices]
+    chosen = [values[index] for index in indices]
+    children = [seeds[index] for index in indices]
     shards = [
-        _SeededShard(evaluate=evaluate, values=tuple(values[start:stop]),
-                     seeds=tuple(chosen[start:stop]), trials=trials)
-        for start, stop in plan_shards(len(values), jobs)
+        _SeededShard(evaluate=evaluate, values=tuple(chosen[start:stop]),
+                     seeds=tuple(children[start:stop]), trials=trials)
+        for start, stop in plan_shards(len(chosen), jobs)
     ]
     per_shard = run_tasks(_run_seeded_shard, shards, jobs=jobs,
                           backend=backend)
@@ -396,8 +425,10 @@ def _immunity_corner(values: Mapping[str, object],
 
 
 def _immunity_seeds(spec: SweepSpec, constants: Mapping[str, object],
-                    seed) -> List[np.random.SeedSequence]:
-    """One child :class:`~numpy.random.SeedSequence` per immunity corner.
+                    values: Sequence[Mapping[str, object]],
+                    seed) -> Tuple[np.random.SeedSequence, ...]:
+    """One child :class:`~numpy.random.SeedSequence` per immunity corner
+    (``values`` are the corners' resolved bindings).
 
     Grid mode spawns children from :func:`~repro.immunity.montecarlo.
     sweep_seed_root` in ``(gate, cnts, angle, metallic)`` product order,
@@ -406,7 +437,7 @@ def _immunity_seeds(spec: SweepSpec, constants: Mapping[str, object],
     mode is :meth:`SweepSpec.seeds` with ``share_axes=("technique",)``.
     """
     if spec.mode != "grid":
-        return spec.seeds(seed, share_axes=("technique",))
+        return tuple(spec.seeds(seed, share_axes=("technique",)))
     from ..immunity.montecarlo import sweep_seed_root
 
     combo_axes = ("gate", "cnts_per_trial", "max_angle_deg",
@@ -415,22 +446,25 @@ def _immunity_seeds(spec: SweepSpec, constants: Mapping[str, object],
         *(_axis_or_constant(spec, constants, name) for name in combo_axes)
     ))
     by_combo = dict(zip(combos, sweep_seed_root(seed).spawn(len(combos))))
-    return [
-        by_combo[tuple(_bindings(corner, constants, combo_axes).values())]
-        for corner in spec.corners()
-    ]
+    return tuple(by_combo[tuple(binding[name] for name in combo_axes)]
+                 for binding in values)
 
 
-def _immunity_corner_keys(spec: SweepSpec, constants: Mapping[str, object],
-                          seeds, trials: int) -> List[str]:
+def _plan_immunity(spec: SweepSpec, constants: Mapping[str, object], seed,
+                   trials: int) -> CornerPlan:
     from ..runtime.fingerprint import corner_fingerprint
 
-    return [
-        corner_fingerprint("immunity",
-                           _bindings(corner, constants, IMMUNITY_AXES),
-                           seed=child, trials=trials)
-        for corner, child in zip(spec.corners(), seeds)
-    ]
+    values = [_bindings(corner, constants, IMMUNITY_AXES)
+              for corner in spec.corners()]
+    seeds = _immunity_seeds(spec, constants, values, seed)
+    return CornerPlan(
+        keys=tuple(corner_fingerprint("immunity", binding, seed=child,
+                                      trials=trials)
+                   for binding, child in zip(values, seeds)),
+        seeds=seeds,
+        run=functools.partial(_execute_seeded, _immunity_corner, values,
+                              seeds, trials),
+    )
 
 
 def _circuit_corner(values: Mapping[str, object],
@@ -465,33 +499,35 @@ def _circuit_corner(values: Mapping[str, object],
     }
 
 
-def _circuit_seeds(spec: SweepSpec, constants: Mapping[str, object],
-                   seed) -> List[np.random.SeedSequence]:
-    return spec.seeds(seed, share_axes=_CIRCUIT_SHARE_AXES)
-
-
-def _circuit_corner_keys(spec: SweepSpec, constants: Mapping[str, object],
-                         seeds, trials: int) -> List[str]:
+def _plan_circuit(spec: SweepSpec, constants: Mapping[str, object], seed,
+                  trials: int) -> CornerPlan:
     from ..circuit_study.circuits import resolve_circuit
     from ..runtime.fingerprint import corner_fingerprint, netlist_context
 
+    values = [_bindings(corner, constants, CIRCUIT_AXES)
+              for corner in spec.corners()]
+    seeds = tuple(spec.seeds(seed, share_axes=_CIRCUIT_SHARE_AXES))
     # The corner's circuit enters the address through the *resolved*
     # netlist structure (the context), not through how it was spelled —
     # so a generator spec and the Verilog text it round-trips through
     # share corners, while any rewiring misses.  Resolved once per
     # distinct circuit value, not per corner.
-    params_axes = [name for name in CIRCUIT_AXES if name != "circuit"]
     contexts: Dict[object, object] = {}
     keys = []
-    for corner, child in zip(spec.corners(), seeds):
-        circuit = corner.get("circuit", constants.get("circuit"))
+    for binding, child in zip(values, seeds):
+        circuit = binding["circuit"]
         if circuit not in contexts:
             contexts[circuit] = netlist_context(resolve_circuit(circuit)[0])
-        keys.append(corner_fingerprint(
-            "circuit", _bindings(corner, constants, params_axes),
-            seed=child, trials=trials, context=contexts[circuit],
-        ))
-    return keys
+        params = {name: value for name, value in binding.items()
+                  if name != "circuit"}
+        keys.append(corner_fingerprint("circuit", params, seed=child,
+                                       trials=trials,
+                                       context=contexts[circuit]))
+    return CornerPlan(
+        keys=tuple(keys), seeds=seeds,
+        run=functools.partial(_execute_seeded, _circuit_corner, values,
+                              seeds, trials),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +554,13 @@ def _corner_name(vdd: float, pitch_nm: float) -> str:
 _GRID_AXES = ("drive", "load_f", "slew_s", "vdd", "pitch_nm")
 
 
-def _transient_grids(spec: SweepSpec, constants: Mapping[str, object]
+def _transient_grids(spec: SweepSpec, constants: Mapping[str, object],
+                     values: Sequence[Mapping[str, object]]
                      ) -> Tuple[List[Any], List[Tuple[int, int]]]:
     """``(grids, placement)``: one :class:`~repro.cells.characterize.
-    CellGrid` per distinct grid, and per corner the position of the grid
-    it is integrated on and its flat case index there.
+    CellGrid` per distinct grid, and per corner (``values`` are the
+    corners' resolved bindings) the position of the grid it is
+    integrated on and its flat case index there.
 
     A grid-mode corner belongs to its cell's full grid; a zip corner is
     its own one-point grid, at 0.  The grid's technology corners span
@@ -533,22 +571,21 @@ def _transient_grids(spec: SweepSpec, constants: Mapping[str, object]
     grids: List[CellGrid] = []
     positions: Dict[Tuple[object, ...], int] = {}
     placement: List[Tuple[int, int]] = []
-    for corner in spec.corners():
-        values = _bindings(corner, constants, TRANSIENT_AXES)
-        axes = ([(values[name],) for name in _GRID_AXES]
+    for binding in values:
+        axes = ([(binding[name],) for name in _GRID_AXES]
                 if spec.mode == "zip" else shared)
-        key = (values["cell"], *axes)
+        key = (binding["cell"], *axes)
         if key not in positions:
             drives, loads, slews, vdds, pitches = axes
             positions[key] = len(grids)
             grids.append(CellGrid(
-                str(values["cell"]), drives, loads, slews,
+                str(binding["cell"]), drives, loads, slews,
                 tuple((_corner_name(vdd, pitch),
                        cnfet_technology(vdd=vdd, pitch_nm=pitch))
                       for vdd, pitch in itertools.product(vdds, pitches)),
             ))
         flat = np.ravel_multi_index(
-            tuple(axis.index(values[name])
+            tuple(axis.index(binding[name])
                   for name, axis in zip(_GRID_AXES, axes)),
             tuple(len(axis) for axis in axes),
         )
@@ -564,12 +601,12 @@ def _run_transient_shard(shard) -> List[Dict[str, Any]]:
     return [_transient_metrics(point) for point in characterize_cases(*shard)]
 
 
-def _execute_transient(spec: SweepSpec, constants: Mapping[str, object],
-                       indices: Sequence[int], seeds, trials: int, jobs: int,
+def _execute_transient(grids: Sequence[Any],
+                       placement: Sequence[Tuple[int, int]],
+                       indices: Sequence[int], jobs: int,
                        backend: Optional[str]) -> List[Dict[str, Any]]:
-    """The transient engine's ``execute``: the corners at ``indices``;
-    metrics in ``indices`` order (``seeds``/``trials`` are unused — the
-    engine is deterministic).
+    """The transient plan's ``run``: the corners at ``indices``; metrics
+    in ``indices`` order.
 
     The corners are grouped by grid and each shard integrates only its
     cases on the **whole** grid's time base, so a subset run — a delta
@@ -579,7 +616,6 @@ def _execute_transient(spec: SweepSpec, constants: Mapping[str, object],
     """
     from ..runtime.scheduler import run_tasks, shard_indices
 
-    grids, placement = _transient_grids(spec, constants)
     by_grid: Dict[int, List[Tuple[int, int]]] = {}
     for position, index in enumerate(indices):
         grid_index, flat = placement[index]
@@ -604,18 +640,22 @@ def _execute_transient(spec: SweepSpec, constants: Mapping[str, object],
     return flat_metrics
 
 
-def _transient_corner_keys(spec: SweepSpec, constants: Mapping[str, object],
-                           seeds, trials: int) -> List[str]:
+def _plan_transient(spec: SweepSpec, constants: Mapping[str, object], seed,
+                    trials: int) -> CornerPlan:
+    """The deterministic engine's plan (``seed``/``trials`` are unused):
+    every corner of a grid carries its grid's time base as context."""
     from ..runtime.fingerprint import corner_fingerprint
 
-    # Every corner of a grid carries its grid's time base as context.
-    grids, placement = _transient_grids(spec, constants)
-    return [
-        corner_fingerprint("transient",
-                           _bindings(corner, constants, TRANSIENT_AXES),
-                           context=grids[grid_index].time_base())
-        for corner, (grid_index, _) in zip(spec.corners(), placement)
-    ]
+    values = [_bindings(corner, constants, TRANSIENT_AXES)
+              for corner in spec.corners()]
+    grids, placement = _transient_grids(spec, constants, values)
+    return CornerPlan(
+        keys=tuple(corner_fingerprint("transient", binding,
+                                      context=grids[grid_index].time_base())
+                   for binding, (grid_index, _) in zip(values, placement)),
+        seeds=None,
+        run=functools.partial(_execute_transient, grids, placement),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -624,50 +664,30 @@ def _transient_corner_keys(spec: SweepSpec, constants: Mapping[str, object],
 
 @dataclass(frozen=True)
 class SweepEngine:
-    """One sweep engine: its axes and how to seed, address and execute
-    its corners.
+    """One sweep engine: its axes, whether its corners take seeds, and
+    how to plan them.
 
-    ``seeds(spec, constants, seed)`` pre-spawns one child seed per corner
-    (``None`` for a deterministic engine); ``corner_keys(spec, constants,
-    seeds, trials)`` is one corner fingerprint per corner;
-    ``execute(spec, constants, indices, seeds, trials, jobs, backend)``
-    evaluates the corners at ``indices`` and returns their metrics in
-    ``indices`` order — for a cold sweep and a delta recompute alike.
-    ``constants`` are the resolved values of every unswept axis.
+    ``plan(spec, constants, seed, trials)`` returns the sweep's
+    :class:`CornerPlan` — every corner's fingerprint and child seed, and
+    the ``run`` that evaluates any subset of corners — building each
+    corner's bindings, seeds, grids and netlist contexts once.
+    ``constants`` are the resolved values of every unswept axis.  A
+    ``seeded`` engine's sweep takes a ``seed`` and ``trials``.
     """
 
     name: str
     axes: Mapping[str, object]          # every axis, with its default
-    seeds: Optional[Callable[..., List[np.random.SeedSequence]]]
-    corner_keys: Callable[..., List[str]]
-    execute: Callable[..., List[Dict[str, Any]]]
-
-    @property
-    def seeded(self) -> bool:
-        """Whether corners take a seed (and the sweep a ``seed``/``trials``)."""
-        return self.seeds is not None
+    seeded: bool
+    plan: Callable[..., CornerPlan]
 
 
 #: Every sweep engine ``run_sweep_study`` (and the CLI, manifests and the
 #: service behind it) accepts, by name.
 ENGINES: Dict[str, SweepEngine] = {
     engine.name: engine for engine in (
-        SweepEngine(
-            name="immunity", axes=IMMUNITY_AXES, seeds=_immunity_seeds,
-            corner_keys=_immunity_corner_keys,
-            execute=functools.partial(_execute_seeded, _immunity_corner,
-                                      tuple(IMMUNITY_AXES)),
-        ),
-        SweepEngine(
-            name="transient", axes=TRANSIENT_AXES, seeds=None,
-            corner_keys=_transient_corner_keys, execute=_execute_transient,
-        ),
-        SweepEngine(
-            name="circuit", axes=CIRCUIT_AXES, seeds=_circuit_seeds,
-            corner_keys=_circuit_corner_keys,
-            execute=functools.partial(_execute_seeded, _circuit_corner,
-                                      tuple(CIRCUIT_AXES)),
-        ),
+        SweepEngine("immunity", IMMUNITY_AXES, True, _plan_immunity),
+        SweepEngine("transient", TRANSIENT_AXES, False, _plan_transient),
+        SweepEngine("circuit", CIRCUIT_AXES, True, _plan_circuit),
     )
 }
 

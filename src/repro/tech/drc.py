@@ -58,7 +58,7 @@ class DRCChecker:
 
     # -- public API ------------------------------------------------------------
 
-    def check(self, cell: LayoutCell, active_layer: str = "cnt") -> List[DRCViolation]:
+    def check(self, cell: LayoutCell) -> List[DRCViolation]:
         """Return all violations found in ``cell``."""
         violations: List[DRCViolation] = []
         violations.extend(self._check_min_widths(cell))
@@ -68,9 +68,9 @@ class DRCChecker:
         violations.extend(self._check_etch_regions(cell))
         return violations
 
-    def assert_clean(self, cell: LayoutCell, active_layer: str = "cnt") -> None:
+    def assert_clean(self, cell: LayoutCell) -> None:
         """Raise :class:`DRCViolationError` when the cell has violations."""
-        violations = self.check(cell, active_layer=active_layer)
+        violations = self.check(cell)
         if violations:
             raise DRCViolationError(violations)
 

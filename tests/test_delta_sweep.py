@@ -378,7 +378,7 @@ class TestCornerIntegrity:
                         cache=store)
         path = next(iter(store._corner_entries()))
         path.write_text(path.read_text()[:20])
-        assert store.get_corner(path.stem) is None
+        assert store.get_corners([path.stem]) == {}
         assert not path.exists()                   # evicted
         assert store.stats().corner_corrupt == 1
 

@@ -349,6 +349,17 @@ class TestSweepCommand:
         assert code == 2
         assert "does not understand axes" in err
 
+    def test_swept_and_fixed_axis_fails_cleanly(self):
+        code, out, err = run_cli(
+            "sweep", "--axis", "cnts_per_trial=2,4",
+            "--set", "cnts_per_trial=8", "--trials", "5", "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "both swept and fixed" in err
+
     def test_transient_sweep_rejects_seed_and_trials(self):
         code, _, err = run_cli(
             "sweep", "--engine", "transient", "--axis", "vdd=0.9,1.0",

@@ -457,6 +457,18 @@ class TestUnifiedSweep:
                 SweepSpec.from_mapping({"vdd": (1.0,)}), engine="immunity"
             )
 
+    def test_swept_and_fixed_axis_rejected(self, tmp_path):
+        """A fixed value for a swept axis would be dropped from every
+        corner yet still enter the fingerprint and provenance; it is
+        rejected before the store is read."""
+        spec = SweepSpec.from_mapping({"cnts_per_trial": (2, 4)})
+        store = tmp_path / "store"
+        with pytest.raises(StudyError, match=r"\['cnts_per_trial'\] are "
+                                             r"both swept and fixed"):
+            run_sweep_study(spec, engine="immunity", trials=5, seed=1,
+                            cache=store, cnts_per_trial=8)
+        assert not store.exists()
+
     def test_sweep_str_renders_scalar_columns(self):
         spec = SweepSpec.from_mapping({"cnts_per_trial": (2,)})
         study = run_sweep_study(spec, engine="immunity", trials=10, seed=7)

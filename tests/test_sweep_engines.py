@@ -23,8 +23,14 @@ every mode must land on the same payload and the expected
 The golden test pins the hex ``sweep_fingerprint`` and per-corner
 addresses of a fixed scenario set, so a refactor of the sweep driver
 cannot move a cache address silently.  A deliberate address change (a
-fingerprint schema bump) re-pins these values on purpose.
+fingerprint schema bump) re-pins these values on purpose.  The wrapper
+test pins the shape of the study and corner entry files those addresses
+name.
 """
+
+import hashlib
+import json
+from collections import Counter
 
 import pytest
 
@@ -34,7 +40,9 @@ from repro.core.standard_cell import assemble_cell
 from repro.immunity.montecarlo import run_immunity_trials, sweep_seed_root
 from repro.logic.functions import standard_gate
 from repro.runtime import ResultCache, sweep_fingerprint
-from repro.study import SweepSpec, run_sweep_study
+from repro.runtime.cache import CACHE_SCHEMA, CORNER_SCHEMA
+from repro.study import SweepSpec, run_study, run_sweep_study
+from repro.study import sweeps
 from repro.study.sweeps import _plan_sweep, sweep_engine
 
 #: Execution modes every oracle runs in, with the provenance ``cache``
@@ -68,9 +76,9 @@ def _run(spec, engine, mode, **kwargs):
 def planned_keys(spec, engine, trials, seed, fixed):
     """``(corner keys, seeds)`` as the sweep planner computes them, with
     no store attached."""
-    _, seeds, _, plan = _plan_sweep(spec, sweep_engine(engine), trials, seed,
-                                    fixed, None)
-    return list(plan.keys), seeds
+    corners, _, plan = _plan_sweep(spec, sweep_engine(engine), trials, seed,
+                                   fixed, None)
+    return list(plan.keys), corners.seeds
 
 
 def _immunity_metrics(outcome):
@@ -383,3 +391,85 @@ def test_addresses_are_pinned(name):
     else:
         assert [child.spawn_key for child in seeds] == spawn_keys
         assert all(child.entropy == seed for child in seeds)
+
+
+# ---------------------------------------------------------------------------
+# One plan per sweep
+# ---------------------------------------------------------------------------
+
+def test_transient_sweep_plans_its_grids_once(monkeypatch, tmp_path):
+    """The engine's plan builds the sweep's cell grids, and their time
+    bases address and integrate the corners alike: one build per sweep."""
+    calls = []
+    real = sweeps._transient_grids
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sweeps, "_transient_grids", counting)
+    spec = SweepSpec.from_mapping({"vdd": (0.9, 1.0)})
+    run_sweep_study(spec, engine="transient",
+                    cache=ResultCache(tmp_path / "store"))
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Pinned entry wrappers
+# ---------------------------------------------------------------------------
+
+#: The exact keys of the integrity document around each stored payload.
+STUDY_WRAPPER = {"schema", "fingerprint", "study", "sha256", "created",
+                 "result"}
+CORNER_WRAPPER = {"schema", "fingerprint", "study", "engine", "sha256",
+                  "created", "payload"}
+
+
+def _wrappers(tree):
+    """``[(file stem, text, wrapper)]`` for every entry file under
+    ``tree``."""
+    entries = []
+    for path in sorted(tree.glob("*/*.json")):
+        text = path.read_text()
+        entries.append((path.stem, text, json.loads(text)))
+    return entries
+
+
+def _digest(payload):
+    return hashlib.sha256(json.dumps(
+        payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_entry_wrappers_are_pinned(tmp_path):
+    """Study and corner entries keep one on-disk shape: exactly the
+    wrapper keys, serialised with sorted keys, filed under their own
+    fingerprint with the SHA-256 of the canonical payload, and each
+    corner tagged with the engine that computed it."""
+    store = ResultCache(tmp_path / "store")
+    run_sweep_study(SweepSpec.from_mapping({"cnts_per_trial": (2, 4)}),
+                    engine="immunity", trials=10, seed=7, cache=store)
+    run_study("circuit", circuit="adder:2", trials=10, seed=7, draws=10,
+              cache=store)
+
+    studies = _wrappers(store.root / "objects")
+    assert sorted(wrapper["study"] for _, _, wrapper in studies) == [
+        "circuit", "sweep"]
+    for stem, text, wrapper in studies:
+        assert set(wrapper) == STUDY_WRAPPER
+        assert wrapper["schema"] == CACHE_SCHEMA
+        assert wrapper["fingerprint"] == stem
+        assert wrapper["sha256"] == _digest(wrapper["result"])
+        assert text == json.dumps(wrapper, sort_keys=True)
+
+    corners = _wrappers(store.root / "corners")
+    for stem, text, wrapper in corners:
+        assert set(wrapper) == CORNER_WRAPPER
+        assert wrapper["schema"] == CORNER_SCHEMA
+        assert wrapper["study"] == "corner"
+        assert wrapper["fingerprint"] == stem
+        assert wrapper["sha256"] == _digest(wrapper["payload"])
+        assert text == json.dumps(wrapper, sort_keys=True)
+    engines = Counter(wrapper["engine"] for _, _, wrapper in corners)
+    assert engines["immunity"] == 2
+    assert engines["circuit-immunity"] == engines["circuit-timing"] > 0
+    assert set(engines) == {"immunity", "circuit-immunity", "circuit-timing"}
