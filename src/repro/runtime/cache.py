@@ -17,8 +17,6 @@ Two granularities share one store root:
     <root>/
       objects/<key[:2]>/<key>.json     one study entry per fingerprint
       corners/<key[:2]>/<key>.json     one corner envelope per fingerprint
-      stats.json                       cumulative hit/miss/corrupt counters
-                                       (study- and corner-level)
 
 Entry files wrap their payload in a small integrity document
 (``repro-cache-entry/v1`` / ``repro-corner-entry/v1``) carrying the
@@ -28,9 +26,17 @@ foreign fingerprint — is treated as a miss, counted as *corrupt*, and
 evicted, so a damaged store degrades to recomputation instead of wrong
 answers.
 
+The store keeps entries, not counters: a read writes nothing (bar the
+eviction of a corrupt entry), and its hits, misses and corrupt reads go
+to the :mod:`repro.obs` metrics registry and the active trace span
+(``cache.hits``, ``cache.corner_misses``, ...).  Any number of processes
+can therefore share one store without contending for a shared file.
+
 Writes are atomic (temp file + ``os.replace`` in the same directory), so
 concurrent writers and readers — the scheduler's whole point — never
-observe half an entry.
+observe half an entry.  A writer killed between the two leaves its
+``.tmp-*`` file behind; :meth:`ResultCache.prune` sweeps those once they
+are :data:`STALE_TEMP_S` old.
 
 The default store location is ``.repro-cache/`` under the current
 directory; the ``REPRO_CACHE_DIR`` environment variable or an explicit
@@ -54,7 +60,6 @@ from ..obs import clock as obs_clock
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..study.results import StudyResult
-from .scheduler import make_lock
 
 #: Version tag of the on-disk cache entry wrapper.
 CACHE_SCHEMA = "repro-cache-entry/v1"
@@ -71,61 +76,39 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 CacheLike = Union[None, bool, str, os.PathLike, "ResultCache"]
 
-#: One lock per stats file (keyed by absolute path), shared by every
-#: :class:`ResultCache` instance in the process.  Counter persistence is
-#: a read-modify-write of ``stats.json``; without mutual exclusion two
-#: concurrent service jobs interleave and drop increments.  The lock
-#: comes from :func:`~repro.runtime.scheduler.make_lock` — the
-#: scheduler module is the sanctioned home of concurrency primitives.
-_STATS_LOCKS: Dict[str, Any] = {}
-_STATS_LOCKS_GUARD = make_lock()
+#: Age (seconds) past which :meth:`ResultCache.prune` deletes a
+#: ``.tmp-*`` file: a write takes milliseconds, so a temp file this old
+#: belongs to a killed writer, never to a live one.
+STALE_TEMP_S = 3600.0
 
 
-def _stats_lock(path: Path):
-    """The process-wide lock serialising counter updates of ``path``."""
-    key = os.path.abspath(os.fspath(path))
-    with _STATS_LOCKS_GUARD:
-        lock = _STATS_LOCKS.get(key)
-        if lock is None:
-            lock = make_lock()
-            _STATS_LOCKS[key] = lock
-    return lock
+def _is_key(text: str) -> bool:
+    """Whether ``text`` is a well-formed (lowercase hex) cache key."""
+    return bool(text) and all(c in "0123456789abcdef" for c in text)
 
 
 @dataclass(frozen=True)
 class CacheStats:
-    """One snapshot of a cache store: contents plus lifetime counters."""
+    """One scan of a cache store's contents."""
 
     root: str
     entries: int = 0
     total_bytes: int = 0
     by_study: Dict[str, int] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-    corrupt: int = 0
     corner_entries: int = 0
     corner_bytes: int = 0
-    corner_hits: int = 0
-    corner_misses: int = 0
-    corner_corrupt: int = 0
 
     def __str__(self) -> str:
         lines = [
             f"cache root   : {self.root}",
             f"entries      : {self.entries}",
             f"total bytes  : {self.total_bytes}",
-            f"hits         : {self.hits}",
-            f"misses       : {self.misses}",
-            f"corrupt      : {self.corrupt}",
         ]
         for study in sorted(self.by_study):
             lines.append(f"  {study:<12}: {self.by_study[study]}")
         lines += [
             f"corner entries : {self.corner_entries}",
             f"corner bytes   : {self.corner_bytes}",
-            f"corner hits    : {self.corner_hits}",
-            f"corner misses  : {self.corner_misses}",
-            f"corner corrupt : {self.corner_corrupt}",
         ]
         return "\n".join(lines)
 
@@ -169,8 +152,8 @@ class ResultCache:
     >>> cache.get("0" * 64) == result    # warm store: the same result
     True
     >>> stats = cache.stats()
-    >>> (stats.entries, stats.hits, stats.misses)
-    (1, 1, 1)
+    >>> (stats.entries, stats.by_study)
+    (1, {'fig3': 1})
     """
 
     def __init__(self, root: Union[None, str, os.PathLike] = None):
@@ -188,10 +171,6 @@ class ResultCache:
     def _corners(self) -> Path:
         return self.root / "corners"
 
-    @property
-    def _stats_path(self) -> Path:
-        return self.root / "stats.json"
-
     def path_for(self, key: str) -> Path:
         """Where the study entry for ``key`` lives (whether or not it
         exists)."""
@@ -204,7 +183,7 @@ class ResultCache:
 
     @staticmethod
     def _keyed_path(tree: Path, key: str) -> Path:
-        if not key or any(c not in "0123456789abcdef" for c in key):
+        if not _is_key(key):
             raise CacheError(f"Malformed cache key {key!r}")
         return tree / key[:2] / f"{key}.json"
 
@@ -214,13 +193,21 @@ class ResultCache:
     def _corner_entries(self) -> Iterator[Path]:
         yield from self._tree_entries(self._corners)
 
+    @classmethod
+    def _tree_entries(cls, tree: Path) -> Iterator[Path]:
+        """The ``<key>.json`` entry files of ``tree`` — never a writer's
+        ``.tmp-*`` file."""
+        for path in cls._tree_files(tree, "*.json"):
+            if _is_key(path.stem):
+                yield path
+
     @staticmethod
-    def _tree_entries(tree: Path) -> Iterator[Path]:
+    def _tree_files(tree: Path, pattern: str) -> Iterator[Path]:
         if not tree.is_dir():
             return
         for shard in sorted(tree.iterdir()):
             if shard.is_dir():
-                yield from sorted(shard.glob("*.json"))
+                yield from sorted(shard.glob(pattern))
 
     # -- atomic file primitives ------------------------------------------------
 
@@ -240,57 +227,15 @@ class ResultCache:
                 pass
             raise
 
-    def _bump(self, hits: int = 0, misses: int = 0, corrupt: int = 0,
-              corner_hits: int = 0, corner_misses: int = 0,
-              corner_corrupt: int = 0) -> None:
-        """Fold counter deltas into ``stats.json``.  Strictly best-effort:
-        counters are telemetry, so an unwritable store (read-only mount,
-        foreign ownership) must never turn a valid hit into a failure —
-        the write is simply skipped.  The read-modify-write is serialised
-        by a process-wide per-store lock (shared across instances), so
-        concurrent service jobs never drop an increment; the replace
-        itself is atomic, so a reader never sees half a file."""
-        self._mirror(hits=hits, misses=misses, corrupt=corrupt,
-                     corner_hits=corner_hits, corner_misses=corner_misses,
-                     corner_corrupt=corner_corrupt)
-        with _stats_lock(self._stats_path):
-            counters = self._counters()
-            counters["hits"] += hits
-            counters["misses"] += misses
-            counters["corrupt"] += corrupt
-            counters["corner_hits"] += corner_hits
-            counters["corner_misses"] += corner_misses
-            counters["corner_corrupt"] += corner_corrupt
-            counters["updated"] = obs_clock.wall_time()
-            try:
-                self._write_atomic(self._stats_path, json.dumps(counters))
-            except OSError:
-                pass
-
     @staticmethod
-    def _mirror(**deltas: int) -> None:
-        """Mirror nonzero counter deltas into the process metrics registry
-        and the active trace span (if any).  ``stats.json`` stays the
-        durable record; the obs copies are the live, queryable view."""
+    def _count(**deltas: int) -> None:
+        """Count nonzero store-traffic deltas (``hits=1``,
+        ``corner_misses=3``, ...) as ``cache.<name>`` in the process
+        metrics registry and the active trace span (if any)."""
         for name, value in deltas.items():
             if value:
                 obs_metrics.registry().inc(f"cache.{name}", value)
                 obs_trace.add(f"cache.{name}", value)
-
-    def _counters(self) -> Dict[str, Any]:
-        try:
-            with open(self._stats_path, "r", encoding="utf-8") as stream:
-                raw = json.load(stream)
-        except (OSError, json.JSONDecodeError):
-            raw = {}
-        return {
-            "hits": int(raw.get("hits", 0)),
-            "misses": int(raw.get("misses", 0)),
-            "corrupt": int(raw.get("corrupt", 0)),
-            "corner_hits": int(raw.get("corner_hits", 0)),
-            "corner_misses": int(raw.get("corner_misses", 0)),
-            "corner_corrupt": int(raw.get("corner_corrupt", 0)),
-        }
 
     # -- the store API ---------------------------------------------------------
 
@@ -308,9 +253,9 @@ class ResultCache:
             StudyResult.from_json_dict, kind="study",
         )
         if result is None:
-            self._bump(misses=1, corrupt=1 if corrupt else 0)
+            self._count(misses=1, corrupt=int(corrupt))
             return None
-        self._bump(hits=1)
+        self._count(hits=1)
         return result
 
     def _read_validated(self, path: Path, key: str, schema: str, field: str,
@@ -320,8 +265,8 @@ class ResultCache:
         The wrapper must carry ``schema``, the fingerprint ``key`` and the
         SHA-256 digest of its ``field`` payload, and the payload must go
         through ``decode``.  Anything that fails is corrupt: the file is
-        evicted.  Absent files are ``(None, False)``.  Never touches the
-        counters.
+        evicted.  Absent files are ``(None, False)``.  Counts nothing; the
+        caller counts the read.
         """
         value, corrupt = None, False
         try:
@@ -374,20 +319,20 @@ class ResultCache:
 
     def put(self, key: str, result: StudyResult) -> Path:
         """Persist ``result`` under ``key`` atomically; returns the entry
-        path.  Does not touch the hit/miss counters — pair it with the
-        :meth:`get` miss that preceded it."""
+        path.  Counts one ``cache.puts``; the :meth:`get` miss that
+        preceded it was counted there."""
         path = self._write_entry(self.path_for(key), key, CACHE_SCHEMA,
                                  "result", result.to_json_dict(),
                                  study=type(result).study_name)
-        self._mirror(puts=1)
+        self._count(puts=1)
         return path
 
     # -- the corner store ------------------------------------------------------
 
     def get_corners(self, keys: Sequence[str]) -> Dict[str, Any]:
         """``{key: payload}`` for every corner fingerprint in ``keys``
-        whose entry validated, with the hit/miss/corrupt counters folded
-        in as **one** stats write (a sweep diffs hundreds of corners per
+        whose entry validated, with the hit/miss/corrupt reads counted
+        once for the whole batch (a sweep diffs hundreds of corners per
         run).
 
         The integrity discipline mirrors the study store: schema tag,
@@ -418,29 +363,29 @@ class ResultCache:
             else:
                 found[key] = value
                 hits += 1
-        self._bump(corner_hits=hits, corner_misses=misses,
-                   corner_corrupt=corrupt)
+        self._count(corner_hits=hits, corner_misses=misses,
+                    corner_corrupt=corrupt)
         return found
 
     def put_corner(self, key: str, metrics: Any,
                    engine: str = "") -> Path:
         """Persist one corner's metrics payload under its fingerprint
-        atomically; returns the entry path.  Counter-neutral, like
-        :meth:`put`."""
+        atomically; returns the entry path.  Counts one
+        ``cache.corner_puts``, like :meth:`put`."""
         from ..study.serialize import encode
 
         path = self._write_entry(self.corner_path_for(key), key,
                                  CORNER_SCHEMA, "payload", encode(metrics),
                                  study="corner", engine=engine)
-        self._mirror(corner_puts=1)
+        self._count(corner_puts=1)
         return path
 
     # -- maintenance -----------------------------------------------------------
 
     def stats(self) -> CacheStats:
         """Scan the store: entry counts, bytes, per-study breakdown (study
-        entries) and corner-store totals, plus the cumulative
-        hit/miss/corrupt counters of both granularities."""
+        entries) and corner-store totals.  Hits and misses are not stored;
+        they are the ``cache.*`` counters of :mod:`repro.obs`."""
         entries = 0
         total_bytes = 0
         by_study: Dict[str, int] = {}
@@ -461,7 +406,6 @@ class ResultCache:
                 corner_bytes += path.stat().st_size
             except OSError:
                 pass
-        counters = self._counters()
         return CacheStats(
             root=str(self.root),
             entries=entries,
@@ -469,7 +413,6 @@ class ResultCache:
             by_study=by_study,
             corner_entries=corner_entries,
             corner_bytes=corner_bytes,
-            **counters,
         )
 
     def prune(self, study: Optional[str] = None,
@@ -484,7 +427,12 @@ class ResultCache:
         per granularity (study entries and corner envelopes are bounded
         independently — they have very different cardinalities).  Both
         bounds respect the ``study`` filter and compose: an entry is
-        removed if *either* bound says so.  Counters survive pruning.
+        removed if *either* bound says so.
+
+        Every call also deletes the ``.tmp-*`` files of killed writers —
+        those older than :data:`STALE_TEMP_S`, whatever the filter and
+        bounds; they are not entries and are not in the returned count.
+        A live writer's temp file is younger and is never touched.
         """
         if max_age_s is not None and max_age_s < 0:
             raise CacheError(f"max_age_s must be >= 0, got {max_age_s!r}")
@@ -492,6 +440,13 @@ class ResultCache:
             raise CacheError(f"max_entries must be >= 0, got {max_entries!r}")
         removed = 0
         now = obs_clock.wall_time()
+        for tree in (self._objects, self._corners):
+            for path in self._tree_files(tree, ".tmp-*"):
+                try:
+                    if path.stat().st_mtime < now - STALE_TEMP_S:
+                        path.unlink()
+                except OSError:
+                    pass
         for tree_paths in (list(self._entries()), list(self._corner_entries())):
             candidates = []
             for path in tree_paths:

@@ -109,13 +109,24 @@ class ManifestEntry:
                 f"Manifest entry {index}: 'axes'/'engine' only apply to "
                 f"\"study\": \"sweep\" entries"
             )
-        return cls(
+        entry = cls(
             study=study,
             params=dict(params),
             engine=data.get("engine"),
             axes=axes,
             mode=data.get("mode", "grid"),
         )
+        # Resolve the study, or the sweep's engine and axes, now: a bad
+        # entry fails when it is parsed, before any entry of its manifest
+        # runs.
+        if entry.is_sweep:
+            from ..study.sweeps import _validate_axes, sweep_engine
+
+            spec, engine, _, _, fixed = _sweep_call(entry)
+            _validate_axes(spec, sweep_engine(engine), fixed)
+        else:
+            get_study(study)
+        return entry
 
 
 @dataclass(frozen=True)

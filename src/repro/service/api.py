@@ -41,7 +41,6 @@ from ..runtime.scheduler import BACKENDS
 from ..study.registry import get_study
 from ..study.results import StudyResult
 from ..study.serialize import canonical_json
-from ..study.sweeps import sweep_engine
 from .errors import InvalidSubmission
 
 #: Submission kinds, in increasing compositeness.
@@ -64,21 +63,13 @@ def _validate_execution(jobs: Any, backend: Any) -> Tuple[Optional[int],
 
 
 def _parse_entry(document: Mapping[str, Any], index: int) -> ManifestEntry:
-    """One study/sweep entry through the manifest validator, with
-    submission-grade error wrapping and eager study-name resolution."""
+    """One study/sweep entry through the manifest validator — which
+    resolves study names, sweep engines and axes — with submission-grade
+    error wrapping."""
     try:
-        entry = ManifestEntry.from_mapping(document, index)
-        if entry.is_sweep:
-            if entry.engine is not None:
-                sweep_engine(entry.engine)   # unknown engines fail at submit
-            entry.spec()                 # validates the axes mapping
-        else:
-            get_study(entry.study)       # unknown studies fail at submit
-    except InvalidSubmission:
-        raise
+        return ManifestEntry.from_mapping(document, index)
     except ReproError as error:
         raise InvalidSubmission(str(error)) from error
-    return entry
 
 
 @dataclass(frozen=True)

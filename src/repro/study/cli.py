@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="inspect or prune the result cache",
     ).add_subparsers(dest="cache_command", required=True)
     stats_parser = _add_command(cache_sub, "stats", _cmd_cache,
-                                "entry counts, sizes and hit/miss counters")
+                                "entry counts and byte sizes")
     prune_parser = _add_command(
         cache_sub, "prune", _cmd_cache,
         "delete cache entries (all, one study's, or bounded by age / count)")

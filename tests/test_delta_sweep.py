@@ -20,6 +20,7 @@ from repro.runtime import (
     plan_delta,
 )
 from repro.study import SweepSpec, run_sweep_study
+from test_runtime import counted
 from test_sweep_engines import planned_keys
 
 
@@ -363,12 +364,11 @@ class TestCornerIntegrity:
         store.prune(study="sweep")                 # force the corner path
         poisoned = self._poison_one_corner(store)
 
-        again = run_sweep_study(spec, engine="immunity", trials=20, seed=7,
-                                cache=store)
+        again, counts = counted(lambda: run_sweep_study(
+            spec, engine="immunity", trials=20, seed=7, cache=store))
         assert again == cold                       # recomputed, not served
         assert again.provenance.cache == "partial:1/2"
-        stats = store.stats()
-        assert stats.corner_corrupt >= 1
+        assert counts["cache.corner_corrupt"] >= 1
         assert poisoned.exists()                   # rewritten by the rerun
 
     def test_truncated_corner_counts_as_corrupt(self, tmp_path):
@@ -378,24 +378,25 @@ class TestCornerIntegrity:
                         cache=store)
         path = next(iter(store._corner_entries()))
         path.write_text(path.read_text()[:20])
-        assert store.get_corners([path.stem]) == {}
+        found, counts = counted(lambda: store.get_corners([path.stem]))
+        assert found == {}
         assert not path.exists()                   # evicted
-        assert store.stats().corner_corrupt == 1
+        assert counts["cache.corner_corrupt"] == 1
 
     def test_stats_surface_corner_counters(self, tmp_path):
         store = ResultCache(tmp_path / "store")
         spec = SweepSpec.from_mapping({"cnts_per_trial": (2, 4)})
-        run_sweep_study(spec, engine="immunity", trials=10, seed=7,
-                        cache=store)
+        _, counts = counted(lambda: run_sweep_study(
+            spec, engine="immunity", trials=10, seed=7, cache=store))
+        assert counts["cache.corner_misses"] == 2
         stats = store.stats()
         assert stats.corner_entries == 2
-        assert stats.corner_misses == 2
         assert stats.corner_bytes > 0
         rendered = str(stats)
         assert "corner entries : 2" in rendered
-        as_dict = stats.as_dict()
-        assert {"corner_entries", "corner_bytes", "corner_hits",
-                "corner_misses", "corner_corrupt"} <= set(as_dict)
+        assert set(stats.as_dict()) == {
+            "root", "entries", "total_bytes", "by_study",
+            "corner_entries", "corner_bytes"}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from repro.analysis.experiments import run_fig3_nand3
 from repro.errors import StudyError
+from repro.obs import trace_counters
 from repro.study import StudyResult, decode
 from repro.study.cli import _parse_assignment, main
 from repro.study.results import RESULT_SCHEMA
@@ -207,15 +208,22 @@ class TestRuntimeFlags:
 
     def test_cache_stats_reports_the_hit(self, tmp_path):
         store = str(tmp_path / "store")
-        run_cli("run", "fig3", "--json", "-", "--cache", store)
-        run_cli("run", "fig3", "--json", "-", "--cache", store)
+        counters = []
+        for run in ("cold", "warm"):
+            trace = str(tmp_path / f"{run}.json")
+            run_cli("run", "fig3", "--json", "-", "--cache", store,
+                    "--trace", trace)
+            with open(trace, encoding="utf-8") as stream:
+                counters.append(trace_counters(json.load(stream)))
+        assert counters == [{"cache.misses": 1, "cache.puts": 1},
+                            {"cache.hits": 1}]
         code, out, _ = run_cli("cache", "stats", "--cache", store)
         assert code == 0
-        assert "hits         : 1" in out
-        assert "misses       : 1" in out
+        assert "entries      : 1" in out
+        assert "hits" not in out
         code, out, _ = run_cli("cache", "stats", "--cache", store, "--json")
         stats = json.loads(out)
-        assert stats["entries"] == 1 and stats["hits"] == 1
+        assert stats["entries"] == 1 and stats["by_study"] == {"fig3": 1}
 
     def test_cache_prune(self, tmp_path):
         store = str(tmp_path / "store")
@@ -246,18 +254,22 @@ class TestRuntimeFlags:
 
     def test_cache_stats_reports_corner_counters(self, tmp_path):
         store = str(tmp_path / "store")
+        trace = str(tmp_path / "trace.json")
         run_cli("sweep", "--engine", "immunity",
                 "--axis", "cnts_per_trial=2,4",
                 "--trials", "15", "--seed", "7", "--json", "-",
-                "--cache", store)
+                "--cache", store, "--trace", trace)
+        with open(trace, encoding="utf-8") as stream:
+            assert trace_counters(json.load(stream))[
+                "cache.corner_misses"] == 2
         code, out, _ = run_cli("cache", "stats", "--cache", store)
         assert code == 0
         assert "corner entries : 2" in out
-        assert "corner misses  : 2" in out
         code, out, _ = run_cli("cache", "stats", "--cache", store, "--json")
         stats = json.loads(out)
         assert stats["corner_entries"] == 2
-        assert stats["corner_misses"] == 2
+        assert set(stats) == {"root", "entries", "total_bytes", "by_study",
+                              "corner_entries", "corner_bytes"}
 
     def test_cache_prune_bounds(self, tmp_path):
         store = str(tmp_path / "store")

@@ -1,14 +1,18 @@
 """The runtime layer: scheduler determinism, result cache, manifests."""
 
 import dataclasses
+import hashlib
 import json
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 
 import repro.analysis.experiments as experiments
 from repro.errors import CacheError, RuntimeLayerError, StudyError
+from repro.obs import registry
 from repro.runtime import (
     ManifestResult,
     ResultCache,
@@ -23,7 +27,20 @@ from repro.runtime import (
     sweep_fingerprint,
     with_cache_status,
 )
+from repro.runtime.cache import STALE_TEMP_S
 from repro.study import StudyResult, SweepSpec, run_study, run_sweep_study
+
+
+def counted(fn):
+    """``(fn(), counts)``: ``counts`` maps each ``cache.*`` counter of
+    the process metrics registry to what ``fn`` added to it."""
+    before = registry().snapshot()["counters"]
+    value = fn()
+    after = registry().snapshot()["counters"]
+    return value, {name: total - before.get(name, 0)
+                   for name, total in after.items()
+                   if name.startswith("cache.")
+                   and total != before.get(name, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -211,53 +228,29 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "store")
         result = experiments.run_fig3_nand3()
         key = study_fingerprint("fig3")
-        assert cache.get(key) is None
+        assert counted(lambda: cache.get(key)) == (None, {"cache.misses": 1})
         cache.put(key, result)
-        restored = cache.get(key)
+        restored, counts = counted(lambda: cache.get(key))
+        assert counts == {"cache.hits": 1}
         assert restored == result
         assert restored.to_dict() == result.to_dict()
         stats = cache.stats()
-        assert (stats.entries, stats.hits, stats.misses) == (1, 1, 1)
+        assert stats.entries == 1
         assert stats.by_study == {"fig3": 1}
         assert stats.total_bytes > 0
-
-    def test_counters_persist_across_instances(self, tmp_path):
-        root = tmp_path / "store"
-        key = study_fingerprint("fig3")
-        ResultCache(root).put(key, experiments.run_fig3_nand3())
-        ResultCache(root).get(key)
-        assert ResultCache(root).stats().hits == 1
-
-    def test_counter_persistence_is_thread_safe(self, tmp_path):
-        """Counter updates are read-modify-write on stats.json; hammering
-        misses from many threads (and across instances sharing the store)
-        must lose no increments — the regression for the unlocked _bump."""
-        import threading
-
-        root = tmp_path / "store"
-        threads, per_thread = 8, 25
-        missing = study_fingerprint("fig3", params={"unit_width": -1.0})
-
-        def hammer():
-            cache = ResultCache(root)        # per-thread instance, one store
-            for _ in range(per_thread):
-                assert cache.get(missing) is None
-
-        workers = [threading.Thread(target=hammer) for _ in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert ResultCache(root).stats().misses == threads * per_thread
+        assert sorted(path.name for path in cache.root.iterdir()) \
+            == ["objects"]                     # entries, no counter file
 
     def test_corrupt_entry_is_evicted_not_served(self, tmp_path):
         cache = ResultCache(tmp_path / "store")
         key = study_fingerprint("fig3")
         path = cache.put(key, experiments.run_fig3_nand3())
         path.write_text(path.read_text().replace("compact", "c0rrupt"))
-        assert cache.get(key) is None          # digest mismatch -> miss
+        value, counts = counted(lambda: cache.get(key))
+        assert value is None                   # digest mismatch -> miss
         assert not path.exists()               # and the entry is evicted
-        assert cache.stats().corrupt == 1
+        assert counts == {"cache.misses": 1, "cache.corrupt": 1,
+                          "cache.evictions": 1}
 
     def test_digest_valid_but_undecodable_entry_is_evicted(self, tmp_path):
         """A stale entry whose digest still matches (e.g. a result class
@@ -272,9 +265,10 @@ class TestResultCache:
         wrapper["result"]["payload"] = "not-a-mapping"
         wrapper["sha256"] = _envelope_digest(wrapper["result"])
         path.write_text(json.dumps(wrapper))
-        assert cache.get(key) is None
+        value, counts = counted(lambda: cache.get(key))
+        assert value is None
         assert not path.exists()
-        assert cache.stats().corrupt == 1
+        assert counts["cache.corrupt"] == 1
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "store")
@@ -299,6 +293,41 @@ class TestResultCache:
         assert cache.stats().by_study == {"table1": 1}
         assert cache.prune() == 1
         assert cache.stats().entries == 0
+
+    def test_a_killed_writers_temp_file_is_swept_not_counted(self, tmp_path):
+        cache = ResultCache(tmp_path / "store")
+        entry = cache.put(study_fingerprint("fig3"),
+                          experiments.run_fig3_nand3())
+        corner = cache.put_corner("ab" * 32, {"x": 1})
+        stale = [entry.parent / ".tmp-killed.json",
+                 corner.parent / ".tmp-killed.json"]
+        killed_at = time.time() - STALE_TEMP_S - 60.0
+        for path in stale:
+            path.write_text('{"study": "fig3", "cre')
+            os.utime(path, (killed_at, killed_at))
+        stats = cache.stats()
+        assert (stats.entries, stats.by_study, stats.corner_entries) \
+            == (1, {"fig3": 1}, 1)
+        assert stats.total_bytes == entry.stat().st_size
+        assert cache.prune(study="table1") == 0   # sweeps, counts entries
+        assert not any(path.exists() for path in stale)
+        assert entry.exists() and corner.exists()
+
+    def test_prune_spares_a_live_writers_temp_file(self, tmp_path):
+        cache = ResultCache(tmp_path / "store")
+        entry = cache.put(study_fingerprint("fig3"),
+                          experiments.run_fig3_nand3())
+        corner = cache.put_corner("ab" * 32, {"x": 1})
+        live = [entry.parent / ".tmp-writing.json",
+                corner.parent / ".tmp-writing.json"]
+        for path in live:
+            path.write_text('{"study": "fig3", "cre')
+        assert cache.stats().entries == 1
+        assert cache.prune(study="fig3") == 1
+        assert all(path.exists() for path in live)
+        assert cache.prune() == 1
+        assert all(path.exists() for path in live)
+        assert cache.stats().corner_entries == 0
 
     def test_malformed_key_rejected(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -332,6 +361,69 @@ class TestResultCache:
         assert as_cache(cache) is cache
         with pytest.raises(CacheError):
             as_cache(3.14)
+
+
+def _corner_key(index):
+    return hashlib.sha256(f"corner-{index}".encode()).hexdigest()
+
+
+def _share_a_store(root, indices, go, report):
+    """One of two processes sharing a store: on ``go``, read each corner
+    of ``indices`` and write the ones it misses; then put this process's
+    own reads and its ``cache.corner_*`` registry counters to
+    ``report``."""
+    store = ResultCache(root)
+    go.wait(60.0)
+    reads = {"cache.corner_hits": 0, "cache.corner_misses": 0}
+
+    def work():
+        for _ in range(3):
+            for index in indices:
+                key = _corner_key(index)
+                if store.get_corners([key]):
+                    reads["cache.corner_hits"] += 1
+                else:
+                    reads["cache.corner_misses"] += 1
+                    store.put_corner(key, {"index": index})
+
+    _, counts = counted(work)
+    report.put((reads, {name: value for name, value in counts.items()
+                        if not name.endswith("_puts")}))
+
+
+class TestSharedStore:
+    def test_two_processes_share_a_store(self, tmp_path):
+        """Two processes read and write overlapping corners of one store:
+        nothing is lost or corrupt, the store holds entry files only, and
+        each process counts exactly its own reads."""
+        root = tmp_path / "store"
+        context = multiprocessing.get_context("spawn")
+        go, report = context.Event(), context.Queue()
+        workers = [context.Process(target=_share_a_store,
+                                   args=(str(root), indices, go, report))
+                   for indices in (range(0, 24), range(12, 36))]
+        for worker in workers:
+            worker.start()
+        go.set()
+        reports = [report.get(timeout=120.0) for _ in workers]
+        for worker in workers:
+            worker.join(60.0)
+            assert worker.exitcode == 0
+        for reads, counts in reports:
+            assert sum(reads.values()) == 3 * 24
+            assert counts == {name: value for name, value in reads.items()
+                              if value}
+        keys = [_corner_key(index) for index in range(36)]
+        stored, counts = counted(lambda: ResultCache(root).get_corners(keys))
+        assert stored == {key: {"index": index}
+                          for index, key in enumerate(keys)}
+        assert counts == {"cache.corner_hits": 36}
+        files = [path.relative_to(root) for path in root.rglob("*")
+                 if path.is_file()]
+        assert sorted(files) == sorted(
+            ResultCache(root).corner_path_for(key).relative_to(root)
+            for key in keys)
+        assert not (root / "stats.json").exists()
 
 
 class TestCachedRunStudy:
@@ -508,6 +600,28 @@ class TestManifest:
         result = run_manifest([entry, entry], cache=cache)
         assert [o.status for o in result.outcomes] == ["computed", "computed"]
         assert cache.stats().entries == 0
+
+    @pytest.mark.parametrize("axes, fixed", [
+        ({"vdd": [0.9, 1.0]}, {}),                     # unknown axis
+        ({"cnts_per_trial": [2, 4]}, {"bogus": 3}),    # unknown fixed
+        ({"cnts_per_trial": [2, 4]}, {"cnts_per_trial": 8}),  # both
+    ])
+    def test_bad_sweep_axes_fail_before_any_entry_runs(self, axes, fixed,
+                                                       monkeypatch):
+        calls = []
+        real = experiments.run_fig3_nand3
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_fig3_nand3", counting)
+        with pytest.raises(StudyError):
+            run_manifest([{"study": "fig3"},
+                          {"study": "sweep", "engine": "immunity",
+                           "axes": axes,
+                           "params": {"trials": 5, "seed": 1, **fixed}}])
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

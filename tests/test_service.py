@@ -55,6 +55,10 @@ from repro.study.registry import run_study
 
 POLL_TIMEOUT_S = 60.0
 
+#: A sweep over an axis its engine does not understand.
+_BAD_SWEEP = {"study": "sweep", "engine": "immunity",
+              "axes": {"vdd": [0.9, 1.0]}, "params": {"trials": 5, "seed": 1}}
+
 
 # ---------------------------------------------------------------------------
 # Harness
@@ -224,12 +228,20 @@ class TestLifecycle:
         {"study": "fig3", "backend": "quantum"},
         {"studies": []},
         [1, 2, 3],
+        _BAD_SWEEP,                                       # unknown axis
+        {**_BAD_SWEEP, "axes": {"cnts_per_trial": [2, 4]},
+         "params": {"trials": 5, "seed": 1, "bogus": 3}},  # unknown fixed
+        {**_BAD_SWEEP, "axes": {"cnts_per_trial": [2, 4]},
+         "params": {"trials": 5, "seed": 1,
+                    "cnts_per_trial": 8}},               # swept and fixed
+        {"studies": [{"study": "fig3"}, _BAD_SWEEP]},
     ])
     def test_invalid_submissions_are_400(self, client, body):
         status, document = client.json("POST", "/jobs", body)
         assert status == 400
         assert document["error"]["type"] == "InvalidSubmission"
         assert document["error"]["repro"] is True
+        assert client.json("GET", "/jobs") == (200, {"jobs": []})
 
     def test_non_json_body_is_400(self, client):
         connection = http.client.HTTPConnection(client.host, client.port,
