@@ -16,10 +16,11 @@ One public engine and one reference implement identical integration
 semantics:
 
 * the **batch engine** lowers a batch of :class:`SimulationCase` once
-  into NumPy structure arrays (see *Precompiled array layout*) and
-  integrates every case in one sub-step loop
-  (:func:`run_transient_batch`, :meth:`TransientSimulator.run`), whose
-  sub-step is compiled C when a C compiler is available and NumPy
+  into NumPy structure arrays (see *Precompiled array layout*), plans
+  the sub-step schedule of every time base with NumPy, and integrates
+  every case in one sub-step loop (:func:`run_transient_batch`,
+  :meth:`TransientSimulator.run`).  That loop runs in compiled C, one
+  call per sample mark, when a C compiler is available, and in NumPy
   otherwise, byte for byte alike (:mod:`repro.circuit.stepper`);
 * the **reference** (:meth:`TransientSimulator.run_reference`) is the
   scalar per-substep loop the batch engine mirrors operation for
@@ -86,7 +87,9 @@ is integrated in sub-steps of ``min(time_step, max(2 fs, stop_time /
 40000))``.  A few tens of thousands of sub-steps per run keeps the
 explicit integration stable for the RC time constants of gate-sized
 circuits without making long runs unaffordable; the rule lives in
-:func:`stability_substep` and is shared verbatim by both engines.
+:func:`stability_substep` and is shared verbatim by both engines.  The
+batch engine enumerates the sub-step times of a run with NumPy, value
+for value the reference's ``time += dt`` loop (``_substep_schedule``).
 
 Batch-axis semantics
 --------------------
@@ -115,7 +118,6 @@ True
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -332,26 +334,40 @@ def _substep_schedule(stop_time: float, time_step: float):
     boundaries)`` of one time base; sample ``i`` is taken before
     sub-step ``boundaries[i]``.
 
-    The schedule loop mirrors the reference token for token (in Python
-    floats, which round exactly as NumPy's float64 scalars): sources are
+    The schedule is the reference's loop, value for value: each sample
+    interval ``[start, end)`` steps ``time += dt`` with ``dt =
+    min(substep, end - time)`` while ``time < end - 1e-21``.  Sources are
     read at the *start* of each sub-step, and the sample recorded at a
     boundary still holds the source value of the previous sub-step.
+
+    It is built an interval per row: ``np.add.accumulate`` over ``[start,
+    substep, substep, ...]`` is sequential, so it gives the loop's times
+    for as long as every step is full.  A row ends at its first partial
+    step (``end - time < substep``).  That step lands on ``end`` exactly
+    (Sterbenz: ``time`` is within a factor two of ``end``, so ``end -
+    time`` is exact), so the loop stops after it, and the accumulated
+    clock, a full step on, is past ``end`` too.  A partial step that
+    would stop short of ``end``, or a row that fills every column,
+    raises :class:`SimulationError`.
     """
     sample_count = int(math.ceil(stop_time / time_step)) + 1
     times = np.linspace(0.0, stop_time, sample_count)
     substep = stability_substep(stop_time, time_step)
-    step_times, step_sizes = array("d"), array("d")
-    boundaries = [0]
-    edges = times.tolist()
-    for time, segment_end in zip(edges, edges[1:]):
-        while time < segment_end - 1e-21:
-            dt = min(substep, segment_end - time)
-            step_times.append(time)
-            step_sizes.append(dt)
-            time += dt
-        boundaries.append(len(step_sizes))
-    return (times, np.frombuffer(step_times), np.frombuffer(step_sizes),
-            boundaries)
+    starts, ends = times[:-1, None], times[1:, None]
+    longest = float(np.max(ends - starts, initial=0.0))
+    clock = np.full((len(starts), math.ceil(longest / substep) + 2), substep)
+    clock[:, 0] = times[:-1]
+    np.add.accumulate(clock, axis=1, out=clock)
+    sizes = np.minimum(substep, ends - clock)
+    taken = clock < ends - 1e-21
+    counts = np.count_nonzero(taken, axis=1)
+    if np.any(counts == clock.shape[1]) or np.any(
+            taken & (sizes < substep) & (clock + sizes < ends - 1e-21)):
+        raise SimulationError(
+            f"the sub-step schedule of ({stop_time!r}, {time_step!r}) "
+            f"does not end on its sample times")
+    return (times, clock[taken], sizes[taken],
+            np.concatenate(([0], np.cumsum(counts))))
 
 
 def _state_key(block: int, net: str):
@@ -682,8 +698,7 @@ class CompiledTransientBatch:
                             devices=self.prefactor.shape[0],
                             substeps=steps, stepper=stepper_type.name):
             waveforms, supply_charge = self._march(
-                stepper_type, boundaries, step_sizes, changed,
-                iter(source_rows))
+                stepper_type, boundaries, step_sizes, changed, source_rows)
             obs_trace.add("transient.corner_steps", batch * steps)
 
         results: List[Optional[TransientResult]] = [None] * batch
@@ -712,12 +727,14 @@ class CompiledTransientBatch:
         ends early takes ``dt = 0.0`` steps after its last sample.  The
         sub-step sizes are one ``(K, G)`` table, a column per group: each
         column's ``i * dt`` is the IEEE product the reference forms with
-        its own scalar ``dt``.
+        its own scalar ``dt``.  ``changed`` is a ``(K,)`` mask and the
+        source rows a ``(changed.sum(), S, B)`` table of the driven state
+        rows to write before those sub-steps.
         """
         sample_times: List[np.ndarray] = []
         step_times: List[np.ndarray] = []
         sizes: List[np.ndarray] = []
-        boundaries: List[List[int]] = []
+        boundaries: List[np.ndarray] = []
         for base in self.group_bases:
             times, starts, dts, bounds = _substep_schedule(
                 *(base or (stop_time, time_step)))
@@ -730,51 +747,56 @@ class CompiledTransientBatch:
             step_sizes[:len(dts), group] = dts
         del sizes                  # not needed past here: keep the peak low
         steps = len(step_sizes)
-        changed = [False] * steps
-        source_rows: Sequence[np.ndarray] = ()
+        changed = np.zeros(steps, dtype=bool)
+        source_rows = np.empty((0, len(self.source_keys), self.batch_size))
         if self.source_keys and steps:
-            mask, values = self._compressed_source_schedule(step_times, steps)
-            changed = mask.tolist()
+            changed, values = self._compressed_source_schedule(step_times,
+                                                               steps)
             source_rows = np.ascontiguousarray(values.transpose(0, 2, 1))
         return sample_times, boundaries, step_sizes, changed, source_rows
 
-    def _march(self, stepper_type, boundaries: List[List[int]],
-               step_sizes: np.ndarray, changed: List[bool],
-               source_rows) -> Tuple[List[np.ndarray], np.ndarray]:
-        """The sub-step loop: ``(waveforms per group (samples, N, width),
+    def _march(self, stepper_type, boundaries: List[np.ndarray],
+               step_sizes: np.ndarray, changed: np.ndarray,
+               source_rows: np.ndarray
+               ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """The sample loop: ``(waveforms per group (samples, N, width),
         supply charge per column)``.
 
         Group ``g`` records sample ``i`` before sub-step
         ``boundaries[g][i]``.  Waveform rows are in state-row order (see
-        ``block_rows``).  A sub-step writes the stimulus rows where any
-        source changed, then ``stepper_type``'s ``step(i)`` advances the
-        state and the supply charge by sub-step ``i`` of the
-        ``step_sizes`` table it was built with (see
-        :mod:`repro.circuit.stepper`).
+        ``block_rows``).  The plan is every sample's ``(mark, group,
+        index)``, sorted by mark, computed up front as three integer
+        arrays (so it costs no Python object per sample).  Walking it,
+        each new mark is one ``advance(position, mark)`` of
+        ``stepper_type`` (see :mod:`repro.circuit.stepper`), which runs
+        the sub-steps up to the mark: each writes the stimulus rows where
+        a source changed and advances the state and the supply charge by
+        the ``step_sizes`` table.  Then the mark's samples are copied out.
         """
         voltages = self.initial_voltages.copy()
         waveforms = [np.empty((len(bounds), len(voltages), stop - start))
                      for bounds, (start, stop)
                      in zip(boundaries, self.group_columns)]
+        states = [voltages[:, start:stop]
+                  for start, stop in self.group_columns]
         supply_charge = np.zeros(self.batch_size)
-        driven_v = voltages[self.nodes:self.nodes + len(self.source_keys)]
-        step = stepper_type(self, voltages, supply_charge, step_sizes).step
+        marks = np.concatenate(boundaries)
+        groups = np.repeat(np.arange(len(boundaries)),
+                           [len(bounds) for bounds in boundaries])
+        samples = np.concatenate([np.arange(len(bounds))
+                                  for bounds in boundaries])
+        order = np.argsort(marks, kind="stable")
+        plan = [memoryview(column[order])
+                for column in (marks, groups, samples)]
+        advance = stepper_type(self, voltages, supply_charge, step_sizes,
+                               changed, source_rows).advance
         copyto = np.copyto
-
         position = 0
-        taken = [0] * len(boundaries)          # samples recorded per group
-        for mark in sorted(set().union(*boundaries)):
-            for i in range(position, mark):
-                if changed[i]:
-                    copyto(driven_v, next(source_rows))
-                step(i)
-            position = mark
-            for group, bounds in enumerate(boundaries):
-                start, stop = self.group_columns[group]
-                while taken[group] < len(bounds) and \
-                        bounds[taken[group]] == mark:
-                    waveforms[group][taken[group]] = voltages[:, start:stop]
-                    taken[group] += 1
+        for mark, group, sample in zip(*plan):
+            if mark != position:
+                advance(position, mark)
+                position = mark
+            copyto(waveforms[group][sample], states[group])
         return waveforms, supply_charge
 
 

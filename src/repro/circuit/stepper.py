@@ -1,31 +1,38 @@
-"""The transient sub-step: one interface, two implementations.
+"""The transient sub-step loop: one interface, two implementations.
 
 :meth:`CompiledTransientBatch._march <repro.circuit.simulator.
-CompiledTransientBatch._march>` is the one sub-step loop: it owns the
-schedule, the stimulus ``changed`` mask and source rows, and the
-sampling.  A stepper is built with the batch's ``(K, G)`` sub-step size
-table, and each sub-step ``i`` the loop calls ``stepper.step(i)``, which
-advances the state matrix and the supply charge by one explicit-Euler
-step: column ``b`` steps by ``step_sizes[i, column_group[b]]``.  Two
-steppers implement that call, byte for byte alike:
+CompiledTransientBatch._march>` is the one driver: it owns the schedule
+and the sampling.  A stepper is built with the batch's ``(K, G)``
+sub-step size table and its stimulus (the ``(K,)`` ``changed`` mask and
+the source rows of the steps where a source changes), and the driver
+calls ``stepper.advance(first, stop)`` once per sample mark.  That runs
+sub-steps ``first .. stop - 1``: each writes the stimulus rows where a
+source changed, then advances the state matrix and the supply charge by
+one explicit-Euler step, column ``b`` by ``step_sizes[i,
+column_group[b]]``.  Two steppers implement that call, byte for byte
+alike:
 
-* :class:`NumpyStepper` — about 34 NumPy ufunc calls per sub-step.  It
-  is the fallback and the oracle the compiled stepper is tested against.
-* :class:`CStepper` — the same operations in ``_step.c``, loaded through
-  :mod:`ctypes`: one C call before ``np.power`` and one after.  Only
-  ``power`` stays in NumPy, because NumPy's SIMD ``power`` loop does not
-  round like libm's ``pow``; every other operation of a sub-step is an
-  IEEE basic operation that C, built without contraction or fast-math,
-  reproduces bit for bit.
+* :class:`NumpyStepper` — a Python loop of about 34 NumPy ufunc calls
+  per sub-step.  It is the fallback and the oracle the compiled stepper
+  is tested against.
+* :class:`CStepper` — the same loop in ``_step.c``, loaded through
+  :mod:`ctypes`: one C call per sample mark.  ``power`` is NumPy's own
+  float64 inner loop, which the C code calls by pointer, because NumPy's
+  SIMD ``power`` loop does not round like libm's ``pow``; every other
+  operation of a sub-step is an IEEE basic operation that C, built
+  without contraction or fast-math, reproduces bit for bit.
 
 :func:`resolve_stepper` picks :class:`CStepper` when its library builds
-and loads, else :class:`NumpyStepper`.  The library is built on the
-first integration of a process, never at import, into the per-user
-cache directory :func:`cache_dir`.  Its file name is keyed by the
-SHA-256 of the C source, the compiler's ``--version`` output and the
-flags, and it is published by temp file and rename, so two processes
-may build it at once.  Each file ends in the SHA-256 of the library
-before it: a truncated or corrupt file is rebuilt, never loaded.
+and loads and :func:`power_loop` binds NumPy's loop, else
+:class:`NumpyStepper`.  The library is built on the first integration of
+a process, never at import, into the per-user cache directory
+:func:`cache_dir`.  Its file name is keyed by the SHA-256 of the C
+source, the compiler's ``--version`` output and the flags, and it is
+published by temp file and rename, so two processes may build it at
+once.  Each file ends in the SHA-256 of the library before it: a
+truncated or corrupt file is rebuilt, never loaded.  A build also
+deletes what killed builders and other sources left in that directory
+(:data:`STALE_TEMP_S`, :data:`STALE_LIBRARY_S`).
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import subprocess
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -60,21 +67,56 @@ COMPILERS = ("cc", "gcc")
 #: Bytes of the SHA-256 trailer that ends every cached library.
 _DIGEST_BYTES = 32
 
+#: A build deletes ``.tmp-*`` files of :func:`cache_dir` older than this
+#: [s]: what a killed builder left behind.
+STALE_TEMP_S = 3600.0
+
+#: A build deletes libraries of other keys not modified for this long
+#: [s]: what an edited ``_step.c`` or an upgraded compiler left behind.
+STALE_LIBRARY_S = 7 * 24 * 3600.0
+
+
+def _source_index(batch, step_sizes: np.ndarray, changed: np.ndarray,
+                  source_rows: np.ndarray) -> np.ndarray:
+    """The ``(K,)`` row of ``source_rows`` written before each sub-step,
+    ``-1`` where no source changed, after checking the stimulus against
+    the step table and the batch."""
+    sources = (len(batch.source_keys), batch.batch_size)
+    if (changed.shape != step_sizes.shape[:1] or changed.dtype != bool
+            or source_rows.shape != (np.count_nonzero(changed), *sources)):
+        raise SimulationError(
+            f"stimulus must be a (K,) changed mask and a (changed, S, B) "
+            f"row table, got {changed.shape} {changed.dtype} and "
+            f"{source_rows.shape}")
+    index = np.cumsum(changed, dtype=np.intp)
+    index -= 1
+    index[~changed] = -1
+    return index
+
+
+def _range_error(first: int, stop: int, steps: int) -> SimulationError:
+    return SimulationError(f"sub-steps [{first}, {stop}) are not rows of "
+                           f"the {steps}-step step-size table")
+
 
 class NumpyStepper:
-    """The sub-step in NumPy ufuncs over buffers allocated once.
+    """The sub-step loop in Python over NumPy ufuncs and buffers
+    allocated once.
 
-    ``step(i)`` is one terminal gather, the device currents (an
-    elementwise mirror of the reference's ``_channel_current``), one
-    rank-table gather, one add per rank, the gather of sub-step ``i``'s
-    size for every column, and the ``(current*dt)/C`` update and rail
-    clamp on the integrated-net view of ``voltages``.
+    A sub-step ``i`` of ``advance`` is the stimulus copy when a source
+    changed, one terminal gather, the device currents (an elementwise
+    mirror of the reference's ``_channel_current``), one rank-table
+    gather, one add per rank, the gather of sub-step ``i``'s size for
+    every column, and the ``(current*dt)/C`` update and rail clamp on
+    the integrated-net view of ``voltages``.
     """
 
     name = "numpy"
 
     def __init__(self, batch, voltages: np.ndarray,
-                 supply_charge: np.ndarray, step_sizes: np.ndarray):
+                 supply_charge: np.ndarray, step_sizes: np.ndarray,
+                 changed: np.ndarray, source_rows: np.ndarray):
+        source_row = _source_index(batch, step_sizes, changed, source_rows)
         devices, width = batch.prefactor.shape
         nodes = batch.nodes
         terminals = np.empty((batch.terminal_idx.size, width))
@@ -105,7 +147,9 @@ class NumpyStepper:
             drive.take, batch.rank_table.ravel(), 0, table, "clip")
         device_currents = self._current_kernel(batch, terminals, signed)
         column_group = batch.column_group
-        add, multiply, divide = np.add, np.multiply, np.divide
+        driven_v = voltages[nodes:nodes + len(batch.source_keys)]
+        add, multiply, divide, copyto = (np.add, np.multiply, np.divide,
+                                         np.copyto)
         maximum, minimum, negative = np.maximum, np.minimum, np.negative
 
         def step(i: int) -> None:
@@ -124,7 +168,15 @@ class NumpyStepper:
             maximum(node_v, low, out=node_v)
             minimum(node_v, high, out=node_v)
 
-        self.step = step
+        def advance(first: int, stop: int) -> None:
+            if not 0 <= first <= stop <= len(source_row):
+                raise _range_error(first, stop, len(source_row))
+            for i in range(first, stop):
+                if source_row[i] >= 0:
+                    copyto(driven_v, source_rows[source_row[i]])
+                step(i)
+
+        self.advance = advance
 
     @staticmethod
     def _current_kernel(batch, terminals: np.ndarray, out: np.ndarray):
@@ -187,18 +239,21 @@ class NumpyStepper:
 
 
 class _Context(ctypes.Structure):
-    """``repro_step`` of ``_step.c``: sizes, then buffer addresses."""
+    """``repro_step`` of ``_step.c``: sizes, then buffer addresses, then
+    NumPy's ``power`` loop and its data."""
 
     _fields_ = (
         [(name, ctypes.c_ssize_t)
          for name in ("devices", "n_type", "batch", "nodes", "ranks",
-                      "steps", "groups")]
+                      "steps", "groups", "sources")]
         + [(name, ctypes.c_void_p)
            for name in ("voltages", "terminal_idx", "terminals", "vth",
-                        "nominal_ov", "prefactor", "vds", "overdrive",
-                        "ratio", "drive", "rank_table", "capacitance",
-                        "clamp_low", "clamp_high", "supply_charge", "acc",
-                        "step_sizes", "column_group")]
+                        "nominal_ov", "prefactor", "alpha", "vds",
+                        "overdrive", "ratio", "drive", "rank_table",
+                        "capacitance", "clamp_low", "clamp_high",
+                        "supply_charge", "acc", "step_sizes",
+                        "column_group", "source_row", "source_rows",
+                        "power", "power_data")]
     )
 
 
@@ -214,25 +269,28 @@ def _address(array: np.ndarray, shape, dtype=np.float64) -> int:
 
 
 class CStepper:
-    """The sub-step in compiled C: ``pre``, NumPy ``power``, ``post``.
+    """The sub-step loop in compiled C, with NumPy's ``power`` loop
+    called by pointer: ``advance`` is one ``repro_advance`` call.
 
-    Construct only when :func:`load_library` returned a library.  The C
-    code holds raw addresses: every buffer it reads or writes is held by
-    this object, so ``step`` (a bound method) keeps them alive.
+    Construct only when :func:`resolve_stepper` returned this class.  The
+    C code holds raw addresses: every buffer it reads or writes is held
+    by this object, so ``advance`` (a bound method) keeps them alive.
     """
 
     name = "c"
 
     def __init__(self, batch, voltages: np.ndarray,
-                 supply_charge: np.ndarray, step_sizes: np.ndarray):
-        library = load_library()
-        if library is None:
+                 supply_charge: np.ndarray, step_sizes: np.ndarray,
+                 changed: np.ndarray, source_rows: np.ndarray):
+        library, loop = load_library(), power_loop()
+        if library is None or loop is None:
             raise SimulationError("the compiled stepper is not available")
         devices, width = batch.prefactor.shape
-        nodes = batch.nodes
+        nodes, sources = batch.nodes, len(batch.source_keys)
         ranks = batch.rank_table.shape[0]
         steps, groups = len(step_sizes), len(batch.group_bases)
         per_device = (devices, width)
+        source_row = _source_index(batch, step_sizes, changed, source_rows)
         self._buffers = buffers = {
             "terminals": np.empty((3 * devices, width)),
             "vds": np.empty(per_device),
@@ -241,16 +299,19 @@ class CStepper:
             "drive": np.zeros((2 * devices + 1, width)),
             "acc": np.empty(width),
         }
-        self._inputs = (batch, voltages, supply_charge, step_sizes)
+        self._inputs = (batch, voltages, supply_charge, step_sizes,
+                        source_row, source_rows)
         self._context = _Context(
             devices=devices, n_type=batch.n_devices, batch=width,
             nodes=nodes, ranks=ranks, steps=steps, groups=groups,
+            sources=sources,
             voltages=_address(voltages, (len(batch.initial_voltages), width)),
             terminal_idx=_address(batch.terminal_idx, (3 * devices,),
                                   np.intp),
             vth=_address(batch.vth, per_device),
             nominal_ov=_address(batch.nominal_ov, per_device),
             prefactor=_address(batch.prefactor, per_device),
+            alpha=_address(batch.alpha, per_device),
             rank_table=_address(batch.rank_table, (ranks, nodes + 1),
                                 np.intp),
             capacitance=_address(batch.capacitance, (nodes, width)),
@@ -259,9 +320,14 @@ class CStepper:
             supply_charge=_address(supply_charge, (width,)),
             step_sizes=_address(step_sizes, (steps, groups)),
             column_group=_address(batch.column_group, (width,), np.intp),
+            source_row=_address(source_row, (steps,), np.intp),
+            source_rows=_address(source_rows, source_rows.shape),
+            power=loop[0], power_data=loop[1],
             **{name: _address(array, array.shape)
                for name, array in buffers.items()},
         )
+        if nodes + sources > len(batch.initial_voltages):
+            raise SimulationError("driven rows out of range")
         if batch.terminal_idx.size and not (
                 0 <= batch.terminal_idx.min()
                 and batch.terminal_idx.max() < len(batch.initial_voltages)):
@@ -272,19 +338,13 @@ class CStepper:
         if not (0 <= batch.column_group.min()
                 and batch.column_group.max() < groups):
             raise SimulationError("column time-base group out of range")
-        if batch.alpha.shape != per_device:
-            raise SimulationError("alpha must have the shape of prefactor")
-        self._kernel = (library.repro_step_pre, library.repro_step_post,
-                        ctypes.addressof(self._context), np.power,
-                        buffers["ratio"], batch.alpha)
+        self._kernel = (library.repro_advance,
+                        ctypes.addressof(self._context), steps)
 
-    def step(self, i: int) -> None:
-        pre, post, context, power, ratio, alpha = self._kernel
-        pre(context)
-        power(ratio, alpha, out=ratio)
-        if post(context, i):
-            raise SimulationError(f"sub-step {i} is not a row of the "
-                                  f"step-size table")
+    def advance(self, first: int, stop: int) -> None:
+        run, context, steps = self._kernel
+        if run(context, first, stop):
+            raise _range_error(first, stop, steps)
 
 
 def cache_dir() -> Path:
@@ -324,8 +384,8 @@ def _intact(path: Path) -> bool:
 
 def _build(compiler: str, path: Path) -> None:
     """Compile the library to a temp file beside ``path``, append its
-    SHA-256, and rename it into place.  Raises on any failure and leaves
-    no temp file behind."""
+    SHA-256, rename it into place, and then :func:`_prune` its
+    directory.  Raises on any failure and leaves no temp file behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     handle, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-",
                                          suffix=".so")
@@ -344,6 +404,28 @@ def _build(compiler: str, path: Path) -> None:
     finally:
         if os.path.exists(temp_name):
             os.unlink(temp_name)
+    _prune(path)
+
+
+def _prune(keep: Path) -> None:
+    """Delete, beside the library ``keep``, temp files older than
+    :data:`STALE_TEMP_S` and other libraries not modified for
+    :data:`STALE_LIBRARY_S`.  A library another process has loaded stays
+    mapped after its file is deleted.  Best effort: an entry that cannot
+    be deleted stays, and never fails the build that published ``keep``."""
+    # Imported here: the obs package reaches the runtime layer, which
+    # sits above this engine.
+    from ..obs import clock
+
+    now = clock.wall_time()
+    for pattern, age in ((".tmp-*", STALE_TEMP_S),
+                         ("repro-step-*.so", STALE_LIBRARY_S)):
+        for path in keep.parent.glob(pattern):
+            try:
+                if path != keep and now - path.stat().st_mtime > age:
+                    path.unlink()
+            except OSError:     # another builder's prune, not ours to delete
+                pass
 
 
 @functools.lru_cache(maxsize=None)
@@ -365,12 +447,10 @@ def load_library() -> Optional[ctypes.CDLL]:
         if not _intact(path):
             _build(compiler, path)
         library = ctypes.CDLL(str(path))
-        for name, argtypes, restype in (
-                ("repro_step_pre", [ctypes.c_void_p], None),
-                ("repro_step_post", [ctypes.c_void_p, ctypes.c_ssize_t],
-                 ctypes.c_int)):
-            function = getattr(library, name)
-            function.argtypes, function.restype = argtypes, restype
+        advance = library.repro_advance
+        advance.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t,
+                            ctypes.c_ssize_t]
+        advance.restype = ctypes.c_int
     except (OSError, subprocess.SubprocessError, AttributeError) as error:
         detail = getattr(error, "stderr", None) or error
         warnings.warn(f"compiled transient stepper unavailable, integrating "
@@ -379,12 +459,122 @@ def load_library() -> Optional[ctypes.CDLL]:
     return library
 
 
+class _UFuncHead(ctypes.Structure):
+    """The fields of NumPy's ``PyUFuncObject`` (``numpy/ufuncobject.h``)
+    that follow ``PyObject_HEAD``, up to the type table."""
+
+    _fields_ = [("nin", ctypes.c_int), ("nout", ctypes.c_int),
+                ("nargs", ctypes.c_int), ("identity", ctypes.c_int),
+                ("functions", ctypes.POINTER(ctypes.c_void_p)),
+                ("data", ctypes.POINTER(ctypes.c_void_p)),
+                ("ntypes", ctypes.c_int), ("reserved1", ctypes.c_int),
+                ("name", ctypes.c_char_p),
+                ("types", ctypes.POINTER(ctypes.c_char))]
+
+
+def _ufunc_head(ufunc: np.ufunc) -> _UFuncHead:
+    """``ufunc``'s loop table, read in place."""
+    return _UFuncHead.from_address(id(ufunc) + object.__basicsize__)
+
+
+#: NumPy's inner-loop signature, ``PyUFuncGenericFunction``.
+_LOOP = ctypes.CFUNCTYPE(None, ctypes.POINTER(ctypes.c_void_p),
+                         ctypes.POINTER(ctypes.c_ssize_t),
+                         ctypes.POINTER(ctypes.c_ssize_t), ctypes.c_void_p)
+
+
+def _call_loop(loop, base: np.ndarray, exponent: np.ndarray) -> None:
+    """Call ``loop`` as ``_step.c`` does: on ``(base, exponent) -> base``,
+    in place, contiguous float64."""
+    operands = (ctypes.c_void_p * 3)(base.ctypes.data, exponent.ctypes.data,
+                                     base.ctypes.data)
+    _LOOP(loop[0])(operands, (ctypes.c_ssize_t * 1)(base.size),
+                   (ctypes.c_ssize_t * 3)(8, 8, 8), loop[1])
+
+
+def _probe(loop) -> Optional[int]:
+    """The first lane count, from 1 to 70, at which ``loop`` differs from
+    ``np.power``, or ``None``.  The lanes are quasi-random: bases in
+    ``[e**-6, e**3)`` and exponents in ``[0.5, 3)`` from golden-ratio
+    and silver-ratio sequences, so the probe draws no random numbers."""
+    start = 0
+    for lanes in range(1, 71):
+        k = np.arange(start, start + lanes, dtype=float)
+        start += lanes
+        base = np.exp(9.0 * (k * 0.6180339887498949 % 1.0) - 6.0)
+        exponent = 0.5 + 2.5 * (k * 0.41421356237309503 % 1.0)
+        expected = np.power(base, exponent)
+        _call_loop(loop, base, exponent)
+        if base.tobytes() != expected.tobytes():
+            return lanes
+    return None
+
+
+def _bind_power_loop() -> Tuple[int, Optional[int]]:
+    """The address of ``np.power``'s float64 inner loop and of its data,
+    read from its loop table and checked; raises ``ValueError`` on any
+    disagreement with ``np.power``."""
+    if type(np.power) is not np.ufunc:
+        raise ValueError("np.power is not a ufunc")
+    head = _ufunc_head(np.power)
+    if ((head.nin, head.nout, head.nargs, head.ntypes, head.name)
+            != (np.power.nin, np.power.nout, np.power.nargs,
+                np.power.ntypes, np.power.__name__.encode())):
+        raise ValueError("np.power's object does not have the layout of "
+                         "numpy/ufuncobject.h")
+    chars = {np.dtype(char).num: char for char in "?bBhHiIlLqQefdgFDGO"}
+    codes = head.types[:head.nargs * head.ntypes]
+    try:
+        types = [f"{chars[a]}{chars[b]}->{chars[c]}"
+                 for a, b, c in zip(*[iter(codes)] * 3)]
+    except KeyError as error:
+        raise ValueError(f"np.power's type table has an unknown type "
+                         f"number {error}") from None
+    if types != np.power.types:
+        raise ValueError("np.power's type table does not match "
+                         "np.power.types")
+    # The first float64 entry is the one type resolution picks.
+    index = types.index("dd->d")
+    loop = head.functions[index], head.data[index]
+    if not loop[0]:
+        raise ValueError("np.power's float64 loop is NULL")
+    lanes = _probe(loop)
+    if lanes is not None:
+        raise ValueError(f"np.power's float64 loop differs from np.power "
+                         f"on {lanes} lanes")
+    return loop
+
+
+@functools.lru_cache(maxsize=None)
+def power_loop() -> Optional[Tuple[int, Optional[int]]]:
+    """``(loop, data)`` addresses of the inner loop ``np.power`` runs on
+    float64 operands, for ``_step.c`` to call; ``None``, with a
+    :class:`RuntimeWarning`, when the binding cannot be trusted.
+
+    Bound once per process: the loop is read from ``np.power``'s loop
+    table through the public layout of ``PyUFuncObject``.  It is trusted
+    only when the table's sizes, name and decoded types equal
+    ``np.power``'s, and the loop reproduces ``np.power`` bit for bit, in
+    place, on quasi-random lanes of every length from 1 to 70 (NumPy's
+    SIMD loops treat the tail of a lane count apart).
+    """
+    try:
+        return _bind_power_loop()
+    except ValueError as error:
+        warnings.warn(f"NumPy's power loop cannot be bound, integrating "
+                      f"with NumPy: {error}", RuntimeWarning, stacklevel=2)
+        return None
+
+
 def resolve_stepper():
     """The stepper class :meth:`CompiledTransientBatch.integrate` uses:
-    :class:`CStepper` when its library is available, else
-    :class:`NumpyStepper`."""
-    return CStepper if load_library() is not None else NumpyStepper
+    :class:`CStepper` when its library is available and NumPy's power
+    loop is bound, else :class:`NumpyStepper`."""
+    if load_library() is not None and power_loop() is not None:
+        return CStepper
+    return NumpyStepper
 
 
 __all__ = ["CFLAGS", "COMPILERS", "C_SOURCE", "CStepper", "NumpyStepper",
-           "cache_dir", "find_compiler", "load_library", "resolve_stepper"]
+           "STALE_LIBRARY_S", "STALE_TEMP_S", "cache_dir", "find_compiler",
+           "load_library", "power_loop", "resolve_stepper"]

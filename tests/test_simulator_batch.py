@@ -4,6 +4,9 @@ sweep: the bit-identity contract against the scalar reference integrator
 (the compiled C stepper and the NumPy stepper), measurement parity under
 back-drive, the vectorized PWL evaluator, and the sweep grid."""
 
+import math
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,8 +37,10 @@ from repro.circuit import (
     fo4_transient_sweep,
     run_transient_batch,
     step_source,
+    simulator,
     stepper,
 )
+from repro.circuit.simulator import stability_substep
 from repro.devices import FO4_GATE_WIDTH_NM, calibrated_cnfet_parameters
 from repro.errors import CharacterizationError, SimulationError
 from repro.logic import standard_gate
@@ -50,11 +55,12 @@ STEPPERS = {"numpy": stepper.NumpyStepper, "c": stepper.CStepper}
 def pin_stepper(monkeypatch, name):
     """Make every integration use the named stepper.  The C stepper
     skips only when no compiler is on ``PATH``; with one, its library
-    must build and load."""
+    must build and load, and NumPy's power loop must bind."""
     if name == "c":
         if stepper.find_compiler() is None:
             pytest.skip("no C compiler on PATH")
         assert stepper.load_library() is not None
+        assert stepper.power_loop() is not None
     monkeypatch.setattr(stepper, "resolve_stepper", lambda: STEPPERS[name])
 
 
@@ -515,6 +521,69 @@ class TestCrossingTime:
                                {"x": np.full(5, 0.5)}, 0.0, 1.0)
         with pytest.raises(SimulationError):
             flat.crossing_time("x", 0.5)
+
+
+class TestSubstepSchedule:
+    """The vectorized sub-step schedule against the per-sub-step loop it
+    replaced, byte for byte: sample times, sub-step start times and
+    sizes, and sample boundaries."""
+
+    @staticmethod
+    def _reference(stop_time, time_step):
+        sample_count = int(math.ceil(stop_time / time_step)) + 1
+        times = np.linspace(0.0, stop_time, sample_count)
+        substep = stability_substep(stop_time, time_step)
+        step_times, step_sizes = array("d"), array("d")
+        boundaries = [0]
+        edges = times.tolist()
+        for time, segment_end in zip(edges, edges[1:]):
+            while time < segment_end - 1e-21:
+                dt = min(substep, segment_end - time)
+                step_times.append(time)
+                step_sizes.append(dt)
+                time += dt
+            boundaries.append(len(step_sizes))
+        return (times, np.frombuffer(step_times), np.frombuffer(step_sizes),
+                np.array(boundaries, dtype=np.intp))
+
+    def _assert_matches(self, stop_time, time_step):
+        expected = self._reference(stop_time, time_step)
+        schedule = simulator._substep_schedule(stop_time, time_step)
+        for name, want, got in zip(("times", "starts", "sizes", "bounds"),
+                                   expected, schedule):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), (name, stop_time,
+                                                     time_step)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stop_time=st.floats(1e-14, 2e-9),
+           samples=st.floats(0.5, 3000.0))
+    def test_random_time_bases(self, stop_time, samples):
+        self._assert_matches(stop_time, stop_time / samples)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stop_time=st.floats(1e-15, 8e-11),
+           samples=st.floats(1.0, 40.0))
+    def test_two_femtosecond_floor(self, stop_time, samples):
+        time_step = stop_time / samples
+        assert stability_substep(stop_time, time_step) in (
+            simulator.MINIMUM_SUBSTEP_S, time_step)
+        self._assert_matches(stop_time, time_step)
+
+    @pytest.mark.parametrize("stop_time,time_step", [
+        (4e-12, 4e-12), (4e-12, 5e-12), (1e-9, 1e-9), (1e-15, 1e-12),
+        (3e-12, 1e-3)])
+    def test_time_step_at_or_past_stop_time(self, stop_time, time_step):
+        self._assert_matches(stop_time, time_step)
+
+    def test_default_characterization_grids(self):
+        loads, slew = characterize.MEASURED_LOADS_F, \
+            characterize.MEASURED_SLEW_S
+        for gate in sorted(STANDARD_GATES):
+            grid = characterize.CellGrid(
+                gate, (1.0, 2.0), loads, (slew,),
+                (("nominal", cnfet_technology()),))
+            self._assert_matches(*grid.time_base()[3:])
 
 
 class TestBatchValidation:

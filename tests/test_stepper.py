@@ -13,12 +13,21 @@ bytes are the same either way:
 * every study still runs, byte for byte alike, without a compiler;
 * the library's cache key covers its source, so a library built from
   another ``_step.c`` is never loaded;
-* a step-size table or column-group array the C code could misread is
-  refused before any C call, and so is a sub-step outside the table.
+* a step-size table, column-group array or stimulus the C code could
+  misread is refused before any C call, and so is a sub-step range
+  outside the table;
+* NumPy's float64 ``power`` loop, which the C code calls by pointer, is
+  ``np.power`` bit for bit, under either of NumPy's CPU dispatch targets;
+  a loop table that cannot be trusted falls back to NumPy;
+* a C-stepper integration makes one C call per sample mark and no
+  Python-level ``np.power`` call;
+* a build deletes stale temp files and stale libraries of other keys,
+  and one it cannot delete does not fail the build.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -110,17 +119,23 @@ def cold_cache(tmp_path, monkeypatch):
     stepper.load_library.cache_clear()
 
 
-def _fake_compiler(directory: Path) -> Path:
+def _fake_compiler(directory: Path, works: bool = False) -> Path:
     """A ``cc`` on ``directory`` that reports a version and then fails
-    every compilation."""
+    every compilation, or (``works``) writes a stand-in library to the
+    path after ``-o``."""
     directory.mkdir()
     compiler = directory / "cc"
+    compile_step = textwrap.dedent("""\
+        while [ "$1" != "-o" ]; do shift; done
+        echo "fake library" > "$2"
+        """) if works else textwrap.dedent("""\
+        echo "fake compiler failure" >&2
+        exit 1
+        """)
     compiler.write_text(textwrap.dedent("""\
         #!/bin/sh
         if [ "$1" = "--version" ]; then echo "fake cc 1.0"; exit 0; fi
-        echo "fake compiler failure" >&2
-        exit 1
-        """))
+        """) + compile_step)
     compiler.chmod(0o755)
     return compiler
 
@@ -294,24 +309,25 @@ class _NoCalls:
 
 def _compiled():
     """The packed call of :func:`_cases`, compiled: ``(batch, its
-    (K, G) step-size table)``."""
+    (K, G) step-size table, changed mask, source rows)``."""
     batch = CompiledTransientBatch(_cases())
-    return batch, batch._schedule(*TIME_BASE)[2]
+    return (batch, *batch._schedule(*TIME_BASE)[2:])
 
 
-def _c_stepper(batch, step_sizes):
+def _c_stepper(batch, *schedule):
     return stepper.CStepper(batch, batch.initial_voltages.copy(),
-                            np.zeros(batch.batch_size), step_sizes)
+                            np.zeros(batch.batch_size), *schedule)
 
 
 @pytest.mark.parametrize("damage", [
     "group past the end", "negative group", "int32 groups", "short groups",
-    "1-D table", "Fortran table", "float32 table", "narrow table"])
+    "1-D table", "Fortran table", "float32 table", "narrow table",
+    "short mask", "integer mask", "missing source row", "float32 rows"])
 def test_c_stepper_refuses_bad_step_tables(monkeypatch, damage):
     monkeypatch.setattr(stepper, "load_library", _NoCalls)
-    batch, step_sizes = _compiled()
+    batch, step_sizes, changed, rows = _compiled()
     assert step_sizes.shape == (step_sizes.shape[0], 2)
-    _c_stepper(batch, step_sizes)                 # intact: accepted
+    _c_stepper(batch, step_sizes, changed, rows)    # intact: accepted
     if damage == "group past the end":
         batch.column_group[-1] = len(batch.group_bases)
     elif damage == "negative group":
@@ -320,24 +336,252 @@ def test_c_stepper_refuses_bad_step_tables(monkeypatch, damage):
         batch.column_group = batch.column_group.astype(np.int32)
     elif damage == "short groups":
         batch.column_group = batch.column_group[:-1]
+    elif damage == "short mask":
+        changed = changed[:-1]
+    elif damage == "integer mask":
+        changed = changed.astype(np.intp)
+    elif damage == "missing source row":
+        rows = rows[:-1]
+    elif damage == "float32 rows":
+        rows = rows.astype(np.float32)
     else:
         step_sizes = {"1-D table": step_sizes[:, 0],
                       "Fortran table": np.asfortranarray(step_sizes),
                       "float32 table": step_sizes.astype(np.float32),
                       "narrow table": step_sizes[:, :1].copy()}[damage]
     with pytest.raises(SimulationError):
-        _c_stepper(batch, step_sizes)
+        _c_stepper(batch, step_sizes, changed, rows)
 
 
 @needs_compiler
 def test_c_step_outside_the_table_is_refused():
-    batch, step_sizes = _compiled()
+    """``advance(first, stop)`` with ``first < 0``, ``stop > K`` or
+    ``first > stop`` is refused and writes nothing; the whole table is
+    a valid range."""
+    batch, *schedule = _compiled()
+    steps = len(schedule[0])
     voltages = batch.initial_voltages.copy()
     charge = np.zeros(batch.batch_size)
-    step = stepper.CStepper(batch, voltages, charge, step_sizes).step
-    for i in (-1, len(step_sizes)):
+    advance = stepper.CStepper(batch, voltages, charge, *schedule).advance
+    for first, stop in ((-1, 1), (0, steps + 1), (steps, steps + 1),
+                        (2, 1), (steps, 0)):
         with pytest.raises(SimulationError, match="step-size table"):
-            step(i)
+            advance(first, stop)
     assert voltages.tobytes() == batch.initial_voltages.tobytes()
     assert charge.tobytes() == bytes(charge.nbytes)
-    step(len(step_sizes) - 1)
+    advance(0, steps)
+    assert voltages.tobytes() != batch.initial_voltages.tobytes()
+
+
+def _probe_lanes(seed: int, lanes: int):
+    """Random ``(base, exponent)`` lanes: the saturation law's ratios and
+    indices, and a wider range around them."""
+    rng = np.random.default_rng([seed, lanes])
+    return (np.exp(rng.uniform(-8.0, 4.0, lanes)),
+            rng.uniform(0.25, 4.0, lanes))
+
+
+@needs_compiler
+def test_bound_power_loop_is_np_power():
+    """The loop ``_step.c`` calls equals ``np.power`` bit for bit, in
+    place, at every lane count from 1 to 70."""
+    loop = stepper.power_loop()
+    assert loop is not None
+    for lanes in range(1, 71):
+        base, exponent = _probe_lanes(1, lanes)
+        expected = np.power(base, exponent)
+        stepper._call_loop(loop, base, exponent)
+        assert base.tobytes() == expected.tobytes(), lanes
+
+
+@pytest.fixture
+def unbound(monkeypatch):
+    """This process binds NumPy's power loop afresh, and again after the
+    test."""
+    stepper.power_loop.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    stepper.power_loop.cache_clear()
+
+
+def _damaged_head(damage):
+    """A stand-in for ``_ufunc_head`` that returns a copy of the real
+    head with one field damaged."""
+    real = stepper._ufunc_head
+    kept = []
+
+    def head(ufunc):
+        copy = stepper._UFuncHead.from_buffer_copy(real(ufunc))
+        size = copy.nargs * copy.ntypes
+        if damage == "name":
+            copy.name = b"pow"
+        elif damage == "sizes":
+            copy.ntypes -= 1
+        elif damage == "types":
+            table = bytearray(copy.types[:size])
+            table[0:3], table[36:39] = table[36:39], table[0:3]
+            kept.append(ctypes.create_string_buffer(bytes(table), size))
+            copy.types = ctypes.cast(kept[-1], type(copy.types))
+        else:                      # the float64 loops in the other order
+            functions = (ctypes.c_void_p * copy.ntypes)(
+                *copy.functions[:copy.ntypes])
+            data = (ctypes.c_void_p * copy.ntypes)(*copy.data[:copy.ntypes])
+            first, second = [index for index, types in
+                             enumerate(np.power.types) if types == "dd->d"]
+            for table in (functions, data):
+                table[first], table[second] = table[second], table[first]
+            kept.extend((functions, data))
+            copy.functions = ctypes.cast(functions, type(copy.functions))
+            copy.data = ctypes.cast(data, type(copy.data))
+        return copy
+
+    return head
+
+
+def _second_loop_differs() -> bool:
+    """Whether ``np.power``'s second float64 loop rounds unlike the one
+    type resolution picks, on the binding's probe lanes."""
+    head = stepper._ufunc_head(np.power)
+    second = [index for index, types in enumerate(np.power.types)
+              if types == "dd->d"][1]
+    return stepper._probe((head.functions[second],
+                           head.data[second])) is not None
+
+
+@needs_compiler
+@pytest.mark.parametrize("damage", ["name", "sizes", "types", "loop order"])
+def test_untrusted_power_loop_falls_back_to_numpy(unbound, oracle, damage):
+    if damage == "loop order" and not _second_loop_differs():
+        pytest.skip("both float64 power loops round alike on this host")
+    unbound.setattr(stepper, "_ufunc_head", _damaged_head(damage))
+    with pytest.warns(RuntimeWarning, match="power loop cannot be bound"):
+        assert stepper.resolve_stepper() is stepper.NumpyStepper
+    assert integrate() == (oracle, "numpy")
+
+
+class _Spy:
+    """A library whose ``repro_advance`` records its ranges."""
+
+    def __init__(self, library):
+        self.ranges = []
+        self._advance = library.repro_advance
+
+    def repro_advance(self, context, first, stop):
+        self.ranges.append((first, stop))
+        return self._advance(context, first, stop)
+
+
+@needs_compiler
+def test_one_c_call_per_sample_mark(monkeypatch):
+    """The C stepper's integration runs as one ``repro_advance`` per
+    sample mark (after the first, at sub-step 0), in order over the whole
+    table, and never calls ``np.power`` from Python."""
+    spy = _Spy(stepper.load_library())
+    assert stepper.power_loop() is not None
+    monkeypatch.setattr(stepper, "load_library", lambda: spy)
+    monkeypatch.setattr(stepper, "resolve_stepper", lambda: stepper.CStepper)
+
+    def no_power(*args, **kwargs):
+        raise AssertionError("np.power was called from Python")
+
+    monkeypatch.setattr(np, "power", no_power)
+    batch = CompiledTransientBatch(_cases())
+    _, boundaries, step_sizes, _, _ = batch._schedule(*TIME_BASE)
+    batch.integrate(*TIME_BASE)
+    marks = np.unique(np.concatenate(boundaries)).tolist()
+    assert len(marks) > len(boundaries[0]) > 2
+    assert marks[0] == 0
+    assert spy.ranges == list(zip(marks[:-1], marks[1:]))
+    assert marks[-1] == len(step_sizes)
+
+
+_DISPATCH_SPLIT = """
+import json, sys
+sys.path.insert(0, {tests!r})
+from numpy.lib.introspect import opt_func_info
+from repro.circuit import stepper
+from test_stepper import integrate
+target = opt_func_info(func_name="power")["power"]["ddd"]["current"]
+assert stepper.resolve_stepper() is stepper.CStepper
+compiled = integrate()
+stepper.resolve_stepper = lambda: stepper.NumpyStepper
+print(json.dumps([target, compiled, integrate()]))
+"""
+
+
+def _power_target() -> str:
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return ""
+    info = opt_func_info(func_name="power").get("power", {})
+    return info.get("ddd", {}).get("current", "")
+
+
+@needs_compiler
+@pytest.mark.skipif(_power_target() != "X86_V4",
+                    reason="NumPy runs no X86_V4 power loop on this host")
+def test_steppers_agree_under_the_baseline_dispatch(oracle):
+    """With NumPy's AVX-512 loops disabled, ``np.power`` rounds
+    differently, and the bound loop follows it: both steppers still
+    agree byte for byte."""
+    assert stepper.load_library() is not None      # built, not rebuilt
+    env = dict(os.environ, PYTHONPATH=str(SRC),
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    run = subprocess.run(
+        [sys.executable, "-c",
+         _DISPATCH_SPLIT.format(tests=str(Path(__file__).parent))],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    target, compiled, numpy = json.loads(run.stdout)
+    assert target != "X86_V4"
+    assert compiled[1] == "c" and numpy[1] == "numpy"
+    assert compiled[0] == numpy[0]
+
+
+def _aged(path: Path, seconds: float) -> Path:
+    path.write_bytes(b"left behind")
+    stamp = time.time() - seconds
+    os.utime(path, (stamp, stamp))
+    return path
+
+
+def test_build_deletes_stale_temp_files_and_libraries(cold_cache, tmp_path):
+    compiler = str(_fake_compiler(tmp_path / "bin", works=True))
+    cold_cache.mkdir(parents=True)
+    hour, week = stepper.STALE_TEMP_S, stepper.STALE_LIBRARY_S
+    current = stepper._library_path(compiler)
+    stale = [_aged(cold_cache / ".tmp-killed.so", hour + 60),
+             _aged(cold_cache / "repro-step-old.so", week + 60)]
+    fresh = [_aged(cold_cache / ".tmp-building.so", hour - 60),
+             _aged(cold_cache / "repro-step-recent.so", week - 60),
+             _aged(current, week + 60)]
+    stepper._build(compiler, current)
+    assert current.read_bytes().startswith(b"fake library")
+    assert _libraries(cold_cache) == sorted(path.name for path in fresh)
+    assert not any(path.exists() for path in stale)
+
+
+def test_undeletable_stale_entries_do_not_fail_the_build(cold_cache, tmp_path,
+                                                         monkeypatch):
+    compiler = str(_fake_compiler(tmp_path / "bin", works=True))
+    cold_cache.mkdir(parents=True)
+    hour, week = stepper.STALE_TEMP_S, stepper.STALE_LIBRARY_S
+    current = stepper._library_path(compiler)
+    directory = cold_cache / ".tmp-a-directory"
+    directory.mkdir()
+    stamp = time.time() - hour - 60
+    os.utime(directory, (stamp, stamp))
+    kept = [directory, _aged(cold_cache / "repro-step-foreign.so", week + 60)]
+    stale = _aged(cold_cache / "repro-step-old.so", week + 60)
+    unlink = Path.unlink
+
+    def refuse_foreign(path, *args, **kwargs):
+        if path.name == "repro-step-foreign.so":
+            raise PermissionError(13, "Permission denied", str(path))
+        return unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", refuse_foreign)
+    stepper._build(compiler, current)
+    assert current.read_bytes().startswith(b"fake library")
+    assert all(path.exists() for path in kept) and not stale.exists()
