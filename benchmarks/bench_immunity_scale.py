@@ -2,8 +2,9 @@
 
 Acceptance benchmark for the vectorized immunity subsystem: at 2000 trials
 ``run_immunity_trials`` must be at least 10x faster than the seed-era
-per-trial loop (``reference_immunity_trials``), with identical failure
-counts for a fixed seed — the contract the engine and its reference share.
+per-trial loop (``reference_immunity_trials`` in ``tests/reference.py``),
+with identical failure counts for a fixed seed — the contract the engine
+and its reference share.
 """
 
 import time
@@ -14,8 +15,8 @@ from conftest import record
 from repro.analysis import run_immunity_sweep
 from repro.core import assemble_cell
 from repro.immunity import run_immunity_trials
-from repro.immunity.montecarlo import reference_immunity_trials
 from repro.logic import standard_gate
+from reference import reference_immunity_trials
 
 TRIALS = 2000
 REQUIRED_SPEEDUP = 10.0

@@ -6,7 +6,7 @@ scale of a (drive x load x slew x corner) characterisation grid or a
 Figure 7 CNT-count sweep with supply corners) one
 :func:`repro.circuit.run_transient_batch` call must be at least 10x
 faster than integrating the corners one at a time through the scalar
-reference integrator (``TransientSimulator.run_reference``), with
+reference integrator (``run_reference`` in ``tests/reference.py``), with
 bit-identical waveforms and supply charge for every corner — the contract
 the engine and its reference share.
 """
@@ -25,6 +25,7 @@ from repro.circuit import (
 )
 from repro.circuit.simulator import SimulationCase
 from repro.devices import FO4_GATE_WIDTH_NM, calibrated_cnfet_parameters
+from reference import run_reference
 
 BATCH_SIZE = 128
 STOP_TIME = 20e-12
@@ -58,9 +59,9 @@ def test_batched_transient_speedup(benchmark):
 
     start = time.perf_counter()
     loop_results = [
-        TransientSimulator(case.netlist, case.sources,
-                           case.initial_conditions)
-        .run_reference(STOP_TIME, TIME_STEP)
+        run_reference(TransientSimulator(case.netlist, case.sources,
+                                         case.initial_conditions),
+                      STOP_TIME, TIME_STEP)
         for case in cases
     ]
     loop_seconds = time.perf_counter() - start

@@ -5,8 +5,8 @@
  * one call: per sub-step it writes the stimulus rows when a source
  * changed, runs step_pre, calls NumPy's own float64 `power` inner loop
  * on (ratio, alpha) -> ratio, then runs step_post.  The two static
- * functions mirror NumpyStepper (and so the scalar reference,
- * TransientSimulator.run_reference) operation for operation, so the
+ * functions mirror NumpyStepper (and so the scalar reference integrator
+ * in tests/reference.py) operation for operation, so the
  * waveforms and supply charge they produce are byte-identical to it.
  * Every operation in them is an IEEE basic operation: add, subtract,
  * multiply, divide, compare, select and copy.  Those round the same in

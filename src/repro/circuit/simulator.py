@@ -10,21 +10,19 @@ sub-step grid (the :func:`stability_substep` rule: at most
 for the gate-sized circuits the experiments need (inverter chains, logic
 gates, a full adder) and keeps the implementation dependency-free.
 
-Engines
--------
-One public engine and one reference implement identical integration
-semantics:
-
-* the **batch engine** lowers a batch of :class:`SimulationCase` once
-  into NumPy structure arrays (see *Precompiled array layout*), plans
-  the sub-step schedule of every time base with NumPy, and integrates
-  every case in one sub-step loop (:func:`run_transient_batch`,
-  :meth:`TransientSimulator.run`).  That loop runs in compiled C, one
-  call per sample mark, when a C compiler is available, and in NumPy
-  otherwise, byte for byte alike (:mod:`repro.circuit.stepper`);
-* the **reference** (:meth:`TransientSimulator.run_reference`) is the
-  scalar per-substep loop the batch engine mirrors operation for
-  operation; the two are bit-identical.
+Engine
+------
+One engine integrates every case: it lowers a batch of
+:class:`SimulationCase` once into NumPy structure arrays (see
+*Precompiled array layout*), plans the sub-step schedule of every time
+base with NumPy, and integrates every case in one sub-step loop
+(:func:`run_transient_batch`, :meth:`TransientSimulator.run`).  That
+loop runs in compiled C, one call per sample mark, when a C compiler is
+available, and in NumPy otherwise, byte for byte alike
+(:mod:`repro.circuit.stepper`); the NumPy stepper is the oracle the
+library keeps.  The scalar per-substep loop the engine mirrors
+operation for operation lives with the tests (``tests/reference.py``),
+which demand bit-identity with it.
 
 Precompiled array layout
 ------------------------
@@ -87,7 +85,7 @@ is integrated in sub-steps of ``min(time_step, max(2 fs, stop_time /
 40000))``.  A few tens of thousands of sub-steps per run keeps the
 explicit integration stable for the RC time constants of gate-sized
 circuits without making long runs unaffordable; the rule lives in
-:func:`stability_substep` and is shared verbatim by both engines.  The
+:func:`stability_substep`, which the scalar reference calls too.  The
 batch engine enumerates the sub-step times of a run with NumPy, value
 for value the reference's ``time += dt`` loop (``_substep_schedule``).
 
@@ -808,8 +806,8 @@ def run_transient_batch(cases: Sequence[SimulationCase], stop_time: float,
     its own ``time_base``, or on ``(stop_time, time_step)`` when it
     carries none, and keeps its own device parameters, loading, supply,
     stimuli and initial conditions.  Returns one :class:`TransientResult`
-    per case, in order, bit-identical to running each case through
-    :meth:`TransientSimulator.run_reference` on its time base.
+    per case, in order, bit-identical to running each case through the
+    scalar reference integrator (``tests/reference.py``) on its time base.
     """
     return CompiledTransientBatch(cases).integrate(stop_time, time_step)
 
@@ -817,9 +815,7 @@ def run_transient_batch(cases: Sequence[SimulationCase], stop_time: float,
 class TransientSimulator:
     """Explicit nodal transient solver for a :class:`TransistorNetlist`.
 
-    ``run`` integrates one case on the batch engine (a batch of one);
-    ``run_reference`` is the scalar per-substep reference implementation.
-    Both produce bit-identical waveforms and supply charge.
+    ``run`` integrates one case on the batch engine (a batch of one).
     """
 
     def __init__(self, netlist: TransistorNetlist,
@@ -844,99 +840,6 @@ class TransientSimulator:
         """Integrate from 0 to ``stop_time`` with output samples every
         ``time_step`` (internally sub-stepped for stability)."""
         return run_transient_batch([self.as_case()], stop_time, time_step)[0]
-
-    def run_reference(self, stop_time: float,
-                      time_step: float) -> TransientResult:
-        """The scalar reference integrator (one net dict, one device at a
-        time) — the shape the batch engine mirrors operation for
-        operation; bit-identical to :meth:`run`."""
-        if stop_time <= 0 or time_step <= 0:
-            raise SimulationError("stop_time and time_step must be positive")
-        netlist = self.netlist
-        vdd = netlist.vdd
-        internal = [
-            net for net in netlist.nets()
-            if net not in (VDD, GND) and net not in self.sources
-        ]
-        capacitance = {
-            net: max(netlist.node_capacitance(net), MINIMUM_NODE_CAPACITANCE)
-            for net in internal
-        }
-        voltages: Dict[str, float] = {VDD: vdd, GND: 0.0}
-        for net in internal:
-            voltages[net] = self.initial_conditions.get(net, 0.0)
-        for net, source in self.sources.items():
-            voltages[net] = source.value(0.0)
-
-        sample_count = int(math.ceil(stop_time / time_step)) + 1
-        times = np.linspace(0.0, stop_time, sample_count)
-        waveforms = {net: np.zeros(sample_count) for net in voltages}
-        supply_charge = 0.0
-
-        substep = stability_substep(stop_time, time_step)
-
-        for sample_index, sample_time in enumerate(times):
-            for net, value in voltages.items():
-                waveforms[net][sample_index] = value
-            if sample_index == len(times) - 1:
-                break
-            segment_end = times[sample_index + 1]
-            time = sample_time
-            while time < segment_end - 1e-21:
-                dt = min(substep, segment_end - time)
-                for net, source in self.sources.items():
-                    voltages[net] = source.value(time)
-                currents = {net: 0.0 for net in internal}
-                supply_current = 0.0
-                for transistor in netlist.transistors:
-                    drain_v = voltages[transistor.drain]
-                    source_v = voltages[transistor.source]
-                    gate_v = voltages[transistor.gate]
-                    current = self._channel_current(
-                        transistor, gate_v, drain_v, source_v
-                    )
-                    # ``current`` flows from the higher-potential terminal to
-                    # the lower one through the channel.
-                    if transistor.drain in currents:
-                        currents[transistor.drain] -= current[0]
-                    if transistor.source in currents:
-                        currents[transistor.source] -= current[1]
-                    # Net supply current: devices back-driving Vdd return
-                    # charge, so contributions must be summed before
-                    # integrating rather than clamped per device.
-                    if transistor.drain == VDD:
-                        supply_current += current[0]
-                    if transistor.source == VDD:
-                        supply_current += current[1]
-                supply_charge += supply_current * dt
-                for net in internal:
-                    voltages[net] += currents[net] * dt / capacitance[net]
-                    voltages[net] = min(max(voltages[net], -0.1 * vdd), 1.1 * vdd)
-                time += dt
-        return TransientResult(times, waveforms, supply_charge, vdd)
-
-    @staticmethod
-    def _channel_current(transistor, gate_v: float, drain_v: float,
-                         source_v: float) -> Tuple[float, float]:
-        """Return (current out of drain, current out of source).
-
-        The compact models report a magnitude for a given (vgs, vds); the
-        sign convention here is that current flows through the channel from
-        the higher-potential terminal to the lower-potential one.
-        """
-        device = transistor.device
-        if device.polarity == "n":
-            if drain_v >= source_v:
-                magnitude = device.ids(gate_v - source_v, drain_v - source_v)
-                return (+magnitude, -magnitude)
-            magnitude = device.ids(gate_v - drain_v, source_v - drain_v)
-            return (-magnitude, +magnitude)
-        # p-type: conducts when the gate is low relative to source
-        if drain_v <= source_v:
-            magnitude = device.ids(gate_v - source_v, drain_v - source_v)
-            return (-magnitude, +magnitude)
-        magnitude = device.ids(gate_v - drain_v, source_v - drain_v)
-        return (+magnitude, -magnitude)
 
 
 # ---------------------------------------------------------------------------

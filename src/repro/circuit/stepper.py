@@ -105,10 +105,10 @@ class NumpyStepper:
 
     A sub-step ``i`` of ``advance`` is the stimulus copy when a source
     changed, one terminal gather, the device currents (an elementwise
-    mirror of the reference's ``_channel_current``), one rank-table
-    gather, one add per rank, the gather of sub-step ``i``'s size for
-    every column, and the ``(current*dt)/C`` update and rail clamp on
-    the integrated-net view of ``voltages``.
+    mirror of ``channel_current`` in ``tests/reference.py``), one
+    rank-table gather, one add per rank, the gather of sub-step ``i``'s
+    size for every column, and the ``(current*dt)/C`` update and rail
+    clamp on the integrated-net view of ``voltages``.
     """
 
     name = "numpy"

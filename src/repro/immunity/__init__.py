@@ -31,9 +31,8 @@ pool::
     print(result)
 
 Seed contract: a fixed seed fully determines every defect population;
-:func:`run_immunity_trials` and its scalar reference
-:func:`~repro.immunity.montecarlo.reference_immunity_trials` (and any
-chunk size) produce identical
+:func:`run_immunity_trials` (at any chunk size) and the scalar reference
+loop it is tested against (``tests/reference.py``) produce identical
 :class:`MonteCarloResult` values, and within :func:`compare_techniques`
 and an immunity sweep all techniques at the same parameter point consume
 identical underlying defect draws.
@@ -45,7 +44,6 @@ from .checker import (
     CODE_UNDRIVEN,
     ImmunityChecker,
     ImmunityReport,
-    TubeAnalysis,
 )
 from .cnts import (
     CNTBatch,
@@ -70,7 +68,6 @@ __all__ = [
     "CODE_UNDRIVEN",
     "ImmunityChecker",
     "ImmunityReport",
-    "TubeAnalysis",
     "CNTBatch",
     "CNTInstance",
     "nominal_cnts",

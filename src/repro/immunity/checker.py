@@ -23,28 +23,23 @@ still drives the intended value.  This is exactly the property the paper's
 Euler-path layouts guarantee by construction and the vulnerable layouts of
 Figure 2(b) lack.
 
-Two evaluation paths implement the same semantics:
-
-* the **batched path** (default) precomputes all assignment-independent
-  geometry into NumPy arrays once per checker and evaluates whole defect
-  populations — ``trials × assignments`` at a time — with array operations
-  (:meth:`ImmunityChecker.pair_conduction` →
-  :meth:`ImmunityChecker.adjacency_matrices` →
-  :meth:`ImmunityChecker.output_codes`);
-* the **reference path** walks each tube's ordered crossings in Python
-  (:meth:`ImmunityChecker.truth_table_reference`), preserved as the
-  behavioural oracle; :meth:`ImmunityChecker.check` and the Monte Carlo
-  reference loop tabulate through it.
-
-Both produce identical truth tables for identical populations: the batched
-path replicates the scalar slab clipping, the stable midpoint ordering and
-the blocking rules bit for bit.
+One batched path evaluates every population.  It precomputes all
+assignment-independent geometry into NumPy arrays once per checker and
+evaluates whole defect populations — ``trials × assignments`` at a time —
+with array operations (:meth:`ImmunityChecker.pair_conduction` →
+:meth:`ImmunityChecker.adjacency_matrices` →
+:meth:`ImmunityChecker.output_codes`); :meth:`ImmunityChecker.truth_table`
+and :meth:`ImmunityChecker.check` run it on one population.  The scalar
+walk it was written from, each tube's ordered crossings in Python, lives
+with the tests (``tests/reference.py``) as the behavioural oracle: the
+batched path replicates its slab clipping, stable midpoint ordering and
+blocking rules bit for bit, so both give identical truth tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,61 +53,6 @@ from .cnts import CNTBatch, CNTInstance
 CODE_HIGH = np.int8(1)
 CODE_LOW = np.int8(0)
 CODE_UNDRIVEN = np.int8(-1)
-
-
-@dataclass(frozen=True)
-class _TubeCrossing:
-    """One region crossed by a tube, at interval [t_start, t_end]."""
-
-    t_start: float
-    t_end: float
-    kind: str           # "contact" | "gate" | "etch"
-    label: str = ""     # net for contacts, signal for gates
-    device: str = ""    # gate polarity ("nfet"/"pfet")
-
-    @property
-    def midpoint(self) -> float:
-        return (self.t_start + self.t_end) / 2.0
-
-
-@dataclass
-class TubeAnalysis:
-    """Pre-computed crossings of one CNT (assignment-independent)."""
-
-    cnt: CNTInstance
-    crossings: List[_TubeCrossing] = field(default_factory=list)
-
-    def conducting_pairs(self, assignment: Mapping[str, bool]) -> List[Tuple[str, str]]:
-        """Net pairs this tube connects under the given input assignment."""
-        ordered = sorted(self.crossings, key=lambda c: c.midpoint)
-        pairs: List[Tuple[str, str]] = []
-        # Walk contacts left to right; a blocking interval (off gate or etch)
-        # between two contacts breaks the conduction.  A metallic tube cannot
-        # be turned off by a gate — only an etched region cuts it.
-        last_contact: Optional[str] = None
-        blocked = False
-        for crossing in ordered:
-            if crossing.kind == "contact":
-                if last_contact is not None and not blocked:
-                    pairs.append((last_contact, crossing.label))
-                last_contact = crossing.label
-                blocked = False
-            elif crossing.kind == "etch":
-                blocked = True
-            elif crossing.kind == "gate":
-                if not self.cnt.metallic and not _gate_is_on(crossing, assignment):
-                    blocked = True
-        return pairs
-
-
-def _gate_is_on(crossing: _TubeCrossing, assignment: Mapping[str, bool]) -> bool:
-    try:
-        value = bool(assignment[crossing.label])
-    except KeyError:
-        raise ImmunityAnalysisError(
-            f"No value provided for input {crossing.label!r}"
-        ) from None
-    return value if crossing.device == "nfet" else not value
 
 
 @dataclass(frozen=True)
@@ -211,10 +151,10 @@ def _segment_rect_intervals(
     """Vectorized Liang-Barsky slab clipping of segments against rects.
 
     Returns ``(valid, t_min, t_max)`` of shapes ``(T, R)`` — the exact
-    array counterpart of :meth:`CNTInstance.intersection_interval`,
-    including the parallel-slab tolerance (1e-12) and the degenerate-overlap
-    cutoff (1e-9), applied with the same operation order so results agree
-    bitwise with the scalar path.
+    array counterpart of the scalar ``intersection_interval`` in
+    ``tests/reference.py``, including the parallel-slab tolerance (1e-12)
+    and the degenerate-overlap cutoff (1e-9), applied with the same
+    operation order so results agree bitwise with it.
     """
     tubes = starts.shape[0]
     count = rects.shape[0]
@@ -276,72 +216,6 @@ class ImmunityChecker:
                 self.vdd_net, self.gnd_net, self.output_net,
             )
         return self._geometry
-
-    # -- tube-level analysis ------------------------------------------------------
-
-    def analyse_tube(self, cnt: CNTInstance) -> TubeAnalysis:
-        """Collect the contact/gate/etch crossings of one tube."""
-        analysis = TubeAnalysis(cnt=cnt)
-        for contact in self.annotations.contacts:
-            interval = cnt.intersection_interval(contact.rect)
-            if interval:
-                analysis.crossings.append(
-                    _TubeCrossing(interval[0], interval[1], "contact", contact.net)
-                )
-        for gate in self.annotations.gates:
-            interval = cnt.intersection_interval(gate.rect)
-            if interval:
-                analysis.crossings.append(
-                    _TubeCrossing(interval[0], interval[1], "gate", gate.signal, gate.device)
-                )
-        for etch in self.annotations.etches:
-            interval = cnt.intersection_interval(etch.rect)
-            if interval:
-                analysis.crossings.append(
-                    _TubeCrossing(interval[0], interval[1], "etch")
-                )
-        return analysis
-
-    # -- cell-level evaluation -----------------------------------------------------
-
-    def output_value(self, tubes: Sequence[TubeAnalysis],
-                     assignment: Mapping[str, bool]) -> Optional[bool]:
-        """Value driven on the output under one assignment.
-
-        ``True``/``False`` when the output is cleanly pulled to Vdd/Gnd,
-        ``None`` for a floating output or a Vdd-Gnd conflict.
-        """
-        adjacency: Dict[str, set] = {}
-
-        def connect(net_a: str, net_b: str) -> None:
-            adjacency.setdefault(net_a, set()).add(net_b)
-            adjacency.setdefault(net_b, set()).add(net_a)
-
-        for tube in tubes:
-            for net_a, net_b in tube.conducting_pairs(assignment):
-                if net_a != net_b:
-                    connect(net_a, net_b)
-
-        reached = self._reachable(self.output_net, adjacency)
-        pulled_high = self.vdd_net in reached
-        pulled_low = self.gnd_net in reached
-        if pulled_high and not pulled_low:
-            return True
-        if pulled_low and not pulled_high:
-            return False
-        return None
-
-    @staticmethod
-    def _reachable(start: str, adjacency: Dict[str, set]) -> set:
-        frontier = [start]
-        reached = {start}
-        while frontier:
-            node = frontier.pop()
-            for neighbour in adjacency.get(node, ()):
-                if neighbour not in reached:
-                    reached.add(neighbour)
-                    frontier.append(neighbour)
-        return reached
 
     # -- batched evaluation --------------------------------------------------------
 
@@ -525,24 +399,16 @@ class ImmunityChecker:
         codes = self.evaluate_batch(batch, groups=1)[0]
         return self.codes_to_truth_table(codes)
 
-    def truth_table_reference(self, cnts: Sequence[CNTInstance]) -> TruthTable:
-        """Truth table via the scalar per-tube walk (behavioural oracle)."""
-        tubes = [self.analyse_tube(cnt) for cnt in cnts]
-        return TruthTable.from_function(
-            lambda assignment: self.output_value(tubes, assignment), self.inputs
-        )
-
     def check(self, nominal: Sequence[CNTInstance],
               mispositioned: Sequence[CNTInstance],
               expected: Optional[TruthTable] = None) -> ImmunityReport:
         """Full immunity check of a CNT population against the intended
         function (defaults to the function the nominal tubes implement),
-        tabulated by the scalar walk (:meth:`truth_table_reference`)."""
-        nominal_table = self.truth_table_reference(nominal)
+        tabulated by the batched path (:meth:`truth_table`)."""
+        nominal_table = self.truth_table(nominal)
         if expected is None:
             expected = nominal_table
-        observed = self.truth_table_reference(
-            list(nominal) + list(mispositioned))
+        observed = self.truth_table(list(nominal) + list(mispositioned))
         failing = tuple(
             assignment
             for assignment, value in observed.rows()

@@ -11,7 +11,8 @@ the gate that is supposed to control it.
 Two representations are provided:
 
 * :class:`CNTInstance` — one tube as a pair of :class:`Point` objects, the
-  unit the scalar checker walks over.
+  unit callers build and inspect populations in (and the unit the scalar
+  reference walk in ``tests/reference.py`` iterates over).
 * :class:`CNTBatch` — a whole population as ``(n, 2)`` NumPy coordinate
   arrays, the unit the batched Monte Carlo engine consumes.
 
@@ -19,7 +20,8 @@ Two representations are provided:
 NumPy sampling while consuming the underlying uniform stream in exactly the
 same order as the historical one-tube-at-a-time loop (``x``, ``y``,
 ``angle``, ``metallic`` per tube), so a fixed seed produces bit-identical
-defect populations on both the batched and the legacy code paths.
+defect populations drawn in one batch or tube by tube
+(:func:`random_mispositioned_cnts`).
 """
 
 from __future__ import annotations
@@ -61,35 +63,6 @@ class CNTInstance:
             self.start.x + t * (self.end.x - self.start.x),
             self.start.y + t * (self.end.y - self.start.y),
         )
-
-    def intersection_interval(self, rect: Rect) -> Optional[Tuple[float, float]]:
-        """The parameter interval of the segment inside ``rect`` (or ``None``).
-
-        Standard slab clipping (Liang-Barsky); degenerate overlaps shorter
-        than 1e-9 of the segment are ignored.
-        """
-        dx = self.end.x - self.start.x
-        dy = self.end.y - self.start.y
-        t_min, t_max = 0.0, 1.0
-        for delta, origin, low, high in (
-            (dx, self.start.x, rect.x1, rect.x2),
-            (dy, self.start.y, rect.y1, rect.y2),
-        ):
-            if abs(delta) < 1e-12:
-                if origin < low or origin > high:
-                    return None
-                continue
-            t_low = (low - origin) / delta
-            t_high = (high - origin) / delta
-            if t_low > t_high:
-                t_low, t_high = t_high, t_low
-            t_min = max(t_min, t_low)
-            t_max = min(t_max, t_high)
-            if t_min > t_max:
-                return None
-        if t_max - t_min <= 1e-9:
-            return None
-        return (t_min, t_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,8 +284,9 @@ def random_mispositioned_cnts(
 ) -> List[CNTInstance]:
     """Draw ``count`` mispositioned CNTs as :class:`CNTInstance` objects.
 
-    Thin wrapper over :func:`sample_mispositioned_batch` kept for the scalar
-    checker API and existing callers; both entry points consume the random
+    Thin wrapper over :func:`sample_mispositioned_batch` for callers that
+    work tube by tube (:meth:`ImmunityChecker.check`, the scalar reference
+    in ``tests/reference.py``); both entry points consume the random
     stream identically.
     """
     batch = sample_mispositioned_batch(

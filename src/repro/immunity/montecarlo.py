@@ -15,14 +15,12 @@ with NumPy array operations via
 :meth:`~repro.immunity.checker.ImmunityChecker.evaluate_batch`, in memory
 chunks of ``DEFAULT_CHUNK_SIZE`` trials.
 
-:func:`reference_immunity_trials` is its reference implementation: one
-trial at a time through the scalar checker walk, exactly as the original
-implementation.  Both consume the random stream in the same per-tube
-order, so a fixed seed produces identical :class:`MonteCarloResult`
-values on either (and for any chunk size).  The reference is kept as the
-executable specification the oracle tests and
-``benchmarks/bench_immunity_scale.py`` compare against; it is not a
-public switch.
+The scalar loop it was written from — one trial at a time through the
+checker's per-tube walk — lives with the tests (``tests/reference.py``)
+as the executable specification.  Both consume the random stream in the
+same per-tube order, so a fixed seed produces identical
+:class:`MonteCarloResult` values on either (and for any chunk size); the
+oracle tests and ``benchmarks/bench_immunity_scale.py`` compare the two.
 
 Seed contract
 -------------
@@ -53,7 +51,6 @@ from .checker import ImmunityChecker
 from .cnts import (
     CNTBatch,
     nominal_cnts,
-    random_mispositioned_cnts,
     sample_mispositioned_batch,
 )
 
@@ -113,11 +110,16 @@ def run_immunity_trials(
     matters, because no layout technique can gate a metallic tube off.
 
     All trials go through the vectorized evaluator in chunks of
-    ``DEFAULT_CHUNK_SIZE``; :func:`reference_immunity_trials` gives the
-    identical result one trial at a time.
+    ``DEFAULT_CHUNK_SIZE``; the scalar reference in ``tests/reference.py``
+    gives the identical result one trial at a time.
     """
-    annotations, checker, nominal, expected, rng = _trial_setup(
-        cell, trials, cnt_pitch, seed)
+    if trials <= 0:
+        raise ImmunityAnalysisError("trials must be positive")
+    annotations = cell.annotations()
+    checker = ImmunityChecker(annotations)
+    nominal = nominal_cnts(annotations, pitch=cnt_pitch, axis="x")
+    expected = cell.gate.expected_truth_table()
+    rng = np.random.default_rng(seed)
     base_adjacency, nominal_codes = checker.base_state(
         CNTBatch.from_instances(nominal)
     )
@@ -141,47 +143,6 @@ def run_immunity_trials(
         remaining -= chunk
     return MonteCarloResult(annotations.cell_name, cell.technique, trials,
                             cnts_per_trial, failures, nominal_matches)
-
-
-def reference_immunity_trials(
-    cell: StandardCell,
-    trials: int = 200,
-    cnts_per_trial: int = 4,
-    max_angle_deg: float = 15.0,
-    seed: SeedLike = 2009,
-    cnt_pitch: float = 1.0,
-    metallic_fraction: float = 0.0,
-) -> MonteCarloResult:
-    """The reference implementation of :func:`run_immunity_trials`: the
-    original per-trial loop over the scalar checker walk.  Equal to it for
-    every seed; kept as the executable specification, not as a choice."""
-    annotations, checker, nominal, expected, rng = _trial_setup(
-        cell, trials, cnt_pitch, seed)
-    nominal_report = checker.check(nominal, [], expected=expected)
-    failures = 0
-    for _ in range(trials):
-        strays = random_mispositioned_cnts(
-            annotations, cnts_per_trial, rng, max_angle_deg=max_angle_deg,
-            axis="x", metallic_fraction=metallic_fraction,
-        )
-        if not checker.check(nominal, strays, expected=expected).immune:
-            failures += 1
-    return MonteCarloResult(
-        annotations.cell_name, cell.technique, trials, cnts_per_trial,
-        failures, nominal_report.nominal_matches and nominal_report.immune,
-    )
-
-
-def _trial_setup(cell: StandardCell, trials: int, cnt_pitch: float,
-                 seed: SeedLike):
-    """What both trial engines start from: ``(annotations, checker,
-    nominal tubes, expected truth table, generator)``."""
-    if trials <= 0:
-        raise ImmunityAnalysisError("trials must be positive")
-    annotations = cell.annotations()
-    return (annotations, ImmunityChecker(annotations),
-            nominal_cnts(annotations, pitch=cnt_pitch, axis="x"),
-            cell.gate.expected_truth_table(), np.random.default_rng(seed))
 
 
 def compare_techniques(

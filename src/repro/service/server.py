@@ -76,6 +76,11 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: settle before answering with the job as it stands.
 POLL_WAIT_S = 1.0
 
+#: How often the serving loop looks for a :meth:`ReproService.close`;
+#: ``close`` waits at most this long for the loop to stop (``socketserver``
+#: defaults to 0.5 s).
+SERVE_POLL_S = 0.02
+
 
 def status_for(error: BaseException) -> int:
     """The HTTP status an exception earns (500 when nothing matches).
@@ -237,6 +242,9 @@ class ReproService(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def serve_forever(self, poll_interval: float = SERVE_POLL_S) -> None:
+        super().serve_forever(poll_interval)
 
     def close(self) -> None:
         """Stop serving and shut the job pool down (queued jobs are

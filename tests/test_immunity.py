@@ -1,5 +1,8 @@
 """Tests for the mispositioned-CNT immunity analysis."""
 
+import dataclasses
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,24 +22,30 @@ from repro.immunity import (
     run_immunity_trials,
     sample_mispositioned_batch,
 )
-from repro.immunity.montecarlo import reference_immunity_trials
 from repro.logic import standard_gate
 from repro.study import SweepSpec, run_sweep_study
+
+from reference import (
+    check_reference,
+    intersection_interval,
+    reference_immunity_trials,
+    truth_table_reference,
+)
 
 
 class TestCNTInstance:
     def test_interval_of_vertical_tube_through_rect(self):
         cnt = CNTInstance(Point(1.0, 0.0), Point(1.0, 10.0))
-        interval = cnt.intersection_interval(Rect(0, 4, 2, 6))
+        interval = intersection_interval(cnt, Rect(0, 4, 2, 6))
         assert interval == pytest.approx((0.4, 0.6))
 
     def test_interval_missing_rect(self):
         cnt = CNTInstance(Point(1.0, 0.0), Point(1.0, 10.0))
-        assert cnt.intersection_interval(Rect(5, 0, 6, 10)) is None
+        assert intersection_interval(cnt, Rect(5, 0, 6, 10)) is None
 
     def test_diagonal_tube(self):
         cnt = CNTInstance(Point(0.0, 0.0), Point(10.0, 10.0))
-        interval = cnt.intersection_interval(Rect(4, 0, 6, 10))
+        interval = intersection_interval(cnt, Rect(4, 0, 6, 10))
         assert interval == pytest.approx((0.4, 0.6))
 
     def test_length_and_points(self):
@@ -136,6 +145,28 @@ class TestImmunityChecker:
         )
         report = checker.check(nominal, [horizontal], expected=gate.expected_truth_table())
         assert report.immune
+
+    def test_missing_input_value_raises(self):
+        """A semiconducting tube under a gate whose signal is not an input
+        cannot be evaluated; a metallic tube ignores the gate."""
+        cell = assemble_cell(standard_gate("NAND2"), technique="compact",
+                             scheme=1)
+        annotations = dataclasses.replace(cell.annotations(), inputs=("A",))
+        checker = ImmunityChecker(annotations)
+        gate_b = next(g for g in annotations.gates if g.signal == "B")
+        extent = cell.cell.boundary()
+        y = gate_b.rect.center.y
+
+        def tube(metallic):
+            return CNTInstance(Point(extent.x1 - 1.0, y),
+                               Point(extent.x2 + 1.0, y),
+                               mispositioned=True, metallic=metallic)
+
+        for check in (checker.check, partial(check_reference, checker)):
+            with pytest.raises(ImmunityAnalysisError,
+                               match="No value provided for input 'B'"):
+                check([], [tube(metallic=False)])
+            check([], [tube(metallic=True)])
 
     def test_checker_requires_contacts(self):
         from repro.core.spec import CellAnnotations
@@ -279,15 +310,18 @@ class TestBatchedEngine:
         annotations = cell.annotations()
         checker = ImmunityChecker(annotations)
         nominal = nominal_cnts(annotations, axis="x")
+        expected = cell.gate.expected_truth_table()
         rng = np.random.default_rng(17)
         for _ in range(25):
             strays = random_mispositioned_cnts(
                 annotations, 5, rng, axis="x", metallic_fraction=0.25
             )
             batched = checker.truth_table(nominal + strays)
-            reference = checker.truth_table_reference(nominal + strays)
+            reference = truth_table_reference(checker, nominal + strays)
             assert batched.inputs == reference.inputs
             assert batched.outputs == reference.outputs
+            assert checker.check(nominal, strays, expected) == \
+                check_reference(checker, nominal, strays, expected)
 
     def test_engines_identical_for_fixed_seed(self):
         cell = assemble_cell(standard_gate("NAND2"), technique="vulnerable",

@@ -153,6 +153,13 @@ class TestLifecycle:
     def test_health(self, client):
         assert client.json("GET", "/health") == (200, {"status": "ok"})
 
+    def test_close_is_prompt(self, tmp_path):
+        service = _start(tmp_path)
+        assert Client(service).json("GET", "/health")[0] == 200
+        start = time.monotonic()
+        service.close()
+        assert time.monotonic() - start < 0.1
+
     def test_submit_poll_fetch(self, client):
         status, document = client.json("POST", "/jobs", {"study": "fig3"})
         assert status == 201

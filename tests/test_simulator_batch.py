@@ -1,6 +1,6 @@
 """Regressions for the batch transient engine and the characterisation
 sweep: the bit-identity contract against the scalar reference integrator
-(``TransientSimulator.run_reference``) on both sub-step implementations
+(``run_reference`` in ``tests/reference.py``) on both sub-step implementations
 (the compiled C stepper and the NumPy stepper), measurement parity under
 back-drive, the vectorized PWL evaluator, and the sweep grid."""
 
@@ -46,6 +46,8 @@ from repro.errors import CharacterizationError, SimulationError
 from repro.logic import standard_gate
 from repro.logic.functions import STANDARD_GATES
 
+from reference import run_reference
+
 STOP = 20e-12
 STEP = 0.5e-12
 
@@ -85,9 +87,9 @@ def _cnfet_chain_case(tubes=6, vdd=1.0, stages=3):
 
 
 def _loop(case, stop=STOP, step=STEP):
-    return TransientSimulator(case.netlist, case.sources,
-                              case.initial_conditions).run_reference(stop,
-                                                                     step)
+    return run_reference(TransientSimulator(case.netlist, case.sources,
+                                            case.initial_conditions),
+                         stop, step)
 
 
 def _assert_identical(loop, batch):
@@ -139,7 +141,7 @@ class TestBitIdentity(OnStepper):
         case = _cnfet_chain_case()
         simulator = TransientSimulator(case.netlist, case.sources,
                                        case.initial_conditions)
-        _assert_identical(simulator.run_reference(STOP, STEP),
+        _assert_identical(run_reference(simulator, STOP, STEP),
                           simulator.run(STOP, STEP))
 
     def test_source_on_unreferenced_net_matches_loop(self):
