@@ -39,6 +39,11 @@ SEED = 2009
 #: two waveform-fitted timing characterisations.
 REQUIRED_WARM_SPEEDUP = 3.0
 
+#: The warm hit is timed as the fastest of this many re-runs: it takes
+#: tens of milliseconds, so one slow run on a busy host would otherwise
+#: decide the floor.
+WARM_REPEATS = 3
+
 
 def run_warm_scenario(cache_dir, circuit=CIRCUIT, trials=TRIALS, draws=DRAWS,
                       timer=None):
@@ -47,9 +52,11 @@ def run_warm_scenario(cache_dir, circuit=CIRCUIT, trials=TRIALS, draws=DRAWS,
     Counts engine invocations by wrapping the per-cell Monte Carlo entry
     point and the transient kernel at the name characterisation calls, so "once
     per unique cell, never per instance" and "one kernel call per cold
-    circuit" are hard facts, not timing inferences.  ``timer(fn) ->
-    (result, seconds)`` lets the pytest-benchmark path own the warm
-    measurement.
+    circuit" are hard facts, not timing inferences.  ``timer(fn, rounds)
+    -> (result, seconds)`` runs ``fn`` ``rounds`` times and returns the
+    fastest time; the cold study runs once and the warm re-run
+    :data:`WARM_REPEATS` times, and ``timer`` lets the pytest-benchmark
+    path own the warm measurement.
     """
     study = dict(circuit=circuit, trials=trials, draws=draws, seed=SEED)
     store = ResultCache(cache_dir)
@@ -67,20 +74,23 @@ def run_warm_scenario(cache_dir, circuit=CIRCUIT, trials=TRIALS, draws=DRAWS,
         return real_kernel(*args, **kwargs)
 
     if timer is None:
-        def timer(fn):
-            start = time.perf_counter()
-            result = fn()
-            return result, time.perf_counter() - start
+        def timer(fn, rounds):
+            best = float("inf")
+            for _ in range(rounds):
+                start = time.perf_counter()
+                result = fn()
+                best = min(best, time.perf_counter() - start)
+            return result, best
 
     montecarlo.run_immunity_trials = counting
     characterize.run_transient_batch = counting_kernel
     try:
         cold, cold_seconds = timer(
-            lambda: run_circuit_study(cache=store, **study))
+            lambda: run_circuit_study(cache=store, **study), 1)
         cold_calls, calls[:] = len(calls), ()
         cold_kernel_calls = len(kernel_calls)
         warm, warm_seconds = timer(
-            lambda: run_circuit_study(cache=store, **study))
+            lambda: run_circuit_study(cache=store, **study), WARM_REPEATS)
         warm_calls = len(calls)
     finally:
         montecarlo.run_immunity_trials = real
@@ -147,7 +157,7 @@ def check_warm_contract(report, enforce_floor=True):
 
 def test_warm_rerun_serves_every_cell_from_the_store(benchmark, tmp_path):
     """adder:8 cold: 2 engine calls and 1 kernel call for 72 instances;
-    warm: 0, >=3x."""
+    warm (the fastest of ``WARM_REPEATS`` re-runs): 0, >=3x."""
     from conftest import record
 
     def timed(fn):
@@ -155,17 +165,17 @@ def test_warm_rerun_serves_every_cell_from_the_store(benchmark, tmp_path):
         result = fn()
         return result, time.perf_counter() - start
 
-    def warm_timer(fn):
-        result = benchmark.pedantic(fn, iterations=1, rounds=1)
-        return result, benchmark.stats.stats.mean
+    def warm_timer(fn, rounds):
+        result = benchmark.pedantic(fn, iterations=1, rounds=rounds)
+        return result, benchmark.stats.stats.min
 
     # The cold study is plain timing; the warm re-run is the benchmark.
     state = {"first": True}
 
-    def timer(fn):
+    def timer(fn, rounds):
         if state.pop("first", None):
             return timed(fn)
-        return warm_timer(fn)
+        return warm_timer(fn, rounds)
 
     report = run_warm_scenario(tmp_path / "store", timer=timer)
     measured = dict(report)

@@ -11,10 +11,13 @@ reports the ns-per-corner-step drift informationally.
 
 One batch size cannot separate the kernel's two costs, so the detail
 also carries a batch sweep ({1, 4, 16, 64, 256} corners over a short
-stop time) and its least-squares line ``ns/substep = fixed + marginal *
-batch``: ``fixed_ns_per_substep`` is the per-sub-step dispatch cost every
-run pays, ``marginal_ns_per_corner_step`` the arithmetic each extra
-corner adds.
+stop time) and its line ``ns/substep = fixed + marginal * batch``:
+``marginal_ns_per_corner_step``, the arithmetic each extra corner adds,
+is the least-squares slope, and ``fixed_ns_per_substep``, the
+per-sub-step dispatch cost every run pays, is read off the smallest
+batch (its time less its corners' marginal cost).  The fixed cost is a
+small fraction of the batch-256 point, so a least-squares intercept
+would let that point's noise decide it, and its sign.
 
 Run under pytest-benchmark (``pytest benchmarks/bench_kernel.py``) or
 standalone to (re)generate the checked-in perf snapshot (a
@@ -112,9 +115,10 @@ def run_batch_sweep(batches=SWEEP_BATCHES, stop_time=SWEEP_STOP_TIME,
     """Time one integration per batch size and fit the two kernel costs.
 
     Each batch is timed ``repeats`` times after a warm-up and keeps its
-    fastest run (host noise only ever adds time).  The least-squares line
-    through ``(batch, ns per sub-step)`` gives the fixed cost per sub-step
-    (intercept) and the marginal cost per corner-step (slope).
+    fastest run (host noise only ever adds time).  The least-squares
+    slope through ``(batch, ns per sub-step)`` is the marginal cost per
+    corner-step; the smallest batch's time less its corners' marginal
+    cost is the fixed cost per sub-step.
     """
     substeps = round(stop_time / stability_substep(stop_time, TIME_STEP))
     per_substep = []
@@ -128,8 +132,10 @@ def run_batch_sweep(batches=SWEEP_BATCHES, stop_time=SWEEP_STOP_TIME,
             best = min(best, time.perf_counter() - start)
         per_substep.append(best / substeps * 1e9)
     design = np.column_stack([np.ones(len(batches)), np.asarray(batches)])
-    (fixed, marginal), *_ = np.linalg.lstsq(design, np.asarray(per_substep),
-                                            rcond=None)
+    (_, marginal), *_ = np.linalg.lstsq(design, np.asarray(per_substep),
+                                        rcond=None)
+    smallest = int(np.argmin(batches))
+    fixed = per_substep[smallest] - marginal * batches[smallest]
     return {
         "sweep_batches": list(batches),
         "sweep_stop_time_s": stop_time,

@@ -70,8 +70,10 @@ from ..circuit.simulator import (
     SimulationCase,
     TransientResult,
     constant_source,
+    first_crossings,
     pulse_source,
     run_transient_batch,
+    waveform_block,
 )
 from ..devices.calibration import calibrated_cnfet_parameters
 from ..devices.cnfet import CNFET, CNFETParameters
@@ -497,29 +499,43 @@ class CellGrid:
             )
         return self._labels[index]
 
-    def _point(self, index: int, result: TransientResult) -> CellSweepPoint:
-        """Reduce the waveform of case ``index`` to its 50 %-to-50 %
-        delays and supply energy."""
-        drive, load, slew, (corner, tech) = self._label(index)
-        pin, level = self._time_base[0], tech.vdd / 2.0
-        in_rise = result.crossing_time(pin, level, rising=True)
-        out_fall = result.crossing_time("out", level, rising=False,
-                                        after=in_rise)
-        in_fall = result.crossing_time(pin, level, rising=False,
-                                       after=out_fall)
-        out_rise = result.crossing_time("out", level, rising=True,
-                                        after=in_fall)
-        return CellSweepPoint(
-            cell=self._networks.name,
-            drive_strength=drive,
-            load_capacitance_f=load,
-            input_slew_s=slew,
-            corner=corner,
-            vdd=tech.vdd,
-            delay_rise_s=out_rise - in_fall,
-            delay_fall_s=out_fall - in_rise,
-            energy_per_cycle_j=result.supply_energy,
-        )
+    def _points(self, indices: Sequence[int],
+                results: Sequence[TransientResult]) -> List[CellSweepPoint]:
+        """Reduce the waveforms of cases ``indices`` to their 50 %-to-50 %
+        delays and supply energy.
+
+        The cases share the grid's time base, so their waveforms are the
+        columns of one block (:func:`waveform_block`), and four
+        :func:`first_crossings` passes measure every case: input rise,
+        output fall, input fall, output rise.
+        """
+        labels = [self._label(index) for index in indices]
+        time = results[0].time
+        level = np.array([tech.vdd / 2.0 for *_, (_, tech) in labels])
+        pin = waveform_block(results, self._time_base[0])
+        out = waveform_block(results, "out")
+        in_rise = first_crossings(time, pin, level, rising=True)
+        out_fall = first_crossings(time, out, level, rising=False,
+                                   after=in_rise)
+        in_fall = first_crossings(time, pin, level, rising=False,
+                                  after=out_fall)
+        out_rise = first_crossings(time, out, level, rising=True,
+                                   after=in_fall)
+        return [
+            CellSweepPoint(
+                cell=self._networks.name,
+                drive_strength=drive,
+                load_capacitance_f=load,
+                input_slew_s=slew,
+                corner=corner,
+                vdd=tech.vdd,
+                delay_rise_s=rise,
+                delay_fall_s=fall,
+                energy_per_cycle_j=result.supply_energy,
+            )
+            for (drive, load, slew, (corner, tech)), rise, fall, result
+            in zip(labels, out_rise - in_fall, out_fall - in_rise, results)
+        ]
 
 
 def _measure(selections: Sequence[Tuple[CellGrid, Sequence[int]]]
@@ -533,7 +549,8 @@ def _measure(selections: Sequence[Tuple[CellGrid, Sequence[int]]]
     stop, time_step = cases[0].time_base
     results = iter(run_transient_batch(cases, stop_time=stop,
                                        time_step=time_step))
-    return [[grid._point(index, next(results)) for index in indices]
+    return [grid._points(indices,
+                         list(itertools.islice(results, len(indices))))
             for grid, indices in selections]
 
 

@@ -40,10 +40,12 @@ from .simulator import (
     TransientSimulator,
     build_inverter_chain,
     constant_source,
+    first_crossings,
     pulse_source,
     run_transient_batch,
     stability_substep,
     step_source,
+    waveform_block,
 )
 from .spice_writer import save_spice, write_spice
 
@@ -58,7 +60,8 @@ __all__ = [
     "TransistorInstance", "TransistorNetlist",
     "CompiledTransientBatch", "PiecewiseLinearSource",
     "SimulationCase", "TransientResult", "TransientSimulator",
-    "build_inverter_chain", "constant_source", "pulse_source",
-    "run_transient_batch", "stability_substep", "step_source",
+    "build_inverter_chain", "constant_source", "first_crossings",
+    "pulse_source", "run_transient_batch", "stability_substep",
+    "step_source", "waveform_block",
     "save_spice", "write_spice",
 ]

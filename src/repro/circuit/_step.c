@@ -9,8 +9,23 @@
  * in tests/reference.py) operation for operation, so the
  * waveforms and supply charge they produce are byte-identical to it.
  * Every operation in them is an IEEE basic operation: add, subtract,
- * multiply, divide, compare, select and copy.  Those round the same in
- * C as in NumPy only under these conditions:
+ * multiply, divide, compare, select and copy.
+ *
+ * Every loop walks the batch lanes of one row, and is written so the
+ * compiler can vectorize it (stepper.CFLAGS builds with -O3): the
+ * terminal rows are read in place through terminal_idx, conditions are
+ * selects between values already computed, never branches, and work on
+ * the same lanes shares one loop.  A select between a value and an
+ * expression is not enough: the compiler sinks the expression into a
+ * branch and then leaves the loop scalar, so the two currents are
+ * computed on every lane into memory (`currents`) and selected in the
+ * next loop.  Vectorizing does not move a bit: each IEEE basic operation
+ * rounds per lane, the same in a vector register as in a scalar one.
+ * The library's cache key hashes the flags, so a change to them builds
+ * the library once more under a new name.
+ *
+ * The operations round the same in C as in NumPy only under these
+ * conditions:
  *
  * - Build with -ffp-contract=off.  Under GCC's default
  *   (-ffp-contract=fast) on an FMA-capable target, a multiply feeding an
@@ -51,8 +66,16 @@
 #include <stddef.h>
 #include <string.h>
 
-#define MAXIMUM(a, b) ((isnan(a) || (a) >= (b)) ? (a) : (b))
-#define MINIMUM(a, b) ((isnan(a) || (a) <= (b)) ? (a) : (b))
+/* NumPy's NaN-propagating maximum and minimum. */
+static inline double maximum(double a, double b)
+{
+    return (isnan(a) || a >= b) ? a : b;
+}
+
+static inline double minimum(double a, double b)
+{
+    return (isnan(a) || a <= b) ? a : b;
+}
 
 /* NumPy's PyUFuncGenericFunction; npy_intp is ptrdiff_t here. */
 typedef void (*repro_loop)(char **args, const ptrdiff_t *dimensions,
@@ -69,13 +92,12 @@ typedef struct {
     ptrdiff_t sources;            /* S driven nets, state rows I .. I+S */
     double *voltages;             /* (N, B) state; integrated nets first */
     const ptrdiff_t *terminal_idx;    /* (3T,) gate | drain | source rows */
-    double *terminals;            /* (3T, B) */
     const double *vth;            /* (T, B) */
     const double *nominal_ov;     /* (T, B) */
     const double *prefactor;      /* (T, B) */
     const double *alpha;          /* (T, B) */
-    double *vds;                  /* (T, B) */
-    double *overdrive;            /* (T, B) */
+    double *vds;                  /* (T, B); 0.0 on inactive lanes */
+    double *overdrive;            /* (T, B); 1.0 on inactive lanes */
     double *ratio;                /* (T, B); power() works in place */
     double *drive;                /* (2T + 1, B): [i | -i | +0.0] */
     const ptrdiff_t *rank_table;  /* (R, I + 1); last column: the supply */
@@ -84,6 +106,7 @@ typedef struct {
     const double *clamp_high;     /* (B,) */
     double *supply_charge;        /* (B,) */
     double *acc;                  /* (B,) */
+    double *dt;                   /* (B,) this sub-step's size per column */
     const double *step_sizes;     /* (K, G); 0.0 past a group's end */
     const ptrdiff_t *column_group;    /* (B,) group of each column */
     const ptrdiff_t *source_row;  /* (K,) row of source_rows, or -1 */
@@ -92,85 +115,152 @@ typedef struct {
     void *power_data;             /* and its loop data */
 } repro_step;
 
-/* The terminal gather, then vds, vgs, overdrive, active, safe and
- * ratio = safe / nominal_ov, the operand of power(). */
-static void step_pre(const repro_step *s)
+/* One device's lanes before power().  vds and vgs (gate - low for
+ * n-type, high - gate for p-type) give the overdrive; a lane is active
+ * when min(overdrive, vds) > 0 (NaN lanes are not).  An active lane
+ * keeps its vds and overdrive; an inactive one stores vds = 0.0 and a
+ * safe overdrive of 1.0, so step_post needs no other flag and its
+ * division and power() operand stay finite.  ratio = safe overdrive /
+ * nominal_ov.  Inlined with a constant n_type: one loop per polarity,
+ * selects and no branch. */
+static inline void pre_lanes(ptrdiff_t B, int n_type,
+                             const double *restrict gate,
+                             const double *restrict drain,
+                             const double *restrict source,
+                             const double *restrict vth,
+                             const double *restrict nominal_ov,
+                             double *restrict vds,
+                             double *restrict overdrive,
+                             double *restrict ratio)
 {
-    const ptrdiff_t T = s->devices, B = s->batch;
-    for (ptrdiff_t k = 0; k < 3 * T; k++)
-        memcpy(s->terminals + k * B, s->voltages + s->terminal_idx[k] * B,
-               (size_t)B * sizeof(double));
-    for (ptrdiff_t t = 0; t < T; t++) {
-        const double *gate = s->terminals + t * B;
-        const double *drain = s->terminals + (T + t) * B;
-        const double *source = s->terminals + (2 * T + t) * B;
-        const int n_type = t < s->n_type;
-        for (ptrdiff_t b = 0; b < B; b++) {
-            const ptrdiff_t i = t * B + b;
-            const double high = MAXIMUM(drain[b], source[b]);
-            const double low = MINIMUM(drain[b], source[b]);
-            const double vds = high - low;
-            const double vgs = n_type ? gate[b] - low : high - gate[b];
-            const double overdrive = vgs - s->vth[i];
-            /* min(overdrive, vds) > 0, NaN lanes included. */
-            const int active = MINIMUM(overdrive, vds) > 0.0;
-            const double safe = active ? overdrive : 1.0;
-            s->vds[i] = vds;
-            s->overdrive[i] = overdrive;
-            s->ratio[i] = safe / s->nominal_ov[i];
-        }
+    for (ptrdiff_t b = 0; b < B; b++) {
+        const double high = maximum(drain[b], source[b]);
+        const double low = minimum(drain[b], source[b]);
+        const double v = high - low;
+        const double vgs = n_type ? gate[b] - low : high - gate[b];
+        const double od = vgs - vth[b];
+        const int active = minimum(od, v) > 0.0;
+        const double safe = active ? od : 1.0;
+        vds[b] = active ? v : 0.0;
+        overdrive[b] = safe;
+        ratio[b] = safe / nominal_ov[b];
     }
 }
 
-/* Sub-step i: saturation, triode, magnitude and sign into the drive
- * rows, then per net the rank-ordered accumulate, x dt (column b's
- * `step_sizes[i * G + column_group[b]]`), the supply charge, / C, the
- * update and the rail clamp. */
+/* Every device's lanes before power(); the terminal rows are read in
+ * place through terminal_idx. */
+static void step_pre(const repro_step *s)
+{
+    const ptrdiff_t T = s->devices, B = s->batch;
+    const ptrdiff_t *idx = s->terminal_idx;
+    for (ptrdiff_t t = 0; t < T; t++) {
+        const double *gate = s->voltages + idx[t] * B;
+        const double *drain = s->voltages + idx[T + t] * B;
+        const double *source = s->voltages + idx[2 * T + t] * B;
+        const ptrdiff_t row = t * B;
+        if (t < s->n_type)
+            pre_lanes(B, 1, gate, drain, source, s->vth + row,
+                      s->nominal_ov + row, s->vds + row,
+                      s->overdrive + row, s->ratio + row);
+        else
+            pre_lanes(B, 0, gate, drain, source, s->vth + row,
+                      s->nominal_ov + row, s->vds + row,
+                      s->overdrive + row, s->ratio + row);
+    }
+}
+
+/* Every lane after power(): saturation = prefactor * ratio, back into
+ * ratio, and the triode current saturation * triode * (2.0 - triode),
+ * triode = vds / overdrive, into the drive row.  Both currents are
+ * computed on every lane, and step_post's selects read them from
+ * memory: a select between a value and an expression lets the compiler
+ * sink the expression into a branch, which it then cannot vectorize. */
+static void currents(ptrdiff_t lanes, const double *restrict vds,
+                     const double *restrict overdrive,
+                     const double *restrict prefactor,
+                     double *restrict ratio, double *restrict drive)
+{
+    for (ptrdiff_t i = 0; i < lanes; i++) {
+        const double saturation = prefactor[i] * ratio[i];
+        const double triode = vds[i] / overdrive[i];
+        ratio[i] = saturation;
+        drive[i] = saturation * triode * (2.0 - triode);
+    }
+}
+
+/* One device's drive rows: the saturation or triode current, 0.0 on an
+ * inactive lane (vds == 0.0), signed by terminal order, and its
+ * negation. */
+static inline void drive_lanes(ptrdiff_t B, const double *restrict drain,
+                               const double *restrict source,
+                               const double *restrict vds,
+                               const double *restrict overdrive,
+                               const double *restrict saturation,
+                               double *restrict drive,
+                               double *restrict negated)
+{
+    for (ptrdiff_t b = 0; b < B; b++) {
+        const double v = vds[b], sat = saturation[b], linear = drive[b];
+        const double conducting = v >= overdrive[b] ? sat : linear;
+        const double magnitude = v > 0.0 ? conducting : 0.0;
+        const double current = drain[b] >= source[b] ? magnitude : -magnitude;
+        drive[b] = current;
+        negated[b] = -current;
+    }
+}
+
+/* One net's update: x dt, / C, add, and the rail clamp. */
+static inline void update_lanes(ptrdiff_t B, const double *restrict acc,
+                                const double *restrict dt,
+                                const double *restrict capacitance,
+                                const double *restrict low,
+                                const double *restrict high,
+                                double *restrict node)
+{
+    for (ptrdiff_t b = 0; b < B; b++) {
+        const double v = node[b] + (acc[b] * dt[b]) / capacitance[b];
+        node[b] = minimum(maximum(v, low[b]), high[b]);
+    }
+}
+
+/* Sub-step i after power(): the currents, the drive rows, column b's
+ * step size `step_sizes[i * G + column_group[b]]`, then per net the
+ * rank-ordered accumulate and its update, and the supply charge. */
 static void step_post(const repro_step *s, ptrdiff_t i)
 {
     const ptrdiff_t T = s->devices, B = s->batch;
     const ptrdiff_t columns = s->nodes + 1;
-    const double *dt = s->step_sizes + i * s->groups;
-    double *negated = s->drive + T * B;
+    const ptrdiff_t *idx = s->terminal_idx;
+    const double *sizes = s->step_sizes + i * s->groups;
+    double *restrict dt = s->dt;
+    double *restrict acc = s->acc;
+    currents(T * B, s->vds, s->overdrive, s->prefactor, s->ratio, s->drive);
     for (ptrdiff_t t = 0; t < T; t++) {
-        const double *drain = s->terminals + (T + t) * B;
-        const double *source = s->terminals + (2 * T + t) * B;
-        for (ptrdiff_t b = 0; b < B; b++) {
-            const ptrdiff_t i = t * B + b;
-            const double vds = s->vds[i], overdrive = s->overdrive[i];
-            double magnitude = 0.0;
-            if (MINIMUM(overdrive, vds) > 0.0) {
-                const double saturation = s->prefactor[i] * s->ratio[i];
-                const double triode = vds / overdrive;
-                const double linear = saturation * triode * (2.0 - triode);
-                magnitude = vds >= overdrive ? saturation : linear;
-            }
-            s->drive[i] = drain[b] >= source[b] ? magnitude : -magnitude;
-            negated[i] = -s->drive[i];
-        }
+        const ptrdiff_t row = t * B;
+        drive_lanes(B, s->voltages + idx[T + t] * B,
+                    s->voltages + idx[2 * T + t] * B, s->vds + row,
+                    s->overdrive + row, s->ratio + row, s->drive + row,
+                    s->drive + T * B + row);
     }
+    for (ptrdiff_t b = 0; b < B; b++)
+        dt[b] = sizes[s->column_group[b]];
     for (ptrdiff_t j = 0; j < columns; j++) {
-        const double *first = s->drive + s->rank_table[j] * B;
+        const double *restrict first = s->drive + s->rank_table[j] * B;
         for (ptrdiff_t b = 0; b < B; b++)
-            s->acc[b] = first[b] + 0.0;
+            acc[b] = first[b] + 0.0;
         for (ptrdiff_t r = 1; r < s->ranks; r++) {
-            const double *rank = s->drive + s->rank_table[r * columns + j] * B;
+            const double *restrict rank =
+                s->drive + s->rank_table[r * columns + j] * B;
             for (ptrdiff_t b = 0; b < B; b++)
-                s->acc[b] += rank[b];
+                acc[b] += rank[b];
         }
-        for (ptrdiff_t b = 0; b < B; b++)
-            s->acc[b] *= dt[s->column_group[b]];
         if (j == s->nodes) {
+            double *restrict supply = s->supply_charge;
             for (ptrdiff_t b = 0; b < B; b++)
-                s->supply_charge[b] += s->acc[b];
-            continue;
-        }
-        double *node = s->voltages + j * B;
-        const double *capacitance = s->capacitance + j * B;
-        for (ptrdiff_t b = 0; b < B; b++) {
-            double v = node[b] + s->acc[b] / capacitance[b];
-            v = MAXIMUM(v, s->clamp_low[b]);
-            node[b] = MINIMUM(v, s->clamp_high[b]);
+                supply[b] += acc[b] * dt[b];
+        } else {
+            update_lanes(B, acc, dt, s->capacitance + j * B, s->clamp_low,
+                         s->clamp_high, s->voltages + j * B);
         }
     }
 }

@@ -78,6 +78,24 @@ last sample; they add ``±0.0`` to a supply charge that is never
 at its own times (holding its last value once its schedule ends), and
 each group records its samples at its own interval boundaries.
 
+Stimulus and measurement
+------------------------
+The stimulus is planned once per integration.  Each distinct stimulus —
+a time-base group and the bytes of a padded PWL breakpoint row and level
+row — is evaluated once over its group's sub-step start times, and its
+values are scattered to every (column, source) pair that has it: a
+characterization grid drives hundreds of pairs with a handful of
+stimuli.  Only the sub-steps where some source's bit pattern changes
+carry a row of source values.
+
+Measurement reads waveforms a block at a time: :func:`waveform_block`
+lines up the results of one group and block as the columns of a
+``(samples, B)`` view of the kernel's sample block, and
+:func:`first_crossings` finds every column's first crossing of a level
+after its own ``after`` in one pass (a mask, ``argmax``, and the
+interpolation only at the found segment).
+:meth:`TransientResult.crossing_time` is its one-column call.
+
 Stability sub-stepping rule
 ---------------------------
 Output samples land every ``time_step``; internally each sample interval
@@ -115,8 +133,9 @@ True
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -204,6 +223,90 @@ def constant_source(level: float) -> PiecewiseLinearSource:
     return PiecewiseLinearSource([(0.0, level)])
 
 
+def first_crossings(time: np.ndarray, block: np.ndarray, level,
+                    rising: Optional[bool] = None, after=0.0) -> np.ndarray:
+    """Each column's first crossing of ``level`` at or after its own
+    ``after``: ``(B,)`` for waveforms ``block`` of shape ``(samples, B)``
+    sampled at ``time``.
+
+    ``level`` and ``after`` are scalars or one value per column.  A
+    segment crosses upward when ``previous < level <= current`` and
+    downward when ``previous > level >= current``; ``rising`` picks one
+    direction (``None``: either).  A column's candidates are its crossing
+    segments that end at or after its ``after``: a mask, then ``argmax``
+    for the first one, and the linear interpolation only there.  A
+    segment straddling ``after`` may cross before it; a linear segment
+    crosses a level at most once, so that crossing is outside the window
+    and the column moves on to its next candidate.  Raises
+    :class:`SimulationError` when a column has no crossing in its window.
+    """
+    width = block.shape[1]
+    if len(time) < 2:
+        raise SimulationError("a crossing needs at least two samples")
+    level = np.broadcast_to(np.asarray(level, dtype=float), (width,))
+    after = np.broadcast_to(np.asarray(after, dtype=float), (width,))
+    # Segments ending before ``after`` are out of the window; those
+    # before the first segment that ends at or after the earliest
+    # ``after`` are out of every column's, so the mask starts there.
+    first = int(np.argmax(time[1:] >= after.min(initial=np.inf)))
+    previous, current = block[first:-1], block[first + 1:]
+    if rising is None:
+        crossed = ((previous < level) & (level <= current)) | (
+            (previous > level) & (level >= current))
+    elif rising:
+        crossed = previous < level
+        crossed &= level <= current
+    else:
+        crossed = previous > level
+        crossed &= level >= current
+    crossed &= time[first + 1:, None] >= after
+    segments = np.arange(len(crossed))[:, None]
+    crossings = np.empty(width)
+    pending = np.arange(width)
+    while pending.size:
+        index = crossed.argmax(axis=0)
+        missing = ~crossed[index, np.arange(pending.size)]
+        if missing.any():
+            raise SimulationError(
+                f"columns {pending[missing].tolist()} never cross "
+                f"{level[pending[missing]].tolist()} V after "
+                f"{after[pending[missing]].tolist()}")
+        # A strict crossing implies previous != current, so the
+        # denominator is never zero.
+        start, end = time[first + index], time[first + index + 1]
+        before, past = previous[index, pending], current[index, pending]
+        fraction = (level[pending] - before) / (past - before)
+        found = start + fraction * (end - start)
+        crossings[pending] = found
+        early = found < after[pending]
+        pending = pending[early]
+        crossed = crossed[:, early] & (segments > index[early])
+    return crossings
+
+
+def waveform_block(results: Sequence[TransientResult],
+                   net: str) -> np.ndarray:
+    """The ``net`` waveforms of ``results`` (of one time axis) as the
+    columns of one ``(samples, len(results))`` array.
+
+    The kernel hands back the cases of one group and block as adjacent
+    columns of one sample block, so their waveforms come back as a
+    read-only view of that block, without a copy; other waveforms are
+    stacked.
+    """
+    columns = [result.voltage(net) for result in results]
+    head = columns[0]
+    if head.base is not None and all(
+            column.base is head.base and column.strides == head.strides
+            and column.shape == head.shape and column.dtype == head.dtype
+            and column.ctypes.data == head.ctypes.data + k * head.itemsize
+            for k, column in enumerate(columns)):
+        return np.lib.stride_tricks.as_strided(
+            head, (len(head), len(columns)),
+            (head.strides[0], head.itemsize), writeable=False)
+    return np.stack(columns, axis=1)
+
+
 @dataclass
 class TransientResult:
     """Waveforms of a transient run."""
@@ -225,7 +328,8 @@ class TransientResult:
     def crossing_time(self, net: str, level: float, rising: Optional[bool] = None,
                       after: float = 0.0) -> float:
         """First time the net crosses ``level`` (optionally in a specific
-        direction) at or after ``after``.
+        direction) at or after ``after``: :func:`first_crossings` on this
+        one waveform.
 
         A crossing inside a segment that straddles ``after`` only counts
         when the interpolated crossing instant itself is at or after
@@ -233,27 +337,13 @@ class TransientResult:
         (``propagation_delay`` relies on this).
         """
         voltages = self.voltage(net)
-        times = self.time
-        previous, current = voltages[:-1], voltages[1:]
-        crossed_up = (previous < level) & (level <= current)
-        crossed_down = (previous > level) & (level >= current)
-        crossed = (crossed_up if rising is True else
-                   crossed_down if rising is False else
-                   crossed_up | crossed_down)
-        # Segments ending before ``after`` are out of the window.  A
-        # strict crossing implies previous != current, so the
-        # interpolation denominator is never zero.
-        index = np.flatnonzero(crossed & (times[1:] >= after))
-        start, end = times[index], times[index + 1]
-        fraction = (level - previous[index]) / (current[index] - previous[index])
-        crossings = start + fraction * (end - start)
-        # A segment straddling ``after`` may cross before it; a linear
-        # segment crosses a level at most once, so such a crossing is
-        # simply outside the window.
-        inside = np.flatnonzero(crossings >= after)
-        if inside.size:
-            return crossings[inside[0]]
-        raise SimulationError(f"Net {net!r} never crosses {level} V after {after}")
+        try:
+            return first_crossings(self.time, voltages[:, None], level,
+                                   rising, after)[0]
+        except SimulationError:
+            raise SimulationError(
+                f"Net {net!r} never crosses {level} V after {after}"
+            ) from None
 
     def propagation_delay(self, input_net: str, output_net: str,
                           vdd: Optional[float] = None) -> float:
@@ -623,25 +713,39 @@ class CompiledTransientBatch:
             interpolated = v0 + (v1 - v0) * (times - t0) / (t1 - t0)
             return np.where(t1 == t0, v1, interpolated)
 
-    def _own_sources(self, column: int) -> range:
-        """Source indices driven by the case of ``column``."""
-        return range(*self.source_spans[self.column_block[column]])
+    @functools.cached_property
+    def _stimuli(self) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+        """Each distinct stimulus once: ``(group, columns, sources)``.
 
-    def _source_values(self, column_times: Sequence[np.ndarray]) -> np.ndarray:
-        """Every source of every column at that column's instants:
-        ``(K, B, S)`` for ``column_times[c]`` of length ``K``.
+        A stimulus is a group and the bytes of a padded breakpoint row and
+        level row (so a ``-0.0`` level and a ``+0.0`` one are distinct);
+        ``columns`` and ``sources`` list every (column, source) pair that
+        has it, the first pair representing it.  A characterization grid
+        drives hundreds of pairs with a handful of stimuli.
+        """
+        pairs: Dict[tuple, List[Tuple[int, int]]] = {}
+        for column, group in enumerate(self.column_group):
+            block = self.column_block[column]
+            for source_i in range(*self.source_spans[block]):
+                key = (group, self.pwl_times[column, source_i].tobytes(),
+                       self.pwl_values[column, source_i].tobytes())
+                pairs.setdefault(key, []).append((column, source_i))
+        return [(key[0], *np.array(members, dtype=np.intp).T)
+                for key, members in pairs.items()]
 
-        Evaluated one (column, source) pair at a time, so no temporary
-        exceeds ``K`` elements beyond the returned array itself; sources
-        of another block read 0.0.
+    def _source_values(self, group_times: Sequence[np.ndarray]) -> np.ndarray:
+        """Every source of every column at its group's instants: ``(K, B,
+        S)`` for ``group_times[g]`` of length ``K``.
+
+        Each distinct stimulus is evaluated once and scattered to every
+        (column, source) pair that has it; sources of another block read
+        0.0.
         """
         batch, sources, _ = self.pwl_times.shape
-        values = np.zeros((len(column_times[0]), batch, sources))
-        for column, times in enumerate(column_times):
-            for source_i in self._own_sources(column):
-                values[:, column, source_i] = self._evaluate_pwl(
-                    column, source_i, times
-                )
+        values = np.zeros((len(group_times[0]), batch, sources))
+        for group, columns, source_is in self._stimuli:
+            values[:, columns, source_is] = self._evaluate_pwl(
+                columns[0], source_is[0], group_times[group])[:, None]
         return values
 
     def _compressed_source_schedule(
@@ -652,26 +756,26 @@ class CompiledTransientBatch:
         ``step_times[g]`` holds the start time of every sub-step of group
         ``g``; past its end a column holds its last value.  Returns
         ``(changed, values)``: a boolean per sub-step — the union over
-        columns, each at its own times — and a ``(changed.sum(), B, S)``
-        value matrix for exactly those steps.  Stimuli are flat outside
+        stimuli, each at its group's times — and a ``(changed.sum(), B,
+        S)`` value matrix for exactly those steps.  Each distinct stimulus
+        is evaluated once (:attr:`_stimuli`).  Stimuli are flat outside
         their PWL edges, so this keeps the precomputed stimulus table a
         few edge-windows long instead of one row per sub-step (which at
         40000 sub-steps x wide batches costs hundreds of MB).
         """
         changed = np.zeros(steps, dtype=bool)
         changed[0] = True
-        for column, group in enumerate(self.column_group):
-            for source_i in self._own_sources(column):
-                values = self._evaluate_pwl(column, source_i,
-                                            step_times[group])
-                # Compared as bit patterns: a step from -0.0 to +0.0 is
-                # a change the reference writes into the state.
-                bits = values.view(np.uint64)
-                changed[1:len(values)] |= bits[1:] != bits[:-1]
+        for group, columns, source_is in self._stimuli:
+            values = self._evaluate_pwl(columns[0], source_is[0],
+                                        step_times[group])
+            # Compared as bit patterns: a step from -0.0 to +0.0 is a
+            # change the reference writes into the state.
+            bits = values.view(np.uint64)
+            changed[1:len(values)] |= bits[1:] != bits[:-1]
         steps_changed = np.flatnonzero(changed)
         return changed, self._source_values([
-            step_times[group][np.minimum(steps_changed, len(step_times[group]) - 1)]
-            for group in self.column_group
+            times[np.minimum(steps_changed, len(times) - 1)]
+            for times in step_times
         ])
 
     # -- integration ------------------------------------------------------

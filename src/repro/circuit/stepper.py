@@ -55,11 +55,12 @@ from ..errors import SimulationError
 #: The compiled stepper's source, beside this module.
 C_SOURCE = Path(__file__).with_name("_step.c")
 
-#: Compiler flags of the library.  ``-ffp-contract=off`` and
-#: ``-fno-fast-math`` are part of the bit-identity contract (see the
-#: header of ``_step.c``); no ``-march``, so the library runs on any host
-#: of the compiler's default target.
-CFLAGS = ("-O2", "-fPIC", "-fno-fast-math", "-ffp-contract=off", "-shared")
+#: Compiler flags of the library.  ``-O3`` vectorizes the lane loops of
+#: ``_step.c``; ``-ffp-contract=off`` and ``-fno-fast-math`` are part of
+#: the bit-identity contract (see the header of ``_step.c``); no
+#: ``-march``, so the library runs on any host of the compiler's default
+#: target.
+CFLAGS = ("-O3", "-fPIC", "-fno-fast-math", "-ffp-contract=off", "-shared")
 
 #: Compiler names tried on ``PATH``, in order.
 COMPILERS = ("cc", "gcc")
@@ -247,13 +248,12 @@ class _Context(ctypes.Structure):
          for name in ("devices", "n_type", "batch", "nodes", "ranks",
                       "steps", "groups", "sources")]
         + [(name, ctypes.c_void_p)
-           for name in ("voltages", "terminal_idx", "terminals", "vth",
-                        "nominal_ov", "prefactor", "alpha", "vds",
-                        "overdrive", "ratio", "drive", "rank_table",
-                        "capacitance", "clamp_low", "clamp_high",
-                        "supply_charge", "acc", "step_sizes",
-                        "column_group", "source_row", "source_rows",
-                        "power", "power_data")]
+           for name in ("voltages", "terminal_idx", "vth", "nominal_ov",
+                        "prefactor", "alpha", "vds", "overdrive", "ratio",
+                        "drive", "rank_table", "capacitance", "clamp_low",
+                        "clamp_high", "supply_charge", "acc", "dt",
+                        "step_sizes", "column_group", "source_row",
+                        "source_rows", "power", "power_data")]
     )
 
 
@@ -292,12 +292,12 @@ class CStepper:
         per_device = (devices, width)
         source_row = _source_index(batch, step_sizes, changed, source_rows)
         self._buffers = buffers = {
-            "terminals": np.empty((3 * devices, width)),
             "vds": np.empty(per_device),
             "overdrive": np.empty(per_device),
             "ratio": np.empty(per_device),
             "drive": np.zeros((2 * devices + 1, width)),
             "acc": np.empty(width),
+            "dt": np.empty(width),
         }
         self._inputs = (batch, voltages, supply_charge, step_sizes,
                         source_row, source_rows)

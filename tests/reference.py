@@ -13,6 +13,10 @@ functions over the public objects; nothing in ``src/`` calls them.
 * :func:`run_reference` integrates one :class:`TransientSimulator`;
   :func:`~repro.circuit.run_transient_batch` must match it byte for
   byte, waveforms and supply charge.
+* :func:`source_schedule_reference` plans a compiled batch's stimulus
+  one (column, source) pair at a time; the engine, which evaluates each
+  distinct stimulus once, must give the same ``changed`` mask and
+  source rows, byte for byte.
 * :func:`truth_table_reference` and :func:`check_reference` walk each
   tube's ordered crossings; :meth:`ImmunityChecker.truth_table` and
   :meth:`ImmunityChecker.check` must give identical tables and reports.
@@ -37,7 +41,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuit import GND, VDD, TransientResult, TransientSimulator
-from repro.circuit.simulator import MINIMUM_NODE_CAPACITANCE, stability_substep
+from repro.circuit.simulator import (
+    MINIMUM_NODE_CAPACITANCE,
+    CompiledTransientBatch,
+    _substep_schedule,
+    stability_substep,
+)
 from repro.core import StandardCell
 from repro.errors import ImmunityAnalysisError, SimulationError
 from repro.geometry import Rect
@@ -148,6 +157,42 @@ def run_reference(simulator: TransientSimulator, stop_time: float,
                 voltages[net] = min(max(voltages[net], -0.1 * vdd), 1.1 * vdd)
             time += dt
     return TransientResult(times, waveforms, supply_charge, vdd)
+
+
+def source_schedule_reference(compiled: CompiledTransientBatch,
+                              stop_time: float, time_step: float
+                              ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(changed, source_rows)`` of ``compiled._schedule(stop_time,
+    time_step)``, one (column, source) pair at a time.
+
+    Each pair's PWL is evaluated over its own group's sub-step start
+    times; ``changed`` is the union of every pair's bit-pattern changes
+    (a step from ``-0.0`` to ``+0.0`` counts), and the ``(changed, S,
+    B)`` rows hold every pair at its group's instants of the changed
+    steps, holding its last value past the group's end.
+    """
+    step_times = [_substep_schedule(*(base or (stop_time, time_step)))[1]
+                  for base in compiled.group_bases]
+    steps = max(map(len, step_times))
+    pairs = [(column, source_i) for column in range(compiled.batch_size)
+             for source_i in range(
+                 *compiled.source_spans[compiled.column_block[column]])]
+    changed = np.zeros(steps, dtype=bool)
+    changed[0] = True
+    for column, source_i in pairs:
+        values = compiled._evaluate_pwl(
+            column, source_i, step_times[compiled.column_group[column]])
+        bits = values.view(np.uint64)
+        changed[1:len(values)] |= bits[1:] != bits[:-1]
+    steps_changed = np.flatnonzero(changed)
+    rows = np.zeros((len(steps_changed), len(compiled.source_keys),
+                     compiled.batch_size))
+    for column, source_i in pairs:
+        times = step_times[compiled.column_group[column]]
+        rows[:, source_i, column] = compiled._evaluate_pwl(
+            column, source_i,
+            times[np.minimum(steps_changed, len(times) - 1)])
+    return changed, rows
 
 
 # ---------------------------------------------------------------------------

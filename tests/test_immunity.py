@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.immunity.montecarlo as montecarlo
 from repro.analysis import run_immunity_sweep
-from repro.core import assemble_cell, get_annotations
+from repro.core import assemble_cell
 from repro.errors import ImmunityAnalysisError
 from repro.geometry import Point, Rect
 from repro.immunity import (

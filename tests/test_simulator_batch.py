@@ -33,12 +33,14 @@ from repro.circuit import (
     cmos_inverter,
     cnfet_inverter,
     constant_source,
+    first_crossings,
     pulse_source,
     fo4_transient_sweep,
     run_transient_batch,
     step_source,
     simulator,
     stepper,
+    waveform_block,
 )
 from repro.circuit.simulator import stability_substep
 from repro.devices import FO4_GATE_WIDTH_NM, calibrated_cnfet_parameters
@@ -46,7 +48,7 @@ from repro.errors import CharacterizationError, SimulationError
 from repro.logic import standard_gate
 from repro.logic.functions import STANDARD_GATES
 
-from reference import run_reference
+from reference import run_reference, source_schedule_reference
 
 STOP = 20e-12
 STEP = 0.5e-12
@@ -319,11 +321,50 @@ class TestVectorizedPWL:
             [0.0, 0.5e-12, 1e-12, 1.5e-12, 2e-12, 3e-12, 4e-12, 5e-12,
              6e-12, 7e-12, 1e-9]
         )
-        values = compiled._source_values([probe] * len(sources))  # (K, B, 1)
+        values = compiled._source_values([probe])  # (K, B, 1), one group
         for case_i, source in enumerate(sources):
             for time_i, time in enumerate(probe):
                 assert values[time_i, case_i, 0] == source.value(float(time)), (
                     case_i, time)
+
+    def test_deduplicated_schedule_matches_per_pair_oracle(self):
+        """Each distinct stimulus is evaluated once per group and
+        scattered: the ``changed`` mask and source rows equal the
+        per-pair loop's byte for byte.  The batch repeats stimuli within
+        and across two groups, mixes a one-source and a two-source block,
+        and drives a source that steps from -0.0 to +0.0 beside its twin
+        that holds +0.0 (equal levels, distinct bytes)."""
+        signed_zero = PiecewiseLinearSource([(0.0, -0.0), (3e-12, 0.0)])
+        stimuli = [step_source(1.0, delay=1e-12, rise_time=2e-12),
+                   signed_zero,
+                   PiecewiseLinearSource([(0.0, 0.0), (3e-12, 0.0)]),
+                   pulse_source(1.0, delay=2e-12, rise_time=1e-12,
+                                width=2e-12),
+                   step_source(1.0, delay=1e-12, rise_time=2e-12)]
+        chain = build_inverter_chain(cmos_inverter(), stages=1, fanout=1,
+                                     vdd=1.0)
+        nand = gate_transistor_netlist(standard_gate("NAND2"),
+                                       cnfet_technology())
+        cases = []
+        for base in ((10e-12, 1e-12), (6e-12, 0.5e-12)):
+            for stimulus in stimuli:
+                cases.append(SimulationCase(chain, {"in": stimulus},
+                                            {"n1": 1.0}, time_base=base))
+                cases.append(SimulationCase(
+                    nand, {"A": stimulus, "B": signed_zero},
+                    {"out": 1.0}, time_base=base))
+        compiled = CompiledTransientBatch(cases)
+        # 2 groups x (step, signed zero, its twin, pulse) stimuli.
+        assert len(compiled._stimuli) == 8
+        *_, changed, source_rows = compiled._schedule(10e-12, 1e-12)
+        expected_changed, expected_rows = source_schedule_reference(
+            compiled, 10e-12, 1e-12)
+        # -0.0 -> +0.0 on the first sub-step is a change, and only the
+        # signed-zero stimulus moves there.
+        assert expected_changed[1]
+        assert changed.tobytes() == expected_changed.tobytes()
+        assert source_rows.shape == expected_rows.shape
+        assert source_rows.tobytes() == expected_rows.tobytes()
 
 
 class TestPackedBatch(OnStepper):
@@ -523,6 +564,68 @@ class TestCrossingTime:
                                {"x": np.full(5, 0.5)}, 0.0, 1.0)
         with pytest.raises(SimulationError):
             flat.crossing_time("x", 0.5)
+
+    def test_batched_matches_reference_per_column(self):
+        """``first_crossings`` on random ``(samples, B)`` blocks, with a
+        level and an ``after`` per column, against the per-sample loop
+        on each column: plateaus exactly on the level, ``after`` on a
+        sample or straddled by a segment, and columns that never cross,
+        which make the whole call raise."""
+        rng = np.random.default_rng(2027)
+        found = missing = 0
+        for _ in range(120):
+            samples = int(rng.integers(2, 30))
+            width = int(rng.integers(1, 9))
+            times = np.cumsum(rng.uniform(0.1e-12, 2e-12, samples))
+            block = rng.integers(0, 5, (samples, width)) * 0.25
+            if rng.random() < 0.5:
+                block = block + rng.normal(0.0, 0.05, block.shape)
+            level = rng.choice([0.5, 0.3], width)
+            segment = rng.integers(0, samples - 1, width)
+            after = np.choose(rng.integers(0, 3, width), [
+                np.zeros(width), times[segment],
+                0.5 * (times[segment] + times[segment + 1])])
+            for rising in (None, True, False):
+                expected = [self._outcome(lambda: self._reference(
+                    TransientResult(times, {"x": block[:, k]}, 0.0, 1.0),
+                    "x", level[k], rising, after[k])) for k in range(width)]
+                crossing = [k for k in range(width)
+                            if expected[k] is not None]
+                if len(crossing) < width:
+                    missing += 1
+                    with pytest.raises(SimulationError):
+                        first_crossings(times, block, level, rising, after)
+                if crossing:
+                    found += 1
+                    got = first_crossings(times, block[:, crossing],
+                                          level[crossing], rising,
+                                          after[crossing])
+                    assert [value.tobytes() for value in got] == \
+                        [expected[k] for k in crossing]
+        assert found and missing
+
+    def test_waveform_block_views_the_kernel_columns(self):
+        """The kernel's cases of one group come back as a view of its
+        sample block; hand-built results are stacked.  Either way the
+        block's columns are the waveforms."""
+        netlist = build_inverter_chain(cmos_inverter(), stages=1, fanout=1,
+                                       vdd=1.0)
+        cases = [SimulationCase(netlist,
+                                {"in": step_source(1.0, 2e-12, slew)},
+                                {"n1": 1.0})
+                 for slew in (1e-12, 2e-12, 4e-12)]
+        results = run_transient_batch(cases, STOP, STEP)
+        block = waveform_block(results, "n1")
+        assert not block.flags.writeable
+        assert np.shares_memory(block, results[0].voltage("n1"))
+        copies = [TransientResult(result.time,
+                                  {"n1": result.voltage("n1").copy()},
+                                  result.supply_charge, result.vdd)
+                  for result in results]
+        stacked = waveform_block(copies, "n1")
+        for k, result in enumerate(results):
+            assert block[:, k].tobytes() == result.voltage("n1").tobytes()
+            assert stacked[:, k].tobytes() == result.voltage("n1").tobytes()
 
 
 class TestSubstepSchedule:
