@@ -26,10 +26,15 @@ Figure 2(b) lack.
 One batched path evaluates every population.  It precomputes all
 assignment-independent geometry into NumPy arrays once per checker and
 evaluates whole defect populations — ``trials × assignments`` at a time —
-with array operations (:meth:`ImmunityChecker.pair_conduction` →
-:meth:`ImmunityChecker.adjacency_matrices` →
+with array operations (:meth:`ImmunityChecker._pair_conduction` →
+:meth:`ImmunityChecker._adjacency_matrices` →
 :meth:`ImmunityChecker.output_codes`); :meth:`ImmunityChecker.truth_table`
-and :meth:`ImmunityChecker.check` run it on one population.  The scalar
+and :meth:`ImmunityChecker.check` run it on one population.  Each tube is
+clipped once against the contacts, gates and etches together.  Step 2 is
+never tested pair by pair: every crossed contact counts the blockers (etches
+and off gates) whose midpoint lies before its own — its prefix count — and
+two contacts are separated by a blocker exactly when their counts differ
+(:meth:`ImmunityChecker._pair_conduction` gives the argument).  The scalar
 walk it was written from, each tube's ordered crossings in Python, lives
 with the tests (``tests/reference.py``) as the behavioural oracle: the
 batched path replicates its slab clipping, stable midpoint ordering and
@@ -39,7 +44,7 @@ blocking rules bit for bit, so both give identical truth tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,8 +81,8 @@ class _BatchGeometry:
     """Assignment-independent cell geometry packed into NumPy arrays.
 
     Built once per :class:`ImmunityChecker`; every Monte Carlo batch reuses
-    the same rectangle slabs, net indices, contact-pair table and per-gate
-    assignment masks.
+    the same rectangle slabs, net indices, contact-pair table and blocker
+    weights.
     """
 
     def __init__(self, annotations: CellAnnotations, inputs: Tuple[str, ...],
@@ -86,14 +91,16 @@ class _BatchGeometry:
         gates = annotations.gates
         etches = annotations.etches
 
-        def rect_array(rects) -> np.ndarray:
-            return np.array(
-                [[r.x1, r.y1, r.x2, r.y2] for r in rects], dtype=float
-            ).reshape(-1, 4)
-
-        self.contact_rects = rect_array([c.rect for c in contacts])
-        self.gate_rects = rect_array([g.rect for g in gates])
-        self.etch_rects = rect_array([e.rect for e in etches])
+        # Contacts, then gates, then etches: one clip covers all three
+        # kinds, and each kind is a column slice of the result.  Gates and
+        # etches together are the blockers.
+        self.rects = np.array(
+            [[r.x1, r.y1, r.x2, r.y2]
+             for r in [c.rect for c in contacts] + [g.rect for g in gates]
+             + [e.rect for e in etches]], dtype=float,
+        ).reshape(-1, 4)
+        self.contact_count = len(contacts)
+        self.gate_count = len(gates)
 
         nets = list(dict.fromkeys(
             [c.net for c in contacts] + [vdd_net, gnd_net, output_net]
@@ -103,16 +110,25 @@ class _BatchGeometry:
         self.vdd_index = index[vdd_net]
         self.gnd_index = index[gnd_net]
         self.output_index = index[output_net]
-        contact_net = np.array([index[c.net] for c in contacts], dtype=np.intp)
+        contact_net = [index[c.net] for c in contacts]
 
         # All unordered contact pairs (i < j); conduction between adjacent
         # contacts in midpoint order closes transitively to exactly this
         # all-pairs relation, so connectivity is unchanged.
+        # ``triu_indices`` orders the pairs by their first contact, so the
+        # pairs ``(a, a + 1 ..)`` are one contiguous run ``pair_rows[a]``.
         pair_a, pair_b = np.triu_indices(len(contacts), k=1)
-        self.pair_a = pair_a
-        self.pair_b = pair_b
-        self.pair_net_a = contact_net[pair_a]
-        self.pair_net_b = contact_net[pair_b]
+        bounds = np.searchsorted(pair_a, np.arange(len(contacts) + 1))
+        self.pair_rows = [slice(int(start), int(stop))
+                          for start, stop in zip(bounds[:-1], bounds[1:])]
+        # The pairs joining two distinct nets, per net edge ``(a, b)``.
+        edges: Dict[Tuple[int, int], List[int]] = {}
+        for p, (a, b) in enumerate(zip(pair_a.tolist(), pair_b.tolist())):
+            net_a, net_b = sorted((contact_net[a], contact_net[b]))
+            if net_a != net_b:
+                edges.setdefault((net_a, net_b), []).append(p)
+        self.edges = [(net_a, net_b, np.array(pairs))
+                      for (net_a, net_b), pairs in edges.items()]
 
         # Input assignments enumerated exactly like TruthTable rows:
         # row ``k`` has ``inputs[0]`` as the most significant bit.
@@ -136,13 +152,24 @@ class _BatchGeometry:
         gate_is_n = np.array([g.device == "nfet" for g in gates], dtype=bool)
         if len(gates):
             signal_values = self.assignment_bits[:, gate_input].T  # (ng, A)
-            self.gate_on = np.where(gate_is_n[:, None], signal_values,
-                                    ~signal_values)
+            gate_on = np.where(gate_is_n[:, None], signal_values,
+                               ~signal_values)
         else:
-            self.gate_on = np.zeros((0, self.num_assignments), dtype=bool)
-        # int32 so the off-gate matmul counts cannot wrap, however many
-        # gate crossings sit between one contact pair.
-        self.gate_off_counts = (~self.gate_on).astype(np.int32)
+            gate_on = np.zeros((0, self.num_assignments), dtype=bool)
+        # ``keys = key_weights @ terms`` (see _pair_conduction).  An off gate
+        # weighs 1 and an etch ``len(gates) + 1``, more than all the gates
+        # together, so the key of a crossed contact is below ``span`` and
+        # equal keys mean equal off-gate and equal etch counts.  A missed
+        # contact ``c`` adds ``-span * (c + 1)``: a negative key no other
+        # contact shares.  float64 holds these small integers exactly, and
+        # NumPy sends float matmuls to BLAS (integer ones not).
+        span = (len(gates) + 1) * (len(etches) + 1)
+        self.key_weights = np.concatenate([
+            ~gate_on.T,
+            np.full((self.num_assignments, len(etches)), len(gates) + 1),
+            np.full((self.num_assignments, 1), span),
+        ], axis=1).astype(float)
+        self.missed_codes = -(np.arange(len(contacts)) + 1.0)
 
 
 def _segment_rect_intervals(
@@ -150,39 +177,49 @@ def _segment_rect_intervals(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized Liang-Barsky slab clipping of segments against rects.
 
-    Returns ``(valid, t_min, t_max)`` of shapes ``(T, R)`` — the exact
-    array counterpart of the scalar ``intersection_interval`` in
-    ``tests/reference.py``, including the parallel-slab tolerance (1e-12)
-    and the degenerate-overlap cutoff (1e-9), applied with the same
-    operation order so results agree bitwise with it.
+    Returns ``(valid, t_min, t_max)`` of shapes ``(R, T)`` (rects by
+    tubes) — the exact array counterpart of the scalar
+    ``intersection_interval`` in ``tests/reference.py``, including the
+    parallel-slab tolerance (1e-12) and the degenerate-overlap cutoff
+    (1e-9), applied with the same operation order so results agree
+    bitwise with it.  Only the tubes parallel to a slab take its parallel
+    branch.
     """
     tubes = starts.shape[0]
     count = rects.shape[0]
     if tubes == 0 or count == 0:
-        shape = (tubes, count)
+        shape = (count, tubes)
         return (np.zeros(shape, dtype=bool), np.zeros(shape), np.zeros(shape))
-    t_min = np.zeros((tubes, count))
-    t_max = np.ones((tubes, count))
-    valid = np.ones((tubes, count), dtype=bool)
-    deltas = ends - starts
+    t_min = np.zeros((count, tubes))
+    t_max = np.ones((count, tubes))
+    t_low = np.empty((count, tubes))
+    t_high = np.empty((count, tubes))
+    lo = np.empty((count, tubes))
+    inside = np.ones((count, tubes), dtype=bool)
+    origins = np.ascontiguousarray(starts.T)
+    deltas = np.ascontiguousarray((ends - starts).T)
     for axis, (low_col, high_col) in enumerate(((0, 2), (1, 3))):
-        delta = deltas[:, axis:axis + 1]
-        origin = starts[:, axis:axis + 1]
-        low = rects[None, :, low_col]
-        high = rects[None, :, high_col]
-        parallel = np.abs(delta) < 1e-12
+        delta = deltas[axis]
+        origin = origins[axis]
+        low = rects[:, low_col, None]
+        high = rects[:, high_col, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_low = (low - origin) / delta
-            t_high = (high - origin) / delta
-        lo = np.minimum(t_low, t_high)
-        hi = np.maximum(t_low, t_high)
-        inside = (origin >= low) & (origin <= high)
-        valid &= np.where(parallel, inside, True)
-        lo = np.where(parallel, 0.0, lo)
-        hi = np.where(parallel, 1.0, hi)
-        t_min = np.maximum(t_min, lo)
-        t_max = np.minimum(t_max, hi)
-    valid &= (t_max - t_min) > 1e-9
+            np.subtract(low, origin, out=t_low)
+            t_low /= delta
+            np.subtract(high, origin, out=t_high)
+            t_high /= delta
+        np.minimum(t_low, t_high, out=lo)
+        hi = np.maximum(t_low, t_high, out=t_high)
+        parallel = np.flatnonzero(np.abs(delta) < 1e-12)
+        if parallel.size:
+            lo[:, parallel] = 0.0
+            hi[:, parallel] = 1.0
+            inside[:, parallel] &= ((origin[parallel] >= low)
+                                    & (origin[parallel] <= high))
+        np.maximum(t_min, lo, out=t_min)
+        np.minimum(t_max, hi, out=t_max)
+    valid = np.subtract(t_max, t_min, out=lo) > 1e-9
+    valid &= inside
     return valid, t_min, t_max
 
 
@@ -192,6 +229,7 @@ class ImmunityChecker:
     Single populations go through :meth:`truth_table` / :meth:`check`;
     Monte Carlo batches (many trials at once) go through
     :meth:`evaluate_batch` on top of the precomputed geometry arrays.
+    Batched arrays keep the tubes on their last, contiguous axis.
     """
 
     def __init__(self, annotations: CellAnnotations,
@@ -219,29 +257,39 @@ class ImmunityChecker:
 
     # -- batched evaluation --------------------------------------------------------
 
-    def pair_conduction(self, batch: CNTBatch) -> np.ndarray:
+    def _pair_conduction(self, batch: CNTBatch) -> np.ndarray:
         """Per-tube contact-pair conduction under every input assignment.
 
-        Returns a ``(tubes, pairs, assignments)`` boolean array:
-        ``cond[t, p, k]`` is ``True`` when tube ``t`` connects contact pair
+        Returns a ``(pairs, assignments, tubes)`` boolean array:
+        ``cond[p, k, t]`` is ``True`` when tube ``t`` connects contact pair
         ``p`` under assignment ``k`` — both contacts crossed, no etched
         interval between them, and every gate between them turned on (the
-        gate condition is waived for metallic tubes).
+        gate condition is waived for metallic tubes).  Pairs are in
+        ``numpy.triu_indices`` order of the annotations' contacts.
+
+        A blocker (an etch, or a gate turned off) sits between two contacts
+        when its midpoint falls in ``[lo, hi)``, the half-open span of the
+        two contacts' midpoints along the tube; that reproduces the stable
+        crossing order of the reference walk, where a contact sorts before
+        a blocker at the same midpoint.  No pair is tested blocker by
+        blocker.  Each crossed contact ``c`` counts ``below(c)``, the
+        crossed blockers whose midpoint is ``< mid(c)``, and the blockers
+        in ``[lo, hi)`` number ``|below(a) - below(b)|`` (the count below
+        ``hi`` minus the count below ``lo``).  A pair is therefore blocked
+        exactly when its contacts' counts differ, and it conducts when
+        their keys — off-gate and etch counts in one number — are equal.
+        The counts are small integers, so the rule is exact.
         """
         geometry = self.geometry
-        c_valid, c_min, c_max = _segment_rect_intervals(
-            batch.starts, batch.ends, geometry.contact_rects
+        valid, t_min, t_max = _segment_rect_intervals(
+            batch.starts, batch.ends, geometry.rects
         )
-        g_valid, g_min, g_max = _segment_rect_intervals(
-            batch.starts, batch.ends, geometry.gate_rects
-        )
-        e_valid, e_min, e_max = _segment_rect_intervals(
-            batch.starts, batch.ends, geometry.etch_rects
-        )
+        contacts = geometry.contact_count
+        gates = slice(contacts, contacts + geometry.gate_count)
         metallic = batch.metallic
 
         if not geometry.gate_known.all():
-            crossed = g_valid[:, ~geometry.gate_known] & ~metallic[:, None]
+            crossed = valid[gates][~geometry.gate_known] & ~metallic
             if crossed.any():
                 unknown = [s for s, known in
                            zip(geometry.gate_signals, geometry.gate_known)
@@ -250,53 +298,38 @@ class ImmunityChecker:
                     f"No value provided for input {unknown[0]!r}"
                 )
 
-        c_mid = (c_min + c_max) / 2.0
-        pair_a, pair_b = geometry.pair_a, geometry.pair_b
-        tubes = len(batch)
-        pairs = pair_a.shape[0]
-        num_assignments = geometry.num_assignments
-        if tubes == 0 or pairs == 0:
-            return np.zeros((tubes, pairs, num_assignments), dtype=bool)
+        mid = t_min + t_max
+        mid /= 2.0
+        # Gates cannot turn a metallic tube off: they do not count on it.
+        blocking = valid[contacts:].copy()
+        blocking[:geometry.gate_count] &= ~metallic
+        weights = geometry.key_weights
+        # (contacts, blockers + 1, tubes): the blockers crossed before each
+        # contact's midpoint, then the missed-contact term.
+        terms = np.empty((contacts, weights.shape[1], len(batch)))
+        terms[:, :-1] = blocking & (mid[None, contacts:]
+                                    < mid[:contacts, None])
+        terms[:, -1] = ~valid[:contacts] * geometry.missed_codes[:, None]
+        keys = weights @ terms
 
-        pair_valid = c_valid[:, pair_a] & c_valid[:, pair_b]
-        lo = np.minimum(c_mid[:, pair_a], c_mid[:, pair_b])[:, :, None]
-        hi = np.maximum(c_mid[:, pair_a], c_mid[:, pair_b])[:, :, None]
+        conduction = np.empty((contacts * (contacts - 1) // 2,)
+                              + keys.shape[1:], dtype=bool)
+        for a, rows in enumerate(geometry.pair_rows):
+            np.equal(keys[a + 1:], keys[a], out=conduction[rows])
+        return conduction
 
-        # A blocker sits between two contacts when its midpoint falls in
-        # [lo, hi): the half-open bound reproduces the stable crossing order
-        # of the reference walk (contacts sort before same-midpoint gates).
-        def between(valid, t_min, t_max):
-            mid = ((t_min + t_max) / 2.0)[:, None, :]
-            return (mid >= lo) & (mid < hi) & valid[:, None, :]
+    def _adjacency_matrices(self, conduction: np.ndarray,
+                            groups: int = 1) -> np.ndarray:
+        """Net adjacency per assignment and trial group.
 
-        if geometry.etch_rects.shape[0]:
-            etch_blocked = between(e_valid, e_min, e_max).any(axis=2)
-        else:
-            etch_blocked = np.zeros((tubes, pairs), dtype=bool)
-
-        if geometry.gate_rects.shape[0]:
-            gate_between = between(g_valid, g_min, g_max)
-            off_counts = (
-                gate_between.reshape(tubes * pairs, -1).astype(np.int32)
-                @ geometry.gate_off_counts
-            ).reshape(tubes, pairs, num_assignments)
-            gate_blocked = (off_counts > 0) & ~metallic[:, None, None]
-        else:
-            gate_blocked = np.zeros((tubes, pairs, num_assignments), dtype=bool)
-
-        return (pair_valid & ~etch_blocked)[:, :, None] & ~gate_blocked
-
-    def adjacency_matrices(self, conduction: np.ndarray,
-                           groups: int = 1) -> np.ndarray:
-        """Net adjacency per trial group and assignment.
-
-        ``conduction`` is the ``(tubes, pairs, assignments)`` output of
-        :meth:`pair_conduction` where the tubes of each trial are stored
-        contiguously; the result is a ``(groups, assignments, nets, nets)``
-        boolean adjacency array.
+        ``conduction`` is the ``(pairs, assignments, tubes)`` output of
+        :meth:`_pair_conduction` with the tubes in slot-major order: tube
+        ``j`` of group ``g`` at ``j * groups + g`` (:meth:`evaluate_batch`
+        reorders a trial-contiguous batch so).  The result is a
+        ``(nets, nets, assignments, groups)`` boolean adjacency array.
         """
         geometry = self.geometry
-        tubes, pairs, num_assignments = conduction.shape
+        pairs, num_assignments, tubes = conduction.shape
         if groups <= 0:
             raise ImmunityAnalysisError("groups must be positive")
         if tubes % groups:
@@ -304,48 +337,45 @@ class ImmunityChecker:
                 f"{tubes} tubes do not split into {groups} equal trial groups"
             )
         nets = len(geometry.nets)
-        grouped = conduction.reshape(groups, tubes // groups, pairs,
-                                     num_assignments).any(axis=1)
-        adjacency = np.zeros((groups, num_assignments, nets, nets), dtype=bool)
-        for p in range(pairs):
-            net_a = geometry.pair_net_a[p]
-            net_b = geometry.pair_net_b[p]
-            if net_a == net_b:
-                continue
-            edge = grouped[:, p, :]
-            adjacency[:, :, net_a, net_b] |= edge
-            adjacency[:, :, net_b, net_a] |= edge
+        adjacency = np.zeros((nets, nets, num_assignments, groups), dtype=bool)
+        grouped = conduction.reshape(pairs, num_assignments,
+                                     tubes // groups, groups).any(axis=2)
+        for net_a, net_b, edge_pairs in geometry.edges:
+            edge = grouped[edge_pairs].any(axis=0)
+            adjacency[net_a, net_b] = edge
+            adjacency[net_b, net_a] = edge
         return adjacency
 
     def output_codes(self, adjacency: np.ndarray,
                      base_adjacency: Optional[np.ndarray] = None) -> np.ndarray:
         """Output drive codes from per-group adjacency matrices.
 
-        ``base_adjacency`` (e.g. from the nominal tubes, shape
-        ``(assignments, nets, nets)``) is OR-ed into every group.  Returns a
-        ``(groups, assignments)`` int8 array of ``CODE_HIGH`` / ``CODE_LOW``
-        / ``CODE_UNDRIVEN``.
+        ``adjacency`` is the ``(nets, nets, assignments, groups)`` output of
+        :meth:`_adjacency_matrices`; ``base_adjacency`` (e.g. from the
+        nominal tubes, shape ``(nets, nets, assignments)``) is OR-ed into
+        every group.  Returns a ``(groups, assignments)`` int8 array of
+        ``CODE_HIGH`` / ``CODE_LOW`` / ``CODE_UNDRIVEN``.
         """
         geometry = self.geometry
         if base_adjacency is not None:
-            adjacency = adjacency | base_adjacency[None, :, :, :]
+            adjacency = adjacency | base_adjacency[..., None]
         else:
             adjacency = adjacency.copy()  # the diagonal is set below
-        nets = adjacency.shape[-1]
+        nets = adjacency.shape[0]
         diagonal = np.arange(nets)
-        adjacency[:, :, diagonal, diagonal] = True
-        reached = adjacency[:, :, geometry.output_index, :]
+        adjacency[diagonal, diagonal] = True
+        reached = adjacency[geometry.output_index]
         for _ in range(nets - 1):
-            expanded = (reached[:, :, :, None] & adjacency).any(axis=2)
+            expanded = (reached[:, None] & adjacency).any(axis=0)
             if (expanded == reached).all():
                 break
             reached = expanded
-        pulled_high = reached[:, :, geometry.vdd_index]
-        pulled_low = reached[:, :, geometry.gnd_index]
+        pulled_high = reached[geometry.vdd_index]
+        pulled_low = reached[geometry.gnd_index]
         return np.where(
             pulled_high & ~pulled_low, CODE_HIGH,
             np.where(pulled_low & ~pulled_high, CODE_LOW, CODE_UNDRIVEN),
-        ).astype(np.int8)
+        ).astype(np.int8).T
 
     def evaluate_batch(self, batch: CNTBatch, groups: int = 1,
                        base_adjacency: Optional[np.ndarray] = None) -> np.ndarray:
@@ -355,20 +385,26 @@ class ImmunityChecker:
         ``(groups, assignments)`` int8 code array; pass the nominal tubes'
         adjacency as ``base_adjacency`` so every trial includes them.
         """
-        conduction = self.pair_conduction(batch)
-        adjacency = self.adjacency_matrices(conduction, groups)
+        if groups > 1 and len(batch) % groups == 0:
+            # Slot-major, as _adjacency_matrices takes it: each group's OR
+            # over its tubes becomes an OR of contiguous blocks.
+            order = np.arange(len(batch)).reshape(groups, -1).T.ravel()
+            batch = CNTBatch(batch.starts[order], batch.ends[order],
+                             batch.metallic[order], batch.mispositioned[order])
+        conduction = self._pair_conduction(batch)
+        adjacency = self._adjacency_matrices(conduction, groups)
         return self.output_codes(adjacency, base_adjacency)
 
     def base_state(self, batch: CNTBatch) -> Tuple[np.ndarray, np.ndarray]:
         """Adjacency and drive codes of a trial-independent population.
 
         Used for the nominal tubes: returns ``(adjacency, codes)`` of
-        shapes ``(assignments, nets, nets)`` and ``(assignments,)``.
+        shapes ``(nets, nets, assignments)`` and ``(assignments,)``.
         """
-        conduction = self.pair_conduction(batch)
-        adjacency = self.adjacency_matrices(conduction, groups=1)
+        conduction = self._pair_conduction(batch)
+        adjacency = self._adjacency_matrices(conduction, groups=1)
         codes = self.output_codes(adjacency)
-        return adjacency[0], codes[0]
+        return adjacency[..., 0], codes[0]
 
     def truth_table_codes(self, table: TruthTable) -> np.ndarray:
         """A truth table as an ``(assignments,)`` int8 code array in this

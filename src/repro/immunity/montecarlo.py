@@ -13,7 +13,13 @@ Engines
 defect populations at once and evaluates every trial × input-assignment
 with NumPy array operations via
 :meth:`~repro.immunity.checker.ImmunityChecker.evaluate_batch`, in memory
-chunks of ``DEFAULT_CHUNK_SIZE`` trials.
+chunks of ``DEFAULT_CHUNK_SIZE`` trials.  What does not depend on the
+trials — the cell's checker and its packed geometry, the nominal tubes'
+adjacency, the intended drive codes — is prepared once per cell object and
+CNT pitch and kept while the cell lives, so a caller that runs many
+corners on one cell (the immunity sweep engine hands every corner of a
+``(gate, technique)`` the same cell) pays for it once.  Each call is one
+``immunity.trials`` trace span (``trials``, ``assignments``, ``tubes``).
 
 The scalar loop it was written from — one trial at a time through the
 checker's per-tube walk — lives with the tests (``tests/reference.py``)
@@ -38,18 +44,23 @@ independent child sequences.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Sequence, Union
 
 import numpy as np
 
+from ..core.spec import CellAnnotations
 from ..core.standard_cell import StandardCell, assemble_cell
 from ..errors import ImmunityAnalysisError
+from ..geometry.primitives import Rect
 from ..logic.functions import standard_gate
+from ..logic.network import GateNetworks
 from ..tech.lambda_rules import CNFET_RULES, DesignRules
 from .checker import ImmunityChecker
 from .cnts import (
     CNTBatch,
+    _cell_extent,
     nominal_cnts,
     sample_mispositioned_batch,
 )
@@ -92,6 +103,63 @@ class MonteCarloResult:
         return self.failures == 0 and self.nominal_matches
 
 
+@dataclass(frozen=True)
+class _PreparedCell:
+    """The trial-independent state of one cell at one nominal CNT pitch:
+    the gate and annotations it was built from, the checker, the region
+    defects are drawn in, the nominal tubes' adjacency, and the intended
+    drive codes."""
+
+    gate: GateNetworks
+    annotations: CellAnnotations
+    checker: ImmunityChecker
+    region: Rect
+    base_adjacency: np.ndarray
+    expected_codes: np.ndarray
+    nominal_matches: bool
+
+
+def _prepare_cell(cell: StandardCell, cnt_pitch: float) -> _PreparedCell:
+    annotations = cell.annotations()
+    checker = ImmunityChecker(annotations)
+    nominal = nominal_cnts(annotations, pitch=cnt_pitch, axis="x")
+    expected = cell.gate.expected_truth_table()
+    base_adjacency, nominal_codes = checker.base_state(
+        CNTBatch.from_instances(nominal)
+    )
+    expected_codes = checker.truth_table_codes(expected)
+    nominal_matches = set(expected.inputs) == set(checker.inputs) and bool(
+        (nominal_codes == expected_codes).all()
+    )
+    return _PreparedCell(cell.gate, annotations, checker,
+                         _cell_extent(annotations),
+                         base_adjacency, expected_codes, nominal_matches)
+
+
+#: :func:`_prepare_cell` results per live cell object (by ``id``) and
+#: nominal pitch; an entry goes when its cell is garbage collected.
+_PREPARED: Dict[int, Dict[float, _PreparedCell]] = {}
+
+
+def _prepared(cell: StandardCell, cnt_pitch: float) -> _PreparedCell:
+    """:func:`_prepare_cell`, memoised per cell object and pitch.
+
+    A caller that runs many corners on one cell object (the immunity
+    sweep engine) prepares it once.  An entry whose gate or annotations
+    object is no longer the cell's is prepared again; changes made inside
+    those objects are not seen.
+    """
+    per_pitch = _PREPARED.get(id(cell))
+    if per_pitch is None:
+        per_pitch = _PREPARED[id(cell)] = {}
+        weakref.finalize(cell, _PREPARED.pop, id(cell), None)
+    prepared = per_pitch.get(cnt_pitch)
+    if (prepared is None or prepared.gate is not cell.gate
+            or prepared.annotations is not cell.annotations()):
+        prepared = per_pitch[cnt_pitch] = _prepare_cell(cell, cnt_pitch)
+    return prepared
+
+
 def run_immunity_trials(
     cell: StandardCell,
     trials: int = 200,
@@ -111,38 +179,43 @@ def run_immunity_trials(
 
     All trials go through the vectorized evaluator in chunks of
     ``DEFAULT_CHUNK_SIZE``; the scalar reference in ``tests/reference.py``
-    gives the identical result one trial at a time.
+    gives the identical result one trial at a time.  The cell's
+    trial-independent state (checker geometry, nominal adjacency, intended
+    codes) is prepared on the first call per cell object and pitch, and
+    prepared again if ``cell.gate`` or the cell's annotations object is
+    replaced.  In-place changes to the gate or the annotations (say, an
+    etch appended to their list) after the first call are not seen:
+    assemble a new cell instead.
     """
+    # Imported here: the obs package reaches the runtime layer, which
+    # sits above this engine.
+    from ..obs import trace as obs_trace
+
     if trials <= 0:
         raise ImmunityAnalysisError("trials must be positive")
-    annotations = cell.annotations()
-    checker = ImmunityChecker(annotations)
-    nominal = nominal_cnts(annotations, pitch=cnt_pitch, axis="x")
-    expected = cell.gate.expected_truth_table()
-    rng = np.random.default_rng(seed)
-    base_adjacency, nominal_codes = checker.base_state(
-        CNTBatch.from_instances(nominal)
-    )
-    expected_codes = checker.truth_table_codes(expected)
-    nominal_matches = set(expected.inputs) == set(checker.inputs) and bool(
-        (nominal_codes == expected_codes).all()
-    )
-
-    failures = 0
-    remaining = trials
-    while remaining:
-        chunk = min(DEFAULT_CHUNK_SIZE, remaining)
-        batch = sample_mispositioned_batch(
-            annotations, chunk * cnts_per_trial, rng,
-            max_angle_deg=max_angle_deg, axis="x",
-            metallic_fraction=metallic_fraction,
-        )
-        codes = checker.evaluate_batch(batch, groups=chunk,
-                                       base_adjacency=base_adjacency)
-        failures += int((codes != expected_codes[None, :]).any(axis=1).sum())
-        remaining -= chunk
-    return MonteCarloResult(annotations.cell_name, cell.technique, trials,
-                            cnts_per_trial, failures, nominal_matches)
+    with obs_trace.span("immunity.trials", trials=trials,
+                        tubes=trials * cnts_per_trial):
+        prepared = _prepared(cell, cnt_pitch)
+        checker = prepared.checker
+        obs_trace.annotate(assignments=checker.geometry.num_assignments)
+        rng = np.random.default_rng(seed)
+        failures = 0
+        remaining = trials
+        while remaining:
+            chunk = min(DEFAULT_CHUNK_SIZE, remaining)
+            batch = sample_mispositioned_batch(
+                prepared.annotations, chunk * cnts_per_trial, rng,
+                max_angle_deg=max_angle_deg, axis="x",
+                region=prepared.region, metallic_fraction=metallic_fraction,
+            )
+            codes = checker.evaluate_batch(
+                batch, groups=chunk, base_adjacency=prepared.base_adjacency)
+            failures += int(
+                (codes != prepared.expected_codes[None, :]).any(axis=1).sum())
+            remaining -= chunk
+    return MonteCarloResult(prepared.annotations.cell_name, cell.technique,
+                            trials, cnts_per_trial, failures,
+                            prepared.nominal_matches)
 
 
 def compare_techniques(

@@ -17,8 +17,10 @@ the misses, store them.
   (techniques share defect populations, distinct parameter combinations
   get independent child sequences) holds whatever order the spec declares
   its axes in; zip corners follow the same contract via
-  :meth:`SweepSpec.seeds`.  :func:`repro.analysis.run_immunity_sweep` is
-  this engine with the axes declared in that canonical order.
+  :meth:`SweepSpec.seeds`.  Each distinct ``(gate, technique)`` cell is
+  assembled and prepared once per sweep, when its first corner runs.
+  :func:`repro.analysis.run_immunity_sweep` is this engine with the axes
+  declared in that canonical order.
 * ``engine="transient"`` — the batch transient/characterisation engine.
   Axes: ``cell``, ``drive``, ``load_f``, ``slew_s``, ``vdd``,
   ``pitch_nm``.  The corners of one cell form one
@@ -358,8 +360,9 @@ class CornerPlan:
 @dataclass(frozen=True)
 class _SeededShard:
     """A picklable chunk of seeded corners: resolved bindings plus the
-    pre-spawned child seeds, evaluated one corner at a time by the
-    module-level ``evaluate`` (pickled by reference)."""
+    pre-spawned child seeds, evaluated one corner at a time by
+    ``evaluate`` (a module-level function, pickled by reference, or the
+    immunity plan's :class:`_ImmunityCorners`)."""
 
     evaluate: Callable[[Dict[str, object], np.random.SeedSequence, int],
                        Dict[str, Any]]
@@ -397,31 +400,53 @@ def _execute_seeded(evaluate, values: Sequence[Dict[str, object]],
     return [metrics for chunk in per_shard for metrics in chunk]
 
 
-def _immunity_corner(values: Mapping[str, object],
-                     seed: np.random.SeedSequence,
-                     trials: int) -> Dict[str, Any]:
-    """One immunity corner: Monte Carlo trials of the assembled gate."""
-    from ..core.standard_cell import assemble_cell
-    from ..immunity.montecarlo import run_immunity_trials
-    from ..logic.functions import standard_gate
+class _ImmunityCorners:
+    """The immunity plan's corner evaluator, ``(values, seed, trials) ->
+    metrics``: one Monte Carlo run of the corner's assembled gate.
 
-    cell = assemble_cell(standard_gate(values["gate"]),
-                         technique=values["technique"])
-    result = run_immunity_trials(
-        cell,
-        trials=trials,
-        cnts_per_trial=values["cnts_per_trial"],
-        max_angle_deg=values["max_angle_deg"],
-        metallic_fraction=values["metallic_fraction"],
-        seed=seed,
-    )
-    return {
-        "failure_rate": result.failure_rate,
-        "failures": result.failures,
-        "trials": result.trials,
-        "immune": result.immune,
-        "result": result,
-    }
+    It assembles each distinct ``(gate, technique)`` cell when the first
+    corner on it runs and hands every later corner the same cell object,
+    so :func:`~repro.immunity.montecarlo.run_immunity_trials` prepares the
+    cell's checker and nominal state once per sweep, and a plan whose
+    corners are all stored assembles nothing.  It pickles empty: a
+    process worker assembles its own cells.
+    """
+
+    def __init__(self) -> None:
+        self._cells: Dict[Tuple[object, object], Any] = {}
+
+    def __reduce__(self):
+        return (_ImmunityCorners, ())
+
+    def _cell(self, gate, technique):
+        from ..core.standard_cell import assemble_cell
+        from ..logic.functions import standard_gate
+
+        if (gate, technique) not in self._cells:
+            self._cells[gate, technique] = assemble_cell(
+                standard_gate(gate), technique=technique)
+        return self._cells[gate, technique]
+
+    def __call__(self, values: Mapping[str, object],
+                 seed: np.random.SeedSequence,
+                 trials: int) -> Dict[str, Any]:
+        from ..immunity import montecarlo
+
+        result = montecarlo.run_immunity_trials(
+            self._cell(values["gate"], values["technique"]),
+            trials=trials,
+            cnts_per_trial=values["cnts_per_trial"],
+            max_angle_deg=values["max_angle_deg"],
+            metallic_fraction=values["metallic_fraction"],
+            seed=seed,
+        )
+        return {
+            "failure_rate": result.failure_rate,
+            "failures": result.failures,
+            "trials": result.trials,
+            "immune": result.immune,
+            "result": result,
+        }
 
 
 def _immunity_seeds(spec: SweepSpec, constants: Mapping[str, object],
@@ -462,7 +487,7 @@ def _plan_immunity(spec: SweepSpec, constants: Mapping[str, object], seed,
                                       trials=trials)
                    for binding, child in zip(values, seeds)),
         seeds=seeds,
-        run=functools.partial(_execute_seeded, _immunity_corner, values,
+        run=functools.partial(_execute_seeded, _ImmunityCorners(), values,
                               seeds, trials),
     )
 

@@ -400,6 +400,91 @@ class TestCornerIntegrity:
 
 
 # ---------------------------------------------------------------------------
+# Per-cell immunity state: prepared once per sweep, only for corners that run
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def preparation_counter(monkeypatch):
+    """Count the immunity engine's per-cell preparations (checker,
+    nominal state, expected codes) and the cells the sweep assembles."""
+    import repro.core.standard_cell as standard_cell
+
+    counts = {"prepared": [], "assembled": []}
+    real_prepare = montecarlo._prepare_cell
+    real_assemble = standard_cell.assemble_cell
+
+    def preparing(cell, cnt_pitch):
+        counts["prepared"].append((cell.gate.name, cell.technique))
+        return real_prepare(cell, cnt_pitch)
+
+    def assembling(gate, *args, **kwargs):
+        counts["assembled"].append(gate.name)
+        return real_assemble(gate, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_prepare_cell", preparing)
+    monkeypatch.setattr(standard_cell, "assemble_cell", assembling)
+    return counts
+
+
+class TestSharedCellState:
+    GRID = SweepSpec.from_mapping({"gate": ("NAND2", "NOR2"),
+                                   "technique": ("vulnerable", "compact"),
+                                   "cnts_per_trial": (2, 4)})
+
+    def test_cold_grid_prepares_each_cell_once(
+            self, tmp_path, immunity_counter, preparation_counter):
+        run_sweep_study(self.GRID, engine="immunity", trials=20, seed=7,
+                        cache=ResultCache(tmp_path / "store"))
+        assert len(immunity_counter) == 8
+        prepared = preparation_counter["prepared"]
+        assert sorted(prepared) == sorted(
+            {(gate, technique) for gate in ("NAND2", "NOR2")
+             for technique in ("vulnerable", "compact")})
+        assert len(preparation_counter["assembled"]) == 4
+
+    def test_full_hit_prepares_nothing(self, tmp_path, immunity_counter,
+                                       preparation_counter):
+        store = ResultCache(tmp_path / "store")
+        cold = run_sweep_study(self.GRID, engine="immunity", trials=20,
+                               seed=7, cache=store)
+        for drop_envelope in (False, True):
+            if drop_envelope:
+                store.prune(study="sweep")     # corner hits, not a study hit
+            for counts in (immunity_counter, *preparation_counter.values()):
+                del counts[:]
+            warm = run_sweep_study(self.GRID, engine="immunity", trials=20,
+                                   seed=7, cache=store)
+            assert warm.provenance.cache == "hit"
+            assert warm.records == cold.records
+            assert immunity_counter == []
+            assert preparation_counter == {"prepared": [], "assembled": []}
+
+    def test_one_corner_delta_prepares_one_cell(
+            self, tmp_path, immunity_counter, preparation_counter):
+        store = ResultCache(tmp_path / "store")
+        run_sweep_study(SweepSpec.from_mapping({"cnts_per_trial": (2, 4)}),
+                        engine="immunity", trials=20, seed=7, cache=store)
+        for counts in (immunity_counter, *preparation_counter.values()):
+            del counts[:]
+        wider = SweepSpec.from_mapping({"cnts_per_trial": (2, 4, 8)})
+        delta = run_sweep_study(wider, engine="immunity", trials=20, seed=7,
+                                cache=store)
+        assert delta.provenance.cache == "partial:2/3"
+        assert len(immunity_counter) == 1
+        assert preparation_counter == {"prepared": [("NAND2", "compact")],
+                                       "assembled": ["NAND2"]}
+
+    def test_prepared_state_goes_with_the_sweep(self):
+        import gc
+
+        gc.collect()
+        before = len(montecarlo._PREPARED)
+        run_sweep_study(self.GRID, engine="immunity", trials=20, seed=7)
+        gc.collect()
+        assert len(montecarlo._PREPARED) == before
+
+
+# ---------------------------------------------------------------------------
 # plan_delta
 # ---------------------------------------------------------------------------
 

@@ -26,6 +26,7 @@ from repro.logic import standard_gate
 from repro.study import SweepSpec, run_sweep_study
 
 from reference import (
+    analyse_tube,
     check_reference,
     intersection_interval,
     reference_immunity_trials,
@@ -202,6 +203,21 @@ class TestMonteCarlo:
         assert result.cnts_per_trial == 2
         assert 0.0 <= result.failure_rate <= 1.0
 
+    def test_replaced_gate_or_annotations_prepare_again(self):
+        """The per-cell state is memoised, but a cell whose gate or
+        annotations object was replaced is evaluated as it now is."""
+        from repro.core.spec import attach_annotations
+
+        cell = assemble_cell(standard_gate("NAND2"), technique="vulnerable")
+        compact = assemble_cell(standard_gate("NAND2"), technique="compact")
+        run = partial(run_immunity_trials, trials=60, cnts_per_trial=4,
+                      seed=11)
+        assert run(cell).failures > 0
+        attach_annotations(cell.cell, compact.annotations())
+        assert run(cell).failures == run(compact).failures == 0
+        cell.gate = standard_gate("NOR2")
+        assert not run(cell).nominal_matches
+
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_compact_nand2_immune_for_any_seed(self, seed):
@@ -272,7 +288,8 @@ class TestBatchedEngine:
         annotations = assemble_cell(standard_gate("NAND2")).annotations()
         checker = ImmunityChecker(annotations)
         batch = CNTBatch.from_instances(nominal_cnts(annotations, axis="x"))
-        adjacency = checker.adjacency_matrices(checker.pair_conduction(batch))
+        adjacency = checker._adjacency_matrices(
+            checker._pair_conduction(batch))
         before = adjacency.copy()
         checker.output_codes(adjacency)
         assert (adjacency == before).all()
@@ -360,6 +377,195 @@ class TestBatchedEngine:
         batch = run_immunity_trials(cell, trials=20, cnts_per_trial=5,
                                     seed=seed, metallic_fraction=0.2)
         assert loop == batch
+
+
+def _tie_cell_annotations():
+    """Two horizontal strips whose blockers share a contact's midpoint.
+
+    Along a tube from ``x = -1`` to ``x = 15`` every ``t`` below is a
+    dyadic fraction, so the ties are exact.  Strip 1 (``y`` in 0..4):
+    vdd, out and gnd contacts; the p gate of ``A`` is centred on the vdd
+    contact and the n gate of ``A`` on the out contact.  Strip 2 (``y``
+    in 6..10): gnd, the n gate of ``B``, out, an etch centred on the out
+    contact, then vdd.  A contact sorts before a blocker at its own
+    midpoint, so strip 1 is an inverter of ``A`` and strip 2 pulls out
+    low through ``B`` while its etch isolates vdd.
+    """
+    from repro.core.spec import (CellAnnotations, ContactRegion, EtchRegion,
+                                 GateRegion)
+
+    def contact(x1, x2, y1, net):
+        return ContactRegion(Rect(x1, y1, x2, y1 + 4.0), net)
+
+    def gate(x1, x2, y1, signal, device):
+        return GateRegion(Rect(x1, y1, x2, y1 + 4.0), signal, device)
+
+    return CellAnnotations(
+        cell_name="tie",
+        contacts=[contact(0.0, 2.0, 0.0, "vdd"), contact(6.0, 8.0, 0.0, "out"),
+                  contact(12.0, 14.0, 0.0, "gnd"),
+                  contact(0.0, 2.0, 6.0, "gnd"), contact(6.0, 8.0, 6.0, "out"),
+                  contact(12.0, 14.0, 6.0, "vdd")],
+        gates=[gate(0.5, 1.5, 0.0, "A", "pfet"),
+               gate(6.5, 7.5, 0.0, "A", "nfet"),
+               gate(3.0, 5.0, 6.0, "B", "nfet")],
+        etches=[EtchRegion(Rect(6.75, 6.0, 7.25, 10.0))],
+        inputs=("A", "B"),
+    )
+
+
+def _random_annotations(rng, count):
+    """``count`` contacts, gates and etches each, on random quarter-unit
+    rectangles of a 64 x 16 field (so tubes often cross several)."""
+    from repro.core.spec import (CellAnnotations, ContactRegion, EtchRegion,
+                                 GateRegion)
+
+    def rect():
+        x, y = rng.integers(0, 256), rng.integers(0, 64)
+        width, height = rng.integers(1, 9, size=2)
+        return Rect(x / 4, y / 4, (x + width) / 4, (y + height) / 4)
+
+    return CellAnnotations(
+        cell_name="random",
+        contacts=[ContactRegion(rect(), f"n{rng.integers(16)}")
+                  for _ in range(count)],
+        gates=[GateRegion(rect(), str(rng.choice(["A", "B"])),
+                          str(rng.choice(["nfet", "pfet"])))
+               for _ in range(count)],
+        etches=[EtchRegion(rect()) for _ in range(count)],
+        inputs=("A", "B"),
+    )
+
+
+def _closure(adjacency):
+    """Reflexive-transitive closure of a boolean net adjacency matrix."""
+    reached = adjacency.copy()
+    for _ in range(len(adjacency)):
+        reached = (reached.astype(int) @ reached.astype(int)) > 0
+    return reached
+
+
+def _strip_tube(y, metallic=False):
+    return CNTInstance(Point(-1.0, y), Point(15.0, y), mispositioned=True,
+                       metallic=metallic)
+
+
+#: The cells of the ``sweep_cold`` benchmark's immunity grid.
+SWEEP_CELLS = [(gate, technique)
+               for gate in ("NAND2", "NOR2", "NAND3", "AOI31")
+               for technique in ("baseline", "compact", "vulnerable")]
+
+
+class TestBlockerTieOrder:
+    """The batched blocking rule against the scalar walk where blocker
+    and contact midpoints tie exactly, on tubes parallel to a slab and on
+    metallic tubes: a blocker at a contact's midpoint lies after that
+    contact, so it separates the contact from the next one only."""
+
+    def _assert_matches_reference(self, checker, tubes):
+        batched = checker.truth_table(tubes)
+        reference = truth_table_reference(checker, tubes)
+        assert batched.inputs == reference.inputs
+        assert batched.outputs == reference.outputs
+        return batched
+
+    def test_ties_follow_the_contact_first_order(self):
+        checker = ImmunityChecker(_tie_cell_annotations())
+        # Rows (A, B) = 00, 01, 10, 11: a pulled-up A = 0 meets strip 2's
+        # pull-down when B = 1.
+        table = self._assert_matches_reference(
+            checker, [_strip_tube(2.0), _strip_tube(8.0)])
+        assert table.outputs == (True, None, False, False)
+        assert self._assert_matches_reference(
+            checker, [_strip_tube(2.0)]).outputs == (True, True, False, False)
+        assert self._assert_matches_reference(
+            checker, [_strip_tube(8.0)]).outputs == (None, False, None, False)
+        # A metallic tube ignores the gates but not the etch.
+        assert self._assert_matches_reference(
+            checker, [_strip_tube(2.0, metallic=True)]).outputs == (None,) * 4
+        assert self._assert_matches_reference(
+            checker, [_strip_tube(8.0, metallic=True)]).outputs == \
+            (False,) * 4
+
+    def test_random_populations_on_the_tie_grid(self):
+        """Tubes on a dyadic grid, horizontal (parallel to the y slab),
+        vertical (parallel to the x slab) and slanted, some metallic."""
+        checker = ImmunityChecker(_tie_cell_annotations())
+        rng = np.random.default_rng(2024)
+        levels = np.arange(-1.0, 11.5, 0.5)
+        columns = np.arange(-1.0, 15.5, 0.25)
+        for _ in range(60):
+            tubes = []
+            for _ in range(rng.integers(1, 6)):
+                kind = rng.integers(3)
+                metallic = bool(rng.random() < 0.3)
+                if kind == 0:
+                    tube = _strip_tube(float(rng.choice(levels)), metallic)
+                elif kind == 1:
+                    x = float(rng.choice(columns))
+                    tube = CNTInstance(Point(x, -1.0), Point(x, 11.0),
+                                       mispositioned=True, metallic=metallic)
+                else:
+                    y1, y2 = rng.choice(levels, size=2)
+                    tube = CNTInstance(Point(-1.0, float(y1)),
+                                       Point(15.0, float(y2)),
+                                       mispositioned=True, metallic=metallic)
+                tubes.append(tube)
+            self._assert_matches_reference(checker, tubes)
+
+    def test_random_layouts_match_the_walk(self):
+        """255 contacts, gates and etches, so keys reach 256 ** 3 * 256.
+        Per tube and assignment, the nets the batched pairs join are the
+        nets the reference walk's adjacent-contact pairs join."""
+        rng = np.random.default_rng(255)
+        checker = ImmunityChecker(_random_annotations(rng, 255))
+        geometry = checker.geometry
+        index = {net: i for i, net in enumerate(geometry.nets)}
+        joined = 0
+        for _ in range(24):
+            y1, y2 = rng.integers(-4, 68, size=2) / 4
+            tube = CNTInstance(Point(-1.0, float(y1)), Point(65.0, float(y2)),
+                               mispositioned=True,
+                               metallic=bool(rng.random() < 0.25))
+            adjacency = checker._adjacency_matrices(checker._pair_conduction(
+                CNTBatch.from_instances([tube])))[..., 0]
+            walk = analyse_tube(checker, tube)
+            for k, bits in enumerate(geometry.assignment_bits):
+                assignment = dict(zip(checker.inputs, map(bool, bits)))
+                reference = np.eye(len(index), dtype=bool)
+                for net_a, net_b in walk.conducting_pairs(assignment):
+                    reference[index[net_a], index[net_b]] = True
+                    reference[index[net_b], index[net_a]] = True
+                batched = adjacency[:, :, k] | np.eye(len(index), dtype=bool)
+                assert (_closure(batched) == _closure(reference)).all()
+                joined += int(_closure(batched).sum()) - len(index)
+        assert joined  # some tube joins some nets
+
+    @pytest.mark.parametrize("gate,technique", SWEEP_CELLS)
+    def test_random_populations_on_the_sweep_cells(self, gate, technique):
+        """Nominal plus random strays on every cell of the benchmark grid,
+        one population at a time and as trial groups of one batch."""
+        annotations = assemble_cell(standard_gate(gate),
+                                    technique=technique).annotations()
+        checker = ImmunityChecker(annotations)
+        nominal = nominal_cnts(annotations, axis="x")
+        rng = np.random.default_rng(11)
+        populations = [
+            random_mispositioned_cnts(annotations, 4, rng, axis="x",
+                                      max_angle_deg=25.0,
+                                      metallic_fraction=0.25)
+            for _ in range(12)
+        ]
+        expected = []
+        for strays in populations:
+            table = self._assert_matches_reference(checker, nominal + strays)
+            expected.append(checker.truth_table_codes(table))
+        base_adjacency, _ = checker.base_state(
+            CNTBatch.from_instances(nominal))
+        grouped = checker.evaluate_batch(
+            CNTBatch.from_instances([t for p in populations for t in p]),
+            groups=len(populations), base_adjacency=base_adjacency)
+        assert (grouped == np.array(expected)).all()
 
 
 class TestSeedSharing:

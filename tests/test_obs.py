@@ -177,6 +177,12 @@ class TestBitIdentity:
             assert entry["counters"] == {
                 "transient.corner_steps":
                     attributes["batch"] * attributes["substeps"]}
+        trials = [entry for entry in document["spans"]
+                  if entry["name"] == "immunity.trials"]
+        assert len(trials) == (len(spec) if engine == "immunity" else 0)
+        for entry, cnts in zip(trials, (2, 4)):
+            assert entry["attributes"] == {"trials": 20, "tubes": 20 * cnts,
+                                           "assignments": 4}
 
     @pytest.mark.parametrize("jobs,backend",
                              [(1, "serial"), (2, "thread"), (2, "process")])
