@@ -1,13 +1,17 @@
 /*
  * The compiled transient sub-step loop (repro.circuit.stepper.CStepper).
  *
- * repro_advance runs sub-steps [first, stop) of CompiledTransientBatch in
- * one call: per sub-step it writes the stimulus rows when a source
- * changed, runs step_pre, calls NumPy's own float64 `power` inner loop
- * on (ratio, alpha) -> ratio, then runs step_post.  The two static
- * functions mirror NumpyStepper (and so the scalar reference integrator
- * in tests/reference.py) operation for operation, so the
- * waveforms and supply charge they produce are byte-identical to it.
+ * repro_march, the one export, runs a whole integration of
+ * CompiledTransientBatch in one call.  It walks the sample plan, every
+ * sample's (mark, group, sample) sorted by mark: at each new mark it runs
+ * the sub-steps up to it, then copies the state rows of the group's
+ * columns into that sample of the group's waveform block.  Per sub-step
+ * it writes the stimulus rows when a source changed, runs step_pre,
+ * calls NumPy's own float64 `power` inner loop on (ratio, alpha) ->
+ * ratio, then runs step_post.  The static functions mirror NumpyStepper
+ * (and so the scalar reference integrator in tests/reference.py)
+ * operation for operation, so the waveforms and supply charge they
+ * produce are byte-identical to it.
  * Every operation in them is an IEEE basic operation: add, subtract,
  * multiply, divide, compare, select and copy.
  *
@@ -59,7 +63,8 @@
  *
  * Arrays are row-major and batch-minor: (rows, B), one row per device or
  * net across the batch.  Python validates every shape, dtype, index and
- * contiguity before it hands pointers to this file.
+ * contiguity before it hands pointers to this file; repro_march checks
+ * the plan's marks, groups and samples itself, before it writes.
  */
 
 #include <math.h>
@@ -90,6 +95,7 @@ typedef struct {
     ptrdiff_t steps;              /* K sub-steps */
     ptrdiff_t groups;             /* G time-base groups */
     ptrdiff_t sources;            /* S driven nets, state rows I .. I+S */
+    ptrdiff_t rows;               /* N state rows */
     double *voltages;             /* (N, B) state; integrated nets first */
     const ptrdiff_t *terminal_idx;    /* (3T,) gate | drain | source rows */
     const double *vth;            /* (T, B) */
@@ -109,11 +115,22 @@ typedef struct {
     double *dt;                   /* (B,) this sub-step's size per column */
     const double *step_sizes;     /* (K, G); 0.0 past a group's end */
     const ptrdiff_t *column_group;    /* (B,) group of each column */
+    const ptrdiff_t *group_columns;   /* (G, 2) [start, stop) columns */
     const ptrdiff_t *source_row;  /* (K,) row of source_rows, or -1 */
     const double *source_rows;    /* (rows, S, B) stimulus values */
     repro_loop power;             /* NumPy's float64 power loop */
     void *power_data;             /* and its loop data */
 } repro_step;
+
+/* One integration's sample plan and the waveform blocks it fills. */
+typedef struct {
+    ptrdiff_t count;              /* P samples */
+    const ptrdiff_t *mark;        /* (P,) sub-step each is taken before */
+    const ptrdiff_t *group;       /* (P,) */
+    const ptrdiff_t *sample;      /* (P,) row of the group's block */
+    const ptrdiff_t *samples;     /* (G,) rows of each block */
+    double *const *waveforms;     /* (G,) (samples_g, N, width_g) blocks */
+} repro_plan;
 
 /* One device's lanes before power().  vds and vgs (gate - low for
  * n-type, high - gate for p-type) give the overdrive; a lane is active
@@ -265,9 +282,8 @@ static void step_post(const repro_step *s, ptrdiff_t i)
     }
 }
 
-/* Sub-steps first .. stop - 1, in order.  Returns -1, having written
- * nothing, unless 0 <= first <= stop <= K; else 0. */
-int repro_advance(const repro_step *s, ptrdiff_t first, ptrdiff_t stop)
+/* Sub-steps first .. stop - 1, in order. */
+static void advance(const repro_step *s, ptrdiff_t first, ptrdiff_t stop)
 {
     const ptrdiff_t B = s->batch, lanes = s->devices * B;
     const size_t stimulus = (size_t)(s->sources * B) * sizeof(double);
@@ -275,8 +291,6 @@ int repro_advance(const repro_step *s, ptrdiff_t first, ptrdiff_t stop)
                                   sizeof(double)};
     char *operands[3] = {(char *)s->ratio, (char *)s->alpha,
                          (char *)s->ratio};
-    if (first < 0 || stop > s->steps || first > stop)
-        return -1;
     for (ptrdiff_t i = first; i < stop; i++) {
         const ptrdiff_t row = s->source_row[i];
         if (row >= 0)
@@ -286,6 +300,39 @@ int repro_advance(const repro_step *s, ptrdiff_t first, ptrdiff_t stop)
         if (lanes)
             s->power(operands, &lanes, strides, s->power_data);
         step_post(s, i);
+    }
+}
+
+/* The whole plan: before sample k, the sub-steps up to mark[k], then the
+ * state rows of group[k]'s columns into row sample[k] of its block.
+ * Returns -1, having written nothing, unless the marks are non-decreasing
+ * and in [0, K], and every group in [0, G) and sample in [0, samples of
+ * its group); else 0. */
+int repro_march(const repro_step *s, const repro_plan *p)
+{
+    const ptrdiff_t B = s->batch, N = s->rows;
+    ptrdiff_t position = 0;
+    for (ptrdiff_t k = 0; k < p->count; k++) {
+        const ptrdiff_t g = p->group[k];
+        if (p->mark[k] < position || p->mark[k] > s->steps || g < 0
+                || g >= s->groups || p->sample[k] < 0
+                || p->sample[k] >= p->samples[g])
+            return -1;
+        position = p->mark[k];
+    }
+    position = 0;
+    for (ptrdiff_t k = 0; k < p->count; k++) {
+        const ptrdiff_t g = p->group[k];
+        const ptrdiff_t start = s->group_columns[2 * g];
+        const ptrdiff_t width = s->group_columns[2 * g + 1] - start;
+        const size_t bytes = (size_t)width * sizeof(double);
+        double *block = p->waveforms[g] + p->sample[k] * N * width;
+        if (p->mark[k] != position) {
+            advance(s, position, p->mark[k]);
+            position = p->mark[k];
+        }
+        for (ptrdiff_t r = 0; r < N; r++)
+            memcpy(block + r * width, s->voltages + r * B + start, bytes);
     }
     return 0;
 }

@@ -111,9 +111,11 @@ def analyse_netlist(
     for gate in netlist.gates:
         models[gate.name] = library.lookup(gate.cell_type, gate.drive_strength)
 
+    fanout = netlist.fanout()
+
     def net_load(net: str) -> float:
         load = sum(
-            models[consumer.name].input_capacitance for consumer in netlist.loads(net)
+            models[consumer.name].input_capacitance for consumer in fanout.get(net, ())
         )
         if net in netlist.outputs:
             load += output_load

@@ -215,6 +215,16 @@ class GateNetlist:
         """Gates whose inputs are connected to ``net``."""
         return [gate for gate in self.gates if net in gate.input_nets()]
 
+    def fanout(self) -> Dict[str, List[GateInstance]]:
+        """:meth:`loads` of every net that has one, in one pass: each
+        net's consumers in gate order, a gate that takes the net on two
+        pins once."""
+        consumers: Dict[str, List[GateInstance]] = {}
+        for gate in self.gates:
+            for net in dict.fromkeys(gate.input_nets()):
+                consumers.setdefault(net, []).append(gate)
+        return consumers
+
     def validate(self) -> None:
         """Check structural sanity: every internal net has a driver, every
         output is driven, inputs are not driven."""

@@ -17,7 +17,7 @@ One engine integrates every case: it lowers a batch of
 *Precompiled array layout*), plans the sub-step schedule of every time
 base with NumPy, and integrates every case in one sub-step loop
 (:func:`run_transient_batch`, :meth:`TransientSimulator.run`).  That
-loop runs in compiled C, one call per sample mark, when a C compiler is
+loop runs in compiled C, one call per integration, when a C compiler is
 available, and in NumPy otherwise, byte for byte alike
 (:mod:`repro.circuit.stepper`); the NumPy stepper is the oracle the
 library keeps.  The scalar per-substep loop the engine mirrors
@@ -867,20 +867,18 @@ class CompiledTransientBatch:
         Group ``g`` records sample ``i`` before sub-step
         ``boundaries[g][i]``.  Waveform rows are in state-row order (see
         ``block_rows``).  The plan is every sample's ``(mark, group,
-        index)``, sorted by mark, computed up front as three integer
-        arrays (so it costs no Python object per sample).  Walking it,
-        each new mark is one ``advance(position, mark)`` of
-        ``stepper_type`` (see :mod:`repro.circuit.stepper`), which runs
-        the sub-steps up to the mark: each writes the stimulus rows where
-        a source changed and advances the state and the supply charge by
-        the ``step_sizes`` table.  Then the mark's samples are copied out.
+        sample)``, sorted by mark, three ``intp`` columns computed up front
+        (so it costs no Python object per sample).  One ``march(plan,
+        waveforms)`` of ``stepper_type`` (see :mod:`repro.circuit.stepper`)
+        walks it: at each new mark it runs the sub-steps up to the mark,
+        each of which writes the stimulus rows where a source changed and
+        advances the state and the supply charge by the ``step_sizes``
+        table, and then it copies the mark's samples into the blocks.
         """
         voltages = self.initial_voltages.copy()
         waveforms = [np.empty((len(bounds), len(voltages), stop - start))
                      for bounds, (start, stop)
                      in zip(boundaries, self.group_columns)]
-        states = [voltages[:, start:stop]
-                  for start, stop in self.group_columns]
         supply_charge = np.zeros(self.batch_size)
         marks = np.concatenate(boundaries)
         groups = np.repeat(np.arange(len(boundaries)),
@@ -888,17 +886,10 @@ class CompiledTransientBatch:
         samples = np.concatenate([np.arange(len(bounds))
                                   for bounds in boundaries])
         order = np.argsort(marks, kind="stable")
-        plan = [memoryview(column[order])
-                for column in (marks, groups, samples)]
-        advance = stepper_type(self, voltages, supply_charge, step_sizes,
-                               changed, source_rows).advance
-        copyto = np.copyto
-        position = 0
-        for mark, group, sample in zip(*plan):
-            if mark != position:
-                advance(position, mark)
-                position = mark
-            copyto(waveforms[group][sample], states[group])
+        plan = tuple(column[order].astype(np.intp, copy=False)
+                     for column in (marks, groups, samples))
+        stepper_type(self, voltages, supply_charge, step_sizes, changed,
+                     source_rows).march(plan, waveforms)
         return waveforms, supply_charge
 
 

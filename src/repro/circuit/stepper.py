@@ -1,22 +1,25 @@
 """The transient sub-step loop: one interface, two implementations.
 
 :meth:`CompiledTransientBatch._march <repro.circuit.simulator.
-CompiledTransientBatch._march>` is the one driver: it owns the schedule
-and the sampling.  A stepper is built with the batch's ``(K, G)``
-sub-step size table and its stimulus (the ``(K,)`` ``changed`` mask and
-the source rows of the steps where a source changes), and the driver
-calls ``stepper.advance(first, stop)`` once per sample mark.  That runs
-sub-steps ``first .. stop - 1``: each writes the stimulus rows where a
-source changed, then advances the state matrix and the supply charge by
-one explicit-Euler step, column ``b`` by ``step_sizes[i,
-column_group[b]]``.  Two steppers implement that call, byte for byte
-alike:
+CompiledTransientBatch._march>` is the one driver: it owns the schedule,
+the sample plan and the waveform blocks.  A stepper is built with the
+batch's ``(K, G)`` sub-step size table and its stimulus (the ``(K,)``
+``changed`` mask and the source rows of the steps where a source
+changes), and the driver calls ``stepper.march(plan, waveforms)`` once
+per integration.  The plan is three ``(P,)`` ``intp`` columns ``(mark,
+group, sample)``, sorted by mark.  At each new mark the stepper runs the
+sub-steps up to it: each writes the stimulus rows where a source
+changed, then advances the state matrix and the supply charge by one
+explicit-Euler step, column ``b`` by ``step_sizes[i, column_group[b]]``.
+Then it copies the state rows of the group's columns into row ``sample``
+of ``waveforms[group]``.  Two steppers implement that call, byte for
+byte alike:
 
-* :class:`NumpyStepper` — a Python loop of about 34 NumPy ufunc calls
-  per sub-step.  It is the fallback and the oracle the compiled stepper
-  is tested against.
-* :class:`CStepper` — the same loop in ``_step.c``, loaded through
-  :mod:`ctypes`: one C call per sample mark.  ``power`` is NumPy's own
+* :class:`NumpyStepper` — the walk in Python, with a loop of about 34
+  NumPy ufunc calls per sub-step.  It is the fallback and the oracle the
+  compiled stepper is tested against.
+* :class:`CStepper` — the same walk in ``_step.c``, loaded through
+  :mod:`ctypes`: one C call per integration.  ``power`` is NumPy's own
   float64 inner loop, which the C code calls by pointer, because NumPy's
   SIMD ``power`` loop does not round like libm's ``pow``; every other
   operation of a sub-step is an IEEE basic operation that C, built
@@ -95,17 +98,14 @@ def _source_index(batch, step_sizes: np.ndarray, changed: np.ndarray,
     return index
 
 
-def _range_error(first: int, stop: int, steps: int) -> SimulationError:
-    return SimulationError(f"sub-steps [{first}, {stop}) are not rows of "
-                           f"the {steps}-step step-size table")
-
-
 class NumpyStepper:
     """The sub-step loop in Python over NumPy ufuncs and buffers
     allocated once.
 
-    A sub-step ``i`` of ``advance`` is the stimulus copy when a source
-    changed, one terminal gather, the device currents (an elementwise
+    ``march`` walks the plan in Python: one ``advance`` over the
+    sub-steps up to each new mark, then one copy of the group's state
+    columns per sample.  A sub-step ``i`` is the stimulus copy when a
+    source changed, one terminal gather, the device currents (an elementwise
     mirror of ``channel_current`` in ``tests/reference.py``), one
     rank-table gather, one add per rank, the gather of sub-step ``i``'s
     size for every column, and the ``(current*dt)/C`` update and rail
@@ -171,13 +171,26 @@ class NumpyStepper:
 
         def advance(first: int, stop: int) -> None:
             if not 0 <= first <= stop <= len(source_row):
-                raise _range_error(first, stop, len(source_row))
+                raise SimulationError(
+                    f"sub-steps [{first}, {stop}) are not rows of the "
+                    f"{len(source_row)}-step step-size table")
             for i in range(first, stop):
                 if source_row[i] >= 0:
                     copyto(driven_v, source_rows[source_row[i]])
                 step(i)
 
-        self.advance = advance
+        states = [voltages[:, start:stop]
+                  for start, stop in batch.group_columns]
+
+        def march(plan, waveforms) -> None:
+            position = 0
+            for mark, group, sample in zip(*map(memoryview, plan)):
+                if mark != position:
+                    advance(position, mark)
+                    position = mark
+                copyto(waveforms[group][sample], states[group])
+
+        self.march = march
 
     @staticmethod
     def _current_kernel(batch, terminals: np.ndarray, out: np.ndarray):
@@ -246,15 +259,25 @@ class _Context(ctypes.Structure):
     _fields_ = (
         [(name, ctypes.c_ssize_t)
          for name in ("devices", "n_type", "batch", "nodes", "ranks",
-                      "steps", "groups", "sources")]
+                      "steps", "groups", "sources", "rows")]
         + [(name, ctypes.c_void_p)
            for name in ("voltages", "terminal_idx", "vth", "nominal_ov",
                         "prefactor", "alpha", "vds", "overdrive", "ratio",
                         "drive", "rank_table", "capacitance", "clamp_low",
                         "clamp_high", "supply_charge", "acc", "dt",
-                        "step_sizes", "column_group", "source_row",
-                        "source_rows", "power", "power_data")]
+                        "step_sizes", "column_group", "group_columns",
+                        "source_row", "source_rows", "power",
+                        "power_data")]
     )
+
+
+class _Plan(ctypes.Structure):
+    """``repro_plan`` of ``_step.c``: the sample plan's length, its three
+    columns, and each group's sample count and waveform block."""
+
+    _fields_ = [("count", ctypes.c_ssize_t)] + [
+        (name, ctypes.c_void_p)
+        for name in ("mark", "group", "sample", "samples", "waveforms")]
 
 
 def _address(array: np.ndarray, shape, dtype=np.float64) -> int:
@@ -270,11 +293,13 @@ def _address(array: np.ndarray, shape, dtype=np.float64) -> int:
 
 class CStepper:
     """The sub-step loop in compiled C, with NumPy's ``power`` loop
-    called by pointer: ``advance`` is one ``repro_advance`` call.
+    called by pointer: ``march`` is one ``repro_march`` call.
 
     Construct only when :func:`resolve_stepper` returned this class.  The
-    C code holds raw addresses: every buffer it reads or writes is held
-    by this object, so ``advance`` (a bound method) keeps them alive.
+    C code holds raw addresses: every buffer of the batch it reads or
+    writes is held by this object, so ``march`` (a bound method) keeps
+    them alive; the plan and the waveform blocks are the caller's, for
+    the length of the call.
     """
 
     name = "c"
@@ -289,8 +314,11 @@ class CStepper:
         nodes, sources = batch.nodes, len(batch.source_keys)
         ranks = batch.rank_table.shape[0]
         steps, groups = len(step_sizes), len(batch.group_bases)
+        rows = len(batch.initial_voltages)
         per_device = (devices, width)
         source_row = _source_index(batch, step_sizes, changed, source_rows)
+        group_columns = np.array(batch.group_columns,
+                                 dtype=np.intp).reshape(-1, 2)
         self._buffers = buffers = {
             "vds": np.empty(per_device),
             "overdrive": np.empty(per_device),
@@ -300,12 +328,12 @@ class CStepper:
             "dt": np.empty(width),
         }
         self._inputs = (batch, voltages, supply_charge, step_sizes,
-                        source_row, source_rows)
+                        source_row, source_rows, group_columns)
         self._context = _Context(
             devices=devices, n_type=batch.n_devices, batch=width,
             nodes=nodes, ranks=ranks, steps=steps, groups=groups,
-            sources=sources,
-            voltages=_address(voltages, (len(batch.initial_voltages), width)),
+            sources=sources, rows=rows,
+            voltages=_address(voltages, (rows, width)),
             terminal_idx=_address(batch.terminal_idx, (3 * devices,),
                                   np.intp),
             vth=_address(batch.vth, per_device),
@@ -320,17 +348,18 @@ class CStepper:
             supply_charge=_address(supply_charge, (width,)),
             step_sizes=_address(step_sizes, (steps, groups)),
             column_group=_address(batch.column_group, (width,), np.intp),
+            group_columns=_address(group_columns, (groups, 2), np.intp),
             source_row=_address(source_row, (steps,), np.intp),
             source_rows=_address(source_rows, source_rows.shape),
             power=loop[0], power_data=loop[1],
             **{name: _address(array, array.shape)
                for name, array in buffers.items()},
         )
-        if nodes + sources > len(batch.initial_voltages):
+        if nodes + sources > rows:
             raise SimulationError("driven rows out of range")
         if batch.terminal_idx.size and not (
                 0 <= batch.terminal_idx.min()
-                and batch.terminal_idx.max() < len(batch.initial_voltages)):
+                and batch.terminal_idx.max() < rows):
             raise SimulationError("terminal row out of range")
         if not (0 <= batch.rank_table.min()
                 and batch.rank_table.max() <= 2 * devices):
@@ -338,13 +367,32 @@ class CStepper:
         if not (0 <= batch.column_group.min()
                 and batch.column_group.max() < groups):
             raise SimulationError("column time-base group out of range")
-        self._kernel = (library.repro_advance,
-                        ctypes.addressof(self._context), steps)
+        starts, stops = group_columns.T
+        if not np.all((0 <= starts) & (starts <= stops) & (stops <= width)):
+            raise SimulationError("group columns out of range")
+        self._widths = (stops - starts).tolist()
+        self._kernel = (library.repro_march,
+                        ctypes.addressof(self._context), steps, rows)
 
-    def advance(self, first: int, stop: int) -> None:
-        run, context, steps = self._kernel
-        if run(context, first, stop):
-            raise _range_error(first, stop, steps)
+    def march(self, plan, waveforms) -> None:
+        run, context, steps, rows = self._kernel
+        if len(plan) != 3 or len(waveforms) != len(self._widths):
+            raise SimulationError(f"march takes three plan columns and "
+                                  f"{len(self._widths)} waveform blocks")
+        count = len(plan[0])
+        marks, groups, samples = (_address(column, (count,), np.intp)
+                                  for column in plan)
+        lengths = np.array([len(block) for block in waveforms], dtype=np.intp)
+        blocks = (ctypes.c_void_p * len(waveforms))(*[
+            _address(block, (len(block), rows, width))
+            for block, width in zip(waveforms, self._widths)])
+        table = _Plan(count=count, mark=marks, group=groups, sample=samples,
+                      samples=lengths.ctypes.data,
+                      waveforms=ctypes.addressof(blocks))
+        if run(context, ctypes.addressof(table)):
+            raise SimulationError(
+                f"the sample plan is not sorted marks in [0, {steps}] over "
+                f"the groups and rows of its waveform blocks")
 
 
 def cache_dir() -> Path:
@@ -447,10 +495,9 @@ def load_library() -> Optional[ctypes.CDLL]:
         if not _intact(path):
             _build(compiler, path)
         library = ctypes.CDLL(str(path))
-        advance = library.repro_advance
-        advance.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t,
-                            ctypes.c_ssize_t]
-        advance.restype = ctypes.c_int
+        march = library.repro_march
+        march.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+        march.restype = ctypes.c_int
     except (OSError, subprocess.SubprocessError, AttributeError) as error:
         detail = getattr(error, "stderr", None) or error
         warnings.warn(f"compiled transient stepper unavailable, integrating "

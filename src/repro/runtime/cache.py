@@ -49,6 +49,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,9 +83,13 @@ CacheLike = Union[None, bool, str, os.PathLike, "ResultCache"]
 STALE_TEMP_S = 3600.0
 
 
+#: Matches a whole well-formed cache key: one or more lowercase hex digits.
+_KEY = re.compile(r"[0-9a-f]+").fullmatch
+
+
 def _is_key(text: str) -> bool:
     """Whether ``text`` is a well-formed (lowercase hex) cache key."""
-    return bool(text) and all(c in "0123456789abcdef" for c in text)
+    return _KEY(text) is not None
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ import pytest
 import repro.cells.characterize as characterize
 import repro.immunity.montecarlo as montecarlo
 from repro.circuit.netlist import GateNetlist
-from repro.circuit_study import generate_circuit, resolve_circuit, run_circuit_study
+from repro.circuit_study import (CIRCUIT_GENERATORS, generate_circuit,
+                                 resolve_circuit, run_circuit_study)
 from repro.errors import MappingError, StudyError
 from repro.flow.verilog import full_adder_verilog, ripple_carry_adder_netlist
 from repro.runtime.cache import ResultCache
@@ -124,6 +125,27 @@ class TestCircuitResolution:
             netlist = generate_circuit(spec)
             netlist.validate()
             assert netlist.gates
+
+    @pytest.mark.parametrize("family", sorted(CIRCUIT_GENERATORS))
+    @pytest.mark.parametrize("bits", [1, 2, 8])
+    def test_fanout_index_is_loads_of_every_net(self, family, bits):
+        """STA's one-pass fanout index gives every net's ``loads()``: the
+        same consumers, in gate order."""
+        netlist = generate_circuit(f"{family}:{bits}")
+        fanout = netlist.fanout()
+        assert set(fanout) <= set(netlist.nets())
+        for net in netlist.nets():
+            assert fanout.get(net, []) == netlist.loads(net), net
+
+    def test_fanout_lists_a_gate_on_two_pins_once(self):
+        netlist = GateNetlist("shared")
+        netlist.add_gate("g0", "INV", {"a": "x", "out": "y"})
+        netlist.add_gate("g1", "NAND2", {"a": "y", "b": "y", "out": "z"})
+        netlist.add_gate("g2", "INV", {"a": "y", "out": "w"})
+        netlist.declare_io(["x"], ["z", "w"])
+        consumers = [gate.name for gate in netlist.fanout()["y"]]
+        assert consumers == [gate.name for gate in netlist.loads("y")]
+        assert consumers == ["g1", "g2"]
 
     @pytest.mark.parametrize("spec", ["", "adder:0", "warp:4", "adder:4:2",
                                       "adder:x"])

@@ -224,6 +224,14 @@ class TestMonteCarloSweepRouting:
 # ---------------------------------------------------------------------------
 
 class TestResultCache:
+    @pytest.mark.parametrize("text, accepted", [
+        ("", False), ("ABCDEF", False), ("abC0", False), ("ab\n", False),
+        ("g0", False), (" ab", False), ("0", True), ("0123456789abcdef", True),
+        ("a" * 63 + "f", True), ("a" * 63 + "F", False)])
+    def test_key_syntax(self, text, accepted):
+        from repro.runtime.cache import _is_key
+        assert _is_key(text) is accepted
+
     def test_roundtrip_and_counters(self, tmp_path):
         cache = ResultCache(tmp_path / "store")
         result = experiments.run_fig3_nand3()

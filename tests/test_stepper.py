@@ -13,14 +13,16 @@ bytes are the same either way:
 * every study still runs, byte for byte alike, without a compiler;
 * the library's cache key covers its source, so a library built from
   another ``_step.c`` is never loaded;
-* a step-size table, column-group array or stimulus the C code could
-  misread is refused before any C call, and so is a sub-step range
-  outside the table;
+* a step-size table, column-group array, stimulus, plan column or
+  waveform block the C code could misread is refused before any C call,
+  and a sample plan with a mark, group or sample out of range is refused
+  before the C code writes anything;
 * NumPy's float64 ``power`` loop, which the C code calls by pointer, is
   ``np.power`` bit for bit, under either of NumPy's CPU dispatch targets;
   a loop table that cannot be trusted falls back to NumPy;
-* a C-stepper integration makes one C call per sample mark and no
-  Python-level ``np.power`` call;
+* a C-stepper integration makes one C call, with the sorted sample
+  plan, and no Python-level ``np.power`` call; groups that sample at
+  different marks get the NumPy stepper's waveforms byte for byte;
 * a build deletes stale temp files and stale libraries of other keys,
   and one it cannot delete does not fail the build.
 """
@@ -307,11 +309,28 @@ class _NoCalls:
         return called
 
 
-def _compiled():
-    """The packed call of :func:`_cases`, compiled: ``(batch, its
-    (K, G) step-size table, changed mask, source rows)``."""
+def _integration():
+    """The packed call of :func:`_cases`, compiled and scheduled:
+    ``(batch, boundaries, (K, G) step-size table, changed, source
+    rows)``."""
     batch = CompiledTransientBatch(_cases())
-    return (batch, *batch._schedule(*TIME_BASE)[2:])
+    return (batch, *batch._schedule(*TIME_BASE)[1:])
+
+
+def _plan(boundaries):
+    """Every sample's ``(mark, group, sample)``, sorted, as three
+    ``intp`` columns: the driver's plan, built another way."""
+    triples = sorted((int(mark), group, sample)
+                     for group, bounds in enumerate(boundaries)
+                     for sample, mark in enumerate(bounds))
+    return tuple(np.array(column, dtype=np.intp) for column in zip(*triples))
+
+
+def _blocks(batch, boundaries):
+    """Waveform blocks in the driver's layout, filled with NaN."""
+    rows = len(batch.initial_voltages)
+    return [np.full((len(bounds), rows, stop - start), np.nan)
+            for bounds, (start, stop) in zip(boundaries, batch.group_columns)]
 
 
 def _c_stepper(batch, *schedule):
@@ -322,10 +341,11 @@ def _c_stepper(batch, *schedule):
 @pytest.mark.parametrize("damage", [
     "group past the end", "negative group", "int32 groups", "short groups",
     "1-D table", "Fortran table", "float32 table", "narrow table",
-    "short mask", "integer mask", "missing source row", "float32 rows"])
+    "short mask", "integer mask", "missing source row", "float32 rows",
+    "group columns past the batch", "missing group columns"])
 def test_c_stepper_refuses_bad_step_tables(monkeypatch, damage):
     monkeypatch.setattr(stepper, "load_library", _NoCalls)
-    batch, step_sizes, changed, rows = _compiled()
+    batch, _, step_sizes, changed, rows = _integration()
     assert step_sizes.shape == (step_sizes.shape[0], 2)
     _c_stepper(batch, step_sizes, changed, rows)    # intact: accepted
     if damage == "group past the end":
@@ -344,6 +364,11 @@ def test_c_stepper_refuses_bad_step_tables(monkeypatch, damage):
         rows = rows[:-1]
     elif damage == "float32 rows":
         rows = rows.astype(np.float32)
+    elif damage == "group columns past the batch":
+        start, stop = batch.group_columns[-1]
+        batch.group_columns[-1] = (start, stop + 1)
+    elif damage == "missing group columns":
+        batch.group_columns = batch.group_columns[:-1]
     else:
         step_sizes = {"1-D table": step_sizes[:, 0],
                       "Fortran table": np.asfortranarray(step_sizes),
@@ -353,24 +378,96 @@ def test_c_stepper_refuses_bad_step_tables(monkeypatch, damage):
         _c_stepper(batch, step_sizes, changed, rows)
 
 
+@pytest.mark.parametrize("damage", [
+    "int32 marks", "short groups", "strided samples", "two columns",
+    "missing block", "narrow block", "float32 block", "Fortran block"])
+def test_c_stepper_refuses_bad_plan_buffers(monkeypatch, damage):
+    monkeypatch.setattr(stepper, "load_library", _NoCalls)
+    batch, boundaries, *schedule = _integration()
+    plan, blocks = list(_plan(boundaries)), _blocks(batch, boundaries)
+    march = _c_stepper(batch, *schedule).march
+    with pytest.raises(AssertionError, match="repro_march was called"):
+        march(tuple(plan), blocks)                  # intact: reaches C
+    if damage == "int32 marks":
+        plan[0] = plan[0].astype(np.int32)
+    elif damage == "short groups":
+        plan[1] = plan[1][:-1]
+    elif damage == "strided samples":
+        plan[2] = np.repeat(plan[2], 2)[::2]
+    elif damage == "two columns":
+        plan = plan[:2]
+    elif damage == "missing block":
+        blocks = blocks[:-1]
+    elif damage == "narrow block":
+        blocks[-1] = blocks[-1][:, :, :-1].copy()
+    elif damage == "float32 block":
+        blocks[0] = blocks[0].astype(np.float32)
+    else:
+        blocks[0] = np.asfortranarray(blocks[0])
+    with pytest.raises(SimulationError):
+        march(tuple(plan), blocks)
+
+
 @needs_compiler
-def test_c_step_outside_the_table_is_refused():
-    """``advance(first, stop)`` with ``first < 0``, ``stop > K`` or
-    ``first > stop`` is refused and writes nothing; the whole table is
-    a valid range."""
-    batch, *schedule = _compiled()
+@pytest.mark.parametrize("damage", [
+    "mark below 0", "mark above K", "decreasing marks", "group past G",
+    "negative group", "sample past the block", "negative sample"])
+def test_c_march_refuses_bad_plans(damage):
+    """A plan the C code would misread is refused before it writes: the
+    state, the supply charge and every waveform block keep their bytes.
+    Each damage sits at the plan's end, past every valid sample.  The
+    whole table is accepted."""
+    batch, boundaries, *schedule = _integration()
     steps = len(schedule[0])
+    marks, groups, samples = plan = _plan(boundaries)
+    assert marks[-1] == steps
+    if damage == "mark below 0":
+        marks[0] = -1
+    elif damage == "mark above K":
+        marks[-1] = steps + 1
+    elif damage == "decreasing marks":
+        marks[-1] = marks[-2] - 1
+    elif damage == "group past G":
+        groups[-1] = len(boundaries)
+    elif damage == "negative group":
+        groups[-1] = -1
+    elif damage == "sample past the block":
+        samples[-1] = len(boundaries[groups[-1]])
+    else:
+        samples[-1] = -1
     voltages = batch.initial_voltages.copy()
     charge = np.zeros(batch.batch_size)
-    advance = stepper.CStepper(batch, voltages, charge, *schedule).advance
-    for first, stop in ((-1, 1), (0, steps + 1), (steps, steps + 1),
-                        (2, 1), (steps, 0)):
-        with pytest.raises(SimulationError, match="step-size table"):
-            advance(first, stop)
+    blocks = _blocks(batch, boundaries)
+    before = [block.tobytes() for block in blocks]
+    march = stepper.CStepper(batch, voltages, charge, *schedule).march
+    with pytest.raises(SimulationError, match="sample plan"):
+        march(plan, blocks)
     assert voltages.tobytes() == batch.initial_voltages.tobytes()
     assert charge.tobytes() == bytes(charge.nbytes)
-    advance(0, steps)
+    assert [block.tobytes() for block in blocks] == before
+    march(_plan(boundaries), blocks)
     assert voltages.tobytes() != batch.initial_voltages.tobytes()
+    assert not any(np.isnan(block).any() for block in blocks)
+
+
+@needs_compiler
+def test_groups_sampling_at_different_marks_match_numpy():
+    """A packed two-group batch whose groups sample at different marks:
+    the C stepper's waveform blocks and supply charge equal the NumPy
+    stepper's byte for byte."""
+    batch, boundaries, *schedule = _integration()
+    first, second = (set(bounds.tolist()) for bounds in boundaries)
+    assert first - second and second - first
+    outputs = []
+    for kind in (stepper.CStepper, stepper.NumpyStepper):
+        voltages = batch.initial_voltages.copy()
+        charge = np.zeros(batch.batch_size)
+        blocks = _blocks(batch, boundaries)
+        kind(batch, voltages, charge, *schedule).march(_plan(boundaries),
+                                                       blocks)
+        outputs.append([array.tobytes()
+                        for array in (*blocks, voltages, charge)])
+    assert outputs[0] == outputs[1]
 
 
 def _probe_lanes(seed: int, lanes: int):
@@ -460,22 +557,26 @@ def test_untrusted_power_loop_falls_back_to_numpy(unbound, oracle, damage):
 
 
 class _Spy:
-    """A library whose ``repro_advance`` records its ranges."""
+    """A library whose ``repro_march`` records the plan of each call."""
 
     def __init__(self, library):
-        self.ranges = []
-        self._advance = library.repro_advance
+        self.plans = []
+        self._march = library.repro_march
 
-    def repro_advance(self, context, first, stop):
-        self.ranges.append((first, stop))
-        return self._advance(context, first, stop)
+    def repro_march(self, context, plan):
+        table = stepper._Plan.from_address(plan)
+        self.plans.append(tuple(
+            np.ctypeslib.as_array((ctypes.c_ssize_t * table.count)
+                                  .from_address(getattr(table, name))).copy()
+            for name in ("mark", "group", "sample")))
+        return self._march(context, plan)
 
 
 @needs_compiler
-def test_one_c_call_per_sample_mark(monkeypatch):
-    """The C stepper's integration runs as one ``repro_advance`` per
-    sample mark (after the first, at sub-step 0), in order over the whole
-    table, and never calls ``np.power`` from Python."""
+def test_one_c_call_per_integration(monkeypatch):
+    """A C-stepper integration is one ``repro_march`` call whose plan is
+    every sample's ``(mark, group, sample)``, sorted, and it never calls
+    ``np.power`` from Python."""
     spy = _Spy(stepper.load_library())
     assert stepper.power_loop() is not None
     monkeypatch.setattr(stepper, "load_library", lambda: spy)
@@ -485,14 +586,15 @@ def test_one_c_call_per_sample_mark(monkeypatch):
         raise AssertionError("np.power was called from Python")
 
     monkeypatch.setattr(np, "power", no_power)
-    batch = CompiledTransientBatch(_cases())
-    _, boundaries, step_sizes, _, _ = batch._schedule(*TIME_BASE)
-    batch.integrate(*TIME_BASE)
-    marks = np.unique(np.concatenate(boundaries)).tolist()
-    assert len(marks) > len(boundaries[0]) > 2
-    assert marks[0] == 0
-    assert spy.ranges == list(zip(marks[:-1], marks[1:]))
-    assert marks[-1] == len(step_sizes)
+    batch, boundaries, step_sizes, _, _ = _integration()
+    expected = _plan(boundaries)
+    assert len(np.unique(expected[0])) > len(boundaries[0]) > 2
+    assert expected[0][-1] == len(step_sizes)
+    for calls in (1, 2):
+        batch.integrate(*TIME_BASE)
+        assert len(spy.plans) == calls
+        assert [column.tobytes() for column in spy.plans[-1]] \
+            == [column.tobytes() for column in expected]
 
 
 _DISPATCH_SPLIT = """
