@@ -17,7 +17,6 @@ import numpy as np
 from conftest import record
 
 from repro.circuit import (
-    TransientSimulator,
     build_inverter_chain,
     cnfet_inverter,
     pulse_source,
@@ -58,12 +57,8 @@ def test_batched_transient_speedup(benchmark):
     cases = _corner_cases()
 
     start = time.perf_counter()
-    loop_results = [
-        run_reference(TransientSimulator(case.netlist, case.sources,
-                                         case.initial_conditions),
-                      STOP_TIME, TIME_STEP)
-        for case in cases
-    ]
+    loop_results = [run_reference(case, STOP_TIME, TIME_STEP)
+                    for case in cases]
     loop_seconds = time.perf_counter() - start
 
     batch_results = benchmark.pedantic(

@@ -407,7 +407,6 @@ class CellGrid:
     slews: Tuple[float, ...]
     corners: Tuple[Tuple[str, TechnologyConfig], ...]
     unit_width: float = 4.0
-    switched_pin: Optional[str] = None
 
     def __post_init__(self):
         for axis in ("drives", "loads", "slews", "corners"):
@@ -453,13 +452,13 @@ class CellGrid:
                 + max(10.0 * slowest, 2.0 * max_slew))
         time_step = max(min(min(estimates) / 20.0, min(self.slews) / 4.0),
                         stop / 8000.0, 1.0e-14)
-        pin = self.switched_pin or gate.inputs[0]
-        return pin, delay, width, stop, time_step
+        return gate.inputs[0], delay, width, stop, time_step
 
     def time_base(self) -> Tuple[str, float, float, float, float]:
         """``(switched pin, pulse delay, pulse width, stop time, time
         step)`` shared by every case — analytical, no netlists built, and
-        computed once per grid object."""
+        computed once per grid object.  The switched pin is the gate's
+        first input."""
         return self._time_base
 
     def cases(self, indices: Sequence[int]) -> List[SimulationCase]:
@@ -578,7 +577,6 @@ def characterize_sweep(
     input_slews_s: Sequence[float] = (MEASURED_SLEW_S,),
     corners: Optional[Mapping[str, TechnologyConfig]] = None,
     unit_width: float = 4.0,
-    switched_pin: Optional[str] = None,
 ) -> CharacterizationSweep:
     """Measure every cell across a (drive × load × slew × corner) grid.
 
@@ -599,7 +597,7 @@ def characterize_sweep(
     axes = _drive_axes(gate_names, drive_strengths)
     grids = [
         CellGrid(gate_name, axis, load_capacitances_f, input_slews_s,
-                 tuple(corners.items()), unit_width, switched_pin)
+                 tuple(corners.items()), unit_width)
         for gate_name, axis in zip(gate_names, axes)
     ]
     return CharacterizationSweep(

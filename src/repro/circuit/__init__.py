@@ -37,7 +37,6 @@ from .simulator import (
     PiecewiseLinearSource,
     SimulationCase,
     TransientResult,
-    TransientSimulator,
     build_inverter_chain,
     constant_source,
     first_crossings,
@@ -59,7 +58,7 @@ __all__ = [
     "GND", "VDD", "CapacitorInstance", "GateInstance", "GateNetlist",
     "TransistorInstance", "TransistorNetlist",
     "CompiledTransientBatch", "PiecewiseLinearSource",
-    "SimulationCase", "TransientResult", "TransientSimulator",
+    "SimulationCase", "TransientResult",
     "build_inverter_chain", "constant_source", "first_crossings",
     "pulse_source", "run_transient_batch", "stability_substep",
     "step_source", "waveform_block",

@@ -15,10 +15,11 @@ Engine
 One engine integrates every case: it lowers a batch of
 :class:`SimulationCase` once into NumPy structure arrays (see
 *Precompiled array layout*), plans the sub-step schedule of every time
-base with NumPy, and integrates every case in one sub-step loop
-(:func:`run_transient_batch`, :meth:`TransientSimulator.run`).  That
-loop runs in compiled C, one call per integration, when a C compiler is
-available, and in NumPy otherwise, byte for byte alike
+base with NumPy, and integrates every case in one sub-step loop.
+:func:`run_transient_batch` is the one way in: a list of cases in, one
+:class:`TransientResult` per case out (a single run is a batch of one).
+The loop runs in compiled C, one call per integration, when a C
+compiler is available, and in NumPy otherwise, byte for byte alike
 (:mod:`repro.circuit.stepper`); the NumPy stepper is the oracle the
 library keeps.  The scalar per-substep loop the engine mirrors
 operation for operation lives with the tests (``tests/reference.py``),
@@ -733,21 +734,6 @@ class CompiledTransientBatch:
         return [(key[0], *np.array(members, dtype=np.intp).T)
                 for key, members in pairs.items()]
 
-    def _source_values(self, group_times: Sequence[np.ndarray]) -> np.ndarray:
-        """Every source of every column at its group's instants: ``(K, B,
-        S)`` for ``group_times[g]`` of length ``K``.
-
-        Each distinct stimulus is evaluated once and scattered to every
-        (column, source) pair that has it; sources of another block read
-        0.0.
-        """
-        batch, sources, _ = self.pwl_times.shape
-        values = np.zeros((len(group_times[0]), batch, sources))
-        for group, columns, source_is in self._stimuli:
-            values[:, columns, source_is] = self._evaluate_pwl(
-                columns[0], source_is[0], group_times[group])[:, None]
-        return values
-
     def _compressed_source_schedule(
         self, step_times: Sequence[np.ndarray], steps: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -755,16 +741,20 @@ class CompiledTransientBatch:
 
         ``step_times[g]`` holds the start time of every sub-step of group
         ``g``; past its end a column holds its last value.  Returns
-        ``(changed, values)``: a boolean per sub-step — the union over
-        stimuli, each at its group's times — and a ``(changed.sum(), B,
-        S)`` value matrix for exactly those steps.  Each distinct stimulus
-        is evaluated once (:attr:`_stimuli`).  Stimuli are flat outside
-        their PWL edges, so this keeps the precomputed stimulus table a
-        few edge-windows long instead of one row per sub-step (which at
-        40000 sub-steps x wide batches costs hundreds of MB).
+        ``(changed, rows)``: a boolean per sub-step — the union over
+        stimuli, each at its group's times — and a ``(changed.sum(), S,
+        B)`` table of the driven state rows for exactly those steps.
+        Each distinct stimulus (:attr:`_stimuli`) is evaluated once, and
+        its values at the changed steps are scattered to every (column,
+        source) pair that has it; sources of another block read 0.0.
+        Stimuli are flat outside their PWL edges, so this keeps the
+        precomputed stimulus table a few edge-windows long instead of one
+        row per sub-step (which at 40000 sub-steps x wide batches costs
+        hundreds of MB).
         """
         changed = np.zeros(steps, dtype=bool)
         changed[0] = True
+        evaluated = []
         for group, columns, source_is in self._stimuli:
             values = self._evaluate_pwl(columns[0], source_is[0],
                                         step_times[group])
@@ -772,11 +762,14 @@ class CompiledTransientBatch:
             # change the reference writes into the state.
             bits = values.view(np.uint64)
             changed[1:len(values)] |= bits[1:] != bits[:-1]
+            evaluated.append(values)
         steps_changed = np.flatnonzero(changed)
-        return changed, self._source_values([
-            times[np.minimum(steps_changed, len(times) - 1)]
-            for times in step_times
-        ])
+        batch, sources, _ = self.pwl_times.shape
+        rows = np.zeros((len(steps_changed), sources, batch))
+        for (_, columns, source_is), values in zip(self._stimuli, evaluated):
+            rows[:, source_is, columns] = values[
+                np.minimum(steps_changed, len(values) - 1)][:, None]
+        return changed, rows
 
     # -- integration ------------------------------------------------------
 
@@ -852,9 +845,8 @@ class CompiledTransientBatch:
         changed = np.zeros(steps, dtype=bool)
         source_rows = np.empty((0, len(self.source_keys), self.batch_size))
         if self.source_keys and steps:
-            changed, values = self._compressed_source_schedule(step_times,
-                                                               steps)
-            source_rows = np.ascontiguousarray(values.transpose(0, 2, 1))
+            changed, source_rows = self._compressed_source_schedule(
+                step_times, steps)
         return sample_times, boundaries, step_sizes, changed, source_rows
 
     def _march(self, stepper_type, boundaries: List[np.ndarray],
@@ -905,36 +897,6 @@ def run_transient_batch(cases: Sequence[SimulationCase], stop_time: float,
     scalar reference integrator (``tests/reference.py``) on its time base.
     """
     return CompiledTransientBatch(cases).integrate(stop_time, time_step)
-
-
-class TransientSimulator:
-    """Explicit nodal transient solver for a :class:`TransistorNetlist`.
-
-    ``run`` integrates one case on the batch engine (a batch of one).
-    """
-
-    def __init__(self, netlist: TransistorNetlist,
-                 sources: Mapping[str, PiecewiseLinearSource],
-                 initial_conditions: Optional[Mapping[str, float]] = None):
-        self.netlist = netlist
-        self.sources = dict(sources)
-        missing = [net for net in netlist.inputs if net not in self.sources]
-        if missing:
-            raise SimulationError(f"No source provided for input nets {missing}")
-        self.initial_conditions = dict(initial_conditions or {})
-
-    def as_case(self) -> SimulationCase:
-        """This simulator's configuration as a batchable case."""
-        return SimulationCase(
-            netlist=self.netlist,
-            sources=self.sources,
-            initial_conditions=self.initial_conditions,
-        )
-
-    def run(self, stop_time: float, time_step: float) -> TransientResult:
-        """Integrate from 0 to ``stop_time`` with output samples every
-        ``time_step`` (internally sub-stepped for stability)."""
-        return run_transient_batch([self.as_case()], stop_time, time_step)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -98,18 +98,39 @@ def _source_index(batch, step_sizes: np.ndarray, changed: np.ndarray,
     return index
 
 
+def _bad_plan(steps: int) -> SimulationError:
+    return SimulationError(
+        f"the sample plan is not sorted marks in [0, {steps}] over the "
+        f"groups and rows of its waveform blocks")
+
+
+def _check_plan(plan, waveforms, steps: int) -> None:
+    """Refuse what ``repro_march`` refuses, before anything is written:
+    marks must be non-decreasing in ``[0, steps]``, ``0 <= group < G``
+    and ``0 <= sample < len(waveforms[group])``."""
+    marks, groups, samples = map(np.asarray, plan)
+    lengths = np.array([len(block) for block in waveforms], dtype=np.intp)
+    if marks.size and not (
+            0 <= marks[0] and marks[-1] <= steps
+            and np.all(marks[1:] >= marks[:-1])
+            and 0 <= groups.min() and groups.max() < len(lengths)
+            and 0 <= samples.min() and np.all(samples < lengths[groups])):
+        raise _bad_plan(steps)
+
+
 class NumpyStepper:
     """The sub-step loop in Python over NumPy ufuncs and buffers
     allocated once.
 
-    ``march`` walks the plan in Python: one ``advance`` over the
-    sub-steps up to each new mark, then one copy of the group's state
-    columns per sample.  A sub-step ``i`` is the stimulus copy when a
-    source changed, one terminal gather, the device currents (an elementwise
-    mirror of ``channel_current`` in ``tests/reference.py``), one
-    rank-table gather, one add per rank, the gather of sub-step ``i``'s
-    size for every column, and the ``(current*dt)/C`` update and rail
-    clamp on the integrated-net view of ``voltages``.
+    ``march`` checks the whole plan as ``repro_march`` does, then walks
+    it in Python: one ``advance`` over the sub-steps up to each new mark,
+    then one copy of the group's state columns per sample.  A sub-step
+    ``i`` is the stimulus copy when a source changed, one terminal gather,
+    the device currents (an elementwise mirror of ``channel_current`` in
+    ``tests/reference.py``), one rank-table gather, one add per rank, the
+    gather of sub-step ``i``'s size for every column, and the
+    ``(current*dt)/C`` update and rail clamp on the integrated-net view of
+    ``voltages``.
     """
 
     name = "numpy"
@@ -170,10 +191,6 @@ class NumpyStepper:
             minimum(node_v, high, out=node_v)
 
         def advance(first: int, stop: int) -> None:
-            if not 0 <= first <= stop <= len(source_row):
-                raise SimulationError(
-                    f"sub-steps [{first}, {stop}) are not rows of the "
-                    f"{len(source_row)}-step step-size table")
             for i in range(first, stop):
                 if source_row[i] >= 0:
                     copyto(driven_v, source_rows[source_row[i]])
@@ -183,6 +200,7 @@ class NumpyStepper:
                   for start, stop in batch.group_columns]
 
         def march(plan, waveforms) -> None:
+            _check_plan(plan, waveforms, len(source_row))
             position = 0
             for mark, group, sample in zip(*map(memoryview, plan)):
                 if mark != position:
@@ -390,9 +408,7 @@ class CStepper:
                       samples=lengths.ctypes.data,
                       waveforms=ctypes.addressof(blocks))
         if run(context, ctypes.addressof(table)):
-            raise SimulationError(
-                f"the sample plan is not sorted marks in [0, {steps}] over "
-                f"the groups and rows of its waveform blocks")
+            raise _bad_plan(steps)
 
 
 def cache_dir() -> Path:

@@ -30,6 +30,15 @@ pool::
                                 trials=1000, jobs=4)
     print(result)
 
+A caller that runs many corners on one cell prepares it once and passes
+the :class:`PreparedCell` instead of the cell::
+
+    from repro.immunity import prepare_cell
+
+    prepared = prepare_cell(cell)
+    results = [run_immunity_trials(prepared, trials=500, cnts_per_trial=n)
+               for n in (2, 4, 8)]
+
 Seed contract: a fixed seed fully determines every defect population;
 :func:`run_immunity_trials` (at any chunk size) and the scalar reference
 loop it is tested against (``tests/reference.py``) produce identical
@@ -54,11 +63,14 @@ from .cnts import (
 )
 from .montecarlo import (
     DEFAULT_CHUNK_SIZE,
+    NOMINAL_CNT_PITCH,
     MonteCarloResult,
+    PreparedCell,
     SweepPoint,
     compare_techniques,
     format_comparison,
     format_sweep,
+    prepare_cell,
     run_immunity_trials,
 )
 
@@ -74,10 +86,13 @@ __all__ = [
     "random_mispositioned_cnts",
     "sample_mispositioned_batch",
     "DEFAULT_CHUNK_SIZE",
+    "NOMINAL_CNT_PITCH",
     "MonteCarloResult",
+    "PreparedCell",
     "SweepPoint",
     "compare_techniques",
     "format_comparison",
     "format_sweep",
+    "prepare_cell",
     "run_immunity_trials",
 ]

@@ -15,11 +15,12 @@ with NumPy array operations via
 :meth:`~repro.immunity.checker.ImmunityChecker.evaluate_batch`, in memory
 chunks of ``DEFAULT_CHUNK_SIZE`` trials.  What does not depend on the
 trials — the cell's checker and its packed geometry, the nominal tubes'
-adjacency, the intended drive codes — is prepared once per cell object and
-CNT pitch and kept while the cell lives, so a caller that runs many
-corners on one cell (the immunity sweep engine hands every corner of a
-``(gate, technique)`` the same cell) pays for it once.  Each call is one
-``immunity.trials`` trace span (``trials``, ``assignments``, ``tubes``).
+adjacency, the intended drive codes — is a :class:`PreparedCell`, built
+by :func:`prepare_cell`.  The engine takes a cell, which it prepares on
+every call, or a prepared cell, which the caller holds: the immunity
+sweep engine prepares each ``(gate, technique)`` once and hands it to
+every corner of that cell.  Each call is one ``immunity.trials`` trace
+span (``trials``, ``assignments``, ``tubes``).
 
 The scalar loop it was written from — one trial at a time through the
 checker's per-tube walk — lives with the tests (``tests/reference.py``)
@@ -44,7 +45,6 @@ independent child sequences.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, Sequence, Union
 
@@ -55,7 +55,6 @@ from ..core.standard_cell import StandardCell, assemble_cell
 from ..errors import ImmunityAnalysisError
 from ..geometry.primitives import Rect
 from ..logic.functions import standard_gate
-from ..logic.network import GateNetworks
 from ..tech.lambda_rules import CNFET_RULES, DesignRules
 from .checker import ImmunityChecker
 from .cnts import (
@@ -64,6 +63,10 @@ from .cnts import (
     nominal_cnts,
     sample_mispositioned_batch,
 )
+
+#: Spacing of the nominal (aligned) CNT population every trial's strays
+#: are added to [lambda].
+NOMINAL_CNT_PITCH = 1.0
 
 #: Trials evaluated per vectorized chunk; bounds peak memory while keeping
 #: the arrays large enough to amortise dispatch overhead.
@@ -104,13 +107,13 @@ class MonteCarloResult:
 
 
 @dataclass(frozen=True)
-class _PreparedCell:
-    """The trial-independent state of one cell at one nominal CNT pitch:
-    the gate and annotations it was built from, the checker, the region
-    defects are drawn in, the nominal tubes' adjacency, and the intended
-    drive codes."""
+class PreparedCell:
+    """The trial-independent state of one cell, built by
+    :func:`prepare_cell`: its technique and annotations, the checker, the
+    region defects are drawn in, the nominal tubes' adjacency, and the
+    intended drive codes."""
 
-    gate: GateNetworks
+    technique: str
     annotations: CellAnnotations
     checker: ImmunityChecker
     region: Rect
@@ -119,10 +122,13 @@ class _PreparedCell:
     nominal_matches: bool
 
 
-def _prepare_cell(cell: StandardCell, cnt_pitch: float) -> _PreparedCell:
+def prepare_cell(cell: StandardCell) -> PreparedCell:
+    """What :func:`run_immunity_trials` computes of ``cell`` before its
+    first trial, as the cell is now.  The value does not follow later
+    changes to the cell: prepare it again after editing the cell."""
     annotations = cell.annotations()
     checker = ImmunityChecker(annotations)
-    nominal = nominal_cnts(annotations, pitch=cnt_pitch, axis="x")
+    nominal = nominal_cnts(annotations, pitch=NOMINAL_CNT_PITCH, axis="x")
     expected = cell.gate.expected_truth_table()
     base_adjacency, nominal_codes = checker.base_state(
         CNTBatch.from_instances(nominal)
@@ -131,42 +137,17 @@ def _prepare_cell(cell: StandardCell, cnt_pitch: float) -> _PreparedCell:
     nominal_matches = set(expected.inputs) == set(checker.inputs) and bool(
         (nominal_codes == expected_codes).all()
     )
-    return _PreparedCell(cell.gate, annotations, checker,
-                         _cell_extent(annotations),
-                         base_adjacency, expected_codes, nominal_matches)
-
-
-#: :func:`_prepare_cell` results per live cell object (by ``id``) and
-#: nominal pitch; an entry goes when its cell is garbage collected.
-_PREPARED: Dict[int, Dict[float, _PreparedCell]] = {}
-
-
-def _prepared(cell: StandardCell, cnt_pitch: float) -> _PreparedCell:
-    """:func:`_prepare_cell`, memoised per cell object and pitch.
-
-    A caller that runs many corners on one cell object (the immunity
-    sweep engine) prepares it once.  An entry whose gate or annotations
-    object is no longer the cell's is prepared again; changes made inside
-    those objects are not seen.
-    """
-    per_pitch = _PREPARED.get(id(cell))
-    if per_pitch is None:
-        per_pitch = _PREPARED[id(cell)] = {}
-        weakref.finalize(cell, _PREPARED.pop, id(cell), None)
-    prepared = per_pitch.get(cnt_pitch)
-    if (prepared is None or prepared.gate is not cell.gate
-            or prepared.annotations is not cell.annotations()):
-        prepared = per_pitch[cnt_pitch] = _prepare_cell(cell, cnt_pitch)
-    return prepared
+    return PreparedCell(cell.technique, annotations, checker,
+                        _cell_extent(annotations),
+                        base_adjacency, expected_codes, nominal_matches)
 
 
 def run_immunity_trials(
-    cell: StandardCell,
+    cell: Union[StandardCell, PreparedCell],
     trials: int = 200,
     cnts_per_trial: int = 4,
     max_angle_deg: float = 15.0,
     seed: SeedLike = 2009,
-    cnt_pitch: float = 1.0,
     metallic_fraction: float = 0.0,
 ) -> MonteCarloResult:
     """Monte Carlo immunity analysis of one assembled standard cell.
@@ -179,13 +160,10 @@ def run_immunity_trials(
 
     All trials go through the vectorized evaluator in chunks of
     ``DEFAULT_CHUNK_SIZE``; the scalar reference in ``tests/reference.py``
-    gives the identical result one trial at a time.  The cell's
-    trial-independent state (checker geometry, nominal adjacency, intended
-    codes) is prepared on the first call per cell object and pitch, and
-    prepared again if ``cell.gate`` or the cell's annotations object is
-    replaced.  In-place changes to the gate or the annotations (say, an
-    etch appended to their list) after the first call are not seen:
-    assemble a new cell instead.
+    gives the identical result one trial at a time.  ``cell`` is a
+    :class:`~repro.core.standard_cell.StandardCell`, prepared
+    (:func:`prepare_cell`) on every call, or a :class:`PreparedCell`,
+    which a caller running many corners on one cell prepares once.
     """
     # Imported here: the obs package reaches the runtime layer, which
     # sits above this engine.
@@ -195,7 +173,8 @@ def run_immunity_trials(
         raise ImmunityAnalysisError("trials must be positive")
     with obs_trace.span("immunity.trials", trials=trials,
                         tubes=trials * cnts_per_trial):
-        prepared = _prepared(cell, cnt_pitch)
+        prepared = (cell if isinstance(cell, PreparedCell)
+                    else prepare_cell(cell))
         checker = prepared.checker
         obs_trace.annotate(assignments=checker.geometry.num_assignments)
         rng = np.random.default_rng(seed)
@@ -213,9 +192,9 @@ def run_immunity_trials(
             failures += int(
                 (codes != prepared.expected_codes[None, :]).any(axis=1).sum())
             remaining -= chunk
-    return MonteCarloResult(prepared.annotations.cell_name, cell.technique,
-                            trials, cnts_per_trial, failures,
-                            prepared.nominal_matches)
+    return MonteCarloResult(prepared.annotations.cell_name,
+                            prepared.technique, trials, cnts_per_trial,
+                            failures, prepared.nominal_matches)
 
 
 def compare_techniques(

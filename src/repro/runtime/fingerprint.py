@@ -44,18 +44,14 @@ from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
-from ..study.results import RESULT_SCHEMA, _normalize_seeds
+from ..study.results import (RESULT_SCHEMA, _normalize_seeds,
+                             _package_version)
 from ..study.serialize import canonical_json, config_hash
 
 #: Parameters that select *how* a study executes, never *what* it
 #: computes.  The scheduler's determinism contract makes results
 #: invariant under all of them, so they are excluded from fingerprints.
 EXECUTION_PARAMS = frozenset({"jobs", "workers", "backend", "chunk_size"})
-
-
-def _package_version() -> str:
-    from .. import __version__
-    return __version__
 
 
 def study_fingerprint(

@@ -354,8 +354,9 @@ def _add_runtime_flags(parser: argparse.ArgumentParser,
                                  "invocation to PATH (observation-only: "
                                  "the result is bit-identical either way)")
     if backend:
-        parser.add_argument("--backend", choices=("serial", "thread", "process"),
-                            default=None,
+        from ..runtime.scheduler import BACKENDS
+
+        parser.add_argument("--backend", choices=BACKENDS, default=None,
                             help="scheduler backend (default: process pool "
                                  "when --jobs > 1)")
 

@@ -404,12 +404,12 @@ class _ImmunityCorners:
     """The immunity plan's corner evaluator, ``(values, seed, trials) ->
     metrics``: one Monte Carlo run of the corner's assembled gate.
 
-    It assembles each distinct ``(gate, technique)`` cell when the first
-    corner on it runs and hands every later corner the same cell object,
-    so :func:`~repro.immunity.montecarlo.run_immunity_trials` prepares the
-    cell's checker and nominal state once per sweep, and a plan whose
-    corners are all stored assembles nothing.  It pickles empty: a
-    process worker assembles its own cells.
+    It assembles and prepares (:func:`~repro.immunity.montecarlo.
+    prepare_cell`) each distinct ``(gate, technique)`` cell when the first
+    corner on it runs and hands every later corner the same prepared
+    cell, so a sweep prepares each cell once, and a plan whose corners
+    are all stored prepares nothing.  It pickles empty: a process worker
+    prepares its own cells.
     """
 
     def __init__(self) -> None:
@@ -420,11 +420,12 @@ class _ImmunityCorners:
 
     def _cell(self, gate, technique):
         from ..core.standard_cell import assemble_cell
+        from ..immunity import montecarlo
         from ..logic.functions import standard_gate
 
         if (gate, technique) not in self._cells:
-            self._cells[gate, technique] = assemble_cell(
-                standard_gate(gate), technique=technique)
+            self._cells[gate, technique] = montecarlo.prepare_cell(
+                assemble_cell(standard_gate(gate), technique=technique))
         return self._cells[gate, technique]
 
     def __call__(self, values: Mapping[str, object],

@@ -10,7 +10,8 @@ executable specification both engines were written from, one tube, one
 assignment, one device and one sub-step at a time.  They are plain
 functions over the public objects; nothing in ``src/`` calls them.
 
-* :func:`run_reference` integrates one :class:`TransientSimulator`;
+* :func:`run_reference` integrates one
+  :class:`~repro.circuit.SimulationCase`;
   :func:`~repro.circuit.run_transient_batch` must match it byte for
   byte, waveforms and supply charge.
 * :func:`source_schedule_reference` plans a compiled batch's stimulus
@@ -40,7 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuit import GND, VDD, TransientResult, TransientSimulator
+from repro.circuit import GND, VDD, SimulationCase, TransientResult
 from repro.circuit.simulator import (
     MINIMUM_NODE_CAPACITANCE,
     CompiledTransientBatch,
@@ -51,6 +52,7 @@ from repro.core import StandardCell
 from repro.errors import ImmunityAnalysisError, SimulationError
 from repro.geometry import Rect
 from repro.immunity import (
+    NOMINAL_CNT_PITCH,
     CNTInstance,
     ImmunityChecker,
     ImmunityReport,
@@ -88,15 +90,18 @@ def channel_current(transistor, gate_v: float, drain_v: float,
     return (+magnitude, -magnitude)
 
 
-def run_reference(simulator: TransientSimulator, stop_time: float,
+def run_reference(case: SimulationCase, stop_time: float,
                   time_step: float) -> TransientResult:
     """The scalar reference integrator (one net dict, one device at a
     time) — the shape the batch engine mirrors operation for operation;
-    bit-identical to ``simulator.run(stop_time, time_step)``."""
+    bit-identical to ``run_transient_batch([case], stop_time,
+    time_step)[0]``, on the case's own time base if it carries one."""
+    stop_time, time_step = case.time_base or (stop_time, time_step)
     if stop_time <= 0 or time_step <= 0:
         raise SimulationError("stop_time and time_step must be positive")
-    netlist = simulator.netlist
-    sources = simulator.sources
+    netlist = case.netlist
+    sources = case.sources
+    initial_conditions = case.initial_conditions or {}
     vdd = netlist.vdd
     internal = [
         net for net in netlist.nets()
@@ -108,7 +113,7 @@ def run_reference(simulator: TransientSimulator, stop_time: float,
     }
     voltages: Dict[str, float] = {VDD: vdd, GND: 0.0}
     for net in internal:
-        voltages[net] = simulator.initial_conditions.get(net, 0.0)
+        voltages[net] = initial_conditions.get(net, 0.0)
     for net, source in sources.items():
         voltages[net] = source.value(0.0)
 
@@ -394,7 +399,6 @@ def reference_immunity_trials(
     cnts_per_trial: int = 4,
     max_angle_deg: float = 15.0,
     seed=2009,
-    cnt_pitch: float = 1.0,
     metallic_fraction: float = 0.0,
 ) -> MonteCarloResult:
     """:func:`repro.immunity.run_immunity_trials` one trial at a time
@@ -403,7 +407,7 @@ def reference_immunity_trials(
         raise ImmunityAnalysisError("trials must be positive")
     annotations = cell.annotations()
     checker = ImmunityChecker(annotations)
-    nominal = nominal_cnts(annotations, pitch=cnt_pitch, axis="x")
+    nominal = nominal_cnts(annotations, pitch=NOMINAL_CNT_PITCH, axis="x")
     expected = cell.gate.expected_truth_table()
     rng = np.random.default_rng(seed)
     nominal_report = check_reference(checker, nominal, [], expected=expected)

@@ -8,9 +8,9 @@ from repro.circuit import (
     Inverter,
     ParasiticExtractor,
     PiecewiseLinearSource,
+    SimulationCase,
     TimingLibrary,
     TransistorNetlist,
-    TransientSimulator,
     analyse_netlist,
     build_inverter_chain,
     cmos_inverter,
@@ -20,6 +20,7 @@ from repro.circuit import (
     fo4_metrics,
     fo4_metrics_transient,
     pulse_source,
+    run_transient_batch,
     step_source,
     write_spice,
 )
@@ -134,16 +135,17 @@ class TestTransientSimulation:
         inverter = cmos_inverter()
         netlist = build_inverter_chain(inverter, stages=1, fanout=1, vdd=1.0)
         source = step_source(1.0, delay=5e-12, rise_time=1e-12)
-        sim = TransientSimulator(netlist, {"in": source},
-                                 initial_conditions={"n1": 1.0})
-        result = sim.run(stop_time=100e-12, time_step=0.5e-12)
+        case = SimulationCase(netlist, {"in": source},
+                              initial_conditions={"n1": 1.0})
+        [result] = run_transient_batch([case], stop_time=100e-12,
+                                       time_step=0.5e-12)
         final = result.voltage("n1")[-1]
         assert final < 0.1
 
     def test_missing_source_rejected(self):
         netlist = build_inverter_chain(cmos_inverter(), stages=1, fanout=1, vdd=1.0)
-        with pytest.raises(SimulationError):
-            TransientSimulator(netlist, {})
+        with pytest.raises(SimulationError, match="No source"):
+            run_transient_batch([SimulationCase(netlist, {})], 1e-12, 1e-13)
 
     def test_transient_fo4_close_to_analytical(self):
         inverter = _calibrated_cnfet_inverter()
@@ -260,9 +262,10 @@ class TestSupplyChargeAccounting:
         inverter = cmos_inverter()
         netlist = build_inverter_chain(inverter, stages=1, fanout=4, vdd=1.0)
         source = pulse_source(1.0, delay=20e-12, rise_time=2e-12, width=200e-12)
-        sim = TransientSimulator(netlist, {"in": source},
-                                 initial_conditions={"n1": 1.0})
-        result = sim.run(stop_time=450e-12, time_step=1e-12)
+        case = SimulationCase(netlist, {"in": source},
+                              initial_conditions={"n1": 1.0})
+        [result] = run_transient_batch([case], stop_time=450e-12,
+                                       time_step=1e-12)
         load = netlist.node_capacitance("n1")
         # One full cycle charges the load once (plus short-circuit current
         # during the edges) -> the same order of magnitude as CV.

@@ -410,18 +410,18 @@ def preparation_counter(monkeypatch):
     import repro.core.standard_cell as standard_cell
 
     counts = {"prepared": [], "assembled": []}
-    real_prepare = montecarlo._prepare_cell
+    real_prepare = montecarlo.prepare_cell
     real_assemble = standard_cell.assemble_cell
 
-    def preparing(cell, cnt_pitch):
+    def preparing(cell):
         counts["prepared"].append((cell.gate.name, cell.technique))
-        return real_prepare(cell, cnt_pitch)
+        return real_prepare(cell)
 
     def assembling(gate, *args, **kwargs):
         counts["assembled"].append(gate.name)
         return real_assemble(gate, *args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "_prepare_cell", preparing)
+    monkeypatch.setattr(montecarlo, "prepare_cell", preparing)
     monkeypatch.setattr(standard_cell, "assemble_cell", assembling)
     return counts
 
@@ -474,14 +474,19 @@ class TestSharedCellState:
         assert preparation_counter == {"prepared": [("NAND2", "compact")],
                                        "assembled": ["NAND2"]}
 
-    def test_prepared_state_goes_with_the_sweep(self):
-        import gc
-
-        gc.collect()
-        before = len(montecarlo._PREPARED)
-        run_sweep_study(self.GRID, engine="immunity", trials=20, seed=7)
-        gc.collect()
-        assert len(montecarlo._PREPARED) == before
+    def test_prepared_state_goes_with_the_sweep(self, immunity_counter,
+                                                preparation_counter):
+        """Prepared cells live as long as one sweep: two uncached runs of
+        one grid each prepare every cell once."""
+        cells = sorted({(gate, technique) for gate in ("NAND2", "NOR2")
+                        for technique in ("vulnerable", "compact")})
+        for _ in range(2):
+            for counts in (immunity_counter, *preparation_counter.values()):
+                del counts[:]
+            run_sweep_study(self.GRID, engine="immunity", trials=20, seed=7)
+            assert len(immunity_counter) == 8
+            assert sorted(preparation_counter["prepared"]) == cells
+            assert len(preparation_counter["assembled"]) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.immunity import (
     ImmunityChecker,
     compare_techniques,
     nominal_cnts,
+    prepare_cell,
     random_mispositioned_cnts,
     run_immunity_trials,
     sample_mispositioned_batch,
@@ -218,6 +219,22 @@ class TestMonteCarlo:
         cell.gate = standard_gate("NOR2")
         assert not run(cell).nominal_matches
 
+    def test_in_place_edits_are_seen(self):
+        """Each run prepares the cell as it is then: annotations edited in
+        place after a first run are what the next run evaluates."""
+        cell = assemble_cell(standard_gate("NAND2"), technique="vulnerable")
+        compact = assemble_cell(standard_gate("NAND2"),
+                                technique="compact").annotations()
+        run = partial(run_immunity_trials, cell, trials=60, cnts_per_trial=4,
+                      seed=11)
+        assert run().failures > 0
+        annotations = cell.annotations()
+        for name in ("gates", "contacts", "actives", "etches"):
+            getattr(annotations, name)[:] = getattr(compact, name)
+        assert cell.annotations() is annotations
+        result = run()
+        assert result.failures == 0 and result.nominal_matches
+
     @settings(max_examples=5, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_compact_nand2_immune_for_any_seed(self, seed):
@@ -349,6 +366,19 @@ class TestBatchedEngine:
                                     seed=2009)
         assert loop == batch
         assert loop.failures > 0
+
+    def test_prepared_cell_runs_like_the_cell(self):
+        """A prepared cell, reused across seeds, gives the result its cell
+        gives, field for field, on every cell of the benchmark grid."""
+        for gate, technique in SWEEP_CELLS:
+            cell = assemble_cell(standard_gate(gate), technique=technique)
+            prepared = prepare_cell(cell)
+            for seed in (5, 2009):
+                run = partial(run_immunity_trials, trials=40,
+                              cnts_per_trial=4, seed=seed,
+                              metallic_fraction=0.1)
+                assert dataclasses.asdict(run(prepared)) == \
+                    dataclasses.asdict(run(cell)), (gate, technique, seed)
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         cell = assemble_cell(standard_gate("NAND2"), technique="vulnerable",

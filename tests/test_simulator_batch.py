@@ -27,7 +27,6 @@ from repro.circuit import (
     PiecewiseLinearSource,
     SimulationCase,
     TransientResult,
-    TransientSimulator,
     TransistorNetlist,
     build_inverter_chain,
     cmos_inverter,
@@ -89,9 +88,7 @@ def _cnfet_chain_case(tubes=6, vdd=1.0, stages=3):
 
 
 def _loop(case, stop=STOP, step=STEP):
-    return run_reference(TransientSimulator(case.netlist, case.sources,
-                                            case.initial_conditions),
-                         stop, step)
+    return run_reference(case, stop, step)
 
 
 def _assert_identical(loop, batch):
@@ -138,13 +135,6 @@ class TestBitIdentity(OnStepper):
         case = SimulationCase(netlist, sources, {"out": 1.0})
         batch = run_transient_batch([case], STOP, STEP)[0]
         _assert_identical(_loop(case), batch)
-
-    def test_run_default_engine_is_batch_and_identical(self):
-        case = _cnfet_chain_case()
-        simulator = TransientSimulator(case.netlist, case.sources,
-                                       case.initial_conditions)
-        _assert_identical(run_reference(simulator, STOP, STEP),
-                          simulator.run(STOP, STEP))
 
     def test_source_on_unreferenced_net_matches_loop(self):
         """A source driving a net no device references: the reference
@@ -321,10 +311,10 @@ class TestVectorizedPWL:
             [0.0, 0.5e-12, 1e-12, 1.5e-12, 2e-12, 3e-12, 4e-12, 5e-12,
              6e-12, 7e-12, 1e-9]
         )
-        values = compiled._source_values([probe])  # (K, B, 1), one group
         for case_i, source in enumerate(sources):
+            values = compiled._evaluate_pwl(case_i, 0, probe)
             for time_i, time in enumerate(probe):
-                assert values[time_i, case_i, 0] == source.value(float(time)), (
+                assert values[time_i] == source.value(float(time)), (
                     case_i, time)
 
     def test_deduplicated_schedule_matches_per_pair_oracle(self):

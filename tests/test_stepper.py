@@ -408,15 +408,22 @@ def test_c_stepper_refuses_bad_plan_buffers(monkeypatch, damage):
         march(tuple(plan), blocks)
 
 
-@needs_compiler
-@pytest.mark.parametrize("damage", [
-    "mark below 0", "mark above K", "decreasing marks", "group past G",
-    "negative group", "sample past the block", "negative sample"])
-def test_c_march_refuses_bad_plans(damage):
-    """A plan the C code would misread is refused before it writes: the
-    state, the supply charge and every waveform block keep their bytes.
-    Each damage sits at the plan's end, past every valid sample.  The
-    whole table is accepted."""
+_PLAN_DAMAGES = ("mark below 0", "mark above K", "decreasing marks",
+                 "group past G", "negative group", "sample past the block",
+                 "negative sample")
+
+
+@pytest.mark.parametrize("kind,damage", [
+    *(pytest.param(stepper.CStepper, damage, id=damage, marks=needs_compiler)
+      for damage in _PLAN_DAMAGES),
+    *(pytest.param(stepper.NumpyStepper, damage, id=f"numpy-{damage}")
+      for damage in _PLAN_DAMAGES)])
+def test_c_march_refuses_bad_plans(kind, damage):
+    """A plan the C code would misread is refused before it writes, by
+    ``repro_march`` and by the NumPy oracle alike: the state, the supply
+    charge and every waveform block keep their bytes.  Each damage sits
+    at the plan's end, past every valid sample.  The whole table is
+    accepted."""
     batch, boundaries, *schedule = _integration()
     steps = len(schedule[0])
     marks, groups, samples = plan = _plan(boundaries)
@@ -439,7 +446,7 @@ def test_c_march_refuses_bad_plans(damage):
     charge = np.zeros(batch.batch_size)
     blocks = _blocks(batch, boundaries)
     before = [block.tobytes() for block in blocks]
-    march = stepper.CStepper(batch, voltages, charge, *schedule).march
+    march = kind(batch, voltages, charge, *schedule).march
     with pytest.raises(SimulationError, match="sample plan"):
         march(plan, blocks)
     assert voltages.tobytes() == batch.initial_voltages.tobytes()
