@@ -7,32 +7,34 @@
    it onto the generated CNFET standard-cell library;
 2. for every **unique** mapped cell — not every instance — run one Monte
    Carlo immunity analysis (failure probability under the chosen defect
-   parameters) and one measured-timing characterisation (waveform-fitted
-   R/C model); an 8-bit ripple-carry adder has 72 instances but only two
-   unique cells, so this is where the study earns its throughput.  The
-   timing corners a run misses are characterised together, one
-   transient kernel call per circuit (per shard when ``jobs > 1``);
+   parameters) on the layout the library already assembled, and one
+   measured-timing characterisation (waveform-fitted R/C model); an
+   8-bit ripple-carry adder has 72 instances but only two unique cells,
+   so this is where the study earns its throughput.  The timing corners
+   a run misses are characterised together, one transient kernel call
+   per circuit (per shard when ``jobs > 1``);
 3. aggregate to circuit level: analytic and Monte Carlo functional
    yield over defect draws, static-timing critical-path delay through
    the mapped netlist using the measured models, and total switching
    energy per cycle.
 
 Per-unique-cell work is content-addressed in the corner store (two
-corners per cell: ``circuit-cell`` immunity and ``circuit-timing``) with
-seeds derived from the cell *name* alone — so a warm store serves adder
-cells to a comparator run, and a grid extension recomputes only the new
-cells (``provenance.cache == "partial:<h>/<n>"``).
+corners per cell: the ``circuit-cell`` immunity address, stored under
+the tag ``circuit-immunity``, and ``circuit-timing``) with seeds derived
+from the cell *name* alone — so a warm store serves adder cells to a
+comparator run, and a grid extension recomputes only the new cells
+(``provenance.cache == "partial:<h>/<n>"``).
 
 Determinism: per-cell seeds are pre-derived (:func:`~repro.immunity.
-montecarlo.circuit_cell_seed`), tasks are merged by index, and execution
-parameters are excluded from provenance — serial, thread and process
-backends produce bit-identical results.
+montecarlo.circuit_cell_seed`), shard outputs are merged by corner index,
+and execution parameters are excluded from provenance — serial, thread
+and process backends produce bit-identical results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+import functools
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,12 +48,10 @@ from ..cells.characterize import (
 from ..cells.library import DEFAULT_DRIVE_STRENGTHS, DEFAULT_GATE_SET, build_library
 from ..circuit.logical_effort import CellTimingModel, TimingLibrary, analyse_netlist
 from ..circuit.netlist import GateNetlist
-from ..core.standard_cell import assemble_cell
 from ..errors import MappingError
 from ..flow.techmap import map_netlist
 from ..immunity import montecarlo
 from ..immunity.montecarlo import SeedLike, circuit_cell_seed, circuit_survival_draws
-from ..logic.functions import standard_gate
 from ..obs import trace as obs_trace
 from ..runtime.cache import CacheLike, as_cache, with_cache_status
 from ..runtime.fingerprint import corner_fingerprint, netlist_context
@@ -66,108 +66,44 @@ from .circuits import CircuitLike, resolve_circuit
 _YIELD_SEED_NAME = "::yield::"
 
 
-@dataclass(frozen=True)
-class _CellTask:
-    """One unit of per-unique-cell work (picklable for the process pool)."""
-
-    kind: str                       # "immunity" | "timing"
-    cell: str                       # library cell name, e.g. "NAND2_2X"
-    gate: str
-    drive: float
-    technique: str
-    unit_width: float
-    trials: int
-    cnts_per_trial: int
-    max_angle_deg: float
-    metallic_fraction: float
-    seed: Optional[np.random.SeedSequence]
-    vdd: float
-    pitch_nm: float
+def _immunity_metrics(layout, **trial_params) -> List[Dict[str, Any]]:
+    """One ``circuit-cell`` corner: Monte Carlo immunity of a library
+    cell's layout."""
+    outcome = montecarlo.run_immunity_trials(layout, **trial_params)
+    return [{
+        "trials": outcome.trials,
+        "failures": outcome.failures,
+        "failure_rate": outcome.failure_rate,
+        "immune": outcome.immune,
+    }]
 
 
-def _run_cell_tasks(shard: Tuple[_CellTask, ...]) -> List[Dict[str, Any]]:
-    """Execute one shard of per-cell corners; returns their plain-scalar
-    metrics, in order.
-
-    A shard is one immunity corner, or timing corners that one
-    :func:`~repro.cells.characterize.measured_timing_models` call
-    characterises together — one transient kernel call for the shard.
-    The engines are called through their modules (not direct imports) so
-    invocation counters installed by tests and benchmarks observe every
-    call on the serial and thread backends.
-    """
-    first = shard[0]
-    if first.kind == "timing":
-        models = characterize.measured_timing_models(
-            [(standard_gate(task.gate), (task.drive,)) for task in shard],
-            cnfet_technology(vdd=first.vdd, pitch_nm=first.pitch_nm),
-            unit_width=first.unit_width,
-        )
-        metrics = []
-        for task, cell_models in zip(shard, models):
-            model = cell_models[task.drive]
-            metrics.append({
-                "input_capacitance_f": model.input_capacitance,
-                "drive_resistance_ohm": model.drive_resistance,
-                "parasitic_capacitance_f": model.parasitic_capacitance,
-            })
-        return metrics
+def _timing_metrics(cells: List[Tuple[Any, Tuple[float]]], technology,
+                    unit_width: float) -> List[Dict[str, Any]]:
+    """``circuit-timing`` corners of ``(gate, (drive,))`` cells, all
+    characterised by one :func:`~repro.cells.characterize.
+    measured_timing_models` call — one transient kernel call."""
+    models = characterize.measured_timing_models(
+        cells, technology, unit_width=unit_width,
+    )
     metrics = []
-    for task in shard:
-        cell = assemble_cell(
-            standard_gate(task.gate),
-            technique=task.technique,
-            unit_width=task.unit_width,
-            drive_strength=task.drive,
-        )
-        outcome = montecarlo.run_immunity_trials(
-            cell,
-            trials=task.trials,
-            cnts_per_trial=task.cnts_per_trial,
-            max_angle_deg=task.max_angle_deg,
-            seed=task.seed,
-            metallic_fraction=task.metallic_fraction,
-        )
+    for (_, (drive,)), cell_models in zip(cells, models):
+        model = cell_models[drive]
         metrics.append({
-            "trials": outcome.trials,
-            "failures": outcome.failures,
-            "failure_rate": outcome.failure_rate,
-            "immune": outcome.immune,
+            "input_capacitance_f": model.input_capacitance,
+            "drive_resistance_ohm": model.drive_resistance,
+            "parasitic_capacitance_f": model.parasitic_capacitance,
         })
     return metrics
 
 
-def _run_misses(tasks: List[_CellTask], indices: Tuple[int, ...],
-                jobs: Optional[int], backend: Optional[str]) -> List[Any]:
-    """Run the missing corners ``indices`` of ``tasks``; one payload per
-    index, in order.
-
-    Timing corners are split into at most ``jobs`` contiguous shards, one
-    kernel call each; every immunity corner is a shard of its own.  All
-    shards go through one :func:`run_tasks` map, timing first.
-    """
-    timing = [i for i in indices if tasks[i].kind == "timing"]
-    shards = [tuple(timing[start:stop]) for start, stop
-              in shard_indices(len(timing), resolve_jobs(jobs))]
-    shards += [(i,) for i in indices if tasks[i].kind == "immunity"]
-    outputs = run_tasks(_run_cell_tasks,
-                        [tuple(tasks[i] for i in shard) for shard in shards],
-                        jobs=jobs, backend=backend)
-    payloads = {index: payload for shard, metrics in zip(shards, outputs)
-                for index, payload in zip(shard, metrics)}
-    return [payloads[index] for index in indices]
-
-
-def _unique_cells(design) -> "List[Tuple[str, Any, List[Any]]]":
-    """``(cell_name, library_cell, instances)`` per distinct mapped cell,
-    sorted by cell name so evaluation order never depends on netlist
-    construction order."""
-    groups: Dict[str, Tuple[Any, List[Any]]] = {}
-    for mapped in design.gates:
-        entry = groups.setdefault(mapped.cell.name, (mapped.cell, []))
-        entry[1].append(mapped.instance)
-    return [(name, cell, instances)
-            for name, (cell, instances) in sorted(groups.items())]
+def _run_shard(shard: Callable[[], List[Dict[str, Any]]]
+               ) -> List[Dict[str, Any]]:
+    """Run one shard (a picklable partial of the two functions above);
+    its corners' payloads, in order.  The engines are called through
+    their modules, so counters installed by tests and benchmarks observe
+    every call on the serial and thread backends."""
+    return shard()
 
 
 def run_circuit_study(
@@ -213,24 +149,19 @@ def run_circuit_study(
         technology=technology,
     )
     design = map_netlist(netlist, library)
-    groups = _unique_cells(design)
+    cells = sorted({mapped.cell.name: mapped.cell
+                    for mapped in design.gates}.values(),
+                   key=lambda cell: cell.name)
+    seeds = [circuit_cell_seed(seed, cell.name) for cell in cells]
 
-    tasks: List[_CellTask] = []
+    # Two corners per unique cell, in cell order: immunity at ``2 * i``,
+    # timing at ``2 * i + 1``.
     keys: List[str] = []
-    for cell_name, cell, _instances in groups:
-        cell_seed = circuit_cell_seed(seed, cell_name)
-        tasks.append(_CellTask(
-            kind="immunity", cell=cell_name, gate=cell.gate.name,
-            drive=cell.drive_strength, technique=technique,
-            unit_width=unit_width, trials=trials,
-            cnts_per_trial=cnts_per_trial, max_angle_deg=max_angle_deg,
-            metallic_fraction=metallic_fraction, seed=cell_seed,
-            vdd=vdd, pitch_nm=pitch_nm,
-        ))
+    for cell, cell_seed in zip(cells, seeds):
         keys.append(corner_fingerprint(
             "circuit-cell",
             {
-                "cell": cell_name, "gate": cell.gate.name,
+                "cell": cell.name, "gate": cell.gate.name,
                 "drive": cell.drive_strength, "technique": technique,
                 "unit_width": unit_width, "cnts_per_trial": cnts_per_trial,
                 "max_angle_deg": max_angle_deg,
@@ -239,18 +170,10 @@ def run_circuit_study(
             seed=cell_seed,
             trials=trials,
         ))
-        tasks.append(_CellTask(
-            kind="timing", cell=cell_name, gate=cell.gate.name,
-            drive=cell.drive_strength, technique=technique,
-            unit_width=unit_width, trials=trials,
-            cnts_per_trial=cnts_per_trial, max_angle_deg=max_angle_deg,
-            metallic_fraction=metallic_fraction, seed=None,
-            vdd=vdd, pitch_nm=pitch_nm,
-        ))
         keys.append(corner_fingerprint(
             "circuit-timing",
             {
-                "cell": cell_name, "gate": cell.gate.name,
+                "cell": cell.name, "gate": cell.gate.name,
                 "drive": cell.drive_strength, "vdd": vdd,
                 "pitch_nm": pitch_nm, "unit_width": unit_width,
                 "loads": MEASURED_LOADS_F, "slew": MEASURED_SLEW_S,
@@ -262,10 +185,38 @@ def run_circuit_study(
             ).time_base(),
         ))
 
+    def run_misses(indices: Tuple[int, ...]) -> List[Any]:
+        """The missing corners' payloads, in order.  Timing misses go in
+        at most ``jobs`` contiguous shards, one kernel call each; every
+        immunity miss is a shard of its own.  All shards go through one
+        :func:`run_tasks` map, timing first."""
+        timing = [i for i in indices if i % 2]
+        shards = [tuple(timing[start:stop]) for start, stop
+                  in shard_indices(len(timing), resolve_jobs(jobs))]
+        calls = [functools.partial(
+            _timing_metrics,
+            [(cells[i // 2].gate, (cells[i // 2].drive_strength,))
+             for i in shard],
+            technology, unit_width,
+        ) for shard in shards]
+        for i in indices:
+            if not i % 2:
+                shards.append((i,))
+                calls.append(functools.partial(
+                    _immunity_metrics, cells[i // 2].layout,
+                    trials=trials, cnts_per_trial=cnts_per_trial,
+                    max_angle_deg=max_angle_deg, seed=seeds[i // 2],
+                    metallic_fraction=metallic_fraction,
+                ))
+        outputs = run_tasks(_run_shard, calls, jobs=jobs, backend=backend)
+        payloads = {index: payload for shard, metrics in zip(shards, outputs)
+                    for index, payload in zip(shard, metrics)}
+        return [payloads[index] for index in indices]
+
     store = as_cache(cache)
     with obs_trace.span("circuit", circuit=netlist.name,
                         instances=len(netlist.gates),
-                        unique_cells=len(groups),
+                        unique_cells=len(cells),
                         cached=store is not None):
         cached: Dict[str, Any] = (
             store.get_corners(keys) if store is not None else {}
@@ -274,23 +225,23 @@ def run_circuit_study(
         obs_trace.annotate(hits=plan.hits, misses=plan.misses,
                            status=plan.status)
         metrics = execute_corners(
-            plan, cached,
-            lambda indices: _run_misses(tasks, indices, jobs, backend),
-            store, [f"circuit-{task.kind}" for task in tasks],
+            plan, cached, run_misses, store,
+            ["circuit-immunity", "circuit-timing"] * len(cells),
         )
 
     reports: List[CircuitCellReport] = []
     failure_by_cell: Dict[str, float] = {}
+    usage = design.cell_usage()
     timing_library = TimingLibrary(f"circuit-{netlist.name}", vdd=vdd)
-    for position, (cell_name, cell, instances) in enumerate(groups):
+    for position, cell in enumerate(cells):
         immunity = metrics[2 * position]
         timing = metrics[2 * position + 1]
-        failure_by_cell[cell_name] = float(immunity["failure_rate"])
+        failure_by_cell[cell.name] = float(immunity["failure_rate"])
         reports.append(CircuitCellReport(
-            cell=cell_name,
+            cell=cell.name,
             gate=cell.gate.name,
             drive_strength=cell.drive_strength,
-            instances=len(instances),
+            instances=usage[cell.name],
             trials=int(immunity["trials"]),
             failures=int(immunity["failures"]),
             failure_rate=float(immunity["failure_rate"]),
@@ -308,15 +259,10 @@ def run_circuit_study(
         ))
 
     # Yield aggregation: every instance of a cell shares that cell's
-    # failure probability (independent defects per instance).
-    cell_of_instance = {
-        instance.name: cell_name
-        for cell_name, _cell, instances in groups
-        for instance in instances
-    }
-    instance_probs = [
-        failure_by_cell[cell_of_instance[gate.name]] for gate in netlist.gates
-    ]
+    # failure probability (independent defects per instance), in netlist
+    # order.
+    instance_probs = [failure_by_cell[mapped.cell.name]
+                      for mapped in design.gates]
     functional_yield = float(np.prod([1.0 - p for p in instance_probs]))
     defect_counts = circuit_survival_draws(
         instance_probs, draws, circuit_cell_seed(seed, _YIELD_SEED_NAME)
@@ -370,7 +316,7 @@ def run_circuit_study(
         circuit=netlist.name,
         source=source,
         instances=len(netlist.gates),
-        unique_cells=len(groups),
+        unique_cells=len(cells),
         cells=tuple(reports),
         functional_yield=functional_yield,
         monte_carlo_yield=monte_carlo_yield,

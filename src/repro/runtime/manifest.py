@@ -46,7 +46,8 @@ from ..study.spec import SweepSpec
 from .cache import CacheLike, as_cache
 from .fingerprint import study_fingerprint, sweep_fingerprint
 
-ManifestSource = Union[str, os.PathLike, Sequence[Mapping[str, Any]],
+ManifestSource = Union[str, os.PathLike,
+                       Sequence[Union[Mapping[str, Any], "ManifestEntry"]],
                        Mapping[str, Any]]
 
 
@@ -70,6 +71,60 @@ class ManifestEntry:
                 "A sweep manifest entry needs a non-empty 'axes' mapping"
             )
         return SweepSpec.from_mapping(self.axes, mode=self.mode)
+
+    def sweep_call(self):
+        """``(spec, engine, trials, seed, fixed)`` for a sweep entry, with
+        the trials/seed defaults read off ``run_sweep_study``'s own
+        signature so the manifest can never drift from the driver."""
+        import inspect
+
+        from ..study.sweeps import run_sweep_study
+
+        signature = inspect.signature(run_sweep_study).parameters
+        params = dict(self.params)
+        trials = params.pop("trials", signature["trials"].default)
+        seed = params.pop("seed", signature["seed"].default)
+        return self.spec(), self.engine or "immunity", trials, seed, params
+
+    def key(self) -> Tuple[str, str]:
+        """``(canonical study name, fingerprint)`` — the exact key the
+        cached execution path will use."""
+        if self.is_sweep:
+            spec, engine, trials, seed, fixed = self.sweep_call()
+            return "sweep", sweep_fingerprint(spec, engine, trials, seed,
+                                              fixed)
+        name = get_study(self.study).name
+        return name, study_fingerprint(name, params=self.params)
+
+    @property
+    def fresh_entropy(self) -> bool:
+        """An explicit ``"seed": null`` asks for fresh OS entropy — such an
+        entry must neither dedup nor cache (mirrors the driver-level
+        bypass)."""
+        return "seed" in self.params and self.params["seed"] is None
+
+    def run(self, cache, jobs: Optional[int],
+            backend: Optional[str]) -> StudyResult:
+        """Execute this entry (no dedup)."""
+        from ..study.registry import run_study
+        from ..study.sweeps import run_sweep_study
+
+        if self.is_sweep:
+            spec, engine, trials, seed, fixed = self.sweep_call()
+            return run_sweep_study(
+                spec, engine=engine, trials=trials, seed=seed,
+                jobs=jobs, backend=backend, cache=cache, **fixed,
+            )
+        definition = get_study(self.study)
+        # Forward the manifest-level execution settings only to runners
+        # that take them (serial studies just run serially instead of
+        # erroring the batch); the entry's own params win.
+        accepted = definition.parameters()
+        execution = {name: value for name, value in
+                     (("jobs", jobs), ("backend", backend))
+                     if value is not None and name in accepted}
+        return run_study(definition.name, cache=cache,
+                         **{**execution, **self.params})
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, Any], index: int) -> "ManifestEntry":
@@ -122,7 +177,7 @@ class ManifestEntry:
         if entry.is_sweep:
             from ..study.sweeps import _validate_axes, sweep_engine
 
-            spec, engine, _, _, fixed = _sweep_call(entry)
+            spec, engine, _, _, fixed = entry.sweep_call()
             _validate_axes(spec, sweep_engine(engine), fixed)
         else:
             get_study(study)
@@ -220,64 +275,9 @@ def _load_entries(source: ManifestSource) -> List[ManifestEntry]:
         )
     if not document:
         raise RuntimeLayerError("Manifest has no entries")
-    return [ManifestEntry.from_mapping(entry, index)
+    return [entry if isinstance(entry, ManifestEntry)
+            else ManifestEntry.from_mapping(entry, index)
             for index, entry in enumerate(document)]
-
-
-def _sweep_call(entry: ManifestEntry):
-    """``(spec, engine, trials, seed, fixed)`` for one sweep entry, with
-    the trials/seed defaults read off ``run_sweep_study``'s own signature
-    so the manifest can never drift from the driver."""
-    import inspect
-
-    from ..study.sweeps import run_sweep_study
-
-    signature = inspect.signature(run_sweep_study).parameters
-    params = dict(entry.params)
-    trials = params.pop("trials", signature["trials"].default)
-    seed = params.pop("seed", signature["seed"].default)
-    return entry.spec(), entry.engine or "immunity", trials, seed, params
-
-
-def _entry_key(entry: ManifestEntry) -> Tuple[str, str]:
-    """``(canonical study name, fingerprint)`` — the exact key the cached
-    execution path will use, computed once per entry."""
-    if entry.is_sweep:
-        spec, engine, trials, seed, fixed = _sweep_call(entry)
-        return "sweep", sweep_fingerprint(spec, engine, trials, seed, fixed)
-    name = get_study(entry.study).name
-    return name, study_fingerprint(name, params=entry.params)
-
-
-def _requests_fresh_entropy(entry: ManifestEntry) -> bool:
-    """An explicit ``"seed": null`` asks for fresh OS entropy — such an
-    entry must neither dedup nor cache (mirrors the driver-level
-    bypass)."""
-    return "seed" in entry.params and entry.params["seed"] is None
-
-
-def _run_entry(entry: ManifestEntry, cache, jobs: Optional[int],
-               backend: Optional[str]) -> StudyResult:
-    """Execute one (non-deduplicated) entry."""
-    from ..study.registry import run_study
-    from ..study.sweeps import run_sweep_study
-
-    if entry.is_sweep:
-        spec, engine, trials, seed, fixed = _sweep_call(entry)
-        return run_sweep_study(
-            spec, engine=engine, trials=trials, seed=seed,
-            jobs=jobs, backend=backend, cache=cache, **fixed,
-        )
-    definition = get_study(entry.study)
-    # Forward the manifest-level execution settings only to runners that
-    # take them (serial studies just run serially instead of erroring the
-    # batch); the entry's own params win.
-    accepted = definition.parameters()
-    execution = {name: value for name, value in
-                 (("jobs", jobs), ("backend", backend))
-                 if value is not None and name in accepted}
-    return run_study(definition.name, cache=cache,
-                     **{**execution, **entry.params})
 
 
 def run_manifest(source: ManifestSource, cache: CacheLike = None,
@@ -286,10 +286,11 @@ def run_manifest(source: ManifestSource, cache: CacheLike = None,
     """Execute a manifest of studies with cross-study dedup.
 
     ``source`` is a path to a manifest JSON file, or the already-loaded
-    list / ``{"studies": [...]}`` mapping.  Entries run in order; an
-    entry whose fingerprint matched an earlier one reuses that result
-    without re-running anything (``dedup``), and with ``cache`` attached
-    each unique invocation is a ``miss`` (computed, stored) or ``hit``
+    list / ``{"studies": [...]}`` mapping, whose items may also be parsed
+    :class:`ManifestEntry` objects.  Entries run in order; an entry
+    whose fingerprint matched an earlier one reuses that result without
+    re-running anything (``dedup``), and with ``cache`` attached each
+    unique invocation is a ``miss`` (computed, stored) or ``hit``
     (loaded).  Without a cache, unique entries report ``computed``.
     """
     entries = _load_entries(source)
@@ -298,13 +299,13 @@ def run_manifest(source: ManifestSource, cache: CacheLike = None,
     outcomes: List[ManifestOutcome] = []
     results: List[StudyResult] = []
     for index, entry in enumerate(entries):
-        study, key = _entry_key(entry)
-        deterministic = not _requests_fresh_entropy(entry)
+        study, key = entry.key()
+        deterministic = not entry.fresh_entropy
         if deterministic and key in memo:
             result = memo[key]
             status = "dedup"
         else:
-            result = _run_entry(entry, store, jobs, backend)
+            result = entry.run(store, jobs, backend)
             if deterministic:
                 memo[key] = result
             status = result.provenance.cache or "computed"

@@ -1,4 +1,4 @@
-"""The service API boundary: submission documents in, typed jobs out.
+"""The service API boundary: submission bodies in, typed jobs out.
 
 A *submission* is the JSON body of one ``POST /jobs`` — the same three
 invocation shapes the CLI and manifest runner already understand:
@@ -27,16 +27,11 @@ collapse onto one job — the RPL004 contract, extended to HTTP.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ReproError
-from ..runtime.manifest import (
-    ManifestEntry,
-    _entry_key,
-    _requests_fresh_entropy,
-    _run_entry,
-)
+from ..runtime.manifest import ManifestEntry
 from ..runtime.scheduler import BACKENDS
 from ..study.registry import get_study
 from ..study.results import StudyResult
@@ -77,16 +72,14 @@ class JobSubmission:
     """One validated unit of service work, ready to fingerprint and run.
 
     ``entries`` holds the parsed invocation(s) — exactly one for study
-    and sweep submissions, one per manifest line otherwise; ``documents``
-    keeps the normalised raw entry mappings so manifest runs replay
-    through :func:`~repro.runtime.manifest.run_manifest` unchanged.
+    and sweep submissions, one per manifest line otherwise; manifest runs
+    hand them to :func:`~repro.runtime.manifest.run_manifest` as parsed.
     ``jobs``/``backend`` are the body's optional execution overrides —
     applied when the job runs, invisible to :meth:`fingerprint`.
     """
 
     kind: str
     entries: Tuple[ManifestEntry, ...]
-    documents: Tuple[Dict[str, Any], ...] = field(default=())
     jobs: Optional[int] = None
     backend: Optional[str] = None
 
@@ -127,7 +120,6 @@ class JobSubmission:
             return cls(
                 kind="manifest",
                 entries=entries,
-                documents=tuple(dict(entry) for entry in raw_entries),
                 jobs=jobs,
                 backend=backend,
             )
@@ -135,7 +127,6 @@ class JobSubmission:
         return cls(
             kind="sweep" if entry.is_sweep else "study",
             entries=(entry,),
-            documents=(dict(body),),
             jobs=jobs,
             backend=backend,
         )
@@ -151,7 +142,7 @@ class JobSubmission:
         submissions hash the ordered list of their entries' fingerprints.
         Execution overrides (``jobs``/``backend``) never participate.
         """
-        keys = [_entry_key(entry)[1] for entry in self.entries]
+        keys = [entry.key()[1] for entry in self.entries]
         if self.kind != "manifest":
             return keys[0]
         text = canonical_json({"kind": "manifest", "entries": keys})
@@ -163,8 +154,7 @@ class JobSubmission:
         with an explicit ``"seed": null`` asks for fresh OS entropy, so
         such a submission must neither dedup nor attach — mirroring the
         manifest runner's bypass."""
-        return not any(_requests_fresh_entropy(entry)
-                       for entry in self.entries)
+        return not any(entry.fresh_entropy for entry in self.entries)
 
     @property
     def study(self) -> str:
@@ -178,12 +168,16 @@ class JobSubmission:
     def total_corners(self) -> Optional[int]:
         """How many sweep corners this submission expands to (the job's
         progress denominator), or ``None`` when corners are not the unit
-        of work."""
-        totals = [len(entry.spec().corners())
-                  for entry in self.entries if entry.is_sweep]
-        if not totals:
+        of work: no entry is a sweep, or a plain entry's runner takes
+        ``cache`` — :func:`~repro.study.registry.run_study` then hands it
+        the store, and it reads and writes corners no sweep planned (the
+        circuit study)."""
+        sweeps = [entry for entry in self.entries if entry.is_sweep]
+        if not sweeps or any("cache" in get_study(entry.study).parameters()
+                             for entry in self.entries
+                             if not entry.is_sweep):
             return None
-        return sum(totals)
+        return sum(len(entry.spec().corners()) for entry in sweeps)
 
     # -- execution -------------------------------------------------------------
 
@@ -198,14 +192,13 @@ class JobSubmission:
         effective_backend = self.backend if self.backend is not None \
             else backend
         if self.kind == "manifest":
-            return run_manifest(list(self.documents), cache=cache,
+            return run_manifest(list(self.entries), cache=cache,
                                 jobs=effective_jobs,
                                 backend=effective_backend)
-        return _run_entry(self.entries[0], cache, effective_jobs,
-                          effective_backend)
+        return self.entries[0].run(cache, effective_jobs, effective_backend)
 
     def describe(self) -> Dict[str, Any]:
-        """The submission's face in job documents."""
+        """The submission's face in the job's wire form."""
         return {
             "kind": self.kind,
             "study": self.study,

@@ -29,11 +29,12 @@ the repo's one deterministic scheduler.  An engine exception marks the
 job ``failed`` with :func:`~repro.service.errors.error_payload` and the
 worker moves on; the pool never dies with its job.
 
-Sweep progress rides on the delta planner: the manager wraps its store
-in a :class:`_ProgressCache` whose corner reads/writes tick the job's
-``progress`` counter, so ``GET /jobs/<id>`` reports per-corner progress
-(cached corners count the moment the plan resolves them; fresh corners
-as each one lands in the store).
+Sweep progress rides on the delta planner: for a job with a corner
+total, the manager wraps its store in a :class:`_ProgressCache` whose
+corner reads/writes tick the job's ``progress`` counter, so ``GET
+/jobs/<id>`` reports per-corner progress (cached corners count the
+moment the plan resolves them; fresh corners as each one lands in the
+store).
 
 The job table is bounded: the manager retains at most
 :data:`MAX_FINISHED_JOBS` finished (terminal) jobs and evicts the
@@ -326,10 +327,12 @@ class JobManager:
 
     def _job_store(self, job: Job):
         """The store this job runs against: the manager's cache, wrapped
-        to tick the job's corner progress (sweeps only — the wrapper is
-        inert for plain studies, which never touch the corner API)."""
-        if self._store is None:
-            return None
+        to tick the job's corner progress when the job counts corners
+        (``progress_total`` is set: sweeps, and manifests of sweeps and
+        plain studies that take no store).  Any other job gets the plain
+        store, so corners a circuit study reads or writes tick nothing."""
+        if self._store is None or job.progress_total is None:
+            return self._store
 
         def on_corners(count: int) -> None:
             with self._lock:

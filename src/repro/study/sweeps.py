@@ -502,17 +502,10 @@ def _circuit_corner(values: Mapping[str, object],
     result stays reachable through ``run_study("circuit", ...)``."""
     from ..circuit_study import study as circuit_engine
 
+    # The ``CIRCUIT_AXES`` names are ``run_circuit_study``'s parameters.
     result = circuit_engine.run_circuit_study(
-        values["circuit"],
-        trials=trials,
+        **{**values, "draws": int(values["draws"])}, trials=trials,
         seed=seed,
-        cnts_per_trial=values["cnts_per_trial"],
-        max_angle_deg=values["max_angle_deg"],
-        metallic_fraction=values["metallic_fraction"],
-        technique=values["technique"],
-        vdd=values["vdd"],
-        pitch_nm=values["pitch_nm"],
-        draws=int(values["draws"]),
     )
     return {
         "functional_yield": result.functional_yield,

@@ -248,6 +248,66 @@ class TestPerUniqueCell:
             assert cell.drive_resistance_ohm > 0
             assert cell.parasitic_capacitance_f >= 0
 
+    def test_immunity_runs_on_the_library_layouts(self, monkeypatch):
+        """Each ``circuit-cell`` corner runs on the layout the mapped
+        library cell already holds, not on a second assembly of it."""
+        from repro.circuit_study import study as circuit_engine
+
+        libraries, layouts = [], []
+        real_build = circuit_engine.build_library
+        real_trials = montecarlo.run_immunity_trials
+
+        def recording_build(*args, **kwargs):
+            libraries.append(real_build(*args, **kwargs))
+            return libraries[-1]
+
+        def recording_trials(layout, *args, **kwargs):
+            layouts.append(layout)
+            return real_trials(layout, *args, **kwargs)
+
+        monkeypatch.setattr(circuit_engine, "build_library", recording_build)
+        monkeypatch.setattr(montecarlo, "run_immunity_trials",
+                            recording_trials)
+        result = run_fast(circuit="comparator:2")
+        assert len(libraries) == 1
+        assert len(layouts) == result.unique_cells >= 2
+        library_layouts = [cell.layout for cell in libraries[0]]
+        for layout in layouts:
+            assert any(layout is held for held in library_layouts)
+        assert sorted(layout.name for layout in layouts) == \
+            [cell.cell for cell in result.cells]
+
+    @pytest.mark.parametrize("technique", ["vulnerable", "baseline",
+                                           "compact"])
+    def test_library_layout_runs_like_a_fresh_assembly(self, technique):
+        """A library cell's layout gives the Monte Carlo outcome of
+        ``assemble_cell`` on the same gate, technique, unit width and
+        drive, in every field but the cell's name."""
+        from dataclasses import asdict
+
+        from repro.cells.library import build_library
+        from repro.core.standard_cell import assemble_cell
+        from repro.logic.functions import standard_gate
+
+        drives = (1.0, 2.0, 4.0)
+        library = build_library(gate_names=("INV", "NAND2"),
+                                drive_strengths=drives,
+                                technique=technique, unit_width=4.0)
+        trial_params = dict(trials=24, cnts_per_trial=4, max_angle_deg=15.0,
+                            metallic_fraction=0.1)
+        for cell in library:
+            fresh = assemble_cell(standard_gate(cell.gate.name),
+                                  technique=technique, unit_width=4.0,
+                                  drive_strength=cell.drive_strength)
+            held = asdict(montecarlo.run_immunity_trials(
+                cell.layout, seed=7, **trial_params))
+            again = asdict(montecarlo.run_immunity_trials(
+                fresh, seed=7, **trial_params))
+            assert held.pop("cell_name") == cell.name
+            again.pop("cell_name")
+            assert held == again, cell.name
+        assert len(library) == 2 * len(drives)
+
 
 class TestAggregation:
     def test_compact_layout_is_immune_at_defaults(self, shared_store):

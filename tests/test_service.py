@@ -42,7 +42,7 @@ from hypothesis import given, settings, strategies as st
 import repro.analysis.experiments as experiments
 import repro.service.jobs as jobs_module
 import repro.service.server as server_module
-from repro.runtime.manifest import _entry_key, ManifestEntry
+from repro.runtime.manifest import ManifestEntry
 from repro.service import (
     InvalidSubmission,
     JobManager,
@@ -789,12 +789,12 @@ class TestFingerprintProperties:
         same invocation share one content address (one cache entry)."""
         submission = JobSubmission.from_document(self.BASE)
         entry = ManifestEntry.from_mapping(self.BASE, 0)
-        assert submission.fingerprint() == _entry_key(entry)[1]
+        assert submission.fingerprint() == entry.key()[1]
         study = JobSubmission.from_document(
             {"study": "fig3", "params": {"unit_width": 6.0}})
         study_entry = ManifestEntry.from_mapping(
             {"study": "fig3", "params": {"unit_width": 6.0}}, 0)
-        assert study.fingerprint() == _entry_key(study_entry)[1]
+        assert study.fingerprint() == study_entry.key()[1]
 
     def test_manifest_fingerprint_is_order_sensitive(self):
         """A manifest is an ordered program; reordering its entries is
@@ -835,6 +835,46 @@ class TestJobManager:
             assert len(calls) == 1
         finally:
             release.set()
+
+    def test_progress_counts_only_planned_corners(self, tmp_path,
+                                                  monkeypatch):
+        """A circuit study reads and writes its own per-cell corners;
+        they never tick a job's progress past its total, and a job
+        without a total reports none done.  Progress is polled at every
+        corner write and once each job has finished."""
+        from repro.runtime.cache import ResultCache
+
+        circuit = {"study": "circuit",
+                   "params": {"circuit": "adder:2", "trials": 16,
+                              "draws": 16}}
+        sweep = {"study": "sweep", "engine": "immunity",
+                 "axes": {"cnts_per_trial": [2, 4]},
+                 "params": {"trials": 20, "seed": 7}}
+        manager = JobManager(cache=tmp_path / "cache", workers=1)
+        polls = []
+        real_put = ResultCache.put_corner
+
+        def polling_put(self, *args, **kwargs):
+            polls.extend(document["progress"]
+                         for document in manager.documents())
+            return real_put(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultCache, "put_corner", polling_put)
+        try:
+            submitted = [manager.submit(JobSubmission.from_document(body))[0]
+                         for body in ({"studies": [sweep, circuit]},
+                                      circuit)]
+            for job in submitted:
+                final = manager.poll(job.id, POLL_TIMEOUT_S)
+                assert final["status"] == "done"
+                polls.append(final["progress"])
+        finally:
+            manager.close()
+        assert len(polls) > len(submitted)
+        for progress in polls:
+            assert (progress == {"total": None, "done": 0}
+                    or progress["total"] is not None
+                    and progress["done"] <= progress["total"]), progress
 
     def test_invalid_submission_messages_are_typed(self):
         with pytest.raises(InvalidSubmission):

@@ -3,8 +3,10 @@
 
 Every ``benchmarks/bench_*.py`` writer emits the same envelope (see
 ``benchmarks/bench_schema.py``), so regression checking is one generic
-diff: compare the named ``wall_seconds`` and ``ns_per_unit`` entries,
-then gate on the current run's contract —
+diff: compare the named ``wall_seconds`` and ``ns_per_unit`` entries
+(a relative change only when both runs declare the same ``params``,
+else "params differ; not compared"), then gate on the current run's
+contract —
 
 * the current run's ``speedup`` must meet the ``floor`` the current run
   itself declares (full runs embed their required floor; ``--smoke``
@@ -53,8 +55,10 @@ def _check_envelope(document: Any, label: str) -> Optional[str]:
 
 
 def _diff_section(current: Dict[str, Any], snapshot: Dict[str, Any],
-                  title: str, unit: str, out: TextIO) -> None:
-    """Side-by-side numbers for one named-measurement section."""
+                  title: str, unit: str, compared: bool, out: TextIO) -> None:
+    """Side-by-side numbers for one named-measurement section, with the
+    relative change only when ``compared`` (both runs used one set of
+    params)."""
     keys = [key for key in snapshot if key != "unit"]
     keys += [key for key in current if key != "unit" and key not in snapshot]
     if not keys:
@@ -65,7 +69,12 @@ def _diff_section(current: Dict[str, Any], snapshot: Dict[str, Any],
         if not (isinstance(was, (int, float)) and isinstance(now, (int, float))):
             out.write(f"  {key:<10} snapshot={was!r} current={now!r}\n")
             continue
-        change = "" if not was else f"  ({(now - was) / was:+.1%})"
+        if not compared:
+            change = "  (params differ; not compared)"
+        elif was:
+            change = f"  ({(now - was) / was:+.1%})"
+        else:
+            change = ""
         out.write(f"  {key:<10} snapshot={was:g}{unit} "
                   f"current={now:g}{unit}{change}\n")
 
@@ -80,16 +89,21 @@ def report(current: Dict[str, Any], snapshot: Dict[str, Any],
         return 1
 
     out.write(f"benchmark: {name}\n")
-    out.write(f"params: current={json.dumps(current.get('params', {}), sort_keys=True)}\n")
-    out.write(f"        snapshot={json.dumps(snapshot.get('params', {}), sort_keys=True)}\n")
+    params = current.get("params", {})
+    out.write(f"params: current={json.dumps(params, sort_keys=True)}\n")
+    out.write(f"        snapshot="
+              f"{json.dumps(snapshot.get('params', {}), sort_keys=True)}\n")
+    # A percentage across different workloads (a --smoke run against a
+    # full snapshot) measures the workload change, not the code.
+    compared = params == snapshot.get("params", {})
     _diff_section(current.get("wall_seconds") or {},
                   snapshot.get("wall_seconds") or {},
-                  "wall_seconds", "s", out)
+                  "wall_seconds", "s", compared, out)
     unit = (snapshot.get("ns_per_unit") or {}).get("unit") \
         or (current.get("ns_per_unit") or {}).get("unit") or "unit"
     _diff_section(current.get("ns_per_unit") or {},
                   snapshot.get("ns_per_unit") or {},
-                  f"ns_per_{unit}", "ns", out)
+                  f"ns_per_{unit}", "ns", compared, out)
 
     floor = current.get("floor")
     speedup = current.get("speedup")
