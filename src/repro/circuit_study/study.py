@@ -11,8 +11,8 @@
    measured-timing characterisation (waveform-fitted R/C model); an
    8-bit ripple-carry adder has 72 instances but only two unique cells,
    so this is where the study earns its throughput.  The timing corners
-   a run misses are characterised together, one transient kernel call
-   per circuit (per shard when ``jobs > 1``);
+   a run misses are one group, characterised together: one transient
+   kernel call per circuit (per shard when ``jobs > 1``);
 3. aggregate to circuit level: analytic and Monte Carlo functional
    yield over defect draws, static-timing critical-path delay through
    the mapped netlist using the measured models, and total switching
@@ -34,7 +34,7 @@ and process backends produce bit-identical results.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,8 +55,8 @@ from ..immunity.montecarlo import SeedLike, circuit_cell_seed, circuit_survival_
 from ..obs import trace as obs_trace
 from ..runtime.cache import CacheLike, as_cache, with_cache_status
 from ..runtime.fingerprint import corner_fingerprint, netlist_context
-from ..runtime.scheduler import (execute_corners, plan_delta, resolve_jobs,
-                                 run_tasks, shard_indices)
+from ..runtime.scheduler import (call_task, execute_corners, plan_delta,
+                                 run_tasks, shard_groups)
 from ..study.results import CircuitCellReport, CircuitStudyResult, Provenance
 from .circuits import CircuitLike, resolve_circuit
 
@@ -95,15 +95,6 @@ def _timing_metrics(cells: List[Tuple[Any, Tuple[float]]], technology,
             "parasitic_capacitance_f": model.parasitic_capacitance,
         })
     return metrics
-
-
-def _run_shard(shard: Callable[[], List[Dict[str, Any]]]
-               ) -> List[Dict[str, Any]]:
-    """Run one shard (a picklable partial of the two functions above);
-    its corners' payloads, in order.  The engines are called through
-    their modules, so counters installed by tests and benchmarks observe
-    every call on the serial and thread backends."""
-    return shard()
 
 
 def run_circuit_study(
@@ -185,30 +176,36 @@ def run_circuit_study(
             ).time_base(),
         ))
 
+    def task(shard: Tuple[int, ...]):
+        """A shard's call: one kernel call over timing corners, or one
+        immunity corner.  The engines are called through their modules,
+        so counters installed by tests and benchmarks observe every call
+        on the serial and thread backends."""
+        if shard[0] % 2:
+            return functools.partial(
+                _timing_metrics,
+                [(cells[i // 2].gate, (cells[i // 2].drive_strength,))
+                 for i in shard],
+                technology, unit_width,
+            )
+        return functools.partial(
+            _immunity_metrics, cells[shard[0] // 2].layout,
+            trials=trials, cnts_per_trial=cnts_per_trial,
+            max_angle_deg=max_angle_deg, seed=seeds[shard[0] // 2],
+            metallic_fraction=metallic_fraction,
+        )
+
     def run_misses(indices: Tuple[int, ...]) -> List[Any]:
-        """The missing corners' payloads, in order.  Timing misses go in
-        at most ``jobs`` contiguous shards, one kernel call each; every
-        immunity miss is a shard of its own.  All shards go through one
-        :func:`run_tasks` map, timing first."""
-        timing = [i for i in indices if i % 2]
-        shards = [tuple(timing[start:stop]) for start, stop
-                  in shard_indices(len(timing), resolve_jobs(jobs))]
-        calls = [functools.partial(
-            _timing_metrics,
-            [(cells[i // 2].gate, (cells[i // 2].drive_strength,))
-             for i in shard],
-            technology, unit_width,
-        ) for shard in shards]
-        for i in indices:
-            if not i % 2:
-                shards.append((i,))
-                calls.append(functools.partial(
-                    _immunity_metrics, cells[i // 2].layout,
-                    trials=trials, cnts_per_trial=cnts_per_trial,
-                    max_angle_deg=max_angle_deg, seed=seeds[i // 2],
-                    metallic_fraction=metallic_fraction,
-                ))
-        outputs = run_tasks(_run_shard, calls, jobs=jobs, backend=backend)
+        """The missing corners' payloads, in order.  The timing misses are
+        one group, run first in at most ``jobs`` shards; each immunity
+        miss is a group of its own.  All shards go through one
+        :func:`run_tasks` map."""
+        order = sorted(indices, key=lambda i: i % 2 == 0)   # timing first
+        shards = [tuple(order[position] for position in positions)
+                  for positions in shard_groups(
+                      ["timing" if i % 2 else i for i in order], jobs)]
+        outputs = run_tasks(call_task, [task(shard) for shard in shards],
+                            jobs=jobs, backend=backend)
         payloads = {index: payload for shard, metrics in zip(shards, outputs)
                     for index, payload in zip(shard, metrics)}
         return [payloads[index] for index in indices]

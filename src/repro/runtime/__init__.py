@@ -53,10 +53,10 @@ from .scheduler import (
     DeltaPlan,
     execute_corners,
     plan_delta,
-    plan_shards,
     resolve_backend,
     resolve_jobs,
     run_tasks,
+    shard_groups,
     shard_indices,
 )
 
@@ -77,11 +77,11 @@ __all__ = [
     "corner_fingerprint",
     "execute_corners",
     "plan_delta",
-    "plan_shards",
     "resolve_backend",
     "resolve_jobs",
     "run_manifest",
     "run_tasks",
+    "shard_groups",
     "shard_indices",
     "study_fingerprint",
     "sweep_fingerprint",

@@ -25,25 +25,31 @@ constructed so that *nothing about scheduling leaks into them*:
   :class:`~numpy.random.SeedSequence`, derived in the parent under the
   reserved ``_SWEEP_SPAWN_KEY`` contract **per corner, not per worker**
   (see :meth:`repro.study.spec.SweepSpec.seeds`);
-* a transient shard is ``(grid, case indices)`` over one
-  :class:`~repro.cells.characterize.CellGrid`: it integrates only its
-  cases, on the whole grid's analytical time base
+* a task is a shard of corners that share one *group* — the state the
+  shard builds once: an immunity cell, or a transient
+  :class:`~repro.cells.characterize.CellGrid` whose cases it integrates
+  on the whole grid's analytical time base
   (:func:`repro.cells.characterize.characterize_cases`), so a shard's
   waveforms are bit-identical to the full-batch run.
 
-Sharding (:func:`shard_indices`) is contiguous and balanced, purely a
-function of ``(n, shards)`` — never of measured runtimes — so the same
-request always produces the same task list.
+Sharding has one rule, :func:`shard_groups`: each group's corners, in
+order, in at most ``jobs`` contiguous, balanced chunks
+(:func:`shard_indices`) — purely a function of the groups and ``jobs``,
+never of measured runtimes — so the same request always produces the
+same task list.  Each shard is a picklable zero-argument
+:func:`functools.partial` that :func:`call_task` runs.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import (AbstractSet, Any, Callable, List, Mapping, Optional,
-                    Sequence, Tuple, TypeVar)
+from typing import (AbstractSet, Any, Callable, Dict, Hashable, List,
+                    Mapping, Optional, Sequence, Tuple, TypeVar)
 
 from ..errors import RuntimeLayerError
 
@@ -92,7 +98,13 @@ def run_tasks(
 
     ``results[i] == fn(tasks[i])`` regardless of backend, worker count or
     completion order; the process backend requires ``fn`` and every task
-    to be picklable (module-level functions, frozen dataclasses).
+    to be picklable (module-level functions and partials of them).
+
+    Each result is collected in submission order under its own
+    ``scheduler.task`` span, labelled with the function the task runs.
+    Workers never see the tracer (it is thread-local, and process
+    workers share nothing), so traced and untraced execution feed ``fn``
+    identical inputs.
     """
     # Imported here, not at module top: obs itself obtains its locks from
     # this module, so the dependency must stay one-way at import time.
@@ -100,36 +112,30 @@ def run_tasks(
 
     jobs = resolve_jobs(jobs)
     backend = resolve_backend(backend, jobs)
-    tracer = obs_trace.current_tracer()
-    if backend == "serial" or jobs <= 1 or len(tasks) <= 1:
-        if tracer is None:
-            return [fn(task) for task in tasks]
-        with obs_trace.span("scheduler.run_tasks", backend="serial",
-                            jobs=jobs, tasks=len(tasks)):
-            results = []
-            for index, task in enumerate(tasks):
-                with obs_trace.span("scheduler.task", index=index):
-                    results.append(fn(task))
-            return results
-    executor_type = (ProcessPoolExecutor if backend == "process"
-                     else ThreadPoolExecutor)
-    with executor_type(max_workers=min(jobs, len(tasks))) as pool:
-        if tracer is None:
-            return list(pool.map(fn, tasks))
-        # Traced path: submit each task individually and collect results
-        # in submission order — equivalent to ``pool.map`` (same ordered
-        # results, same worker fan-out), but each wait is attributable
-        # to one task span.  Workers never see the tracer (it is
-        # thread-local, and process workers share nothing), so traced
-        # and untraced execution feed ``fn`` identical inputs.
-        with obs_trace.span("scheduler.run_tasks", backend=backend,
-                            jobs=jobs, tasks=len(tasks)):
-            futures = [pool.submit(fn, task) for task in tasks]
-            results = []
-            for index, future in enumerate(futures):
-                with obs_trace.span("scheduler.task", index=index):
-                    results.append(future.result())
-            return results
+    if jobs <= 1 or len(tasks) <= 1:
+        backend = "serial"
+    executor = (nullcontext() if backend == "serial" else
+                (ProcessPoolExecutor if backend == "process"
+                 else ThreadPoolExecutor)(max_workers=min(jobs, len(tasks))))
+    with obs_trace.span("scheduler.run_tasks", backend=backend, jobs=jobs,
+                        tasks=len(tasks)), executor as pool:
+        # One zero-argument wait per task: serially it runs the task, on
+        # a pool it blocks on the task's future.
+        waits = [functools.partial(fn, task) if pool is None
+                 else pool.submit(fn, task).result for task in tasks]
+        results = []
+        for index, (task, wait) in enumerate(zip(tasks, waits)):
+            # A partial task names the function it runs.
+            with obs_trace.span("scheduler.task", index=index,
+                                call=getattr(task, "func", fn).__name__):
+                results.append(wait())
+        return results
+
+
+def call_task(task: Callable[[], _Result]) -> _Result:
+    """The worker of every sharded run: call one shard, a picklable
+    zero-argument :func:`functools.partial` of a module-level function."""
+    return task()
 
 
 def make_lock() -> threading.Lock:
@@ -166,6 +172,27 @@ def shard_indices(n: int, shards: int) -> List[Tuple[int, int]]:
         slices.append((start, stop))
         start = stop
     return slices
+
+
+def shard_groups(groups: Sequence[Hashable],
+                 jobs: Optional[int]) -> List[Tuple[int, ...]]:
+    """Shard the positions of ``groups`` so that no shard spans two
+    groups: each group's positions, in order, in at most ``jobs``
+    contiguous, balanced chunks (:func:`shard_indices`), the groups in
+    first-seen order.
+
+    >>> shard_groups(["a", "b", "a", "a", "b"], 2)
+    [(0, 2), (3,), (1,), (4,)]
+    >>> shard_groups(["a", "b", "a", "a", "b"], 1)
+    [(0, 2, 3), (1, 4)]
+    """
+    members: Dict[Hashable, List[int]] = {}
+    for position, group in enumerate(groups):
+        members.setdefault(group, []).append(position)
+    jobs = resolve_jobs(jobs)
+    return [tuple(positions[start:stop])
+            for positions in members.values()
+            for start, stop in shard_indices(len(positions), jobs)]
 
 
 @dataclass(frozen=True)
@@ -243,29 +270,16 @@ def execute_corners(plan: DeltaPlan, cached: Mapping[str, Any],
     return payloads
 
 
-#: Shards per worker in :func:`plan_shards`, so stragglers balance.
-SHARDS_PER_WORKER = 4
-
-
-def plan_shards(n_tasks: int, jobs: Optional[int]) -> List[Tuple[int, int]]:
-    """The shard plan for ``n_tasks`` units of work on ``jobs`` workers:
-    contiguous chunks, :data:`SHARDS_PER_WORKER` shards per worker so
-    stragglers balance, one shard per task when tasks are scarce."""
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1:
-        return shard_indices(n_tasks, 1)
-    return shard_indices(n_tasks, jobs * SHARDS_PER_WORKER)
-
-
 __all__ = [
     "BACKENDS",
     "DeltaPlan",
+    "call_task",
     "execute_corners",
     "make_lock",
     "plan_delta",
-    "plan_shards",
     "resolve_backend",
     "resolve_jobs",
     "run_tasks",
+    "shard_groups",
     "shard_indices",
 ]

@@ -113,7 +113,16 @@ class _Handler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
 
+    def parse_request(self) -> bool:
+        self._body_read = False
+        return super().parse_request()
+
     def _send_json(self, status: int, document: Any) -> None:
+        if not self.close_connection and not self._body_read \
+                and self.headers.get("Content-Length", "0") != "0":
+            # A body the handler did not read would be parsed as the
+            # next request on this connection.
+            self.close_connection = True
         body = json.dumps(document, indent=2, sort_keys=False)
         payload = (body + "\n").encode("utf-8")
         self.send_response(status)
@@ -159,6 +168,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"{MAX_BODY_BYTES}-byte limit"
             )
         raw = self.rfile.read(length) if length else b""
+        self._body_read = True
         if not raw:
             raise InvalidSubmission("Empty submission body")
         try:

@@ -167,16 +167,12 @@ def _emit(result: StudyResult, args, store, stdout, stderr) -> int:
     return 0
 
 
-def _seed_flags(args, owner: str, seeded: bool) -> Dict[str, Any]:
-    """``--seed``/``--trials`` as runner keywords (``run``, ``sweep``,
-    ``circuit``).  An unseeded study or engine is deterministic:
-    rejecting the flags beats silently ignoring them."""
-    given = {name: getattr(args, name) for name in ("seed", "trials")
-             if getattr(args, name) is not None}
-    if given and not seeded:
-        raise StudyError(f"{owner} takes no seed: it is deterministic, "
-                         "so it takes no --seed/--trials")
-    return given
+def _seed_flags(args) -> Dict[str, Any]:
+    """The given ``--seed``/``--trials`` as runner keywords (``run``,
+    ``sweep``, ``circuit``).  :func:`~repro.study.registry.run_study`
+    rejects them for an unseeded study as unknown parameters."""
+    return {name: getattr(args, name) for name in ("seed", "trials")
+            if getattr(args, name) is not None}
 
 
 def _circuit_source(args) -> str:
@@ -235,8 +231,7 @@ def _cmd_run(args, stdout, stderr) -> int:
     params = _parse_assignments(args.param, "--param")
     if args.command == "circuit":
         params.update(circuit=_circuit_source(args), backend=args.backend)
-    params.update(_seed_flags(args, f"Study {definition.name!r}",
-                              "seed" in definition.parameters()))
+    params.update(_seed_flags(args))
     store = _resolve_cache(args)
     with _traced(args, f"run:{definition.name}", stderr):
         result = run_study(definition.name, cache=store, jobs=args.jobs,
@@ -247,8 +242,13 @@ def _cmd_run(args, stdout, stderr) -> int:
 def _cmd_sweep(args, stdout, stderr) -> int:
     spec = SweepSpec.parse(args.axis, mode=args.mode)
     kwargs = _parse_assignments(args.set, "--set")
-    kwargs.update(_seed_flags(args, f"Engine {args.engine!r}",
-                              ENGINES[args.engine].seeded))
+    given = _seed_flags(args)
+    if given and not ENGINES[args.engine].seeded:
+        # run_sweep_study takes a seed for every engine: an unseeded one
+        # is deterministic, and rejecting the flags beats ignoring them.
+        raise StudyError(f"Engine {args.engine!r} takes no seed: it is "
+                         "deterministic, so it takes no --seed/--trials")
+    kwargs.update(given)
     store = _resolve_cache(args)
     with _traced(args, f"sweep:{args.engine}", stderr):
         result = run_sweep_study(spec, engine=args.engine, jobs=args.jobs,
@@ -366,7 +366,7 @@ def _add_study_flags(parser: argparse.ArgumentParser,
                      backend: bool = False, what: str = "result") -> None:
     """The flags of the commands that emit a result (``run``, ``sweep``,
     ``circuit``, ``batch``): ``--json``/``--text``, ``--seed``/``--trials``
-    when ``seeded`` says who takes them (checked by :func:`_seed_flags`),
+    when ``seeded`` names who takes them (their help text),
     ``--param`` and the runtime flags."""
     parser.add_argument("--json", metavar="PATH",
                         help=f"write the serialized {what} ('-' = stdout)")

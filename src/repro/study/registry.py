@@ -140,8 +140,9 @@ def run_study(name: str, cache=None, jobs: "int | None" = None,
     :func:`~repro.study.sweeps.run_sweep_study`.
 
     ``jobs`` asks for parallel execution and is forwarded to the runner's
-    own ``jobs`` parameter; studies without one reject it, mirroring how
-    the CLI rejects ``--seed`` for unseeded studies.
+    own ``jobs`` parameter; studies without one reject it, as studies
+    without a ``seed`` parameter reject ``seed`` (and the CLI's
+    ``--seed``).
     """
     definition = get_study(name)
     accepted = definition.parameters()

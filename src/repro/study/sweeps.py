@@ -4,10 +4,12 @@
 evaluates it.  The engines are the entries of :data:`ENGINES`, one
 :class:`SweepEngine` record each: its axes with their defaults, whether
 it is seeded, and **one** ``plan`` function, whose :class:`CornerPlan`
-carries every corner's address and seed and the ``run`` that evaluates
-any subset of corners.  Every sweep — uncached, cold or warm — takes one
-path: plan the corners, fetch the ones the corner store holds, run only
-the misses, store them.
+carries every corner's address and *group* — the state a shard of its
+corners builds once — and the ``task`` that makes a shard of any corners
+of one group.  Every sweep — uncached, cold or warm — takes one path:
+plan the corners, fetch the ones the corner store holds, run only the
+misses in shards that never span two groups (:func:`~repro.runtime.
+scheduler.shard_groups`), store them.
 
 * ``engine="immunity"`` — the Monte Carlo immunity engine.  Axes:
   ``gate``, ``technique``, ``cnts_per_trial``, ``max_angle_deg``,
@@ -17,16 +19,17 @@ the misses, store them.
   (techniques share defect populations, distinct parameter combinations
   get independent child sequences) holds whatever order the spec declares
   its axes in; zip corners follow the same contract via
-  :meth:`SweepSpec.seeds`.  Each distinct ``(gate, technique)`` cell is
-  assembled and prepared once per sweep, when its first corner runs.
+  :meth:`SweepSpec.seeds`.  A corner's group is its ``(gate,
+  technique)`` cell, which each shard assembles and prepares once, so a
+  serial sweep prepares each cell once.
   :func:`repro.analysis.run_immunity_sweep` is this engine with the axes
   declared in that canonical order.
 * ``engine="transient"`` — the batch transient/characterisation engine.
   Axes: ``cell``, ``drive``, ``load_f``, ``slew_s``, ``vdd``,
   ``pitch_nm``.  The corners of one cell form one
   :class:`~repro.cells.characterize.CellGrid` (its technology corners
-  span ``vdd × pitch_nm``); a shard is ``(grid, case indices)``,
-  integrated on the whole grid's time base
+  span ``vdd × pitch_nm``) and is the corners' group; a shard
+  integrates its cases on the whole grid's time base
   (:func:`~repro.cells.characterize.characterize_cases`), bit-identical
   to one :func:`~repro.cells.characterize.characterize_sweep` batch.  A
   zip corner is its own one-point grid, on the same path.
@@ -37,7 +40,8 @@ the misses, store them.
   ``draws``.  Each corner is one full circuit study; corners differing
   only in the electrical axes (``vdd``/``pitch_nm``) share one child
   seed, so their defect populations are identical — the circuit-level
-  analogue of the Figure 2 technique-sharing contract.
+  analogue of the Figure 2 technique-sharing contract.  All corners share
+  one group.
 
 Axes not present in the spec take the engine's fixed defaults, which can
 be overridden by keyword (``run_sweep_study(spec, engine="immunity",
@@ -49,8 +53,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import (Any, Callable, ClassVar, Dict, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, ClassVar, Dict, Hashable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -203,7 +207,8 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
     """Evaluate a :class:`SweepSpec` on one of the :data:`ENGINES`.
 
     ``jobs``/``backend`` route the sweep through the runtime scheduler:
-    corners are sharded into contiguous chunks and evaluated over a
+    each group's corners are sharded into at most ``jobs`` contiguous
+    chunks and evaluated over a
     process pool (or threads / serially — see
     :mod:`repro.runtime.scheduler`), with per-corner seeds spawned in the
     parent under the established ``_SWEEP_SPAWN_KEY`` contract, so the
@@ -257,8 +262,8 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
 def _plan_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
                 fixed: Mapping[str, object], store):
     """``(corners, cached, plan)`` — the engine's :class:`CornerPlan` of
-    the sweep (one corner fingerprint and, for a seeded engine, one child
-    seed per corner, in corner order), the corner payloads ``store``
+    the sweep (one corner fingerprint and group per corner, in corner
+    order), the corner payloads ``store``
     already holds (none without a store) and the
     :class:`~repro.runtime.scheduler.DeltaPlan` over the fingerprints.
 
@@ -315,7 +320,7 @@ def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
     def run(indices):
         with obs_trace.span("sweep.execute", corners=len(indices),
                             engine=engine.name):
-            return corners.run(indices, jobs, backend)
+            return _execute(corners, indices, jobs, backend)
 
     metrics = execute_corners(plan, cached, run, store,
                               [engine.name] * plan.total)
@@ -340,114 +345,74 @@ def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
 class CornerPlan:
     """One engine's plan of one sweep, built once per sweep.
 
-    ``keys[i]`` is corner ``i``'s fingerprint and ``seeds[i]`` its
-    pre-spawned child seed (``seeds`` is ``None`` for a deterministic
-    engine).  ``run(indices, jobs, backend)`` evaluates the corners at
-    ``indices`` on the bindings, seeds and grids the plan resolved, and
-    returns their metrics in ``indices`` order — for a cold sweep and a
-    delta recompute alike.
+    ``keys[i]`` is corner ``i``'s fingerprint and ``groups[i]`` its group,
+    the state a shard of its corners builds once.  ``task(indices)`` is
+    the shard of the corners at ``indices``, all of one group: a
+    picklable zero-argument :func:`functools.partial` over only their
+    bindings and seeds or their grid, which returns their metrics in
+    ``indices`` order — for a cold sweep and a delta recompute alike.
     """
 
     keys: Tuple[str, ...]
-    seeds: Optional[Tuple[np.random.SeedSequence, ...]]
-    run: Callable[[Sequence[int], int, Optional[str]], List[Dict[str, Any]]]
+    groups: Tuple[Hashable, ...]
+    task: Callable[[Sequence[int]], Callable[[], List[Dict[str, Any]]]]
+
+
+def _execute(plan: CornerPlan, indices: Sequence[int], jobs: int,
+             backend: Optional[str]) -> List[Dict[str, Any]]:
+    """The metrics of the corners at ``indices``, in that order.
+
+    The corners run in shards that never span two groups
+    (:func:`~repro.runtime.scheduler.shard_groups`), over the scheduler,
+    and their metrics are scattered back by corner index.  Seeds are
+    spawned per corner in the parent and a transient shard integrates on
+    its whole grid's time base, so any sharding is bit-identical."""
+    from ..runtime.scheduler import call_task, run_tasks, shard_groups
+
+    shards = [tuple(indices[position] for position in shard)
+              for shard in shard_groups([plan.groups[index]
+                                         for index in indices], jobs)]
+    outputs = run_tasks(call_task, [plan.task(shard) for shard in shards],
+                        jobs=jobs, backend=backend)
+    metrics: Dict[int, Dict[str, Any]] = {}
+    for shard, chunk in zip(shards, outputs):
+        metrics.update(zip(shard, chunk))
+    return [metrics[index] for index in indices]
 
 
 # ---------------------------------------------------------------------------
 # Seeded engines: immunity and circuit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _SeededShard:
-    """A picklable chunk of seeded corners: resolved bindings plus the
-    pre-spawned child seeds, evaluated one corner at a time by
-    ``evaluate`` (a module-level function, pickled by reference, or the
-    immunity plan's :class:`_ImmunityCorners`)."""
+def _immunity_shard(values: Sequence[Mapping[str, object]],
+                    seeds: Sequence[np.random.SeedSequence],
+                    trials: int) -> List[Dict[str, Any]]:
+    """Worker: the immunity corners of one ``(gate, technique)`` cell,
+    which it assembles and prepares once; one Monte Carlo run each."""
+    from ..core.standard_cell import assemble_cell
+    from ..immunity import montecarlo
+    from ..logic.functions import standard_gate
 
-    evaluate: Callable[[Dict[str, object], np.random.SeedSequence, int],
-                       Dict[str, Any]]
-    values: Tuple[Dict[str, object], ...]
-    seeds: Tuple[np.random.SeedSequence, ...]
-    trials: int
-
-
-def _run_seeded_shard(shard: _SeededShard) -> List[Dict[str, Any]]:
-    """Worker: evaluate one shard's corners (module-level for pickling)."""
-    return [shard.evaluate(values, child, shard.trials)
-            for values, child in zip(shard.values, shard.seeds)]
-
-
-def _execute_seeded(evaluate, values: Sequence[Dict[str, object]],
-                    seeds: Sequence[np.random.SeedSequence], trials: int,
-                    indices: Sequence[int], jobs: int,
-                    backend: Optional[str]) -> List[Dict[str, Any]]:
-    """A seeded plan's ``run``: the corners at ``indices``, with their
-    resolved bindings and pre-spawned seeds, in contiguous shards over
-    the scheduler; metrics in ``indices`` order.  Seeds are spawned per
-    corner in the parent, never per worker, so any sharding is
-    bit-identical."""
-    from ..runtime.scheduler import plan_shards, run_tasks
-
-    chosen = [values[index] for index in indices]
-    children = [seeds[index] for index in indices]
-    shards = [
-        _SeededShard(evaluate=evaluate, values=tuple(chosen[start:stop]),
-                     seeds=tuple(children[start:stop]), trials=trials)
-        for start, stop in plan_shards(len(chosen), jobs)
-    ]
-    per_shard = run_tasks(_run_seeded_shard, shards, jobs=jobs,
-                          backend=backend)
-    return [metrics for chunk in per_shard for metrics in chunk]
-
-
-class _ImmunityCorners:
-    """The immunity plan's corner evaluator, ``(values, seed, trials) ->
-    metrics``: one Monte Carlo run of the corner's assembled gate.
-
-    It assembles and prepares (:func:`~repro.immunity.montecarlo.
-    prepare_cell`) each distinct ``(gate, technique)`` cell when the first
-    corner on it runs and hands every later corner the same prepared
-    cell, so a sweep prepares each cell once, and a plan whose corners
-    are all stored prepares nothing.  It pickles empty: a process worker
-    prepares its own cells.
-    """
-
-    def __init__(self) -> None:
-        self._cells: Dict[Tuple[object, object], Any] = {}
-
-    def __reduce__(self):
-        return (_ImmunityCorners, ())
-
-    def _cell(self, gate, technique):
-        from ..core.standard_cell import assemble_cell
-        from ..immunity import montecarlo
-        from ..logic.functions import standard_gate
-
-        if (gate, technique) not in self._cells:
-            self._cells[gate, technique] = montecarlo.prepare_cell(
-                assemble_cell(standard_gate(gate), technique=technique))
-        return self._cells[gate, technique]
-
-    def __call__(self, values: Mapping[str, object],
-                 seed: np.random.SeedSequence,
-                 trials: int) -> Dict[str, Any]:
-        from ..immunity import montecarlo
-
+    cell = montecarlo.prepare_cell(assemble_cell(
+        standard_gate(values[0]["gate"]), technique=values[0]["technique"]))
+    metrics = []
+    for binding, child in zip(values, seeds):
         result = montecarlo.run_immunity_trials(
-            self._cell(values["gate"], values["technique"]),
+            cell,
             trials=trials,
-            cnts_per_trial=values["cnts_per_trial"],
-            max_angle_deg=values["max_angle_deg"],
-            metallic_fraction=values["metallic_fraction"],
-            seed=seed,
+            cnts_per_trial=binding["cnts_per_trial"],
+            max_angle_deg=binding["max_angle_deg"],
+            metallic_fraction=binding["metallic_fraction"],
+            seed=child,
         )
-        return {
+        metrics.append({
             "failure_rate": result.failure_rate,
             "failures": result.failures,
             "trials": result.trials,
             "immune": result.immune,
             "result": result,
-        }
+        })
+    return metrics
 
 
 def _immunity_seeds(spec: SweepSpec, constants: Mapping[str, object],
@@ -487,35 +452,40 @@ def _plan_immunity(spec: SweepSpec, constants: Mapping[str, object], seed,
         keys=tuple(corner_fingerprint("immunity", binding, seed=child,
                                       trials=trials)
                    for binding, child in zip(values, seeds)),
-        seeds=seeds,
-        run=functools.partial(_execute_seeded, _ImmunityCorners(), values,
-                              seeds, trials),
+        groups=tuple((binding["gate"], binding["technique"])
+                     for binding in values),
+        task=lambda indices: functools.partial(
+            _immunity_shard, values=[values[i] for i in indices],
+            seeds=[seeds[i] for i in indices], trials=trials),
     )
 
 
-def _circuit_corner(values: Mapping[str, object],
-                    seed: np.random.SeedSequence,
-                    trials: int) -> Dict[str, Any]:
-    """One circuit corner: a full, uncached, serial inner study —
-    parallelism and caching belong to the sweep driver.  The corner
+def _circuit_shard(values: Sequence[Mapping[str, object]],
+                   seeds: Sequence[np.random.SeedSequence],
+                   trials: int) -> List[Dict[str, Any]]:
+    """Worker: circuit corners, each a full, uncached, serial inner study
+    — parallelism and caching belong to the sweep driver.  A corner's
     payload keeps only the scalars the corner table plots; the full typed
     result stays reachable through ``run_study("circuit", ...)``."""
     from ..circuit_study import study as circuit_engine
 
-    # The ``CIRCUIT_AXES`` names are ``run_circuit_study``'s parameters.
-    result = circuit_engine.run_circuit_study(
-        **{**values, "draws": int(values["draws"])}, trials=trials,
-        seed=seed,
-    )
-    return {
-        "functional_yield": result.functional_yield,
-        "monte_carlo_yield": result.monte_carlo_yield,
-        "critical_path_delay_s": result.critical_path_delay_s,
-        "total_energy_per_cycle_j": result.total_energy_per_cycle_j,
-        "total_cell_area_lambda2": result.total_cell_area_lambda2,
-        "instances": result.instances,
-        "unique_cells": result.unique_cells,
-    }
+    metrics = []
+    for binding, child in zip(values, seeds):
+        # The ``CIRCUIT_AXES`` names are ``run_circuit_study``'s parameters.
+        result = circuit_engine.run_circuit_study(
+            **{**binding, "draws": int(binding["draws"])}, trials=trials,
+            seed=child,
+        )
+        metrics.append({
+            "functional_yield": result.functional_yield,
+            "monte_carlo_yield": result.monte_carlo_yield,
+            "critical_path_delay_s": result.critical_path_delay_s,
+            "total_energy_per_cycle_j": result.total_energy_per_cycle_j,
+            "total_cell_area_lambda2": result.total_cell_area_lambda2,
+            "instances": result.instances,
+            "unique_cells": result.unique_cells,
+        })
+    return metrics
 
 
 def _plan_circuit(spec: SweepSpec, constants: Mapping[str, object], seed,
@@ -543,9 +513,10 @@ def _plan_circuit(spec: SweepSpec, constants: Mapping[str, object], seed,
                                        trials=trials,
                                        context=contexts[circuit]))
     return CornerPlan(
-        keys=tuple(keys), seeds=seeds,
-        run=functools.partial(_execute_seeded, _circuit_corner, values,
-                              seeds, trials),
+        keys=tuple(keys), groups=("circuit",) * len(keys),
+        task=lambda indices: functools.partial(
+            _circuit_shard, values=[values[i] for i in indices],
+            seeds=[seeds[i] for i in indices], trials=trials),
     )
 
 
@@ -612,51 +583,14 @@ def _transient_grids(spec: SweepSpec, constants: Mapping[str, object],
     return grids, placement
 
 
-def _run_transient_shard(shard) -> List[Dict[str, Any]]:
-    """Worker: integrate the ``(grid, case indices)`` of one shard
-    (module-level for pickling)."""
+def _transient_shard(grid, case_indices: Sequence[int]
+                     ) -> List[Dict[str, Any]]:
+    """Worker: integrate the cases ``case_indices`` of ``grid`` on the
+    whole grid's time base, bit-identical to one batch over the grid."""
     from ..cells.characterize import characterize_cases
 
-    return [_transient_metrics(point) for point in characterize_cases(*shard)]
-
-
-def _execute_transient(grids: Sequence[Any],
-                       placement: Sequence[Tuple[int, int]],
-                       indices: Sequence[int], jobs: int,
-                       backend: Optional[str]) -> List[Dict[str, Any]]:
-    """The transient plan's ``run``: the corners at ``indices``; metrics
-    in ``indices`` order.
-
-    The corners are grouped by grid and each shard integrates only its
-    cases on the **whole** grid's time base, so a subset run — a delta
-    recompute as much as a parallel shard — lands on bit-identical
-    waveforms to one batch over the whole grid.  At ``jobs=1`` that is
-    one shard per grid.
-    """
-    from ..runtime.scheduler import run_tasks, shard_indices
-
-    by_grid: Dict[int, List[Tuple[int, int]]] = {}
-    for position, index in enumerate(indices):
-        grid_index, flat = placement[index]
-        by_grid.setdefault(grid_index, []).append((position, flat))
-
-    tasks: List[Tuple[Any, Tuple[int, ...]]] = []
-    owners: List[List[int]] = []
-    for grid_index, pairs in by_grid.items():
-        # One shard per worker, no oversubscription: every shard of a
-        # grid needs the grid's time base, which is O(grid) to derive.
-        for start, stop in shard_indices(len(pairs), jobs):
-            chunk = pairs[start:stop]
-            tasks.append((grids[grid_index],
-                          tuple(flat for _, flat in chunk)))
-            owners.append([position for position, _ in chunk])
-    per_shard = run_tasks(_run_transient_shard, tasks, jobs=jobs,
-                          backend=backend)
-    flat_metrics: List[Optional[Dict[str, Any]]] = [None] * len(indices)
-    for owner, metrics_list in zip(owners, per_shard):
-        for position, metrics in zip(owner, metrics_list):
-            flat_metrics[position] = metrics
-    return flat_metrics
+    return [_transient_metrics(point)
+            for point in characterize_cases(grid, case_indices)]
 
 
 def _plan_transient(spec: SweepSpec, constants: Mapping[str, object], seed,
@@ -672,8 +606,10 @@ def _plan_transient(spec: SweepSpec, constants: Mapping[str, object], seed,
         keys=tuple(corner_fingerprint("transient", binding,
                                       context=grids[grid_index].time_base())
                    for binding, (grid_index, _) in zip(values, placement)),
-        seeds=None,
-        run=functools.partial(_execute_transient, grids, placement),
+        groups=tuple(grid_index for grid_index, _ in placement),
+        task=lambda indices: functools.partial(
+            _transient_shard, grids[placement[indices[0]][0]],
+            tuple(placement[i][1] for i in indices)),
     )
 
 
@@ -687,9 +623,9 @@ class SweepEngine:
     how to plan them.
 
     ``plan(spec, constants, seed, trials)`` returns the sweep's
-    :class:`CornerPlan` — every corner's fingerprint and child seed, and
-    the ``run`` that evaluates any subset of corners — building each
-    corner's bindings, seeds, grids and netlist contexts once.
+    :class:`CornerPlan` — every corner's fingerprint and group, and the
+    ``task`` that makes a shard of any corners of one group — building
+    each corner's bindings, seeds, grids and netlist contexts once.
     ``constants`` are the resolved values of every unswept axis.  A
     ``seeded`` engine's sweep takes a ``seed`` and ``trials``.
     """

@@ -474,6 +474,24 @@ class TestSharedCellState:
         assert preparation_counter == {"prepared": [("NAND2", "compact")],
                                        "assembled": ["NAND2"]}
 
+    def test_parallel_grid_prepares_each_cell_per_shard(
+            self, immunity_counter, preparation_counter):
+        """A ``jobs=3`` sweep shards each cell's corners into at most 3
+        shards, each preparing the cell once, and runs each corner once."""
+        serial = run_sweep_study(self.GRID, engine="immunity", trials=20,
+                                 seed=7)
+        for counts in (immunity_counter, *preparation_counter.values()):
+            del counts[:]
+        sharded = run_sweep_study(self.GRID, engine="immunity", trials=20,
+                                  seed=7, jobs=3, backend="thread")
+        assert sharded == serial
+        assert len(immunity_counter) == 8
+        prepared = preparation_counter["prepared"]
+        assert set(prepared) == {(gate, technique)
+                                 for gate in ("NAND2", "NOR2")
+                                 for technique in ("vulnerable", "compact")}
+        assert all(prepared.count(cell) <= 3 for cell in prepared)
+
     def test_prepared_state_goes_with_the_sweep(self, immunity_counter,
                                                 preparation_counter):
         """Prepared cells live as long as one sweep: two uncached runs of

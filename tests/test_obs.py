@@ -184,6 +184,27 @@ class TestBitIdentity:
             assert entry["attributes"] == {"trials": 20, "tubes": 20 * cnts,
                                            "assignments": 4}
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("engine,axes,params,call", [
+        ("immunity", {"technique": ("vulnerable", "compact"),
+                      "cnts_per_trial": (2, 4)},
+         {"trials": 10, "seed": 7}, "_immunity_shard"),
+        ("transient", {"cell": ("INV", "NAND2")}, {}, "_transient_shard"),
+    ])
+    def test_task_spans_name_the_shard_function(self, engine, axes, params,
+                                                call, jobs):
+        spec = SweepSpec.from_mapping(axes)
+        _, document = _traced(lambda: run_sweep_study(
+            spec, engine=engine, jobs=jobs, backend="thread", **params))
+        (runner,) = [entry for entry in document["spans"]
+                     if entry["name"] == "scheduler.run_tasks"]
+        assert runner["attributes"]["backend"] == \
+            ("serial" if jobs == 1 else "thread")
+        tasks = [entry for entry in document["spans"]
+                 if entry["name"] == "scheduler.task"]
+        assert len(tasks) == runner["attributes"]["tasks"] >= 2
+        assert {entry["attributes"]["call"] for entry in tasks} == {call}
+
     @pytest.mark.parametrize("jobs,backend",
                              [(1, "serial"), (2, "thread"), (2, "process")])
     def test_compiled_stepper_is_identical_under_tracing(self, jobs,

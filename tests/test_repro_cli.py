@@ -118,7 +118,7 @@ class TestRunCommand:
     def test_seed_rejected_for_unseeded_study(self):
         code, _, err = run_cli("run", "fig3", "--seed", "1")
         assert code == 2
-        assert "takes no seed" in err
+        assert "does not accept ['seed']" in err
 
 
 class TestAssignmentParsing:

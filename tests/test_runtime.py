@@ -17,11 +17,11 @@ from repro.runtime import (
     ManifestResult,
     ResultCache,
     as_cache,
-    plan_shards,
     resolve_backend,
     resolve_jobs,
     run_manifest,
     run_tasks,
+    shard_groups,
     shard_indices,
     study_fingerprint,
     sweep_fingerprint,
@@ -121,9 +121,34 @@ class TestScheduler:
                     sizes = [stop - start for start, stop in slices]
                     assert max(sizes) - min(sizes) <= 1
 
-    def test_plan_shards_serial_is_one_shard(self):
-        assert plan_shards(10, None) == [(0, 10)]
-        assert len(plan_shards(100, 2)) <= 8
+    @pytest.mark.parametrize("groups", [
+        [],
+        ["a"] * 7,
+        ["a", "b", "a", "c", "b", "a", "a", "c", "a"],
+        [3, 1, 3, 3, 2, 1, 0, 0, 3, 2, 1],
+    ])
+    @pytest.mark.parametrize("jobs", [None, 1, 2, 3, 8])
+    def test_shard_groups(self, groups, jobs):
+        """Each group's positions, in order, in at most ``jobs`` balanced
+        contiguous chunks; no shard spans two groups; groups in
+        first-seen order."""
+        shards = shard_groups(groups, jobs)
+        assert sorted(p for shard in shards for p in shard) == \
+            list(range(len(groups)))
+        assert all(shard and len({groups[p] for p in shard}) == 1
+                   for shard in shards)
+        seen = list(dict.fromkeys(groups))
+        assert list(dict.fromkeys(groups[shard[0]] for shard in shards)) \
+            == seen
+        for group in seen:
+            mine = [shard for shard in shards if groups[shard[0]] == group]
+            assert len(mine) <= resolve_jobs(jobs)
+            assert [p for shard in mine for p in shard] == \
+                [p for p, g in enumerate(groups) if g == group]
+            sizes = [len(shard) for shard in mine]
+            assert max(sizes) - min(sizes) <= 1
+        if resolve_jobs(jobs) == 1:
+            assert len(shards) == len(seen)
 
 
 class TestShardedSweepBitIdentity:

@@ -591,6 +591,46 @@ class TestHttpServerErrorsAreJson:
         assert document["error"]["type"] == "ProtocolError"
 
 
+class TestUnreadBodyClosesTheConnection:
+    """A request whose body the handler does not read gets one answer and
+    a closed connection: the body is never parsed as a second request."""
+
+    SMUGGLED = b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n"
+
+    @pytest.mark.parametrize("head, status", [
+        (b"POST /jobs", 400),      # Content-Length over MAX_BODY_BYTES
+        (b"POST /nope", 404),
+        (b"DELETE /jobs/x/y", 404),
+    ])
+    def test_one_response_then_eof(self, client, monkeypatch, head, status):
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 8)
+        with socket.create_connection((client.host, client.port),
+                                      timeout=POLL_TIMEOUT_S) as raw:
+            raw.sendall(head + b" HTTP/1.1\r\nHost: t\r\nContent-Length: "
+                        + str(len(self.SMUGGLED)).encode() + b"\r\n\r\n"
+                        + self.SMUGGLED)
+            response = http.client.HTTPResponse(raw)
+            response.begin()
+            assert response.status == status
+            assert "error" in json.loads(response.read())
+            assert response.getheader("Connection") == "close"
+            assert raw.recv(1) == b""
+
+    def test_read_body_keeps_the_connection(self, client):
+        body = json.dumps({"study": "fig3"}).encode()
+        connection = http.client.HTTPConnection(client.host, client.port,
+                                                timeout=POLL_TIMEOUT_S)
+        try:
+            for _ in range(2):
+                connection.request("POST", "/jobs", body=body)
+                response = connection.getresponse()
+                assert response.status in (200, 201)
+                response.read()
+                assert response.getheader("Connection") is None
+        finally:
+            connection.close()
+
+
 class TestWaitingPoll:
     def test_poll_answers_running_once_the_bound_elapses(
             self, tmp_path, fig3_gate, monkeypatch):

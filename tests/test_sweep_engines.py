@@ -75,10 +75,14 @@ def _run(spec, engine, mode, **kwargs):
 
 def planned_keys(spec, engine, trials, seed, fixed):
     """``(corner keys, seeds)`` as the sweep planner computes them, with
-    no store attached."""
+    no store attached.  A corner's seed is the one its shard's call
+    carries; ``seeds`` is ``None`` for a deterministic engine."""
     corners, _, plan = _plan_sweep(spec, sweep_engine(engine), trials, seed,
                                    fixed, None)
-    return list(plan.keys), corners.seeds
+    if not sweep_engine(engine).seeded:
+        return list(plan.keys), None
+    return list(plan.keys), [corners.task((index,)).keywords["seeds"][0]
+                             for index in range(plan.total)]
 
 
 def _immunity_metrics(outcome):
