@@ -19,11 +19,12 @@
    energy per cycle.
 
 Per-unique-cell work is content-addressed in the corner store (two
-corners per cell: the ``circuit-cell`` immunity address, stored under
-the tag ``circuit-immunity``, and ``circuit-timing``) with seeds derived
+corners per cell: ``circuit-timing``, and the ``circuit-cell`` immunity
+address, stored under the tag ``circuit-immunity``) with seeds derived
 from the cell *name* alone — so a warm store serves adder cells to a
 comparator run, and a grid extension recomputes only the new cells
-(``provenance.cache == "partial:<h>/<n>"``).
+(``provenance.cache == "partial:<h>/<n>"``), on the sweeps' pipeline
+(:class:`~repro.runtime.scheduler.DeltaPlan`).
 
 Determinism: per-cell seeds are pre-derived (:func:`~repro.immunity.
 montecarlo.circuit_cell_seed`), shard outputs are merged by corner index,
@@ -55,8 +56,7 @@ from ..immunity.montecarlo import SeedLike, circuit_cell_seed, circuit_survival_
 from ..obs import trace as obs_trace
 from ..runtime.cache import CacheLike, as_cache, with_cache_status
 from ..runtime.fingerprint import corner_fingerprint, netlist_context
-from ..runtime.scheduler import (call_task, execute_corners, plan_delta,
-                                 run_tasks, shard_groups)
+from ..runtime.scheduler import call_task, plan_delta, run_tasks
 from ..study.results import CircuitCellReport, CircuitStudyResult, Provenance
 from .circuits import CircuitLike, resolve_circuit
 
@@ -145,70 +145,55 @@ def run_circuit_study(
                    key=lambda cell: cell.name)
     seeds = [circuit_cell_seed(seed, cell.name) for cell in cells]
 
-    # Two corners per unique cell, in cell order: immunity at ``2 * i``,
-    # timing at ``2 * i + 1``.
-    keys: List[str] = []
-    for cell, cell_seed in zip(cells, seeds):
-        keys.append(corner_fingerprint(
-            "circuit-cell",
-            {
-                "cell": cell.name, "gate": cell.gate.name,
-                "drive": cell.drive_strength, "technique": technique,
-                "unit_width": unit_width, "cnts_per_trial": cnts_per_trial,
-                "max_angle_deg": max_angle_deg,
-                "metallic_fraction": metallic_fraction,
-            },
-            seed=cell_seed,
-            trials=trials,
-        ))
-        keys.append(corner_fingerprint(
-            "circuit-timing",
-            {
-                "cell": cell.name, "gate": cell.gate.name,
-                "drive": cell.drive_strength, "vdd": vdd,
-                "pitch_nm": pitch_nm, "unit_width": unit_width,
-                "loads": MEASURED_LOADS_F, "slew": MEASURED_SLEW_S,
-            },
-            context=CellGrid(
-                cell.gate.name, (cell.drive_strength,), MEASURED_LOADS_F,
-                (MEASURED_SLEW_S,), (("nominal", technology),),
-                unit_width=unit_width,
-            ).time_base(),
-        ))
+    # A block of timing corners, then one of immunity corners, in cell
+    # order.  The timing corners are one group, seen first so its shards
+    # run first; each immunity corner's group is its cell's position.
+    keys = [corner_fingerprint(
+        "circuit-timing",
+        {
+            "cell": cell.name, "gate": cell.gate.name,
+            "drive": cell.drive_strength, "vdd": vdd,
+            "pitch_nm": pitch_nm, "unit_width": unit_width,
+            "loads": MEASURED_LOADS_F, "slew": MEASURED_SLEW_S,
+        },
+        context=CellGrid(
+            cell.gate.name, (cell.drive_strength,), MEASURED_LOADS_F,
+            (MEASURED_SLEW_S,), (("nominal", technology),),
+            unit_width=unit_width,
+        ).time_base(),
+    ) for cell in cells]
+    keys += [corner_fingerprint(
+        "circuit-cell",
+        {
+            "cell": cell.name, "gate": cell.gate.name,
+            "drive": cell.drive_strength, "technique": technique,
+            "unit_width": unit_width, "cnts_per_trial": cnts_per_trial,
+            "max_angle_deg": max_angle_deg,
+            "metallic_fraction": metallic_fraction,
+        },
+        seed=cell_seed,
+        trials=trials,
+    ) for cell, cell_seed in zip(cells, seeds)]
+    groups = ["timing"] * len(cells) + list(range(len(cells)))
 
     def task(shard: Tuple[int, ...]):
         """A shard's call: one kernel call over timing corners, or one
         immunity corner.  The engines are called through their modules,
         so counters installed by tests and benchmarks observe every call
         on the serial and thread backends."""
-        if shard[0] % 2:
+        group = groups[shard[0]]
+        if group == "timing":
             return functools.partial(
                 _timing_metrics,
-                [(cells[i // 2].gate, (cells[i // 2].drive_strength,))
-                 for i in shard],
+                [(cells[i].gate, (cells[i].drive_strength,)) for i in shard],
                 technology, unit_width,
             )
         return functools.partial(
-            _immunity_metrics, cells[shard[0] // 2].layout,
+            _immunity_metrics, cells[group].layout,
             trials=trials, cnts_per_trial=cnts_per_trial,
-            max_angle_deg=max_angle_deg, seed=seeds[shard[0] // 2],
+            max_angle_deg=max_angle_deg, seed=seeds[group],
             metallic_fraction=metallic_fraction,
         )
-
-    def run_misses(indices: Tuple[int, ...]) -> List[Any]:
-        """The missing corners' payloads, in order.  The timing misses are
-        one group, run first in at most ``jobs`` shards; each immunity
-        miss is a group of its own.  All shards go through one
-        :func:`run_tasks` map."""
-        order = sorted(indices, key=lambda i: i % 2 == 0)   # timing first
-        shards = [tuple(order[position] for position in positions)
-                  for positions in shard_groups(
-                      ["timing" if i % 2 else i for i in order], jobs)]
-        outputs = run_tasks(call_task, [task(shard) for shard in shards],
-                            jobs=jobs, backend=backend)
-        payloads = {index: payload for shard, metrics in zip(shards, outputs)
-                    for index, payload in zip(shard, metrics)}
-        return [payloads[index] for index in indices]
 
     store = as_cache(cache)
     with obs_trace.span("circuit", circuit=netlist.name,
@@ -221,18 +206,21 @@ def run_circuit_study(
         plan = plan_delta(keys, set(cached))
         obs_trace.annotate(hits=plan.hits, misses=plan.misses,
                            status=plan.status)
-        metrics = execute_corners(
-            plan, cached, run_misses, store,
-            ["circuit-immunity", "circuit-timing"] * len(cells),
+        shards = plan.shards(groups, jobs)
+        outputs = run_tasks(call_task, [task(shard) for shard in shards],
+                            jobs=jobs, backend=backend)
+        metrics = plan.merge(
+            cached, shards, outputs, store,
+            ["circuit-timing"] * len(cells)
+            + ["circuit-immunity"] * len(cells),
         )
 
     reports: List[CircuitCellReport] = []
     failure_by_cell: Dict[str, float] = {}
     usage = design.cell_usage()
     timing_library = TimingLibrary(f"circuit-{netlist.name}", vdd=vdd)
-    for position, cell in enumerate(cells):
-        immunity = metrics[2 * position]
-        timing = metrics[2 * position + 1]
+    for cell, timing, immunity in zip(cells, metrics[:len(cells)],
+                                      metrics[len(cells):]):
         failure_by_cell[cell.name] = float(immunity["failure_rate"])
         reports.append(CircuitCellReport(
             cell=cell.name,

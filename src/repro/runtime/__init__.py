@@ -51,7 +51,6 @@ from .manifest import ManifestEntry, ManifestOutcome, ManifestResult, run_manife
 from .scheduler import (
     BACKENDS,
     DeltaPlan,
-    execute_corners,
     plan_delta,
     resolve_backend,
     resolve_jobs,
@@ -75,7 +74,6 @@ __all__ = [
     "ResultCache",
     "as_cache",
     "corner_fingerprint",
-    "execute_corners",
     "plan_delta",
     "resolve_backend",
     "resolve_jobs",

@@ -38,6 +38,10 @@ order, in at most ``jobs`` contiguous, balanced chunks
 never of measured runtimes — so the same request always produces the
 same task list.  Each shard is a picklable zero-argument
 :func:`functools.partial` that :func:`call_task` runs.
+
+Both corner drivers, sweeps and the circuit study, run their store
+misses as :meth:`DeltaPlan.shards` → one :func:`run_tasks` map →
+:meth:`DeltaPlan.merge`.
 """
 
 from __future__ import annotations
@@ -204,7 +208,8 @@ class DeltaPlan:
     ``keys[i]`` is corner ``i``'s fingerprint; ``hit_indices`` /
     ``miss_indices`` partition ``range(len(keys))`` in corner order.  The
     plan is pure data, deterministic in ``(keys, cached)`` alone;
-    :func:`execute_corners` runs its misses and merges.
+    :meth:`shards` cuts its misses into tasks and :meth:`merge` stores
+    and merges their outputs.
     """
 
     keys: Tuple[str, ...]
@@ -234,6 +239,39 @@ class DeltaPlan:
             return "miss"
         return f"partial:{self.hits}/{self.total}"
 
+    def shards(self, groups: Sequence[Hashable],
+               jobs: Optional[int]) -> List[Tuple[int, ...]]:
+        """The misses' corner indices under :func:`shard_groups` of their
+        entries of ``groups`` (one per corner): no shard spans two groups.
+
+        >>> plan = plan_delta(["a0", "b0", "a1", "a2", "b1"], {"a1"})
+        >>> plan.shards(["a", "b", "a", "a", "b"], 2)
+        [(0,), (3,), (1,), (4,)]
+        """
+        misses = self.miss_indices
+        return [tuple(misses[position] for position in shard)
+                for shard in shard_groups([groups[i] for i in misses], jobs)]
+
+    def merge(self, cached: Mapping[str, Any],
+              shards: Sequence[Sequence[int]],
+              outputs: Sequence[Sequence[Any]], store,
+              tags: Sequence[str]) -> List[Any]:
+        """One payload per corner, in key order: hits from ``cached``,
+        misses from ``outputs[k]``, the payloads of ``shards[k]``.  Each
+        miss is written to ``store`` (``None`` for none) in corner order,
+        tagged with its corner's entry of ``tags``."""
+        payloads: List[Any] = [None] * self.total
+        for index in self.hit_indices:
+            payloads[index] = cached[self.keys[index]]
+        for shard, chunk in zip(shards, outputs, strict=True):
+            for index, payload in zip(shard, chunk, strict=True):
+                payloads[index] = payload
+        if store is not None:
+            for index in self.miss_indices:
+                store.put_corner(self.keys[index], payloads[index],
+                                 engine=tags[index])
+        return payloads
+
 
 def plan_delta(keys: Sequence[str], cached: AbstractSet[str]) -> DeltaPlan:
     """Partition per-corner fingerprints into store hits and misses.
@@ -248,33 +286,10 @@ def plan_delta(keys: Sequence[str], cached: AbstractSet[str]) -> DeltaPlan:
                      miss_indices=miss_indices)
 
 
-def execute_corners(plan: DeltaPlan, cached: Mapping[str, Any],
-                    run: Callable[[Tuple[int, ...]], Sequence[Any]],
-                    store, engines: Sequence[str]) -> List[Any]:
-    """Execute a :class:`DeltaPlan`: one payload per corner, in key order.
-
-    ``run(plan.miss_indices)`` is called exactly once and returns one
-    payload per miss, in that order; hits come from ``cached`` (keyed by
-    fingerprint).  Each fresh payload is written to ``store`` (a
-    :class:`~repro.runtime.cache.ResultCache`, or ``None`` for none)
-    under its key, tagged with its corner's entry of ``engines``.
-    """
-    payloads: List[Any] = [None] * plan.total
-    for index in plan.hit_indices:
-        payloads[index] = cached[plan.keys[index]]
-    for index, payload in zip(plan.miss_indices, run(plan.miss_indices)):
-        payloads[index] = payload
-        if store is not None:
-            store.put_corner(plan.keys[index], payload,
-                             engine=engines[index])
-    return payloads
-
-
 __all__ = [
     "BACKENDS",
     "DeltaPlan",
     "call_task",
-    "execute_corners",
     "make_lock",
     "plan_delta",
     "resolve_backend",

@@ -6,10 +6,10 @@ evaluates it.  The engines are the entries of :data:`ENGINES`, one
 it is seeded, and **one** ``plan`` function, whose :class:`CornerPlan`
 carries every corner's address and *group* — the state a shard of its
 corners builds once — and the ``task`` that makes a shard of any corners
-of one group.  Every sweep — uncached, cold or warm — takes one path:
-plan the corners, fetch the ones the corner store holds, run only the
-misses in shards that never span two groups (:func:`~repro.runtime.
-scheduler.shard_groups`), store them.
+of one group.  Every sweep — uncached, cold or warm — takes one path,
+the circuit study's too: plan the corners, fetch the ones the corner
+store holds, run only the misses in shards that never span two groups,
+store them (:class:`~repro.runtime.scheduler.DeltaPlan`).
 
 * ``engine="immunity"`` — the Monte Carlo immunity engine.  Axes:
   ``gate``, ``technique``, ``cnts_per_trial``, ``max_angle_deg``,
@@ -301,12 +301,12 @@ def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
                backend: Optional[str]) -> SweepStudyResult:
     """Plan the sweep, run only the corners ``store`` lacks (every corner
     without a store), write them back, merge.  The result is
-    bit-identical whatever the store held; its provenance records the
-    plan's status."""
+    bit-identical whatever the store held and however it is sharded;
+    its provenance records the plan's status."""
     from ..obs import metrics as obs_metrics
     from ..obs import trace as obs_trace
     from ..runtime.cache import with_cache_status
-    from ..runtime.scheduler import execute_corners
+    from ..runtime.scheduler import call_task, run_tasks
 
     with obs_trace.span("sweep.plan", corners=len(spec)):
         corners, cached, plan = _plan_sweep(spec, engine, trials, seed,
@@ -317,13 +317,14 @@ def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
     obs_metrics.registry().inc("sweep.corners_cached", plan.hits)
     obs_metrics.registry().inc("sweep.corners_executed", plan.misses)
 
-    def run(indices):
-        with obs_trace.span("sweep.execute", corners=len(indices),
-                            engine=engine.name):
-            return _execute(corners, indices, jobs, backend)
-
-    metrics = execute_corners(plan, cached, run, store,
-                              [engine.name] * plan.total)
+    with obs_trace.span("sweep.execute", corners=plan.misses,
+                        engine=engine.name):
+        shards = plan.shards(corners.groups, jobs)
+        outputs = run_tasks(call_task,
+                            [corners.task(shard) for shard in shards],
+                            jobs=jobs, backend=backend)
+    metrics = plan.merge(cached, shards, outputs, store,
+                         [engine.name] * plan.total)
     result = SweepStudyResult(
         provenance=Provenance.capture(
             "sweep", engine=engine.name, seed=seed,
@@ -356,28 +357,6 @@ class CornerPlan:
     keys: Tuple[str, ...]
     groups: Tuple[Hashable, ...]
     task: Callable[[Sequence[int]], Callable[[], List[Dict[str, Any]]]]
-
-
-def _execute(plan: CornerPlan, indices: Sequence[int], jobs: int,
-             backend: Optional[str]) -> List[Dict[str, Any]]:
-    """The metrics of the corners at ``indices``, in that order.
-
-    The corners run in shards that never span two groups
-    (:func:`~repro.runtime.scheduler.shard_groups`), over the scheduler,
-    and their metrics are scattered back by corner index.  Seeds are
-    spawned per corner in the parent and a transient shard integrates on
-    its whole grid's time base, so any sharding is bit-identical."""
-    from ..runtime.scheduler import call_task, run_tasks, shard_groups
-
-    shards = [tuple(indices[position] for position in shard)
-              for shard in shard_groups([plan.groups[index]
-                                         for index in indices], jobs)]
-    outputs = run_tasks(call_task, [plan.task(shard) for shard in shards],
-                        jobs=jobs, backend=backend)
-    metrics: Dict[int, Dict[str, Any]] = {}
-    for shard, chunk in zip(shards, outputs):
-        metrics.update(zip(shard, chunk))
-    return [metrics[index] for index in indices]
 
 
 # ---------------------------------------------------------------------------

@@ -362,21 +362,51 @@ class TestCacheContracts:
         assert warm == cold
 
     def test_partial_reuse_across_circuits(self, shared_store,
-                                           immunity_counter):
+                                           immunity_counter, monkeypatch):
         """A comparator reuses the adder's NAND2 corners from the store and
         computes only its own INV cells — cell identity, not circuit
-        identity, addresses the corner."""
+        identity, addresses the corner.  At ``jobs=2`` the scheduler gets
+        the missing timing shards first (at most ``jobs``), then one
+        immunity task per missing cell, in cell order, and the result
+        equals a serial run."""
+        import repro.circuit_study.study as circuit_engine
+
         adder = run_fast(cache=shared_store)  # ensure the adder cells are warm
         adder_cells = {cell.cell for cell in adder.cells}
         immunity_counter.clear()
+        seen = []
+        real = circuit_engine.run_tasks
 
-        comparator = run_fast(cache=shared_store, circuit="comparator:2")
+        def spy(fn, tasks, **kwargs):
+            seen.append(tasks)
+            return real(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(circuit_engine, "run_tasks", spy)
+        comparator = run_fast(cache=shared_store, circuit="comparator:2",
+                              jobs=2, backend="thread")
         new_cells = {cell.cell for cell in comparator.cells} - adder_cells
         assert new_cells  # the comparator really does add INV cells
         hits = 2 * (comparator.unique_cells - len(new_cells))
         total = 2 * comparator.unique_cells
         assert comparator.provenance.cache == f"partial:{hits}/{total}"
         assert len(immunity_counter) == len(new_cells)
+
+        (tasks,) = seen
+        missing = [cell for cell in comparator.cells
+                   if cell.cell in new_cells]
+        timing = [task for task in tasks
+                  if task.func.__name__ == "_timing_metrics"]
+        assert 1 <= len(timing) <= 2
+        assert tasks[:len(timing)] == timing
+        assert [(gate.name, drive) for task in timing
+                for gate, (drive,) in task.args[0]] == \
+            [(cell.gate, cell.drive_strength) for cell in missing]
+        immunity = tasks[len(timing):]
+        assert [task.func.__name__ for task in immunity] == \
+            ["_immunity_metrics"] * len(missing)
+        assert [task.args[0].name for task in immunity] == \
+            [cell.cell for cell in missing]
+        assert comparator == run_fast(circuit="comparator:2", jobs=1)
 
     def test_changed_trials_miss_immunity_but_keep_timing(self, shared_store,
                                                           timing_counter):

@@ -523,6 +523,75 @@ class TestPlanDelta:
         assert plan_delta(["aa"], {"aa"}).status == "hit"
         assert plan_delta(["aa"], set()).status == "miss"
 
+    #: Nine corners in three groups; the hits at 1 and 5 leave misses
+    #: 0, 2, 3, 4, 6, 7, 8, whose groups are first seen as b, c, a.
+    GROUPS = ["b", "a", "b", "c", "a", "b", "b", "a", "b"]
+
+    def _plan(self):
+        return plan_delta([f"k{i}" for i in range(len(self.GROUPS))],
+                          {"k1", "k5"})
+
+    def test_shards_without_misses_is_empty(self):
+        assert plan_delta(["aa", "bb"], {"aa", "bb"}).shards(["g", "h"],
+                                                             3) == []
+
+    def test_shards_pin(self):
+        assert self._plan().shards(self.GROUPS, 1) == [
+            (0, 2, 6, 8), (3,), (4, 7)]
+        assert self._plan().shards(self.GROUPS, 2) == [
+            (0, 2), (6, 8), (3,), (4,), (7,)]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
+    def test_shards_cut_each_group_of_misses(self, jobs):
+        plan = self._plan()
+        shards = plan.shards(self.GROUPS, jobs)
+        order = [self.GROUPS[shard[0]] for shard in shards]
+        # The groups come in first-seen order among the misses, each
+        # group's shards together, at most ``jobs`` of them.
+        assert order == sorted(order, key="bca".index)
+        for group in "bca":
+            assert 1 <= order.count(group) <= jobs
+            # A group's shards are its misses, in corner order, once each.
+            assert [index for shard in shards
+                    if self.GROUPS[shard[0]] == group for index in shard] \
+                == [index for index in plan.miss_indices
+                    if self.GROUPS[index] == group]
+        for shard in shards:
+            assert {self.GROUPS[index] for index in shard} == \
+                {self.GROUPS[shard[0]]}
+
+    class _RecordingStore:
+        def __init__(self):
+            self.writes = []
+
+        def put_corner(self, key, payload, engine):
+            self.writes.append((key, payload, engine))
+
+    def _merge(self, store):
+        """Merge a plan whose shards run its misses out of corner order:
+        groups a, b, a over misses 0, 2, 3 shard as (0, 3), (2,)."""
+        plan = plan_delta(["k0", "k1", "k2", "k3", "k4"], {"k1", "k4"})
+        shards = plan.shards(["a", "b", "b", "a", "a"], 1)
+        assert shards == [(0, 3), (2,)]
+        outputs = [[f"run{index}" for index in shard] for shard in shards]
+        return plan.merge({"k1": "hit1", "k4": "hit4"}, shards, outputs,
+                          store, [f"tag{index}" for index in range(5)])
+
+    def test_merge_returns_payloads_in_key_order(self):
+        assert self._merge(self._RecordingStore()) == [
+            "run0", "hit1", "run2", "run3", "hit4"]
+
+    def test_merge_writes_each_miss_once_in_corner_order(self):
+        store = self._RecordingStore()
+        self._merge(store)
+        # Hits are never rewritten; each miss carries its own tag.
+        assert store.writes == [("k0", "run0", "tag0"),
+                                ("k2", "run2", "tag2"),
+                                ("k3", "run3", "tag3")]
+
+    def test_merge_without_store_writes_nothing(self):
+        assert self._merge(None) == ["run0", "hit1", "run2", "run3", "hit4"]
+
 
 # ---------------------------------------------------------------------------
 # Bounded prune
