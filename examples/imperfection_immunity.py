@@ -31,12 +31,12 @@ def inspect_single_failure() -> None:
     cell = assemble_cell(gate, technique="vulnerable", scheme=1)
     annotations = cell.annotations()
     checker = ImmunityChecker(annotations)
-    nominal = nominal_cnts(annotations, axis="x")
+    nominal = nominal_cnts(annotations)
 
     rng = np.random.default_rng(2009)
     print("Hunting for a corrupting mispositioned CNT on the vulnerable layout...")
     for trial in range(1, 201):
-        strays = random_mispositioned_cnts(annotations, 3, rng, axis="x")
+        strays = random_mispositioned_cnts(annotations, 3, rng)
         report = checker.check(nominal, strays, expected=gate.expected_truth_table())
         if not report.immune:
             print(f"  trial {trial}: function corrupted on "

@@ -9,8 +9,8 @@ from one place.  Cells are referenced by names like ``NAND2_4X``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.logical_effort import CellTimingModel, TimingLibrary
 from ..core.standard_cell import (
@@ -122,9 +122,6 @@ class StandardCellLibrary:
     def cells(self) -> List[LibraryCell]:
         return list(self._cells.values())
 
-    def cell_names(self) -> List[str]:
-        return sorted(self._cells)
-
     def gate_types(self) -> List[str]:
         return sorted({cell.gate.name for cell in self._cells.values()})
 
@@ -134,12 +131,6 @@ class StandardCellLibrary:
             for cell in self._cells.values()
             if cell.gate.name == gate_name.upper()
         )
-
-    def max_cell_height(self) -> float:
-        """Tallest cell height — the standardised row height of scheme 1."""
-        if not self._cells:
-            raise LibraryError(f"Library {self.name!r} is empty")
-        return max(cell.height for cell in self._cells.values())
 
     def timing_library(self) -> TimingLibrary:
         """Export all timing models as a :class:`TimingLibrary`."""

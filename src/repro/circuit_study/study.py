@@ -56,7 +56,7 @@ from ..immunity.montecarlo import SeedLike, circuit_cell_seed, circuit_survival_
 from ..obs import trace as obs_trace
 from ..runtime.cache import CacheLike, as_cache, with_cache_status
 from ..runtime.fingerprint import corner_fingerprint, netlist_context
-from ..runtime.scheduler import call_task, plan_delta, run_tasks
+from ..runtime.scheduler import plan_delta, run_tasks
 from ..study.results import CircuitCellReport, CircuitStudyResult, Provenance
 from .circuits import CircuitLike, resolve_circuit
 
@@ -207,8 +207,8 @@ def run_circuit_study(
         obs_trace.annotate(hits=plan.hits, misses=plan.misses,
                            status=plan.status)
         shards = plan.shards(groups, jobs)
-        outputs = run_tasks(call_task, [task(shard) for shard in shards],
-                            jobs=jobs, backend=backend)
+        outputs = run_tasks([task(shard) for shard in shards], jobs=jobs,
+                            backend=backend)
         metrics = plan.merge(
             cached, shards, outputs, store,
             ["circuit-timing"] * len(cells)

@@ -12,7 +12,7 @@ and is attached to the cell under ``cell.properties["annotations"]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import LayoutGenerationError
 from ..geometry.layout import LayoutCell
@@ -94,10 +94,6 @@ class CellAnnotations:
             if gate.signal not in seen:
                 seen.append(gate.signal)
         return seen
-
-    def contacts_of(self, net: str) -> List[ContactRegion]:
-        """All contact rectangles of a net."""
-        return [contact for contact in self.contacts if contact.net == net]
 
     def merged_with(self, other: "CellAnnotations",
                     name: Optional[str] = None) -> "CellAnnotations":

@@ -8,7 +8,7 @@ units; the GDSII writer converts to database units at stream-out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import GeometryError, LayoutGenerationError
@@ -76,11 +76,6 @@ class LayoutCell:
             )
         self._shapes.setdefault(layer, []).append(rect)
         return rect
-
-    def add_rects(self, layer: str, rects: Iterable[Rect]) -> None:
-        """Add several rectangles on ``layer``."""
-        for rect in rects:
-            self.add_rect(layer, rect)
 
     def add_label(self, text: str, position: Point, layer: str) -> Label:
         """Attach a text label."""

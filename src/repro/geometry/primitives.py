@@ -41,10 +41,6 @@ class Point:
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def as_tuple(self) -> Tuple[float, float]:
-        """``(x, y)`` tuple."""
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class Rect:

@@ -150,40 +150,29 @@ class CNTBatch:
 def nominal_cnts(
     annotations: CellAnnotations,
     pitch: float = 1.0,
-    axis: str = "y",
 ) -> List[CNTInstance]:
     """The intended, perfectly aligned CNTs of a cell.
 
     CNTs are placed at ``pitch`` (λ) across every lane where a gate exists,
     spanning the full extent of the active region that contains the gate
-    along the growth ``axis`` (``"y"`` for the raw network columns, ``"x"``
-    for assembled standard cells, whose strips run horizontally).
+    along x, the growth axis of assembled standard cells, whose strips
+    run horizontally.
     """
     if pitch <= 0:
         raise ImmunityAnalysisError("pitch must be positive")
-    if axis not in ("x", "y"):
-        raise ImmunityAnalysisError(f"axis must be 'x' or 'y', got {axis!r}")
 
     cnts: List[CNTInstance] = []
     for active in annotations.actives:
-        lanes = _gate_lanes_in_active(annotations, active.rect, axis)
-        for lane_start, lane_end in lanes:
+        for lane_start, lane_end in _gate_lanes_in_active(annotations,
+                                                          active.rect):
             position = lane_start + pitch / 2.0
             while position < lane_end:
-                if axis == "y":
-                    cnts.append(
-                        CNTInstance(
-                            Point(position, active.rect.y1),
-                            Point(position, active.rect.y2),
-                        )
+                cnts.append(
+                    CNTInstance(
+                        Point(active.rect.x1, position),
+                        Point(active.rect.x2, position),
                     )
-                else:
-                    cnts.append(
-                        CNTInstance(
-                            Point(active.rect.x1, position),
-                            Point(active.rect.x2, position),
-                        )
-                    )
+                )
                 position += pitch
     if not cnts:
         raise ImmunityAnalysisError(
@@ -193,18 +182,15 @@ def nominal_cnts(
     return cnts
 
 
-def _gate_lanes_in_active(annotations: CellAnnotations, active: Rect,
-                          axis: str) -> List[Tuple[float, float]]:
-    """Across-axis intervals covered by gates inside one active region."""
+def _gate_lanes_in_active(annotations: CellAnnotations,
+                          active: Rect) -> List[Tuple[float, float]]:
+    """The y intervals covered by gates inside one active region."""
     intervals: List[Tuple[float, float]] = []
     for gate in annotations.gates:
         overlap = gate.rect.intersection(active)
         if overlap is None or overlap.is_degenerate(1e-9):
             continue
-        if axis == "y":
-            intervals.append((overlap.x1, overlap.x2))
-        else:
-            intervals.append((overlap.y1, overlap.y2))
+        intervals.append((overlap.y1, overlap.y2))
     return _merge_intervals(intervals)
 
 
@@ -225,7 +211,6 @@ def sample_mispositioned_batch(
     count: int,
     rng: np.random.Generator,
     max_angle_deg: float = 15.0,
-    axis: str = "y",
     region: Optional[Rect] = None,
     metallic_fraction: float = 0.0,
 ) -> CNTBatch:
@@ -233,7 +218,7 @@ def sample_mispositioned_batch(
 
     Each tube passes through a uniformly random point of the cell (or the
     supplied ``region``) at an angle drawn uniformly within
-    ``±max_angle_deg`` of the growth axis, and is long enough to span the
+    ``±max_angle_deg`` of the growth axis (x), and is long enough to span the
     whole cell, matching the "mispositioned but still roughly aligned"
     defects the paper considers.  ``metallic_fraction`` of the tubes are
     additionally marked metallic (the paper assumes this fraction is driven
@@ -248,8 +233,6 @@ def sample_mispositioned_batch(
         raise ImmunityAnalysisError("metallic_fraction must be within [0, 1]")
     if count < 0:
         raise ImmunityAnalysisError("count must be non-negative")
-    if axis not in ("x", "y"):
-        raise ImmunityAnalysisError(f"axis must be 'x' or 'y', got {axis!r}")
     if region is None:
         region = _cell_extent(annotations)
     span = math.hypot(region.width, region.height) * 1.2
@@ -261,10 +244,7 @@ def sample_mispositioned_batch(
     y = region.y1 + (region.y2 - region.y1) * draws[:, 1]
     angle_deg = -max_angle_deg + (max_angle_deg - -max_angle_deg) * draws[:, 2]
     angle = np.radians(angle_deg)
-    if axis == "y":
-        direction = np.column_stack([np.sin(angle), np.cos(angle)])
-    else:
-        direction = np.column_stack([np.cos(angle), np.sin(angle)])
+    direction = np.column_stack([np.cos(angle), np.sin(angle)])
     half = span / 2.0
     centers = np.column_stack([x, y])
     starts = centers - direction * half
@@ -278,7 +258,6 @@ def random_mispositioned_cnts(
     count: int,
     rng: np.random.Generator,
     max_angle_deg: float = 15.0,
-    axis: str = "y",
     region: Optional[Rect] = None,
     metallic_fraction: float = 0.0,
 ) -> List[CNTInstance]:
@@ -290,7 +269,7 @@ def random_mispositioned_cnts(
     stream identically.
     """
     batch = sample_mispositioned_batch(
-        annotations, count, rng, max_angle_deg=max_angle_deg, axis=axis,
+        annotations, count, rng, max_angle_deg=max_angle_deg,
         region=region, metallic_fraction=metallic_fraction,
     )
     return batch.to_instances()

@@ -128,7 +128,7 @@ def prepare_cell(cell: StandardCell) -> PreparedCell:
     changes to the cell: prepare it again after editing the cell."""
     annotations = cell.annotations()
     checker = ImmunityChecker(annotations)
-    nominal = nominal_cnts(annotations, pitch=NOMINAL_CNT_PITCH, axis="x")
+    nominal = nominal_cnts(annotations, pitch=NOMINAL_CNT_PITCH)
     expected = cell.gate.expected_truth_table()
     base_adjacency, nominal_codes = checker.base_state(
         CNTBatch.from_instances(nominal)
@@ -184,8 +184,8 @@ def run_immunity_trials(
             chunk = min(DEFAULT_CHUNK_SIZE, remaining)
             batch = sample_mispositioned_batch(
                 prepared.annotations, chunk * cnts_per_trial, rng,
-                max_angle_deg=max_angle_deg, axis="x",
-                region=prepared.region, metallic_fraction=metallic_fraction,
+                max_angle_deg=max_angle_deg, region=prepared.region,
+                metallic_fraction=metallic_fraction,
             )
             codes = checker.evaluate_batch(
                 batch, groups=chunk, base_adjacency=prepared.base_adjacency)

@@ -10,12 +10,21 @@ A *manifest* is a JSON list of study invocations::
        "params": {"trials": 100, "seed": 7}}
     ]
 
-(the top level may also be ``{"studies": [...]}``).  Plain entries run
-through :func:`~repro.study.registry.run_study`; ``"study": "sweep"``
-entries build a :class:`~repro.study.spec.SweepSpec` from ``axes`` /
-``mode`` and run through :func:`~repro.study.sweeps.run_sweep_study`
-(``engine``, plus ``trials`` / ``seed`` / fixed values inside
-``params``).
+(the top level may also be an object whose only key is ``"studies"``).
+Plain entries run through :func:`~repro.study.registry.run_study`;
+``"study": "sweep"`` entries build a :class:`~repro.study.spec.SweepSpec`
+from ``axes`` / ``mode`` and run through
+:func:`~repro.study.sweeps.run_sweep_study` (``engine``, plus ``trials``
+/ ``seed`` / fixed values inside ``params``; a deterministic engine
+takes no ``trials``/``seed``).
+
+:func:`load_entries` is the one parser of a manifest document, and
+:meth:`ManifestEntry.from_mapping` resolves each entry once into the
+call it makes: a study's keywords are checked against its runner
+(:func:`~repro.study.registry.check_params`), and a sweep's engine,
+axes and fixed values against the engine.  A bad entry fails when it
+is parsed, before any entry of its manifest runs.  ``repro sweep`` and
+``POST /jobs`` parse through the same two functions.
 
 :func:`run_manifest` executes the list in order and deduplicates work
 across entries by :mod:`~repro.runtime.fingerprint`: a repeated
@@ -34,13 +43,17 @@ fan each parallelizable entry out through the runtime scheduler.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..errors import RuntimeLayerError
-from ..study.registry import get_study
+from ..errors import RuntimeLayerError, StudyError
+# The drivers are looked up on their modules when called, so a rebinding
+# of ``run_study``/``run_sweep_study`` (a test spy, a benchmark's layer
+# wrapper) is what runs.
+from ..study import registry, sweeps
 from ..study.results import Provenance, StudyResult
 from ..study.spec import SweepSpec
 from .cache import CacheLike, as_cache
@@ -50,84 +63,84 @@ ManifestSource = Union[str, os.PathLike,
                        Sequence[Union[Mapping[str, Any], "ManifestEntry"]],
                        Mapping[str, Any]]
 
+#: ``run_sweep_study``'s own ``trials``/``seed`` defaults, read off its
+#: signature so a sweep entry can never drift from the driver.
+_SWEEP_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in
+    inspect.signature(sweeps.run_sweep_study).parameters.items()
+    if name in ("trials", "seed")
+}
+
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    """One parsed manifest line: a study (or sweep) invocation."""
+    """One parsed manifest line: the call it makes, resolved once by
+    :meth:`from_mapping`.
+
+    A study entry is ``run_study(study, **params)``, ``study`` being the
+    canonical name.  A sweep entry (``study == "sweep"``) is
+    ``run_sweep_study(spec, engine, trials, seed, **params)``: ``params``
+    holds its fixed values, and ``trials``/``seed`` the driver's defaults
+    unless the entry gave them.
+    """
 
     study: str
     params: Dict[str, Any] = field(default_factory=dict)
-    engine: Optional[str] = None                 # sweep entries only
-    axes: Optional[Dict[str, Tuple[object, ...]]] = None
-    mode: str = "grid"
+    spec: Optional[SweepSpec] = None               # sweep entries only
+    engine: Optional[str] = None
+    trials: Optional[int] = None
+    seed: Any = None
 
     @property
     def is_sweep(self) -> bool:
         return self.study == "sweep"
 
-    def spec(self) -> SweepSpec:
-        if not self.axes:
-            raise RuntimeLayerError(
-                "A sweep manifest entry needs a non-empty 'axes' mapping"
-            )
-        return SweepSpec.from_mapping(self.axes, mode=self.mode)
-
-    def sweep_call(self):
-        """``(spec, engine, trials, seed, fixed)`` for a sweep entry, with
-        the trials/seed defaults read off ``run_sweep_study``'s own
-        signature so the manifest can never drift from the driver."""
-        import inspect
-
-        from ..study.sweeps import run_sweep_study
-
-        signature = inspect.signature(run_sweep_study).parameters
-        params = dict(self.params)
-        trials = params.pop("trials", signature["trials"].default)
-        seed = params.pop("seed", signature["seed"].default)
-        return self.spec(), self.engine or "immunity", trials, seed, params
-
     def key(self) -> Tuple[str, str]:
         """``(canonical study name, fingerprint)`` — the exact key the
         cached execution path will use."""
         if self.is_sweep:
-            spec, engine, trials, seed, fixed = self.sweep_call()
-            return "sweep", sweep_fingerprint(spec, engine, trials, seed,
-                                              fixed)
-        name = get_study(self.study).name
-        return name, study_fingerprint(name, params=self.params)
+            return "sweep", sweep_fingerprint(self.spec, self.engine,
+                                              self.trials, self.seed,
+                                              self.params)
+        return self.study, study_fingerprint(self.study, params=self.params)
 
     @property
     def fresh_entropy(self) -> bool:
         """An explicit ``"seed": null`` asks for fresh OS entropy — such an
         entry must neither dedup nor cache (mirrors the driver-level
         bypass)."""
+        if self.is_sweep:
+            return self.seed is None
         return "seed" in self.params and self.params["seed"] is None
 
     def run(self, cache, jobs: Optional[int],
             backend: Optional[str]) -> StudyResult:
         """Execute this entry (no dedup)."""
-        from ..study.registry import run_study
-        from ..study.sweeps import run_sweep_study
-
         if self.is_sweep:
-            spec, engine, trials, seed, fixed = self.sweep_call()
-            return run_sweep_study(
-                spec, engine=engine, trials=trials, seed=seed,
-                jobs=jobs, backend=backend, cache=cache, **fixed,
+            return sweeps.run_sweep_study(
+                self.spec, engine=self.engine, trials=self.trials,
+                seed=self.seed, jobs=jobs, backend=backend, cache=cache,
+                **self.params,
             )
-        definition = get_study(self.study)
         # Forward the manifest-level execution settings only to runners
         # that take them (serial studies just run serially instead of
         # erroring the batch); the entry's own params win.
-        accepted = definition.parameters()
+        accepted = registry.get_study(self.study).parameters()
         execution = {name: value for name, value in
                      (("jobs", jobs), ("backend", backend))
                      if value is not None and name in accepted}
-        return run_study(definition.name, cache=cache,
-                         **{**execution, **self.params})
+        return registry.run_study(self.study, cache=cache,
+                                  **{**execution, **self.params})
 
     @classmethod
-    def from_mapping(cls, data: Mapping[str, Any], index: int) -> "ManifestEntry":
+    def from_mapping(cls, data: Mapping[str, Any],
+                     index: int = 0) -> "ManifestEntry":
+        """Parse manifest entry ``index`` into the call it makes.  A bad
+        entry fails here, before any entry of its manifest runs: an
+        unknown study or keyword, an unknown sweep engine, axis or fixed
+        value, an axis both swept and fixed, or a ``seed``/``trials`` for
+        a deterministic engine."""
         if not isinstance(data, Mapping):
             raise RuntimeLayerError(
                 f"Manifest entry {index} must be an object, "
@@ -150,38 +163,41 @@ class ManifestEntry:
             raise RuntimeLayerError(
                 f"Manifest entry {index}: 'params' must be an object"
             )
-        axes = data.get("axes")
-        if axes is not None:
-            if not isinstance(axes, Mapping):
+        params = dict(params)
+        if study != "sweep":
+            if set(data) & {"axes", "engine", "mode"}:
                 raise RuntimeLayerError(
-                    f"Manifest entry {index}: 'axes' must be an object"
+                    f"Manifest entry {index}: 'axes'/'engine'/'mode' only "
+                    f"apply to \"study\": \"sweep\" entries"
                 )
-            axes = {name: tuple(values if isinstance(values, (list, tuple))
-                                else (values,))
-                    for name, values in axes.items()}
-        if study != "sweep" and (axes is not None or "engine" in data):
+            definition = registry.get_study(study)
+            registry.check_params(definition, params)
+            return cls(study=definition.name, params=params)
+        axes = data.get("axes")
+        if not axes:
             raise RuntimeLayerError(
-                f"Manifest entry {index}: 'axes'/'engine' only apply to "
-                f"\"study\": \"sweep\" entries"
+                "A sweep manifest entry needs a non-empty 'axes' mapping"
             )
-        entry = cls(
-            study=study,
-            params=dict(params),
-            engine=data.get("engine"),
-            axes=axes,
+        if not isinstance(axes, Mapping):
+            raise RuntimeLayerError(
+                f"Manifest entry {index}: 'axes' must be an object"
+            )
+        spec = SweepSpec.from_mapping(
+            {name: values if isinstance(values, (list, tuple)) else (values,)
+             for name, values in axes.items()},
             mode=data.get("mode", "grid"),
         )
-        # Resolve the study, or the sweep's engine and axes, now: a bad
-        # entry fails when it is parsed, before any entry of its manifest
-        # runs.
-        if entry.is_sweep:
-            from ..study.sweeps import _validate_axes, sweep_engine
-
-            spec, engine, _, _, fixed = entry.sweep_call()
-            _validate_axes(spec, sweep_engine(engine), fixed)
-        else:
-            get_study(study)
-        return entry
+        engine = sweeps.sweep_engine(data.get("engine") or "immunity")
+        if not engine.seeded and {"seed", "trials"} & set(params):
+            # An unseeded engine is deterministic: rejecting the seed
+            # beats ignoring it and giving one result two addresses.
+            raise StudyError(f"Engine {engine.name!r} takes no seed: it is "
+                             "deterministic, so it takes no --seed/--trials")
+        trials = params.pop("trials", _SWEEP_DEFAULTS["trials"])
+        seed = params.pop("seed", _SWEEP_DEFAULTS["seed"])
+        sweeps._validate_axes(spec, engine, params)
+        return cls(study="sweep", params=params, spec=spec,
+                   engine=engine.name, trials=trials, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -251,22 +267,23 @@ class ManifestResult(StudyResult):
         return "\n".join(lines)
 
 
-def _load_entries(source: ManifestSource) -> List[ManifestEntry]:
-    if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source, "r", encoding="utf-8") as stream:
-                document = json.load(stream)
-        except OSError as error:
-            raise RuntimeLayerError(
-                f"Cannot read manifest {source}: {error}"
-            ) from error
-        except json.JSONDecodeError as error:
-            raise RuntimeLayerError(
-                f"Manifest {source} is not valid JSON: {error}"
-            ) from error
-    else:
-        document = source
+def load_entries(document: Any) -> List[ManifestEntry]:
+    """Parse a manifest document into its entries — the one parser behind
+    ``repro batch`` and ``POST /jobs``.
+
+    A document is a non-empty list of entries, or an object whose only
+    key is ``"studies"`` holding one.  Each entry is parsed by
+    :meth:`ManifestEntry.from_mapping` (an already parsed
+    :class:`ManifestEntry` is kept), so a bad document fails here, before
+    any of its entries runs.
+    """
     if isinstance(document, Mapping):
+        unknown = sorted(set(document) - {"studies"})
+        if unknown:
+            raise RuntimeLayerError(
+                f"A manifest object takes only 'studies'; unknown keys "
+                f"{unknown}"
+            )
         document = document.get("studies")
     if not isinstance(document, Sequence) or isinstance(document, (str, bytes)):
         raise RuntimeLayerError(
@@ -293,7 +310,20 @@ def run_manifest(source: ManifestSource, cache: CacheLike = None,
     unique invocation is a ``miss`` (computed, stored) or ``hit``
     (loaded).  Without a cache, unique entries report ``computed``.
     """
-    entries = _load_entries(source)
+    document = source
+    if isinstance(source, (str, os.PathLike)):
+        try:
+            with open(source, "r", encoding="utf-8") as stream:
+                document = json.load(stream)
+        except OSError as error:
+            raise RuntimeLayerError(
+                f"Cannot read manifest {source}: {error}"
+            ) from error
+        except json.JSONDecodeError as error:
+            raise RuntimeLayerError(
+                f"Manifest {source} is not valid JSON: {error}"
+            ) from error
+    entries = load_entries(document)
     store = as_cache(cache)
     memo: Dict[str, StudyResult] = {}
     outcomes: List[ManifestOutcome] = []
@@ -327,5 +357,6 @@ __all__ = [
     "ManifestEntry",
     "ManifestOutcome",
     "ManifestResult",
+    "load_entries",
     "run_manifest",
 ]

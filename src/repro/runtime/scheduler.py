@@ -17,7 +17,7 @@ thread    ``ThreadPoolExecutor``       explicit opt-in (cheap tasks, tests,
 
 Determinism contract
 --------------------
-``run_tasks(fn, tasks)[i] == fn(tasks[i])`` for every backend and every
+``run_tasks(tasks)[i] == tasks[i]()`` for every backend and every
 ``jobs`` value — results come back in submission order, and tasks are
 constructed so that *nothing about scheduling leaks into them*:
 
@@ -37,7 +37,7 @@ order, in at most ``jobs`` contiguous, balanced chunks
 (:func:`shard_indices`) — purely a function of the groups and ``jobs``,
 never of measured runtimes — so the same request always produces the
 same task list.  Each shard is a picklable zero-argument
-:func:`functools.partial` that :func:`call_task` runs.
+:func:`functools.partial` of a module-level function.
 
 Both corner drivers, sweeps and the circuit study, run their store
 misses as :meth:`DeltaPlan.shards` → one :func:`run_tasks` map →
@@ -46,7 +46,6 @@ misses as :meth:`DeltaPlan.shards` → one :func:`run_tasks` map →
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -60,7 +59,6 @@ from ..errors import RuntimeLayerError
 #: The executor backends :func:`run_tasks` understands.
 BACKENDS = ("serial", "thread", "process")
 
-_Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
 
 
@@ -93,22 +91,21 @@ def resolve_backend(backend: Optional[str], jobs: int) -> str:
 
 
 def run_tasks(
-    fn: Callable[[_Task], _Result],
-    tasks: Sequence[_Task],
+    tasks: Sequence[Callable[[], _Result]],
     jobs: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> List[_Result]:
-    """Ordered map of ``fn`` over ``tasks`` on the selected backend.
+    """Call every zero-argument task on the selected backend, in order.
 
-    ``results[i] == fn(tasks[i])`` regardless of backend, worker count or
-    completion order; the process backend requires ``fn`` and every task
-    to be picklable (module-level functions and partials of them).
+    ``results[i] == tasks[i]()`` regardless of backend, worker count or
+    completion order; the process backend requires every task to be
+    picklable (a module-level function or a partial of one).
 
     Each result is collected in submission order under its own
     ``scheduler.task`` span, labelled with the function the task runs.
     Workers never see the tracer (it is thread-local, and process
-    workers share nothing), so traced and untraced execution feed ``fn``
-    identical inputs.
+    workers share nothing), so traced and untraced execution run
+    identical tasks.
     """
     # Imported here, not at module top: obs itself obtains its locks from
     # this module, so the dependency must stay one-way at import time.
@@ -125,21 +122,15 @@ def run_tasks(
                         tasks=len(tasks)), executor as pool:
         # One zero-argument wait per task: serially it runs the task, on
         # a pool it blocks on the task's future.
-        waits = [functools.partial(fn, task) if pool is None
-                 else pool.submit(fn, task).result for task in tasks]
+        waits = [task if pool is None else pool.submit(task).result
+                 for task in tasks]
         results = []
         for index, (task, wait) in enumerate(zip(tasks, waits)):
             # A partial task names the function it runs.
             with obs_trace.span("scheduler.task", index=index,
-                                call=getattr(task, "func", fn).__name__):
+                                call=getattr(task, "func", task).__name__):
                 results.append(wait())
         return results
-
-
-def call_task(task: Callable[[], _Result]) -> _Result:
-    """The worker of every sharded run: call one shard, a picklable
-    zero-argument :func:`functools.partial` of a module-level function."""
-    return task()
 
 
 def make_lock() -> threading.Lock:
@@ -289,7 +280,6 @@ def plan_delta(keys: Sequence[str], cached: AbstractSet[str]) -> DeltaPlan:
 __all__ = [
     "BACKENDS",
     "DeltaPlan",
-    "call_task",
     "make_lock",
     "plan_delta",
     "resolve_backend",

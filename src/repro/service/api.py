@@ -10,9 +10,12 @@ invocation shapes the CLI and manifest runner already understand:
 * a **manifest** — ``{"studies": [entry, entry, ...]}`` (each entry a
   study/sweep object as above)
 
-Parsing reuses :class:`~repro.runtime.manifest.ManifestEntry`, so the
-service accepts exactly what ``repro batch`` accepts and rejects exactly
-what it rejects — one validation surface, not two.
+Parsing goes through :func:`~repro.runtime.manifest.load_entries` and
+:meth:`~repro.runtime.manifest.ManifestEntry.from_mapping`, the parser
+``repro batch`` and ``repro sweep`` use, so the service accepts exactly
+what ``repro batch`` accepts and rejects exactly what it rejects — one
+validation surface, not two.  Only the top-level ``jobs``/``backend``
+overrides are the service's own.
 
 **Fingerprints are execution-blind at the API boundary too.**  The body
 may carry top-level ``jobs``/``backend`` overrides (how the engines
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ReproError
-from ..runtime.manifest import ManifestEntry
+from ..runtime.manifest import ManifestEntry, load_entries
 from ..runtime.scheduler import BACKENDS
 from ..study.registry import get_study
 from ..study.results import StudyResult
@@ -55,16 +58,6 @@ def _validate_execution(jobs: Any, backend: Any) -> Tuple[Optional[int],
             f"Unknown backend {backend!r}; use one of {BACKENDS}"
         )
     return jobs, backend
-
-
-def _parse_entry(document: Mapping[str, Any], index: int) -> ManifestEntry:
-    """One study/sweep entry through the manifest validator — which
-    resolves study names, sweep engines and axes — with submission-grade
-    error wrapping."""
-    try:
-        return ManifestEntry.from_mapping(document, index)
-    except ReproError as error:
-        raise InvalidSubmission(str(error)) from error
 
 
 @dataclass(frozen=True)
@@ -101,35 +94,14 @@ class JobSubmission:
         jobs, backend = _validate_execution(
             body.pop("jobs", None), body.pop("backend", None)
         )
-        if "studies" in body:
-            raw_entries = body.pop("studies")
-            if body:
-                raise InvalidSubmission(
-                    f"Manifest submissions take only 'studies' (plus "
-                    f"'jobs'/'backend'); unknown keys {sorted(body)}"
-                )
-            if not isinstance(raw_entries, (list, tuple)) or not raw_entries:
-                raise InvalidSubmission(
-                    "'studies' must be a non-empty list of study/sweep "
-                    "entries"
-                )
-            entries = tuple(
-                _parse_entry(entry, index)
-                for index, entry in enumerate(raw_entries)
-            )
-            return cls(
-                kind="manifest",
-                entries=entries,
-                jobs=jobs,
-                backend=backend,
-            )
-        entry = _parse_entry(body, 0)
-        return cls(
-            kind="sweep" if entry.is_sweep else "study",
-            entries=(entry,),
-            jobs=jobs,
-            backend=backend,
-        )
+        manifest = "studies" in body
+        try:
+            entries = tuple(load_entries(body if manifest else [body]))
+        except ReproError as error:
+            raise InvalidSubmission(str(error)) from error
+        kind = ("manifest" if manifest
+                else "sweep" if entries[0].is_sweep else "study")
+        return cls(kind=kind, entries=entries, jobs=jobs, backend=backend)
 
     # -- identity --------------------------------------------------------------
 
@@ -160,10 +132,7 @@ class JobSubmission:
     def study(self) -> str:
         """The display label: the canonical study name, ``"sweep"``, or
         ``"manifest"``."""
-        if self.kind == "manifest":
-            return "manifest"
-        entry = self.entries[0]
-        return "sweep" if entry.is_sweep else get_study(entry.study).name
+        return "manifest" if self.kind == "manifest" else self.entries[0].study
 
     def total_corners(self) -> Optional[int]:
         """How many sweep corners this submission expands to (the job's
@@ -177,7 +146,7 @@ class JobSubmission:
                              for entry in self.entries
                              if not entry.is_sweep):
             return None
-        return sum(len(entry.spec().corners()) for entry in sweeps)
+        return sum(len(entry.spec) for entry in sweeps)
 
     # -- execution -------------------------------------------------------------
 

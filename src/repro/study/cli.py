@@ -63,7 +63,7 @@ from ..errors import ReproError, StudyError
 from .registry import get_study, list_studies, run_study
 from .results import StudyResult
 from .spec import SweepSpec, _parse_scalar
-from .sweeps import ENGINES, run_sweep_study
+from .sweeps import ENGINES
 
 
 def _parse_assignment(text: str) -> tuple:
@@ -170,7 +170,9 @@ def _emit(result: StudyResult, args, store, stdout, stderr) -> int:
 def _seed_flags(args) -> Dict[str, Any]:
     """The given ``--seed``/``--trials`` as runner keywords (``run``,
     ``sweep``, ``circuit``).  :func:`~repro.study.registry.run_study`
-    rejects them for an unseeded study as unknown parameters."""
+    rejects them for an unseeded study as unknown parameters, and
+    :meth:`~repro.runtime.manifest.ManifestEntry.from_mapping` for a
+    deterministic sweep engine."""
     return {name: getattr(args, name) for name in ("seed", "trials")
             if getattr(args, name) is not None}
 
@@ -240,19 +242,18 @@ def _cmd_run(args, stdout, stderr) -> int:
 
 
 def _cmd_sweep(args, stdout, stderr) -> int:
+    from ..runtime.manifest import ManifestEntry
+
     spec = SweepSpec.parse(args.axis, mode=args.mode)
-    kwargs = _parse_assignments(args.set, "--set")
-    given = _seed_flags(args)
-    if given and not ENGINES[args.engine].seeded:
-        # run_sweep_study takes a seed for every engine: an unseeded one
-        # is deterministic, and rejecting the flags beats ignoring them.
-        raise StudyError(f"Engine {args.engine!r} takes no seed: it is "
-                         "deterministic, so it takes no --seed/--trials")
-    kwargs.update(given)
+    entry = ManifestEntry.from_mapping({
+        "study": "sweep", "engine": args.engine, "mode": args.mode,
+        "axes": {axis.name: axis.values for axis in spec.axes},
+        "params": {**_parse_assignments(args.set, "--set"),
+                   **_seed_flags(args)},
+    })
     store = _resolve_cache(args)
     with _traced(args, f"sweep:{args.engine}", stderr):
-        result = run_sweep_study(spec, engine=args.engine, jobs=args.jobs,
-                                 backend=args.backend, cache=store, **kwargs)
+        result = entry.run(store, args.jobs, args.backend)
     return _emit(result, args, store, stdout, stderr)
 
 

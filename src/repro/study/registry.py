@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import StudyError
 from .results import StudyResult
@@ -119,6 +119,34 @@ def get_study(name: str) -> StudyDefinition:
     raise StudyError(f"Unknown study {name!r}; available: {known}")
 
 
+def check_params(definition: StudyDefinition, params: Mapping[str, object],
+                 jobs: Optional[int] = None) -> Dict[str, object]:
+    """Check ``params``, and ``jobs`` when given, against the runner of
+    ``definition``, and return its :meth:`~StudyDefinition.parameters`.
+
+    Raises :class:`~repro.errors.StudyError`, naming the accepted
+    parameters, on a keyword the runner does not take, or on ``jobs`` for
+    a runner with no ``jobs`` parameter.  :func:`run_study` and the
+    manifest parser
+    (:meth:`~repro.runtime.manifest.ManifestEntry.from_mapping`) both
+    check here, so a manifest entry with a bad keyword fails when it is
+    parsed, before any entry runs.
+    """
+    accepted = definition.parameters()
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise StudyError(
+            f"Study {definition.name!r} does not accept {unknown}; "
+            f"parameters: {sorted(accepted)}"
+        )
+    if jobs is not None and "jobs" not in accepted:
+        raise StudyError(
+            f"Study {definition.name!r} has no parallel runner "
+            f"(no jobs parameter); parameters: {sorted(accepted)}"
+        )
+    return accepted
+
+
 def run_study(name: str, cache=None, jobs: "int | None" = None,
               **params) -> StudyResult:
     """Run one study by name with keyword overrides.
@@ -145,19 +173,8 @@ def run_study(name: str, cache=None, jobs: "int | None" = None,
     ``--seed``).
     """
     definition = get_study(name)
-    accepted = definition.parameters()
-    unknown = sorted(set(params) - set(accepted))
-    if unknown:
-        raise StudyError(
-            f"Study {definition.name!r} does not accept {unknown}; "
-            f"parameters: {sorted(accepted)}"
-        )
+    accepted = check_params(definition, params, jobs)
     if jobs is not None:
-        if "jobs" not in accepted:
-            raise StudyError(
-                f"Study {definition.name!r} has no parallel runner "
-                f"(no jobs parameter); parameters: {sorted(accepted)}"
-            )
         params.setdefault("jobs", jobs)
     # Imported lazily: the runtime layer sits on top of the study layer,
     # so a module-level import here would be circular.

@@ -246,7 +246,7 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
         # draw as a "hit", so the cache is bypassed entirely.
         store = None
     with obs_trace.span(f"sweep:{engine}", engine=engine, mode=spec.mode,
-                        corners=len(spec.corners()), trials=trials,
+                        corners=len(spec), trials=trials,
                         cached=store is not None):
         return memoize(
             store, lambda: sweep_fingerprint(spec, engine, trials, seed, fixed),
@@ -306,7 +306,7 @@ def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
     from ..obs import metrics as obs_metrics
     from ..obs import trace as obs_trace
     from ..runtime.cache import with_cache_status
-    from ..runtime.scheduler import call_task, run_tasks
+    from ..runtime.scheduler import run_tasks
 
     with obs_trace.span("sweep.plan", corners=len(spec)):
         corners, cached, plan = _plan_sweep(spec, engine, trials, seed,
@@ -320,8 +320,7 @@ def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
     with obs_trace.span("sweep.execute", corners=plan.misses,
                         engine=engine.name):
         shards = plan.shards(corners.groups, jobs)
-        outputs = run_tasks(call_task,
-                            [corners.task(shard) for shard in shards],
+        outputs = run_tasks([corners.task(shard) for shard in shards],
                             jobs=jobs, backend=backend)
     metrics = plan.merge(cached, shards, outputs, store,
                          [engine.name] * plan.total)

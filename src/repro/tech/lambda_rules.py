@@ -15,7 +15,7 @@ default records which paper statement pins it down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict
 
 from ..errors import DesignRuleError
@@ -121,17 +121,6 @@ class DesignRules:
         return area_lambda2 * (self.lambda_nm / 1000.0) ** 2
 
     # -- derived quantities used by layout generators ----------------------
-
-    @property
-    def contact_pitch(self) -> float:
-        """Centre-to-centre pitch of a contact/gate/contact sequence."""
-        return self.contact_length + 2.0 * self.gate_contact_spacing + self.gate_length
-
-    @property
-    def transistor_unit_length(self) -> float:
-        """Length (along the CNT direction) contributed by one gate plus
-        its two gate-to-contact spacings."""
-        return self.gate_length + 2.0 * self.gate_contact_spacing
 
     def series_stack_length(self, num_gates: int, shared_contacts: bool = True) -> float:
         """Length of ``num_gates`` series transistors in one active column.

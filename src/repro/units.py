@@ -73,11 +73,6 @@ def nm_to_m(value_nm: float) -> float:
     return value_nm / NM_PER_M
 
 
-def m_to_nm(value_m: float) -> float:
-    """Convert metres to nanometres."""
-    return value_m * NM_PER_M
-
-
 @dataclass(frozen=True)
 class Lambda:
     """A length in λ units of a scalable design-rule set.

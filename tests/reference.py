@@ -407,7 +407,7 @@ def reference_immunity_trials(
         raise ImmunityAnalysisError("trials must be positive")
     annotations = cell.annotations()
     checker = ImmunityChecker(annotations)
-    nominal = nominal_cnts(annotations, pitch=NOMINAL_CNT_PITCH, axis="x")
+    nominal = nominal_cnts(annotations, pitch=NOMINAL_CNT_PITCH)
     expected = cell.gate.expected_truth_table()
     rng = np.random.default_rng(seed)
     nominal_report = check_reference(checker, nominal, [], expected=expected)
@@ -415,7 +415,7 @@ def reference_immunity_trials(
     for _ in range(trials):
         strays = random_mispositioned_cnts(
             annotations, cnts_per_trial, rng, max_angle_deg=max_angle_deg,
-            axis="x", metallic_fraction=metallic_fraction,
+            metallic_fraction=metallic_fraction,
         )
         if not check_reference(checker, nominal, strays,
                                expected=expected).immune:

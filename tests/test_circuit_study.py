@@ -377,9 +377,9 @@ class TestCacheContracts:
         seen = []
         real = circuit_engine.run_tasks
 
-        def spy(fn, tasks, **kwargs):
+        def spy(tasks, **kwargs):
             seen.append(tasks)
-            return real(fn, tasks, **kwargs)
+            return real(tasks, **kwargs)
 
         monkeypatch.setattr(circuit_engine, "run_tasks", spy)
         comparator = run_fast(cache=shared_store, circuit="comparator:2",

@@ -63,7 +63,7 @@ class TestNominalPopulation:
             gate = standard_gate(name)
             cell = assemble_cell(gate, technique="compact", scheme=1)
             checker = ImmunityChecker(cell.annotations())
-            nominal = nominal_cnts(cell.annotations(), pitch=1.0, axis="x")
+            nominal = nominal_cnts(cell.annotations(), pitch=1.0)
             table = checker.truth_table(nominal)
             assert table.equivalent_to(gate.expected_truth_table()), name
 
@@ -71,14 +71,14 @@ class TestNominalPopulation:
         gate = standard_gate("NAND2")
         cell = assemble_cell(gate, technique="vulnerable", scheme=1)
         checker = ImmunityChecker(cell.annotations())
-        nominal = nominal_cnts(cell.annotations(), axis="x")
+        nominal = nominal_cnts(cell.annotations())
         assert checker.truth_table(nominal).equivalent_to(gate.expected_truth_table())
 
     def test_nominal_generation_requires_gates(self):
         from repro.core.spec import CellAnnotations
 
         with pytest.raises(ImmunityAnalysisError):
-            nominal_cnts(CellAnnotations(cell_name="empty"), axis="y")
+            nominal_cnts(CellAnnotations(cell_name="empty"))
 
     def test_invalid_pitch_rejected(self):
         gate = standard_gate("INV")
@@ -91,14 +91,14 @@ class TestMispositionedGeneration:
     def test_reproducible_with_seed(self):
         cell = assemble_cell(standard_gate("NAND2"))
         annotations = cell.annotations()
-        first = random_mispositioned_cnts(annotations, 5, np.random.default_rng(7), axis="x")
-        second = random_mispositioned_cnts(annotations, 5, np.random.default_rng(7), axis="x")
+        first = random_mispositioned_cnts(annotations, 5, np.random.default_rng(7))
+        second = random_mispositioned_cnts(annotations, 5, np.random.default_rng(7))
         assert [(c.start, c.end) for c in first] == [(c.start, c.end) for c in second]
 
     def test_tubes_span_the_cell(self):
         cell = assemble_cell(standard_gate("NAND2"))
         annotations = cell.annotations()
-        tubes = random_mispositioned_cnts(annotations, 3, np.random.default_rng(1), axis="x")
+        tubes = random_mispositioned_cnts(annotations, 3, np.random.default_rng(1))
         extent = cell.cell.boundary()
         for tube in tubes:
             assert tube.mispositioned
@@ -116,7 +116,7 @@ class TestImmunityChecker:
         cell = assemble_cell(gate, technique="vulnerable", scheme=1)
         annotations = cell.annotations()
         checker = ImmunityChecker(annotations)
-        nominal = nominal_cnts(annotations, axis="x")
+        nominal = nominal_cnts(annotations)
         # Build a tube that runs through the pull-up strip in the gap
         # between the two gate columns, connecting vdd directly to out.
         pun_active = next(a for a in annotations.actives if a.doping == "p")
@@ -138,7 +138,7 @@ class TestImmunityChecker:
         cell = assemble_cell(gate, technique="compact", scheme=1)
         annotations = cell.annotations()
         checker = ImmunityChecker(annotations)
-        nominal = nominal_cnts(annotations, axis="x")
+        nominal = nominal_cnts(annotations)
         extent = cell.cell.boundary()
         horizontal = CNTInstance(
             Point(extent.x1 - 1.0, extent.center.y),
@@ -261,7 +261,7 @@ class TestBatchedEngine:
         annotations = assemble_cell(standard_gate("NAND2")).annotations()
         max_angle_deg = 15.0
         batch = sample_mispositioned_batch(
-            annotations, 6, np.random.default_rng(3), axis="x",
+            annotations, 6, np.random.default_rng(3),
             max_angle_deg=max_angle_deg, metallic_fraction=0.5,
         )
 
@@ -273,7 +273,7 @@ class TestBatchedEngine:
             x = rng.uniform(region.x1, region.x2)
             y = rng.uniform(region.y1, region.y2)
             angle = math.radians(rng.uniform(-max_angle_deg, max_angle_deg))
-            direction = (math.cos(angle), math.sin(angle))  # axis="x"
+            direction = (math.cos(angle), math.sin(angle))  # along x
             metallic = bool(rng.uniform() < 0.5)
             # The draws themselves are bit-identical; the trig-derived
             # endpoints get a tight tolerance because vectorized
@@ -304,7 +304,7 @@ class TestBatchedEngine:
     def test_output_codes_does_not_mutate_adjacency(self):
         annotations = assemble_cell(standard_gate("NAND2")).annotations()
         checker = ImmunityChecker(annotations)
-        batch = CNTBatch.from_instances(nominal_cnts(annotations, axis="x"))
+        batch = CNTBatch.from_instances(nominal_cnts(annotations))
         adjacency = checker._adjacency_matrices(
             checker._pair_conduction(batch))
         before = adjacency.copy()
@@ -343,12 +343,12 @@ class TestBatchedEngine:
         cell = assemble_cell(standard_gate("NAND3"), technique=technique, scheme=1)
         annotations = cell.annotations()
         checker = ImmunityChecker(annotations)
-        nominal = nominal_cnts(annotations, axis="x")
+        nominal = nominal_cnts(annotations)
         expected = cell.gate.expected_truth_table()
         rng = np.random.default_rng(17)
         for _ in range(25):
             strays = random_mispositioned_cnts(
-                annotations, 5, rng, axis="x", metallic_fraction=0.25
+                annotations, 5, rng, metallic_fraction=0.25
             )
             batched = checker.truth_table(nominal + strays)
             reference = truth_table_reference(checker, nominal + strays)
@@ -578,10 +578,10 @@ class TestBlockerTieOrder:
         annotations = assemble_cell(standard_gate(gate),
                                     technique=technique).annotations()
         checker = ImmunityChecker(annotations)
-        nominal = nominal_cnts(annotations, axis="x")
+        nominal = nominal_cnts(annotations)
         rng = np.random.default_rng(11)
         populations = [
-            random_mispositioned_cnts(annotations, 4, rng, axis="x",
+            random_mispositioned_cnts(annotations, 4, rng,
                                       max_angle_deg=25.0,
                                       metallic_fraction=0.25)
             for _ in range(12)
@@ -703,7 +703,7 @@ class TestMetallicCNTExtension:
         cell = assemble_cell(gate, technique="compact", scheme=1)
         annotations = cell.annotations()
         checker = ImmunityChecker(annotations)
-        nominal = nominal_cnts(annotations, axis="x")
+        nominal = nominal_cnts(annotations)
         pun_active = next(a for a in annotations.actives if a.doping == "p")
         mid_y = (pun_active.rect.y1 + pun_active.rect.y2) / 2.0
         metallic = CNTInstance(
@@ -722,7 +722,7 @@ class TestMetallicCNTExtension:
         cell = assemble_cell(gate, technique="compact", scheme=1)
         annotations = cell.annotations()
         checker = ImmunityChecker(annotations)
-        nominal = nominal_cnts(annotations, axis="x")
+        nominal = nominal_cnts(annotations)
         pun_active = next(a for a in annotations.actives if a.doping == "p")
         mid_y = (pun_active.rect.y1 + pun_active.rect.y2) / 2.0
         semiconducting = CNTInstance(

@@ -1,6 +1,7 @@
 """The runtime layer: scheduler determinism, result cache, manifests."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -108,7 +109,8 @@ class TestScheduler:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_run_tasks_ordered_on_every_backend(self, backend):
         tasks = list(range(13))
-        assert run_tasks(_square, tasks, jobs=3, backend=backend) == \
+        assert run_tasks([functools.partial(_square, x) for x in tasks],
+                         jobs=3, backend=backend) == \
             [x * x for x in tasks]
 
     def test_shard_indices_partition(self):
@@ -613,6 +615,7 @@ class TestManifest:
         ([{"study": "fig3", "frobnicate": 1}], "unknown keys"),
         ([{"study": "sweep"}], "non-empty 'axes'"),
         ("not-a-list", "JSON list"),
+        ([{"study": "fig3", "mode": "zip"}], "only apply"),
     ])
     def test_malformed_manifests_fail_cleanly(self, bad, message, tmp_path):
         if isinstance(bad, str):

@@ -42,7 +42,8 @@ from hypothesis import given, settings, strategies as st
 import repro.analysis.experiments as experiments
 import repro.service.jobs as jobs_module
 import repro.service.server as server_module
-from repro.runtime.manifest import ManifestEntry
+from repro.errors import ReproError
+from repro.runtime.manifest import ManifestEntry, run_manifest
 from repro.service import (
     InvalidSubmission,
     JobManager,
@@ -58,6 +59,10 @@ POLL_TIMEOUT_S = 60.0
 #: A sweep over an axis its engine does not understand.
 _BAD_SWEEP = {"study": "sweep", "engine": "immunity",
               "axes": {"vdd": [0.9, 1.0]}, "params": {"trials": 5, "seed": 1}}
+#: A sweep on the deterministic transient engine, which takes no
+#: ``seed``/``trials``.
+_TRANSIENT_SWEEP = {"study": "sweep", "engine": "transient",
+                    "axes": {"vdd": [0.9, 1.0]}}
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +247,10 @@ class TestLifecycle:
          "params": {"trials": 5, "seed": 1,
                     "cnts_per_trial": 8}},               # swept and fixed
         {"studies": [{"study": "fig3"}, _BAD_SWEEP]},
+        {"study": "fig3", "params": {"bogus": 1}},        # unknown keyword
+        {**_TRANSIENT_SWEEP, "params": {"seed": 3}},
+        {**_TRANSIENT_SWEEP, "params": {"trials": 5}},
+        {**_TRANSIENT_SWEEP, "params": {"seed": None}},
     ])
     def test_invalid_submissions_are_400(self, client, body):
         status, document = client.json("POST", "/jobs", body)
@@ -763,6 +772,45 @@ class TestRetention:
         finally:
             release.set()
             service.close()
+
+
+# ---------------------------------------------------------------------------
+# One parser: `repro batch` and POST /jobs accept and reject alike
+# ---------------------------------------------------------------------------
+
+
+class TestOneParser:
+    @pytest.mark.parametrize("document", [
+        {"studies": [{"study": "fig3"}], "bogus": 1},
+        {"studies": [{"study": "fig3"},
+                     {"study": "fig3", "params": {"bogus": 1}}]},
+        {"studies": [{"study": "fig3"},
+                     {**_TRANSIENT_SWEEP, "params": {"seed": 3}}]},
+        {"studies": [{"study": "fig3"},
+                     {**_TRANSIENT_SWEEP, "params": {"trials": 5}}]},
+        {"studies": [{"study": "fig3"},
+                     {**_TRANSIENT_SWEEP, "params": {"seed": None}}]},
+    ])
+    def test_batch_and_post_reject_alike_before_any_entry_runs(
+            self, document, monkeypatch):
+        """A malformed document fails ``run_manifest`` (``repro batch``)
+        and ``JobSubmission.from_document`` (``POST /jobs``) alike, while
+        it is parsed: the spy sees no entry run."""
+        import repro.study.registry as registry
+
+        calls = []
+        real = registry.run_study
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(registry, "run_study", counting)
+        with pytest.raises(ReproError):
+            run_manifest(document)
+        with pytest.raises(InvalidSubmission):
+            JobSubmission.from_document(document)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

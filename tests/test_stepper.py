@@ -30,6 +30,7 @@ bytes are the same either way:
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -261,7 +262,9 @@ def test_process_workers_load_the_cached_library(cold_cache, monkeypatch,
         raise AssertionError("a worker rebuilt the stepper library")
 
     monkeypatch.setattr(stepper, "_build", no_rebuild)
-    assert run_tasks(integrate, [0, 1], jobs=2, backend="process") == \
+    assert run_tasks([functools.partial(integrate, 0),
+                      functools.partial(integrate, 1)],
+                     jobs=2, backend="process") == \
         [(oracle, "c")] * 2
     after = library.stat()
     assert (after.st_ino, after.st_mtime_ns) == \
