@@ -16,7 +16,7 @@ from repro.circuit import (
     cmos_inverter,
     cnfet_inverter,
     fo4_metrics,
-    fo4_metrics_transient,
+    fo4_transient_sweep,
 )
 from repro.devices import FO4_GATE_WIDTH_NM, calibrated_cnfet_parameters, paper_anchors
 
@@ -43,15 +43,16 @@ def transient_cross_check(result) -> None:
 
     print()
     print("Transient-simulation cross-check at the optimal pitch:")
+    waveforms = []
     for name, inverter in (("CNFET", cnfet), ("CMOS ", cmos)):
         analytic = fo4_metrics(inverter)
-        waveform = fo4_metrics_transient(inverter)
+        [waveform] = fo4_transient_sweep([inverter])
+        waveforms.append(waveform)
         print(f"  {name}: FO4 = {waveform.delay_s * 1e12:6.2f} ps (waveform) vs "
               f"{analytic.delay_s * 1e12:6.2f} ps (analytical), "
               f"E/cycle = {waveform.energy_per_cycle_j * 1e15:.2f} fJ")
 
-    cnfet_tr = fo4_metrics_transient(cnfet)
-    cmos_tr = fo4_metrics_transient(cmos)
+    cnfet_tr, cmos_tr = waveforms
     print(f"  waveform-level delay gain : {cmos_tr.delay_s / cnfet_tr.delay_s:.2f}x")
     print(f"  waveform-level energy gain: "
           f"{cmos_tr.energy_per_cycle_j / cnfet_tr.energy_per_cycle_j:.2f}x")

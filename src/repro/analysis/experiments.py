@@ -21,7 +21,6 @@ from ..cells.characterize import (
     cnfet_technology,
     format_characterization,
 )
-from ..cells.library import build_library
 from ..circuit.fo4 import compare_fo4, fo4_transient_sweep
 from ..circuit.inverter import cmos_inverter, cnfet_inverter
 from ..core.area import format_table1, inverter_area_gain, table1
@@ -65,6 +64,15 @@ from ..study.results import (
 from ..study.spec import SweepSpec
 from ..study.sweeps import run_sweep_study
 from .metrics import GainReport, TechnologyFigures
+
+#: The study runners; :mod:`repro.study.registry` reads each one,
+#: ``run_circuit_study`` included, as an attribute of this module.
+__all__ = [
+    "run_characterization", "run_circuit_study", "run_edp_summary",
+    "run_fig2_immunity", "run_fig3_nand3", "run_fig4_aoi31", "run_fig7_fo4",
+    "run_fo4_transient_sweep", "run_fulladder_case_study",
+    "run_immunity_sweep", "run_pitch_sensitivity", "run_table1",
+]
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ from ..devices.cnfet import CNFET, CNFETParameters
 from ..devices.mosfet import MOSFET, MOSFETParameters, NMOS_65, PMOS_65
 from ..errors import CharacterizationError
 from ..logic.network import GateNetworks, SPLeaf, SPNode, SPParallel, SPSeries
-from ..core.sizing import CellSizing, size_gate
+from ..core.sizing import size_gate
 from ..tech.lambda_rules import LAMBDA_NM_65
 
 #: CNT pitch the standard-cell library is built at (the optimal range found
@@ -180,13 +180,8 @@ def characterize_gate(
     tech: TechnologyConfig,
     unit_width: float = 4.0,
     drive_strength: float = 1.0,
-    extra_output_capacitance: float = 0.0,
 ) -> CellTimingModel:
-    """Characterise one gate at one drive strength for one technology.
-
-    ``extra_output_capacitance`` lets callers add extracted wiring
-    parasitics from the physical layout.
-    """
+    """Characterise one gate at one drive strength for one technology."""
     sizing = size_gate(gate, unit_width, drive_strength)
 
     # Device widths are produced by the sizing rule in λ; the electrical
@@ -214,7 +209,7 @@ def characterize_gate(
 
     # Output parasitics: drain capacitance of every device whose drain or
     # source touches the output net.
-    parasitic = extra_output_capacitance
+    parasitic = 0.0
     for transistor, width_table, polarity in (
         *((t, sizing.pun_widths, "p") for t in gate.pun.transistors),
         *((t, sizing.pdn_widths, "n") for t in gate.pdn.transistors),
@@ -249,7 +244,6 @@ def gate_transistor_netlist(
     unit_width: float = 4.0,
     drive_strength: float = 1.0,
     load_capacitance: float = 0.0,
-    name: Optional[str] = None,
 ) -> TransistorNetlist:
     """Flatten one sized gate into a simulatable transistor netlist.
 
@@ -262,7 +256,7 @@ def gate_transistor_netlist(
     """
     sizing = size_gate(gate, unit_width, drive_strength)
     netlist = TransistorNetlist(
-        name or f"{gate.name}_{drive_strength:g}X", vdd=tech.vdd
+        f"{gate.name}_{drive_strength:g}X", vdd=tech.vdd
     )
 
     def lowered(net: str, prefix: str) -> str:
@@ -648,16 +642,16 @@ def measured_timing_models(
     tech: TechnologyConfig,
     unit_width: float = 4.0,
     loads: Sequence[float] = MEASURED_LOADS_F,
-    slew: float = MEASURED_SLEW_S,
 ) -> List[Dict[float, CellTimingModel]]:
     """Distil measured waveform delays into linear Liberty-ready models.
 
     Each ``(gate, drive_strengths)`` cell is swept over ``drive_strengths
-    × loads`` on its own grid (drive axes of one length), and every cell
-    is measured by one :func:`characterize_sweep` — one kernel call.  Per
-    cell and drive, worst-case delay is fitted against load (least
-    squares), and the models' ``drive_resistance`` is the fitted slope
-    and ``parasitic_capacitance`` the zero-load intercept — so
+    × loads`` at the :data:`MEASURED_SLEW_S` input slew on its own grid
+    (drive axes of one length), and every cell is measured by one
+    :func:`characterize_sweep` — one kernel call.  Per cell and drive,
+    worst-case delay is fitted against load (least squares), and the
+    models' ``drive_resistance`` is the fitted slope and
+    ``parasitic_capacitance`` the zero-load intercept — so
     ``stage_delay(load)`` reproduces the *measured* delays instead of the
     logical-effort estimate.  Input capacitance keeps the analytical
     per-pin value (the delay fit cannot observe it).  Returns one
@@ -671,7 +665,6 @@ def measured_timing_models(
         gate_names=[gate.name for gate, _ in cells],
         drive_strengths=[tuple(drives) for _, drives in cells],
         load_capacitances_f=loads,
-        input_slews_s=(slew,),
         corners={"nominal": tech},
         unit_width=unit_width,
     )

@@ -22,16 +22,16 @@ from ..errors import LibraryError
 from .library import StandardCellLibrary
 
 
-def _fmt(value: float, digits: int = 6) -> str:
-    return f"{value:.{digits}g}"
+def _fmt(value: float) -> str:
+    return f"{value:.6g}"
 
 
-def write_liberty(library: StandardCellLibrary, area_unit_um2: float = None) -> str:
+def write_liberty(library: StandardCellLibrary) -> str:
     """Render the library as Liberty text and return it."""
     if len(library) == 0:
         raise LibraryError(f"Library {library.name!r} has no cells to export")
     lambda_um = library.rules.lambda_nm / 1000.0
-    area_scale = lambda_um * lambda_um if area_unit_um2 is None else area_unit_um2
+    area_scale = lambda_um * lambda_um
 
     lines: List[str] = []
     lines.append(f"library ({library.name}) {{")

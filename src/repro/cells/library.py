@@ -24,10 +24,8 @@ from ..core.standard_cell import (
 from ..errors import LibraryError
 from ..logic.functions import standard_gate
 from ..logic.network import GateNetworks
-from ..tech.lambda_rules import CMOS_RULES, CNFET_RULES, DesignRules
+from ..tech.lambda_rules import CNFET_RULES, DesignRules
 from .characterize import (
-    MEASURED_LOADS_F,
-    MEASURED_SLEW_S,
     TechnologyConfig,
     characterize_gate,
     cnfet_technology,
@@ -155,10 +153,7 @@ def build_library(
     unit_width: float = 4.0,
     technology: Optional[TechnologyConfig] = None,
     rules: DesignRules = CNFET_RULES,
-    cmos_rules: DesignRules = CMOS_RULES,
     timing_source: str = "logical_effort",
-    measured_loads: Sequence[float] = MEASURED_LOADS_F,
-    measured_slew: float = MEASURED_SLEW_S,
 ) -> StandardCellLibrary:
     """Generate a complete standard-cell library.
 
@@ -184,8 +179,7 @@ def build_library(
     if timing_source == "measured":
         measured = dict(zip(gate_names, measured_timing_models(
             [(standard_gate(name), drive_strengths) for name in gate_names],
-            technology, unit_width=unit_width, loads=measured_loads,
-            slew=measured_slew,
+            technology, unit_width=unit_width,
         )))
     for gate_name in gate_names:
         gate_timing = measured.get(gate_name, {})
@@ -204,7 +198,7 @@ def build_library(
                 gate, technology, unit_width=unit_width, drive_strength=drive
             )
             cmos_ref = cmos_cell_area(
-                gate, unit_width=unit_width, drive_strength=drive, rules=cmos_rules
+                gate, unit_width=unit_width, drive_strength=drive
             )
             library.add_cell(
                 LibraryCell(
@@ -223,10 +217,9 @@ def build_cmos_timing_library(
     gate_names: Sequence[str] = DEFAULT_GATE_SET,
     drive_strengths: Sequence[float] = DEFAULT_DRIVE_STRENGTHS,
     unit_width: float = 4.0,
-    technology: Optional[TechnologyConfig] = None,
 ) -> TimingLibrary:
     """Timing library of the reference CMOS cells (same logic, 65 nm MOSFETs)."""
-    technology = technology or cmos_technology()
+    technology = cmos_technology()
     timing = TimingLibrary("cmos65_reference", vdd=technology.vdd)
     for gate_name in gate_names:
         for drive in drive_strengths:

@@ -13,7 +13,6 @@ from .fo4 import (
     compare_fo4,
     fo4_load_capacitance,
     fo4_metrics,
-    fo4_metrics_transient,
     fo4_transient_sweep,
 )
 from .inverter import Inverter, cmos_inverter, cnfet_inverter
@@ -51,8 +50,7 @@ from .spice_writer import save_spice, write_spice
 __all__ = [
     "ExtractionParameters", "ExtractionReport", "NetParasitics", "ParasiticExtractor",
     "DELAY_FIT_CONSTANT", "FO4Comparison", "FO4Metrics", "compare_fo4",
-    "fo4_load_capacitance", "fo4_metrics", "fo4_metrics_transient",
-    "fo4_transient_sweep",
+    "fo4_load_capacitance", "fo4_metrics", "fo4_transient_sweep",
     "Inverter", "cmos_inverter", "cnfet_inverter",
     "CellTimingModel", "PathTimingResult", "TimingLibrary", "analyse_netlist",
     "GND", "VDD", "CapacitorInstance", "GateInstance", "GateNetlist",

@@ -17,11 +17,11 @@ plane; they are applied per layer area measured straight off the layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..errors import NetlistError
 from ..geometry.layout import LayoutCell
-from ..tech.lambda_rules import CNFET_RULES, DesignRules
+from ..tech.lambda_rules import CNFET_RULES
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,10 @@ class ExtractionReport:
 
 
 class ParasiticExtractor:
-    """Extract wiring parasitics from an annotated cell layout."""
+    """Extract wiring parasitics from an annotated CNFET cell layout."""
 
-    def __init__(self, rules: DesignRules = CNFET_RULES,
-                 parameters: Optional[ExtractionParameters] = None):
-        self.rules = rules
-        self.parameters = parameters or ExtractionParameters()
+    rules = CNFET_RULES
+    parameters = ExtractionParameters()
 
     def extract(self, cell: LayoutCell) -> ExtractionReport:
         """Extract per-net parasitics from a generated cell.
@@ -124,21 +122,20 @@ class ParasiticExtractor:
             )
         return report
 
-    def wire_capacitance(self, length_lambda: float,
-                         width_lambda: Optional[float] = None) -> float:
-        """Capacitance of a metal-1 wire of the given length [F]."""
+    def wire_capacitance(self, length_lambda: float) -> float:
+        """Capacitance of a minimum-width metal-1 wire of the given length
+        [F]."""
         if length_lambda < 0:
             raise NetlistError("Wire length must be non-negative")
-        width_lambda = width_lambda or self.rules.min_metal_width
         lambda_um = self.rules.lambda_nm / 1000.0
-        area_um2 = length_lambda * width_lambda * lambda_um * lambda_um
+        area_um2 = (length_lambda * self.rules.min_metal_width
+                    * lambda_um * lambda_um)
         return area_um2 * self.parameters.metal_area_cap_per_um2
 
-    def wire_resistance(self, length_lambda: float,
-                        width_lambda: Optional[float] = None) -> float:
-        """Resistance of a metal-1 wire of the given length [ohm]."""
+    def wire_resistance(self, length_lambda: float) -> float:
+        """Resistance of a minimum-width metal-1 wire of the given length
+        [ohm]."""
         if length_lambda < 0:
             raise NetlistError("Wire length must be non-negative")
-        width_lambda = width_lambda or self.rules.min_metal_width
-        squares = length_lambda / width_lambda if width_lambda else 0.0
+        squares = length_lambda / self.rules.min_metal_width
         return squares * self.parameters.metal_sheet_resistance

@@ -7,9 +7,9 @@ metrics:
 * :func:`fo4_metrics` — a fast analytical estimate
   (``delay = k · C_load · Vdd / I_drive``, ``energy = C_load · Vdd²``)
   used by the large parameter sweeps of Figure 7; and
-* :func:`fo4_metrics_transient` — a waveform measurement on the actual
-  five-stage chain using :mod:`repro.circuit.simulator`, used to sanity
-  check the analytical model.
+* :func:`fo4_transient_sweep` — a waveform measurement on the actual
+  five-stage chain of each corner using :mod:`repro.circuit.simulator`,
+  used to sanity check the analytical model.
 
 Both report the delay of a representative mid-chain stage loaded by four
 copies of itself, which is what "FO4 delay" means.
@@ -17,9 +17,8 @@ copies of itself, which is what "FO4 delay" means.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Sequence
 
 from ..errors import SimulationError
 from .inverter import Inverter
@@ -106,57 +105,30 @@ def compare_fo4(cnfet_inverter: Inverter, cmos_inverter: Inverter,
     )
 
 
-def fo4_metrics_transient(inverter: Inverter, vdd: float = 1.0,
-                          stages: int = 5, fanout: int = 4) -> FO4Metrics:
-    """FO4 metrics measured on a transient simulation of the inverter chain.
-
-    Builds the paper's five-stage chain where every stage drives ``fanout``
-    copies of itself (the extra copies are modelled as load capacitance),
-    applies a full-swing step and measures the 50 %-to-50 % propagation
-    delay of the middle stage and the total switched charge per cycle.
-    """
-    return fo4_transient_sweep([inverter], vdd, stages, fanout)[0]
-
-
-def fo4_transient_sweep(
-    inverters: Sequence[Inverter],
-    vdd: Union[float, Sequence[float]] = 1.0,
-    stages: int = 5,
-    fanout: int = 4,
-) -> List[FO4Metrics]:
+def fo4_transient_sweep(inverters: Sequence[Inverter],
+                        vdd: float = 1.0) -> List[FO4Metrics]:
     """Waveform-level FO4 metrics for many inverter corners in one batch.
 
-    The multi-corner counterpart of :func:`fo4_metrics_transient`: every
-    corner's chain (a CNT-count/pitch sweep, a supply sweep, or the CMOS
+    Builds the paper's five-stage chain for each corner, where every stage
+    drives four copies of itself (the extra copies are modelled as load
+    capacitance), applies a full-swing step and measures the 50 %-to-50 %
+    propagation delay of the middle stage and the total switched charge
+    per cycle.  Every corner's chain (a CNT-count/pitch sweep, or the CMOS
     reference riding along) gets a stimulus timed from its own analytical
     delay estimate, and all chains integrate in a single vectorized
     :func:`~repro.circuit.simulator.run_transient_batch` call on a time
     base that covers the slowest corner at the resolution of the fastest
     — which is how Figure 7's waveform cross-checks stay affordable at
-    many corners.
-
-    ``vdd`` is a shared scalar or one supply per corner.
+    many corners.  One corner is ``fo4_transient_sweep([inverter])[0]``.
     """
     if not inverters:
         raise SimulationError("fo4_transient_sweep needs >= 1 inverter")
-    if stages < 3:
-        raise SimulationError("The FO4 chain needs at least 3 stages")
-    try:
-        supplies = ([float(vdd)] * len(inverters)
-                    if isinstance(vdd, numbers.Real)
-                    else [float(value) for value in vdd])
-    except TypeError:
-        raise SimulationError(
-            f"vdd must be a number or an iterable of numbers, got {vdd!r}"
-        ) from None
-    if len(supplies) != len(inverters):
-        raise SimulationError(
-            f"Got {len(inverters)} corners but {len(supplies)} supplies"
-        )
+    stages, fanout = 5, 4
+    supply = float(vdd)
 
     cases: List[SimulationCase] = []
     estimates: List[float] = []
-    for inverter, supply in zip(inverters, supplies):
+    for inverter in inverters:
         estimate = fo4_metrics(inverter, supply, fanout).delay_s
         source = pulse_source(supply, delay=2 * estimate,
                               rise_time=max(estimate * 0.1, 1.0e-13),
@@ -182,5 +154,5 @@ def fo4_transient_sweep(
             drive_current_a=inverter.drive_current(supply),
             supply_voltage=supply,
         )
-        for inverter, supply, result in zip(inverters, supplies, results)
+        for inverter, result in zip(inverters, results)
     ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..devices.cnfet import CNFET, CNFETParameters
-from ..devices.mosfet import MOSFET, MOSFETParameters
+from ..devices.mosfet import MOSFET
 from ..errors import DeviceModelError
 
 Device = Union[CNFET, MOSFET]
@@ -75,15 +75,13 @@ def cnfet_inverter(
 def cmos_inverter(
     nmos_width_nm: float = 200.0,
     pmos_width_nm: Optional[float] = None,
-    nmos_parameters: Optional[MOSFETParameters] = None,
-    pmos_parameters: Optional[MOSFETParameters] = None,
 ) -> Inverter:
     """The reference 65 nm CMOS inverter (pMOS 1.4× wider than nMOS unless
     given explicitly, matching the paper's Section V sizing)."""
     if pmos_width_nm is None:
         pmos_width_nm = 1.4 * nmos_width_nm
     return Inverter(
-        pull_down=MOSFET("n", nmos_width_nm, nmos_parameters),
-        pull_up=MOSFET("p", pmos_width_nm, pmos_parameters),
+        pull_down=MOSFET("n", nmos_width_nm),
+        pull_up=MOSFET("p", pmos_width_nm),
         name="CMOS_INV",
     )

@@ -13,10 +13,10 @@ topological path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import CharacterizationError, NetlistError
-from .netlist import GateNetlist, GateInstance
+from .netlist import GateNetlist
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ def analyse_netlist(
     netlist: GateNetlist,
     library: TimingLibrary,
     output_load: float = 0.0,
-    primary_input_arrival: float = 0.0,
 ) -> PathTimingResult:
     """Static timing + energy analysis of a combinational gate netlist.
 
@@ -100,10 +99,10 @@ def analyse_netlist(
     of the input capacitances of the gates it fans out to (plus
     ``output_load`` on primary outputs).  Energy assumes every gate switches
     once per cycle (activity 1), matching the paper's energy-per-cycle
-    metric for the full adder.
+    metric for the full adder.  Primary inputs arrive at time 0.
     """
     netlist.validate()
-    arrival: Dict[str, float] = {net: primary_input_arrival for net in netlist.inputs}
+    arrival: Dict[str, float] = {net: 0.0 for net in netlist.inputs}
     worst_driver: Dict[str, Optional[str]] = {net: None for net in netlist.inputs}
     total_energy = 0.0
 
@@ -127,7 +126,7 @@ def analyse_netlist(
         delay = model.stage_delay(load)
         total_energy += model.switching_energy(load, library.vdd)
         input_arrivals = [
-            (arrival.get(net, primary_input_arrival), net) for net in gate.input_nets()
+            (arrival.get(net, 0.0), net) for net in gate.input_nets()
         ]
         worst_arrival, worst_net = max(input_arrivals) if input_arrivals else (0.0, None)
         arrival[gate.output_net] = worst_arrival + delay
@@ -149,7 +148,7 @@ def analyse_netlist(
         if not input_nets:
             break
         net = max(input_nets, key=lambda n: arrival.get(n, 0.0))
-        if arrival.get(net, 0.0) <= primary_input_arrival:
+        if arrival.get(net, 0.0) <= 0.0:
             break
     path.reverse()
 

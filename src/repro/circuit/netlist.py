@@ -14,8 +14,8 @@ with validation — the interesting behaviour is in the tools that use them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence
 
 from ..devices.cnfet import CNFET
 from ..devices.mosfet import MOSFET

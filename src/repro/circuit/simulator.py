@@ -199,11 +199,9 @@ class PiecewiseLinearSource:
         return points[-1][1]
 
 
-def step_source(vdd: float, delay: float, rise_time: float,
-                falling: bool = False) -> PiecewiseLinearSource:
-    """A single rising (or falling) edge."""
-    low, high = (vdd, 0.0) if falling else (0.0, vdd)
-    return PiecewiseLinearSource([(0.0, low), (delay, low), (delay + rise_time, high)])
+def step_source(vdd: float, delay: float, rise_time: float) -> PiecewiseLinearSource:
+    """A single rising edge."""
+    return PiecewiseLinearSource([(0.0, 0.0), (delay, 0.0), (delay + rise_time, vdd)])
 
 
 def pulse_source(vdd: float, delay: float, rise_time: float, width: float) -> PiecewiseLinearSource:
@@ -346,11 +344,9 @@ class TransientResult:
                 f"Net {net!r} never crosses {level} V after {after}"
             ) from None
 
-    def propagation_delay(self, input_net: str, output_net: str,
-                          vdd: Optional[float] = None) -> float:
+    def propagation_delay(self, input_net: str, output_net: str) -> float:
         """50 %-to-50 % propagation delay between two nets."""
-        vdd = self.vdd if vdd is None else vdd
-        level = vdd / 2.0
+        level = self.vdd / 2.0
         t_in = self.crossing_time(input_net, level)
         t_out = self.crossing_time(output_net, level, after=t_in)
         return t_out - t_in

@@ -9,7 +9,6 @@ from .area import (
     NetworkAreas,
     area_saving,
     baseline_network_areas,
-    cell_area_gain,
     compact_network_areas,
     format_table1,
     inverter_area_gain,
@@ -32,7 +31,6 @@ from .compact import (
 from .grid import baseline_network_layout, vulnerable_network_layout
 from .sizing import (
     CellSizing,
-    balanced_sizing,
     leaf_width_factors,
     series_depth,
     size_gate,
@@ -60,14 +58,14 @@ from .standard_cell import (
 __all__ = [
     "PAPER_TABLE1", "TABLE1_CELLS", "TABLE1_WIDTHS",
     "AreaComparisonRow", "CellAreaGain", "NetworkAreas",
-    "area_saving", "baseline_network_areas", "cell_area_gain",
+    "area_saving", "baseline_network_areas",
     "compact_network_areas", "format_table1", "inverter_area_gain", "table1",
     "ColumnElement", "ContactElement", "EtchElement", "GateElement",
     "build_column", "column_stack_height",
     "CompactPlan", "compact_network_height", "compact_network_layout",
     "plan_compact_network",
     "baseline_network_layout", "vulnerable_network_layout",
-    "CellSizing", "balanced_sizing", "leaf_width_factors", "series_depth",
+    "CellSizing", "leaf_width_factors", "series_depth",
     "size_gate", "width_map_for_network",
     "ActiveRegion", "CellAnnotations", "ContactRegion", "EtchRegion",
     "GateRegion", "NetworkLayoutResult", "attach_annotations", "get_annotations",

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..logic.functions import standard_gate
 from ..logic.network import GateNetworks
-from ..tech.lambda_rules import CMOS_RULES, CNFET_RULES, DesignRules
 from .grid import baseline_network_layout
 from .compact import compact_network_layout
 from .standard_cell import assemble_cell, cmos_cell_area
@@ -55,19 +54,17 @@ class NetworkAreas:
         return self.pun_area + self.pdn_area
 
 
-def compact_network_areas(gate: GateNetworks, unit_width: float,
-                          rules: DesignRules = CNFET_RULES) -> NetworkAreas:
+def compact_network_areas(gate: GateNetworks, unit_width: float) -> NetworkAreas:
     """PUN/PDN bounding-box areas of the compact (Euler-path) technique."""
-    pun = compact_network_layout(gate.pun, gate.pun_tree, unit_width, rules)
-    pdn = compact_network_layout(gate.pdn, gate.pdn_tree, unit_width, rules)
+    pun = compact_network_layout(gate.pun, gate.pun_tree, unit_width)
+    pdn = compact_network_layout(gate.pdn, gate.pdn_tree, unit_width)
     return NetworkAreas(pun.bbox_area, pdn.bbox_area)
 
 
-def baseline_network_areas(gate: GateNetworks, unit_width: float,
-                           rules: DesignRules = CNFET_RULES) -> NetworkAreas:
+def baseline_network_areas(gate: GateNetworks, unit_width: float) -> NetworkAreas:
     """PUN/PDN bounding-box areas of the baseline etched-region technique."""
-    pun = baseline_network_layout(gate, "pun", unit_width, rules)
-    pdn = baseline_network_layout(gate, "pdn", unit_width, rules)
+    pun = baseline_network_layout(gate, "pun", unit_width)
+    pdn = baseline_network_layout(gate, "pdn", unit_width)
     return NetworkAreas(pun.bbox_area, pdn.bbox_area)
 
 
@@ -96,11 +93,10 @@ class AreaComparisonRow:
         return abs(self.measured_saving - self.paper_saving)
 
 
-def area_saving(gate: GateNetworks, unit_width: float,
-                rules: DesignRules = CNFET_RULES) -> AreaComparisonRow:
+def area_saving(gate: GateNetworks, unit_width: float) -> AreaComparisonRow:
     """Compute one Table 1 entry for an arbitrary gate."""
-    baseline = baseline_network_areas(gate, unit_width, rules)
-    compact = compact_network_areas(gate, unit_width, rules)
+    baseline = baseline_network_areas(gate, unit_width)
+    compact = compact_network_areas(gate, unit_width)
     paper = PAPER_TABLE1.get(gate.name, {}).get(unit_width)
     return AreaComparisonRow(
         cell=gate.name,
@@ -111,17 +107,13 @@ def area_saving(gate: GateNetworks, unit_width: float,
     )
 
 
-def table1(
-    cells: Sequence[str] = TABLE1_CELLS,
-    widths: Sequence[float] = TABLE1_WIDTHS,
-    rules: DesignRules = CNFET_RULES,
-) -> List[AreaComparisonRow]:
+def table1(cells: Sequence[str] = TABLE1_CELLS) -> List[AreaComparisonRow]:
     """Regenerate Table 1: one row per (cell, unit width)."""
     rows: List[AreaComparisonRow] = []
     for cell_name in cells:
         gate = standard_gate(cell_name)
-        for width in widths:
-            rows.append(area_saving(gate, width, rules))
+        for width in TABLE1_WIDTHS:
+            rows.append(area_saving(gate, width))
     return rows
 
 
@@ -165,8 +157,6 @@ class CellAreaGain:
 def inverter_area_gain(
     unit_width: float = 4.0,
     scheme: int = 1,
-    cnfet_rules: DesignRules = CNFET_RULES,
-    cmos_rules: DesignRules = CMOS_RULES,
 ) -> CellAreaGain:
     """The ~1.4× inverter area gain of Case study 1.
 
@@ -176,8 +166,8 @@ def inverter_area_gain(
     """
     gate = standard_gate("INV")
     cnfet = assemble_cell(gate, technique="compact", scheme=scheme,
-                          unit_width=unit_width, rules=cnfet_rules)
-    cmos = cmos_cell_area(gate, unit_width=unit_width, rules=cmos_rules)
+                          unit_width=unit_width)
+    cmos = cmos_cell_area(gate, unit_width=unit_width)
     return CellAreaGain(
         gate_name="INV",
         scheme=scheme,
@@ -185,25 +175,3 @@ def inverter_area_gain(
         cmos_area=cmos.area,
     )
 
-
-def cell_area_gain(
-    gate_name: str,
-    unit_width: float = 4.0,
-    drive_strength: float = 1.0,
-    scheme: int = 1,
-    cnfet_rules: DesignRules = CNFET_RULES,
-    cmos_rules: DesignRules = CMOS_RULES,
-) -> CellAreaGain:
-    """CNFET-vs-CMOS area gain of an arbitrary library cell."""
-    gate = standard_gate(gate_name)
-    cnfet = assemble_cell(gate, technique="compact", scheme=scheme,
-                          unit_width=unit_width, drive_strength=drive_strength,
-                          rules=cnfet_rules)
-    cmos = cmos_cell_area(gate, unit_width=unit_width,
-                          drive_strength=drive_strength, rules=cmos_rules)
-    return CellAreaGain(
-        gate_name=gate_name,
-        scheme=scheme,
-        cnfet_area=cnfet.area,
-        cmos_area=cmos.area,
-    )

@@ -102,11 +102,9 @@ def build_column(
     device: str,
     width: float,
     rules: DesignRules,
-    x_left: float = 0.0,
-    y_bottom: float = 0.0,
-    draw_active: bool = True,
 ) -> ColumnResult:
-    """Draw one column into ``cell`` and record its annotations.
+    """Draw one column, its lower-left corner at the cell origin, into
+    ``cell`` and record its annotations.
 
     Parameters
     ----------
@@ -116,9 +114,6 @@ def build_column(
         ``"nfet"`` (n⁺ doping) or ``"pfet"`` (p⁺ doping).
     width:
         Column (transistor) width in λ.
-    draw_active:
-        When False the caller draws a shared active region itself (used by
-        multi-column parallel groups that share one CNT plane rectangle).
     """
     if not elements:
         raise LayoutGenerationError("A column needs at least one element")
@@ -138,6 +133,7 @@ def build_column(
     gate_rects: List[Tuple[Rect, str]] = []
     etch_rects: List[Rect] = []
 
+    x_left = y_bottom = 0.0
     y_cursor = y_bottom
     previous: Optional[ColumnElement] = None
     for element in elements:
@@ -169,10 +165,9 @@ def build_column(
 
     y_top = y_cursor
     active_rect = Rect(x_left, y_bottom, x_left + width, y_top)
-    if draw_active:
-        cell.add_rect("cnt", active_rect)
-        cell.add_rect(doping_layer, active_rect)
-        annotations.actives.append(ActiveRegion(active_rect, doping))
+    cell.add_rect("cnt", active_rect)
+    cell.add_rect(doping_layer, active_rect)
+    annotations.actives.append(ActiveRegion(active_rect, doping))
 
     return ColumnResult(
         x_left=x_left,

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import LayoutGenerationError
 from ..euler.path import LinearizedNetwork, euler_path_for_network
 from ..geometry.layout import LayoutCell
-from ..logic.network import GateNetworks, SPNode, Transistor, TransistorNetwork
+from ..logic.network import SPNode, Transistor, TransistorNetwork
 from ..tech.lambda_rules import CNFET_RULES, DesignRules
 from .column import (
     ColumnElement,
@@ -128,7 +128,6 @@ def compact_network_layout(
     unit_width: float = 4.0,
     rules: DesignRules = CNFET_RULES,
     cell_name: Optional[str] = None,
-    output_net: str = "out",
 ) -> NetworkLayoutResult:
     """Generate the compact (Euler-path) layout of one network as a cell."""
     plan = plan_compact_network(network, tree, unit_width, rules)
@@ -137,7 +136,7 @@ def compact_network_layout(
     annotations = CellAnnotations(
         cell_name=name,
         inputs=tuple(network.signals()),
-        output_net=output_net,
+        output_net="out",
     )
     column = build_column(
         cell=cell,
@@ -169,9 +168,8 @@ def compact_network_height(
     network: TransistorNetwork,
     tree: Optional[SPNode] = None,
     unit_width: float = 4.0,
-    rules: DesignRules = CNFET_RULES,
 ) -> float:
     """Column height of the compact layout without drawing it (used by the
     analytical area model)."""
-    plan = plan_compact_network(network, tree, unit_width, rules)
-    return column_stack_height(rules, plan.elements)
+    plan = plan_compact_network(network, tree, unit_width)
+    return column_stack_height(CNFET_RULES, plan.elements)

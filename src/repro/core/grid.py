@@ -20,8 +20,8 @@ differing only in whether the inter-branch separator is an etched strip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Tuple
 
 from ..errors import LayoutGenerationError
 from ..geometry.layout import LayoutCell
@@ -187,7 +187,6 @@ def _grid_network_layout(
     unit_width: float,
     rules: DesignRules,
     cell_name: str,
-    output_net: str = "out",
 ) -> NetworkLayoutResult:
     widths = [factor * unit_width for factor in leaf_width_factors(gate_tree)]
     planner = _GridPlanner(rules, device, etched, widths)
@@ -195,7 +194,7 @@ def _grid_network_layout(
 
     cell = LayoutCell(cell_name)
     annotations = CellAnnotations(
-        cell_name=cell_name, inputs=signals, output_net=output_net
+        cell_name=cell_name, inputs=signals, output_net="out"
     )
 
     # Bottom contact strip, the block, then the top contact strip.
@@ -243,17 +242,16 @@ def baseline_network_layout(
     which: str,
     unit_width: float = 4.0,
     rules: DesignRules = CNFET_RULES,
-    cell_name: Optional[str] = None,
 ) -> NetworkLayoutResult:
     """Patil-style etched-region immune layout of a gate's PUN or PDN.
 
     ``which`` selects ``"pun"`` or ``"pdn"``.
     """
     tree, device, bottom, top = _select_network(gate, which)
-    name = cell_name or f"{gate.name}_{which}_baseline"
     return _grid_network_layout(
         tree, device, bottom, top, gate.inputs, etched=True,
-        unit_width=unit_width, rules=rules, cell_name=name,
+        unit_width=unit_width, rules=rules,
+        cell_name=f"{gate.name}_{which}_baseline",
     )
 
 
@@ -262,15 +260,14 @@ def vulnerable_network_layout(
     which: str,
     unit_width: float = 4.0,
     rules: DesignRules = CNFET_RULES,
-    cell_name: Optional[str] = None,
 ) -> NetworkLayoutResult:
     """Misaligned-CNT-vulnerable layout (no etched separators) of a gate's
     PUN or PDN — the negative example of Figure 2(b)."""
     tree, device, bottom, top = _select_network(gate, which)
-    name = cell_name or f"{gate.name}_{which}_vulnerable"
     return _grid_network_layout(
         tree, device, bottom, top, gate.inputs, etched=False,
-        unit_width=unit_width, rules=rules, cell_name=name,
+        unit_width=unit_width, rules=rules,
+        cell_name=f"{gate.name}_{which}_vulnerable",
     )
 
 

@@ -9,15 +9,12 @@ Two concerns from the paper:
   its own conduction path.
 * **Drive strength** (Section IV): cells are sized by loading a number of
   minimum inverters (INV1X); a ``k×`` cell multiplies every width by ``k``.
-* **Symmetric PUN/PDN balancing** (Figure 4b): the per-branch widths of the
-  basic layout can be rescaled so the pull-up and pull-down networks have
-  matched worst-case resistance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List
 
 from ..errors import NetworkError
 from ..logic.network import (
@@ -134,27 +131,4 @@ def size_gate(gate: GateNetworks, unit_width: float = 4.0,
         drive_strength=drive_strength,
         pun_widths=pun_widths,
         pdn_widths=pdn_widths,
-    )
-
-
-def balanced_sizing(gate: GateNetworks, unit_width: float = 4.0,
-                    drive_strength: float = 1.0,
-                    pun_to_pdn_ratio: float = 1.0) -> CellSizing:
-    """Sizing with an explicit PUN:PDN strength ratio.
-
-    The symmetric layouts of Figure 4(b) rescale whole networks relative to
-    each other; ``pun_to_pdn_ratio`` > 1 strengthens the pull-up network.
-    With CNFETs the natural ratio is 1.0 (symmetric devices); the CMOS
-    reference uses ~1.4.
-    """
-    if pun_to_pdn_ratio <= 0:
-        raise NetworkError("pun_to_pdn_ratio must be positive")
-    base = size_gate(gate, unit_width, drive_strength)
-    pun_widths = {name: width * pun_to_pdn_ratio for name, width in base.pun_widths.items()}
-    return CellSizing(
-        gate_name=base.gate_name,
-        unit_width=base.unit_width,
-        drive_strength=base.drive_strength,
-        pun_widths=pun_widths,
-        pdn_widths=dict(base.pdn_widths),
     )

@@ -282,23 +282,21 @@ def cmos_cell_area(
     gate: GateNetworks,
     unit_width: float = 4.0,
     drive_strength: float = 1.0,
-    rules: DesignRules = CMOS_RULES,
-    pmos_ratio: float = 1.4,
 ) -> CMOSCellArea:
     """Area of the corresponding CMOS cell at the 65 nm node.
 
     The CMOS layout follows the conventional diffusion-shared style: cell
     length is one contact/gate alternation per input, and cell height is
     the n-diffusion height plus the p-diffusion height plus the 10 λ n-to-p
-    separation (Section V).  The pMOS network is ``pmos_ratio`` wider to
-    compensate for hole mobility.
+    separation (Section V).  The pMOS network is 1.4× wider to compensate
+    for hole mobility.
     """
     sizing = size_gate(gate, unit_width, drive_strength)
     nmos_width = sizing.max_pdn_width
-    pmos_width = sizing.max_pun_width * pmos_ratio
+    pmos_width = sizing.max_pun_width * 1.4
     num_inputs = len(gate.inputs)
-    length = rules.linear_chain_length(num_inputs + 1, num_inputs)
-    height = nmos_width + rules.pun_pdn_separation + pmos_width
+    length = CMOS_RULES.linear_chain_length(num_inputs + 1, num_inputs)
+    height = nmos_width + CMOS_RULES.pun_pdn_separation + pmos_width
     return CMOSCellArea(
         name=f"CMOS_{gate.name}_{drive_strength:g}X",
         width=length,

@@ -99,11 +99,12 @@ def calibrated_pmos_parameters() -> MOSFETParameters:
     return PMOS_65
 
 
-def fit_report(num_tubes_max: int = 40) -> Dict[str, float]:
+def fit_report() -> Dict[str, float]:
     """Evaluate the calibrated model against the paper anchors.
 
-    Returns measured values for the single-tube and optimal-pitch gains and
-    the located optimal pitch, so callers can report paper-vs-measured.
+    Returns measured values for the single-tube and optimal-pitch gains
+    (searched over 1-40 tubes) and the located optimal pitch, so callers
+    can report paper-vs-measured.
     """
     from ..circuit.fo4 import compare_fo4
     from ..circuit.inverter import cmos_inverter, cnfet_inverter
@@ -117,7 +118,7 @@ def fit_report(num_tubes_max: int = 40) -> Dict[str, float]:
 
     best = None
     best_tubes = 1
-    for tubes in range(1, num_tubes_max + 1):
+    for tubes in range(1, 41):
         comparison = compare_fo4(
             cnfet_inverter(tubes, FO4_GATE_WIDTH_NM, parameters=params), reference
         )

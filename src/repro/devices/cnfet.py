@@ -23,7 +23,7 @@ the transient simulator integrates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import DeviceModelError

@@ -95,19 +95,17 @@ def oxide_capacitance_per_length(
     return 2.0 * math.pi * epsilon / math.acosh(ratio)
 
 
-def ballistic_on_current(vdd: float, threshold_voltage: float,
-                         transmission: float = 0.9,
-                         saturation_voltage: float = 0.16) -> float:
+def ballistic_on_current(vdd: float, threshold_voltage: float) -> float:
     """First-order ballistic on-current of one semiconducting CNT [A].
 
     Four conducting modes give a channel conductance of ``4q²/h``
     (~155 µS); the drive saturates once carriers reach the optical-phonon
-    emission energy, which caps the effective drain bias near
-    ``saturation_voltage`` (~0.16 V).  With a transmission around 0.9 this
-    lands at the widely quoted 20-25 µA per tube at 1 V.
+    emission energy, which caps the effective drain bias near 0.16 V.
+    With a transmission of 0.9 this lands at the widely quoted 20-25 µA
+    per tube at 1 V.
     """
     if vdd <= 0:
         raise DeviceModelError("vdd must be positive")
     overdrive = max(0.0, vdd - threshold_voltage)
     conductance = 4.0 * ELECTRON_CHARGE**2 / 6.62607015e-34
-    return transmission * conductance * min(overdrive, saturation_voltage)
+    return 0.9 * conductance * min(overdrive, 0.16)

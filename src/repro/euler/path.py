@@ -298,13 +298,10 @@ class LinearizedNetwork:
         return tuple(e.gate for e in self.elements if isinstance(e, Transistor))
 
 
-def euler_path_for_network(
-    network: TransistorNetwork,
-    prefer_rail_to_output: bool = True,
-) -> LinearizedNetwork:
+def euler_path_for_network(network: TransistorNetwork) -> LinearizedNetwork:
     """Linearise a transistor network along Euler trails.
 
-    The preferred orientation walks from the power rail to the output net,
+    The trails are oriented to walk from the power rail to the output net,
     matching the paper's description ("an Euler path from the Vdd to the
     Gnd traversing both the PUN and the PDN"); the orientation does not
     change the area, only the position of the rail contact.
@@ -315,9 +312,7 @@ def euler_path_for_network(
     edges: List[Edge] = [
         (t.source, t.drain, t.name) for t in network.transistors
     ]
-    preferred_start = network.power_net if prefer_rail_to_output else None
-    preferred_end = network.output_net if prefer_rail_to_output else None
-    trails = euler_trails(edges, preferred_start, preferred_end)
+    trails = euler_trails(edges, network.power_net, network.output_net)
 
     # Reorder trails greedily so consecutive trails share a contact net when
     # possible (a shared net avoids the need for an etched break).

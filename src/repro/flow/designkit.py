@@ -12,8 +12,8 @@ the 65 nm CMOS reference in a few calls.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 from ..cells.library import (
     DEFAULT_DRIVE_STRENGTHS,
@@ -30,7 +30,7 @@ from ..geometry.gds import GDSWriter, GDSWriterOptions
 from ..geometry.layout import Layout
 from ..tech.drc import DRCChecker
 from ..tech.layers import cnfet_layer_stack
-from ..tech.nodes import TechnologyNode, cnfet65_node
+from ..tech.nodes import cnfet65_node
 from .placement import (
     PlacementResult,
     place_cmos_reference,
@@ -178,14 +178,13 @@ class CNFETDesignKit:
 
     def __init__(
         self,
-        node: Optional[TechnologyNode] = None,
         gate_set: Sequence[str] = DEFAULT_GATE_SET,
         drive_strengths: Sequence[float] = DEFAULT_DRIVE_STRENGTHS,
         unit_width: float = 4.0,
         scheme: int = 1,
         timing_source: str = "logical_effort",
     ):
-        self.node = node or cnfet65_node()
+        self.node = cnfet65_node()
         self.rules = self.node.rules
         self.layer_stack = cnfet_layer_stack()
         self.scheme = scheme
@@ -221,8 +220,7 @@ class CNFETDesignKit:
 
     # -- the logic-to-GDSII flow -----------------------------------------------------
 
-    def run_flow(self, netlist, scheme: Optional[int] = None,
-                 output_load: float = 0.0) -> FlowResult:
+    def run_flow(self, netlist) -> FlowResult:
         """Map, place, analyse and stream out one design.
 
         ``netlist`` is either a :class:`~repro.circuit.netlist.GateNetlist`
@@ -235,18 +233,14 @@ class CNFETDesignKit:
                 "run_flow expects a GateNetlist or structural Verilog text, "
                 f"got {type(netlist).__name__}"
             )
-        scheme = self.scheme if scheme is None else scheme
-
         mapped = map_netlist(netlist, self.library)
         placement = (
-            place_scheme1(mapped) if scheme == 1 else place_scheme2(mapped)
+            place_scheme1(mapped) if self.scheme == 1 else place_scheme2(mapped)
         )
         cmos_placement = place_cmos_reference(netlist, unit_width=self.unit_width)
 
-        timing = analyse_netlist(netlist, self.library.timing_library(),
-                                 output_load=output_load)
-        cmos_timing = analyse_netlist(netlist, self.cmos_timing,
-                                      output_load=output_load)
+        timing = analyse_netlist(netlist, self.library.timing_library())
+        cmos_timing = analyse_netlist(netlist, self.cmos_timing)
 
         layout = placement_layout(placement, mapped)
         writer = GDSWriter(
@@ -257,7 +251,7 @@ class CNFETDesignKit:
 
         report = FlowReport(
             design_name=netlist.name,
-            scheme=scheme,
+            scheme=self.scheme,
             gate_count=len(netlist),
             cell_usage=mapped.cell_usage(),
             placement=placement,

@@ -12,8 +12,8 @@ Case study 2 contrasts three placement styles for the same mapped netlist:
 * **CMOS reference rows**: the same row-based style using the CMOS cell
   areas.
 
-The placers are deliberately simple (greedy row/shelf filling with a target
-aspect ratio) — the paper's point is about cell-height flexibility, not
+The placers are deliberately simple (greedy row/shelf filling toward a
+square core) — the paper's point is about cell-height flexibility, not
 about placement algorithms — but they produce real coordinates that the
 GDSII flow streams out.
 """
@@ -21,16 +21,15 @@ GDSII flow streams out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..circuit.netlist import GateInstance, GateNetlist
+from ..circuit.netlist import GateNetlist
 from ..core.standard_cell import cmos_cell_area
 from ..errors import PlacementError
 from ..geometry.layout import Layout, LayoutCell
 from ..geometry.primitives import Rect
-from ..tech.lambda_rules import CMOS_RULES, DesignRules
-from .techmap import MappedDesign, MappedGate
+from .techmap import MappedDesign
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,6 @@ def _row_place(
     style: str,
     items: Sequence[Tuple[str, str, float, float]],
     row_height: float,
-    target_aspect: float = 1.0,
-    row_spacing: float = 0.0,
 ) -> PlacementResult:
     """Greedy row placement of (instance, cell, width, height) outlines.
 
@@ -103,7 +100,7 @@ def _row_place(
     if not items:
         raise PlacementError(f"Design {design_name!r} has no cells to place")
     total_width = sum(width for _, _, width, _ in items)
-    row_width_target = math.sqrt(total_width * (row_height + row_spacing) / target_aspect)
+    row_width_target = math.sqrt(total_width * row_height)
     row_width_target = max(row_width_target, max(width for _, _, width, _ in items))
 
     placed: List[PlacedCell] = []
@@ -119,7 +116,7 @@ def _row_place(
         if x_cursor > 0.0 and x_cursor + width > row_width_target:
             max_row_width = max(max_row_width, x_cursor)
             x_cursor = 0.0
-            y_cursor += row_height + row_spacing
+            y_cursor += row_height
         placed.append(
             PlacedCell(instance_name, cell_name, x_cursor, y_cursor, width, row_height)
         )
@@ -136,7 +133,7 @@ def _row_place(
     )
 
 
-def place_scheme1(design: MappedDesign, target_aspect: float = 1.0) -> PlacementResult:
+def place_scheme1(design: MappedDesign) -> PlacementResult:
     """Row placement with the standardised (tallest-cell) height of scheme 1.
 
     The row height is standardised to the tallest cell *used by the design*
@@ -150,12 +147,10 @@ def place_scheme1(design: MappedDesign, target_aspect: float = 1.0) -> Placement
         (gate.instance.name, gate.cell.name, gate.cell.width, gate.cell.height)
         for gate in design.gates
     ]
-    return _row_place(design.netlist.name, "cnfet_scheme1", items, row_height,
-                      target_aspect)
+    return _row_place(design.netlist.name, "cnfet_scheme1", items, row_height)
 
 
-def place_scheme2(design: MappedDesign, target_aspect: float = 1.0,
-                  shelf_quantum: float = 2.0) -> PlacementResult:
+def place_scheme2(design: MappedDesign) -> PlacementResult:
     """Shelf packing with natural cell heights (scheme 2).
 
     Cells are sorted by height and packed onto shelves whose height matches
@@ -172,7 +167,7 @@ def place_scheme2(design: MappedDesign, target_aspect: float = 1.0,
     )
     total_area = sum(width * height for _, _, width, height in items)
     core_width_target = max(
-        math.sqrt(total_area / max(target_aspect, 1e-6)),
+        math.sqrt(total_area),
         max(width for _, _, width, _ in items),
     )
 
@@ -204,8 +199,6 @@ def place_scheme2(design: MappedDesign, target_aspect: float = 1.0,
 def place_cmos_reference(
     netlist: GateNetlist,
     unit_width: float = 4.0,
-    rules: DesignRules = CMOS_RULES,
-    target_aspect: float = 1.0,
 ) -> PlacementResult:
     """Row placement of the same netlist using the CMOS cell area model."""
     from ..logic.functions import standard_gate  # local import avoids a cycle
@@ -215,14 +208,14 @@ def place_cmos_reference(
     for gate in netlist.gates:
         reference = cmos_cell_area(
             standard_gate(gate.cell_type), unit_width=unit_width,
-            drive_strength=gate.drive_strength, rules=rules,
+            drive_strength=gate.drive_strength,
         )
         items.append((gate.name, reference.name, reference.width, reference.height))
         heights.append(reference.height)
     if not items:
         raise PlacementError(f"Design {netlist.name!r} has no cells to place")
     row_height = max(heights)
-    return _row_place(netlist.name, "cmos_reference", items, row_height, target_aspect)
+    return _row_place(netlist.name, "cmos_reference", items, row_height)
 
 
 def placement_layout(result: PlacementResult, design: Optional[MappedDesign] = None) -> Layout:

@@ -9,7 +9,7 @@ so placement and analysis can use its physical and electrical views.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from ..cells.library import LibraryCell, StandardCellLibrary
 from ..circuit.netlist import GateInstance, GateNetlist

@@ -20,7 +20,7 @@ netlist.  Two entry points are offered:
 from __future__ import annotations
 
 import re
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from ..circuit.netlist import GateNetlist
 from ..errors import FlowError, VerilogParseError
@@ -179,22 +179,18 @@ def _strip_comments(text: str) -> str:
 # Benchmark netlist builders
 # ---------------------------------------------------------------------------
 
-def full_adder_netlist(
-    name: str = "full_adder",
-    internal_drive: float = 2.0,
-    output_drive: float = 4.0,
-    buffer_outputs: bool = True,
-    buffer_drive: float = 9.0,
-    suffix: str = "",
-) -> GateNetlist:
+def full_adder_netlist(buffer_outputs: bool = True,
+                       suffix: str = "") -> GateNetlist:
     """The NAND2 + inverter full adder of Figure 8(a).
 
-    Nine NAND2 gates compute sum and carry; optional output inverter pairs
-    (``4X`` + ``9X`` by default) model the drive-strength mix the figure
-    shows.  ``suffix`` namespaces nets/instances so several adders can be
-    stitched into a ripple-carry chain.
+    Nine NAND2 gates (``2X`` inside, ``4X`` at the outputs) compute sum
+    and carry; optional output inverter pairs (``4X`` + ``9X``) model the
+    drive-strength mix the figure shows.  ``suffix`` namespaces
+    nets/instances so several adders can be stitched into a ripple-carry
+    chain.
     """
-    netlist = GateNetlist(name)
+    internal_drive, output_drive, buffer_drive = 2.0, 4.0, 9.0
+    netlist = GateNetlist("full_adder")
     a, b, cin = f"a{suffix}", f"b{suffix}", f"cin{suffix}"
     sum_net, carry_net = f"sum{suffix}", f"carry{suffix}"
 
@@ -226,13 +222,12 @@ def full_adder_netlist(
     return netlist
 
 
-def ripple_carry_adder_netlist(bits: int = 4, name: Optional[str] = None) -> GateNetlist:
+def ripple_carry_adder_netlist(bits: int = 4) -> GateNetlist:
     """A ripple-carry adder built by chaining full adders (used as a larger
     flow example beyond the paper's single-bit case study)."""
     if bits < 1:
         raise FlowError("A ripple-carry adder needs at least one bit")
-    name = name or f"rca{bits}"
-    netlist = GateNetlist(name)
+    netlist = GateNetlist(f"rca{bits}")
     inputs: List[str] = []
     outputs: List[str] = []
     carry_in = "cin"
@@ -260,20 +255,19 @@ def ripple_carry_adder_netlist(bits: int = 4, name: Optional[str] = None) -> Gat
     return netlist
 
 
-def comparator_netlist(bits: int = 4, name: Optional[str] = None,
-                       internal_drive: float = 2.0,
-                       output_drive: float = 4.0) -> GateNetlist:
+def comparator_netlist(bits: int = 4) -> GateNetlist:
     """An N-bit equality comparator: ``eq = AND_i XNOR(a_i, b_i)``.
 
     Each bit's XNOR is the classic four-NAND XOR followed by an inverter;
     the per-bit results are AND-reduced through NAND + INV pairs.  Uses
-    only NAND2/INV, so it maps onto the same library cells as the adders
-    while exercising a different instance mix.
+    only NAND2/INV (``2X``, with a ``4X`` output driver), so it maps onto
+    the same library cells as the adders while exercising a different
+    instance mix.
     """
     if bits < 1:
         raise FlowError("A comparator needs at least one bit")
-    name = name or f"cmp{bits}"
-    netlist = GateNetlist(name)
+    internal_drive, output_drive = 2.0, 4.0
+    netlist = GateNetlist(f"cmp{bits}")
     inputs: List[str] = []
     xnors: List[str] = []
     for bit in range(bits):
@@ -306,8 +300,7 @@ def comparator_netlist(bits: int = 4, name: Optional[str] = None,
     return netlist
 
 
-def mac_slice_netlist(bits: int = 4, name: Optional[str] = None,
-                      internal_drive: float = 2.0) -> GateNetlist:
+def mac_slice_netlist(bits: int = 4) -> GateNetlist:
     """A multiply-accumulate slice: ``sum = a & {bits{b}} + c``.
 
     Each partial product ``p_i = AND(a_i, b)`` (one shared multiplicand
@@ -317,8 +310,8 @@ def mac_slice_netlist(bits: int = 4, name: Optional[str] = None,
     """
     if bits < 1:
         raise FlowError("A MAC slice needs at least one bit")
-    name = name or f"mac{bits}"
-    netlist = GateNetlist(name)
+    internal_drive = 2.0
+    netlist = GateNetlist(f"mac{bits}")
     inputs: List[str] = ["b", "cin"]
     outputs: List[str] = []
     carry_in = "cin"
@@ -350,11 +343,11 @@ def mac_slice_netlist(bits: int = 4, name: Optional[str] = None,
     return netlist
 
 
-def full_adder_verilog(name: str = "full_adder") -> str:
+def full_adder_verilog() -> str:
     """Structural Verilog text of the Figure 8 full adder (round-trips
     through :func:`parse_structural_verilog`)."""
-    netlist = full_adder_netlist(name=name)
-    lines = [f"module {name} (a, b, cin, sum, carry);"]
+    netlist = full_adder_netlist()
+    lines = [f"module {netlist.name} (a, b, cin, sum, carry);"]
     lines.append("  input a, b, cin;")
     lines.append("  output sum, carry;")
     wires = [n for n in netlist.nets() if n not in netlist.inputs + netlist.outputs]

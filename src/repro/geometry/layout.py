@@ -9,11 +9,15 @@ units; the GDSII writer converts to database units at stream-out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import GeometryError, LayoutGenerationError
 from .primitives import Point, Rect, bounding_box, total_area
 from .transform import Orientation, Transform
+
+#: Deepest instance nesting :meth:`Layout.flatten` follows before it
+#: reports a recursive hierarchy.
+_MAX_DEPTH = 32
 
 
 @dataclass(frozen=True)
@@ -133,15 +137,11 @@ class LayoutCell:
             f"Cell {self.name!r} has no pin {name!r}; pins: {[p.name for p in self.pins]}"
         )
 
-    def bbox(self, layers: Optional[Iterable[str]] = None) -> Optional[Rect]:
-        """Bounding box of the local shapes, optionally restricted to
-        ``layers`` (instances are not included; use :meth:`Layout.flatten`)."""
-        selected: List[Rect] = []
-        wanted = set(layers) if layers is not None else None
-        for layer, rects in self._shapes.items():
-            if wanted is None or layer in wanted:
-                selected.extend(rects)
-        return bounding_box(selected)
+    def bbox(self) -> Optional[Rect]:
+        """Bounding box of the local shapes (instances are not included;
+        use :meth:`Layout.flatten`)."""
+        return bounding_box([rect for rects in self._shapes.values()
+                             for rect in rects])
 
     def boundary(self) -> Rect:
         """The cell abutment boundary: the ``boundary`` layer shape when
@@ -216,13 +216,13 @@ class Layout:
             raise GeometryError(f"Layout {self.name!r} has no cells")
         return self.cell(self.top_name)
 
-    def flatten(self, cell_name: Optional[str] = None, max_depth: int = 32) -> LayoutCell:
-        """Return a new cell with the full hierarchy under ``cell_name``
-        (default: top) flattened into local shapes, labels and pins."""
-        root = self.cell(cell_name) if cell_name else self.top()
+    def flatten(self) -> LayoutCell:
+        """Return a new cell with the full hierarchy under the top cell
+        flattened into local shapes, labels and pins."""
+        root = self.top()
         flat = LayoutCell(f"{root.name}__flat")
         flat.properties.update(root.properties)
-        self._flatten_into(root, flat, Transform(), depth=0, max_depth=max_depth)
+        self._flatten_into(root, flat, Transform(), depth=0)
         return flat
 
     def _flatten_into(
@@ -231,11 +231,10 @@ class Layout:
         target: LayoutCell,
         transform: Transform,
         depth: int,
-        max_depth: int,
     ) -> None:
-        if depth > max_depth:
+        if depth > _MAX_DEPTH:
             raise GeometryError(
-                f"Hierarchy deeper than {max_depth} levels (recursive instances?)"
+                f"Hierarchy deeper than {_MAX_DEPTH} levels (recursive instances?)"
             )
         for layer, rect in cell.all_shapes():
             target.add_rect(layer, transform.apply_rect(rect))
@@ -246,4 +245,4 @@ class Layout:
         for instance in cell.instances:
             child = self.cell(instance.cell_name)
             child_transform = transform.compose(instance.transform)
-            self._flatten_into(child, target, child_transform, depth + 1, max_depth)
+            self._flatten_into(child, target, child_transform, depth + 1)

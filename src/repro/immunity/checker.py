@@ -50,6 +50,7 @@ import numpy as np
 
 from ..core.spec import CellAnnotations
 from ..errors import ImmunityAnalysisError
+from ..logic.network import GND_NET, VDD_NET
 from ..logic.truthtable import TruthTable
 from .cnts import CNTBatch, CNTInstance
 
@@ -232,15 +233,15 @@ class ImmunityChecker:
     Batched arrays keep the tubes on their last, contiguous axis.
     """
 
-    def __init__(self, annotations: CellAnnotations,
-                 vdd_net: str = "vdd", gnd_net: str = "gnd"):
+    vdd_net = VDD_NET
+    gnd_net = GND_NET
+
+    def __init__(self, annotations: CellAnnotations):
         if not annotations.contacts:
             raise ImmunityAnalysisError(
                 f"Cell {annotations.cell_name!r} has no contacts to analyse"
             )
         self.annotations = annotations
-        self.vdd_net = vdd_net
-        self.gnd_net = gnd_net
         self.output_net = annotations.output_net
         self.inputs = tuple(annotations.inputs) or tuple(annotations.signals())
         self._geometry: Optional[_BatchGeometry] = None

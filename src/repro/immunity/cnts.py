@@ -258,7 +258,6 @@ def random_mispositioned_cnts(
     count: int,
     rng: np.random.Generator,
     max_angle_deg: float = 15.0,
-    region: Optional[Rect] = None,
     metallic_fraction: float = 0.0,
 ) -> List[CNTInstance]:
     """Draw ``count`` mispositioned CNTs as :class:`CNTInstance` objects.
@@ -270,7 +269,7 @@ def random_mispositioned_cnts(
     """
     batch = sample_mispositioned_batch(
         annotations, count, rng, max_angle_deg=max_angle_deg,
-        region=region, metallic_fraction=metallic_fraction,
+        metallic_fraction=metallic_fraction,
     )
     return batch.to_instances()
 

@@ -55,7 +55,6 @@ from ..core.standard_cell import StandardCell, assemble_cell
 from ..errors import ImmunityAnalysisError
 from ..geometry.primitives import Rect
 from ..logic.functions import standard_gate
-from ..tech.lambda_rules import CNFET_RULES, DesignRules
 from .checker import ImmunityChecker
 from .cnts import (
     CNTBatch,
@@ -199,16 +198,13 @@ def run_immunity_trials(
 
 def compare_techniques(
     gate_name: str = "NAND2",
-    techniques: Sequence[str] = ("vulnerable", "baseline", "compact"),
     trials: int = 200,
     cnts_per_trial: int = 4,
-    unit_width: float = 4.0,
-    scheme: int = 1,
     seed: SeedLike = 2009,
-    rules: DesignRules = CNFET_RULES,
 ) -> Dict[str, MonteCarloResult]:
     """Run the Figure 2 experiment: the same gate laid out with each
-    technique, attacked by the same Monte Carlo CNT defect model.
+    technique (vulnerable, baseline, compact; 4 λ unit width, scheme 1),
+    attacked by the same Monte Carlo CNT defect model.
 
     Every technique's generator is spawned from the common
     ``SeedSequence(seed)``, so all techniques consume the identical
@@ -220,11 +216,8 @@ def compare_techniques(
     """
     results: Dict[str, MonteCarloResult] = {}
     seed_sequence = _as_seed_sequence(seed)
-    for technique in techniques:
-        gate = standard_gate(gate_name)
-        cell = assemble_cell(
-            gate, technique=technique, scheme=scheme, unit_width=unit_width, rules=rules
-        )
+    for technique in ("vulnerable", "baseline", "compact"):
+        cell = assemble_cell(standard_gate(gate_name), technique=technique)
         results[technique] = run_immunity_trials(
             cell,
             trials=trials,

@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=("reprolint — AST-based contract linter for the repo's "
                      "determinism, seeding and runtime invariants "
-                     "(rules RPL001-RPL010)"),
+                     "(rules RPL001-RPL002, RPL004-RPL010)"),
         epilog=("Suppress a finding inline with "
                 "'# reprolint: disable=RPL00N'. Exit status: 0 clean, "
                 "2 findings, 1 operational error."),

@@ -8,8 +8,6 @@ RPL001   one scheduler: no executor/pool construction outside
 RPL002   seed contract: no RNG construction outside the sanctioned entry
          points (``immunity/montecarlo.py``, ``study/spec.py``) — every
          other surface accepts ``SeedLike``
-RPL003   no wall-clock reads in fingerprinted modules
-         (``runtime/fingerprint.py``, ``study/serialize.py``)
 RPL004   execution blindness: ``jobs``/``backend``/``workers``/
          ``chunk_size`` never flow into a ``*fingerprint`` call
 RPL005   atomic writes: no direct file writes under ``runtime/`` outside
@@ -36,7 +34,7 @@ import default_rng as rng`` all hit the same check.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Set
 
 from .engine import Finding, ModuleInfo, Rule, register
 
@@ -164,40 +162,6 @@ class SeedContractRule(Rule):
         while isinstance(node, ast.Attribute):
             node = node.value
         return isinstance(node, ast.Name) and module.is_imported(node.id)
-
-
-@register
-class NoWallClockRule(Rule):
-    """RPL003 — fingerprinted modules must be time-free.
-
-    A content address that folds in a wall-clock read is different on
-    every run; the fingerprint and canonical-serialization modules may
-    not call any clock.
-    """
-
-    id = "RPL003"
-    summary = ("no wall-clock reads in fingerprinted modules "
-               "(runtime/fingerprint.py, study/serialize.py)")
-    SCOPED = ("runtime/fingerprint.py", "study/serialize.py")
-    CLOCKS = frozenset({
-        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-        "time.perf_counter", "time.perf_counter_ns", "time.localtime",
-        "time.gmtime", "datetime.datetime.now", "datetime.datetime.utcnow",
-        "datetime.datetime.today", "datetime.date.today",
-    })
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not module.in_module(*self.SCOPED):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                canonical = module.resolve(node.func)
-                if canonical in self.CLOCKS:
-                    yield module.finding(
-                        self, node,
-                        f"{canonical}() in a fingerprinted module — content "
-                        "addresses must be stable across runs",
-                    )
 
 
 @register
@@ -562,14 +526,20 @@ class ClockConfinementRule(Rule):
     ``obs/`` package is flagged — instrumented layers take their
     timestamps through :mod:`repro.obs.clock` (or record them via
     :mod:`repro.obs.trace` spans), so no numeric path can branch on a
-    clock without tripping this rule.  RPL003 stays as the stricter
-    fence on the fingerprinted modules themselves.
+    clock without tripping this rule.  That includes the fingerprint and
+    canonical-serialization modules, whose content addresses must be
+    stable across runs.
     """
 
     id = "RPL010"
     summary = ("wall-clock/monotonic reads only inside the obs/ package "
                "(read time through repro.obs.clock)")
-    CLOCKS = NoWallClockRule.CLOCKS
+    CLOCKS = frozenset({
+        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+        "time.perf_counter", "time.perf_counter_ns", "time.localtime",
+        "time.gmtime", "datetime.datetime.now", "datetime.datetime.utcnow",
+        "datetime.datetime.today", "datetime.date.today",
+    })
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         if module.under("obs"):

@@ -18,7 +18,7 @@ Grammar (usual precedence NOT > AND > OR)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..errors import ExpressionParseError, LogicError
 

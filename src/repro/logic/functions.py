@@ -8,22 +8,21 @@ Figure 4 and the NAND2+INV full adder of Figure 8.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..errors import LogicError
-from .expr import Expr, and_, or_, parse_expression, var
+from .expr import and_, or_, parse_expression, var
 from .network import GateNetworks
 
 _DEFAULT_INPUT_NAMES = ("A", "B", "C", "D", "E", "F", "G", "H")
 
 
-def _input_names(count: int, names: Sequence[str] = None) -> Tuple[str, ...]:
-    if names is not None:
-        if len(names) != count:
-            raise LogicError(f"Expected {count} input names, got {len(names)}")
-        return tuple(names)
+def _input_names(count: int) -> Tuple[str, ...]:
     if count > len(_DEFAULT_INPUT_NAMES):
-        raise LogicError(f"Provide explicit names for {count} inputs")
+        raise LogicError(
+            f"At most {len(_DEFAULT_INPUT_NAMES)} inputs are supported, "
+            f"got {count}"
+        )
     return _DEFAULT_INPUT_NAMES[:count]
 
 
@@ -32,19 +31,19 @@ def inverter() -> GateNetworks:
     return GateNetworks("INV", var("A"))
 
 
-def nand(fanin: int, names: Sequence[str] = None) -> GateNetworks:
+def nand(fanin: int) -> GateNetworks:
     """NAND-n: out = (A·B·...)'  — PDN is a series stack, PUN is parallel."""
     if fanin < 2:
         raise LogicError("NAND requires fan-in >= 2 (use inverter() for fan-in 1)")
-    inputs = _input_names(fanin, names)
+    inputs = _input_names(fanin)
     return GateNetworks(f"NAND{fanin}", and_(*[var(n) for n in inputs]))
 
 
-def nor(fanin: int, names: Sequence[str] = None) -> GateNetworks:
+def nor(fanin: int) -> GateNetworks:
     """NOR-n: out = (A+B+...)' — PDN is parallel, PUN is a series stack."""
     if fanin < 2:
         raise LogicError("NOR requires fan-in >= 2 (use inverter() for fan-in 1)")
-    inputs = _input_names(fanin, names)
+    inputs = _input_names(fanin)
     return GateNetworks(f"NOR{fanin}", or_(*[var(n) for n in inputs]))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Mapping, Optional, Tuple
 
 from ..errors import NetworkError
 from .expr import And, Const, Expr, Not, Or, Var
@@ -241,12 +241,12 @@ class TransistorNetwork:
         tree: SPNode,
         device: str,
         power_net: str,
-        output_net: str = OUTPUT_NET,
         name_prefix: str = "M",
     ) -> "TransistorNetwork":
-        """Flatten a series-parallel tree into a transistor multigraph."""
-        network = cls(device, power_net, output_net)
-        network._expand(tree, power_net, output_net, name_prefix)
+        """Flatten a series-parallel tree into a transistor multigraph
+        between ``power_net`` and the cell output."""
+        network = cls(device, power_net)
+        network._expand(tree, power_net, OUTPUT_NET, name_prefix)
         return network
 
     def _new_internal_net(self) -> str:

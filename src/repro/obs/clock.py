@@ -5,8 +5,8 @@ three functions so that reprolint rule RPL010 can enforce, by a pure
 AST scan, that no other module observes time.  Keeping the readers in
 one place is what makes the observation-only contract checkable: span
 timestamps and cache metadata may *record* time, but nothing outside
-``repro.obs`` may *branch* on it, and nothing anywhere may feed it into
-a content address (RPL003 guards the fingerprinted modules separately).
+``repro.obs`` may *branch* on it, and so nothing may feed it into a
+content address (the fingerprint modules lie outside ``repro.obs``).
 
 >>> isinstance(wall_time(), float)
 True

@@ -291,8 +291,7 @@ class JobManager:
             obs_metrics.registry().inc("service.jobs_cancelled")
             return job
 
-    def close(self, cancel_queued: bool = True,
-              timeout: Optional[float] = None) -> None:
+    def close(self, cancel_queued: bool = True) -> None:
         """Shut the pool down.  Queued jobs are cancelled (or drained,
         with ``cancel_queued=False``); running jobs always finish —
         interrupting them is not a thing this layer does."""
@@ -306,7 +305,7 @@ class JobManager:
                         obs_metrics.registry().inc("service.jobs_cancelled")
             self._wakeup.notify_all()
         for thread in self._threads:
-            thread.join(timeout)
+            thread.join()
 
     # -- the worker loop -------------------------------------------------------
 

@@ -222,12 +222,10 @@ class StudyResult:
         })
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any],
-                  provenance: Optional[Provenance] = None) -> "StudyResult":
-        """Rebuild a result from a :meth:`to_dict` payload."""
-        return cls.from_payload(
-            payload, provenance or Provenance.unknown(cls.study_name)
-        )
+    def from_dict(cls, payload: Mapping[str, Any]) -> "StudyResult":
+        """Rebuild a result from a :meth:`to_dict` payload (the
+        provenance is unknown)."""
+        return cls.from_payload(payload, Provenance.unknown(cls.study_name))
 
     # -- Mapping compatibility -------------------------------------------------
 
@@ -275,9 +273,9 @@ class StudyResult:
             "payload": encode(self.payload_for_json()),
         }
 
-    def to_json(self, path: Optional[str] = None, indent: int = 2) -> str:
+    def to_json(self, path: Optional[str] = None) -> str:
         """Serialize to JSON text; optionally also write it to ``path``."""
-        text = json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+        text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
         if path is not None:
             with open(path, "w", encoding="utf-8") as stream:
                 stream.write(text + "\n")

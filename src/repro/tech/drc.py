@@ -17,7 +17,7 @@ whether they are fatal (:class:`repro.errors.DRCViolationError`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from ..errors import DRCViolationError
 from ..geometry.layout import LayoutCell

@@ -122,24 +122,22 @@ class DesignRules:
 
     # -- derived quantities used by layout generators ----------------------
 
-    def series_stack_length(self, num_gates: int, shared_contacts: bool = True) -> float:
+    def series_stack_length(self, num_gates: int) -> float:
         """Length of ``num_gates`` series transistors in one active column.
 
-        With ``shared_contacts`` (diffusion sharing, no intermediate
-        contacts) the gates are separated by ``gate_gate_spacing`` and the
-        stack is terminated by one contact on each side.
+        With diffusion sharing (no intermediate contacts) the gates are
+        separated by ``gate_gate_spacing`` and the stack is terminated by
+        one contact on each side.
         """
         if num_gates < 1:
             raise DesignRuleError(f"num_gates must be >= 1, got {num_gates}")
-        if shared_contacts:
-            inner = (num_gates - 1) * self.gate_gate_spacing
-            return (
-                2.0 * self.contact_length
-                + 2.0 * self.gate_contact_spacing
-                + num_gates * self.gate_length
-                + inner
-            )
-        return self.linear_chain_length(num_contacts=num_gates + 1, num_gates=num_gates)
+        inner = (num_gates - 1) * self.gate_gate_spacing
+        return (
+            2.0 * self.contact_length
+            + 2.0 * self.gate_contact_spacing
+            + num_gates * self.gate_length
+            + inner
+        )
 
     def linear_chain_length(self, num_contacts: int, num_gates: int) -> float:
         """Length of an alternating contact/gate/contact/... chain.

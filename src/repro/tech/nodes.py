@@ -12,12 +12,12 @@ below encode exactly that choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..errors import TechnologyError
 from ..units import EPSILON_0
-from .lambda_rules import CMOS_RULES, CNFET_RULES, CMOSDesignRules, DesignRules
+from .lambda_rules import CMOS_RULES, CNFET_RULES, DesignRules
 from .layers import LayerStack, cmos_layer_stack, cnfet_layer_stack
 
 
@@ -110,13 +110,13 @@ class TechnologyNode:
         return replace(self, supply_voltage=supply_voltage)
 
 
-def cnfet65_node(supply_voltage: float = 1.0) -> TechnologyNode:
+def cnfet65_node() -> TechnologyNode:
     """The paper's CNFET platform: 65 nm rules, poly gate, low-k dielectric,
     CNT plane over 10 µm SiO2."""
     return TechnologyNode(
         name="cnfet65",
         feature_size_nm=65.0,
-        supply_voltage=supply_voltage,
+        supply_voltage=1.0,
         gate_stack=GateStack(
             material="polysilicon",
             dielectric="low-k",
@@ -129,12 +129,12 @@ def cnfet65_node(supply_voltage: float = 1.0) -> TechnologyNode:
     )
 
 
-def cmos65_node(supply_voltage: float = 1.0) -> TechnologyNode:
+def cmos65_node() -> TechnologyNode:
     """The reference industrial-style 65 nm CMOS node."""
     return TechnologyNode(
         name="cmos65",
         feature_size_nm=65.0,
-        supply_voltage=supply_voltage,
+        supply_voltage=1.0,
         gate_stack=GateStack(
             material="polysilicon",
             dielectric="SiON",

@@ -32,8 +32,6 @@ from .errors import UnitError
 ELECTRON_CHARGE = 1.602176634e-19
 #: Planck constant [J s]
 PLANCK = 6.62607015e-34
-#: Reduced Planck constant [J s]
-HBAR = PLANCK / (2.0 * math.pi)
 #: Boltzmann constant [J/K]
 BOLTZMANN = 1.380649e-23
 #: Vacuum permittivity [F/m]
@@ -42,8 +40,6 @@ EPSILON_0 = 8.8541878128e-12
 CC_BOND_LENGTH_NM = 0.142
 #: Nearest-neighbour hopping (tight-binding) energy for graphene [eV]
 GRAPHENE_HOPPING_EV = 3.033
-#: Quantum of conductance (per spin, per band) [S]
-CONDUCTANCE_QUANTUM = 2.0 * ELECTRON_CHARGE**2 / PLANCK
 #: Room temperature used throughout [K]
 ROOM_TEMPERATURE_K = 300.0
 #: Thermal voltage at room temperature [V]
@@ -54,7 +50,6 @@ THERMAL_VOLTAGE_V = BOLTZMANN * ROOM_TEMPERATURE_K / ELECTRON_CHARGE
 # ---------------------------------------------------------------------------
 
 NM_PER_UM = 1000.0
-NM_PER_MM = 1.0e6
 NM_PER_M = 1.0e9
 
 

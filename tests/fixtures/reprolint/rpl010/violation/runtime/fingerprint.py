@@ -1,4 +1,5 @@
-"""RPL003 fixture: a wall-clock read inside a fingerprinted module."""
+"""RPL010 violation fixture: a wall-clock read inside a fingerprinted
+module, whose content addresses must be stable across runs."""
 
 import hashlib
 import time

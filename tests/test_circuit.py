@@ -18,7 +18,7 @@ from repro.circuit import (
     compare_fo4,
     fo4_load_capacitance,
     fo4_metrics,
-    fo4_metrics_transient,
+    fo4_transient_sweep,
     pulse_source,
     run_transient_batch,
     step_source,
@@ -150,15 +150,15 @@ class TestTransientSimulation:
     def test_transient_fo4_close_to_analytical(self):
         inverter = _calibrated_cnfet_inverter()
         analytic = fo4_metrics(inverter)
-        transient = fo4_metrics_transient(inverter)
+        [transient] = fo4_transient_sweep([inverter])
         assert transient.delay_s == pytest.approx(analytic.delay_s, rel=0.45)
         assert transient.energy_per_cycle_j == pytest.approx(
             analytic.energy_per_cycle_j, rel=0.45
         )
 
     def test_transient_gain_ratio_matches_paper_direction(self):
-        cnfet = fo4_metrics_transient(_calibrated_cnfet_inverter())
-        cmos = fo4_metrics_transient(cmos_inverter())
+        [cnfet] = fo4_transient_sweep([_calibrated_cnfet_inverter()])
+        [cmos] = fo4_transient_sweep([cmos_inverter()])
         assert cmos.delay_s / cnfet.delay_s > 3.0
 
 

@@ -6,7 +6,7 @@ Three layers of coverage:
   ``tests/fixtures/reprolint/`` (each rule must fire on its violation
   fixture and stay silent on its clean counterpart),
 * the self-clean gate: linting the shipped ``src/`` tree produces
-  zero findings,
+  zero findings, and no module there imports a name it never reads,
 * the CLI contract: ``--select``/``--ignore``, JSON output, inline
   suppression comments, exit codes, and the no-third-party-imports
   guarantee that lets CI run the linter before installing numpy.
@@ -14,6 +14,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import os
@@ -21,6 +22,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -32,7 +34,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "reprolint"
 
-RULE_IDS = [f"RPL{n:03d}" for n in range(1, 11)]
+RULE_IDS = [f"RPL{n:03d}" for n in range(1, 11) if n != 3]
 
 
 def _fixture(rule_id: str, kind: str) -> Path:
@@ -103,6 +105,49 @@ class TestSelfClean:
         assert not report.findings
 
 
+def _unused_imports(path: Path) -> List[Tuple[str, int]]:
+    """``(name, line)`` of each top-level import ``path`` never reads.
+
+    A name counts as read when it appears as a name anywhere in the
+    module, inside a quoted annotation, or in ``__all__``.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: Dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    quoted = [ast.parse(node.value, mode="eval")
+              for annotation in annotations if annotation is not None
+              for node in ast.walk(annotation)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    read = {node.id for root in [tree, *quoted] for node in ast.walk(root)
+            if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [(name, line) for name, line in imported.items() if name not in read]
+
+
+def test_src_has_no_unused_imports():
+    # Package ``__init__.py`` files are re-export modules: importing a
+    # name there is the point.
+    unused = [f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
+              for path in sorted((SRC_DIR / "repro").rglob("*.py"))
+              if path.name != "__init__.py"
+              for name, line in _unused_imports(path)]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
 # ---------------------------------------------------------------------------
 # Engine behaviour
 # ---------------------------------------------------------------------------
@@ -110,14 +155,14 @@ class TestSelfClean:
 
 class TestEngine:
     def test_resolve_rules_select(self):
-        rules = resolve_rules(select=["RPL003"])
-        assert [rule.id for rule in rules] == ["RPL003"]
+        rules = resolve_rules(select=["RPL004"])
+        assert [rule.id for rule in rules] == ["RPL004"]
 
     def test_resolve_rules_ignore(self):
         rules = resolve_rules(ignore=["RPL006", "RPL008"])
         assert [rule.id for rule in rules] == [
-            "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL007",
-            "RPL009", "RPL010",
+            "RPL001", "RPL002", "RPL004", "RPL005", "RPL007", "RPL009",
+            "RPL010",
         ]
 
     def test_resolve_rules_unknown_id(self):

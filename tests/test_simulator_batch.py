@@ -693,11 +693,6 @@ class TestBatchValidation:
         with pytest.raises(SimulationError):
             run_transient_batch([], STOP, STEP)
 
-    def test_mismatched_supply_list_rejected(self):
-        inverter = cmos_inverter()
-        with pytest.raises(SimulationError):
-            fo4_transient_sweep([inverter], vdd=[1.0, 0.9])
-
     def test_invalid_time_base_rejected(self):
         case = _cnfet_chain_case()
         with pytest.raises(SimulationError):
