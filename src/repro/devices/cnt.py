@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from ..errors import DeviceModelError
-from ..units import CC_BOND_LENGTH_NM, ELECTRON_CHARGE, GRAPHENE_HOPPING_EV
+from ..units import (CC_BOND_LENGTH_NM, ELECTRON_CHARGE, GRAPHENE_HOPPING_EV,
+                     PLANCK)
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,7 @@ def quantum_capacitance_per_length() -> float:
     achievable gate capacitance per tube.
     """
     fermi_velocity = 8.0e5  # m/s
-    planck = 6.62607015e-34
-    return 8.0 * ELECTRON_CHARGE**2 / (planck * fermi_velocity)
+    return 8.0 * ELECTRON_CHARGE**2 / (PLANCK * fermi_velocity)
 
 
 def oxide_capacitance_per_length(
@@ -107,5 +107,5 @@ def ballistic_on_current(vdd: float, threshold_voltage: float) -> float:
     if vdd <= 0:
         raise DeviceModelError("vdd must be positive")
     overdrive = max(0.0, vdd - threshold_voltage)
-    conductance = 4.0 * ELECTRON_CHARGE**2 / 6.62607015e-34
+    conductance = 4.0 * ELECTRON_CHARGE**2 / PLANCK
     return 0.9 * conductance * min(overdrive, 0.16)

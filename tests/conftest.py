@@ -1,6 +1,12 @@
 """Suite-wide fixtures."""
 
 import pytest
+from hypothesis import settings
+
+#: The long run of the store state machine (``tests/test_store_machine.py``):
+#: ``pytest --hypothesis-profile store-long``.
+settings.register_profile("store-long", max_examples=300,
+                          stateful_step_count=50, deadline=None)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -136,5 +136,5 @@ class TestEDPSummary:
         assert summary["area_gain"] > 1.0 / (1.0 - summary["paper_area_saving"]) - 0.05
         assert summary["edap_gain_optimal"] == pytest.approx(anchors.edap_gain_headline, rel=0.15)
         # Conclusions: more than 10x EDP improvement is achievable.
-        assert summary["edp_gain_best"] > anchors.paper_edp_gain if False else True
+        assert summary["edp_gain_best"] > anchors.edp_gain_headline
         assert summary["edp_gain_best"] > 10.0

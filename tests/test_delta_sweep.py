@@ -20,7 +20,7 @@ from repro.runtime import (
     plan_delta,
 )
 from repro.study import SweepSpec, run_sweep_study
-from test_runtime import counted
+from test_runtime import corner_records, counted
 from test_sweep_engines import planned_keys
 
 
@@ -347,13 +347,18 @@ class TestDeltaRecompute:
 
 class TestCornerIntegrity:
     def _poison_one_corner(self, store):
-        paths = list(store._corner_entries())
-        assert paths
-        path = paths[0]
-        wrapper = json.loads(path.read_text())
-        wrapper["payload"] = {"tampered": True}
-        path.write_text(json.dumps(wrapper))
-        return path
+        """Tamper with one stored corner's payload in place (one digit,
+        so the segment keeps its length); returns the corner's key."""
+        records = corner_records(store.root)
+        assert records
+        path, offset, line = records[0]
+        at = line.index(b'"payload": ')
+        at += next(index for index, byte in enumerate(line[at:])
+                   if chr(byte).isdigit())
+        with open(path, "r+b") as stream:
+            stream.seek(offset + at)
+            stream.write(str((int(chr(line[at])) + 1) % 10).encode())
+        return json.loads(line)["fingerprint"]
 
     def test_poisoned_corner_is_evicted_counted_and_recomputed(
             self, tmp_path):
@@ -368,20 +373,32 @@ class TestCornerIntegrity:
             spec, engine="immunity", trials=20, seed=7, cache=store))
         assert again == cold                       # recomputed, not served
         assert again.provenance.cache == "partial:1/2"
-        assert counts["cache.corner_corrupt"] >= 1
-        assert poisoned.exists()                   # rewritten by the rerun
+        assert counts["cache.corner_corrupt"] == 1
+        # The rerun appended a fresh record, which a new reader serves
+        # ahead of the poisoned one.
+        found, counts = counted(
+            lambda: ResultCache(store.root).get_corners([poisoned]))
+        assert list(found) == [poisoned]
+        assert counts == {"cache.corner_hits": 1}
 
     def test_truncated_corner_counts_as_corrupt(self, tmp_path):
         store = ResultCache(tmp_path / "store")
         spec = SweepSpec.from_mapping({"cnts_per_trial": (2,)})
         run_sweep_study(spec, engine="immunity", trials=10, seed=7,
                         cache=store)
-        path = next(iter(store._corner_entries()))
-        path.write_text(path.read_text()[:20])
-        found, counts = counted(lambda: store.get_corners([path.stem]))
+        ((path, _, line),) = corner_records(store.root)
+        key = json.loads(line)["fingerprint"]
+        path.write_bytes(line[:20])
+        found, counts = counted(lambda: store.get_corners([key]))
         assert found == {}
-        assert not path.exists()                   # evicted
-        assert counts["cache.corner_corrupt"] == 1
+        assert counts == {"cache.corner_misses": 1,
+                          "cache.corner_corrupt": 1, "cache.evictions": 1}
+        # Dropped from the index: the next read is a plain miss, and a
+        # new reader never indexes the torn tail.
+        for reader in (store, ResultCache(store.root)):
+            found, counts = counted(lambda: reader.get_corners([key]))
+            assert found == {}
+            assert counts == {"cache.corner_misses": 1}
 
     def test_stats_surface_corner_counters(self, tmp_path):
         store = ResultCache(tmp_path / "store")

@@ -6,6 +6,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -28,7 +30,7 @@ from repro.runtime import (
     sweep_fingerprint,
     with_cache_status,
 )
-from repro.runtime.cache import STALE_TEMP_S
+from repro.runtime.cache import SEGMENT_SUFFIX, STALE_TEMP_S
 from repro.study import StudyResult, SweepSpec, run_study, run_sweep_study
 
 
@@ -42,6 +44,19 @@ def counted(fn):
                    for name, total in after.items()
                    if name.startswith("cache.")
                    and total != before.get(name, 0)}
+
+
+def corner_records(root):
+    """``[(segment path, offset, line)]`` for every complete record line
+    of the corner segments of the store at ``root``."""
+    records = []
+    for path in sorted((root / "corners").glob(f"*{SEGMENT_SUFFIX}")):
+        offset = 0
+        for line in path.read_bytes().splitlines(keepends=True):
+            if line.endswith(b"\n"):
+                records.append((path, offset, line))
+            offset += len(line)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +345,15 @@ class TestResultCache:
         assert cache.stats().entries == 0
 
     def test_a_killed_writers_temp_file_is_swept_not_counted(self, tmp_path):
+        """A killed study writer leaves its temp file beside the entries,
+        a killed compaction beside the corner segments."""
         cache = ResultCache(tmp_path / "store")
         entry = cache.put(study_fingerprint("fig3"),
                           experiments.run_fig3_nand3())
-        corner = cache.put_corner("ab" * 32, {"x": 1})
+        segment = cache.put_corner("ab" * 32, {"x": 1})
+        assert segment.parent == cache.root / "corners"
         stale = [entry.parent / ".tmp-killed.json",
-                 corner.parent / ".tmp-killed.json"]
+                 segment.parent / ".tmp-killed.json"]
         killed_at = time.time() - STALE_TEMP_S - 60.0
         for path in stale:
             path.write_text('{"study": "fig3", "cre')
@@ -344,17 +362,20 @@ class TestResultCache:
         assert (stats.entries, stats.by_study, stats.corner_entries) \
             == (1, {"fig3": 1}, 1)
         assert stats.total_bytes == entry.stat().st_size
+        assert stats.corner_bytes == segment.stat().st_size
         assert cache.prune(study="table1") == 0   # sweeps, counts entries
         assert not any(path.exists() for path in stale)
-        assert entry.exists() and corner.exists()
+        assert entry.exists() and segment.exists()
+        assert ResultCache(cache.root).get_corners(["ab" * 32]) == {
+            "ab" * 32: {"x": 1}}
 
     def test_prune_spares_a_live_writers_temp_file(self, tmp_path):
         cache = ResultCache(tmp_path / "store")
         entry = cache.put(study_fingerprint("fig3"),
                           experiments.run_fig3_nand3())
-        corner = cache.put_corner("ab" * 32, {"x": 1})
+        segment = cache.put_corner("ab" * 32, {"x": 1})
         live = [entry.parent / ".tmp-writing.json",
-                corner.parent / ".tmp-writing.json"]
+                segment.parent / ".tmp-writing.json"]
         for path in live:
             path.write_text('{"study": "fig3", "cre')
         assert cache.stats().entries == 1
@@ -362,6 +383,7 @@ class TestResultCache:
         assert all(path.exists() for path in live)
         assert cache.prune() == 1
         assert all(path.exists() for path in live)
+        assert not segment.exists()
         assert cache.stats().corner_entries == 0
 
     def test_malformed_key_rejected(self, tmp_path):
@@ -429,8 +451,9 @@ def _share_a_store(root, indices, go, report):
 class TestSharedStore:
     def test_two_processes_share_a_store(self, tmp_path):
         """Two processes read and write overlapping corners of one store:
-        nothing is lost or corrupt, the store holds entry files only, and
-        each process counts exactly its own reads."""
+        nothing is lost or corrupt, the store holds one segment per
+        writing process and no temp file, and each process counts exactly
+        its own reads."""
         root = tmp_path / "store"
         context = multiprocessing.get_context("spawn")
         go, report = context.Event(), context.Queue()
@@ -455,10 +478,130 @@ class TestSharedStore:
         assert counts == {"cache.corner_hits": 36}
         files = [path.relative_to(root) for path in root.rglob("*")
                  if path.is_file()]
-        assert sorted(files) == sorted(
-            ResultCache(root).corner_path_for(key).relative_to(root)
-            for key in keys)
-        assert not (root / "stats.json").exists()
+        assert len(files) == len(workers)
+        for path in files:
+            assert path.parent.name == "corners"
+            assert path.suffix == SEGMENT_SUFFIX
+            assert len(path.parts) == 2
+        assert ResultCache(root).stats().corner_entries == len(keys)
+
+
+class TestCornerSegments:
+    """The corner tier's append-only segments."""
+
+    def test_a_torn_tail_is_skipped_and_the_next_append_starts_a_segment(
+            self, tmp_path, monkeypatch):
+        store = ResultCache(tmp_path / "store")
+        keys = [_corner_key(index) for index in range(3)]
+        first = store.put_corner(keys[0], {"index": 0})
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda handle, data: real_write(
+            handle, data[:len(data) // 2]))
+        with pytest.raises(CacheError, match="short write"):
+            store.put_corner(keys[1], {"index": 1})
+        monkeypatch.undo()
+        torn = first.read_bytes()
+        assert not torn.endswith(b"\n")
+        second = store.put_corner(keys[2], {"index": 2})
+        assert second != first
+        assert first.read_bytes() == torn        # the torn segment is retired
+        for reader in (store, ResultCache(store.root)):
+            found, counts = counted(lambda: reader.get_corners(keys))
+            assert found == {keys[0]: {"index": 0}, keys[2]: {"index": 2}}
+            assert counts == {"cache.corner_hits": 2,
+                              "cache.corner_misses": 1}
+        assert store.stats().corner_entries == 2
+
+    def test_a_key_appended_twice_counts_once(self, tmp_path):
+        store = ResultCache(tmp_path / "store")
+        key = _corner_key(0)
+        store.put_corner(key, {"index": 0})
+        store.put_corner(key, {"index": 0})
+        assert len(corner_records(store.root)) == 2
+        assert store.stats().corner_entries == 1
+        found, counts = counted(lambda: ResultCache(store.root).get_corners(
+            [key, key]))
+        assert found == {key: {"index": 0}}
+        assert counts == {"cache.corner_hits": 2}
+
+    def test_prune_compacts_one_corner_segments_into_one(self, tmp_path):
+        root = tmp_path / "store"
+        keys = [_corner_key(index) for index in range(4)]
+        for index, key in enumerate(keys):
+            ResultCache(root).put_corner(key, {"index": index})
+        ResultCache(root).put_corner(keys[0], {"index": 0})
+        store = ResultCache(root)
+        assert len(list((root / "corners").iterdir())) == 5
+        assert store.prune(max_entries=len(keys)) == 0
+        (segment,) = (root / "corners").iterdir()
+        assert segment.suffix == SEGMENT_SUFFIX
+        assert len(corner_records(root)) == len(keys)
+        found, counts = counted(lambda: store.get_corners(keys))
+        assert found == {key: {"index": index}
+                         for index, key in enumerate(keys)}
+        assert counts == {"cache.corner_hits": len(keys)}
+
+    def test_a_second_store_sees_the_first_ones_writes(self, tmp_path):
+        root = tmp_path / "store"
+        reader, writer = ResultCache(root), ResultCache(root)
+        key = _corner_key(0)
+        assert reader.get_corners([key]) == {}
+        writer.put_corner(key, {"index": 0})
+        found, counts = counted(lambda: reader.get_corners([key]))
+        assert found == {key: {"index": 0}}
+        assert counts == {"cache.corner_hits": 1}
+
+    def test_threads_share_one_segment_and_lose_no_record(self, tmp_path):
+        """Worker threads (more than cores, switching often) append to
+        and read one store: one segment, every record indexed once."""
+        store = ResultCache(tmp_path / "store")
+        keys = [_corner_key(index) for index in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda part=part: [
+                (store.put_corner(key, {"key": key}),
+                 store.get_corners(keys[:8]))
+                for key in keys[part::4]]) for part in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(list((store.root / "corners").iterdir())) == 1
+        for reader in (store, ResultCache(store.root)):
+            assert reader.get_corners(keys) == {key: {"key": key}
+                                                for key in keys}
+        assert len(corner_records(store.root)) == len(keys)
+
+    def test_a_forked_child_appends_to_its_own_segment(self, tmp_path):
+        store = ResultCache(tmp_path / "store")
+        keys = [_corner_key(index) for index in range(3)]
+        parent = store.put_corner(keys[0], {"index": 0})
+        child = multiprocessing.get_context("fork").Process(
+            target=store.put_corner, args=(keys[1], {"index": 1}))
+        child.start()
+        child.join(60.0)
+        assert child.exitcode == 0
+        assert store.put_corner(keys[2], {"index": 2}) == parent
+        segments = sorted((store.root / "corners").iterdir())
+        assert len(segments) == 2 and parent in segments
+        assert ResultCache(store.root).get_corners(keys) == {
+            key: {"index": index} for index, key in enumerate(keys)}
+
+    def test_the_older_per_file_layout_is_not_read_and_prune_removes_it(
+            self, tmp_path):
+        store = ResultCache(tmp_path / "store")
+        key = _corner_key(0)
+        legacy = store.root / "corners" / key[:2] / f"{key}.json"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text("{}")
+        assert store.get_corners([key]) == {}
+        assert store.stats().corner_entries == 0
+        assert store.prune() == 0
+        assert not legacy.parent.exists()
 
 
 class TestCachedRunStudy:

@@ -964,6 +964,32 @@ class TestJobManager:
                     or progress["total"] is not None
                     and progress["done"] <= progress["total"]), progress
 
+    def test_all_jobs_of_a_manager_append_to_one_segment(self, tmp_path):
+        """Sweep jobs (through the progress view) and a circuit study
+        (through the plain store) on two workers share the manager's one
+        corner index and open segment."""
+        from repro.runtime.cache import SEGMENT_SUFFIX
+
+        bodies = [{"study": "sweep", "engine": "immunity",
+                   "axes": {"cnts_per_trial": [count]},
+                   "params": {"trials": 20, "seed": 7}}
+                  for count in (2, 4, 8)]
+        bodies.append({"study": "circuit",
+                       "params": {"circuit": "adder:2", "trials": 16,
+                                  "draws": 16}})
+        manager = JobManager(cache=tmp_path / "cache", workers=2)
+        try:
+            submitted = [manager.submit(JobSubmission.from_document(body))[0]
+                         for body in bodies]
+            for job in submitted:
+                assert manager.poll(job.id, POLL_TIMEOUT_S)["status"] \
+                    == "done"
+        finally:
+            manager.close()
+        segments = list((tmp_path / "cache" / "corners").iterdir())
+        assert len(segments) == 1
+        assert segments[0].suffix == SEGMENT_SUFFIX
+
     def test_invalid_submission_messages_are_typed(self):
         with pytest.raises(InvalidSubmission):
             JobSubmission.from_document({"study": "fig3", "jobs": True})

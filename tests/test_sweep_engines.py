@@ -40,7 +40,7 @@ from repro.core.standard_cell import assemble_cell
 from repro.immunity.montecarlo import run_immunity_trials, sweep_seed_root
 from repro.logic.functions import standard_gate
 from repro.runtime import ResultCache, sweep_fingerprint
-from repro.runtime.cache import CACHE_SCHEMA, CORNER_SCHEMA
+from repro.runtime.cache import CACHE_SCHEMA, CORNER_SCHEMA, SEGMENT_SUFFIX
 from repro.study import SweepSpec, run_study, run_sweep_study
 from repro.study import sweeps
 from repro.study.sweeps import _plan_sweep, sweep_engine
@@ -439,6 +439,17 @@ def _wrappers(tree):
     return entries
 
 
+def _records(tree):
+    """``[(fingerprint, text, wrapper)]`` for every record line of the
+    corner segments in ``tree``."""
+    entries = []
+    for path in sorted(tree.glob(f"*{SEGMENT_SUFFIX}")):
+        for text in path.read_text().splitlines():
+            wrapper = json.loads(text)
+            entries.append((wrapper["fingerprint"], text, wrapper))
+    return entries
+
+
 def _digest(payload):
     return hashlib.sha256(json.dumps(
         payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
@@ -446,9 +457,10 @@ def _digest(payload):
 
 def test_entry_wrappers_are_pinned(tmp_path):
     """Study and corner entries keep one on-disk shape: exactly the
-    wrapper keys, serialised with sorted keys, filed under their own
-    fingerprint with the SHA-256 of the canonical payload, and each
-    corner tagged with the engine that computed it."""
+    wrapper keys, serialised with sorted keys (a corner record on one
+    segment line), filed and served under their own fingerprint with
+    the SHA-256 of the canonical payload, and each corner tagged with
+    the engine that computed it."""
     store = ResultCache(tmp_path / "store")
     run_sweep_study(SweepSpec.from_mapping({"cnts_per_trial": (2, 4)}),
                     engine="immunity", trials=10, seed=7, cache=store)
@@ -465,7 +477,12 @@ def test_entry_wrappers_are_pinned(tmp_path):
         assert wrapper["sha256"] == _digest(wrapper["result"])
         assert text == json.dumps(wrapper, sort_keys=True)
 
-    corners = _wrappers(store.root / "corners")
+    assert _wrappers(store.root / "corners") == []
+    corners = _records(store.root / "corners")
+    assert len({stem for stem, _, _ in corners}) == len(corners)
+    served = ResultCache(store.root).get_corners(
+        [stem for stem, _, _ in corners])
+    assert len(served) == len(corners)
     for stem, text, wrapper in corners:
         assert set(wrapper) == CORNER_WRAPPER
         assert wrapper["schema"] == CORNER_SCHEMA
