@@ -139,8 +139,9 @@ def make_lock() -> threading.Lock:
     This module and ``service/jobs.py`` are the only places allowed to
     construct concurrency primitives (the RPL009 contract, a sibling of
     the RPL001 single-pool rule): everything else — the tracer
-    (``obs/trace.py``) and the metrics registry (``obs/metrics.py``) —
-    obtains its lock here, so a grep for thread machinery always lands
+    (``obs/trace.py``), the metrics registry (``obs/metrics.py``) and the
+    corner store's segment log (``runtime/cache.py``) — obtains its lock
+    here, so a grep for thread machinery always lands
     on the sanctioned modules.
     """
     return threading.Lock()

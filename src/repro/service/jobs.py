@@ -123,19 +123,15 @@ class Job:
 
 
 class _ProgressCache(ResultCache):
-    """A view of the manager's :class:`ResultCache` that reports
-    per-corner progress back to the job as the sweep driver consumes it.
+    """A :class:`ResultCache` on the same root that reports per-corner
+    progress back to the job as the sweep driver consumes it.
 
     ``get_corners`` ticks once per corner the delta plan serves from the
     store; ``put_corner`` once per freshly computed corner.  Everything
-    else — study entries, stats, pruning — is the plain store.  The view
-    shares the store's corner index and open segment, so every job of
-    one manager reads one index and appends to one segment."""
+    else — study entries, stats, pruning — is the plain store."""
 
-    def __init__(self, store: ResultCache,
-                 on_corners: Callable[[int], None]):
-        super().__init__(store.root)
-        self._log = store._log
+    def __init__(self, root, on_corners: Callable[[int], None]):
+        super().__init__(root)
         self._on_corners = on_corners
 
     def get_corners(self, keys):
@@ -341,7 +337,7 @@ class JobManager:
             with self._lock:
                 job.progress_done += count
 
-        return _ProgressCache(self._store, on_corners)
+        return _ProgressCache(self._store.root, on_corners)
 
     def _work(self) -> None:
         while True:

@@ -1,12 +1,17 @@
 """Suite-wide fixtures."""
 
 import pytest
-from hypothesis import settings
+
+try:
+    from hypothesis import settings
+except ImportError:  # the linter's self-test job installs only pytest
+    settings = None
 
 #: The long run of the store state machine (``tests/test_store_machine.py``):
 #: ``pytest --hypothesis-profile store-long``.
-settings.register_profile("store-long", max_examples=300,
-                          stateful_step_count=50, deadline=None)
+if settings is not None:
+    settings.register_profile("store-long", max_examples=300,
+                              stateful_step_count=50, deadline=None)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -20,7 +20,7 @@ from repro.runtime import (
     plan_delta,
 )
 from repro.study import SweepSpec, run_sweep_study
-from test_runtime import corner_records, counted
+from test_runtime import corner_records, counted, isolated_store
 from test_sweep_engines import planned_keys
 
 
@@ -377,7 +377,7 @@ class TestCornerIntegrity:
         # The rerun appended a fresh record, which a new reader serves
         # ahead of the poisoned one.
         found, counts = counted(
-            lambda: ResultCache(store.root).get_corners([poisoned]))
+            lambda: isolated_store(store.root).get_corners([poisoned]))
         assert list(found) == [poisoned]
         assert counts == {"cache.corner_hits": 1}
 
@@ -395,7 +395,7 @@ class TestCornerIntegrity:
                           "cache.corner_corrupt": 1, "cache.evictions": 1}
         # Dropped from the index: the next read is a plain miss, and a
         # new reader never indexes the torn tail.
-        for reader in (store, ResultCache(store.root)):
+        for reader in (store, isolated_store(store.root)):
             found, counts = counted(lambda: reader.get_corners([key]))
             assert found == {}
             assert counts == {"cache.corner_misses": 1}

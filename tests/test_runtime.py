@@ -30,7 +30,7 @@ from repro.runtime import (
     sweep_fingerprint,
     with_cache_status,
 )
-from repro.runtime.cache import SEGMENT_SUFFIX, STALE_TEMP_S
+from repro.runtime.cache import SEGMENT_SUFFIX, STALE_TEMP_S, _CornerLog
 from repro.study import StudyResult, SweepSpec, run_study, run_sweep_study
 
 
@@ -57,6 +57,15 @@ def corner_records(root):
                 records.append((path, offset, line))
             offset += len(line)
     return records
+
+
+def isolated_store(root):
+    """A store on ``root`` with a corner index and open segment of its
+    own, as another process would hold: the store objects of one process
+    on one root share theirs."""
+    store = ResultCache(root)
+    store._log = _CornerLog(store._log.directory)
+    return store
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +514,7 @@ class TestCornerSegments:
         second = store.put_corner(keys[2], {"index": 2})
         assert second != first
         assert first.read_bytes() == torn        # the torn segment is retired
-        for reader in (store, ResultCache(store.root)):
+        for reader in (store, isolated_store(store.root)):
             found, counts = counted(lambda: reader.get_corners(keys))
             assert found == {keys[0]: {"index": 0}, keys[2]: {"index": 2}}
             assert counts == {"cache.corner_hits": 2,
@@ -519,17 +528,17 @@ class TestCornerSegments:
         store.put_corner(key, {"index": 0})
         assert len(corner_records(store.root)) == 2
         assert store.stats().corner_entries == 1
-        found, counts = counted(lambda: ResultCache(store.root).get_corners(
-            [key, key]))
+        found, counts = counted(lambda: isolated_store(
+            store.root).get_corners([key, key]))
         assert found == {key: {"index": 0}}
         assert counts == {"cache.corner_hits": 2}
 
     def test_prune_compacts_one_corner_segments_into_one(self, tmp_path):
         root = tmp_path / "store"
         keys = [_corner_key(index) for index in range(4)]
-        for index, key in enumerate(keys):
-            ResultCache(root).put_corner(key, {"index": index})
-        ResultCache(root).put_corner(keys[0], {"index": 0})
+        for index, key in enumerate(keys):          # five writers
+            isolated_store(root).put_corner(key, {"index": index})
+        isolated_store(root).put_corner(keys[0], {"index": 0})
         store = ResultCache(root)
         assert len(list((root / "corners").iterdir())) == 5
         assert store.prune(max_entries=len(keys)) == 0
@@ -543,13 +552,37 @@ class TestCornerSegments:
 
     def test_a_second_store_sees_the_first_ones_writes(self, tmp_path):
         root = tmp_path / "store"
-        reader, writer = ResultCache(root), ResultCache(root)
+        reader, writer = ResultCache(root), isolated_store(root)
         key = _corner_key(0)
         assert reader.get_corners([key]) == {}
         writer.put_corner(key, {"index": 0})
         found, counts = counted(lambda: reader.get_corners([key]))
         assert found == {key: {"index": 0}}
         assert counts == {"cache.corner_hits": 1}
+
+    def test_store_objects_of_one_process_share_one_segment(
+            self, tmp_path, monkeypatch):
+        """Store objects on one root — however the root is spelled — that
+        are open together or follow one another append to one segment and
+        read one index, even with a store on another root in between."""
+        monkeypatch.chdir(tmp_path)
+        keys = [_corner_key(index) for index in range(4)]
+        first = ResultCache(tmp_path / "store")
+        paths = {first.put_corner(keys[0], {"index": 0}),
+                 ResultCache("store").put_corner(keys[1], {"index": 1})}
+        ResultCache(tmp_path / "other").put_corner(keys[0], {"index": 0})
+        paths.add(as_cache(str(tmp_path / "." / "store")).put_corner(
+            keys[2], {"index": 2}))
+        del first
+        paths.add(ResultCache("store").put_corner(keys[3], {"index": 3}))
+        assert len(paths) == 1
+        assert list((tmp_path / "store" / "corners").iterdir()) == [
+            path.resolve() for path in paths]
+        found, counts = counted(lambda: ResultCache("store").get_corners(
+            keys))
+        assert found == {key: {"index": index}
+                         for index, key in enumerate(keys)}
+        assert counts == {"cache.corner_hits": 4}
 
     def test_threads_share_one_segment_and_lose_no_record(self, tmp_path):
         """Worker threads (more than cores, switching often) append to
@@ -571,7 +604,7 @@ class TestCornerSegments:
         finally:
             sys.setswitchinterval(interval)
         assert len(list((store.root / "corners").iterdir())) == 1
-        for reader in (store, ResultCache(store.root)):
+        for reader in (store, isolated_store(store.root)):
             assert reader.get_corners(keys) == {key: {"key": key}
                                                 for key in keys}
         assert len(corner_records(store.root)) == len(keys)
@@ -588,8 +621,9 @@ class TestCornerSegments:
         assert store.put_corner(keys[2], {"index": 2}) == parent
         segments = sorted((store.root / "corners").iterdir())
         assert len(segments) == 2 and parent in segments
-        assert ResultCache(store.root).get_corners(keys) == {
-            key: {"index": index} for index, key in enumerate(keys)}
+        for reader in (store, isolated_store(store.root)):
+            assert reader.get_corners(keys) == {
+                key: {"index": index} for index, key in enumerate(keys)}
 
     def test_the_older_per_file_layout_is_not_read_and_prune_removes_it(
             self, tmp_path):

@@ -966,8 +966,8 @@ class TestJobManager:
 
     def test_all_jobs_of_a_manager_append_to_one_segment(self, tmp_path):
         """Sweep jobs (through the progress view) and a circuit study
-        (through the plain store) on two workers share the manager's one
-        corner index and open segment."""
+        (through the plain store) on two workers share one corner index
+        and open segment."""
         from repro.runtime.cache import SEGMENT_SUFFIX
 
         bodies = [{"study": "sweep", "engine": "immunity",

@@ -1,8 +1,9 @@
 """A model-checked result store: :class:`ResultCache` against a dictionary.
 
 Hypothesis drives one store through random sequences of study and corner
-writes and reads, prunes with and without bounds, a second writer on the
-same root, reopening, in-place corruption of stored corner records, torn
+writes and reads, prunes with and without bounds, a second store object
+of this process and a writer of another process on the same root,
+reopening, in-place corruption of stored corner records, torn
 segment tails and temp files, and checks every step against a model made
 of plain dictionaries:
 
@@ -29,7 +30,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 from repro.obs import clock
 from repro.runtime.cache import CORNER_SCHEMA, STALE_TEMP_S, ResultCache
 from repro.study.results import Fig3Result, Provenance
-from test_runtime import corner_records, counted
+from test_runtime import corner_records, counted, isolated_store
 
 CORNER_KEYS = tuple(hashlib.sha256(f"corner-{index}".encode()).hexdigest()
                     for index in range(3))
@@ -165,11 +166,19 @@ class StoreMachine(RuleBasedStateMachine):
         self.corners[key] = self.now
 
     @rule(key=st.sampled_from(CORNER_KEYS))
+    def put_corner_alias(self, key):
+        """Another store object of this process on the root writes a
+        corner."""
+        self.now += 1.0
+        ResultCache(self.root).put_corner(key, _payload(key), "transient")
+        self.corners[key] = self.now
+
+    @rule(key=st.sampled_from(CORNER_KEYS))
     def put_corner_elsewhere(self, key):
-        """A second store object on the same root, as another process
+        """A store with its own index and segment, as another process
         would hold, writes a corner."""
         if self.other is None:
-            self.other = ResultCache(self.root)
+            self.other = isolated_store(self.root)
         self.now += 1.0
         self.other.put_corner(key, _payload(key), "immunity")
         self.corners[key] = self.now
@@ -248,9 +257,10 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule()
     def reopen(self):
-        """A fresh store object on the root: it meets every corrupt
-        record still on disk, or none it cannot attribute to a key."""
-        self.store = ResultCache(self.root)
+        """A fresh store on the root, as a new process would open: it
+        meets every corrupt record still on disk, or none it cannot
+        attribute to a key."""
+        self.store = isolated_store(self.root)
         self.bad_view = {key: "maybe" for key in self.bad_on_disk}
 
     # -- maintenance -----------------------------------------------------------
@@ -302,7 +312,7 @@ class StoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def a_new_reader_sees_the_model(self):
-        assert ResultCache(self.root).get_corners(CORNER_KEYS) == {
+        assert isolated_store(self.root).get_corners(CORNER_KEYS) == {
             key: _payload(key) for key in self.corners}
 
     @invariant()

@@ -44,6 +44,7 @@ from repro.runtime.cache import CACHE_SCHEMA, CORNER_SCHEMA, SEGMENT_SUFFIX
 from repro.study import SweepSpec, run_study, run_sweep_study
 from repro.study import sweeps
 from repro.study.sweeps import _plan_sweep, sweep_engine
+from test_runtime import isolated_store
 
 #: Execution modes every oracle runs in, with the provenance ``cache``
 #: annotation each must report.
@@ -480,7 +481,7 @@ def test_entry_wrappers_are_pinned(tmp_path):
     assert _wrappers(store.root / "corners") == []
     corners = _records(store.root / "corners")
     assert len({stem for stem, _, _ in corners}) == len(corners)
-    served = ResultCache(store.root).get_corners(
+    served = isolated_store(store.root).get_corners(
         [stem for stem, _, _ in corners])
     assert len(served) == len(corners)
     for stem, text, wrapper in corners:
