@@ -251,7 +251,7 @@ def run_fig7_fo4(max_tubes: int = 20, gate_width_nm: float = FO4_GATE_WIDTH_NM,
         if points[best_index].delay_gain < comparison.delay_gain:
             best_index = len(points) - 1
 
-    area = inverter_area_gain(unit_width=4.0, scheme=1)
+    area = inverter_area_gain()
     return Fig7Result(
         provenance=Provenance.capture(
             "fig7",

@@ -75,7 +75,9 @@ from ..circuit.simulator import (
     run_transient_batch,
     waveform_block,
 )
-from ..devices.calibration import calibrated_cnfet_parameters
+from ..devices.calibration import (CMOS_NMOS_WIDTH_NM, CMOS_PMOS_RATIO,
+                                   FO4_GATE_WIDTH_NM,
+                                   calibrated_cnfet_parameters)
 from ..devices.cnfet import CNFET, CNFETParameters
 from ..devices.mosfet import MOSFET, MOSFETParameters, NMOS_65, PMOS_65
 from ..errors import CharacterizationError
@@ -99,7 +101,6 @@ class TechnologyConfig:
     cnfet_parameters: Optional[CNFETParameters] = None
     nmos_parameters: MOSFETParameters = NMOS_65
     pmos_parameters: MOSFETParameters = PMOS_65
-    pmos_ratio: float = 1.4
 
     def __post_init__(self):
         if self.name not in ("cnfet", "cmos"):
@@ -132,10 +133,9 @@ def device_for_width(width_factor: float, polarity: str,
     * CNFET: the FO4-calibrated inverter device (gate width
       ``FO4_GATE_WIDTH_NM`` populated at the optimal pitch); a ``k×`` wider
       device carries ``k×`` as many tubes.
-    * CMOS: the 200 nm (1.4 × 280 nm for pMOS) minimum inverter device.
+    * CMOS: the 200 nm minimum inverter device (its pMOS
+      ``CMOS_PMOS_RATIO`` = 1.4× wider, 280 nm).
     """
-    from ..devices.calibration import CMOS_NMOS_WIDTH_NM, FO4_GATE_WIDTH_NM
-
     if width_factor <= 0:
         raise CharacterizationError("width_factor must be positive")
     if tech.name == "cnfet":
@@ -151,7 +151,7 @@ def device_for_width(width_factor: float, polarity: str,
     parameters = tech.nmos_parameters if polarity == "n" else tech.pmos_parameters
     width_nm = width_factor * CMOS_NMOS_WIDTH_NM
     if polarity == "p":
-        width_nm *= tech.pmos_ratio
+        width_nm *= CMOS_PMOS_RATIO
     return MOSFET(polarity, width_nm, parameters)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from ..devices.calibration import CMOS_PMOS_RATIO
 from ..devices.cnfet import CNFET, CNFETParameters
 from ..devices.mosfet import MOSFET
 from ..errors import DeviceModelError
@@ -79,7 +80,7 @@ def cmos_inverter(
     """The reference 65 nm CMOS inverter (pMOS 1.4× wider than nMOS unless
     given explicitly, matching the paper's Section V sizing)."""
     if pmos_width_nm is None:
-        pmos_width_nm = 1.4 * nmos_width_nm
+        pmos_width_nm = CMOS_PMOS_RATIO * nmos_width_nm
     return Inverter(
         pull_down=MOSFET("n", nmos_width_nm),
         pull_up=MOSFET("p", pmos_width_nm),

@@ -28,8 +28,8 @@ comparator run, and a grid extension recomputes only the new cells
 
 Determinism: per-cell seeds are pre-derived (:func:`~repro.immunity.
 montecarlo.circuit_cell_seed`), shard outputs are merged by corner index,
-and execution parameters are excluded from provenance — serial, thread
-and process backends produce bit-identical results.
+and execution parameters are excluded from provenance — serial and
+threaded runs produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -111,7 +111,6 @@ def run_circuit_study(
     draws: int = 2000,
     output_load_f: float = 1.0e-15,
     jobs: Optional[int] = None,
-    backend: Optional[str] = None,
     cache: CacheLike = None,
 ) -> CircuitStudyResult:
     """Circuit-level yield / delay / energy study of one mapped netlist.
@@ -119,8 +118,8 @@ def run_circuit_study(
     ``circuit`` is a generator spec (``"adder:8"``), structural Verilog
     text, or a live :class:`~repro.circuit.netlist.GateNetlist`.
     ``cache`` enables per-unique-cell corner reuse (``True``, a path or a
-    :class:`~repro.runtime.cache.ResultCache`); ``jobs``/``backend``
-    select the scheduler and never change the result.
+    :class:`~repro.runtime.cache.ResultCache`); ``jobs`` sets the
+    scheduler's width and never changes the result.
     """
     netlist, source = resolve_circuit(circuit)
     used_types = sorted({gate.cell_type for gate in netlist.gates})
@@ -179,8 +178,8 @@ def run_circuit_study(
     def task(shard: Tuple[int, ...]):
         """A shard's call: one kernel call over timing corners, or one
         immunity corner.  The engines are called through their modules,
-        so counters installed by tests and benchmarks observe every call
-        on the serial and thread backends."""
+        so counters installed by tests and benchmarks observe every
+        call."""
         group = groups[shard[0]]
         if group == "timing":
             return functools.partial(
@@ -207,8 +206,7 @@ def run_circuit_study(
         obs_trace.annotate(hits=plan.hits, misses=plan.misses,
                            status=plan.status)
         shards = plan.shards(groups, jobs)
-        outputs = run_tasks([task(shard) for shard in shards], jobs=jobs,
-                            backend=backend)
+        outputs = run_tasks([task(shard) for shard in shards], jobs=jobs)
         metrics = plan.merge(
             cached, shards, outputs, store,
             ["circuit-timing"] * len(cells)

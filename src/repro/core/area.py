@@ -154,23 +154,21 @@ class CellAreaGain:
         return self.cmos_area / self.cnfet_area
 
 
-def inverter_area_gain(
-    unit_width: float = 4.0,
-    scheme: int = 1,
-) -> CellAreaGain:
-    """The ~1.4× inverter area gain of Case study 1.
+def inverter_area_gain() -> CellAreaGain:
+    """The ~1.4× inverter area gain of Case study 1 (scheme 1, 4 λ unit
+    width).
 
     The CNFET inverter has symmetric n/p widths and a 6 λ PUN-to-PDN
     separation; the CMOS inverter needs a 1.4× wider pMOS and a 10 λ
     separation.
     """
     gate = standard_gate("INV")
-    cnfet = assemble_cell(gate, technique="compact", scheme=scheme,
-                          unit_width=unit_width)
-    cmos = cmos_cell_area(gate, unit_width=unit_width)
+    cnfet = assemble_cell(gate, technique="compact", scheme=1,
+                          unit_width=4.0)
+    cmos = cmos_cell_area(gate, unit_width=4.0)
     return CellAreaGain(
         gate_name="INV",
-        scheme=scheme,
+        scheme=1,
         cnfet_area=cnfet.area,
         cmos_area=cmos.area,
     )

@@ -167,9 +167,8 @@ def compact_network_layout(
 def compact_network_height(
     network: TransistorNetwork,
     tree: Optional[SPNode] = None,
-    unit_width: float = 4.0,
 ) -> float:
-    """Column height of the compact layout without drawing it (used by the
-    analytical area model)."""
-    plan = plan_compact_network(network, tree, unit_width)
+    """Column height of the compact layout at the 4 λ unit width, without
+    drawing it (used by the analytical area model)."""
+    plan = plan_compact_network(network, tree, 4.0)
     return column_stack_height(CNFET_RULES, plan.elements)

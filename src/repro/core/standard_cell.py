@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from ..devices.calibration import CMOS_PMOS_RATIO
 from ..errors import LayoutGenerationError
 from ..geometry.layout import LayoutCell
 from ..geometry.primitives import Point, Rect
@@ -293,7 +294,7 @@ def cmos_cell_area(
     """
     sizing = size_gate(gate, unit_width, drive_strength)
     nmos_width = sizing.max_pdn_width
-    pmos_width = sizing.max_pun_width * 1.4
+    pmos_width = sizing.max_pun_width * CMOS_PMOS_RATIO
     num_inputs = len(gate.inputs)
     length = CMOS_RULES.linear_chain_length(num_inputs + 1, num_inputs)
     height = nmos_width + CMOS_RULES.pun_pdn_separation + pmos_width

@@ -28,9 +28,12 @@ from .mosfet import MOSFETParameters, NMOS_65, PMOS_65
 #: a 5 nm pitch).
 FO4_GATE_WIDTH_NM = 32.5
 
-#: Reference CMOS inverter sizes at 65 nm (minimum-size nMOS, 1.4× pMOS).
+#: The CMOS pMOS is 1.4× wider than its nMOS, for hole mobility (Section V).
+CMOS_PMOS_RATIO = 1.4
+#: Reference CMOS inverter sizes at 65 nm (minimum-size nMOS; the product
+#: is exactly 280.0).
 CMOS_NMOS_WIDTH_NM = 200.0
-CMOS_PMOS_WIDTH_NM = 280.0
+CMOS_PMOS_WIDTH_NM = CMOS_PMOS_RATIO * CMOS_NMOS_WIDTH_NM
 
 
 @dataclass(frozen=True)

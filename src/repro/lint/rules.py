@@ -8,10 +8,11 @@ RPL001   one scheduler: no executor/pool construction outside
 RPL002   seed contract: no RNG construction outside the sanctioned entry
          points (``immunity/montecarlo.py``, ``study/spec.py``) — every
          other surface accepts ``SeedLike``
-RPL004   execution blindness: ``jobs``/``backend``/``workers``/
-         ``chunk_size`` never flow into a ``*fingerprint`` call
+RPL004   execution blindness: ``jobs``/``workers``/``chunk_size`` never
+         flow into a ``*fingerprint`` call
 RPL005   atomic writes: no direct file writes under ``runtime/`` outside
-         the ``_write_atomic`` helper
+         the ``_write_atomic`` helper and the corner log's segment
+         opener ``_CornerLog._segment``
 RPL006   no mutable default arguments
 RPL007   registry consistency: every ``StudyResult`` subclass declares a
          ``study_name`` (the ``from_json`` dispatch key), and every study
@@ -40,7 +41,7 @@ from .engine import Finding, ModuleInfo, Rule, register
 
 #: The execution-selection parameters the determinism contract makes
 #: result-invariant; they must never reach a content address (RPL004).
-EXECUTION_IDENTIFIERS = frozenset({"jobs", "backend", "workers", "chunk_size"})
+EXECUTION_IDENTIFIERS = frozenset({"jobs", "workers", "chunk_size"})
 
 _EXECUTOR_NAMES = frozenset({"ProcessPoolExecutor", "ThreadPoolExecutor"})
 _POOL_ATTRS = frozenset({"Pool", "Process"})
@@ -168,14 +169,14 @@ class SeedContractRule(Rule):
 class ExecutionBlindRule(Rule):
     """RPL004 — execution parameters never reach a fingerprint call.
 
-    ``jobs``/``backend``/``workers``/``chunk_size`` select *how* a study
+    ``jobs``/``workers``/``chunk_size`` select *how* a study
     executes, never *what* it computes; if one flows into a
     ``*fingerprint(...)`` argument, identical work would hash to
     different addresses under different scheduling.
     """
 
     id = "RPL004"
-    summary = ("jobs/backend/workers/chunk_size must not flow into "
+    summary = ("jobs/workers/chunk_size must not flow into "
                "fingerprint calls (execution-blind addresses)")
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -209,35 +210,43 @@ class AtomicWriteRule(Rule):
     """RPL005 — no direct file writes under ``runtime/``.
 
     The cache's crash-safety story is temp-file + ``os.replace`` in
-    ``_write_atomic``; a stray ``open(..., "w")`` (or ``write_text``)
-    under ``runtime/`` can leave readers half an entry.
+    ``_write_atomic``, and whole records appended to a segment that
+    ``_CornerLog._segment`` opens; a stray ``open(..., "w")``,
+    ``write_text`` or writing ``os.open`` under ``runtime/`` can leave
+    readers half an entry.  The helper is sanctioned by its name (a
+    function or method), the segment opener only as that method.
     """
 
     id = "RPL005"
     summary = ("no direct file writes under runtime/ outside the "
-               "_write_atomic helper")
-    HELPER = "_write_atomic"
+               "_write_atomic helper and _CornerLog._segment")
+    SANCTIONED = frozenset({"_write_atomic", "_CornerLog._segment"})
     _WRITE_MODES = set("wax+")
+    _WRITE_FLAGS = frozenset({"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT",
+                              "O_TRUNC"})
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         if not module.under("runtime"):
             return
-        yield from self._scan(module, module.tree, inside_helper=False)
+        yield from self._scan(module, module.tree, (), sanctioned=False)
 
-    def _scan(self, module: ModuleInfo, node: ast.AST,
-              inside_helper: bool) -> Iterator[Finding]:
+    def _scan(self, module: ModuleInfo, node: ast.AST, scope: tuple,
+              sanctioned: bool) -> Iterator[Finding]:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
                 yield from self._scan(
-                    module, child,
-                    inside_helper or child.name == self.HELPER,
+                    module, child, inner,
+                    sanctioned or child.name in self.SANCTIONED
+                    or ".".join(inner) in self.SANCTIONED,
                 )
                 continue
-            if isinstance(child, ast.Call) and not inside_helper:
+            if isinstance(child, ast.Call) and not sanctioned:
                 finding = self._check_call(module, child)
                 if finding is not None:
                     yield finding
-            yield from self._scan(module, child, inside_helper)
+            yield from self._scan(module, child, scope, sanctioned)
 
     def _check_call(self, module: ModuleInfo, node: ast.Call):
         canonical = module.resolve(node.func) or ""
@@ -247,6 +256,15 @@ class AtomicWriteRule(Rule):
                 self, node,
                 f".{node.func.attr}() under runtime/ — write through the "
                 "atomic temp-file + os.replace helper",
+            )
+        if canonical == "os.open":
+            written = sorted(self._WRITE_FLAGS & self._flag_names(node))
+            if not written:
+                return None
+            return module.finding(
+                self, node,
+                f"os.open(..., {'|'.join(written)}) under runtime/ — write "
+                "through the atomic temp-file + os.replace helper",
             )
         if canonical not in ("open", "os.fdopen"):
             return None
@@ -258,6 +276,16 @@ class AtomicWriteRule(Rule):
                 "the atomic temp-file + os.replace helper",
             )
         return None
+
+    @staticmethod
+    def _flag_names(node: ast.Call) -> Set[str]:
+        """The names an ``os.open`` call's flags expression mentions
+        (``os.O_WRONLY | O_CREAT`` -> ``{"os", "O_WRONLY", "O_CREAT"}``)."""
+        flags = node.args[1:2] + [keyword.value for keyword in node.keywords
+                                  if keyword.arg == "flags"]
+        return {sub.attr if isinstance(sub, ast.Attribute) else sub.id
+                for expression in flags for sub in ast.walk(expression)
+                if isinstance(sub, (ast.Attribute, ast.Name))}
 
     @staticmethod
     def _mode_argument(node: ast.Call):

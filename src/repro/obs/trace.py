@@ -17,9 +17,9 @@ counter-proves this by diffing ``StudyResult.to_json()`` bytes with
 tracing on and off.
 
 The active tracer is tracked per-thread (``threading.local``): the
-thread scheduler backend inherits nothing implicitly, and the process
-backend cannot see the parent's tracer at all — worker-side sections
-are aggregated by the parent's ``scheduler.run_tasks`` span instead.
+scheduler's pool threads inherit nothing implicitly — worker-side
+sections are aggregated by the parent's ``scheduler.run_tasks`` span
+instead.
 
 Envelope (``repro-trace/v1``, schema at ``docs/repro_trace.schema.json``)::
 
@@ -125,7 +125,7 @@ class Tracer:
     """Collects spans for one traced operation (a CLI run, a job).
 
     Thread-safe: the span list is lock-guarded and the open-span stack is
-    per-thread, so thread-backend workers record their sections under the
+    per-thread, so pool workers record their sections under the
     correct parent while serial code pays one lock per span.
     """
 

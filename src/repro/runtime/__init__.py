@@ -5,7 +5,7 @@ Everything below this package computes; this package decides *how* and
 study three service-shaped properties:
 
 * **one scheduler** (:mod:`~repro.runtime.scheduler`) — an ordered,
-  deterministic task map over serial / thread / process backends.  Every
+  deterministic task map, serial or on a thread pool.  Every
   parallel path in the repository (``run_sweep_study(jobs=...)``,
   ``run_circuit_study(jobs=...)``, the CLI ``--jobs`` flag) lowers
   onto it, and sharded runs are bit-identical to serial ones because
@@ -49,10 +49,8 @@ from .fingerprint import (
 )
 from .manifest import ManifestEntry, ManifestOutcome, ManifestResult, run_manifest
 from .scheduler import (
-    BACKENDS,
     DeltaPlan,
     plan_delta,
-    resolve_backend,
     resolve_jobs,
     run_tasks,
     shard_groups,
@@ -60,7 +58,6 @@ from .scheduler import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CACHE_SCHEMA",
     "CORNER_SCHEMA",
     "CacheStats",
@@ -75,7 +72,6 @@ __all__ = [
     "as_cache",
     "corner_fingerprint",
     "plan_delta",
-    "resolve_backend",
     "resolve_jobs",
     "run_manifest",
     "run_tasks",

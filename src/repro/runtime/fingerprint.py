@@ -24,8 +24,8 @@ spelled them, so spelling a default out produces a different address
 than omitting it.  A conservative key can cause a spurious miss, never a
 wrong hit.
 
-Pure *execution* parameters — worker counts, scheduler backends, chunk
-sizes — are excluded (:data:`EXECUTION_PARAMS`): the determinism
+Pure *execution* parameters — worker counts, chunk sizes — are
+excluded (:data:`EXECUTION_PARAMS`): the determinism
 contract guarantees they cannot change the result, so they must not
 change its address either.
 
@@ -51,7 +51,7 @@ from ..study.serialize import canonical_json, config_hash
 #: Parameters that select *how* a study executes, never *what* it
 #: computes.  The scheduler's determinism contract makes results
 #: invariant under all of them, so they are excluded from fingerprints.
-EXECUTION_PARAMS = frozenset({"jobs", "workers", "backend", "chunk_size"})
+EXECUTION_PARAMS = frozenset({"jobs", "workers", "chunk_size"})
 
 
 def study_fingerprint(

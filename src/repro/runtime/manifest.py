@@ -37,8 +37,8 @@ entries) is pure cache hits.  Sweep entries additionally dedup at
 entries whose grids merely *overlap* share the overlapping corners'
 results, and the later entry reports ``partial:<hits>/<corners>`` while
 executing only its genuinely new corners (see
-:func:`~repro.study.sweeps.run_sweep_study`).  ``jobs``/``backend``
-fan each parallelizable entry out through the runtime scheduler.
+:func:`~repro.study.sweeps.run_sweep_study`).  ``jobs``
+fans each parallelizable entry out through the runtime scheduler.
 """
 
 from __future__ import annotations
@@ -114,22 +114,20 @@ class ManifestEntry:
             return self.seed is None
         return "seed" in self.params and self.params["seed"] is None
 
-    def run(self, cache, jobs: Optional[int],
-            backend: Optional[str]) -> StudyResult:
+    def run(self, cache, jobs: Optional[int]) -> StudyResult:
         """Execute this entry (no dedup)."""
         if self.is_sweep:
             return sweeps.run_sweep_study(
                 self.spec, engine=self.engine, trials=self.trials,
-                seed=self.seed, jobs=jobs, backend=backend, cache=cache,
+                seed=self.seed, jobs=jobs, cache=cache,
                 **self.params,
             )
-        # Forward the manifest-level execution settings only to runners
-        # that take them (serial studies just run serially instead of
-        # erroring the batch); the entry's own params win.
+        # Forward the manifest-level ``jobs`` only to runners that take
+        # it (serial studies just run serially instead of erroring the
+        # batch); the entry's own params win.
         accepted = registry.get_study(self.study).parameters()
-        execution = {name: value for name, value in
-                     (("jobs", jobs), ("backend", backend))
-                     if value is not None and name in accepted}
+        execution = ({"jobs": jobs}
+                     if jobs is not None and "jobs" in accepted else {})
         return registry.run_study(self.study, cache=cache,
                                   **{**execution, **self.params})
 
@@ -298,8 +296,7 @@ def load_entries(document: Any) -> List[ManifestEntry]:
 
 
 def run_manifest(source: ManifestSource, cache: CacheLike = None,
-                 jobs: Optional[int] = None,
-                 backend: Optional[str] = None) -> ManifestResult:
+                 jobs: Optional[int] = None) -> ManifestResult:
     """Execute a manifest of studies with cross-study dedup.
 
     ``source`` is a path to a manifest JSON file, or the already-loaded
@@ -335,7 +332,7 @@ def run_manifest(source: ManifestSource, cache: CacheLike = None,
             result = memo[key]
             status = "dedup"
         else:
-            result = entry.run(store, jobs, backend)
+            result = entry.run(store, jobs)
             if deterministic:
                 memo[key] = result
             status = result.provenance.cache or "computed"

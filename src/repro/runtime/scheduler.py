@@ -3,23 +3,18 @@
 One pool implementation for the whole repository: every parallel code
 path — ``run_sweep_study(jobs=...)``, ``run_circuit_study(jobs=...)``,
 the ``--jobs`` CLI flag — lowers onto :func:`run_tasks`, an *ordered*
-map over one of three backends:
-
-========  ===========================  =====================================
-backend   executor                     when
-========  ===========================  =====================================
-serial    in-process ``for`` loop      ``jobs<=1`` (the reference path)
-process   ``ProcessPoolExecutor``      default for ``jobs>1`` (CPU-bound
-                                       NumPy work; fork-cheap on Linux)
-thread    ``ThreadPoolExecutor``       explicit opt-in (cheap tasks, tests,
-                                       single-core containers)
-========  ===========================  =====================================
+map that runs its tasks serially (``jobs<=1``, or at most one task: the
+reference path) or on a ``ThreadPoolExecutor`` of ``min(jobs, tasks)``
+workers.  Threads parallelise because the heavy work releases the GIL:
+each transient integration is one ``ctypes`` call into the compiled
+stepper and the immunity evaluator is batched NumPy.  A thread pool
+never forks, so a threaded caller (the service) can use it safely.
 
 Determinism contract
 --------------------
-``run_tasks(tasks)[i] == tasks[i]()`` for every backend and every
-``jobs`` value — results come back in submission order, and tasks are
-constructed so that *nothing about scheduling leaks into them*:
+``run_tasks(tasks)[i] == tasks[i]()`` for every ``jobs`` value —
+results come back in submission order, and tasks are constructed so
+that *nothing about scheduling leaks into them*:
 
 * every random task carries its own pre-spawned child
   :class:`~numpy.random.SeedSequence`, derived in the parent under the
@@ -36,8 +31,9 @@ Sharding has one rule, :func:`shard_groups`: each group's corners, in
 order, in at most ``jobs`` contiguous, balanced chunks
 (:func:`shard_indices`) — purely a function of the groups and ``jobs``,
 never of measured runtimes — so the same request always produces the
-same task list.  Each shard is a picklable zero-argument
-:func:`functools.partial` of a module-level function.
+same task list.  Each shard is a zero-argument
+:func:`functools.partial`, which names the function it runs for the
+``scheduler.task`` span.
 
 Both corner drivers, sweeps and the circuit study, run their store
 misses as :meth:`DeltaPlan.shards` → one :func:`run_tasks` map →
@@ -48,16 +44,11 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (AbstractSet, Any, Callable, Dict, Hashable, List,
                     Mapping, Optional, Sequence, Tuple, TypeVar)
-
-from ..errors import RuntimeLayerError
-
-#: The executor backends :func:`run_tasks` understands.
-BACKENDS = ("serial", "thread", "process")
 
 _Result = TypeVar("_Result")
 
@@ -78,47 +69,29 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return int(jobs)
 
 
-def resolve_backend(backend: Optional[str], jobs: int) -> str:
-    """Pick the executor: explicit ``backend`` wins, otherwise serial for
-    one job and a process pool for more."""
-    if backend is None:
-        return "process" if jobs > 1 else "serial"
-    if backend not in BACKENDS:
-        raise RuntimeLayerError(
-            f"Unknown scheduler backend {backend!r}; use one of {BACKENDS}"
-        )
-    return backend
-
-
 def run_tasks(
     tasks: Sequence[Callable[[], _Result]],
     jobs: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List[_Result]:
-    """Call every zero-argument task on the selected backend, in order.
+    """Call every zero-argument task, in order: serially when ``jobs<=1``
+    or there is at most one task, otherwise on ``min(jobs, len(tasks))``
+    threads.
 
-    ``results[i] == tasks[i]()`` regardless of backend, worker count or
-    completion order; the process backend requires every task to be
-    picklable (a module-level function or a partial of one).
-
-    Each result is collected in submission order under its own
-    ``scheduler.task`` span, labelled with the function the task runs.
-    Workers never see the tracer (it is thread-local, and process
-    workers share nothing), so traced and untraced execution run
-    identical tasks.
+    ``results[i] == tasks[i]()`` regardless of worker count or
+    completion order.  Each result is collected in submission order
+    under its own ``scheduler.task`` span, labelled with the function the
+    task runs.  Workers never see the tracer (it is thread-local), so
+    traced and untraced execution run identical tasks.
     """
     # Imported here, not at module top: obs itself obtains its locks from
     # this module, so the dependency must stay one-way at import time.
     from ..obs import trace as obs_trace
 
     jobs = resolve_jobs(jobs)
-    backend = resolve_backend(backend, jobs)
-    if jobs <= 1 or len(tasks) <= 1:
-        backend = "serial"
-    executor = (nullcontext() if backend == "serial" else
-                (ProcessPoolExecutor if backend == "process"
-                 else ThreadPoolExecutor)(max_workers=min(jobs, len(tasks))))
-    with obs_trace.span("scheduler.run_tasks", backend=backend, jobs=jobs,
+    workers = max(1, min(jobs, len(tasks)))
+    executor = (nullcontext() if workers <= 1
+                else ThreadPoolExecutor(max_workers=workers))
+    with obs_trace.span("scheduler.run_tasks", workers=workers, jobs=jobs,
                         tasks=len(tasks)), executor as pool:
         # One zero-argument wait per task: serially it runs the task, on
         # a pool it blocks on the task's future.
@@ -280,11 +253,9 @@ def plan_delta(keys: Sequence[str], cached: AbstractSet[str]) -> DeltaPlan:
 
 
 __all__ = [
-    "BACKENDS",
     "DeltaPlan",
     "make_lock",
     "plan_delta",
-    "resolve_backend",
     "resolve_jobs",
     "run_tasks",
     "shard_groups",

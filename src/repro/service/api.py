@@ -14,12 +14,12 @@ Parsing goes through :func:`~repro.runtime.manifest.load_entries` and
 :meth:`~repro.runtime.manifest.ManifestEntry.from_mapping`, the parser
 ``repro batch`` and ``repro sweep`` use, so the service accepts exactly
 what ``repro batch`` accepts and rejects exactly what it rejects — one
-validation surface, not two.  Only the top-level ``jobs``/``backend``
-overrides are the service's own.
+validation surface, not two.  Only the top-level ``jobs`` override is
+the service's own.
 
 **Fingerprints are execution-blind at the API boundary too.**  The body
-may carry top-level ``jobs``/``backend`` overrides (how the engines
-should execute), but :meth:`JobSubmission.fingerprint` is computed from
+may carry a top-level ``jobs`` override (how wide the engines should
+fan out), but :meth:`JobSubmission.fingerprint` is computed from
 the *work* alone, through the same
 :func:`~repro.runtime.fingerprint.study_fingerprint` /
 :func:`~repro.runtime.fingerprint.sweep_fingerprint` addresses the cache
@@ -35,7 +35,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ReproError
 from ..runtime.manifest import ManifestEntry, load_entries
-from ..runtime.scheduler import BACKENDS
 from ..study.registry import get_study
 from ..study.results import StudyResult
 from ..study.serialize import canonical_json
@@ -45,19 +44,14 @@ from .errors import InvalidSubmission
 KINDS = ("study", "sweep", "manifest")
 
 
-def _validate_execution(jobs: Any, backend: Any) -> Tuple[Optional[int],
-                                                          Optional[str]]:
-    """Normalise the body's optional execution overrides."""
-    if jobs is not None:
-        if isinstance(jobs, bool) or not isinstance(jobs, int):
-            raise InvalidSubmission(
-                f"'jobs' must be an integer worker count, got {jobs!r}"
-            )
-    if backend is not None and backend not in BACKENDS:
+def _validate_jobs(jobs: Any) -> Optional[int]:
+    """Check the body's optional ``jobs`` override."""
+    if jobs is not None and (isinstance(jobs, bool)
+                             or not isinstance(jobs, int)):
         raise InvalidSubmission(
-            f"Unknown backend {backend!r}; use one of {BACKENDS}"
+            f"'jobs' must be an integer worker count, got {jobs!r}"
         )
-    return jobs, backend
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -67,14 +61,13 @@ class JobSubmission:
     ``entries`` holds the parsed invocation(s) — exactly one for study
     and sweep submissions, one per manifest line otherwise; manifest runs
     hand them to :func:`~repro.runtime.manifest.run_manifest` as parsed.
-    ``jobs``/``backend`` are the body's optional execution overrides —
-    applied when the job runs, invisible to :meth:`fingerprint`.
+    ``jobs`` is the body's optional execution override — applied when
+    the job runs, invisible to :meth:`fingerprint`.
     """
 
     kind: str
     entries: Tuple[ManifestEntry, ...]
     jobs: Optional[int] = None
-    backend: Optional[str] = None
 
     @classmethod
     def from_document(cls, document: Any) -> "JobSubmission":
@@ -91,9 +84,7 @@ class JobSubmission:
                 f"got {type(document).__name__}"
             )
         body = dict(document)
-        jobs, backend = _validate_execution(
-            body.pop("jobs", None), body.pop("backend", None)
-        )
+        jobs = _validate_jobs(body.pop("jobs", None))
         manifest = "studies" in body
         try:
             entries = tuple(load_entries(body if manifest else [body]))
@@ -101,7 +92,7 @@ class JobSubmission:
             raise InvalidSubmission(str(error)) from error
         kind = ("manifest" if manifest
                 else "sweep" if entries[0].is_sweep else "study")
-        return cls(kind=kind, entries=entries, jobs=jobs, backend=backend)
+        return cls(kind=kind, entries=entries, jobs=jobs)
 
     # -- identity --------------------------------------------------------------
 
@@ -112,7 +103,7 @@ class JobSubmission:
         fingerprints verbatim — a service job and a ``repro run``/``repro
         sweep`` of the same invocation share one cache entry.  Manifest
         submissions hash the ordered list of their entries' fingerprints.
-        Execution overrides (``jobs``/``backend``) never participate.
+        The execution override (``jobs``) never participates.
         """
         keys = [entry.key()[1] for entry in self.entries]
         if self.kind != "manifest":
@@ -150,21 +141,17 @@ class JobSubmission:
 
     # -- execution -------------------------------------------------------------
 
-    def run(self, cache=None, jobs: Optional[int] = None,
-            backend: Optional[str] = None) -> StudyResult:
+    def run(self, cache=None, jobs: Optional[int] = None) -> StudyResult:
         """Execute the submission through the registry / sweep driver /
-        manifest runner.  The body's own ``jobs``/``backend`` win over
-        the service defaults passed in."""
+        manifest runner.  The body's own ``jobs`` wins over the service
+        default passed in."""
         from ..runtime.manifest import run_manifest
 
-        effective_jobs = self.jobs if self.jobs is not None else jobs
-        effective_backend = self.backend if self.backend is not None \
-            else backend
+        if self.jobs is not None:
+            jobs = self.jobs
         if self.kind == "manifest":
-            return run_manifest(list(self.entries), cache=cache,
-                                jobs=effective_jobs,
-                                backend=effective_backend)
-        return self.entries[0].run(cache, effective_jobs, effective_backend)
+            return run_manifest(list(self.entries), cache=cache, jobs=jobs)
+        return self.entries[0].run(cache, jobs)
 
     def describe(self) -> Dict[str, Any]:
         """The submission's face in the job's wire form."""

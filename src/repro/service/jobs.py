@@ -151,18 +151,17 @@ class JobManager:
 
     ``cache`` is the content-addressed store every job runs against
     (anything :func:`~repro.runtime.cache.as_cache` accepts);
-    ``jobs``/``backend`` are the default per-job scheduler fan-out, and
+    ``jobs`` is the default per-job scheduler fan-out, and
     ``workers`` bounds how many jobs execute concurrently.  The manager
     starts its workers immediately and runs until :meth:`close`.
     """
 
     def __init__(self, cache=None, jobs: Optional[int] = None,
-                 backend: Optional[str] = None, workers: int = 2):
+                 workers: int = 2):
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
         self._store = as_cache(cache)
         self._engine_jobs = jobs
-        self._backend = backend
         # Insertion-ordered, so iteration is submission order.
         self._jobs: Dict[str, Job] = {}
         self._by_fingerprint: Dict[str, Job] = {}
@@ -369,8 +368,7 @@ class JobManager:
                 with tracer.activate():
                     with tracer.span("job.run", kind=submission.kind):
                         result = submission.run(cache=store,
-                                                jobs=self._engine_jobs,
-                                                backend=self._backend)
+                                                jobs=self._engine_jobs)
             except Exception as error:
                 obs_metrics.registry().inc("service.jobs_failed")
                 with self._lock:

@@ -241,10 +241,8 @@ class ReproService(ThreadingHTTPServer):
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8000,
                  cache: Any = True, jobs: Optional[int] = None,
-                 backend: Optional[str] = None, workers: int = 2,
-                 verbose: bool = False):
-        self.manager = JobManager(cache=cache, jobs=jobs, backend=backend,
-                                  workers=workers)
+                 workers: int = 2, verbose: bool = False):
+        self.manager = JobManager(cache=cache, jobs=jobs, workers=workers)
         self.verbose = verbose
         super().__init__((host, port), _Handler)
 

@@ -232,7 +232,7 @@ def _cmd_run(args, stdout, stderr) -> int:
     definition = get_study(args.study)
     params = _parse_assignments(args.param, "--param")
     if args.command == "circuit":
-        params.update(circuit=_circuit_source(args), backend=args.backend)
+        params.update(circuit=_circuit_source(args))
     params.update(_seed_flags(args))
     store = _resolve_cache(args)
     with _traced(args, f"run:{definition.name}", stderr):
@@ -253,7 +253,7 @@ def _cmd_sweep(args, stdout, stderr) -> int:
     })
     store = _resolve_cache(args)
     with _traced(args, f"sweep:{args.engine}", stderr):
-        result = entry.run(store, args.jobs, args.backend)
+        result = entry.run(store, args.jobs)
     return _emit(result, args, store, stdout, stderr)
 
 
@@ -275,7 +275,6 @@ def _cmd_serve(args, stdout, stderr) -> int:
         port=args.port,
         cache=store,
         jobs=args.jobs,
-        backend=args.backend,
         workers=args.workers,
         verbose=args.verbose,
     )
@@ -337,11 +336,11 @@ def _cmd_trace(args, stdout, stderr) -> int:
 
 
 def _add_runtime_flags(parser: argparse.ArgumentParser,
-                       backend: bool = False, trace: bool = True) -> None:
+                       trace: bool = True) -> None:
     """The scheduler/cache flags shared by ``run``, ``sweep``,
     ``circuit``, ``batch`` and ``serve``."""
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="shard the work over N workers (bit-identical "
+                        help="shard the work over N threads (bit-identical "
                              "to serial; negative = one per CPU)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="consult/fill the content-addressed result "
@@ -354,17 +353,11 @@ def _add_runtime_flags(parser: argparse.ArgumentParser,
                             help="write a repro-trace/v1 envelope of this "
                                  "invocation to PATH (observation-only: "
                                  "the result is bit-identical either way)")
-    if backend:
-        from ..runtime.scheduler import BACKENDS
-
-        parser.add_argument("--backend", choices=BACKENDS, default=None,
-                            help="scheduler backend (default: process pool "
-                                 "when --jobs > 1)")
 
 
 def _add_study_flags(parser: argparse.ArgumentParser,
                      seeded: Optional[str] = None, param: bool = False,
-                     backend: bool = False, what: str = "result") -> None:
+                     what: str = "result") -> None:
     """The flags of the commands that emit a result (``run``, ``sweep``,
     ``circuit``, ``batch``): ``--json``/``--text``, ``--seed``/``--trials``
     when ``seeded`` names who takes them (their help text),
@@ -384,7 +377,7 @@ def _add_study_flags(parser: argparse.ArgumentParser,
                                  "build a list, trailing comma a one-element "
                                  "list, e.g. tube_counts=4,; true/false/none "
                                  "coerce to the Python literals)")
-    _add_runtime_flags(parser, backend=backend)
+    _add_runtime_flags(parser)
 
 
 def _add_command(subparsers, name: str, handler, help: str,
@@ -431,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = ", ".join(name for name, engine in ENGINES.items()
                        if engine.seeded)
     _add_study_flags(sweep_parser, f"seeded engines only: {seeded}; "
-                                   "default: seed 2009, 200 trials",
-                     backend=True)
+                                   "default: seed 2009, 200 trials")
 
     circuit_parser = _add_command(
         subparsers, "circuit", _cmd_run,
@@ -448,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "file: adder:8, comparator:4, mac:4, "
                                      "fulladder")
     _add_study_flags(circuit_parser, "default: seed 2009, 200 trials per "
-                                     "unique cell", param=True, backend=True)
+                                     "unique cell", param=True)
 
     batch_parser = _add_command(
         subparsers, "batch", _cmd_batch,
@@ -473,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="log each HTTP request to stderr")
     # The service records one trace per job (GET /jobs/<id>/trace), so a
     # process-level --trace would be misleading here.
-    _add_runtime_flags(serve_parser, backend=True, trace=False)
+    _add_runtime_flags(serve_parser, trace=False)
 
     trace_sub = subparsers.add_parser(
         "trace", help="inspect repro-trace/v1 envelopes written by --trace",

@@ -201,15 +201,13 @@ def _axis_or_constant(spec: SweepSpec, constants: Mapping[str, object],
 def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
                     trials: int = 200, seed=2009,
                     jobs: Optional[int] = None,
-                    backend: Optional[str] = None,
                     cache=None,
                     **fixed) -> SweepStudyResult:
     """Evaluate a :class:`SweepSpec` on one of the :data:`ENGINES`.
 
-    ``jobs``/``backend`` route the sweep through the runtime scheduler:
-    each group's corners are sharded into at most ``jobs`` contiguous
-    chunks and evaluated over a
-    process pool (or threads / serially — see
+    ``jobs`` routes the sweep through the runtime scheduler: each
+    group's corners are sharded into at most ``jobs`` contiguous chunks
+    and evaluated on a thread pool (serially for ``jobs<=1`` — see
     :mod:`repro.runtime.scheduler`), with per-corner seeds spawned in the
     parent under the established ``_SWEEP_SPAWN_KEY`` contract, so the
     merged result is **bit-identical** for any ``jobs`` value on every
@@ -251,7 +249,7 @@ def run_sweep_study(spec: SweepSpec, engine: str = "immunity",
         return memoize(
             store, lambda: sweep_fingerprint(spec, engine, trials, seed, fixed),
             lambda: _run_sweep(spec, record, trials, seed, fixed, store,
-                               resolve_jobs(jobs), backend),
+                               resolve_jobs(jobs)),
         )
 
 
@@ -297,8 +295,8 @@ def _plan_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
 
 
 def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
-               fixed: Mapping[str, object], store, jobs: int,
-               backend: Optional[str]) -> SweepStudyResult:
+               fixed: Mapping[str, object], store,
+               jobs: int) -> SweepStudyResult:
     """Plan the sweep, run only the corners ``store`` lacks (every corner
     without a store), write them back, merge.  The result is
     bit-identical whatever the store held and however it is sharded;
@@ -321,7 +319,7 @@ def _run_sweep(spec: SweepSpec, engine: "SweepEngine", trials: int, seed,
                         engine=engine.name):
         shards = plan.shards(corners.groups, jobs)
         outputs = run_tasks([corners.task(shard) for shard in shards],
-                            jobs=jobs, backend=backend)
+                            jobs=jobs)
     metrics = plan.merge(cached, shards, outputs, store,
                          [engine.name] * plan.total)
     result = SweepStudyResult(
@@ -348,7 +346,7 @@ class CornerPlan:
     ``keys[i]`` is corner ``i``'s fingerprint and ``groups[i]`` its group,
     the state a shard of its corners builds once.  ``task(indices)`` is
     the shard of the corners at ``indices``, all of one group: a
-    picklable zero-argument :func:`functools.partial` over only their
+    zero-argument :func:`functools.partial` over only their
     bindings and seeds or their grid, which returns their metrics in
     ``indices`` order — for a cold sweep and a delta recompute alike.
     """

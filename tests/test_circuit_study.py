@@ -5,7 +5,7 @@ The contracts under test are the ISSUE-9 acceptance criteria:
 
 * per-unique-cell evaluation — the immunity and timing engines run exactly
   once per **distinct** mapped cell, never per instance (counter tests);
-* bit-identity — serial, thread and process backends, and cold vs warm
+* bit-identity — serial and threaded runs, and cold vs warm
   corner stores, produce equal results, with ``provenance.cache``
   recording ``miss`` / ``hit`` / ``partial:<h>/<n>``;
 * lossless serialization — ``to_json()``/``from_json()`` round-trips and
@@ -195,7 +195,7 @@ class TestPerUniqueCell:
         serial = run_fast()
         assert kernel_counter == [4]
         kernel_counter.clear()
-        sharded = run_fast(jobs=2, backend="thread")
+        sharded = run_fast(jobs=2)
         assert kernel_counter == [2, 2]
         assert sharded == serial
 
@@ -383,7 +383,7 @@ class TestCacheContracts:
 
         monkeypatch.setattr(circuit_engine, "run_tasks", spy)
         comparator = run_fast(cache=shared_store, circuit="comparator:2",
-                              jobs=2, backend="thread")
+                              jobs=2)
         new_cells = {cell.cell for cell in comparator.cells} - adder_cells
         assert new_cells  # the comparator really does add INV cells
         hits = 2 * (comparator.unique_cells - len(new_cells))
@@ -469,20 +469,20 @@ class TestCacheContracts:
 
 @pytest.fixture(scope="module")
 def serial_result():
-    return run_fast(jobs=1, backend="serial")
+    return run_fast(jobs=1)
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_backends_match_serial(self, backend, serial_result):
-        parallel = run_fast(jobs=2, backend=backend)
+    @pytest.mark.parametrize("jobs", [2], ids=["thread"])
+    def test_parallel_backends_match_serial(self, jobs, serial_result):
+        parallel = run_fast(jobs=jobs)
         assert parallel == serial_result
         assert parallel.provenance == serial_result.provenance
 
     @pytest.mark.parametrize("via", ["manifest", "cli"])
-    def test_jobs_and_backend_reach_the_scheduler(self, via, monkeypatch):
-        """Both registry front doors forward ``jobs`` *and* ``backend``
-        to the circuit runner — neither falls back to the default pool."""
+    def test_jobs_reach_the_scheduler(self, via, monkeypatch):
+        """Both registry front doors forward ``jobs`` to the circuit
+        runner — neither falls back to serial."""
         import repro.circuit_study.study as circuit_engine
         from repro.runtime.manifest import run_manifest
 
@@ -490,28 +490,27 @@ class TestBackendEquivalence:
         real = circuit_engine.run_tasks
 
         def spy(*args, **kwargs):
-            seen.append((kwargs.get("jobs"), kwargs.get("backend")))
+            seen.append(kwargs.get("jobs"))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(circuit_engine, "run_tasks", spy)
         if via == "manifest":
-            run_manifest([{"study": "circuit", "params": FAST}],
-                         jobs=2, backend="thread")
+            run_manifest([{"study": "circuit", "params": FAST}], jobs=2)
         else:
             code, _, _ = run_cli(
                 "circuit", "--generate", FAST["circuit"],
                 "--trials", str(FAST["trials"]), "--seed", str(FAST["seed"]),
                 "--param", f"draws={FAST['draws']}",
-                "--jobs", "2", "--backend", "thread", "--no-cache",
+                "--jobs", "2", "--no-cache",
             )
             assert code == 0
-        assert seen == [(2, "thread")]
+        assert seen == [2]
 
     def test_scheduling_never_enters_provenance(self, shared_store):
         a = run_fast(cache=shared_store)
-        b = run_fast(cache=shared_store, jobs=2, backend="thread")
+        b = run_fast(cache=shared_store, jobs=2)
         assert a.provenance.config_hash == b.provenance.config_hash
-        for key in ("jobs", "backend", "cache"):
+        for key in ("jobs", "cache"):
             assert key not in a.provenance.params
 
 

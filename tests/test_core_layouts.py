@@ -96,7 +96,7 @@ class TestCompactLayouts:
         layout = compact_network_layout(gate.pun, gate.pun_tree, 4.0)
         expected = CNFET_RULES.linear_chain_length(4, 3)
         assert layout.height == pytest.approx(expected)
-        assert compact_network_height(gate.pun, gate.pun_tree, 4.0) == pytest.approx(expected)
+        assert compact_network_height(gate.pun, gate.pun_tree) == pytest.approx(expected)
 
     def test_annotations_cover_all_devices(self):
         gate = aoi31()
@@ -190,7 +190,7 @@ class TestStandardCellAssembly:
 
 class TestAreaModels:
     def test_inverter_area_gain_matches_paper(self):
-        gain = inverter_area_gain(unit_width=4.0, scheme=1)
+        gain = inverter_area_gain()
         assert gain.gain == pytest.approx(1.4, rel=0.02)
 
     def test_cmos_cell_area_formula(self):

@@ -13,7 +13,7 @@ import pytest
 
 import repro.cells.characterize as characterize
 import repro.immunity.montecarlo as montecarlo
-from repro.errors import CacheError
+from repro.errors import CacheError, StudyError
 from repro.runtime import (
     ResultCache,
     corner_fingerprint,
@@ -97,7 +97,7 @@ class TestCornerFingerprint:
 
     def test_execution_params_excluded(self):
         assert corner_fingerprint(
-            "immunity", {"gate": "INV", "jobs": 4, "backend": "thread"},
+            "immunity", {"gate": "INV", "jobs": 4, "workers": 2},
         ) == corner_fingerprint("immunity", {"gate": "INV"})
 
     def test_engines_never_collide(self):
@@ -145,11 +145,16 @@ class TestCornerKeyInvariance:
     def test_jobs_and_backend_never_enter_the_address(self, tmp_path):
         """Corner addresses are spawned in the parent, so a store written
         by a jobs=4 thread run serves a jobs=1 serial re-run (and the
-        extension executes only the new corner)."""
+        extension executes only the new corner).  There is no backend
+        option: the sweep driver refuses ``backend`` like any unknown
+        fixed value, so it cannot reach an address either."""
         store = ResultCache(tmp_path / "store")
         spec = SweepSpec.from_mapping({"cnts_per_trial": (2, 4)})
+        with pytest.raises(StudyError):
+            run_sweep_study(spec, engine="immunity", trials=20, seed=7,
+                            jobs=4, backend="thread", cache=store)
         cold = run_sweep_study(spec, engine="immunity", trials=20, seed=7,
-                               jobs=4, backend="thread", cache=store)
+                               jobs=4, cache=store)
         assert cold.provenance.cache == "miss"
 
         wider = SweepSpec.from_mapping({"cnts_per_trial": (2, 4, 8)})
@@ -158,16 +163,6 @@ class TestCornerKeyInvariance:
         assert delta.provenance.cache == "partial:2/3"
         assert delta == run_sweep_study(wider, engine="immunity", trials=20,
                                         seed=7)
-
-    def test_process_backend_shares_the_store(self, tmp_path):
-        store = ResultCache(tmp_path / "store")
-        spec = SweepSpec.from_mapping({"cnts_per_trial": (2, 4)})
-        run_sweep_study(spec, engine="immunity", trials=20, seed=7,
-                        jobs=2, backend="process", cache=store)
-        wider = SweepSpec.from_mapping({"cnts_per_trial": (2, 4, 8)})
-        delta = run_sweep_study(wider, engine="immunity", trials=20, seed=7,
-                                cache=store)
-        assert delta.provenance.cache == "partial:2/3"
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +495,7 @@ class TestSharedCellState:
         for counts in (immunity_counter, *preparation_counter.values()):
             del counts[:]
         sharded = run_sweep_study(self.GRID, engine="immunity", trials=20,
-                                  seed=7, jobs=3, backend="thread")
+                                  seed=7, jobs=3)
         assert sharded == serial
         assert len(immunity_counter) == 8
         prepared = preparation_counter["prepared"]

@@ -195,31 +195,29 @@ class TestBitIdentity:
                                                 call, jobs):
         spec = SweepSpec.from_mapping(axes)
         _, document = _traced(lambda: run_sweep_study(
-            spec, engine=engine, jobs=jobs, backend="thread", **params))
+            spec, engine=engine, jobs=jobs, **params))
         (runner,) = [entry for entry in document["spans"]
                      if entry["name"] == "scheduler.run_tasks"]
-        assert runner["attributes"]["backend"] == \
-            ("serial" if jobs == 1 else "thread")
         tasks = [entry for entry in document["spans"]
                  if entry["name"] == "scheduler.task"]
         assert len(tasks) == runner["attributes"]["tasks"] >= 2
+        # The pool width: 1 when the tasks ran in-process.
+        assert runner["attributes"]["workers"] == min(jobs, len(tasks))
         assert {entry["attributes"]["call"] for entry in tasks} == {call}
 
-    @pytest.mark.parametrize("jobs,backend",
-                             [(1, "serial"), (2, "thread"), (2, "process")])
+    @pytest.mark.parametrize("jobs,backend", [(1, "serial"), (2, "thread")])
     def test_compiled_stepper_is_identical_under_tracing(self, jobs,
                                                          backend):
         """The C stepper's transient sweep, serial and on ``jobs=2``
-        workers, traced or not, equals the serial untraced run."""
+        threads, traced or not, equals the serial untraced run."""
         if stepper.find_compiler() is None:
             pytest.skip("no C compiler on PATH")
         assert stepper.resolve_stepper() is stepper.CStepper
         spec = SweepSpec.from_mapping({"vdd": (0.9, 1.0)})
         untraced = run_sweep_study(spec, engine="transient")
-        parallel = run_sweep_study(spec, engine="transient", jobs=jobs,
-                                   backend=backend)
+        parallel = run_sweep_study(spec, engine="transient", jobs=jobs)
         traced, document = _traced(lambda: run_sweep_study(
-            spec, engine="transient", jobs=jobs, backend=backend))
+            spec, engine="transient", jobs=jobs))
         assert parallel.to_json() == untraced.to_json()
         assert traced.to_json() == untraced.to_json()
         steppers = {entry["attributes"]["stepper"]

@@ -304,8 +304,21 @@ class TestRuntimeFlags:
                 "--axis", "technique=vulnerable,compact",
                 "--trials", "15", "--seed", "7", "--json", "-")
         _, serial, _ = run_cli(*argv)
-        _, sharded, _ = run_cli(*argv, "--jobs", "2", "--backend", "thread")
+        _, sharded, _ = run_cli(*argv, "--jobs", "2")
         assert json.loads(serial)["payload"] == json.loads(sharded)["payload"]
+
+    def test_sweep_backend_flag_exits_2(self, capsys):
+        """There is no backend option: ``--backend`` is an unknown flag,
+        refused before anything runs."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--engine", "immunity",
+                  "--axis", "technique=vulnerable,compact",
+                  "--trials", "15", "--seed", "7", "--jobs", "2",
+                  "--backend", "thread"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "--backend" in captured.err
+        assert captured.out == ""
 
     def test_batch_command_dedups_and_hits(self, tmp_path):
         manifest = tmp_path / "manifest.json"

@@ -366,3 +366,39 @@ class TestResultDispatchRule:
             """)
         report = lint_paths([str(tree)], select=["RPL007"])
         assert not report.findings
+
+
+# ---------------------------------------------------------------------------
+# RPL005: the sanctioned writers are exact
+# ---------------------------------------------------------------------------
+
+
+class TestAtomicWriteSanction:
+    SEGMENT_OPENER = """\
+        import os
+
+
+        class {owner}:
+            def _segment(self, path):
+                return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+            def _write_atomic(self, path):
+                return os.open(path, flags=os.O_RDWR)
+        """
+
+    def _lines(self, tmp_path, owner):
+        runtime = tmp_path / "runtime"
+        runtime.mkdir()
+        (runtime / "segments.py").write_text(
+            textwrap.dedent(self.SEGMENT_OPENER.format(owner=owner)),
+            encoding="utf-8")
+        report = lint_paths([str(tmp_path)], select=["RPL005"])
+        return [finding.line for finding in report.findings]
+
+    def test_corner_log_segment_opener_is_sanctioned(self, tmp_path):
+        assert self._lines(tmp_path, "_CornerLog") == []
+
+    def test_a_segment_method_of_another_class_is_flagged(self, tmp_path):
+        # ``_write_atomic`` is sanctioned by name wherever it is defined;
+        # ``_segment`` only as the corner log's method.
+        assert self._lines(tmp_path, "_OtherLog") == [6]

@@ -20,7 +20,6 @@ from repro.runtime import (
     ManifestResult,
     ResultCache,
     as_cache,
-    resolve_backend,
     resolve_jobs,
     run_manifest,
     run_tasks,
@@ -88,7 +87,7 @@ class TestFingerprint:
         assert study_fingerprint("immunity_sweep", {"workers": 4}) == \
             study_fingerprint("immunity_sweep")
         assert study_fingerprint("immunity_sweep", {"jobs": 2}) == \
-            study_fingerprint("immunity_sweep", {"backend": "thread"})
+            study_fingerprint("immunity_sweep", {"chunk_size": 8})
 
     def test_seed_sequences_fingerprint_by_value(self):
         a = study_fingerprint("fig2", {"seed": np.random.SeedSequence(7)})
@@ -123,19 +122,24 @@ class TestScheduler:
         assert resolve_jobs(3) == 3
         assert resolve_jobs(-1) >= 1
 
-    def test_resolve_backend(self):
-        assert resolve_backend(None, 1) == "serial"
-        assert resolve_backend(None, 4) == "process"
-        assert resolve_backend("thread", 4) == "thread"
-        with pytest.raises(RuntimeLayerError):
-            resolve_backend("cluster", 4)
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_run_tasks_ordered_on_every_backend(self, backend):
+    @pytest.mark.parametrize("jobs", [1, 3], ids=["serial", "thread"])
+    def test_run_tasks_ordered_on_every_backend(self, jobs):
         tasks = list(range(13))
         assert run_tasks([functools.partial(_square, x) for x in tasks],
-                         jobs=3, backend=backend) == \
+                         jobs=jobs) == \
             [x * x for x in tasks]
+
+    @pytest.mark.parametrize("jobs,tasks,pooled", [
+        (1, 4, False), (3, 1, False), (3, 0, False), (3, 4, True),
+    ])
+    def test_run_tasks_pools_only_more_than_one_task(self, jobs, tasks,
+                                                     pooled):
+        """``jobs>1`` and more than one task run on pool threads; anything
+        else runs in the calling thread."""
+        caller = threading.get_ident()
+        idents = run_tasks([threading.get_ident] * tasks, jobs=jobs)
+        assert len(idents) == tasks
+        assert any(ident != caller for ident in idents) is pooled
 
     def test_shard_indices_partition(self):
         for n in (0, 1, 2, 5, 16, 17):
@@ -186,17 +190,10 @@ class TestShardedSweepBitIdentity:
             "technique": ("vulnerable", "compact"),
         })
         serial = run_sweep_study(spec, engine="immunity", trials=25, seed=7)
-        for jobs, backend in ((2, "thread"), (3, "thread"), (2, "serial")):
+        for jobs in (2, 3):
             sharded = run_sweep_study(spec, engine="immunity", trials=25,
-                                      seed=7, jobs=jobs, backend=backend)
+                                      seed=7, jobs=jobs)
             assert sharded == serial
-
-    def test_immunity_grid_process_pool(self):
-        spec = SweepSpec.from_mapping({"technique": ("vulnerable", "compact")})
-        serial = run_sweep_study(spec, engine="immunity", trials=10, seed=3)
-        sharded = run_sweep_study(spec, engine="immunity", trials=10, seed=3,
-                                  jobs=2, backend="process")
-        assert sharded == serial
 
     def test_immunity_zip(self):
         spec = SweepSpec.from_mapping(
@@ -206,7 +203,7 @@ class TestShardedSweepBitIdentity:
         )
         serial = run_sweep_study(spec, engine="immunity", trials=25, seed=7)
         sharded = run_sweep_study(spec, engine="immunity", trials=25, seed=7,
-                                  jobs=2, backend="thread")
+                                  jobs=2)
         assert sharded == serial
 
     def test_immunity_shared_population_contract_survives_sharding(self):
@@ -221,7 +218,7 @@ class TestShardedSweepBitIdentity:
         # 4 corners, 4 single-corner shards: techniques land on different
         # workers yet must reuse one child sequence per combination.
         sharded = run_sweep_study(spec, engine="immunity", trials=25, seed=7,
-                                  jobs=4, backend="thread")
+                                  jobs=4)
         assert sharded == serial
 
     def test_transient_grid(self):
@@ -232,8 +229,7 @@ class TestShardedSweepBitIdentity:
             "cell": ("INV", "NAND2"),
         })
         serial = run_sweep_study(spec, engine="transient")
-        sharded = run_sweep_study(spec, engine="transient", jobs=3,
-                                  backend="thread")
+        sharded = run_sweep_study(spec, engine="transient", jobs=3)
         assert sharded == serial
         assert [r.corner for r in sharded.records] == \
             [r.corner for r in serial.records]
@@ -244,8 +240,7 @@ class TestShardedSweepBitIdentity:
             mode="zip",
         )
         serial = run_sweep_study(spec, engine="transient")
-        sharded = run_sweep_study(spec, engine="transient", jobs=2,
-                                  backend="thread")
+        sharded = run_sweep_study(spec, engine="transient", jobs=2)
         assert sharded == serial
 
 
@@ -701,7 +696,7 @@ class TestCachedRunStudy:
         run_sweep_study(spec, engine="immunity", trials=10, seed=3,
                         cache=cache)
         warm = run_sweep_study(spec, engine="immunity", trials=10, seed=3,
-                               jobs=2, backend="thread", cache=cache)
+                               jobs=2, cache=cache)
         assert warm.provenance.cache == "hit"
 
     def test_seed_none_bypasses_the_cache(self, tmp_path):

@@ -9,7 +9,7 @@ The contracts under test (PR 8):
   client fetches byte-identical envelopes equal to a direct
   :func:`run_study`;
 * **execution blindness at the API boundary** — job fingerprints are
-  invariant under submission-body key order and ``jobs``/``backend``
+  invariant under submission-body key order and ``jobs``
   (property-style, RPL004 extended to HTTP);
 * **fault injection** — an engine raising mid-job yields status
   ``failed`` with a typed error payload, never a hung job or a dead
@@ -32,6 +32,7 @@ import functools
 import http.client
 import io
 import json
+import os
 import socket
 import threading
 import time
@@ -251,6 +252,10 @@ class TestLifecycle:
         {**_TRANSIENT_SWEEP, "params": {"seed": 3}},
         {**_TRANSIENT_SWEEP, "params": {"trials": 5}},
         {**_TRANSIENT_SWEEP, "params": {"seed": None}},
+        # There is no backend option: ``backend`` is an unknown key,
+        # at the top level and inside a manifest entry alike.
+        {"study": "fig3", "backend": "thread"},
+        {"studies": [{"study": "fig3", "backend": "thread"}]},
     ])
     def test_invalid_submissions_are_400(self, client, body):
         status, document = client.json("POST", "/jobs", body)
@@ -446,8 +451,7 @@ class TestConcurrentDedup:
         first = client.json("POST", "/jobs", {"study": "fig3"})[1]
         client.poll(first["id"])
         status, second = client.json(
-            "POST", "/jobs", {"study": "fig3", "jobs": 4,
-                              "backend": "thread"})
+            "POST", "/jobs", {"study": "fig3", "jobs": 4})
         assert status == 200
         assert second["id"] == first["id"]
 
@@ -790,6 +794,8 @@ class TestOneParser:
                      {**_TRANSIENT_SWEEP, "params": {"trials": 5}}]},
         {"studies": [{"study": "fig3"},
                      {**_TRANSIENT_SWEEP, "params": {"seed": None}}]},
+        {"studies": [{"study": "fig3"},
+                     {"study": "fig3", "backend": "thread"}]},
     ])
     def test_batch_and_post_reject_alike_before_any_entry_runs(
             self, document, monkeypatch):
@@ -852,17 +858,14 @@ class TestFingerprintProperties:
         assert _fingerprint(swapped) != _fingerprint(self.BASE)
 
     @settings(max_examples=25, deadline=None)
-    @given(jobs=st.one_of(st.none(), st.integers(-1, 16)),
-           backend=st.sampled_from([None, "serial", "thread", "process"]))
-    def test_invariant_under_execution_fields(self, jobs, backend):
-        """``jobs``/``backend`` select *how* the job executes; adding,
-        removing or changing them never moves the fingerprint (RPL004 at
-        the API boundary)."""
+    @given(jobs=st.one_of(st.none(), st.integers(-1, 16)))
+    def test_invariant_under_execution_fields(self, jobs):
+        """``jobs`` selects *how* the job executes; adding, removing or
+        changing it never moves the fingerprint (RPL004 at the API
+        boundary)."""
         document = dict(self.BASE)
         if jobs is not None:
             document["jobs"] = jobs
-        if backend is not None:
-            document["backend"] = backend
         assert _fingerprint(document) == _fingerprint(self.BASE)
 
     def test_work_changes_move_the_fingerprint(self):
@@ -989,6 +992,39 @@ class TestJobManager:
         segments = list((tmp_path / "cache" / "corners").iterdir())
         assert len(segments) == 1
         assert segments[0].suffix == SEGMENT_SUFFIX
+
+    def test_a_parallel_job_never_starts_a_process(self, tmp_path,
+                                                   monkeypatch):
+        """A job that fans out (``"jobs": 2``) runs its shards on threads
+        of the service's own process: with ``os.fork`` and
+        ``os.posix_spawn`` disabled it still finishes, and its result is
+        byte-identical to the ``"jobs": 1`` run."""
+        body = {**_TRANSIENT_SWEEP,
+                "axes": {"vdd": [0.9, 1.0], "cell": ["INV", "NAND2"]}}
+        # Resolve the compiled stepper (a build starts the compiler)
+        # before process creation is disabled.
+        run_sweep_study(SweepSpec.from_mapping({"vdd": (0.9,)}),
+                        engine="transient")
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("the service started a process")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        monkeypatch.setattr(os, "posix_spawn", no_process)
+        envelopes = []
+        for jobs in (2, 1):
+            # A manager per run: the second body would otherwise attach
+            # to the first job (``jobs`` is not part of the fingerprint).
+            manager = JobManager(cache=tmp_path / f"cache-{jobs}", workers=1)
+            try:
+                job, _ = manager.submit(
+                    JobSubmission.from_document({**body, "jobs": jobs}))
+                final = manager.poll(job.id, POLL_TIMEOUT_S)
+                assert final["status"] == "done", final
+                envelopes.append(manager.result(job.id).to_json())
+            finally:
+                manager.close()
+        assert envelopes[0] == envelopes[1]
 
     def test_invalid_submission_messages_are_typed(self):
         with pytest.raises(InvalidSubmission):

@@ -9,7 +9,8 @@ bytes are the same either way:
   compiler, falls back) and is never loaded;
 * two processes that build the library at once both end with a loadable
   library and leave no temp file behind;
-* process workers load the cached library and do not rebuild it;
+* thread workers load the cached library from disk and do not rebuild
+  it;
 * every study still runs, byte for byte alike, without a compiler;
 * the library's cache key covers its source, so a library built from
   another ``_step.c`` is never loaded;
@@ -83,8 +84,7 @@ def _cases():
 
 def integrate(_task=None):
     """``(SHA-256 of every waveform and supply charge, stepper name)`` of
-    one traced packed call (module level, so process workers can run
-    it)."""
+    one traced packed call (each worker thread traces its own call)."""
     tracer = Tracer("stepper")
     with tracer.activate():
         results = run_transient_batch(_cases(), *TIME_BASE)
@@ -251,8 +251,8 @@ def test_two_processes_build_the_library_at_once(cold_cache, tmp_path,
 
 
 @needs_compiler
-def test_process_workers_load_the_cached_library(cold_cache, monkeypatch,
-                                                 oracle):
+def test_thread_workers_load_the_cached_library(cold_cache, monkeypatch,
+                                                oracle):
     assert stepper.load_library() is not None
     library, = cold_cache.glob("repro-step-*.so")
     built = library.stat()
@@ -264,7 +264,7 @@ def test_process_workers_load_the_cached_library(cold_cache, monkeypatch,
     monkeypatch.setattr(stepper, "_build", no_rebuild)
     assert run_tasks([functools.partial(integrate, 0),
                       functools.partial(integrate, 1)],
-                     jobs=2, backend="process") == \
+                     jobs=2) == \
         [(oracle, "c")] * 2
     after = library.stat()
     assert (after.st_ino, after.st_mtime_ns) == \

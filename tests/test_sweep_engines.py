@@ -48,9 +48,8 @@ from test_runtime import isolated_store
 
 #: Execution modes every oracle runs in, with the provenance ``cache``
 #: annotation each must report.
-MODES = ("uncached", "store", "threads", "processes")
-STATUS = {"uncached": None, "store": "miss", "threads": None,
-          "processes": None}
+MODES = ("uncached", "store", "threads")
+STATUS = {"uncached": None, "store": "miss", "threads": None}
 
 
 @pytest.fixture(params=MODES)
@@ -60,9 +59,7 @@ def mode(request, tmp_path):
     if name == "store":
         return name, {"cache": ResultCache(tmp_path / "store")}
     if name == "threads":
-        return name, {"jobs": 2, "backend": "thread"}
-    if name == "processes":
-        return name, {"jobs": 2, "backend": "process"}
+        return name, {"jobs": 2}
     return name, {}
 
 
