@@ -11,8 +11,8 @@ RPL002   seed contract: no RNG construction outside the sanctioned entry
 RPL004   execution blindness: ``jobs``/``workers``/``chunk_size`` never
          flow into a ``*fingerprint`` call
 RPL005   atomic writes: no direct file writes under ``runtime/`` outside
-         the ``_write_atomic`` helper and the corner log's segment
-         opener ``_CornerLog._segment``
+         the ``_write_atomic`` helper and the segment log's segment
+         opener ``_SegmentLog._segment``
 RPL006   no mutable default arguments
 RPL007   registry consistency: every ``StudyResult`` subclass declares a
          ``study_name`` (the ``from_json`` dispatch key), and every study
@@ -211,7 +211,7 @@ class AtomicWriteRule(Rule):
 
     The cache's crash-safety story is temp-file + ``os.replace`` in
     ``_write_atomic``, and whole records appended to a segment that
-    ``_CornerLog._segment`` opens; a stray ``open(..., "w")``,
+    ``_SegmentLog._segment`` opens; a stray ``open(..., "w")``,
     ``write_text`` or writing ``os.open`` under ``runtime/`` can leave
     readers half an entry.  The helper is sanctioned by its name (a
     function or method), the segment opener only as that method.
@@ -219,8 +219,8 @@ class AtomicWriteRule(Rule):
 
     id = "RPL005"
     summary = ("no direct file writes under runtime/ outside the "
-               "_write_atomic helper and _CornerLog._segment")
-    SANCTIONED = frozenset({"_write_atomic", "_CornerLog._segment"})
+               "_write_atomic helper and _SegmentLog._segment")
+    SANCTIONED = frozenset({"_write_atomic", "_SegmentLog._segment"})
     _WRITE_MODES = set("wax+")
     _WRITE_FLAGS = frozenset({"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT",
                               "O_TRUNC"})

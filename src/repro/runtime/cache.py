@@ -12,47 +12,45 @@ Two granularities share one store root:
   the corners whose addresses are absent
   (:func:`~repro.study.sweeps.run_sweep_study`).
 
-::
+Both are records in append-only segment files, one segment per writing
+process and tier, after the log-structured design of Rosenblum and
+Ousterhout (TOCS 1992)::
 
     <root>/
-      objects/<key[:2]>/<key>.json     one study entry per fingerprint
-      corners/<pid>-<token>.seg        append-only corner records, one
-                                       segment per writing process
+      objects/<pid>-<token>.seg        study records
+      corners/<pid>-<token>.seg        corner records
 
-Study entry files wrap their payload in a small integrity document
-(``repro-cache-entry/v1``) carrying the fingerprint and a SHA-256 digest
-of the canonical payload text.  A corner record is the same document
-(``repro-corner-entry/v1``) on one line of a segment.  Reads re-validate
-schema, fingerprint and digest; anything that fails — truncated JSON,
-digest mismatch, foreign fingerprint — is treated as a miss and counted
-as *corrupt*: a study entry is evicted, a corner record leaves the index
-(and the next :meth:`ResultCache.prune` drops it from disk), so a damaged
-store degrades to recomputation instead of wrong answers.
+A record is one line of sorted-key JSON: the payload wrapped in a small
+integrity document (``repro-cache-entry/v1`` for a study,
+``repro-corner-entry/v1`` for a corner) carrying the fingerprint and a
+SHA-256 digest of the canonical payload text.  Reads re-validate schema,
+fingerprint and digest, and decode the payload; a record that fails —
+truncated JSON, digest mismatch, foreign fingerprint, a payload that no
+longer decodes — is treated as a miss, counted as *corrupt* and dropped
+from this process's index (the next :meth:`ResultCache.prune` drops it
+from disk), so a damaged store degrades to recomputation instead of
+wrong answers.
 
-The store keeps entries, not counters: a read writes nothing (bar the
-eviction of a corrupt study entry), and its hits, misses and corrupt
-reads go to the :mod:`repro.obs` metrics registry and the active trace
-span (``cache.hits``, ``cache.corner_misses``, ...).  Any number of
-processes can therefore share one store without contending for a shared
-file.
+The store keeps entries, not counters: a read writes nothing, and its
+hits, misses and corrupt reads go to the :mod:`repro.obs` metrics
+registry and the active trace span (``cache.hits``,
+``cache.corner_misses``, ...).  Any number of processes can therefore
+share one store without contending for a shared file.
 
-Study entry writes are atomic (temp file + ``os.replace`` in the same
-directory), so concurrent writers and readers never observe half an
-entry.  A corner write is one unbuffered ``os.write`` of one
-newline-terminated record to the writing process's own segment, after
-the log-structured design of Rosenblum and Ousterhout (TOCS 1992): once
-:meth:`ResultCache.put_corner` returns, any process can read the record.
-Only complete lines are records, so the torn tail of a killed or failed
-write is never served; a failed or short write retires its segment and
-the next append starts a new one.  All :class:`ResultCache` objects of
-one process on one root share one index of the records that process
-wrote or scanned, and one open segment; a corner the index does not
-hold rescans the segments' unread tails once per read before it counts
-as a miss.
-:meth:`ResultCache.prune` compacts the surviving records into one
-segment.  A study write or a compaction killed between its temp file
-and the rename leaves the ``.tmp-*`` file behind; ``prune`` sweeps
-those once they are :data:`STALE_TEMP_S` old.
+A write is one unbuffered ``os.write`` of one newline-terminated record
+to the writing process's own segment of the tier: once
+:meth:`ResultCache.put` or :meth:`ResultCache.put_corner` returns, any
+process can read the record.  Only complete lines are records, so the
+torn tail of a killed or failed write is never served; a failed or short
+write retires its segment and the next append starts a new one.  All
+:class:`ResultCache` objects of one process on one root share one index
+per tier of the records that process wrote or scanned, and one open
+segment per tier; a key the index does not hold rescans the segments'
+unread tails once per read before it counts as a miss.
+:meth:`ResultCache.prune` compacts each tier's surviving records into one
+segment (temp file + ``os.replace``).  A compaction killed between its
+temp file and the rename leaves the ``.tmp-*`` file behind; ``prune``
+sweeps those once they are :data:`STALE_TEMP_S` old.
 
 The default store location is ``.repro-cache/`` under the current
 directory; the ``REPRO_CACHE_DIR`` environment variable or an explicit
@@ -103,17 +101,20 @@ CacheLike = Union[None, bool, str, os.PathLike, "ResultCache"]
 STALE_TEMP_S = 3600.0
 
 
-#: File name suffix of a corner segment.
+#: File name suffix of a segment.
 SEGMENT_SUFFIX = ".seg"
 
 #: Matches a whole well-formed cache key: one or more lowercase hex digits.
 _KEY = re.compile(r"[0-9a-f]+").fullmatch
 
-#: What precedes the fingerprint in a corner record line.  Records are
-#: written with sorted keys, and the ``created`` number and the escaped
+#: What precedes the fingerprint in a record line.  Records are written
+#: with sorted keys, and the ``created`` number and a corner's escaped
 #: ``engine`` string before it cannot contain this, so its first
 #: occurrence is the record's own fingerprint.
 _FINGERPRINT = b'"fingerprint": "'
+
+#: A location in a tier: ``(segment name, offset, length)``.
+Location = Tuple[str, int, int]
 
 
 def _is_key(text: str) -> bool:
@@ -166,24 +167,14 @@ def _envelope_digest(envelope: Dict[str, Any]) -> str:
     ).hexdigest()
 
 
-def _validated(wrapper: Any, key: str, schema: str, field: str,
-               decode: Callable[[Any], Any]) -> Tuple[Optional[Any], bool]:
-    """``(decoded value or None, corrupt)`` for one parsed entry document.
-
-    The document must carry ``schema``, the fingerprint ``key`` and the
-    SHA-256 digest of its ``field`` payload, and the payload must go
-    through ``decode``; anything else is corrupt.
-    """
-    payload = wrapper.get(field) if isinstance(wrapper, dict) else None
-    if (payload is None
-            or wrapper.get("schema") != schema
-            or wrapper.get("fingerprint") != key
-            or wrapper.get("sha256") != _envelope_digest(payload)):
-        return None, True
-    try:
-        return decode(payload), False
-    except Exception:
-        return None, True
+def _intact(wrapper: Any, key: str, schema: str, field: str) -> bool:
+    """Whether a parsed record carries ``schema``, the fingerprint ``key``
+    and the SHA-256 digest of its ``field`` payload."""
+    return (isinstance(wrapper, dict)
+            and wrapper.get(field) is not None
+            and wrapper.get("schema") == schema
+            and wrapper.get("fingerprint") == key
+            and wrapper.get("sha256") == _envelope_digest(wrapper[field]))
 
 
 def _entry_text(key: str, schema: str, field: str, payload: Any,
@@ -222,10 +213,10 @@ def _doomed(candidates: Iterable[Tuple[float, str]], now: float,
 
 
 def _record_key(line: bytes) -> Optional[str]:
-    """The fingerprint a corner record line names, if well-formed; the
-    read validates the whole record.  A byte search, about five times
-    faster per record than ``json.loads``: it is most of the cost of a
-    fresh process's first scan of a large store."""
+    """The fingerprint a record line names, if well-formed; the read
+    validates the whole record.  A byte search, about five times faster
+    per record than ``json.loads``: it is most of the cost of a fresh
+    process's first scan of a large store."""
     at = line.find(_FINGERPRINT)
     if at < 0:
         return None
@@ -238,29 +229,43 @@ def _fresh_segment_name() -> str:
     return f"{os.getpid()}-{secrets.token_hex(4)}{SEGMENT_SUFFIX}"
 
 
-def _count_eviction(key: str, kind: str) -> None:
-    obs_trace.event("cache.evict", key=key, kind=kind)
-    obs_metrics.registry().inc("cache.evictions")
+def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path`` through a ``.tmp-*`` file in the same
+    directory and ``os.replace``: readers see all of it or none."""
+    handle, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            for chunk in chunks:
+                stream.write(chunk)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
 
 
-class _CornerLog:
-    """The corner tier of one store root: append-only segment files in
-    ``directory`` and this process's index over them (one per process and
-    root: see :func:`_corner_log`).
+class _SegmentLog:
+    """One tier of a store root: append-only segment files in
+    ``directory`` whose records wrap a ``field`` payload in a ``schema``
+    document, and this process's index over them (one per process, root
+    and tier: see :func:`_open_logs`).
 
-    ``index`` maps each key to the locations ``(segment name, offset,
-    length)`` of its records, newest first; ``scanned`` maps each segment
-    to the offset up to which its records are indexed.  The writer is
-    this process's open segment, keyed by PID so a forked child never
-    appends to its parent's.  The methods that touch the index or the
-    writer expect :attr:`lock` held: the service appends and reads from
+    ``index`` maps each key to the locations of its records, newest
+    first; ``scanned`` maps each segment to the offset up to which its
+    records are indexed.  The writer is this process's open segment,
+    keyed by PID so a forked child never appends to its parent's.  The
+    public methods take :attr:`lock`: the service appends and reads from
     worker threads.
     """
 
-    def __init__(self, directory: Path):
+    def __init__(self, directory: Path, schema: str, field: str):
         self.directory = directory
+        self.schema = schema
+        self.field = field
         self.lock = make_lock()
-        self.index: Dict[str, List[Tuple[str, int, int]]] = {}
+        self.index: Dict[str, List[Location]] = {}
         self.scanned: Dict[str, int] = {}
         self._writer: Optional[Tuple[int, int, str]] = None
         self._close: Optional[weakref.finalize] = None
@@ -274,7 +279,7 @@ class _CornerLog:
             pid, fd, name = self._writer
             if pid == os.getpid() and os.fstat(fd).st_nlink:
                 return fd, name
-            self.retire()
+            self._retire()
         self.directory.mkdir(parents=True, exist_ok=True)
         name = _fresh_segment_name()
         fd = os.open(self.directory / name,
@@ -284,29 +289,33 @@ class _CornerLog:
         self.scanned[name] = 0
         return fd, name
 
-    def retire(self) -> None:
+    def _retire(self) -> None:
         """Close the open segment: the next append starts a new one."""
         if self._close is not None:
             self._close()
         self._writer = self._close = None
 
-    def append(self, key: str, record: bytes) -> Path:
-        """Append one newline-terminated ``record`` of ``key`` with one
-        ``os.write`` and index it; returns the segment path.  A failed or
-        short write retires the segment and raises :class:`OSError`."""
-        fd, name = self._segment()
-        try:
-            written = os.write(fd, record)
-        except OSError:
-            self.retire()
-            raise
-        if written != len(record):
-            self.retire()
-            raise OSError(f"short write: {written} of {len(record)} bytes")
-        end = os.lseek(fd, 0, os.SEEK_CUR)
-        self.index.setdefault(key, []).insert(
-            0, (name, end - len(record), len(record)))
-        self.scanned[name] = end
+    def append(self, key: str, payload: Any, **tags: str) -> Path:
+        """Append ``payload`` under ``key`` as one newline-terminated
+        record with one ``os.write`` and index it; returns the segment
+        path.  A failed or short write retires the segment and raises
+        :class:`OSError`."""
+        record = (_entry_text(key, self.schema, self.field, payload, **tags)
+                  + "\n").encode("utf-8")
+        with self.lock:
+            fd, name = self._segment()
+            try:
+                written = os.write(fd, record)
+            except OSError:
+                self._retire()
+                raise
+            if written != len(record):
+                self._retire()
+                raise OSError(f"short write: {written} of {len(record)} bytes")
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            self.index.setdefault(key, []).insert(
+                0, (name, end - len(record), len(record)))
+            self.scanned[name] = end
         return self.directory / name
 
     # -- reading ---------------------------------------------------------------
@@ -341,7 +350,7 @@ class _CornerLog:
                 yield start, line
                 start += len(line)
 
-    def rescan(self) -> None:
+    def _rescan(self) -> None:
         """Index the records appended since the last scan.  When a prune
         elsewhere compacted segments away, rebuild the whole index."""
         sizes = self.segments()
@@ -360,8 +369,22 @@ class _CornerLog:
                 start = offset + len(line)
             self.scanned[name] = start
 
-    def read(self, keys: Iterable[str], decode: Callable[[Any], Any]
-             ) -> Tuple[Dict[str, Any], Set[str]]:
+    def _loaded(self, line: bytes, key: str,
+                decode: Callable[[Any], Any]) -> Tuple[Any, bool]:
+        """``(decoded payload, True)`` for an intact record line of
+        ``key``, else ``(None, False)``.  A digest-valid payload that no
+        longer decodes (a result class reshaped without a version bump, a
+        hand-edited store) is damaged too."""
+        try:
+            wrapper = json.loads(line)
+            if _intact(wrapper, key, self.schema, self.field):
+                return decode(wrapper[self.field]), True
+        except Exception:
+            return None, False
+        return None, False
+
+    def _lookup(self, keys: Iterable[str], decode: Callable[[Any], Any]
+                ) -> Tuple[Dict[str, Any], Set[str]]:
         """``({key: payload}, keys met corrupt)`` for the indexed ``keys``.
 
         Each key's records are tried newest first; a corrupt one is
@@ -382,18 +405,16 @@ class _CornerLog:
                         except FileNotFoundError:
                             handles[name] = None
                     if handles[name] is not None:
-                        line = os.pread(handles[name], length, offset)
-                        try:
-                            wrapper = json.loads(line)
-                        except ValueError:
-                            wrapper = None
-                        value, bad = _validated(wrapper, key, CORNER_SCHEMA,
-                                                "payload", decode)
-                        if not bad:
+                        value, ok = self._loaded(
+                            os.pread(handles[name], length, offset), key,
+                            decode)
+                        if ok:
                             found[key] = value
                             break
                         corrupt.add(key)
-                        _count_eviction(key, "corner")
+                        obs_trace.event("cache.evict", key=key,
+                                        kind=self.directory.name)
+                        obs_metrics.registry().inc("cache.evictions")
                     locations.pop(0)
                 if not locations:
                     self.index.pop(key, None)
@@ -403,63 +424,149 @@ class _CornerLog:
                     os.close(handle)
         return found, corrupt
 
-    def valid_records(self, decode: Callable[[Any], Any]
-                      ) -> Tuple[List[Tuple[str, float, bytes]], int]:
-        """A full scan of the segments: ``([(key, created, line)], number
-        of invalid complete lines)``, the valid records in segment
-        order."""
-        records: List[Tuple[str, float, bytes]] = []
-        invalid = 0
-        for name in sorted(self.segments()):
-            for _, line in self._lines(name, 0):
+    def read(self, keys: Sequence[str], decode: Callable[[Any], Any]
+             ) -> Tuple[Dict[str, Any], Set[str]]:
+        """``({key: decoded payload}, keys met corrupt)`` for the distinct
+        ``keys``.  Keys the index does not hold rescan the segments'
+        unread tails once before they count as misses."""
+        with self.lock:
+            found, corrupt = self._lookup(keys, decode)
+            missing = [key for key in keys if key not in found]
+            if missing:
+                self._rescan()
+                more, corrupt_more = self._lookup(missing, decode)
+                found.update(more)
+                corrupt |= corrupt_more
+        return found, corrupt
+
+    def census(self, names: Iterable[str]
+               ) -> Tuple[Dict[str, Tuple[float, str, Location]], int]:
+        """A full scan of segments ``names``: ``({key: (created, study,
+        location)} of each key's newest intact record, number of damaged
+        complete lines)``.  Checks schema, fingerprint and digest; holds
+        one record at a time and decodes no payload."""
+        newest: Dict[str, Tuple[float, str, Location]] = {}
+        damaged = 0
+        for name in sorted(names):
+            for offset, line in self._lines(name, 0):
+                key = _record_key(line)
                 try:
                     wrapper = json.loads(line)
-                    key = wrapper["fingerprint"]
                     created = float(wrapper["created"])
                 except (ValueError, TypeError, KeyError):
-                    invalid += 1
-                    continue
-                if isinstance(key, str) and _is_key(key) and not _validated(
-                        wrapper, key, CORNER_SCHEMA, "payload", decode)[1]:
-                    records.append((key, created, line))
-                else:
-                    invalid += 1
-        return records, invalid
+                    wrapper = None
+                if key is None or not _intact(wrapper, key, self.schema,
+                                              self.field):
+                    damaged += 1
+                elif key not in newest or created >= newest[key][0]:
+                    newest[key] = (created, wrapper.get("study", "?"),
+                                   (name, offset, len(line)))
+        return newest, damaged
 
-    def drop(self, names: Iterable[str]) -> None:
-        """Retire the writer, unlink segments ``names`` and forget the
-        index: the next miss rescans what is left."""
-        self.retire()
-        for name in names:
+    # -- maintenance -----------------------------------------------------------
+
+    def sweep(self, now: float) -> None:
+        """Delete what is not a segment: a killed writer's ``.tmp-*`` file
+        once older than :data:`STALE_TEMP_S` (a live writer's is younger
+        and stays), and any subdirectory (the per-file tree of the older
+        layout, which nothing reads)."""
+        try:
+            entries = list(os.scandir(self.directory))
+        except FileNotFoundError:
+            return
+        for entry in entries:
             try:
-                os.unlink(self.directory / name)
-            except FileNotFoundError:
+                if entry.is_dir(follow_symlinks=False):
+                    shutil.rmtree(entry.path, ignore_errors=True)
+                elif (entry.name.startswith(".tmp-")
+                      and entry.stat().st_mtime < now - STALE_TEMP_S):
+                    os.unlink(entry.path)
+            except OSError:
                 continue
-        self.index.clear()
-        self.scanned.clear()
+
+    def _copies(self, locations: Iterable[Location]) -> Iterator[bytes]:
+        """The bytes at each location, skipping a segment that is gone."""
+        handles: Dict[str, Optional[int]] = {}
+        try:
+            for name, offset, length in locations:
+                if name not in handles:
+                    try:
+                        handles[name] = os.open(self.directory / name,
+                                                os.O_RDONLY)
+                    except FileNotFoundError:
+                        handles[name] = None
+                if handles[name] is not None:
+                    yield os.pread(handles[name], length, offset)
+        finally:
+            for handle in handles.values():
+                if handle is not None:
+                    os.close(handle)
+
+    def compact(self, now: float, study: Optional[str],
+                max_age_s: Optional[float],
+                max_entries: Optional[int]) -> int:
+        """Rewrite the segments as one holding the newest intact record of
+        each key the bounds keep; returns the number of keys removed plus
+        the damaged records dropped.  The bounds apply to the keys of
+        ``study`` (all keys for ``None``); the rest are kept.  Kept
+        records are copied one at a time, never all held at once."""
+        with self.lock:
+            names = list(self.segments())
+            newest, damaged = self.census(names)
+            doomed = _doomed(((created, key) for key, (created, tag, _)
+                              in newest.items()
+                              if study is None or tag == study),
+                             now, max_age_s, max_entries)
+            kept = [newest[key][2] for key in sorted(newest)
+                    if key not in doomed]
+            if kept:
+                try:
+                    _write_atomic(self.directory / _fresh_segment_name(),
+                                  self._copies(kept))
+                except OSError as error:
+                    raise CacheError(f"Cannot compact the segments in "
+                                     f"{self.directory}: {error}") from error
+            self._retire()
+            for name in names:
+                try:
+                    os.unlink(self.directory / name)
+                except FileNotFoundError:
+                    continue
+            self.index.clear()
+            self.scanned.clear()
+        return len(doomed) + damaged
 
 
-#: This process's corner log of each store root, by resolved corner
-#: directory, while a :class:`ResultCache` on the root holds it.
+#: This process's segment logs of each store root, by resolved tier
+#: directory, while a :class:`ResultCache` on the root holds them.
 _LOGS = weakref.WeakValueDictionary()
 _LOGS_LOCK = make_lock()
-#: The log used last, held so that consecutive store objects on one root
-#: (one ``as_cache(path)`` per call) share it too.  Holding every log
-#: would keep the index and segment of each root a process ever touched.
-_last_log: Optional[_CornerLog] = None
+#: The logs used last, held so that consecutive store objects on one
+#: root (one ``as_cache(path)`` per call) share them too.  Holding every
+#: log would keep the index and segments of each root a process ever
+#: touched.
+_last_logs: Tuple[_SegmentLog, ...] = ()
+
+#: The tiers of a store root: directory, record schema, payload field.
+_TIERS = (("objects", CACHE_SCHEMA, "result"),
+          ("corners", CORNER_SCHEMA, "payload"))
 
 
-def _corner_log(root: Path) -> _CornerLog:
-    """The corner log every store object of this process on ``root``
-    shares: one index and one open segment."""
-    global _last_log
-    directory = (root / "corners").resolve()
+def _open_logs(root: Path) -> Tuple[_SegmentLog, ...]:
+    """The study and corner logs every store object of this process on
+    ``root`` shares: one index and one open segment per tier."""
+    global _last_logs
+    root = root.resolve()
     with _LOGS_LOCK:
-        log = _LOGS.get(directory)
-        if log is None:
-            log = _LOGS[directory] = _CornerLog(directory)
-        _last_log = log
-    return log
+        logs = []
+        for name, schema, payload_field in _TIERS:
+            log = _LOGS.get(root / name)
+            if log is None:
+                log = _LOGS[root / name] = _SegmentLog(root / name, schema,
+                                                       payload_field)
+            logs.append(log)
+        _last_logs = tuple(logs)
+    return _last_logs
 
 
 def with_cache_status(result: StudyResult,
@@ -496,51 +603,7 @@ class ResultCache:
         if root is None:
             root = os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
         self.root = Path(root)
-        self._log = _corner_log(self.root)
-
-    # -- paths -----------------------------------------------------------------
-
-    @property
-    def _objects(self) -> Path:
-        return self.root / "objects"
-
-    def path_for(self, key: str) -> Path:
-        """Where the study entry for ``key`` lives (whether or not it
-        exists)."""
-        return self._objects / _checked_key(key)[:2] / f"{key}.json"
-
-    def _entries(self) -> Iterator[Path]:
-        """The ``<key>.json`` study entry files — never a writer's
-        ``.tmp-*`` file."""
-        for path in self._tree_files(self._objects, "*.json"):
-            if _is_key(path.stem):
-                yield path
-
-    @staticmethod
-    def _tree_files(tree: Path, pattern: str) -> Iterator[Path]:
-        if not tree.is_dir():
-            return
-        for shard in sorted(tree.iterdir()):
-            if shard.is_dir():
-                yield from sorted(shard.glob(pattern))
-
-    # -- atomic file primitives ------------------------------------------------
-
-    def _write_atomic(self, path: Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(text)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        self._studies, self._corners = _open_logs(self.root)
 
     @staticmethod
     def _count(**deltas: int) -> None:
@@ -552,89 +615,49 @@ class ResultCache:
                 obs_metrics.registry().inc(f"cache.{name}", value)
                 obs_trace.add(f"cache.{name}", value)
 
+    @staticmethod
+    def _append(log: _SegmentLog, key: str, payload: Any,
+                **tags: str) -> Path:
+        try:
+            return log.append(_checked_key(key), payload, **tags)
+        except OSError as error:
+            raise CacheError(
+                f"Cannot append {key} to {log.directory}: {error}"
+            ) from error
+
     # -- the store API ---------------------------------------------------------
 
     def get(self, key: str) -> Optional[StudyResult]:
         """The stored result for ``key``, or ``None`` (a miss).
 
-        Integrity is re-validated on every read; corrupt entries are
-        evicted and count as both *corrupt* and a miss.
+        Integrity is re-validated on every read; a corrupt record counts
+        as both *corrupt* and a miss unless an older intact record of the
+        key serves.
         """
-        # A digest-valid entry that no longer decodes (result class
-        # reshaped without a version bump, hand-edited store) is corrupt,
-        # not fatal: evict and recompute.
-        result, corrupt = self._read_validated(self.path_for(key), key)
-        if result is None:
-            self._count(misses=1, corrupt=int(corrupt))
-            return None
-        self._count(hits=1)
-        return result
-
-    def _read_validated(self, path: Path, key: str
-                        ) -> Tuple[Optional[StudyResult], bool]:
-        """``(result or None, corrupt)`` for one study entry file; a
-        corrupt file is evicted, an absent one is ``(None, False)``.
-        Counts nothing; the caller counts the read."""
-        try:
-            with open(path, "r", encoding="utf-8") as stream:
-                wrapper = json.load(stream)
-        except FileNotFoundError:
-            return None, False
-        except (OSError, json.JSONDecodeError):
-            wrapper = None
-        value, corrupt = _validated(wrapper, key, CACHE_SCHEMA, "result",
-                                    StudyResult.from_json_dict)
-        if corrupt:
-            _count_eviction(key, "study")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return value, corrupt
+        found, corrupt = self._studies.read([_checked_key(key)],
+                                            StudyResult.from_json_dict)
+        self._count(hits=len(found), misses=1 - len(found),
+                    corrupt=len(corrupt))
+        return found.get(key)
 
     def put(self, key: str, result: StudyResult) -> Path:
-        """Persist ``result`` under ``key`` atomically; returns the entry
-        path.  Counts one ``cache.puts``; the :meth:`get` miss that
-        preceded it was counted there."""
-        path = self.path_for(key)
-        text = _entry_text(key, CACHE_SCHEMA, "result",
-                           result.to_json_dict(),
-                           study=type(result).study_name)
-        try:
-            self._write_atomic(path, text)
-        except OSError as error:
-            raise CacheError(
-                f"Cannot write cache entry {path}: {error}"
-            ) from error
+        """Append ``result`` under ``key`` to this process's study segment;
+        returns the segment path.  Counts one ``cache.puts``; the
+        :meth:`get` miss that preceded it was counted there."""
+        path = self._append(self._studies, key, result.to_json_dict(),
+                            study=type(result).study_name)
         self._count(puts=1)
         return path
-
-    # -- the corner store ------------------------------------------------------
 
     def get_corners(self, keys: Sequence[str]) -> Dict[str, Any]:
         """``{key: payload}`` for every corner fingerprint in ``keys``
         whose record validated, with the hit/miss/corrupt reads counted
         once for the whole batch (a sweep diffs hundreds of corners per
-        run).
-
-        Records come from this process's index of the root; keys it does
-        not hold rescan the segments' unread tails once before they count
-        as misses.  Schema tag, fingerprint and SHA-256 digest are
-        re-validated on every read, and a record that fails — including a
-        digest-valid payload that no longer decodes — is dropped from the
-        index and counted as corner-corrupt.
-        """
+        run).  Reads as :meth:`get` does."""
         from ..study.serialize import decode
 
         wanted = list(dict.fromkeys(keys))
-        with self._log.lock:
-            found, corrupt = self._log.read(wanted, decode)
-            missing = [key for key in wanted if key not in found]
-            if missing:
-                self._log.rescan()
-                more, corrupt_more = self._log.read(missing, decode)
-                found.update(more)
-                corrupt |= corrupt_more
+        found, corrupt = self._corners.read(wanted, decode)
         hits = sum(1 for key in keys if key in found)
         self._count(corner_hits=hits, corner_misses=len(keys) - hits,
                     corner_corrupt=len(corrupt))
@@ -643,54 +666,36 @@ class ResultCache:
     def put_corner(self, key: str, metrics: Any,
                    engine: str = "") -> Path:
         """Append one corner's metrics payload under its fingerprint to
-        this process's segment; returns the segment path.  Counts one
-        ``cache.corner_puts``, like :meth:`put`."""
+        this process's corner segment; returns the segment path.  Counts
+        one ``cache.corner_puts``, like :meth:`put`."""
         from ..study.serialize import encode
 
-        text = _entry_text(_checked_key(key), CORNER_SCHEMA, "payload",
-                           encode(metrics), study="corner", engine=engine)
-        try:
-            with self._log.lock:
-                path = self._log.append(key, (text + "\n").encode("utf-8"))
-        except OSError as error:
-            raise CacheError(
-                f"Cannot append corner {key} to {self._log.directory}: "
-                f"{error}"
-            ) from error
+        path = self._append(self._corners, key, encode(metrics),
+                            study="corner", engine=engine)
         self._count(corner_puts=1)
         return path
 
     # -- maintenance -----------------------------------------------------------
 
     def stats(self) -> CacheStats:
-        """Scan the store: entry counts, bytes, per-study breakdown (study
-        entries) and corner-store totals (distinct valid corner keys,
-        segment bytes).  Hits and misses are not stored; they are the
-        ``cache.*`` counters of :mod:`repro.obs`."""
-        entries = 0
-        total_bytes = 0
+        """Scan the store: distinct intact study keys, segment bytes and
+        the per-study breakdown, and the same totals for corners.  Hits
+        and misses are not stored; they are the ``cache.*`` counters of
+        :mod:`repro.obs`."""
+        sizes = self._studies.segments()
+        studies, _ = self._studies.census(sizes)
         by_study: Dict[str, int] = {}
-        for path in self._entries():
-            entries += 1
-            try:
-                total_bytes += path.stat().st_size
-                with open(path, "r", encoding="utf-8") as stream:
-                    study = json.load(stream).get("study", "?")
-            except (OSError, json.JSONDecodeError):
-                study = "?"
+        for _, study, _ in studies.values():
             by_study[study] = by_study.get(study, 0) + 1
-        from ..study.serialize import decode
-
-        records, _ = self._log.valid_records(decode)
-        corner_entries = len({key for key, _, _ in records})
-        corner_bytes = sum(self._log.segments().values())
+        corner_sizes = self._corners.segments()
+        corners, _ = self._corners.census(corner_sizes)
         return CacheStats(
             root=str(self.root),
-            entries=entries,
-            total_bytes=total_bytes,
+            entries=len(studies),
+            total_bytes=sum(sizes.values()),
             by_study=by_study,
-            corner_entries=corner_entries,
-            corner_bytes=corner_bytes,
+            corner_entries=len(corners),
+            corner_bytes=sum(corner_sizes.values()),
         )
 
     def prune(self, study: Optional[str] = None,
@@ -707,92 +712,35 @@ class ResultCache:
         bounds respect the ``study`` filter and compose: an entry is
         removed if *either* bound says so.
 
-        The corner tier is bounded per key and compacted: the newest
-        valid record of each surviving key goes into one new segment
-        (temp file + ``os.replace``), then the old segments are unlinked.
-        Superseded records and torn tails are not entries; corrupt
-        records are, and always go.  A record another process appends
-        while the compaction runs may be lost: the store is a cache.
+        Each tier the filter reaches is bounded per key and compacted: the
+        newest intact record of each surviving key goes into one new
+        segment (temp file + ``os.replace``), then the old segments are
+        unlinked.  Superseded records and torn tails are not entries;
+        corrupt records are, and always go.  A record another process
+        appends while the compaction runs may be lost: the store is a
+        cache.
 
         Every call also deletes what is not an entry: the ``.tmp-*`` files
-        of killed writers once older than :data:`STALE_TEMP_S` (a live
+        of killed compactions once older than :data:`STALE_TEMP_S` (a live
         writer's temp file is younger and is never touched), and the
-        per-file corner tree of the older layout (``corners/<xx>/``),
-        which nothing reads.
+        per-file trees of the older layout (``objects/<xx>/``,
+        ``corners/<xx>/``), which nothing reads.
         """
         if max_age_s is not None and max_age_s < 0:
             raise CacheError(f"max_age_s must be >= 0, got {max_age_s!r}")
         if max_entries is not None and max_entries < 0:
             raise CacheError(f"max_entries must be >= 0, got {max_entries!r}")
         now = obs_clock.wall_time()
-        corners = self._log.directory
-        temps = list(self._tree_files(self._objects, ".tmp-*"))
-        if corners.is_dir():
-            temps += corners.glob(".tmp-*")
-            for tree in corners.iterdir():
-                if tree.is_dir():
-                    shutil.rmtree(tree, ignore_errors=True)
-        for path in temps:
-            try:
-                if path.stat().st_mtime < now - STALE_TEMP_S:
-                    path.unlink()
-            except OSError:
-                pass
+        self._studies.sweep(now)
+        self._corners.sweep(now)
         removed = 0
-        candidates = []
-        for path in self._entries():
-            try:
-                with open(path, "r", encoding="utf-8") as stream:
-                    wrapper = json.load(stream)
-                entry_study = wrapper.get("study")
-                created = float(wrapper.get("created") or 0.0)
-            except (OSError, json.JSONDecodeError, TypeError, ValueError):
-                # Unreadable entries are prunable regardless of the
-                # study filter, and sort as infinitely old.
-                entry_study, created = study, 0.0
-            if study is None or entry_study == study:
-                candidates.append((created, str(path)))
-        for name in _doomed(candidates, now, max_age_s, max_entries):
-            try:
-                os.unlink(name)
-                removed += 1
-            except OSError:
-                pass
+        if study != "corner":
+            removed += self._studies.compact(now, study, max_age_s,
+                                             max_entries)
         if study in (None, "corner"):
-            removed += self._compact_corners(now, max_age_s, max_entries)
+            removed += self._corners.compact(now, None, max_age_s,
+                                             max_entries)
         return removed
-
-    def _compact_corners(self, now: float, max_age_s: Optional[float],
-                         max_entries: Optional[int]) -> int:
-        """Rewrite the corner segments as one holding the newest valid
-        record of each key the bounds keep; returns the number of keys
-        removed plus the corrupt records dropped."""
-        from ..study.serialize import decode
-
-        log = self._log
-        with log.lock:
-            names = list(log.segments())
-            records, invalid = log.valid_records(decode)
-            newest: Dict[str, Tuple[float, bytes]] = {}
-            for key, created, line in records:
-                if key not in newest or created >= newest[key][0]:
-                    newest[key] = (created, line)
-            doomed = _doomed(((created, key) for key, (created, _)
-                              in newest.items()),
-                             now, max_age_s, max_entries)
-            kept = [newest[key][1] for key in sorted(newest)
-                    if key not in doomed]
-            if kept:
-                try:
-                    self._write_atomic(log.directory / _fresh_segment_name(),
-                                       b"".join(kept).decode("utf-8"))
-                except OSError as error:
-                    raise CacheError(
-                        f"Cannot compact corner segments in "
-                        f"{log.directory}: {error}"
-                    ) from error
-            log.drop(names)
-        return len(doomed) + invalid
 
 
 def as_cache(cache: CacheLike) -> Optional[ResultCache]:

@@ -40,6 +40,7 @@ from repro.study import (
 )
 from repro.study.cli import main as cli_main
 from repro.study.results import RESULT_SCHEMA
+from test_runtime import segment_records
 from test_sweep_engines import planned_keys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -450,11 +451,12 @@ class TestCacheContracts:
                          **params).provenance.cache == "miss"
         assert run_study("circuit", cache=store, draws=16,
                          **params).provenance.cache == "hit"
-        entries = sorted((tmp_path / "store" / "objects").glob("*/*.json"))
-        assert len(entries) == 2
-        for path in entries:
-            wrapper = json.loads(path.read_text(encoding="utf-8"))
+        records = segment_records(tmp_path / "store", "objects")
+        assert len(records) == 2
+        for _, _, line in records:
+            wrapper = json.loads(line)
             assert wrapper["result"]["provenance"].get("cache") is None
+            assert wrapper["result"]["provenance"]["study"] == "circuit"
 
     def test_no_cache_records_no_status(self):
         # A single-gate netlist keeps this cheap: we only need provenance

@@ -20,7 +20,8 @@ from repro.runtime import (
     plan_delta,
 )
 from repro.study import SweepSpec, run_sweep_study
-from test_runtime import corner_records, counted, isolated_store
+from test_runtime import (counted, isolated_store, segment_records,
+                          tree_bytes)
 from test_sweep_engines import planned_keys
 
 
@@ -344,7 +345,7 @@ class TestCornerIntegrity:
     def _poison_one_corner(self, store):
         """Tamper with one stored corner's payload in place (one digit,
         so the segment keeps its length); returns the corner's key."""
-        records = corner_records(store.root)
+        records = segment_records(store.root)
         assert records
         path, offset, line = records[0]
         at = line.index(b'"payload": ')
@@ -381,7 +382,7 @@ class TestCornerIntegrity:
         spec = SweepSpec.from_mapping({"cnts_per_trial": (2,)})
         run_sweep_study(spec, engine="immunity", trials=10, seed=7,
                         cache=store)
-        ((path, _, line),) = corner_records(store.root)
+        ((path, _, line),) = segment_records(store.root)
         key = json.loads(line)["fingerprint"]
         path.write_bytes(line[:20])
         found, counts = counted(lambda: store.get_corners([key]))
@@ -394,6 +395,38 @@ class TestCornerIntegrity:
             found, counts = counted(lambda: reader.get_corners([key]))
             assert found == {}
             assert counts == {"cache.corner_misses": 1}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_shard_that_raises_stores_nothing(self, tmp_path, monkeypatch,
+                                                jobs):
+        """A sweep whose second shard raises propagates the engine's own
+        exception and appends no corner record and no study record."""
+        import repro.study.sweeps as sweeps
+
+        store = ResultCache(tmp_path / "store")
+        run_sweep_study(SweepSpec.from_mapping({"cnts_per_trial": (2,)}),
+                        engine="immunity", trials=10, seed=7, cache=store)
+        before = (store.stats(), tree_bytes(store.root))
+        assert before[0].entries == before[0].corner_entries == 1
+        failure = RuntimeError("engine failed")
+        real = sweeps._immunity_shard
+        shards = []
+
+        def second_shard_raises(values, seeds, trials):
+            shards.append(values[0]["technique"])
+            if values[0]["technique"] == "compact":
+                raise failure
+            return real(values, seeds, trials)
+
+        monkeypatch.setattr(sweeps, "_immunity_shard", second_shard_raises)
+        spec = SweepSpec.from_mapping({"technique": ("vulnerable", "compact"),
+                                       "cnts_per_trial": (2, 4)})
+        with pytest.raises(RuntimeError) as raised:
+            run_sweep_study(spec, engine="immunity", trials=10, seed=7,
+                            jobs=jobs, cache=store)
+        assert raised.value is failure
+        assert set(shards) == {"compact", "vulnerable"}
+        assert (store.stats(), tree_bytes(store.root)) == before
 
     def test_stats_surface_corner_counters(self, tmp_path):
         store = ResultCache(tmp_path / "store")
@@ -637,12 +670,18 @@ class TestBoundedPrune:
     def test_max_entries_keeps_the_newest(self, tmp_path):
         store = ResultCache(tmp_path / "store")
         self._fill(store, n=2)
-        newest = max(
-            ((json.loads(p.read_text())["created"], p)
-             for p in store._entries()),
-        )[1]
+
+        def studies():
+            return sorted((wrapper["created"], wrapper["fingerprint"])
+                          for wrapper in (json.loads(line) for _, _, line in
+                                          segment_records(store.root,
+                                                          "objects")))
+
+        (_, oldest), (_, newest) = studies()
         store.prune(max_entries=1)
-        assert newest.exists()
+        assert [key for _, key in studies()] == [newest]
+        fresh = isolated_store(store.root)
+        assert fresh.get(newest) is not None and fresh.get(oldest) is None
 
     def test_study_filter_composes_with_bounds(self, tmp_path):
         store = ResultCache(tmp_path / "store")

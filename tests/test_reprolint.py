@@ -395,10 +395,10 @@ class TestAtomicWriteSanction:
         report = lint_paths([str(tmp_path)], select=["RPL005"])
         return [finding.line for finding in report.findings]
 
-    def test_corner_log_segment_opener_is_sanctioned(self, tmp_path):
-        assert self._lines(tmp_path, "_CornerLog") == []
+    def test_segment_log_opener_is_sanctioned(self, tmp_path):
+        assert self._lines(tmp_path, "_SegmentLog") == []
 
     def test_a_segment_method_of_another_class_is_flagged(self, tmp_path):
         # ``_write_atomic`` is sanctioned by name wherever it is defined;
-        # ``_segment`` only as the corner log's method.
+        # ``_segment`` only as the segment log's method.
         assert self._lines(tmp_path, "_OtherLog") == [6]

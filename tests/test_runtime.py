@@ -29,7 +29,7 @@ from repro.runtime import (
     sweep_fingerprint,
     with_cache_status,
 )
-from repro.runtime.cache import SEGMENT_SUFFIX, STALE_TEMP_S, _CornerLog
+from repro.runtime.cache import SEGMENT_SUFFIX, STALE_TEMP_S, _SegmentLog
 from repro.study import StudyResult, SweepSpec, run_study, run_sweep_study
 
 
@@ -45,11 +45,12 @@ def counted(fn):
                    and total != before.get(name, 0)}
 
 
-def corner_records(root):
+def segment_records(root, tier="corners"):
     """``[(segment path, offset, line)]`` for every complete record line
-    of the corner segments of the store at ``root``."""
+    of the ``tier`` segments (``"corners"`` or ``"objects"``) of the
+    store at ``root``."""
     records = []
-    for path in sorted((root / "corners").glob(f"*{SEGMENT_SUFFIX}")):
+    for path in sorted((root / tier).glob(f"*{SEGMENT_SUFFIX}")):
         offset = 0
         for line in path.read_bytes().splitlines(keepends=True):
             if line.endswith(b"\n"):
@@ -59,12 +60,20 @@ def corner_records(root):
 
 
 def isolated_store(root):
-    """A store on ``root`` with a corner index and open segment of its
-    own, as another process would hold: the store objects of one process
-    on one root share theirs."""
+    """A store on ``root`` with a study and a corner index and open
+    segment of its own, as another process would hold: the store objects
+    of one process on one root share theirs."""
     store = ResultCache(root)
-    store._log = _CornerLog(store._log.directory)
+    store._studies, store._corners = (
+        _SegmentLog(log.directory, log.schema, log.field)
+        for log in (store._studies, store._corners))
     return store
+
+
+def tree_bytes(root):
+    """``{relative path: bytes}`` of every file under ``root``."""
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 # ---------------------------------------------------------------------------
@@ -283,59 +292,91 @@ class TestResultCache:
         result = experiments.run_fig3_nand3()
         key = study_fingerprint("fig3")
         assert counted(lambda: cache.get(key)) == (None, {"cache.misses": 1})
-        cache.put(key, result)
-        restored, counts = counted(lambda: cache.get(key))
-        assert counts == {"cache.hits": 1}
-        assert restored == result
-        assert restored.to_dict() == result.to_dict()
+        segment = cache.put(key, result)
+        for reader in (cache, isolated_store(cache.root)):
+            restored, counts = counted(lambda: reader.get(key))
+            assert counts == {"cache.hits": 1}
+            assert restored == result
+            assert restored.to_dict() == result.to_dict()
         stats = cache.stats()
         assert stats.entries == 1
         assert stats.by_study == {"fig3": 1}
-        assert stats.total_bytes > 0
+        assert stats.total_bytes == segment.stat().st_size > 0
         assert sorted(path.name for path in cache.root.iterdir()) \
             == ["objects"]                     # entries, no counter file
+        assert (segment.parent, segment.suffix) == (cache.root / "objects",
+                                                    SEGMENT_SUFFIX)
+        ((path, offset, line),) = segment_records(cache.root, "objects")
+        assert (path, offset, line) == (segment, 0, segment.read_bytes())
 
     def test_corrupt_entry_is_evicted_not_served(self, tmp_path):
+        """A damaged study record is a miss that leaves the index but not
+        the disk; the next prune drops it."""
         cache = ResultCache(tmp_path / "store")
         key = study_fingerprint("fig3")
-        path = cache.put(key, experiments.run_fig3_nand3())
-        path.write_text(path.read_text().replace("compact", "c0rrupt"))
-        value, counts = counted(lambda: cache.get(key))
-        assert value is None                   # digest mismatch -> miss
-        assert not path.exists()               # and the entry is evicted
-        assert counts == {"cache.misses": 1, "cache.corrupt": 1,
-                          "cache.evictions": 1}
+        segment = cache.put(key, experiments.run_fig3_nand3())
+        text = segment.read_bytes()
+        assert b"compact" in text
+        segment.write_bytes(text.replace(b"compact", b"c0rrupt"))
+        damaged = segment.read_bytes()
+        for reader in (cache, isolated_store(cache.root)):
+            value, counts = counted(lambda: reader.get(key))
+            assert value is None               # digest mismatch -> miss
+            assert counts == {"cache.misses": 1, "cache.corrupt": 1,
+                              "cache.evictions": 1}
+            # Evicted from the index: the next read is a plain miss.
+            assert counted(lambda: reader.get(key)) == (
+                None, {"cache.misses": 1})
+        assert segment.read_bytes() == damaged     # a read writes nothing
+        assert cache.stats().entries == 0
+        assert cache.prune(max_entries=5) == 1
+        assert list((cache.root / "objects").iterdir()) == []
 
     def test_digest_valid_but_undecodable_entry_is_evicted(self, tmp_path):
-        """A stale entry whose digest still matches (e.g. a result class
+        """A stale record whose digest still matches (e.g. a result class
         reshaped without a version bump) must degrade to recomputation,
         not crash or serve garbage."""
         from repro.runtime.cache import _envelope_digest
 
-        cache = ResultCache(tmp_path / "store")
+        root = tmp_path / "store"
         key = study_fingerprint("fig3")
-        path = cache.put(key, experiments.run_fig3_nand3())
-        wrapper = json.loads(path.read_text())
+        result = experiments.run_fig3_nand3()
+        segment = isolated_store(root).put(key, result)
+        wrapper = json.loads(segment.read_text())
         wrapper["result"]["payload"] = "not-a-mapping"
         wrapper["sha256"] = _envelope_digest(wrapper["result"])
-        path.write_text(json.dumps(wrapper))
+        segment.write_text(json.dumps(wrapper, sort_keys=True) + "\n")
+        cache = isolated_store(root)
         value, counts = counted(lambda: cache.get(key))
         assert value is None
-        assert not path.exists()
-        assert counts["cache.corrupt"] == 1
+        assert counts == {"cache.misses": 1, "cache.corrupt": 1,
+                          "cache.evictions": 1}
+        assert counted(lambda: cache.get(key)) == (None, {"cache.misses": 1})
+        cache.put(key, result)
+        assert cache.get(key) == result
+        assert isolated_store(root).get(key) == result
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "store")
         key = study_fingerprint("fig3")
-        path = cache.put(key, experiments.run_fig3_nand3())
-        path.write_text(path.read_text()[:40])
-        assert cache.get(key) is None
+        segment = cache.put(key, experiments.run_fig3_nand3())
+        segment.write_bytes(segment.read_bytes()[:40])
+        assert cache.get(key) is None          # the indexed record is cut
+        assert counted(lambda: isolated_store(cache.root).get(key)) == (
+            None, {"cache.misses": 1})         # a torn tail is no record
+        assert cache.stats().entries == 0
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
+        """Appends and the compaction's temp file + rename leave one
+        segment per log and no temp file."""
         cache = ResultCache(tmp_path / "store")
         cache.put(study_fingerprint("fig3"), experiments.run_fig3_nand3())
+        cache.put_corner("ab" * 32, {"x": 1})
+        assert cache.prune(max_entries=1) == 0
         leftovers = [p for p in (tmp_path / "store").rglob(".tmp-*")]
         assert leftovers == []
+        assert [len(list((cache.root / tier).iterdir()))
+                for tier in ("objects", "corners")] == [1, 1]
 
     def test_prune(self, tmp_path):
         cache = ResultCache(tmp_path / "store")
@@ -349,15 +390,15 @@ class TestResultCache:
         assert cache.stats().entries == 0
 
     def test_a_killed_writers_temp_file_is_swept_not_counted(self, tmp_path):
-        """A killed study writer leaves its temp file beside the entries,
-        a killed compaction beside the corner segments."""
+        """A killed compaction leaves its temp file beside the segments of
+        the log it was compacting, studies or corners."""
         cache = ResultCache(tmp_path / "store")
-        entry = cache.put(study_fingerprint("fig3"),
-                          experiments.run_fig3_nand3())
+        result = experiments.run_fig3_nand3()
+        entry = cache.put(study_fingerprint("fig3"), result)
         segment = cache.put_corner("ab" * 32, {"x": 1})
+        assert entry.parent == cache.root / "objects"
         assert segment.parent == cache.root / "corners"
-        stale = [entry.parent / ".tmp-killed.json",
-                 segment.parent / ".tmp-killed.json"]
+        stale = [entry.parent / ".tmp-killed", segment.parent / ".tmp-killed"]
         killed_at = time.time() - STALE_TEMP_S - 60.0
         for path in stale:
             path.write_text('{"study": "fig3", "cre')
@@ -369,17 +410,17 @@ class TestResultCache:
         assert stats.corner_bytes == segment.stat().st_size
         assert cache.prune(study="table1") == 0   # sweeps, counts entries
         assert not any(path.exists() for path in stale)
-        assert entry.exists() and segment.exists()
-        assert ResultCache(cache.root).get_corners(["ab" * 32]) == {
-            "ab" * 32: {"x": 1}}
+        assert cache.stats() == stats and segment.exists()
+        fresh = isolated_store(cache.root)
+        assert fresh.get(study_fingerprint("fig3")) == result
+        assert fresh.get_corners(["ab" * 32]) == {"ab" * 32: {"x": 1}}
 
     def test_prune_spares_a_live_writers_temp_file(self, tmp_path):
         cache = ResultCache(tmp_path / "store")
         entry = cache.put(study_fingerprint("fig3"),
                           experiments.run_fig3_nand3())
         segment = cache.put_corner("ab" * 32, {"x": 1})
-        live = [entry.parent / ".tmp-writing.json",
-                segment.parent / ".tmp-writing.json"]
+        live = [entry.parent / ".tmp-writing", segment.parent / ".tmp-writing"]
         for path in live:
             path.write_text('{"study": "fig3", "cre')
         assert cache.stats().entries == 1
@@ -392,27 +433,57 @@ class TestResultCache:
 
     def test_malformed_key_rejected(self, tmp_path):
         cache = ResultCache(tmp_path)
-        with pytest.raises(CacheError):
-            cache.path_for("../escape")
+        result = experiments.run_fig3_nand3()
+        for key in ("../escape", "AB", ""):
+            with pytest.raises(CacheError):
+                cache.get(key)
+            with pytest.raises(CacheError):
+                cache.put(key, result)
+            with pytest.raises(CacheError):
+                cache.put_corner(key, {"x": 1})
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_var_names_default_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envstore"))
         assert ResultCache().root == tmp_path / "envstore"
         assert as_cache(True).root == tmp_path / "envstore"
 
-    def test_unwritable_counters_do_not_break_a_hit(self, tmp_path,
-                                                    monkeypatch):
-        """Counters are telemetry: a store whose stats.json cannot be
-        written (read-only mount) must still serve valid hits."""
-        cache = ResultCache(tmp_path / "store")
-        key = study_fingerprint("fig3")
+    def test_a_read_writes_nothing(self, tmp_path, monkeypatch):
+        """On a store nothing can be written to (a read-only mount), reads
+        still serve study and corner hits and turn a corrupt record into a
+        miss: a read writes, renames and deletes nothing."""
+        root = tmp_path / "store"
+        store = ResultCache(root)
         result = experiments.run_fig3_nand3()
-        cache.put(key, result)
-        monkeypatch.setattr(
-            ResultCache, "_write_atomic",
-            lambda self, path, text: (_ for _ in ()).throw(OSError("read-only")),
-        )
-        assert cache.get(key) == result
+        good, bad = study_fingerprint("fig3"), study_fingerprint("table1")
+        store.put(good, result)
+        store.put(bad, result)
+        store.put_corner("ab" * 32, {"x": 1})
+        (path, offset, line), = [record for record
+                                 in segment_records(root, "objects")
+                                 if bad.encode() in record[2]]
+        with open(path, "r+b") as stream:
+            stream.seek(offset + line.index(b"compact"))
+            stream.write(b"c0rrupt")
+        before = tree_bytes(root)
+
+        def refuse(*args, **kwargs):
+            raise OSError("read-only store")
+
+        monkeypatch.setattr("repro.runtime.cache._write_atomic", refuse)
+        for name in ("write", "replace", "unlink", "rename"):
+            monkeypatch.setattr(os, name, refuse)
+        for reader in (store, isolated_store(root)):
+            assert counted(lambda: reader.get(good)) == (
+                result, {"cache.hits": 1})
+            assert counted(lambda: reader.get(bad)) == (
+                None, {"cache.misses": 1, "cache.corrupt": 1,
+                       "cache.evictions": 1})
+            assert counted(lambda: reader.get_corners(["ab" * 32])) == (
+                {"ab" * 32: {"x": 1}}, {"cache.corner_hits": 1})
+            assert reader.stats().entries == 1
+        monkeypatch.undo()
+        assert tree_bytes(root) == before
 
     def test_as_cache_forms(self, tmp_path):
         assert as_cache(None) is None
@@ -521,7 +592,7 @@ class TestCornerSegments:
         key = _corner_key(0)
         store.put_corner(key, {"index": 0})
         store.put_corner(key, {"index": 0})
-        assert len(corner_records(store.root)) == 2
+        assert len(segment_records(store.root)) == 2
         assert store.stats().corner_entries == 1
         found, counts = counted(lambda: isolated_store(
             store.root).get_corners([key, key]))
@@ -539,7 +610,7 @@ class TestCornerSegments:
         assert store.prune(max_entries=len(keys)) == 0
         (segment,) = (root / "corners").iterdir()
         assert segment.suffix == SEGMENT_SUFFIX
-        assert len(corner_records(root)) == len(keys)
+        assert len(segment_records(root)) == len(keys)
         found, counts = counted(lambda: store.get_corners(keys))
         assert found == {key: {"index": index}
                          for index, key in enumerate(keys)}
@@ -602,7 +673,7 @@ class TestCornerSegments:
         for reader in (store, isolated_store(store.root)):
             assert reader.get_corners(keys) == {key: {"key": key}
                                                 for key in keys}
-        assert len(corner_records(store.root)) == len(keys)
+        assert len(segment_records(store.root)) == len(keys)
 
     def test_a_forked_child_appends_to_its_own_segment(self, tmp_path):
         store = ResultCache(tmp_path / "store")
@@ -622,15 +693,26 @@ class TestCornerSegments:
 
     def test_the_older_per_file_layout_is_not_read_and_prune_removes_it(
             self, tmp_path):
+        """Neither log reads the per-file tree of the older layout, not
+        even a study entry file that the older layout would serve."""
+        from repro.runtime.cache import CACHE_SCHEMA, _entry_text
+
         store = ResultCache(tmp_path / "store")
         key = _corner_key(0)
-        legacy = store.root / "corners" / key[:2] / f"{key}.json"
-        legacy.parent.mkdir(parents=True)
-        legacy.write_text("{}")
+        study, corner = (store.root / tier / key[:2] / f"{key}.json"
+                         for tier in ("objects", "corners"))
+        for path in (study, corner):
+            path.parent.mkdir(parents=True)
+        study.write_text(_entry_text(
+            key, CACHE_SCHEMA, "result",
+            experiments.run_fig3_nand3().to_json_dict(), study="fig3"))
+        corner.write_text("{}")
+        assert store.get(key) is None
         assert store.get_corners([key]) == {}
-        assert store.stats().corner_entries == 0
+        stats = store.stats()
+        assert (stats.entries, stats.corner_entries) == (0, 0)
         assert store.prune() == 0
-        assert not legacy.parent.exists()
+        assert not study.parent.exists() and not corner.parent.exists()
 
 
 class TestCachedRunStudy:

@@ -969,8 +969,8 @@ class TestJobManager:
 
     def test_all_jobs_of_a_manager_append_to_one_segment(self, tmp_path):
         """Sweep jobs (through the progress view) and a circuit study
-        (through the plain store) on two workers share one corner index
-        and open segment."""
+        (through the plain store) on two workers share one index and
+        open segment per log: one study segment, one corner segment."""
         from repro.runtime.cache import SEGMENT_SUFFIX
 
         bodies = [{"study": "sweep", "engine": "immunity",
@@ -989,9 +989,10 @@ class TestJobManager:
                     == "done"
         finally:
             manager.close()
-        segments = list((tmp_path / "cache" / "corners").iterdir())
-        assert len(segments) == 1
-        assert segments[0].suffix == SEGMENT_SUFFIX
+        for tier in ("objects", "corners"):
+            segments = list((tmp_path / "cache" / tier).iterdir())
+            assert len(segments) == 1
+            assert segments[0].suffix == SEGMENT_SUFFIX
 
     def test_a_parallel_job_never_starts_a_process(self, tmp_path,
                                                    monkeypatch):

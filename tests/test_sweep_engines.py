@@ -427,21 +427,13 @@ CORNER_WRAPPER = {"schema", "fingerprint", "study", "engine", "sha256",
                   "created", "payload"}
 
 
-def _wrappers(tree):
-    """``[(file stem, text, wrapper)]`` for every entry file under
-    ``tree``."""
-    entries = []
-    for path in sorted(tree.glob("*/*.json")):
-        text = path.read_text()
-        entries.append((path.stem, text, json.loads(text)))
-    return entries
-
-
 def _records(tree):
     """``[(fingerprint, text, wrapper)]`` for every record line of the
-    corner segments in ``tree``."""
+    segments in ``tree``; ``tree`` holds nothing else."""
+    assert all(path.suffix == SEGMENT_SUFFIX and path.is_file()
+               for path in tree.iterdir())
     entries = []
-    for path in sorted(tree.glob(f"*{SEGMENT_SUFFIX}")):
+    for path in sorted(tree.iterdir()):
         for text in path.read_text().splitlines():
             wrapper = json.loads(text)
             entries.append((wrapper["fingerprint"], text, wrapper))
@@ -465,17 +457,17 @@ def test_entry_wrappers_are_pinned(tmp_path):
     run_study("circuit", circuit="adder:2", trials=10, seed=7, draws=10,
               cache=store)
 
-    studies = _wrappers(store.root / "objects")
+    studies = _records(store.root / "objects")
     assert sorted(wrapper["study"] for _, _, wrapper in studies) == [
         "circuit", "sweep"]
+    served = isolated_store(store.root)
     for stem, text, wrapper in studies:
         assert set(wrapper) == STUDY_WRAPPER
         assert wrapper["schema"] == CACHE_SCHEMA
-        assert wrapper["fingerprint"] == stem
+        assert served.get(stem).to_json_dict() == wrapper["result"]
         assert wrapper["sha256"] == _digest(wrapper["result"])
         assert text == json.dumps(wrapper, sort_keys=True)
 
-    assert _wrappers(store.root / "corners") == []
     corners = _records(store.root / "corners")
     assert len({stem for stem, _, _ in corners}) == len(corners)
     served = isolated_store(store.root).get_corners(
