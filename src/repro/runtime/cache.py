@@ -59,6 +59,7 @@ directory; the ``REPRO_CACHE_DIR`` environment variable or an explicit
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -112,6 +113,12 @@ _KEY = re.compile(r"[0-9a-f]+").fullmatch
 #: ``engine`` string before it cannot contain this, so its first
 #: occurrence is the record's own fingerprint.
 _FINGERPRINT = b'"fingerprint": "'
+
+#: Matches the start of a record line, whose first key is ``created``.
+_CREATED = re.compile(rb'\{"created": ([^,]*),').match
+
+#: How many leading bytes of a record line hold its ``created`` field.
+_CREATED_HEAD = 64
 
 #: A location in a tier: ``(segment name, offset, length)``.
 Location = Tuple[str, int, int]
@@ -223,6 +230,16 @@ def _record_key(line: bytes) -> Optional[str]:
     at += len(_FINGERPRINT)
     key = line[at:line.find(b'"', at)].decode("ascii", "replace")
     return key if _is_key(key) else None
+
+
+def _record_created(head: Optional[bytes]) -> float:
+    """The write time at the start of a record line, or ``-inf`` when the
+    line does not start as a record does (it sorts as the oldest)."""
+    match = _CREATED(head or b"")
+    try:
+        return float(match.group(1)) if match else float("-inf")
+    except ValueError:
+        return float("-inf")
 
 
 def _fresh_segment_name() -> str:
@@ -350,13 +367,43 @@ class _SegmentLog:
                 yield start, line
                 start += len(line)
 
+    @contextlib.contextmanager
+    def _reader(self) -> Iterator[Callable[[str, int, int], Optional[bytes]]]:
+        """A ``read(name, offset, length)`` of segment bytes that opens
+        each segment once and gives ``None`` for one that is gone; the
+        segments close when the block ends."""
+        handles: Dict[str, Optional[int]] = {}
+
+        def read(name: str, offset: int, length: int) -> Optional[bytes]:
+            if name not in handles:
+                try:
+                    handles[name] = os.open(self.directory / name,
+                                            os.O_RDONLY)
+                except FileNotFoundError:
+                    handles[name] = None
+            handle = handles[name]
+            return None if handle is None else os.pread(handle, length,
+                                                        offset)
+
+        try:
+            yield read
+        finally:
+            for handle in handles.values():
+                if handle is not None:
+                    os.close(handle)
+
     def _rescan(self) -> None:
         """Index the records appended since the last scan.  When a prune
-        elsewhere compacted segments away, rebuild the whole index."""
+        elsewhere compacted segments away, rebuild the whole index.
+
+        A segment's records are in write order, but segment names are
+        not: a key whose records the scan finds in more than one segment
+        has them ordered by their ``created`` times, newest first."""
         sizes = self.segments()
         if any(name not in sizes for name in self.scanned):
             self.index.clear()
             self.scanned.clear()
+        spread: Set[str] = set()
         for name in sorted(sizes):
             start = self.scanned.get(name, 0)
             if sizes[name] <= start:
@@ -364,10 +411,24 @@ class _SegmentLog:
             for offset, line in self._lines(name, start):
                 key = _record_key(line)
                 if key is not None:
-                    self.index.setdefault(key, []).insert(
-                        0, (name, offset, len(line)))
+                    locations = self.index.setdefault(key, [])
+                    if locations and locations[0][0] != name:
+                        spread.add(key)
+                    locations.insert(0, (name, offset, len(line)))
                 start = offset + len(line)
             self.scanned[name] = start
+        if spread:
+            with self._reader() as read:
+
+                def created(location: Location) -> float:
+                    name, offset, length = location
+                    return _record_created(
+                        read(name, offset, min(length, _CREATED_HEAD)))
+
+                for key in spread:
+                    # A stable sort: records written in one clock tick
+                    # keep the scan's order.
+                    self.index[key].sort(key=created, reverse=True)
 
     def _loaded(self, line: bytes, key: str,
                 decode: Callable[[Any], Any]) -> Tuple[Any, bool]:
@@ -392,22 +453,13 @@ class _SegmentLog:
         still serve), and so is one whose segment is gone."""
         found: Dict[str, Any] = {}
         corrupt: Set[str] = set()
-        handles: Dict[str, Optional[int]] = {}
-        try:
+        with self._reader() as read:
             for key in keys:
                 locations = self.index.get(key)
                 while locations:
-                    name, offset, length = locations[0]
-                    if name not in handles:
-                        try:
-                            handles[name] = os.open(self.directory / name,
-                                                    os.O_RDONLY)
-                        except FileNotFoundError:
-                            handles[name] = None
-                    if handles[name] is not None:
-                        value, ok = self._loaded(
-                            os.pread(handles[name], length, offset), key,
-                            decode)
+                    line = read(*locations[0])
+                    if line is not None:
+                        value, ok = self._loaded(line, key, decode)
                         if ok:
                             found[key] = value
                             break
@@ -418,10 +470,6 @@ class _SegmentLog:
                     locations.pop(0)
                 if not locations:
                     self.index.pop(key, None)
-        finally:
-            for handle in handles.values():
-                if handle is not None:
-                    os.close(handle)
         return found, corrupt
 
     def read(self, keys: Sequence[str], decode: Callable[[Any], Any]
@@ -486,21 +534,11 @@ class _SegmentLog:
 
     def _copies(self, locations: Iterable[Location]) -> Iterator[bytes]:
         """The bytes at each location, skipping a segment that is gone."""
-        handles: Dict[str, Optional[int]] = {}
-        try:
-            for name, offset, length in locations:
-                if name not in handles:
-                    try:
-                        handles[name] = os.open(self.directory / name,
-                                                os.O_RDONLY)
-                    except FileNotFoundError:
-                        handles[name] = None
-                if handles[name] is not None:
-                    yield os.pread(handles[name], length, offset)
-        finally:
-            for handle in handles.values():
-                if handle is not None:
-                    os.close(handle)
+        with self._reader() as read:
+            for location in locations:
+                data = read(*location)
+                if data is not None:
+                    yield data
 
     def compact(self, now: float, study: Optional[str],
                 max_age_s: Optional[float],

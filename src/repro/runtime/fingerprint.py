@@ -186,19 +186,24 @@ def corner_fingerprint(
         for key, value in sorted(params.items())
         if key not in EXECUTION_PARAMS
     }
-    document = {
-        "kind": "sweep-corner",
-        "engine": engine,
-        "params": safe_params,
-        "trials": trials,
-        "seed": _normalize_seeds(seed) if seed is not None else None,
-        "context": _plain_scalars(context),
-        "version": _package_version(),
-        "config": config_hash(
-            {"kind": "sweep-corner", "engine": engine,
-             "params": safe_params, "schema": RESULT_SCHEMA}
-        ),
-    }
-    return hashlib.sha256(
-        canonical_json(document).encode("utf-8")
-    ).hexdigest()
+    # canonical_json of the address document and of its config, joined
+    # from fragments (sorted keys, compact separators) so the params are
+    # encoded once for both.
+    engine_text = canonical_json(engine)
+    params_text = canonical_json(safe_params)
+    config = hashlib.sha256((
+        '{"engine":' + engine_text + ',"kind":"sweep-corner","params":'
+        + params_text + ',"schema":' + canonical_json(RESULT_SCHEMA) + "}"
+    ).encode("utf-8")).hexdigest()[:16]
+    document = "".join((
+        '{"config":"', config,
+        '","context":', canonical_json(_plain_scalars(context)),
+        ',"engine":', engine_text,
+        ',"kind":"sweep-corner","params":', params_text,
+        ',"seed":', canonical_json(
+            _normalize_seeds(seed) if seed is not None else None),
+        ',"trials":', canonical_json(trials),
+        ',"version":', canonical_json(_package_version()),
+        "}",
+    ))
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()

@@ -30,6 +30,7 @@ collapse onto one job — the RPL004 contract, extended to HTTP.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -42,6 +43,13 @@ from .errors import InvalidSubmission
 
 #: Submission kinds, in increasing compositeness.
 KINDS = ("study", "sweep", "manifest")
+
+
+def wire_body(document: Any) -> bytes:
+    """``document`` as a response body: one line of compact JSON.
+    Compact separators keep CPython's C encoder, which ``indent`` turns
+    off."""
+    return (json.dumps(document, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def _validate_jobs(jobs: Any) -> Optional[int]:
@@ -163,4 +171,4 @@ class JobSubmission:
         }
 
 
-__all__ = ["KINDS", "JobSubmission"]
+__all__ = ["KINDS", "JobSubmission", "wire_body"]

@@ -36,6 +36,11 @@ corner reads/writes tick the job's ``progress`` counter, so ``GET
 moment the plan resolves them; fresh corners as each one lands in the
 store).
 
+A finished job keeps its result only as the envelope's compact JSON
+bytes, encoded once by the worker (:attr:`Job.body`): every ``GET
+/jobs/<id>/result`` and every attached client is sent those bytes, and
+:meth:`JobManager.result` decodes a typed result from them on demand.
+
 The job table is bounded: the manager retains at most
 :data:`MAX_FINISHED_JOBS` finished (terminal) jobs and evicts the
 oldest-finished first.  Queued and running jobs are never evicted.  An
@@ -46,10 +51,11 @@ creates a new job — which the store serves as a ``hit``.
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import ServiceError
 from ..obs import clock as obs_clock
@@ -57,7 +63,7 @@ from ..obs import metrics as obs_metrics
 from ..obs.trace import Tracer
 from ..runtime.cache import ResultCache, as_cache
 from ..study.results import StudyResult
-from .api import JobSubmission
+from .api import JobSubmission, wire_body
 from .errors import JobNotFound, JobStateError, error_payload
 
 #: The job states, in lifecycle order.
@@ -93,7 +99,14 @@ class Job:
     clients: int = 1
     progress_total: Optional[int] = None
     progress_done: int = 0
-    result: Optional[StudyResult] = None
+    #: A ``done`` job's result envelope as compact JSON bytes, encoded
+    #: once by the worker: every ``GET /jobs/<id>/result`` and every
+    #: attached client is sent these bytes.  The typed result is not
+    #: kept; :meth:`JobManager.result` decodes one from them.
+    body: Optional[bytes] = None
+    #: The result's provenance ``cache`` field (``"hit"``, ``"miss"``,
+    #: ``"partial:<hits>/<corners>"`` or ``None``).
+    cache: Optional[str] = None
     error: Optional[Dict[str, Any]] = None
     #: The job's ``repro-trace/v1`` envelope, recorded by the worker on
     #: completion (success or failure).  Deliberately NOT part of
@@ -116,10 +129,15 @@ class Job:
                 "total": self.progress_total,
                 "done": self.progress_done,
             },
-            "cache": (self.result.provenance.cache
-                      if self.result is not None else None),
+            "cache": self.cache,
             "error": self.error,
         }
+
+
+def _encoded(result: StudyResult) -> Tuple[bytes, Optional[str]]:
+    """``(the result envelope as one line of compact JSON bytes, its
+    provenance cache field)``: what a finished job keeps of its result."""
+    return wire_body(result.to_json_dict()), result.provenance.cache
 
 
 class _ProgressCache(ResultCache):
@@ -240,14 +258,15 @@ class JobManager:
         with self._lock:
             return [job.document() for job in self._jobs.values()]
 
-    def result(self, job_id: str) -> StudyResult:
-        """The finished job's typed result; :class:`JobStateError` until
-        the job is ``done`` (a ``failed`` job's message carries its typed
-        error payload)."""
+    def result_body(self, job_id: str) -> bytes:
+        """The finished job's result envelope as the compact JSON bytes
+        encoded when it finished; :class:`JobStateError` until the job is
+        ``done`` (a ``failed`` job's message carries its typed error
+        payload)."""
         with self._lock:
             job = self._get(job_id)
             if job.status == DONE:
-                return job.result
+                return job.body
             if job.status == FAILED:
                 raise JobStateError(
                     f"Job {job_id} failed: "
@@ -257,6 +276,12 @@ class JobManager:
             raise JobStateError(
                 f"Job {job_id} is {job.status}, not done"
             )
+
+    def result(self, job_id: str) -> StudyResult:
+        """The finished job's typed result, decoded from
+        :meth:`result_body`'s bytes (a manifest's live per-entry
+        ``results`` are not kept: they decode as ``None``)."""
+        return StudyResult.from_json_dict(json.loads(self.result_body(job_id)))
 
     def poll(self, job_id: str, timeout: float) -> Dict[str, Any]:
         """The job's wire form once it reaches a terminal state, or as it
@@ -367,8 +392,8 @@ class JobManager:
             try:
                 with tracer.activate():
                     with tracer.span("job.run", kind=submission.kind):
-                        result = submission.run(cache=store,
-                                                jobs=self._engine_jobs)
+                        body, cache = _encoded(submission.run(
+                            cache=store, jobs=self._engine_jobs))
             except Exception as error:
                 obs_metrics.registry().inc("service.jobs_failed")
                 with self._lock:
@@ -380,7 +405,7 @@ class JobManager:
                 obs_metrics.registry().inc("service.jobs_done")
                 with self._lock:
                     self._busy_seconds += obs_clock.monotonic() - busy_start
-                    job.result = result
+                    job.body, job.cache = body, cache
                     job.trace_document = tracer.to_document()
                     if job.progress_total is not None:
                         job.progress_done = job.progress_total

@@ -13,7 +13,9 @@ endpoint                      meaning
                               settles or after :data:`POLL_WAIT_S`,
                               whichever comes first
 ``GET /jobs/<id>/result``     the finished job's tagged-JSON envelope —
-                              byte-identical to ``repro run --json``
+                              parses equal to ``repro run --json``; the
+                              same bytes for every GET and every
+                              deduplicated client
 ``GET /jobs/<id>/trace``      the finished job's ``repro-trace/v1``
                               envelope (409 until the job has run)
 ``DELETE /jobs/<id>``         cancel a *queued* job
@@ -31,11 +33,15 @@ a malformed request line) answer in the same JSON shape with the status
 it chose, and close the connection.  Finished jobs are retained up to
 :data:`~repro.service.jobs.MAX_FINISHED_JOBS`; an evicted id is a 404.
 
-Every response leaves in one write: status line, headers and body
-together.  Two writes would put the body in a second small segment that
-Nagle's algorithm holds until the client's delayed ACK, tens of
-milliseconds per response.  The waiting poll keeps a client that polls
-back to back from crowding the job workers off the interpreter.
+Every body is one line of compact JSON
+(:func:`~repro.service.api.wire_body`).  A result body is encoded once,
+when its job finishes (:attr:`~repro.service.jobs.Job.body`), and sent
+as those bytes on every GET.  Every response leaves in one write:
+status line, headers and body together.  Two writes would put the body
+in a second small segment that Nagle's algorithm holds until the
+client's delayed ACK, tens of milliseconds per response.  The waiting
+poll keeps a client that polls back to back from crowding the job
+workers off the interpreter.
 
 The handler holds no state of its own: every request reaches the one
 :class:`~repro.service.jobs.JobManager` hanging off the server object,
@@ -53,7 +59,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple, Type
 
 from ..errors import ReproError
-from .api import JobSubmission
+from .api import JobSubmission, wire_body
 from .errors import (InvalidSubmission, JobNotFound, JobStateError,
                      ProtocolError, error_payload)
 from .jobs import JobManager
@@ -118,13 +124,16 @@ class _Handler(BaseHTTPRequestHandler):
         return super().parse_request()
 
     def _send_json(self, status: int, document: Any) -> None:
+        self._send_body(status, wire_body(document))
+
+    def _send_body(self, status: int, payload: bytes) -> None:
+        """Send ``payload``, a :func:`~repro.service.api.wire_body`, as
+        the response body."""
         if not self.close_connection and not self._body_read \
                 and self.headers.get("Content-Length", "0") != "0":
             # A body the handler did not read would be parsed as the
             # next request on this connection.
             self.close_connection = True
-        body = json.dumps(document, indent=2, sort_keys=False)
-        payload = (body + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -205,8 +214,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, self.manager.poll(parts[1], POLL_WAIT_S))
             elif len(parts) == 3 and parts[0] == "jobs" \
                     and parts[2] == "result":
-                result = self.manager.result(parts[1])
-                self._send_json(200, result.to_json_dict())
+                self._send_body(200, self.manager.result_body(parts[1]))
             elif len(parts) == 3 and parts[0] == "jobs" \
                     and parts[2] == "trace":
                 self._send_json(200, self.manager.trace(parts[1]))

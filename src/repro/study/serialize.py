@@ -30,6 +30,19 @@ Tags
     ``repro.*`` classes are accepted, so documents cannot instantiate
     arbitrary types.
 
+Speed
+-----
+:func:`encode` runs on every envelope, stored corner and address, so it
+first dispatches on the *exact* type: ``str``, ``float``, ``int``,
+``bool`` and ``None`` come back as they are, and ``list``, ``tuple`` and
+a ``dict`` whose keys are all exactly ``str`` and none a tag recurse at
+once.  Everything else takes the original chain of ``isinstance``
+checks, in its original order, which settles subclasses as it always
+has: a ``float`` subclass such as ``np.float64``, an ``IntEnum`` member
+or a ``str`` subclass is returned as it is, while ``np.int64`` and
+``np.bool_`` (not ``int`` or ``bool`` subclasses) become
+``__npscalar__`` nodes.  Both routes give the same tree for every input.
+
 >>> import numpy as np
 >>> decode(encode((1, np.float64(2.5)))) == (1, np.float64(2.5))
 True
@@ -59,9 +72,33 @@ _TAGS = (
     "__seedseq__", "__dataclass__",
 )
 
+#: The same tags as a set, for the one-pass collision check of a dict's keys.
+_TAG_SET = frozenset(_TAGS)
+
+#: Exact types :func:`encode` returns as they are.
+_JSON_SCALARS = frozenset({str, float, int, bool, type(None)})
+
 
 def encode(obj: Any) -> Any:
     """Lower ``obj`` to a JSON-safe tree of tagged nodes."""
+    kind = type(obj)
+    if kind in _JSON_SCALARS:
+        return obj
+    if kind is list:
+        return [encode(item) for item in obj]
+    if kind is tuple:
+        return {"__tuple__": [encode(item) for item in obj]}
+    if kind is dict and _TAG_SET.isdisjoint(obj) \
+            and set(map(type, obj)) <= {str}:
+        return {key: encode(value) for key, value in obj.items()}
+    return _encode_any(obj)
+
+
+def _encode_any(obj: Any) -> Any:
+    """:func:`encode` for every object its exact-type dispatch does not
+    settle: subclasses, NumPy values, bytes, seed sequences, dataclasses
+    and dicts that need the ``__map__`` escape (or have ``str``-subclass
+    keys), tried in a fixed order of ``isinstance`` checks."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, np.ndarray):
@@ -167,11 +204,16 @@ def _decode_dataclass(node: Dict[str, Any]) -> Any:
     return target(**fields)
 
 
+#: The one encoder behind :func:`canonical_json`; ``json.dumps`` with
+#: these options would build a new one per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              allow_nan=True)
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON text of an encoded payload (sorted keys, compact
     separators) — the input to :func:`config_hash`."""
-    return json.dumps(encode(obj), sort_keys=True, separators=(",", ":"),
-                      allow_nan=True)
+    return _CANONICAL.encode(encode(obj))
 
 
 def config_hash(obj: Any) -> str:

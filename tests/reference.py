@@ -1,4 +1,5 @@
-"""Scalar reference implementations of the library's two batched engines.
+"""Scalar reference implementations of the library's two batched engines,
+and plain references for its encoder and corner addresses.
 
 The library computes each of the paper's claims with one batched engine:
 the Figure 2 immunity Monte Carlo (:func:`repro.immunity.run_immunity_trials`
@@ -31,10 +32,27 @@ The oracle tests (``tests/test_simulator_batch.py``,
 ``tests/test_immunity.py``) and the speed floors
 ``benchmarks/bench_sim_scale.py`` and ``benchmarks/bench_immunity_scale.py``
 import them from here.
+
+Two more references pin the bytes every address and envelope is made of:
+
+* :func:`reference_encode` is the tagged-JSON encoder as one chain of
+  ``isinstance`` checks; :func:`repro.study.serialize.encode`, which
+  dispatches on exact types first, must return the same tree for every
+  input, types included.
+* :func:`reference_corner_fingerprint` builds a corner's address document
+  and its config as dicts and encodes each whole;
+  :func:`repro.runtime.fingerprint.corner_fingerprint`, which joins one
+  encoding of the params into both, must give the same address.
+
+``tests/test_serialize_reference.py`` holds both to them.
 """
 
 from __future__ import annotations
 
+import base64
+import dataclasses
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -49,7 +67,7 @@ from repro.circuit.simulator import (
     stability_substep,
 )
 from repro.core import StandardCell
-from repro.errors import ImmunityAnalysisError, SimulationError
+from repro.errors import ImmunityAnalysisError, SimulationError, StudyError
 from repro.geometry import Rect
 from repro.immunity import (
     NOMINAL_CNT_PITCH,
@@ -61,6 +79,9 @@ from repro.immunity import (
     random_mispositioned_cnts,
 )
 from repro.logic import TruthTable
+from repro.runtime.fingerprint import EXECUTION_PARAMS
+from repro.study.results import RESULT_SCHEMA, _package_version
+from repro.study.serialize import _TAGS
 
 # ---------------------------------------------------------------------------
 # Transient integration
@@ -424,3 +445,117 @@ def reference_immunity_trials(
         annotations.cell_name, cell.technique, trials, cnts_per_trial,
         failures, nominal_report.nominal_matches and nominal_report.immune,
     )
+
+
+# ---------------------------------------------------------------------------
+# Tagged JSON and corner addresses
+# ---------------------------------------------------------------------------
+
+
+def reference_encode(obj):
+    """:func:`repro.study.serialize.encode` as one ``isinstance`` chain."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, np.ndarray):
+        return {"__ndarray__": {
+            "dtype": str(obj.dtype),
+            "shape": list(obj.shape),
+            "data": obj.ravel(order="C").tolist(),
+        }}
+    if isinstance(obj, np.generic):
+        return {"__npscalar__": {
+            "dtype": obj.dtype.name,
+            "value": obj.item(),
+        }}
+    if isinstance(obj, (bytes, bytearray)):
+        return {"__bytes__": base64.b64encode(bytes(obj)).decode("ascii")}
+    if isinstance(obj, tuple):
+        return {"__tuple__": [reference_encode(item) for item in obj]}
+    if isinstance(obj, list):
+        return [reference_encode(item) for item in obj]
+    if isinstance(obj, np.random.SeedSequence):
+        return {"__seedseq__": {
+            "entropy": reference_encode(obj.entropy),
+            "spawn_key": list(obj.spawn_key),
+            "pool_size": obj.pool_size,
+            "n_children_spawned": obj.n_children_spawned,
+        }}
+    if isinstance(obj, dict):
+        plain_keys = all(isinstance(key, str) for key in obj)
+        collides = plain_keys and any(key in _TAGS for key in obj)
+        if plain_keys and not collides:
+            return {key: reference_encode(value) for key, value in obj.items()}
+        return {"__map__": [[reference_encode(key), reference_encode(value)]
+                            for key, value in obj.items()]}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        cls = type(obj)
+        module = cls.__module__
+        if not (module == "repro" or module.startswith("repro.")):
+            raise StudyError(f"Refusing to serialize non-repro dataclass "
+                             f"{module}.{cls.__qualname__}")
+        fields = {
+            f.name: reference_encode(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if f.metadata.get("serialize", True)
+        }
+        return {"__dataclass__": f"{module}:{cls.__qualname__}",
+                "fields": fields}
+    raise StudyError(
+        f"Cannot serialize object of type {type(obj).__name__}: {obj!r}"
+    )
+
+
+def reference_canonical_json(obj) -> str:
+    """Sorted-key, compact JSON text of :func:`reference_encode`."""
+    return json.dumps(reference_encode(obj), sort_keys=True,
+                      separators=(",", ":"), allow_nan=True)
+
+
+def _reference_normalize_seeds(value):
+    if isinstance(value, np.random.SeedSequence):
+        return reference_encode(value)
+    if isinstance(value, dict):
+        return {key: _reference_normalize_seeds(item)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_reference_normalize_seeds(item) for item in value)
+    return value
+
+
+def _reference_plain_scalars(value):
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, dict):
+        return {key: _reference_plain_scalars(item)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_reference_plain_scalars(item) for item in value)
+    return value
+
+
+def reference_corner_fingerprint(engine, params, seed=None, trials=None,
+                                 context=None) -> str:
+    """:func:`repro.runtime.fingerprint.corner_fingerprint` with the
+    document and its config each built as a dict and encoded whole."""
+    safe_params = {
+        key: _reference_normalize_seeds(_reference_plain_scalars(value))
+        for key, value in sorted(params.items())
+        if key not in EXECUTION_PARAMS
+    }
+    config = hashlib.sha256(reference_canonical_json(
+        {"kind": "sweep-corner", "engine": engine,
+         "params": safe_params, "schema": RESULT_SCHEMA}
+    ).encode("utf-8")).hexdigest()[:16]
+    document = {
+        "kind": "sweep-corner",
+        "engine": engine,
+        "params": safe_params,
+        "trials": trials,
+        "seed": _reference_normalize_seeds(seed) if seed is not None else None,
+        "context": _reference_plain_scalars(context),
+        "version": _package_version(),
+        "config": config,
+    }
+    return hashlib.sha256(
+        reference_canonical_json(document).encode("utf-8")
+    ).hexdigest()

@@ -356,6 +356,51 @@ class TestResultCache:
         assert cache.get(key) == result
         assert isolated_store(root).get(key) == result
 
+    @pytest.mark.parametrize("tier", ["objects", "corners"])
+    @pytest.mark.parametrize("names", [("a", "b"), ("b", "a")])
+    def test_a_rewrite_in_another_segment_is_read_first(
+            self, tmp_path, monkeypatch, tier, names):
+        """A key's corrupt record, then its valid rewrite by another
+        writer a clock step later: a fresh reader serves the rewrite and
+        meets no corrupt record, whichever segment name sorts first."""
+        import repro.runtime.cache as cache_module
+        from repro.obs import clock
+
+        segment_names = iter(f"{name}{SEGMENT_SUFFIX}" for name in names)
+        monkeypatch.setattr(cache_module, "_fresh_segment_name",
+                            lambda: next(segment_names))
+        now = [1_000_000.0]
+        monkeypatch.setattr(clock, "wall_time", lambda: now[0])
+        root = tmp_path / "store"
+        if tier == "objects":
+            key, value = study_fingerprint("fig3"), experiments.run_fig3_nand3()
+            field = "result"
+
+            def write(store):
+                return store.put(key, value)
+
+            def read(store):
+                return store.get(key)
+        else:
+            key, value, field = "ab" * 32, {"x": 1.5}, "payload"
+
+            def write(store):
+                return store.put_corner(key, value)
+
+            def read(store):
+                return store.get_corners([key]).get(key)
+
+        segment = write(isolated_store(root))
+        wrapper = json.loads(segment.read_text())
+        wrapper[field] = {"damaged": True}
+        segment.write_text(json.dumps(wrapper, sort_keys=True) + "\n")
+        now[0] += 1.0
+        rewrite = write(isolated_store(root))
+        assert rewrite.name != segment.name
+        served, counts = counted(lambda: read(isolated_store(root)))
+        assert served == value
+        assert not any("corrupt" in name for name in counts)
+
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "store")
         key = study_fingerprint("fig3")

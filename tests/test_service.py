@@ -44,6 +44,7 @@ import repro.analysis.experiments as experiments
 import repro.service.jobs as jobs_module
 import repro.service.server as server_module
 from repro.errors import ReproError
+from repro.runtime import ResultCache
 from repro.runtime.manifest import ManifestEntry, run_manifest
 from repro.service import (
     InvalidSubmission,
@@ -52,7 +53,7 @@ from repro.service import (
     ReproService,
     status_for,
 )
-from repro.study import SweepSpec, run_sweep_study
+from repro.study import StudyResult, SweepSpec, run_sweep_study
 from repro.study.registry import run_study
 
 POLL_TIMEOUT_S = 60.0
@@ -1034,3 +1035,100 @@ class TestJobManager:
             JobSubmission.from_document(
                 {"studies": [{"study": "fig3"}], "extra": 1})
         assert status_for(InvalidSubmission("x")) == 400
+
+
+# ---------------------------------------------------------------------------
+# The result wire: bytes encoded once per job
+# ---------------------------------------------------------------------------
+
+_IMMUNITY = {"study": "sweep", "engine": "immunity",
+             "params": {"trials": 20, "seed": 3}}
+_ZIP_TRANSIENT = {"study": "sweep", "engine": "transient", "mode": "zip"}
+_CIRCUIT = {"study": "circuit",
+            "params": {"circuit": "adder:2", "trials": 8, "draws": 8}}
+
+#: ``kind -> (body, smaller body whose store contents make the body a
+#: partial hit, or None where nothing is partial)``.
+WIRE_CASES = {
+    "fig3": ({"study": "fig3", "params": {"unit_width": 5.0}}, None),
+    "immunity-sweep": (
+        {**_IMMUNITY, "axes": {"cnts_per_trial": [2, 4, 6]}},
+        {**_IMMUNITY, "axes": {"cnts_per_trial": [2, 4]}}),
+    "transient-sweep": (
+        {**_ZIP_TRANSIENT, "axes": {"vdd": [0.9, 1.0, 1.1]}},
+        {**_ZIP_TRANSIENT, "axes": {"vdd": [0.9, 1.0]}}),
+    "circuit": (
+        _CIRCUIT,
+        {"study": "circuit",
+         "params": {**_CIRCUIT["params"], "technique": "vulnerable"}}),
+    "manifest": (
+        {"studies": [{"study": "fig3"},
+                     {**_IMMUNITY, "axes": {"cnts_per_trial": [2, 4, 6]}}]},
+        {"studies": [{**_IMMUNITY, "axes": {"cnts_per_trial": [2, 4]}}]}),
+}
+
+#: ``(kind, store state)``: the state is how the store stands when the
+#: body is submitted; ``dedup`` submits it twice to an empty store, the
+#: second client attaching.  A fig3 job reads no corners, so is never
+#: partial.
+WIRE_STATES = [(kind, state) for kind in sorted(WIRE_CASES)
+               for state in ("miss", "hit", "partial", "dedup")
+               if state != "partial" or WIRE_CASES[kind][1] is not None]
+
+
+def _run_direct(body, root):
+    """What the runner returns for ``body`` against the store at ``root``."""
+    return JobSubmission.from_document(body).run(cache=ResultCache(root))
+
+
+@pytest.mark.parametrize("kind, state", WIRE_STATES)
+def test_result_wire_is_the_runners_envelope_encoded_once(tmp_path, kind,
+                                                          state):
+    """``GET /jobs/<id>/result`` for every kind of job and store state:
+    one line of compact JSON that parses to the ``to_json_dict()`` of
+    the runner's result for the same invocation on a store in the same
+    state, the same bytes for every GET and every attached client; the
+    finished job holds those bytes and no typed result, and
+    ``JobManager.result`` decodes the runner's result from them."""
+    body, smaller = WIRE_CASES[kind]
+    served_root, direct_root = tmp_path / "served", tmp_path / "direct"
+    for root in (served_root, direct_root):
+        if state == "partial":
+            _run_direct(smaller, root)
+        elif state == "hit":
+            _run_direct(body, root)
+    expected = _run_direct(body, direct_root)
+    if state in ("hit", "partial") and kind != "manifest":
+        assert expected.provenance.cache.startswith(state), \
+            expected.provenance.cache
+    service = _start(tmp_path, cache=served_root)
+    try:
+        client = Client(service)
+        posts = [client.json("POST", "/jobs", body)[1]
+                 for _ in range(2 if state == "dedup" else 1)]
+        assert [post["deduplicated"] for post in posts] \
+            == [False, True][:len(posts)]
+        job_id = posts[0]["id"]
+        assert {post["id"] for post in posts} == {job_id}
+        final = client.poll(job_id)
+        assert final["status"] == "done", final
+        assert final["cache"] == expected.provenance.cache
+        bodies = [client.request("GET", f"/jobs/{job_id}/result")
+                  for _ in posts for _ in range(2)]
+        assert {status for status, _ in bodies} == {200}
+        raw = bodies[0][1]
+        assert all(served == raw for _, served in bodies)
+        assert raw == (json.dumps(json.loads(raw), separators=(",", ":"))
+                       + "\n").encode("utf-8")
+        assert json.loads(raw) == expected.to_json_dict()
+        job = service.manager._jobs[job_id]
+        assert job.body == raw
+        assert not any(isinstance(value, StudyResult)
+                       for value in vars(job).values())
+        decoded = service.manager.result(job_id)
+        assert type(decoded) is type(expected)
+        assert decoded.to_json_dict() == expected.to_json_dict()
+        if kind != "manifest":
+            assert decoded == expected
+    finally:
+        service.close()
